@@ -43,14 +43,8 @@ fn build_hub() -> (MetricsHub, MockClock) {
     stage.observe_with_exemplar(Duration::from_secs(30), 43);
 
     // Shard-labeled serving instruments, as registered by the sharded
-    // server: pipeline busy time is always the coordinator series, and
-    // answer-cache traffic carries its internal cache-shard index.
-    let pipeline = hub.histogram(
-        "tag_serve_pipeline_busy_seconds",
-        "Worker busy time per handled item by pipeline stage.",
-        &[("stage", "exec"), ("shard", "coord")],
-    );
-    pipeline.observe(Duration::from_millis(4));
+    // server: answer-cache traffic carries its internal cache-shard
+    // index.
     hub.register_collector(|out| {
         for (shard, hits) in [("0", 2u64), ("1", 7)] {
             out.push(Sample::counter(

@@ -21,9 +21,7 @@ use tag_core::answer::Answer;
 use tag_core::env::TagEnv;
 use tag_datagen::{generate_all, Scale};
 use tag_lm::sim::{SimConfig, SimLm};
-use tag_serve::{
-    run_method, MethodName, PipelineStageSnapshot, Request, ServeError, Server, ServerConfig,
-};
+use tag_serve::{run_method, MethodName, Request, ServeError, Server, ServerConfig};
 use tag_shard::ShardSet;
 use tag_sql::PlanCacheStats;
 
@@ -188,24 +186,6 @@ fn json_stage_windows(server: &Server) -> String {
         ));
     }
     format!("[{}]", out.join(","))
-}
-
-fn json_pipeline(snap: &[PipelineStageSnapshot; 3]) -> String {
-    let stages: Vec<String> = snap
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"stage\":\"{}\",\"workers\":{},\"processed\":{},\"busy_ms\":{:.3},\
-                 \"occupancy\":{:.4}}}",
-                s.name,
-                s.workers,
-                s.processed,
-                s.busy.as_secs_f64() * 1e3,
-                s.occupancy,
-            )
-        })
-        .collect();
-    format!("[{}]", stages.join(","))
 }
 
 /// One shard count's measurements in the scatter-gather sweep.
@@ -568,7 +548,6 @@ fn main() {
         // A/B per level: plan cache off, then on — fresh server each so
         // neither run warms the other.
         let mut runs: Vec<(bool, RunStats, PlanCacheStats)> = Vec::new();
-        let mut pipeline_on: Option<[PipelineStageSnapshot; 3]> = None;
         let mut report_on = String::new();
         let mut answer_hits_on = 0u64;
         let mut stage_windows_on = "[]".to_owned();
@@ -616,7 +595,6 @@ fn main() {
                 },
             );
             if cache_on {
-                pipeline_on = Some(server.pipeline_snapshot());
                 report_on = server.report();
                 answer_hits_on = c.hits;
                 stage_windows_on = json_stage_windows(&server);
@@ -638,17 +616,15 @@ fn main() {
             "concurrency {level:>3}: plan cache speedup {:.2}x (p95 {:.2} -> {:.2} ms)",
             speedup, off.1.p95_ms, on.1.p95_ms,
         );
-        let pipeline = pipeline_on.expect("cache-on run recorded");
         let mut obj = String::new();
         let _ = write!(
             obj,
             "{{\"concurrency\":{level},\"cache_off\":{},\"cache_on\":{},\
              \"plan_cache\":{},\"speedup\":{speedup:.3},\"answer_cache_hits\":{answer_hits_on},\
-             \"pipeline\":{},\"stage_windows\":{stage_windows_on}}}",
+             \"stage_windows\":{stage_windows_on}}}",
             json_run(&off.1),
             json_run(&on.1),
             json_plan_cache(&on.2),
-            json_pipeline(&pipeline),
         );
         level_json.push(obj);
     }

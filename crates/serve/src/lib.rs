@@ -5,16 +5,18 @@
 //! the same environments into a server:
 //!
 //! - [`Server`] owns one shared [`TagEnv`](tag_core::env::TagEnv) per
-//!   BIRD domain and runs a three-stage pipeline (`syn` → `exec` →
-//!   `gen`) of worker pools connected by bounded channels over a bounded
-//!   admission queue, with per-request deadlines and typed load-shedding
-//!   ([`ServeError::QueueFull`], [`ServeError::DeadlineExceeded`]).
-//!   Stage occupancy accumulates in [`PipelineMetrics`]; the engine-level
-//!   plan cache (see `tag_sql::PlanCache`) is surfaced per server via
+//!   BIRD domain. Answer-cache hits are served on the caller's thread;
+//!   misses cross one bounded admission queue to one worker pool whose
+//!   workers run each request to completion, with per-request
+//!   deadlines and typed load-shedding ([`ServeError::QueueFull`],
+//!   [`ServeError::DeadlineExceeded`]). The engine-level plan cache
+//!   (see `tag_sql::PlanCache`) is surfaced per server via
 //!   [`Server::plan_cache_stats`].
 //! - [`BatchLm`] coalesces semantic-operator LM calls from *different*
-//!   concurrent requests into shared inference rounds — the paper's
-//!   batched-inference advantage applied across requests.
+//!   concurrent requests into shared inference rounds by group commit
+//!   (whatever arrives during one round rides the next; an idle model
+//!   runs a lone call at once) — the paper's batched-inference
+//!   advantage applied across requests.
 //! - [`AnswerCache`] is a sharded LRU keyed on
 //!   `(domain, method, normalized question)`.
 //! - [`MetricsRegistry`] counts admissions, sheds, cache traffic, and
@@ -46,10 +48,7 @@ pub mod trace;
 
 pub use batch::{BatchLm, BatchStats};
 pub use cache::{normalize_question, AnswerCache, CacheStats};
-pub use metrics::{
-    Histogram, MetricsRegistry, PipelineMetrics, PipelineStageSnapshot, StageMetrics,
-    PIPELINE_STAGE_NAMES, STAGE_EXEC, STAGE_GEN, STAGE_SYN,
-};
+pub use metrics::{Histogram, MetricsRegistry, StageMetrics};
 pub use protocol::{format_answer, parse_line, run_method, Command, MethodName};
 pub use server::{ReplyHandle, Request, Response, ServeError, Server, ServerConfig};
 pub use trace::{TraceLookup, TraceStore};

@@ -8,8 +8,8 @@
 //! count is surfaced in reports and any percentile whose rank falls in
 //! it renders with a `+` suffix (a lower bound, not an estimate).
 //!
-//! Alongside each cumulative histogram, the registry and the stage/
-//! pipeline tables keep [`tag_metrics::WindowedHistogram`] twins that
+//! Alongside each cumulative histogram, the registry and the stage
+//! table keep [`tag_metrics::WindowedHistogram`] twins that
 //! feed rolling 10s/60s views and, through a shared
 //! [`tag_metrics::MetricsHub`], the Prometheus exposition surface.
 
@@ -289,141 +289,6 @@ impl Default for StageMetrics {
     }
 }
 
-/// Index of the `syn` pipeline stage (admission, deadline, answer cache).
-pub const STAGE_SYN: usize = 0;
-/// Index of the `exec` pipeline stage (method execution).
-pub const STAGE_EXEC: usize = 1;
-/// Index of the `gen` pipeline stage (trace capture, cache fill, reply).
-pub const STAGE_GEN: usize = 2;
-/// Pipeline stage names, indexed by [`STAGE_SYN`]/[`STAGE_EXEC`]/[`STAGE_GEN`].
-pub const PIPELINE_STAGE_NAMES: [&str; 3] = ["syn", "exec", "gen"];
-
-/// Busy-time accounting for the three pipeline worker pools. Each worker
-/// records the span from dequeue to hand-off (including any time blocked
-/// pushing into the next stage's bounded channel — a full downstream
-/// stage *is* occupancy), so
-/// `occupancy = busy / (workers × elapsed)` shows which pool is the
-/// bottleneck.
-#[derive(Debug)]
-pub struct PipelineMetrics {
-    busy_us: [AtomicU64; 3],
-    processed: [AtomicU64; 3],
-    /// Rolling per-stage busy-time windows (count = items in window).
-    windows: [Arc<WindowedHistogram>; 3],
-}
-
-/// Point-in-time view of one pipeline stage.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineStageSnapshot {
-    /// Stage name (`syn` / `exec` / `gen`).
-    pub name: &'static str,
-    /// Workers in the pool.
-    pub workers: usize,
-    /// Items this stage has finished handling.
-    pub processed: u64,
-    /// Total busy time across the pool.
-    pub busy: Duration,
-    /// `busy / (workers × elapsed)`, in `0..=1`.
-    pub occupancy: f64,
-}
-
-impl PipelineMetrics {
-    /// A zeroed table with detached (hub-less) rolling windows.
-    pub fn new() -> Self {
-        PipelineMetrics {
-            busy_us: Default::default(),
-            processed: Default::default(),
-            windows: std::array::from_fn(|_| Arc::new(WindowedHistogram::new())),
-        }
-    }
-
-    /// A zeroed table whose rolling windows are registered on `hub` as
-    /// `tag_serve_pipeline_busy_seconds{stage=...,shard="coord"}`. The
-    /// pipeline runs only at the coordinator — shard environments do
-    /// relational work inside scattered fragments, never pipeline
-    /// stages — so the shard label is the fixed `coord` series.
-    pub fn with_hub(hub: &MetricsHub) -> Self {
-        let mut m = PipelineMetrics::new();
-        m.windows = std::array::from_fn(|i| {
-            hub.histogram(
-                "tag_serve_pipeline_busy_seconds",
-                "Worker busy time per handled item by pipeline stage.",
-                &[("stage", PIPELINE_STAGE_NAMES[i]), ("shard", "coord")],
-            )
-        });
-        m
-    }
-
-    /// Rolling view of one stage's busy time (`stage` is a
-    /// [`STAGE_SYN`]-style index).
-    pub fn window(&self, stage: usize, window_secs: u64) -> WindowSnapshot {
-        self.windows[stage].window(window_secs)
-    }
-
-    /// Record one handled item for `stage` (a [`STAGE_SYN`]-style index).
-    /// Stages call this *before* handing the item downstream (or
-    /// replying), so `processed` is monotone along the pipeline — a
-    /// snapshot can never show `gen` ahead of `exec`.
-    pub fn record(&self, stage: usize, busy: Duration) {
-        let r = Ordering::Relaxed;
-        self.busy_us[stage].fetch_add(busy.as_micros().min(u128::from(u64::MAX)) as u64, r);
-        self.processed[stage].fetch_add(1, r);
-        self.windows[stage].observe(busy);
-    }
-
-    /// Fold extra busy time into `stage` without counting an item —
-    /// used for time spent blocked pushing into a full downstream
-    /// channel (backpressure *is* occupancy).
-    pub fn add_busy(&self, stage: usize, busy: Duration) {
-        self.busy_us[stage].fetch_add(
-            busy.as_micros().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Snapshot all three stages given the pool sizes and server uptime.
-    pub fn snapshot(&self, workers: [usize; 3], elapsed: Duration) -> [PipelineStageSnapshot; 3] {
-        let denom_base = elapsed.as_micros().max(1) as f64;
-        std::array::from_fn(|i| {
-            let busy_us = self.busy_us[i].load(Ordering::Relaxed);
-            let denom = denom_base * workers[i].max(1) as f64;
-            PipelineStageSnapshot {
-                name: PIPELINE_STAGE_NAMES[i],
-                workers: workers[i],
-                processed: self.processed[i].load(Ordering::Relaxed),
-                busy: Duration::from_micros(busy_us),
-                occupancy: (busy_us as f64 / denom).clamp(0.0, 1.0),
-            }
-        })
-    }
-
-    /// One line per stage:
-    /// `stage: workers=.. processed=.. busy=..ms occupancy=..% rate10s=../s`
-    /// — the trailing rate is the rolling 10s throughput, so a STATS
-    /// reader sees live load next to the lifetime totals.
-    pub fn report(&self, workers: [usize; 3], elapsed: Duration) -> String {
-        let mut out = String::from("== pipeline ==\n");
-        for (i, s) in self.snapshot(workers, elapsed).into_iter().enumerate() {
-            out.push_str(&format!(
-                "{:<5} workers={} processed={} busy={:.3}ms occupancy={:.1}% rate10s={:.1}/s\n",
-                s.name,
-                s.workers,
-                s.processed,
-                s.busy.as_secs_f64() * 1e3,
-                s.occupancy * 100.0,
-                self.windows[i].window(10).rate(),
-            ));
-        }
-        out
-    }
-}
-
-impl Default for PipelineMetrics {
-    fn default() -> Self {
-        PipelineMetrics::new()
-    }
-}
-
 /// All counters the serving runtime exposes.
 #[derive(Debug)]
 pub struct MetricsRegistry {
@@ -665,36 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_metrics_track_busy_and_occupancy() {
-        let p = PipelineMetrics::new();
-        p.record(STAGE_SYN, Duration::from_millis(1));
-        p.record(STAGE_EXEC, Duration::from_millis(80));
-        p.record(STAGE_EXEC, Duration::from_millis(20));
-        let snap = p.snapshot([2, 1, 2], Duration::from_millis(100));
-        assert_eq!(snap[STAGE_SYN].processed, 1);
-        assert_eq!(snap[STAGE_EXEC].processed, 2);
-        assert_eq!(snap[STAGE_GEN].processed, 0);
-        // exec: 100ms busy on 1 worker over 100ms elapsed = saturated.
-        assert!(snap[STAGE_EXEC].occupancy > 0.9, "{snap:?}");
-        // syn: 1ms busy on 2 workers over 100ms = nearly idle.
-        assert!(snap[STAGE_SYN].occupancy < 0.05, "{snap:?}");
-        assert_eq!(snap[STAGE_GEN].occupancy, 0.0);
-        let r = p.report([2, 1, 2], Duration::from_millis(100));
-        assert!(r.contains("== pipeline =="), "{r}");
-        assert!(r.contains("syn"), "{r}");
-        assert!(r.contains("occupancy="), "{r}");
-    }
-
-    #[test]
-    fn pipeline_occupancy_is_clamped() {
-        let p = PipelineMetrics::new();
-        // More busy time than wall time (possible with measurement skew).
-        p.record(STAGE_GEN, Duration::from_secs(10));
-        let snap = p.snapshot([1, 1, 1], Duration::from_secs(1));
-        assert_eq!(snap[STAGE_GEN].occupancy, 1.0);
-    }
-
-    #[test]
     fn stage_windows_roll_and_carry_exemplars() {
         use tag_trace::{LmUsage, SpanRecord, Stage};
         let s = StageMetrics::new();
@@ -740,15 +575,6 @@ mod tests {
         assert_eq!(m.total_time_window.count(), 0);
         let s = StageMetrics::with_hub(&hub);
         assert!(!s.windows[0].is_active());
-    }
-
-    #[test]
-    fn pipeline_report_includes_rolling_rate() {
-        let p = PipelineMetrics::new();
-        p.record(STAGE_EXEC, Duration::from_millis(10));
-        let r = p.report([1, 1, 1], Duration::from_millis(100));
-        assert!(r.contains("rate10s="), "{r}");
-        assert_eq!(p.window(STAGE_EXEC, 10).count(), 1);
     }
 
     #[test]

@@ -1,30 +1,37 @@
-//! The serving runtime: a three-stage pipeline (`syn` → `exec` → `gen`)
-//! over a bounded admission queue, answering TAG questions against
-//! shared per-domain environments.
+//! The serving runtime: run-to-completion workers over one bounded
+//! admission queue, answering TAG questions against shared per-domain
+//! environments.
 //!
-//! Each stage runs on its own worker pool connected by bounded
-//! channels: `syn` workers handle admission bookkeeping, deadlines, and
-//! the answer-cache fast path; `exec` workers run the method (the
-//! expensive part, dominated by LM batching rounds); `gen` workers do
-//! post-processing — trace capture, answer-cache fill, metrics, and the
-//! reply. Splitting the stages lets request N+1's admission and cache
-//! lookup (and its SQL, once an `exec` worker frees up) overlap request
-//! N's in-flight LM rounds instead of serializing behind them, so
-//! wall-clock tracks the LM, not the sum of stages.
+//! A request changes threads as rarely as it can. [`Server::submit`]
+//! probes the answer cache on the caller's thread: a hit is answered
+//! there and then, with no queue and no hand-off. A miss goes onto the
+//! admission queue, and the worker that takes it off runs it to the
+//! end — deadline check, the traced method (`syn → exec → gen`), span
+//! fold, trace-store insert, cache fill, metrics, reply — so a miss
+//! costs two wake-ups: the worker's and the caller's. The only place
+//! requests meet is [`BatchLm`], where LM rounds from different
+//! requests merge when, and only when, they overlap.
+//!
+//! The design this replaced ran three pools (`syn`, `exec`, `gen`)
+//! over two more bounded channels and held every LM round open for a
+//! 1 ms window. Its `syn` and `gen` pools did no method work, so their
+//! hops were pure wake-up cost (`serve_cold`, 2 clients, seed 42):
+//!
+//! | | three pools + window | one pool + group commit |
+//! |---|---|---|
+//! | wake-ups per miss / per hit | 6 / 4 | 2 / 0 |
+//! | `req_per_s` | 599 | 982 |
+//! | `tag-serve.vs_serial` | 0.62 | 0.95 |
 //!
 //! Admission control is explicit: a full queue sheds the request with
 //! [`ServeError::QueueFull`] instead of queueing unboundedly, and a
 //! request whose deadline passes while queued is dropped at dequeue
-//! (checked again at the `exec` hand-off) with
-//! [`ServeError::DeadlineExceeded`] rather than wasting a worker on an
-//! answer nobody is waiting for.
+//! with [`ServeError::DeadlineExceeded`] rather than wasting a worker
+//! on an answer nobody is waiting for.
 
 use crate::batch::{BatchLm, BatchStats};
 use crate::cache::AnswerCache;
-use crate::metrics::{
-    MetricsRegistry, PipelineMetrics, PipelineStageSnapshot, StageMetrics, STAGE_EXEC, STAGE_GEN,
-    STAGE_SYN,
-};
+use crate::metrics::{MetricsRegistry, StageMetrics};
 use crate::protocol::{run_method, MethodName};
 use crate::trace::{TraceLookup, TraceStore};
 use parking_lot::{Condvar, Mutex};
@@ -38,6 +45,7 @@ use std::time::{Duration, Instant};
 use tag_core::answer::Answer;
 use tag_core::env::TagEnv;
 use tag_datagen::DomainData;
+use tag_lm::model::LanguageModel;
 use tag_lm::sim::{SimConfig, SimLm};
 use tag_metrics::{MetricsHub, Sample};
 use tag_shard::{Coordinator, ShardSet};
@@ -45,16 +53,8 @@ use tag_shard::{Coordinator, ShardSet};
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// `exec`-stage worker threads (run the methods — the expensive pool).
+    /// Worker threads; each runs one request at a time to completion.
     pub workers: usize,
-    /// `syn`-stage worker threads (admission, deadline, cache fast path).
-    pub syn_workers: usize,
-    /// `gen`-stage worker threads (traces, cache fill, reply).
-    pub gen_workers: usize,
-    /// Bounded depth of the channels between pipeline stages. Kept small
-    /// so admission-queue shedding still engages under saturation instead
-    /// of requests hiding in inter-stage buffers.
-    pub stage_capacity: usize,
     /// Bounded admission-queue depth; beyond it requests are shed.
     pub queue_capacity: usize,
     /// Deadline applied when a request does not carry its own.
@@ -63,10 +63,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Answer-cache shard count.
     pub cache_shards: usize,
-    /// Cross-request batching window.
-    pub batch_window: Duration,
-    /// Prompt cap per merged inference round.
-    pub max_batch: usize,
     /// Most recent request traces kept for `TRACE <id>` (0 disables
     /// per-request tracing entirely).
     pub trace_capacity: usize,
@@ -90,15 +86,10 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 4,
-            syn_workers: 2,
-            gen_workers: 2,
-            stage_capacity: 4,
             queue_capacity: 64,
             default_deadline: Duration::from_secs(10),
             cache_capacity: 1024,
             cache_shards: 8,
-            batch_window: Duration::from_millis(1),
-            max_batch: 64,
             trace_capacity: 256,
             tail_traces: 16,
             metrics_enabled: true,
@@ -197,49 +188,38 @@ impl ReplyCell {
 }
 
 /// A ticket for an admitted request; [`wait`](ReplyHandle::wait) blocks
-/// until a worker replies.
-pub struct ReplyHandle {
-    cell: Arc<ReplyCell>,
+/// until a worker replies. A cache hit's ticket is already complete.
+pub struct ReplyHandle(Reply);
+
+enum Reply {
+    Ready(Response),
+    Pending(Arc<ReplyCell>),
 }
 
 impl ReplyHandle {
     /// Block until the request completes (or is dropped at dequeue).
     pub fn wait(self) -> Result<Response, ServeError> {
-        let mut guard = self.cell.result.lock();
+        let cell = match self.0 {
+            Reply::Ready(response) => return Ok(response),
+            Reply::Pending(cell) => cell,
+        };
+        let mut guard = cell.result.lock();
         loop {
             if let Some(result) = guard.take() {
                 return result;
             }
-            self.cell.ready.wait(&mut guard);
+            cell.ready.wait(&mut guard);
         }
     }
 }
 
-/// An admitted request, headed for a `syn` worker.
+/// An admitted cache miss, headed for a worker.
 struct Job {
     req: Request,
+    /// The domain's coordinator env, resolved at admission.
+    env: Arc<TagEnv>,
     enqueued: Instant,
     reply: Arc<ReplyCell>,
-}
-
-/// A request past admission + cache lookup, headed for an `exec` worker.
-struct ExecJob {
-    req: Request,
-    enqueued: Instant,
-    queue_wait: Duration,
-    reply: Arc<ReplyCell>,
-}
-
-/// An executed request, headed for a `gen` worker to finish and reply.
-struct GenJob {
-    req: Request,
-    enqueued: Instant,
-    queue_wait: Duration,
-    reply: Arc<ReplyCell>,
-    answer: Answer,
-    exec: Duration,
-    spans: Vec<tag_trace::SpanRecord>,
-    trace_id: Option<u64>,
 }
 
 /// State shared by the admission path and every worker.
@@ -256,52 +236,54 @@ struct Shared {
     hub: Arc<MetricsHub>,
     metrics: Arc<MetricsRegistry>,
     stages: StageMetrics,
-    pipeline: PipelineMetrics,
     batch: Arc<BatchLm>,
     traces: TraceStore,
     default_deadline: Duration,
-    /// Pool sizes indexed by `STAGE_SYN`/`STAGE_EXEC`/`STAGE_GEN`.
-    stage_workers: [usize; 3],
-    started: Instant,
 }
 
 /// The concurrent multi-domain serving runtime.
 pub struct Server {
     shared: Arc<Shared>,
     tx: Mutex<Option<SyncSender<Job>>>,
-    /// Pipeline pools, joined in stage order on shutdown (dropping the
-    /// admission sender cascades: `syn` exits drop the `exec` senders,
-    /// `exec` exits drop the `gen` senders).
-    syn_pool: Mutex<Vec<JoinHandle<()>>>,
-    exec_pool: Mutex<Vec<JoinHandle<()>>>,
-    gen_pool: Mutex<Vec<JoinHandle<()>>>,
+    /// Joined on shutdown, once dropping the admission sender has let
+    /// the workers drain the queue and exit.
+    pool: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Server {
-    /// Start a server over `domains`, sharing one simulated LM (behind
-    /// the cross-request [`BatchLm`]) across every domain environment.
-    /// Each domain is partitioned into [`ServerConfig::shards`] shards
-    /// behind a coordinator; only the coordinator env builds a row
-    /// store or reports to the metrics hub (scattered fragments do
-    /// their shard-side work inside the coordinator's instrumented
-    /// query).
+    /// Start a server over `domains`, sharing one simulated LM across
+    /// every domain environment. See [`Server::start_with_lm`].
+    pub fn start(domains: Vec<DomainData>, lm_config: SimConfig, config: ServerConfig) -> Self {
+        Self::start_with_lm(domains, Arc::new(SimLm::new(lm_config)), config)
+    }
+
+    /// Start a server over `domains` that sends every prompt to `lm`
+    /// (behind the cross-request [`BatchLm`]); tests pass a model they
+    /// can gate or fail. Each domain is partitioned into
+    /// [`ServerConfig::shards`] shards behind a coordinator; only the
+    /// coordinator env builds a row store or reports to the metrics hub
+    /// (scattered fragments do their shard-side work inside the
+    /// coordinator's instrumented query).
     ///
     /// Retrieval indexes are built eagerly so the first request pays no
     /// warm-up cost (the paper builds its FAISS indexes offline too).
-    pub fn start(domains: Vec<DomainData>, lm_config: SimConfig, config: ServerConfig) -> Self {
+    pub fn start_with_lm(
+        domains: Vec<DomainData>,
+        lm: Arc<dyn LanguageModel>,
+        config: ServerConfig,
+    ) -> Self {
         let hub = Arc::new(if config.metrics_enabled {
             MetricsHub::new()
         } else {
             MetricsHub::noop()
         });
-        let sim: Arc<dyn tag_lm::model::LanguageModel> = Arc::new(SimLm::new(lm_config));
-        let batch = BatchLm::new(sim, config.batch_window, config.max_batch);
+        let batch = BatchLm::new(lm);
         let mut envs = HashMap::new();
         for d in domains {
             let name = d.name;
             let set = ShardSet::new(
                 d,
-                Arc::clone(&batch) as Arc<dyn tag_lm::model::LanguageModel>,
+                Arc::clone(&batch) as Arc<dyn LanguageModel>,
                 config.shards.max(1),
             );
             let _ = set.env().row_store();
@@ -310,18 +292,12 @@ impl Server {
             }
             envs.insert(name.to_owned(), set);
         }
-        let stage_workers = [
-            config.syn_workers.max(1),
-            config.workers.max(1),
-            config.gen_workers.max(1),
-        ];
         let started = Instant::now();
         let cache = Arc::new(AnswerCache::new(config.cache_capacity, config.cache_shards));
         let metrics = Arc::new(MetricsRegistry::with_hub(&hub));
         register_collectors(&hub, &metrics, &cache, &batch, &envs, started);
         let shared = Arc::new(Shared {
             stages: StageMetrics::with_hub(&hub),
-            pipeline: PipelineMetrics::with_hub(&hub),
             envs,
             cache,
             hub,
@@ -329,63 +305,24 @@ impl Server {
             batch,
             traces: TraceStore::with_tail(config.trace_capacity, config.tail_traces),
             default_deadline: config.default_deadline,
-            stage_workers,
-            started,
         });
-        let (tx, syn_rx) = sync_channel::<Job>(config.queue_capacity.max(1));
-        let (exec_tx, exec_rx) = sync_channel::<ExecJob>(config.stage_capacity.max(1));
-        let (gen_tx, gen_rx) = sync_channel::<GenJob>(config.stage_capacity.max(1));
-        let syn_rx = Arc::new(Mutex::new(syn_rx));
-        let exec_rx = Arc::new(Mutex::new(exec_rx));
-        let gen_rx = Arc::new(Mutex::new(gen_rx));
-        let spawn = |name: String, f: Box<dyn FnOnce() + Send>| {
-            std::thread::Builder::new()
-                .name(name.clone())
-                .spawn(f)
-                .unwrap_or_else(|e| panic!("cannot spawn stage worker {name}: {e}"))
-        };
-        let syn_pool = (0..stage_workers[STAGE_SYN])
+        let (tx, rx) = sync_channel::<Job>(config.queue_capacity.max(1));
+        let rx = Arc::new(Mutex::new(rx));
+        let pool = (0..config.workers.max(1))
             .map(|i| {
-                let rx = Arc::clone(&syn_rx);
-                let next = exec_tx.clone();
+                let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
-                spawn(
-                    format!("tag-serve-syn-{i}"),
-                    Box::new(move || syn_loop(&rx, &next, &shared)),
-                )
+                let name = format!("tag-serve-worker-{i}");
+                std::thread::Builder::new()
+                    .name(name.clone())
+                    .spawn(move || worker_loop(&rx, &shared))
+                    .unwrap_or_else(|e| panic!("cannot spawn {name}: {e}"))
             })
             .collect();
-        let exec_pool = (0..stage_workers[STAGE_EXEC])
-            .map(|i| {
-                let rx = Arc::clone(&exec_rx);
-                let next = gen_tx.clone();
-                let shared = Arc::clone(&shared);
-                spawn(
-                    format!("tag-serve-exec-{i}"),
-                    Box::new(move || exec_loop(&rx, &next, &shared)),
-                )
-            })
-            .collect();
-        let gen_pool = (0..stage_workers[STAGE_GEN])
-            .map(|i| {
-                let rx = Arc::clone(&gen_rx);
-                let shared = Arc::clone(&shared);
-                spawn(
-                    format!("tag-serve-gen-{i}"),
-                    Box::new(move || gen_loop(&rx, &shared)),
-                )
-            })
-            .collect();
-        // The master stage senders die here: each stage's channel stays
-        // open exactly as long as the upstream pool does.
-        drop(exec_tx);
-        drop(gen_tx);
         Server {
             shared,
             tx: Mutex::new(Some(tx)),
-            syn_pool: Mutex::new(syn_pool),
-            exec_pool: Mutex::new(exec_pool),
-            gen_pool: Mutex::new(gen_pool),
+            pool: Mutex::new(pool),
         }
     }
 
@@ -425,13 +362,6 @@ impl Server {
     /// Per-stage aggregates over all traced requests.
     pub fn stage_metrics(&self) -> &StageMetrics {
         &self.shared.stages
-    }
-
-    /// Pipeline occupancy and throughput per stage pool.
-    pub fn pipeline_snapshot(&self) -> [PipelineStageSnapshot; 3] {
-        self.shared
-            .pipeline
-            .snapshot(self.shared.stage_workers, self.shared.started.elapsed())
     }
 
     /// Plan-cache counters aggregated across every served domain —
@@ -530,18 +460,46 @@ impl Server {
         })
     }
 
-    /// Admit a request without blocking on its execution.
+    /// Admit a request without blocking on its execution. An
+    /// answer-cache hit is served here, on the caller's thread, and its
+    /// handle is already complete; a miss is queued for a worker.
     ///
     /// Fails fast with [`ServeError::QueueFull`] when the bounded queue
     /// is at capacity — callers are expected to back off and retry.
     pub fn submit(&self, req: Request) -> Result<ReplyHandle, ServeError> {
-        if !self.shared.envs.contains_key(&req.domain) {
+        let Some(set) = self.shared.envs.get(&req.domain) else {
             return Err(ServeError::UnknownDomain(req.domain));
+        };
+        let enqueued = Instant::now();
+        if self.tx.lock().is_none() {
+            return Err(ServeError::Shutdown);
+        }
+        let m = &self.shared.metrics;
+        if let Some(answer) = self
+            .shared
+            .cache
+            .get(&req.domain, req.method, &req.question)
+        {
+            m.requests_admitted.fetch_add(1, Relaxed);
+            m.answer_cache_hits.fetch_add(1, Relaxed);
+            m.requests_ok.fetch_add(1, Relaxed);
+            let total = enqueued.elapsed();
+            m.total_time.observe(total);
+            m.total_time_window.observe(total);
+            return Ok(ReplyHandle(Reply::Ready(Response {
+                answer,
+                queue_wait: Duration::ZERO,
+                exec: Duration::ZERO,
+                total,
+                cache_hit: true,
+                trace_id: None,
+            })));
         }
         let reply = ReplyCell::new();
         let job = Job {
             req,
-            enqueued: Instant::now(),
+            env: Arc::clone(set.env()),
+            enqueued,
             reply: Arc::clone(&reply),
         };
         let tx = self.tx.lock();
@@ -550,14 +508,12 @@ impl Server {
         };
         match tx.try_send(job) {
             Ok(()) => {
-                self.shared.metrics.requests_admitted.fetch_add(1, Relaxed);
-                Ok(ReplyHandle { cell: reply })
+                m.requests_admitted.fetch_add(1, Relaxed);
+                m.answer_cache_misses.fetch_add(1, Relaxed);
+                Ok(ReplyHandle(Reply::Pending(reply)))
             }
             Err(TrySendError::Full(_)) => {
-                self.shared
-                    .metrics
-                    .rejected_queue_full
-                    .fetch_add(1, Relaxed);
+                m.rejected_queue_full.fetch_add(1, Relaxed);
                 Err(ServeError::QueueFull)
             }
             Err(TrySendError::Disconnected(_)) => Err(ServeError::Shutdown),
@@ -623,12 +579,6 @@ impl Server {
             out.push_str(&self.shared.stages.report());
             out.push_str(&self.shared.stages.windows_report());
         }
-        out.push_str(
-            &self
-                .shared
-                .pipeline
-                .report(self.shared.stage_workers, self.shared.started.elapsed()),
-        );
         let pc = self.plan_cache_stats();
         out.push_str(&format!(
             "== plan cache ==\nplan cache: hits={} misses={} evictions={} invalidations={} \
@@ -665,17 +615,15 @@ impl Server {
         out
     }
 
-    /// Stop admitting work, drain the pipeline, and join every worker.
-    /// Joining stage by stage is safe because closing the admission
-    /// channel cascades: `syn` exits close the `exec` channel, `exec`
-    /// exits close the `gen` channel.
+    /// Stop admitting work, let the workers finish everything already
+    /// admitted, and join them. Dropping the admission sender is what
+    /// ends them: `recv` keeps returning queued jobs until the queue is
+    /// empty, and only then reports the disconnect.
     pub fn shutdown(&self) {
         *self.tx.lock() = None;
-        for pool in [&self.syn_pool, &self.exec_pool, &self.gen_pool] {
-            let workers = std::mem::take(&mut *pool.lock());
-            for w in workers {
-                let _ = w.join();
-            }
+        let workers = std::mem::take(&mut *self.pool.lock());
+        for w in workers {
+            let _ = w.join();
         }
     }
 }
@@ -943,205 +891,89 @@ fn register_collectors(
     });
 }
 
-/// `syn` stage: admission bookkeeping, deadline check, answer-cache
-/// fast path. Misses are forwarded to the `exec` pool; the bounded send
-/// blocks when `exec` is saturated, which is exactly the backpressure
-/// that makes the admission queue fill and shed.
-fn syn_loop(rx: &Mutex<Receiver<Job>>, exec_tx: &SyncSender<ExecJob>, shared: &Shared) {
+/// One worker: take a miss off the admission queue and run it to its
+/// reply.
+fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
     loop {
         // The receiver guard is dropped at the end of this statement,
         // so the lock is held only for the dequeue itself.
         let received = rx.lock().recv();
         let Ok(job) = received else {
-            return; // admission sender dropped: shutdown
+            return; // admission sender dropped and queue drained: shutdown
         };
-        let busy = Instant::now();
-        match syn_stage(shared, job) {
-            SynOutcome::Forward(fwd) => {
-                shared.pipeline.record(STAGE_SYN, busy.elapsed());
-                // Infallible while this worker lives: the `exec` pool
-                // only exits once every `syn` worker has dropped its
-                // sender.
-                let handoff = Instant::now();
-                let _ = exec_tx.send(fwd);
-                shared.pipeline.add_busy(STAGE_SYN, handoff.elapsed());
-            }
-            SynOutcome::Reply(reply, result) => {
-                // Count the item before replying so a client that just
-                // woke up always sees its own request in the snapshot.
-                shared.pipeline.record(STAGE_SYN, busy.elapsed());
-                reply.deliver(result);
-            }
-        }
+        let result = run_to_completion(shared, &job);
+        job.reply.deliver(result);
     }
 }
 
-enum SynOutcome {
-    Forward(ExecJob),
-    Reply(Arc<ReplyCell>, Result<Response, ServeError>),
-}
-
-fn syn_stage(shared: &Shared, job: Job) -> SynOutcome {
+/// Everything between dequeue and reply: deadline check, the traced
+/// method, then span fold, trace capture, cache fill and metrics. The
+/// trace is stored *before* the reply is delivered so `TRACE <id>`
+/// always finds a trace whose id a client has just received.
+fn run_to_completion(shared: &Shared, job: &Job) -> Result<Response, ServeError> {
     let m = &shared.metrics;
+    let req = &job.req;
     let queue_wait = job.enqueued.elapsed();
     m.queue_wait.observe(queue_wait);
     m.queue_wait_window.observe(queue_wait);
-    let deadline = job.req.deadline.unwrap_or(shared.default_deadline);
-    if queue_wait > deadline {
+    if queue_wait > req.deadline.unwrap_or(shared.default_deadline) {
         m.rejected_deadline.fetch_add(1, Relaxed);
-        return SynOutcome::Reply(job.reply, Err(ServeError::DeadlineExceeded));
+        return Err(ServeError::DeadlineExceeded);
     }
-    if let Some(answer) = shared
-        .cache
-        .get(&job.req.domain, job.req.method, &job.req.question)
-    {
-        m.answer_cache_hits.fetch_add(1, Relaxed);
-        m.requests_ok.fetch_add(1, Relaxed);
-        let total = job.enqueued.elapsed();
-        m.total_time.observe(total);
-        m.total_time_window.observe(total);
-        return SynOutcome::Reply(
-            job.reply,
-            Ok(Response {
-                answer,
-                queue_wait,
-                exec: Duration::ZERO,
-                total,
-                cache_hit: true,
-                trace_id: None,
-            }),
-        );
-    }
-    m.answer_cache_misses.fetch_add(1, Relaxed);
-    SynOutcome::Forward(ExecJob {
-        req: job.req,
-        enqueued: job.enqueued,
-        queue_wait,
-        reply: job.reply,
-    })
-}
-
-/// `exec` stage: run the method (traced when tracing is on). Everything
-/// after the answer exists — trace capture, cache fill, reply — is
-/// handed to the `gen` pool so this pool's workers go straight back to
-/// the next request's SQL/retrieval while the LM rounds drain.
-fn exec_loop(rx: &Mutex<Receiver<ExecJob>>, gen_tx: &SyncSender<GenJob>, shared: &Shared) {
-    loop {
-        let received = rx.lock().recv();
-        let Ok(job) = received else {
-            return; // syn pool exited: shutdown
-        };
-        let busy = Instant::now();
-        // Re-check the deadline: time spent queued between stages counts
-        // against the request too.
-        let deadline = job.req.deadline.unwrap_or(shared.default_deadline);
-        if job.enqueued.elapsed() > deadline {
-            shared.metrics.rejected_deadline.fetch_add(1, Relaxed);
-            shared.pipeline.record(STAGE_EXEC, busy.elapsed());
-            job.reply.deliver(Err(ServeError::DeadlineExceeded));
-            continue;
-        }
-        // Submit validated the domain, but deliver an error rather than
-        // poison the worker if that invariant ever breaks.
-        let Some(env) = shared.envs.get(&job.req.domain).map(ShardSet::env) else {
-            shared.pipeline.record(STAGE_EXEC, busy.elapsed());
-            job.reply
-                .deliver(Err(ServeError::UnknownDomain(job.req.domain.clone())));
-            continue;
-        };
-        let started = Instant::now();
-        let (answer, spans, trace_id) = if shared.traces.capacity() > 0 {
-            let (trace, sink) = tag_trace::Trace::memory();
-            let trace_id = trace.id();
-            let answer = tag_trace::with_trace(&trace, || {
-                let _root = tag_trace::span(
-                    tag_trace::Stage::Request,
-                    &format!("{} {}", job.req.method, job.req.domain),
-                );
-                run_method(job.req.method, &job.req.question, env)
-            });
-            (answer, sink.take(), Some(trace_id))
-        } else {
-            (
-                run_method(job.req.method, &job.req.question, env),
-                Vec::new(),
-                None,
-            )
-        };
-        let exec = started.elapsed();
-        shared.metrics.exec_time.observe(exec);
-        match trace_id {
-            Some(id) => shared
-                .metrics
-                .exec_time_window
-                .observe_with_exemplar(exec, id),
-            None => shared.metrics.exec_time_window.observe(exec),
-        }
-        shared.pipeline.record(STAGE_EXEC, busy.elapsed());
-        let handoff = Instant::now();
-        let _ = gen_tx.send(GenJob {
-            req: job.req,
-            enqueued: job.enqueued,
-            queue_wait: job.queue_wait,
-            reply: job.reply,
-            answer,
-            exec,
-            spans,
-            trace_id,
-        });
-        shared.pipeline.add_busy(STAGE_EXEC, handoff.elapsed());
-    }
-}
-
-/// `gen` stage: fold spans into stage metrics, park the trace in the
-/// ring, fill the answer cache, and reply. The trace is inserted
-/// *before* the reply is delivered so `TRACE <id>` always finds a trace
-/// whose id a client has just received.
-fn gen_loop(rx: &Mutex<Receiver<GenJob>>, shared: &Shared) {
-    loop {
-        let received = rx.lock().recv();
-        let Ok(job) = received else {
-            return; // exec pool exited: shutdown
-        };
-        let busy = Instant::now();
-        let m = &shared.metrics;
-        for span in &job.spans {
-            shared.stages.record(span);
-        }
-        let is_error = matches!(job.answer, Answer::Error(_));
-        if let Some(trace_id) = job.trace_id {
-            shared
-                .traces
-                .insert_with_outcome(trace_id, job.spans, is_error);
-        }
-        // Errors are not cached: they may be transient (e.g.
-        // load-dependent) and re-asking should re-execute.
-        if !is_error {
-            shared.cache.insert(
-                &job.req.domain,
-                job.req.method,
-                &job.req.question,
-                job.answer.clone(),
+    let started = Instant::now();
+    let (answer, spans, trace_id) = if shared.traces.capacity() > 0 {
+        let (trace, sink) = tag_trace::Trace::memory();
+        let trace_id = trace.id();
+        let answer = tag_trace::with_trace(&trace, || {
+            let _root = tag_trace::span(
+                tag_trace::Stage::Request,
+                &format!("{} {}", req.method, req.domain),
             );
-        }
-        m.requests_ok.fetch_add(1, Relaxed);
-        let total = job.enqueued.elapsed();
-        m.total_time.observe(total);
-        match job.trace_id {
-            Some(id) => m.total_time_window.observe_with_exemplar(total, id),
-            None => m.total_time_window.observe(total),
-        }
-        // Count before replying (same reasoning as in `syn_loop`).
-        shared.pipeline.record(STAGE_GEN, busy.elapsed());
-        job.reply.deliver(Ok(Response {
-            answer: job.answer,
-            queue_wait: job.queue_wait,
-            exec: job.exec,
-            total,
-            cache_hit: false,
-            trace_id: job.trace_id,
-        }));
+            run_method(req.method, &req.question, &job.env)
+        });
+        (answer, sink.take(), Some(trace_id))
+    } else {
+        (
+            run_method(req.method, &req.question, &job.env),
+            Vec::new(),
+            None,
+        )
+    };
+    let exec = started.elapsed();
+    m.exec_time.observe(exec);
+    match trace_id {
+        Some(id) => m.exec_time_window.observe_with_exemplar(exec, id),
+        None => m.exec_time_window.observe(exec),
     }
+    for span in &spans {
+        shared.stages.record(span);
+    }
+    let is_error = matches!(answer, Answer::Error(_));
+    if let Some(trace_id) = trace_id {
+        shared.traces.insert_with_outcome(trace_id, spans, is_error);
+    }
+    // Errors are not cached: they may be transient (e.g.
+    // load-dependent) and re-asking should re-execute.
+    if !is_error {
+        shared
+            .cache
+            .insert(&req.domain, req.method, &req.question, answer.clone());
+    }
+    m.requests_ok.fetch_add(1, Relaxed);
+    let total = job.enqueued.elapsed();
+    m.total_time.observe(total);
+    match trace_id {
+        Some(id) => m.total_time_window.observe_with_exemplar(total, id),
+        None => m.total_time_window.observe(total),
+    }
+    Ok(Response {
+        answer,
+        queue_wait,
+        exec,
+        total,
+        cache_hit: false,
+        trace_id,
+    })
 }
 
 #[cfg(test)]
@@ -1236,7 +1068,6 @@ mod tests {
         assert!(r.contains("answer cache"));
         assert!(r.contains("semantic operators"), "{r}");
         assert!(r.contains("stage breakdown"), "{r}");
-        assert!(r.contains("== pipeline =="), "{r}");
         assert!(r.contains("== plan cache =="), "{r}");
         assert!(r.contains("== shards =="), "{r}");
         assert!(r.contains("answer cache shard hits/misses"), "{r}");
@@ -1244,17 +1075,9 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_counts_every_stage_and_plans_are_cached() {
+    fn executed_requests_look_plans_up() {
         let (server, req) = tiny_server(ServerConfig::default());
-        let first = server.ask(req.clone()).unwrap();
-        assert!(!first.cache_hit);
-        let second = server.ask(req).unwrap();
-        assert!(second.cache_hit);
-        let snap = server.pipeline_snapshot();
-        // Both requests crossed syn; only the miss reached exec and gen.
-        assert_eq!(snap[crate::metrics::STAGE_SYN].processed, 2, "{snap:?}");
-        assert_eq!(snap[crate::metrics::STAGE_EXEC].processed, 1, "{snap:?}");
-        assert_eq!(snap[crate::metrics::STAGE_GEN].processed, 1, "{snap:?}");
+        assert!(!server.ask(req).unwrap().cache_hit);
         // The handwritten method ran SQL, so plans were looked up.
         let pc = server.plan_cache_stats();
         assert!(pc.hits + pc.misses > 0, "{pc:?}");
@@ -1381,9 +1204,6 @@ mod tests {
         assert!(text.contains("tag_serve_total_seconds_count 2"), "{text}");
         assert!(text.contains("tag_serve_total_window_seconds"), "{text}");
         assert!(text.contains("tag_serve_stage_seconds_bucket"), "{text}");
-        assert!(text.contains("tag_serve_pipeline_busy_seconds"), "{text}");
-        // Pipeline instruments carry the coordinator shard label.
-        assert!(text.contains("shard=\"coord\""), "{text}");
         // Scatter-gather series exist even at the default single shard.
         assert!(text.contains("tag_serve_scatter_total"), "{text}");
         assert!(text.contains("tag_serve_shard_rows"), "{text}");

@@ -1,16 +1,20 @@
 //! End-to-end concurrency tests: the serving runtime must produce
 //! byte-identical answers (and therefore an identical exact-match
-//! score) to a serial baseline, and must shed load instead of queueing
-//! unboundedly.
+//! score) to a serial baseline, must shed load instead of queueing
+//! unboundedly, and must degrade predictably under faults (an LM
+//! error, shutdown with a full queue).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 use tag_bench::Harness;
 use tag_core::answer::{exact_match, Answer};
-use tag_datagen::{generate_all, Scale};
-use tag_lm::sim::SimConfig;
-use tag_serve::{run_method, MethodName, Request, ServeError, Server, ServerConfig};
+use tag_datagen::{generate_all, DomainData, Scale};
+use tag_lm::model::{LanguageModel, LmError, LmRequest, LmResponse, LmResult};
+use tag_lm::sim::{SimConfig, SimLm};
+use tag_serve::{
+    run_method, MethodName, ReplyHandle, Request, ServeError, Server, ServerConfig, TraceLookup,
+};
 
 fn test_scale() -> Scale {
     Scale {
@@ -22,9 +26,136 @@ fn test_scale() -> Scale {
     }
 }
 
+fn tiny_domains() -> Vec<DomainData> {
+    generate_all(
+        42,
+        Scale {
+            schools: 40,
+            players: 40,
+            posts: 20,
+            customers: 40,
+            drivers: 6,
+        },
+    )
+}
+
+/// `n` distinct Rag requests (Rag always does LM work) over `domains`.
+fn rag_requests(domains: &[DomainData], n: usize) -> Vec<Request> {
+    let requests: Vec<Request> = tag_bench::build_benchmark(domains)
+        .iter()
+        .take(n)
+        .map(|q| Request::new(q.domain, MethodName::Rag, q.question()))
+        .collect();
+    assert_eq!(requests.len(), n);
+    requests
+}
+
+/// The simulated LM behind a gate the test holds shut to pin a worker
+/// inside an LM round, and with a count of rounds to fail.
+struct FaultLm {
+    inner: SimLm,
+    open: Mutex<bool>,
+    opened: Condvar,
+    held: AtomicUsize,
+    fail_rounds: AtomicUsize,
+}
+
+impl FaultLm {
+    fn new(open: bool) -> Arc<Self> {
+        Arc::new(FaultLm {
+            inner: SimLm::new(SimConfig::default()),
+            open: Mutex::new(open),
+            opened: Condvar::new(),
+            held: AtomicUsize::new(0),
+            fail_rounds: AtomicUsize::new(0),
+        })
+    }
+
+    fn release(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    /// Returns once a round is waiting at the shut gate.
+    fn wait_until_held(&self) {
+        spin_until("an LM round to reach the gate", || {
+            self.held.load(Ordering::SeqCst) > 0
+        });
+    }
+}
+
+impl LanguageModel for FaultLm {
+    fn generate_batch(&self, requests: &[LmRequest]) -> LmResult<Vec<LmResponse>> {
+        self.held.fetch_add(1, Ordering::SeqCst);
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        drop(open);
+        self.held.fetch_sub(1, Ordering::SeqCst);
+        let fail = self
+            .fail_rounds
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        if fail.is_ok() {
+            return Err(LmError::Other("injected backend failure".into()));
+        }
+        self.inner.generate_batch(requests)
+    }
+    fn elapsed_seconds(&self) -> f64 {
+        self.inner.elapsed_seconds()
+    }
+    fn reset_metrics(&self) {
+        self.inner.reset_metrics();
+    }
+    fn batches(&self) -> u64 {
+        self.inner.batches()
+    }
+    fn calls(&self) -> u64 {
+        self.inner.calls()
+    }
+    fn context_window(&self) -> usize {
+        self.inner.context_window()
+    }
+}
+
+/// Wait for another thread to reach a state the code under test must
+/// reach.
+fn spin_until(what: &str, reached: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !reached() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// A one-worker server whose worker is pinned inside the first LM round
+/// of an admitted request, with `queue_capacity` more requests admitted
+/// behind it: the queue is full. Returns the admitted handles.
+fn saturate(lm: &Arc<FaultLm>, queue_capacity: usize) -> (Server, Vec<Request>, Vec<ReplyHandle>) {
+    let domains = tiny_domains();
+    let requests = rag_requests(&domains, queue_capacity + 2);
+    let server = Server::start_with_lm(
+        domains,
+        Arc::clone(lm) as Arc<dyn LanguageModel>,
+        ServerConfig {
+            workers: 1,
+            queue_capacity,
+            ..ServerConfig::default()
+        },
+    );
+    let mut admitted = vec![server.submit(requests[0].clone()).unwrap()];
+    lm.wait_until_held();
+    for req in &requests[1..=queue_capacity] {
+        admitted.push(server.submit(req.clone()).unwrap());
+    }
+    (server, requests, admitted)
+}
+
 /// N workers × the 80 TAG-Bench questions must reproduce the serial
-/// baseline exactly: same answer bytes, same exact-match score — while
-/// actually exercising cross-request batching.
+/// baseline exactly: same answer bytes, same exact-match score, with
+/// every LM call going through the cross-request batcher (whether two
+/// rounds overlap here is up to the scheduler; merging itself is pinned
+/// down by the gated tests in `batch.rs`).
 #[test]
 fn concurrent_replay_matches_serial_baseline() {
     let harness = Harness::new(42, test_scale(), SimConfig::default());
@@ -122,19 +253,10 @@ fn concurrent_replay_matches_serial_baseline() {
 
     let b = server.batch_stats();
     assert_eq!(b.fallback_rounds, 0);
-    assert!(
-        b.cross_request_rounds >= 1,
-        "8 concurrent clients should merge at least one LM round: {b:?}"
-    );
-    assert!(
-        b.rounds < b.submissions,
-        "merging should reduce inference rounds: {b:?}"
-    );
+    assert!(b.submissions > 0, "{b:?}");
+    assert!(b.rounds <= b.submissions, "{b:?}");
     assert_eq!(
-        server
-            .metrics()
-            .requests_ok
-            .load(std::sync::atomic::Ordering::Relaxed),
+        server.metrics().requests_ok.load(Ordering::Relaxed),
         items.len() as u64
     );
 }
@@ -144,37 +266,16 @@ fn concurrent_replay_matches_serial_baseline() {
 #[test]
 fn replay_hits_answer_cache_with_identical_answers() {
     let server = Server::start(
-        generate_all(
-            42,
-            Scale {
-                schools: 40,
-                players: 40,
-                posts: 20,
-                customers: 40,
-                drivers: 6,
-            },
-        ),
+        tiny_domains(),
         SimConfig::default(),
         ServerConfig::default(),
     );
     let domains = server.domains();
-    let questions: Vec<(String, String)> = {
-        let generated = generate_all(
-            42,
-            Scale {
-                schools: 40,
-                players: 40,
-                posts: 20,
-                customers: 40,
-                drivers: 6,
-            },
-        );
-        tag_bench::build_benchmark(&generated)
-            .iter()
-            .take(10)
-            .map(|q| (q.domain.to_owned(), q.question()))
-            .collect()
-    };
+    let questions: Vec<(String, String)> = tag_bench::build_benchmark(&tiny_domains())
+        .iter()
+        .take(10)
+        .map(|q| (q.domain.to_owned(), q.question()))
+        .collect();
     assert!(questions.iter().all(|(d, _)| domains.contains(d)));
     let first: Vec<Answer> = questions
         .iter()
@@ -201,69 +302,144 @@ fn replay_hits_answer_cache_with_identical_answers() {
 /// unboundedly, and the shed count is visible in the metrics.
 #[test]
 fn saturated_queue_sheds_with_queue_full() {
-    let domains = generate_all(
-        42,
-        Scale {
-            schools: 40,
-            players: 40,
-            posts: 20,
-            customers: 40,
-            drivers: 6,
-        },
-    );
-    let question = tag_bench::build_benchmark(&domains)
-        .iter()
-        .find(|q| q.domain == "california_schools")
-        .expect("schools query exists")
-        .question();
-    let server = Server::start(
-        domains,
-        SimConfig::default(),
-        ServerConfig {
-            workers: 1,
-            queue_capacity: 1,
-            // A long batching window pins the worker inside its first LM
-            // round, so later submissions deterministically find the
-            // queue full.
-            batch_window: Duration::from_millis(100),
-            max_batch: 1024,
-            ..ServerConfig::default()
-        },
-    );
-    // Rag always performs LM work, so this request holds the worker for
-    // at least one batching window.
-    let busy = server
-        .submit(Request::new(
-            "california_schools",
-            MethodName::Rag,
-            question.clone(),
-        ))
-        .unwrap();
-    let mut accepted = vec![busy];
-    let mut shed = 0usize;
-    for _ in 0..16 {
-        match server.submit(Request::new(
-            "california_schools",
-            MethodName::Rag,
-            question.clone(),
-        )) {
-            Ok(h) => accepted.push(h),
-            Err(ServeError::QueueFull) => shed += 1,
+    let lm = FaultLm::new(false);
+    let (server, requests, admitted) = saturate(&lm, 1);
+    // One request holds the only worker, one fills the queue: every
+    // further submission is shed, however many there are.
+    for _ in 0..15 {
+        match server.submit(requests[2].clone()) {
+            Err(ServeError::QueueFull) => {}
+            Ok(_) => panic!("admitted past a full queue"),
             Err(e) => panic!("unexpected rejection: {e}"),
         }
     }
-    assert!(
-        shed > 0,
-        "17 instant submissions into a 1-deep queue with 1 busy worker must shed"
-    );
-    for h in accepted {
+    lm.release();
+    for h in admitted {
         assert!(h.wait().is_ok());
     }
     let m = server.metrics();
-    assert_eq!(
-        m.rejected_queue_full
-            .load(std::sync::atomic::Ordering::Relaxed),
-        shed as u64
+    assert_eq!(m.rejected_queue_full.load(Ordering::Relaxed), 15);
+    assert_eq!(m.requests_admitted.load(Ordering::Relaxed), 2);
+    assert!(server.report().contains("shed_queue_full=15"));
+}
+
+/// Fault: the LM fails a round mid-request. The request ends in a typed
+/// `Answer::Error` that is traced but not cached, nothing hangs, and
+/// asking again executes again and succeeds.
+#[test]
+fn lm_error_yields_an_uncached_typed_error_and_the_next_request_succeeds() {
+    let lm = FaultLm::new(true);
+    let domains = tiny_domains();
+    let req = rag_requests(&domains, 1).remove(0);
+    let server = Server::start_with_lm(
+        domains,
+        Arc::clone(&lm) as Arc<dyn LanguageModel>,
+        ServerConfig::default(),
     );
-    assert!(server.report().contains(&format!("shed_queue_full={shed}")));
+    lm.fail_rounds.store(1, Ordering::SeqCst);
+    let failed = server.ask(req.clone()).unwrap();
+    assert!(
+        matches!(&failed.answer, Answer::Error(e) if e.contains("injected backend failure")),
+        "{:?}",
+        failed.answer
+    );
+    assert!(!failed.cache_hit);
+    assert_eq!(server.cache().stats().len, 0);
+    let id = failed.trace_id.expect("failed requests are traced too");
+    assert!(matches!(server.trace_lookup(id), TraceLookup::Found(_)));
+
+    let retried = server.ask(req.clone()).unwrap();
+    assert!(!retried.cache_hit, "an error must not be served from cache");
+    assert!(
+        !matches!(retried.answer, Answer::Error(_)),
+        "{:?}",
+        retried.answer
+    );
+    let cached = server.ask(req).unwrap();
+    assert!(cached.cache_hit);
+    assert_eq!(cached.answer, retried.answer);
+    assert_eq!(server.batch_stats().fallback_rounds, 0);
+}
+
+/// Fault: `shutdown()` while the admission queue is full. Every
+/// admitted handle resolves (with its answer, or `Shutdown`), nothing
+/// new is admitted, and the workers join.
+#[test]
+fn shutdown_with_a_full_queue_resolves_every_admitted_request() {
+    let lm = FaultLm::new(false);
+    let (server, requests, admitted) = saturate(&lm, 4);
+    assert_eq!(admitted.len(), 5);
+    let overflow = requests[5].clone();
+    assert_eq!(
+        server.submit(overflow.clone()).err(),
+        Some(ServeError::QueueFull)
+    );
+    std::thread::scope(|scope| {
+        // Blocks until the queue has drained, so it needs the gate
+        // opened from here — but only once admission is closed.
+        let stopping = scope.spawn(|| server.shutdown());
+        spin_until("admission to close", || {
+            server.submit(overflow.clone()).err() == Some(ServeError::Shutdown)
+        });
+        lm.release();
+        for h in admitted {
+            match h.wait() {
+                Ok(_) | Err(ServeError::Shutdown) => {}
+                Err(e) => panic!("admitted request lost to {e}"),
+            }
+        }
+        stopping.join().expect("shutdown joins its workers");
+    });
+    assert_eq!(server.ask(overflow).unwrap_err(), ServeError::Shutdown);
+    let m = server.metrics();
+    assert_eq!(m.requests_admitted.load(Ordering::Relaxed), 5);
+}
+
+/// What `Response` promises its readers (the benchmark harness lays
+/// `queue_wait`, `exec` and the rest of `total` end to end inside the
+/// caller's own timing of `ask`).
+#[test]
+fn response_timing_and_counters_contract() {
+    let domains = tiny_domains();
+    let requests = rag_requests(&domains, 6);
+    let server = Server::start(domains, SimConfig::default(), ServerConfig::default());
+    let timed_ask = |req: &Request| {
+        let called = Instant::now();
+        let r = server.ask(req.clone()).unwrap();
+        let wall = called.elapsed();
+        assert!(r.queue_wait + r.exec <= r.total, "{r:?}");
+        assert!(r.total <= wall, "{r:?} inside {wall:?}");
+        r
+    };
+    for req in &requests {
+        let miss = timed_ask(req);
+        assert!(!miss.cache_hit);
+        // The trace is stored before the reply is delivered.
+        let id = miss.trace_id.expect("executed requests are traced");
+        assert!(matches!(server.trace_lookup(id), TraceLookup::Found(_)));
+    }
+    for req in &requests {
+        let hit = timed_ask(req);
+        assert!(hit.cache_hit);
+        assert_eq!(hit.exec, Duration::ZERO);
+        assert_eq!(hit.trace_id, None);
+    }
+    let m = server.metrics();
+    let n = requests.len() as u64;
+    assert_eq!(m.requests_admitted.load(Ordering::Relaxed), 2 * n);
+    assert_eq!(m.requests_ok.load(Ordering::Relaxed), 2 * n);
+    assert_eq!(m.answer_cache_hits.load(Ordering::Relaxed), n);
+    assert_eq!(m.answer_cache_misses.load(Ordering::Relaxed), n);
+    assert_eq!(m.total_time.count(), 2 * n);
+    // Hits never queue and never execute.
+    assert_eq!(m.queue_wait.count(), n);
+    assert_eq!(m.exec_time.count(), n);
+
+    server.shutdown();
+    assert_eq!(
+        server.submit(requests[0].clone()).err(),
+        Some(ServeError::Shutdown),
+        "a cached key is refused after shutdown like any other"
+    );
+    assert_eq!(m.requests_admitted.load(Ordering::Relaxed), 2 * n);
 }
