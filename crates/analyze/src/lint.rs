@@ -3,7 +3,7 @@
 //! No parser dependency: the linter runs on [`crate::scanner`]'s
 //! blanked view of each source file (comments and string/char literals
 //! spaced out; `#[cfg(test)]` modules excluded via brace tracking) so
-//! rules match real code only. Five rules:
+//! rules match real code only. Four rules:
 //!
 //! 1. **`unwrap-ratchet`** — `.unwrap()` / `.expect(` on the serve and
 //!    sqlengine hot paths (the files in [`HOT_PATHS`]) are counted per
@@ -19,14 +19,7 @@
 //!    must not cascade into every later reader. `parking_lot` locks
 //!    (no poisoning) and `unwrap_or_else(|e| e.into_inner())` recovery
 //!    both pass.
-//! 4. **`row-ratchet`** — `Vec<Row>` occurrences inside the columnar
-//!    executor files ([`CHUNK_PATHS`]) are counted per file and
-//!    ratcheted like rule 1 (baseline keys carry a `vec-row:` prefix).
-//!    The chunked operators must stay columnar end to end; the
-//!    baseline covers only the executor's row-boundary API (plan
-//!    entry/exit and delegation to the serial scans), and any new
-//!    intermediate row materialization fails the build.
-//! 5. **`tagenv-ratchet`** — direct `TagEnv::new(` construction in
+//! 4. **`tagenv-ratchet`** — direct `TagEnv::new(` construction in
 //!    non-test code anywhere under `crates/serve/src/` is counted per
 //!    file and ratcheted (baseline keys carry a `tagenv:` prefix; a
 //!    file absent from the baseline has limit 0). Serving code must
@@ -52,6 +45,7 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/serve/src/trace.rs",
     "crates/shard/src/coordinator.rs",
     "crates/shard/src/lib.rs",
+    "crates/sqlengine/src/chunk_exec.rs",
     "crates/sqlengine/src/engine.rs",
     "crates/sqlengine/src/exec.rs",
     "crates/sqlengine/src/plancache.rs",
@@ -59,21 +53,7 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/sqlengine/src/semplan.rs",
 ];
 
-/// Columnar-executor files covered by the `Vec<Row>` ratchet (rule 4):
-/// chunk storage, vectorized kernels, morsel dispatch, and the chunked
-/// operators themselves.
-pub const CHUNK_PATHS: &[&str] = &[
-    "crates/sqlengine/src/chunk.rs",
-    "crates/sqlengine/src/chunk_exec.rs",
-    "crates/sqlengine/src/morsel.rs",
-    "crates/sqlengine/src/vector.rs",
-];
-
-/// Baseline-key prefix distinguishing rule-4 entries from rule-1
-/// entries in the shared ratchet file.
-const ROW_RATCHET_PREFIX: &str = "vec-row:";
-
-/// Baseline-key prefix for rule-5 entries. Files absent from the
+/// Baseline-key prefix for rule-4 entries. Files absent from the
 /// baseline have an implicit limit of 0, so the rule is a prohibition
 /// by default and the committed baseline stays empty.
 const TAGENV_RATCHET_PREFIX: &str = "tagenv:";
@@ -136,9 +116,7 @@ pub struct LintOutcome {
     pub findings: Vec<LintFinding>,
     /// Current `.unwrap()`/`.expect(` counts per hot-path file.
     pub unwrap_counts: BTreeMap<String, usize>,
-    /// Current `Vec<Row>` counts per columnar-executor file (rule 4).
-    pub row_counts: BTreeMap<String, usize>,
-    /// Current `TagEnv::new(` counts per serve-crate file (rule 5).
+    /// Current `TagEnv::new(` counts per serve-crate file (rule 4).
     /// Only files with a nonzero count appear.
     pub tagenv_counts: BTreeMap<String, usize>,
 }
@@ -159,12 +137,6 @@ impl LintOutcome {
             let _ = writeln!(out, "{file} {count}");
         }
         out.push_str(
-            "# vec-row ratchet: non-test Vec<Row> occurrences in the columnar executor.\n",
-        );
-        for (file, count) in &self.row_counts {
-            let _ = writeln!(out, "{ROW_RATCHET_PREFIX}{file} {count}");
-        }
-        out.push_str(
             "# tagenv ratchet: non-test TagEnv::new( calls in crates/serve (limit 0 when\n\
              # absent; serving code must build environments through ShardSet).\n",
         );
@@ -180,14 +152,7 @@ fn count_unwraps(code: &str) -> usize {
     find_all(code, ".unwrap()").len() + find_all(code, ".expect(").len()
 }
 
-/// Count rule-4 hits: `Vec<Row>` in non-test code. rustfmt normalizes
-/// generic spacing, so the literal spelling is the only one that
-/// appears in formatted sources.
-fn count_row_vecs(code: &str) -> usize {
-    find_all(code, "Vec<Row>").len()
-}
-
-/// Count rule-5 hits: direct `TagEnv::new(` construction in non-test
+/// Count rule-4 hits: direct `TagEnv::new(` construction in non-test
 /// code (serving must go through `ShardSet`).
 fn count_tagenv_news(code: &str) -> usize {
     find_all(code, "TagEnv::new(").len()
@@ -306,7 +271,7 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> Result<(), Stri
     Ok(())
 }
 
-/// Run all three rules over the workspace. With `update_ratchet`, the
+/// Run every rule over the workspace. With `update_ratchet`, the
 /// baseline file is rewritten to the current counts (after verifying
 /// they don't regress an even lower committed baseline is the caller's
 /// code-review job — the tool only ever writes what it measured).
@@ -330,13 +295,7 @@ pub fn run_lint(config: &LintConfig, update_ratchet: bool) -> Result<LintOutcome
                 .insert(rel.clone(), count_unwraps(&code));
         }
 
-        if CHUNK_PATHS.contains(&rel.as_str()) {
-            outcome
-                .row_counts
-                .insert(rel.clone(), count_row_vecs(&code));
-        }
-
-        // Rule 5 covers the whole serve crate (bins included). Only
+        // Rule 4 covers the whole serve crate (bins included). Only
         // offending files are recorded, so the clean state is an empty
         // map and an empty baseline section.
         if rel.starts_with(serve_prefix) {
@@ -403,31 +362,7 @@ pub fn run_lint(config: &LintConfig, update_ratchet: bool) -> Result<LintOutcome
                 }),
             }
         }
-        // Rule 4: the Vec<Row> ratchet over the columnar executor.
-        for (file, &count) in &outcome.row_counts {
-            match baseline.get(&format!("{ROW_RATCHET_PREFIX}{file}")) {
-                Some(&limit) if count > limit => outcome.findings.push(LintFinding {
-                    rule: "row-ratchet",
-                    file: file.clone(),
-                    line: 0,
-                    message: format!(
-                        "{count} Vec<Row> occurrences exceed the ratchet baseline of \
-                         {limit}; chunked operators must stay columnar — pass Chunk / \
-                         Batch between stages instead of materializing rows"
-                    ),
-                }),
-                Some(_) => {}
-                None => outcome.findings.push(LintFinding {
-                    rule: "row-ratchet",
-                    file: file.clone(),
-                    line: 0,
-                    message: "columnar-executor file missing from the ratchet baseline; \
-                              run tag-lint --update"
-                        .to_owned(),
-                }),
-            }
-        }
-        // Rule 5: the TagEnv ratchet over the serve crate. Absent
+        // Rule 4: the TagEnv ratchet over the serve crate. Absent
         // baseline keys mean limit 0 — the rule forbids new direct
         // constructions outright.
         for (file, &count) in &outcome.tagenv_counts {
@@ -531,7 +466,6 @@ fn complete_op(&self, op: &str) {}
     fn ratchet_roundtrip() {
         let mut outcome = LintOutcome::default();
         outcome.unwrap_counts.insert("a.rs".into(), 3);
-        outcome.row_counts.insert("b.rs".into(), 2);
         outcome.tagenv_counts.insert("c.rs".into(), 1);
         let dir = std::env::temp_dir().join("tag-lint-test");
         fs::create_dir_all(&dir).expect("tempdir");
@@ -539,7 +473,6 @@ fn complete_op(&self, op: &str) {}
         fs::write(&path, outcome.ratchet_text()).expect("write");
         let loaded = load_ratchet(&path).expect("load");
         assert_eq!(loaded.get("a.rs"), Some(&3));
-        assert_eq!(loaded.get("vec-row:b.rs"), Some(&2));
         assert_eq!(loaded.get("tagenv:c.rs"), Some(&1));
     }
 
@@ -557,21 +490,5 @@ mod tests {
         let scanned = scan_source(src);
         let code = blank_ranges(&scanned.code, &test_ranges(&scanned.code));
         assert_eq!(count_tagenv_news(&code), 1);
-    }
-
-    #[test]
-    fn row_vecs_counted_outside_tests_and_strings() {
-        let src = "
-fn hot(rows: Vec<Row>) -> Vec<Row> { rows }
-// Vec<Row> in a comment
-let s = \"Vec<Row> in a string\";
-#[cfg(test)]
-mod tests {
-    fn t(rows: Vec<Row>) {}
-}
-";
-        let scanned = scan_source(src);
-        let code = blank_ranges(&scanned.code, &test_ranges(&scanned.code));
-        assert_eq!(count_row_vecs(&code), 2);
     }
 }

@@ -68,27 +68,6 @@ fn build_hub() -> (MetricsHub, MockClock) {
         ));
     });
 
-    // The chunked-executor morsel instruments, as registered by
-    // tag_sql::metrics::ExecMetrics::record_morsels / workers_gauge.
-    let morsels = hub.counter(
-        "tag_sqlengine_exec_morsels_total",
-        "Chunk batches processed by the chunked executor, per operator.",
-        &[("op", "TableScan")],
-    );
-    morsels.add(3);
-    let chunk_rows = hub.histogram(
-        "tag_sqlengine_exec_chunk_rows",
-        "Rows per processed chunk batch, per operator (1 row = 1ms).",
-        &[("op", "TableScan")],
-    );
-    chunk_rows.observe(Duration::from_millis(8192));
-    let busy = hub.gauge(
-        "tag_sqlengine_exec_workers_busy",
-        "Morsel worker threads currently executing a task.",
-        &[],
-    );
-    busy.set(2.0);
-
     hub.register_collector(|out| {
         out.push(Sample::counter(
             "tag_sqlengine_plan_cache_hits_total",

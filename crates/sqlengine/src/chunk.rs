@@ -1,4 +1,5 @@
-//! Columnar chunks: the unit of data flow in the chunked executor.
+//! Columnar chunks: the unit of data flow in the executor
+//! ([`crate::chunk_exec`]).
 //!
 //! A [`Chunk`] holds one typed vector per column ([`ColumnData`]) with
 //! an explicit validity mask, replacing `Vec<Row>` between operators.
@@ -395,18 +396,28 @@ impl Chunk {
         }
     }
 
-    /// Transpose rows into a chunk (lossless; see module docs).
-    pub fn from_rows(width: usize, rows: &[Row]) -> Chunk {
-        let mut cols: Vec<Vec<Value>> =
-            (0..width).map(|_| Vec::with_capacity(rows.len())).collect();
+    /// Transpose rows into a chunk (lossless; see module docs). Takes
+    /// the cells by value: pass owned rows to move them in, or
+    /// `rows.iter().map(|r| r.iter().cloned())` to copy borrowed ones.
+    pub fn from_rows<R>(width: usize, rows: impl IntoIterator<Item = R>) -> Chunk
+    where
+        R: IntoIterator<Item = Value>,
+    {
+        let rows = rows.into_iter();
+        let mut cols: Vec<Vec<Value>> = (0..width)
+            .map(|_| Vec::with_capacity(rows.size_hint().0))
+            .collect();
+        let mut len = 0;
         for row in rows {
-            for (c, slot) in cols.iter_mut().enumerate() {
-                slot.push(row.get(c).cloned().unwrap_or(Value::Null));
+            len += 1;
+            let mut cells = row.into_iter();
+            for slot in &mut cols {
+                slot.push(cells.next().unwrap_or(Value::Null));
             }
         }
         Chunk {
             columns: cols.into_iter().map(ColumnData::from_values).collect(),
-            len: rows.len(),
+            len,
         }
     }
 
@@ -495,8 +506,12 @@ impl Batch {
         }
     }
 
-    /// Transpose rows into an owned single-batch view.
-    pub fn from_rows(width: usize, rows: &[Row]) -> Batch {
+    /// Transpose rows into an owned single-batch view (see
+    /// [`Chunk::from_rows`]).
+    pub fn from_rows<R>(width: usize, rows: impl IntoIterator<Item = R>) -> Batch
+    where
+        R: IntoIterator<Item = Value>,
+    {
         Batch::owned(Chunk::from_rows(width, rows))
     }
 
@@ -651,7 +666,7 @@ mod tests {
     #[test]
     fn round_trip_is_lossless() {
         let r = rows();
-        let chunk = Chunk::from_rows(3, &r);
+        let chunk = Chunk::from_rows(3, r.clone());
         assert!(matches!(chunk.column(0), ColumnData::Int { .. }));
         assert!(matches!(chunk.column(1), ColumnData::Text { .. }));
         assert!(matches!(chunk.column(2), ColumnData::Float { .. }));
@@ -668,7 +683,7 @@ mod tests {
             vec![Value::Float(7.0)],
             vec![Value::text("7")],
         ];
-        let chunk = Chunk::from_rows(1, &r);
+        let chunk = Chunk::from_rows(1, r.clone());
         assert!(matches!(chunk.column(0), ColumnData::Mixed(_)));
         let back = Batch::owned(chunk).to_rows();
         assert_eq!(format!("{r:?}"), format!("{back:?}"));
@@ -677,14 +692,14 @@ mod tests {
     #[test]
     fn all_null_column_round_trips() {
         let r = vec![vec![Value::Null], vec![Value::Null]];
-        let chunk = Chunk::from_rows(1, &r);
+        let chunk = Chunk::from_rows(1, r.clone());
         let back = Batch::owned(chunk).to_rows();
         assert_eq!(format!("{r:?}"), format!("{back:?}"));
     }
 
     #[test]
     fn narrow_and_gather() {
-        let chunk = Arc::new(Chunk::from_rows(3, &rows()));
+        let chunk = Arc::new(Chunk::from_rows(3, rows()));
         let b = Batch::range(Arc::clone(&chunk), 0, 3);
         let sel = b.narrow(&[2, 0]);
         assert_eq!(sel.len(), 2);
@@ -700,7 +715,7 @@ mod tests {
 
     #[test]
     fn gather_opt_pads_nulls() {
-        let chunk = Chunk::from_rows(3, &rows());
+        let chunk = Chunk::from_rows(3, rows());
         let col = chunk.column(0).gather_opt(&[Some(2), None, Some(0)]);
         assert_eq!(col.value_at(0), Value::Int(3));
         assert!(col.is_null(1));
@@ -726,7 +741,7 @@ mod tests {
 
     #[test]
     fn concat_batches_reuses_contiguous_scan_shape() {
-        let chunk = Arc::new(Chunk::from_rows(3, &rows()));
+        let chunk = Arc::new(Chunk::from_rows(3, rows()));
         let parts = vec![
             Batch::range(Arc::clone(&chunk), 0, 2),
             Batch::range(Arc::clone(&chunk), 2, 3),
@@ -742,7 +757,7 @@ mod tests {
 
     #[test]
     fn slice_local_on_range_and_ids() {
-        let chunk = Arc::new(Chunk::from_rows(3, &rows()));
+        let chunk = Arc::new(Chunk::from_rows(3, rows()));
         let r = Batch::range(Arc::clone(&chunk), 0, 3).slice_local(1, 3);
         assert_eq!(r.len(), 2);
         assert_eq!(r.value_at(1, 0), Value::Int(3));

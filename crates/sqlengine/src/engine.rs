@@ -1,12 +1,14 @@
 //! The top-level database engine: statement dispatch over a catalog.
+//!
+//! Every plan — `query`, `query_profiled`, `execute_plan_local` — runs
+//! through the one relational executor, [`crate::chunk_exec::execute`];
+//! nothing on `Database` selects how.
 
 use crate::ast::{ColumnDef, InsertStmt, Statement};
 use crate::catalog::Catalog;
-use crate::chunk_exec::{execute_chunked, execute_chunked_profiled};
+use crate::chunk_exec::execute;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{execute, execute_profiled};
 use crate::metrics::ExecMetrics;
-use crate::morsel::{ExecPolicy, DEFAULT_MORSEL_ROWS};
 use crate::optimizer::optimize;
 use crate::parser::{parse_statement, parse_statements};
 use crate::plan::Plan;
@@ -21,7 +23,7 @@ use crate::semplan::SemNode;
 use crate::table::{IndexKind, Table};
 use crate::udf::{ScalarUdf, UdfRegistry};
 use crate::value::Value;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Renders `EXPLAIN SEMPLAN <question>` output. Registered by the
@@ -101,13 +103,6 @@ pub struct Database {
     /// Per-operator metrics sink, installed once by the serving
     /// runtime; profiled queries feed it, plain queries never touch it.
     exec_metrics: std::sync::OnceLock<Arc<ExecMetrics>>,
-    /// Execution policy, stored as atomics so read-only `query()` can
-    /// consult (and embedders can flip) it under a shared borrow.
-    /// Defaults decode as the serial row-at-a-time path (see
-    /// [`Database::exec_policy`]).
-    exec_chunked: AtomicBool,
-    exec_workers: AtomicUsize,
-    exec_morsel_rows: AtomicUsize,
     /// Registered scatter-gather executor (see [`crate::scatter`]).
     /// Consulted before every local plan execution; plans it claims run
     /// across shards instead, byte-identical by contract.
@@ -129,9 +124,6 @@ impl Clone for Database {
             // Clones share the sink: instruments are per-operator-kind
             // aggregates, not per-handle state.
             exec_metrics: self.exec_metrics.clone(),
-            exec_chunked: AtomicBool::new(self.exec_chunked.load(Ordering::Relaxed)),
-            exec_workers: AtomicUsize::new(self.exec_workers.load(Ordering::Relaxed)),
-            exec_morsel_rows: AtomicUsize::new(self.exec_morsel_rows.load(Ordering::Relaxed)),
             scatter: self.scatter.clone(),
         }
     }
@@ -190,35 +182,6 @@ impl Database {
         let _ = self.exec_metrics.set(Arc::new(ExecMetrics::new(hub)));
     }
 
-    /// Set how relational plans execute: the serial row-at-a-time path
-    /// (the default and reference semantics) or the columnar chunked
-    /// executor with morsel-driven parallelism. Takes `&self` so a
-    /// shared handle can flip paths (e.g. for an A/B sweep); results
-    /// are byte-identical either way — see [`crate::chunk_exec`].
-    pub fn set_exec_policy(&self, policy: ExecPolicy) {
-        self.exec_chunked.store(policy.chunked, Ordering::Relaxed);
-        self.exec_workers
-            .store(policy.workers.max(1), Ordering::Relaxed);
-        self.exec_morsel_rows
-            .store(policy.morsel_rows.max(1), Ordering::Relaxed);
-    }
-
-    /// The current execution policy (zero-valued atomics decode as the
-    /// defaults: serial, 1 worker, [`DEFAULT_MORSEL_ROWS`]).
-    pub fn exec_policy(&self) -> ExecPolicy {
-        let workers = self.exec_workers.load(Ordering::Relaxed);
-        let morsel_rows = self.exec_morsel_rows.load(Ordering::Relaxed);
-        ExecPolicy {
-            chunked: self.exec_chunked.load(Ordering::Relaxed),
-            workers: workers.max(1),
-            morsel_rows: if morsel_rows == 0 {
-                DEFAULT_MORSEL_ROWS
-            } else {
-                morsel_rows
-            },
-        }
-    }
-
     /// Run one optimized plan: offer it to the registered scatter
     /// executor first, then fall back to the local executor.
     fn run_plan(&self, plan: &Plan) -> SqlResult<Vec<Row>> {
@@ -230,23 +193,13 @@ impl Database {
         self.execute_plan_local(plan)
     }
 
-    /// Run one optimized plan through the configured local executor,
-    /// bypassing any registered scatter hook. Scatter executors call
-    /// this on the coordinator database to run rewritten
-    /// (partition-free) plans, and on shard databases to run scattered
-    /// subplans.
+    /// Run one optimized plan through the local executor
+    /// ([`crate::chunk_exec`]), bypassing any registered scatter hook.
+    /// Scatter executors call this on the coordinator database to run
+    /// rewritten (partition-free) plans, and on shard databases to run
+    /// scattered subplans.
     pub fn execute_plan_local(&self, plan: &Plan) -> SqlResult<Vec<Row>> {
-        let policy = self.exec_policy();
-        if policy.chunked {
-            execute_chunked(
-                plan,
-                &self.catalog,
-                policy,
-                self.exec_metrics.get().map(Arc::as_ref),
-            )
-        } else {
-            execute(plan, &self.catalog)
-        }
+        execute(plan, &self.catalog, None)
     }
 
     /// Register a scatter-gather executor. Every subsequent plan
@@ -334,7 +287,6 @@ impl Database {
         self.statements_run.fetch_add(1, Ordering::Relaxed);
         let mut acc: Option<ResultSet> = None;
         let mut text = String::new();
-        let policy = self.exec_policy();
         let scatter = self.scatter.get();
         for arm in &cached.arms {
             let profiler = PlanProfiler::new();
@@ -347,16 +299,8 @@ impl Database {
                 let rows = scatter.execute(&arm.plan, self)?;
                 profiler.exit(token, rows.len());
                 rows
-            } else if policy.chunked {
-                execute_chunked_profiled(
-                    &arm.plan,
-                    &self.catalog,
-                    policy,
-                    self.exec_metrics.get().map(Arc::as_ref),
-                    &profiler,
-                )?
             } else {
-                execute_profiled(&arm.plan, &self.catalog, &profiler)?
+                execute(&arm.plan, &self.catalog, Some(&profiler))?
             };
             if let Some(sink) = self.exec_metrics.get() {
                 sink.record(&profiler.nodes());
@@ -416,7 +360,7 @@ impl Database {
     /// Bind + optimize every arm of a SELECT / compound SELECT. Arm
     /// widths are validated here so a cached compound plan can never
     /// reach execution with mismatched arms.
-    fn plan_statement(&self, stmt: &Statement) -> SqlResult<CachedPlan> {
+    pub(crate) fn plan_statement(&self, stmt: &Statement) -> SqlResult<CachedPlan> {
         let plan_arm = |sel: &crate::ast::SelectStmt| -> SqlResult<CachedArm> {
             let planner = Planner::new(&self.catalog, &self.udfs);
             let plan = planner.plan_select(sel)?;
@@ -1349,12 +1293,16 @@ mod tests {
         assert!(text.ends_with("plan_cache: hit"), "{text}");
     }
 
+    /// Rows the reference interpreter produces for a single-arm SELECT,
+    /// planned against the database's current state.
+    fn reference_rows(db: &Database, sql: &str) -> Vec<Row> {
+        let (cached, _) = db.plan_for(sql).unwrap();
+        crate::exec::reference::execute(&cached.arms[0].plan, db.catalog()).unwrap()
+    }
+
     #[test]
-    fn chunked_policy_is_byte_identical_and_survives_dml() {
-        let mut serial = db();
-        let mut chunked = db();
-        chunked.set_exec_policy(ExecPolicy::chunked(8));
-        assert!(chunked.exec_policy().chunked);
+    fn columnar_image_is_rebuilt_after_dml() {
+        let mut db = db();
         let queries = [
             "SELECT * FROM schools",
             "SELECT City, COUNT(*) AS n FROM schools GROUP BY City ORDER BY n DESC, City",
@@ -1363,23 +1311,58 @@ mod tests {
             "SELECT City FROM schools ORDER BY Longitude LIMIT 2",
             "SELECT DISTINCT City FROM schools",
         ];
-        for sql in queries {
-            let a = serial.query(sql).unwrap();
-            let b = chunked.query(sql).unwrap();
-            assert_eq!(a.rows, b.rows, "{sql}");
-            let (bp, _) = chunked.query_profiled(sql).unwrap();
-            assert_eq!(a.rows, bp.rows, "profiled {sql}");
-        }
-        // DML through the engine invalidates the columnar cache too.
-        for db in [&mut serial, &mut chunked] {
-            db.execute("UPDATE schools SET City = 'Fresno' WHERE CDSCode = 1")
-                .unwrap();
-        }
-        let sql = "SELECT City, COUNT(*) FROM schools GROUP BY City ORDER BY City";
+        let check = |db: &Database| {
+            for sql in queries {
+                let want = reference_rows(db, sql);
+                assert_eq!(db.query(sql).unwrap().rows, want, "{sql}");
+                assert_eq!(
+                    db.query_profiled(sql).unwrap().0.rows,
+                    want,
+                    "profiled {sql}"
+                );
+            }
+        };
+        // The first pass builds the table's columnar image; each DML
+        // statement must drop it, or the scans below read stale columns
+        // while the reference reads the row heap.
+        check(&db);
+        db.execute("UPDATE schools SET City = 'Fresno' WHERE CDSCode = 1")
+            .unwrap();
+        check(&db);
+        db.execute("INSERT INTO schools VALUES (5, 'Davis', -121.7)")
+            .unwrap();
+        check(&db);
+        db.execute("DELETE FROM schools WHERE City = 'Fresno'")
+            .unwrap();
+        check(&db);
         assert_eq!(
-            serial.query(sql).unwrap().rows,
-            chunked.query(sql).unwrap().rows
+            db.query("SELECT COUNT(*) FROM schools").unwrap().rows,
+            vec![vec![Value::Int(3)]]
         );
+    }
+
+    /// A statement's LIMIT is the query writer's number, not the
+    /// input's size: TopK must not reserve memory for it. Before the
+    /// fix the first statement aborted the process (a 56 TB
+    /// allocation) and the second panicked with capacity overflow.
+    #[test]
+    fn huge_limit_is_answered_not_allocated() {
+        let mut db = Database::new();
+        db.execute_script("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (3), (1), (2);")
+            .unwrap();
+        let sorted = vec![
+            vec![Value::Int(1)],
+            vec![Value::Int(2)],
+            vec![Value::Int(3)],
+        ];
+        for limit in ["1000000000000", "9223372036854775807"] {
+            let sql = format!("SELECT a FROM t ORDER BY a LIMIT {limit}");
+            assert_eq!(db.query(&sql).unwrap().rows, sorted, "{sql}");
+        }
+        let rs = db
+            .query("SELECT a FROM t ORDER BY a LIMIT 9223372036854775807 OFFSET 5")
+            .unwrap();
+        assert!(rs.rows.is_empty());
     }
 
     #[test]

@@ -1,308 +1,27 @@
-//! Plan execution.
+//! What every executor shares, and the reference interpreter.
 //!
-//! Operators materialize their outputs bottom-up. For an in-memory
-//! analytic engine at TAG-Bench scale (tables of 10²–10⁴ rows) this is
-//! both simpler and faster than a tuple-at-a-time volcano loop: each
-//! operator runs as a tight loop over a `Vec<Row>`.
+//! The production executor is [`crate::chunk_exec`]. This module holds
+//! the row-level semantics it is defined against: the aggregate state
+//! machine ([`AggState`], [`aggregate_rows`]) and the sort-key ordering
+//! ([`compare_keys`], [`eval_keys`]), which the columnar operators call
+//! directly so both sides can never drift.
+//!
+//! `reference` (test builds only) is a row-at-a-time interpreter: each
+//! operator a plain loop over a `Vec<Row>`. It exists to be obviously
+//! right, and the parity proptest in `chunk_exec` compares the columnar
+//! executor against it — rows, order and error messages.
 
-use crate::ast::JoinKind;
-use crate::catalog::Catalog;
-use crate::error::{SqlError, SqlResult};
+use crate::error::SqlResult;
 use crate::expr::{BoundExpr, EvalCtx};
-use crate::plan::{AggCall, AggFunc, Plan, SortKey};
-use crate::profile::{node_label, PlanProfiler};
+use crate::plan::{AggCall, AggFunc, SortKey};
 use crate::schema::Row;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// Execute a plan against a catalog, producing materialized rows.
-pub fn execute(plan: &Plan, catalog: &Catalog) -> SqlResult<Vec<Row>> {
-    exec_node(plan, catalog, None)
-}
-
-/// Execute a plan with per-node profiling. Runs exactly the same code
-/// path as [`execute`] — the profiler only observes rows and time — so
-/// profiled and unprofiled results are always identical.
-pub fn execute_profiled(
-    plan: &Plan,
-    catalog: &Catalog,
-    profiler: &PlanProfiler,
-) -> SqlResult<Vec<Row>> {
-    exec_node(plan, catalog, Some(profiler))
-}
-
-/// Recursion point: every operator's children come back through here so
-/// each node is individually timed when a profiler is attached.
-fn exec_node(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> SqlResult<Vec<Row>> {
-    let Some(p) = prof else {
-        return exec_impl(plan, catalog, None);
-    };
-    let token = p.enter(node_label(plan));
-    let result = exec_impl(plan, catalog, prof);
-    p.exit(token, result.as_ref().map(Vec::len).unwrap_or(0));
-    result
-}
-
-fn exec_impl(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> SqlResult<Vec<Row>> {
-    match plan {
-        Plan::TableScan { table, .. } => Ok(catalog.table(table)?.rows().to_vec()),
-        Plan::IndexProbe {
-            table,
-            key_column,
-            key,
-            ..
-        } => {
-            let t = catalog.table(table)?;
-            let idx = t.index_on(*key_column).ok_or_else(|| {
-                SqlError::Eval(format!(
-                    "plan references missing index on {table} col#{key_column}"
-                ))
-            })?;
-            Ok(idx
-                .probe(key)
-                .into_iter()
-                .map(|id| t.row(id).clone())
-                .collect())
-        }
-        Plan::IndexRangeScan {
-            table,
-            key_column,
-            range,
-            ..
-        } => {
-            let t = catalog.table(table)?;
-            let idx = t.index_on(*key_column).ok_or_else(|| {
-                SqlError::Eval(format!(
-                    "plan references missing index on {table} col#{key_column}"
-                ))
-            })?;
-            let low = bound_as_ref(&range.low);
-            let high = bound_as_ref(&range.high);
-            let ids = idx
-                .probe_range(low, high)
-                .ok_or_else(|| SqlError::Eval("range scan requires a B-tree index".into()))?;
-            Ok(ids.into_iter().map(|id| t.row(id).clone()).collect())
-        }
-        Plan::Values { rows, .. } => {
-            let ctx = EvalCtx {
-                catalog: Some(catalog),
-            };
-            rows.iter()
-                .map(|exprs| exprs.iter().map(|e| e.eval_ctx(&[], &ctx)).collect())
-                .collect()
-        }
-        Plan::Filter { input, predicate } => {
-            let rows = exec_node(input, catalog, prof)?;
-            let ctx = EvalCtx {
-                catalog: Some(catalog),
-            };
-            let mut out = Vec::with_capacity(rows.len() / 2);
-            for row in rows {
-                if predicate.eval_predicate_ctx(&row, &ctx)? {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-        Plan::Project { input, exprs, .. } => {
-            let rows = exec_node(input, catalog, prof)?;
-            let ctx = EvalCtx {
-                catalog: Some(catalog),
-            };
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let projected = exprs
-                    .iter()
-                    .map(|e| e.eval_ctx(&row, &ctx))
-                    .collect::<SqlResult<Row>>()?;
-                out.push(projected);
-            }
-            Ok(out)
-        }
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            on,
-        } => nested_loop_join(left, right, *kind, on.as_ref(), catalog, prof),
-        Plan::HashJoin {
-            left,
-            right,
-            kind,
-            left_key,
-            right_key,
-            residual,
-        } => hash_join(
-            left,
-            right,
-            *kind,
-            left_key,
-            right_key,
-            residual.as_ref(),
-            catalog,
-            prof,
-        ),
-        Plan::Aggregate {
-            input, group, aggs, ..
-        } => aggregate(input, group, aggs, catalog, prof),
-        Plan::Sort { input, keys } => {
-            let mut rows = exec_node(input, catalog, prof)?;
-            let ctx = EvalCtx {
-                catalog: Some(catalog),
-            };
-            sort_rows(&mut rows, keys, &ctx)?;
-            Ok(rows)
-        }
-        Plan::TopK {
-            input,
-            keys,
-            k,
-            offset,
-        } => top_k(input, keys, *k, *offset, catalog, prof),
-        Plan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            let rows = exec_node(input, catalog, prof)?;
-            let start = (*offset as usize).min(rows.len());
-            let end = match limit {
-                Some(l) => (start + *l as usize).min(rows.len()),
-                None => rows.len(),
-            };
-            Ok(rows[start..end].to_vec())
-        }
-        Plan::Distinct { input } => {
-            let rows = exec_node(input, catalog, prof)?;
-            let mut seen = std::collections::HashSet::with_capacity(rows.len());
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-        Plan::Sem { .. } => Err(SqlError::Unsupported(
-            "semantic plans execute through a SemDelegate (see tag_sql::execute_sem), \
-             not the relational executor"
-                .into(),
-        )),
-    }
-}
-
-fn bound_as_ref(b: &std::ops::Bound<Value>) -> std::ops::Bound<&Value> {
-    match b {
-        std::ops::Bound::Included(v) => std::ops::Bound::Included(v),
-        std::ops::Bound::Excluded(v) => std::ops::Bound::Excluded(v),
-        std::ops::Bound::Unbounded => std::ops::Bound::Unbounded,
-    }
-}
-
-fn nested_loop_join(
-    left: &Plan,
-    right: &Plan,
-    kind: JoinKind,
-    on: Option<&BoundExpr>,
-    catalog: &Catalog,
-    prof: Option<&PlanProfiler>,
-) -> SqlResult<Vec<Row>> {
-    let left_rows = exec_node(left, catalog, prof)?;
-    let right_rows = exec_node(right, catalog, prof)?;
-    let right_width = right.width();
-    let ctx = EvalCtx {
-        catalog: Some(catalog),
-    };
-    let mut out = Vec::new();
-    let mut combined = Vec::new();
-    for l in &left_rows {
-        let mut matched = false;
-        for r in &right_rows {
-            combined.clear();
-            combined.extend_from_slice(l);
-            combined.extend_from_slice(r);
-            let keep = match on {
-                Some(pred) => pred.eval_predicate_ctx(&combined, &ctx)?,
-                None => true,
-            };
-            if keep {
-                matched = true;
-                out.push(combined.clone());
-            }
-        }
-        if kind == JoinKind::Left && !matched {
-            let mut row = l.clone();
-            row.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(row);
-        }
-    }
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
-    left: &Plan,
-    right: &Plan,
-    kind: JoinKind,
-    left_key: &BoundExpr,
-    right_key: &BoundExpr,
-    residual: Option<&BoundExpr>,
-    catalog: &Catalog,
-    prof: Option<&PlanProfiler>,
-) -> SqlResult<Vec<Row>> {
-    let left_rows = exec_node(left, catalog, prof)?;
-    let right_rows = exec_node(right, catalog, prof)?;
-    let right_width = right.width();
-    let ctx = EvalCtx {
-        catalog: Some(catalog),
-    };
-
-    // Build on the right side (probe preserves left order, which keeps
-    // LEFT joins simple).
-    let mut table: HashMap<Value, Vec<usize>> = HashMap::with_capacity(right_rows.len());
-    for (i, r) in right_rows.iter().enumerate() {
-        let key = right_key.eval_ctx(r, &ctx)?;
-        if key.is_null() {
-            continue; // NULL keys never join
-        }
-        table.entry(key).or_default().push(i);
-    }
-
-    let mut out = Vec::new();
-    let mut combined = Vec::new();
-    for l in &left_rows {
-        let key = left_key.eval_ctx(l, &ctx)?;
-        let mut matched = false;
-        if !key.is_null() {
-            if let Some(ids) = table.get(&key) {
-                for &i in ids {
-                    combined.clear();
-                    combined.extend_from_slice(l);
-                    combined.extend_from_slice(&right_rows[i]);
-                    let keep = match residual {
-                        Some(pred) => pred.eval_predicate_ctx(&combined, &ctx)?,
-                        None => true,
-                    };
-                    if keep {
-                        matched = true;
-                        out.push(combined.clone());
-                    }
-                }
-            }
-        }
-        if kind == JoinKind::Left && !matched {
-            let mut row = l.clone();
-            row.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(row);
-        }
-    }
-    Ok(out)
-}
-
-/// Accumulator for one aggregate call. Shared with the chunked executor
-/// (`crate::chunk_exec`), whose per-morsel partial aggregates feed the
-/// same state machine so results stay byte-identical.
+/// Accumulator for one aggregate call. The columnar executor's
+/// per-batch partial aggregates ([`crate::partial::PartialAgg`]) feed
+/// this same state machine, so results stay byte-identical.
 #[derive(Debug, Clone)]
 pub(crate) enum AggState {
     Count(i64),
@@ -408,22 +127,9 @@ impl AggState {
     }
 }
 
-fn aggregate(
-    input: &Plan,
-    group: &[BoundExpr],
-    aggs: &[AggCall],
-    catalog: &Catalog,
-    prof: Option<&PlanProfiler>,
-) -> SqlResult<Vec<Row>> {
-    let rows = exec_node(input, catalog, prof)?;
-    let ctx = EvalCtx {
-        catalog: Some(catalog),
-    };
-    aggregate_rows(&rows, group, aggs, &ctx)
-}
-
-/// Row-level aggregation, split out so the chunked executor can replay
-/// the exact serial semantics (including error order) on its inputs.
+/// Row-level aggregation: the reference's whole `Aggregate` operator,
+/// and what the columnar executor replays a failing aggregate through
+/// to raise the exact row-order error.
 pub(crate) fn aggregate_rows(
     rows: &[Row],
     group: &[BoundExpr],
@@ -504,19 +210,18 @@ pub(crate) fn aggregate_rows(
 /// order with an explicit tiebreak on **input sequence** (`seq`, the
 /// 0-based position of the row in the operator's input):
 ///
-/// - [`sort_rows`] uses a stable sort, which is exactly
+/// - The reference's `Sort` is a stable sort, which is exactly
 ///   `compare_keys(a, b).then(a.seq.cmp(&b.seq))` — ties keep input
 ///   order, for ascending *and* descending keys (descending reverses
 ///   the key comparison only, never the tiebreak).
-/// - [`top_k`] makes the same tiebreak explicit in its heap ordering
-///   (`(key, seq)`), which is what makes `TopK` byte-identical to
+/// - `TopK` makes the same tiebreak explicit in its ordering
+///   (`(key, seq)`), which is what makes it byte-identical to
 ///   `Sort + Limit` at every `k`/`offset` split point.
 ///
-/// The chunked executor (`crate::chunk_exec`) relies on this contract:
-/// its parallel sort/merge orders by `(key, global seq)` — a total
-/// order — so output bytes are independent of morsel boundaries and
-/// worker count. `sort_contract_regression` in this module's tests pins
-/// the behavior.
+/// The columnar executor relies on this contract: its sort and top-k
+/// order by `(key, global seq)` — a total order — so output bytes are
+/// independent of morsel boundaries. `sort_contract_regression` in
+/// this module's tests pins the behavior on both executors.
 pub(crate) fn compare_keys(a: &[Value], b: &[Value], keys: &[SortKey]) -> Ordering {
     for (i, k) in keys.iter().enumerate() {
         let ord = a[i].total_cmp(&b[i]);
@@ -532,91 +237,256 @@ pub(crate) fn eval_keys(row: &Row, keys: &[SortKey], ctx: &EvalCtx<'_>) -> SqlRe
     keys.iter().map(|k| k.expr.eval_ctx(row, ctx)).collect()
 }
 
-/// Stable sort by the given keys: equal-key rows keep their input order
-/// (see the [`compare_keys`] ordering contract).
-pub(crate) fn sort_rows(rows: &mut Vec<Row>, keys: &[SortKey], ctx: &EvalCtx<'_>) -> SqlResult<()> {
-    let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-    for row in rows.drain(..) {
-        keyed.push((eval_keys(&row, keys, ctx)?, row));
-    }
-    keyed.sort_by(|a, b| compare_keys(&a.0, &b.0, keys));
-    rows.extend(keyed.into_iter().map(|(_, r)| r));
-    Ok(())
-}
+/// The row-at-a-time reference interpreter (see the module docs).
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::ast::JoinKind;
+    use crate::catalog::Catalog;
+    use crate::error::SqlError;
+    use crate::plan::Plan;
 
-/// Heap-based top-(offset + k), then a final sort of the survivors.
-/// Ties are broken by input sequence (`seq`), which makes the result
-/// byte-identical to `Sort + Limit` — see the [`compare_keys`] contract.
-fn top_k(
-    input: &Plan,
-    keys: &[SortKey],
-    k: usize,
-    offset: usize,
-    catalog: &Catalog,
-    prof: Option<&PlanProfiler>,
-) -> SqlResult<Vec<Row>> {
-    let rows = exec_node(input, catalog, prof)?;
-    let eval_ctx = EvalCtx {
-        catalog: Some(catalog),
-    };
-    let want = k.saturating_add(offset);
-    if want == 0 {
-        return Ok(Vec::new());
-    }
-
-    // Max-heap of the worst current survivors; (keys, seq) ordering makes
-    // the heap behave like the stable sort.
-    struct Entry {
-        key: Vec<Value>,
-        seq: usize,
-        row: Row,
-    }
-    struct Ctx<'a>(&'a [SortKey]);
-    impl Ctx<'_> {
-        fn cmp(&self, a: &Entry, b: &Entry) -> Ordering {
-            compare_keys(&a.key, &b.key, self.0).then(a.seq.cmp(&b.seq))
-        }
-    }
-
-    let ctx = Ctx(keys);
-    let mut heap: Vec<Entry> = Vec::with_capacity(want + 1);
-    for (seq, row) in rows.into_iter().enumerate() {
-        let key = eval_keys(&row, keys, &eval_ctx)?;
-        let entry = Entry { key, seq, row };
-        if heap.len() < want {
-            heap.push(entry);
-            if heap.len() == want {
-                heap.sort_by(|a, b| ctx.cmp(a, b));
+    /// Execute a plan against a catalog, producing materialized rows.
+    pub(crate) fn execute(plan: &Plan, catalog: &Catalog) -> SqlResult<Vec<Row>> {
+        let ctx = EvalCtx {
+            catalog: Some(catalog),
+        };
+        match plan {
+            Plan::TableScan { table, .. } => Ok(catalog.table(table)?.rows().to_vec()),
+            Plan::IndexProbe {
+                table,
+                key_column,
+                key,
+                ..
+            } => {
+                let t = catalog.table(table)?;
+                let idx = t.index_on(*key_column).ok_or_else(|| {
+                    SqlError::Eval(format!(
+                        "plan references missing index on {table} col#{key_column}"
+                    ))
+                })?;
+                Ok(idx
+                    .probe(key)
+                    .into_iter()
+                    .map(|id| t.row(id).clone())
+                    .collect())
             }
-        } else if heap
-            .last()
-            .is_some_and(|worst| ctx.cmp(&entry, worst) == Ordering::Less)
-        {
-            // Insert in sorted position; drop the worst. `want` is small
-            // (a LIMIT), so the linear insert is fine.
-            let pos = heap
-                .binary_search_by(|e| ctx.cmp(e, &entry))
-                .unwrap_or_else(|p| p);
-            heap.insert(pos, entry);
-            heap.pop();
+            Plan::IndexRangeScan {
+                table,
+                key_column,
+                range,
+                ..
+            } => {
+                let t = catalog.table(table)?;
+                let idx = t.index_on(*key_column).ok_or_else(|| {
+                    SqlError::Eval(format!(
+                        "plan references missing index on {table} col#{key_column}"
+                    ))
+                })?;
+                let ids = idx
+                    .probe_range(range.low.as_ref(), range.high.as_ref())
+                    .ok_or_else(|| SqlError::Eval("range scan requires a B-tree index".into()))?;
+                Ok(ids.into_iter().map(|id| t.row(id).clone()).collect())
+            }
+            Plan::Values { rows, .. } => rows
+                .iter()
+                .map(|exprs| exprs.iter().map(|e| e.eval_ctx(&[], &ctx)).collect())
+                .collect(),
+            Plan::Filter { input, predicate } => {
+                let mut out = Vec::new();
+                for row in execute(input, catalog)? {
+                    if predicate.eval_predicate_ctx(&row, &ctx)? {
+                        out.push(row);
+                    }
+                }
+                Ok(out)
+            }
+            Plan::Project { input, exprs, .. } => execute(input, catalog)?
+                .iter()
+                .map(|row| exprs.iter().map(|e| e.eval_ctx(row, &ctx)).collect())
+                .collect(),
+            Plan::NestedLoopJoin {
+                left,
+                right,
+                kind,
+                on,
+            } => {
+                let left_rows = execute(left, catalog)?;
+                let right_rows = execute(right, catalog)?;
+                let mut out = Vec::new();
+                for l in &left_rows {
+                    let mut matched = false;
+                    for r in &right_rows {
+                        let combined = [l.as_slice(), r.as_slice()].concat();
+                        let keep = match on {
+                            Some(pred) => pred.eval_predicate_ctx(&combined, &ctx)?,
+                            None => true,
+                        };
+                        if keep {
+                            matched = true;
+                            out.push(combined);
+                        }
+                    }
+                    if *kind == JoinKind::Left && !matched {
+                        out.push(null_padded(l, right.width()));
+                    }
+                }
+                Ok(out)
+            }
+            Plan::HashJoin {
+                left,
+                right,
+                kind,
+                left_key,
+                right_key,
+                residual,
+            } => {
+                let left_rows = execute(left, catalog)?;
+                let right_rows = execute(right, catalog)?;
+                // Build on the right side (probe preserves left order,
+                // which keeps LEFT joins simple).
+                let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
+                for (i, r) in right_rows.iter().enumerate() {
+                    let key = right_key.eval_ctx(r, &ctx)?;
+                    if !key.is_null() {
+                        table.entry(key).or_default().push(i); // NULL keys never join
+                    }
+                }
+                let mut out = Vec::new();
+                for l in &left_rows {
+                    let key = left_key.eval_ctx(l, &ctx)?;
+                    let mut matched = false;
+                    let ids = if key.is_null() { None } else { table.get(&key) };
+                    for &i in ids.into_iter().flatten() {
+                        let combined = [l.as_slice(), right_rows[i].as_slice()].concat();
+                        let keep = match residual {
+                            Some(pred) => pred.eval_predicate_ctx(&combined, &ctx)?,
+                            None => true,
+                        };
+                        if keep {
+                            matched = true;
+                            out.push(combined);
+                        }
+                    }
+                    if *kind == JoinKind::Left && !matched {
+                        out.push(null_padded(l, right.width()));
+                    }
+                }
+                Ok(out)
+            }
+            Plan::Aggregate {
+                input, group, aggs, ..
+            } => aggregate_rows(&execute(input, catalog)?, group, aggs, &ctx),
+            Plan::Sort { input, keys } => {
+                let mut keyed = Vec::new();
+                for row in execute(input, catalog)? {
+                    keyed.push((eval_keys(&row, keys, &ctx)?, row));
+                }
+                // Stable: equal-key rows keep their input order (see the
+                // `compare_keys` ordering contract).
+                keyed.sort_by(|a, b| compare_keys(&a.0, &b.0, keys));
+                Ok(keyed.into_iter().map(|(_, r)| r).collect())
+            }
+            Plan::TopK {
+                input,
+                keys,
+                k,
+                offset,
+            } => top_k(execute(input, catalog)?, keys, *k, *offset, &ctx),
+            Plan::Limit {
+                input,
+                limit,
+                offset,
+            } => {
+                let rows = execute(input, catalog)?;
+                let start = (*offset as usize).min(rows.len());
+                let end = match limit {
+                    Some(l) => (start + *l as usize).min(rows.len()),
+                    None => rows.len(),
+                };
+                Ok(rows[start..end].to_vec())
+            }
+            Plan::Distinct { input } => {
+                let mut seen = std::collections::HashSet::new();
+                let mut rows = execute(input, catalog)?;
+                rows.retain(|row| seen.insert(row.clone()));
+                Ok(rows)
+            }
+            Plan::Sem { .. } => Err(SqlError::Unsupported(
+                "semantic plans execute through a SemDelegate (see tag_sql::execute_sem), \
+                 not the relational executor"
+                    .into(),
+            )),
         }
     }
-    if heap.len() < want {
-        heap.sort_by(|a, b| ctx.cmp(a, b));
+
+    fn null_padded(left: &Row, right_width: usize) -> Row {
+        let mut row = left.clone();
+        row.extend(std::iter::repeat_n(Value::Null, right_width));
+        row
     }
-    Ok(heap
-        .into_iter()
-        .skip(offset)
-        .take(k)
-        .map(|e| e.row)
-        .collect())
+
+    /// Top-(offset + k) kept sorted by `(keys, seq)`, which makes the
+    /// result byte-identical to `Sort + Limit` — see the `compare_keys`
+    /// contract.
+    fn top_k(
+        rows: Vec<Row>,
+        keys: &[SortKey],
+        k: usize,
+        offset: usize,
+        ctx: &EvalCtx<'_>,
+    ) -> SqlResult<Vec<Row>> {
+        let want = k.saturating_add(offset);
+        if want == 0 {
+            return Ok(Vec::new());
+        }
+        let cmp = |a: &(Vec<Value>, usize, Row), b: &(Vec<Value>, usize, Row)| {
+            compare_keys(&a.0, &b.0, keys).then(a.1.cmp(&b.1))
+        };
+        // `want` comes from the statement (LIMIT + OFFSET): reserve for
+        // the input, never for the number the query names.
+        let mut top: Vec<(Vec<Value>, usize, Row)> = Vec::with_capacity(want.min(rows.len()) + 1);
+        for (seq, row) in rows.into_iter().enumerate() {
+            let entry = (eval_keys(&row, keys, ctx)?, seq, row);
+            if top.len() < want {
+                top.push(entry);
+                if top.len() == want {
+                    top.sort_by(cmp);
+                }
+            } else if top
+                .last()
+                .is_some_and(|worst| cmp(&entry, worst) == Ordering::Less)
+            {
+                // Insert in sorted position; drop the worst.
+                let pos = top
+                    .binary_search_by(|e| cmp(e, &entry))
+                    .unwrap_or_else(|p| p);
+                top.insert(pos, entry);
+                top.pop();
+            }
+        }
+        if top.len() < want {
+            top.sort_by(cmp);
+        }
+        Ok(top.into_iter().skip(offset).take(k).map(|e| e.2).collect())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::JoinKind;
+    use crate::catalog::Catalog;
+    use crate::plan::Plan;
     use crate::schema::{Column, DataType, Schema};
     use crate::table::Table;
+
+    /// Every hand-built plan below runs through both executors.
+    fn execute(plan: &Plan, c: &Catalog) -> SqlResult<Vec<Row>> {
+        let want = reference::execute(plan, c);
+        assert_eq!(crate::chunk_exec::execute(plan, c, None), want);
+        want
+    }
 
     fn catalog() -> Catalog {
         let mut t = Table::new(
@@ -781,9 +651,9 @@ mod tests {
     }
 
     /// Pins the sort determinism contract: equal-key rows keep input
-    /// order (ascending and descending), and TopK's `(key, seq)` heap
+    /// order (ascending and descending), and TopK's `(key, seq)`
     /// ordering matches Sort + Limit across every offset split. The
-    /// chunked executor's parallel merge depends on this.
+    /// columnar executor's cross-batch merge depends on this.
     #[test]
     fn sort_contract_regression() {
         // Duplicate keys with distinct payloads so tie order is visible.

@@ -697,7 +697,7 @@ fn run_correlated(
         )
     })?;
     let bound = plan.substitute_outer(outer_row);
-    crate::exec::execute(&bound, catalog)
+    crate::chunk_exec::execute(&bound, catalog, None)
 }
 
 fn eval_binary(

@@ -7,7 +7,8 @@
 //! eager uncorrelated subqueries and per-row correlated
 //! EXISTS/IN/scalar subqueries, a rule-based optimizer (predicate
 //! pushdown, hash-join selection, index selection, top-k), and a
-//! materializing executor over heap tables with B+-tree and hash indexes.
+//! columnar, morsel-at-a-time executor over heap tables (each with a
+//! cached columnar image) with B+-tree and hash indexes.
 //!
 //! The engine is dynamically typed in the SQLite tradition and supports
 //! the dialect used by the BIRD/TAG-Bench workloads: joins, grouping and
@@ -44,13 +45,13 @@ pub mod chunk_exec;
 pub mod csv;
 pub mod engine;
 pub mod error;
-pub mod exec;
+mod exec;
 pub mod expr;
 pub mod functions;
 pub mod index;
 pub mod lexer;
 pub mod metrics;
-pub mod morsel;
+mod morsel;
 pub mod optimizer;
 pub mod parser;
 pub mod partial;
@@ -73,7 +74,6 @@ pub use engine::Database;
 pub use error::{SqlError, SqlResult};
 pub use expr::{BoundExpr, EvalCtx};
 pub use metrics::ExecMetrics;
-pub use morsel::{ExecPolicy, DEFAULT_MORSEL_ROWS};
 pub use partial::{
     finish_partials, merge_partials, GroupPartials, GroupPartialsBuilder, PartialAgg,
 };

@@ -11,15 +11,6 @@
 //! - `tag_sqlengine_operator_seconds{op=...}` (wall time *including*
 //!   children, matching the profiler's per-node semantics)
 //!
-//! The chunked executor ([`crate::chunk_exec`]) adds per-morsel
-//! instruments through the same sink:
-//!
-//! - `tag_sqlengine_exec_morsels_total{op=...}` (batches produced)
-//! - `tag_sqlengine_exec_chunk_rows{op=...}` (rows per batch,
-//!   encoded 1 row = 1ms into the latency bucket layout)
-//! - `tag_sqlengine_exec_workers_busy` (pool occupancy gauge, fed by
-//!   the [`PoolObserver`] hooks)
-//!
 //! The operator kind is the first token of the profiler label
 //! ("TableScan schools" → `op="TableScan"`), keeping cardinality at
 //! the operator vocabulary, not the table vocabulary. Plan-cache
@@ -27,13 +18,10 @@
 //! scrapes [`crate::PlanCacheStats`] through a hub collector, which
 //! keeps the cumulative counts exact without new hot-path work.
 
-use crate::morsel::PoolObserver;
 use crate::profile::NodeProfile;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
-use tag_metrics::{Counter, Gauge, MetricsHub, WindowedHistogram};
+use tag_metrics::{Counter, MetricsHub, WindowedHistogram};
 
 struct OpInstruments {
     executions: Arc<Counter>,
@@ -42,19 +30,11 @@ struct OpInstruments {
     elapsed: Arc<WindowedHistogram>,
 }
 
-struct MorselInstruments {
-    morsels: Arc<Counter>,
-    chunk_rows: Arc<WindowedHistogram>,
-}
-
 /// Hub-backed sink for plan-profiler node records.
 pub struct ExecMetrics {
     active: bool,
     hub: Arc<MetricsHub>,
     ops: Mutex<HashMap<String, OpInstruments>>,
-    morsel_ops: Mutex<HashMap<String, MorselInstruments>>,
-    busy: AtomicI64,
-    workers_busy: Mutex<Option<Arc<Gauge>>>,
 }
 
 impl std::fmt::Debug for ExecMetrics {
@@ -73,58 +53,7 @@ impl ExecMetrics {
             active: hub.is_enabled(),
             hub,
             ops: Mutex::new(HashMap::new()),
-            morsel_ops: Mutex::new(HashMap::new()),
-            busy: AtomicI64::new(0),
-            workers_busy: Mutex::new(None),
         }
-    }
-
-    /// Record one chunked operator's output batches: a morsel count per
-    /// operator kind plus a per-batch row-count distribution.
-    ///
-    /// The histogram (`tag_sqlengine_exec_chunk_rows`) reuses the
-    /// latency-bucket layout by encoding **1 row as 1 millisecond**, so
-    /// the default 8192-row morsel lands in the 10-second top bucket
-    /// and degenerate single-digit batches in the bottom ones.
-    pub fn record_morsels(&self, op: &str, batch_rows: impl IntoIterator<Item = usize>) {
-        if !self.active {
-            return;
-        }
-        let mut ops = self.morsel_ops.lock().unwrap_or_else(|e| e.into_inner());
-        let hub = &self.hub;
-        let inst = ops.entry(op.to_string()).or_insert_with(|| {
-            let labels = [("op", op)];
-            MorselInstruments {
-                morsels: hub.counter(
-                    "tag_sqlengine_exec_morsels_total",
-                    "Batches produced by chunked operators, by operator kind.",
-                    &labels,
-                ),
-                chunk_rows: hub.histogram(
-                    "tag_sqlengine_exec_chunk_rows",
-                    "Rows per output batch of chunked operators (encoded 1 row = 1ms).",
-                    &labels,
-                ),
-            }
-        });
-        for rows in batch_rows {
-            inst.morsels.inc();
-            inst.chunk_rows.observe(Duration::from_millis(rows as u64));
-        }
-    }
-
-    fn workers_gauge(&self) -> Option<Arc<Gauge>> {
-        if !self.active {
-            return None;
-        }
-        let mut slot = self.workers_busy.lock().unwrap_or_else(|e| e.into_inner());
-        Some(Arc::clone(slot.get_or_insert_with(|| {
-            self.hub.gauge(
-                "tag_sqlengine_exec_workers_busy",
-                "Morsel-pool workers currently executing a task.",
-                &[],
-            )
-        })))
     }
 
     /// Fold one profiled query's node records into the hub.
@@ -169,26 +98,6 @@ impl ExecMetrics {
     }
 }
 
-/// Worker-occupancy hook for the morsel pool: the
-/// `tag_sqlengine_exec_workers_busy` gauge tracks how many workers are
-/// executing a task right now (the [`Gauge`] API is set-only, so the
-/// count lives in an atomic here and the gauge mirrors it).
-impl PoolObserver for ExecMetrics {
-    fn task_started(&self) {
-        let now = self.busy.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(g) = self.workers_gauge() {
-            g.set(now as f64);
-        }
-    }
-
-    fn task_finished(&self) {
-        let now = self.busy.fetch_sub(1, Ordering::Relaxed) - 1;
-        if let Some(g) = self.workers_gauge() {
-            g.set(now as f64);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,26 +138,7 @@ mod tests {
         let hub = Arc::new(MetricsHub::noop());
         let m = ExecMetrics::new(Arc::clone(&hub));
         m.record(&[node("TableScan schools", 100, 0, 1)]);
-        m.record_morsels("TableScan", [100, 20]);
-        m.task_started();
-        m.task_finished();
         assert_eq!(hub.render(), "");
         assert!(m.ops.lock().unwrap_or_else(|e| e.into_inner()).is_empty());
-    }
-
-    #[test]
-    fn morsel_instruments_and_worker_gauge() {
-        let hub = Arc::new(MetricsHub::new());
-        let m = ExecMetrics::new(Arc::clone(&hub));
-        m.record_morsels("TableScan", [8192, 8192, 100]);
-        m.record_morsels("Filter", [40]);
-        m.task_started();
-        m.task_started();
-        m.task_finished();
-        let text = hub.render();
-        assert!(text.contains("tag_sqlengine_exec_morsels_total{op=\"TableScan\"} 3"));
-        assert!(text.contains("tag_sqlengine_exec_morsels_total{op=\"Filter\"} 1"));
-        assert!(text.contains("tag_sqlengine_exec_chunk_rows_count{op=\"TableScan\"} 3"));
-        assert!(text.contains("tag_sqlengine_exec_workers_busy 1"));
     }
 }

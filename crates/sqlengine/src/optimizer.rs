@@ -660,7 +660,7 @@ mod tests {
             "expected IndexProbe, got:\n{}",
             opt.explain()
         );
-        let rows = crate::exec::execute(&opt, &c).unwrap();
+        let rows = crate::chunk_exec::execute(&opt, &c, None).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(42));
     }
@@ -682,7 +682,7 @@ mod tests {
             "got:\n{}",
             opt.explain()
         );
-        let rows = crate::exec::execute(&opt, &c).unwrap();
+        let rows = crate::chunk_exec::execute(&opt, &c, None).unwrap();
         assert_eq!(rows.len(), 5);
     }
 
@@ -753,7 +753,7 @@ mod tests {
             Plan::HashJoin { residual, .. } => assert!(residual.is_none()),
             other => panic!("expected HashJoin, got:\n{}", other.explain()),
         }
-        let rows = crate::exec::execute(&opt, &c).unwrap();
+        let rows = crate::chunk_exec::execute(&opt, &c, None).unwrap();
         assert_eq!(rows.len(), 100);
     }
 
@@ -794,7 +794,7 @@ mod tests {
             }
         }
         assert!(contains_probe(&opt), "plan:\n{}", opt.explain());
-        let rows = crate::exec::execute(&opt, &c).unwrap();
+        let rows = crate::chunk_exec::execute(&opt, &c, None).unwrap();
         assert_eq!(rows.len(), 1);
     }
 

@@ -1,6 +1,6 @@
 //! Decomposable aggregate state for scatter-gather execution.
 //!
-//! [`PartialAgg`] is the public promotion of the chunked executor's
+//! [`PartialAgg`] is the public promotion of the executor's
 //! per-morsel partial aggregate: one accumulator per (group, aggregate
 //! call) that can be computed over an arbitrary *slice* of a table's
 //! rows and later combined with partials from other slices — other

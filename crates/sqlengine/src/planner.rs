@@ -9,8 +9,8 @@
 
 use crate::ast::{is_aggregate_name, Expr, Join, OrderKey, SelectItem, SelectStmt, TableRef};
 use crate::catalog::Catalog;
+use crate::chunk_exec::execute;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::execute;
 use crate::expr::BoundExpr;
 use crate::plan::{AggCall, AggFunc, Plan, SortKey};
 use crate::udf::UdfRegistry;
@@ -915,7 +915,7 @@ impl<'a> Planner<'a> {
     /// Optimize and execute an already-planned uncorrelated subquery.
     fn run_plan(&self, plan: Plan) -> SqlResult<Vec<crate::schema::Row>> {
         let plan = crate::optimizer::optimize(plan, self.catalog);
-        execute(&plan, self.catalog)
+        execute(&plan, self.catalog, None)
     }
 }
 
@@ -1050,7 +1050,7 @@ mod tests {
         };
         let planner = Planner::new(catalog, udfs);
         let plan = planner.plan_select(&sel).unwrap();
-        execute(&plan, catalog).unwrap()
+        execute(&plan, catalog, None).unwrap()
     }
 
     #[test]

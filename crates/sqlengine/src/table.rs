@@ -71,7 +71,7 @@ pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
     indexes: Vec<TableIndex>,
-    /// Lazily built columnar image of `rows` for the chunked executor;
+    /// Lazily built columnar image of `rows` for the executor's scans;
     /// invalidated by every mutation. Cloning the table clones the Arc,
     /// which stays valid because the rows are cloned identically.
     columnar: OnceLock<Arc<Chunk>>,
@@ -122,11 +122,12 @@ impl Table {
     /// The columnar image of this table, built on first use and shared
     /// (zero-copy) with every scan until the next mutation.
     pub fn columnar(&self) -> Arc<Chunk> {
-        Arc::clone(
-            self.columnar.get_or_init(|| {
-                Arc::new(Chunk::from_rows(self.schema.columns().len(), &self.rows))
-            }),
-        )
+        Arc::clone(self.columnar.get_or_init(|| {
+            Arc::new(Chunk::from_rows(
+                self.schema.len(),
+                self.rows.iter().map(|r| r.iter().cloned()),
+            ))
+        }))
     }
 
     /// Validate, coerce, and append a row; maintains indexes.

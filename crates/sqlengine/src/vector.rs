@@ -13,12 +13,12 @@
 //! row-at-a-time [`BoundExpr::eval_ctx`] over a *scratch row*: a
 //! reusable `Vec<Value>` where only the columns the expression actually
 //! references are filled in. The scratch row never materializes the
-//! full input — the chunked operators stay columnar even for complex
+//! full input — the operators stay columnar even for complex
 //! expressions (correlated subqueries, UDFs, CASE).
 //!
 //! Semantics are defined by the row-at-a-time path: every fast path
 //! must produce exactly what `eval_ctx` + [`Value::total_cmp`] would.
-//! `AND`/`OR` mirror the serial executor's short-circuit rule — the
+//! `AND`/`OR` mirror the scalar evaluator's short-circuit rule — the
 //! right side is only evaluated on rows where the left side did not
 //! already decide the outcome — so error propagation matches too.
 
@@ -313,7 +313,7 @@ mod tests {
             vec![Value::Null, Value::Float(-2.0), Value::Null],
             vec![Value::Int(3), Value::Float(9.0), Value::text("a")],
         ];
-        Batch::owned(Chunk::from_rows(3, &rows))
+        Batch::owned(Chunk::from_rows(3, rows))
     }
 
     fn col(i: usize) -> BoundExpr {
