@@ -1,7 +1,7 @@
 //! Determinism pass: result-producing executor paths must be
 //! byte-deterministic.
 //!
-//! The serial == chunked == sharded == cached contract (DESIGN.md §15)
+//! The byte-identical-answers contract (DESIGN.md §15)
 //! only holds if nothing order-dependent leaks into output rows or
 //! merged partials. Two source-level signals are counted per file in
 //! [`DET_PATHS`] and ratcheted in `det-ratchet.txt`:
@@ -21,17 +21,14 @@ use crate::scanner::{find_all, find_word};
 use std::collections::BTreeSet;
 
 /// Result-producing files covered by the determinism ratchet: the
-/// serial executor and its partial-aggregate codec, the columnar
-/// executor stack, and the shard scatter/merge path.
+/// columnar executor stack, its partial aggregates, and the shared
+/// aggregate/sort semantics in `exec.rs`.
 pub const DET_PATHS: &[&str] = &[
-    "crates/shard/src/coordinator.rs",
-    "crates/shard/src/lib.rs",
     "crates/sqlengine/src/chunk.rs",
     "crates/sqlengine/src/chunk_exec.rs",
     "crates/sqlengine/src/exec.rs",
     "crates/sqlengine/src/morsel.rs",
     "crates/sqlengine/src/partial.rs",
-    "crates/sqlengine/src/scatter.rs",
     "crates/sqlengine/src/vector.rs",
 ];
 

@@ -1,6 +1,6 @@
-//! Liveness pass for the serve/shard pools.
+//! Liveness pass for the serve pool.
 //!
-//! Three rules, scoped to `crates/serve/src/` and `crates/shard/src/`:
+//! Three rules, scoped to `crates/serve/src/`:
 //!
 //! - **`condvar-wait-loop`** — a `.wait(`/`.wait_until(`/
 //!   `.wait_timeout(` on a field declared `: Condvar` in the same file
@@ -25,7 +25,7 @@ use super::{AuditFinding, AuditOutcome, FileScan};
 use crate::scanner::{enclosing_fn, find_all, find_word, line_of, receiver_ident, scope_openers};
 
 /// Crate prefixes the liveness pass covers.
-const LIVE_PREFIXES: &[&str] = &["crates/serve/src/", "crates/shard/src/"];
+const LIVE_PREFIXES: &[&str] = &["crates/serve/src/"];
 
 /// Wait methods that need an enclosing predicate loop.
 const WAIT_METHODS: &[&str] = &[".wait(", ".wait_until(", ".wait_timeout("];

@@ -1,8 +1,8 @@
 //! `tag-audit`: a multi-pass concurrency & determinism analyzer.
 //!
-//! Three passes over the concurrent crates (`serve`, `shard`,
-//! `sqlengine`, `metrics`, `trace`), all on [`crate::scanner`]'s
-//! blanked view of each source file:
+//! Three passes over the concurrent crates (`serve`, `sqlengine`,
+//! `metrics`, `trace`), all on [`crate::scanner`]'s blanked view of
+//! each source file:
 //!
 //! 1. **lock-order** ([`lockorder`]) — every `.lock()` acquisition
 //!    site is mapped to a declared lock class
@@ -18,7 +18,7 @@
 //!    channel draining). Counts are ratcheted per file in
 //!    `crates/analyze/det-ratchet.txt`: existing sites are
 //!    grandfathered, counts only go down.
-//! 3. **liveness** ([`liveness`]) — serve/shard pool hygiene: condvar
+//! 3. **liveness** ([`liveness`]) — serve pool hygiene: condvar
 //!    waits sit in a predicate loop, blocking channel sends never
 //!    happen while holding a `no-send-held` lock (hub, caches), and
 //!    shutdown paths release their senders before joining workers.
@@ -45,7 +45,6 @@ use std::path::{Path, PathBuf};
 pub const AUDIT_CRATES: &[&str] = &[
     "crates/metrics/src/",
     "crates/serve/src/",
-    "crates/shard/src/",
     "crates/sqlengine/src/",
     "crates/trace/src/",
 ];

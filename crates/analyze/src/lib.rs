@@ -28,7 +28,7 @@
 //!    (`crates/analyze/lock-order.txt`), a determinism pass over
 //!    result-producing executor paths (ratcheted in
 //!    `crates/analyze/det-ratchet.txt`), and a liveness pass for the
-//!    serve/shard pools (predicate-loop condvar waits, no blocking
+//!    serve pool (predicate-loop condvar waits, no blocking
 //!    sends under hub/cache locks, sender-drop-before-join shutdown).
 
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 //! No parser dependency: the linter runs on [`crate::scanner`]'s
 //! blanked view of each source file (comments and string/char literals
 //! spaced out; `#[cfg(test)]` modules excluded via brace tracking) so
-//! rules match real code only. Four rules:
+//! rules match real code only. Three rules:
 //!
 //! 1. **`unwrap-ratchet`** — `.unwrap()` / `.expect(` on the serve and
 //!    sqlengine hot paths (the files in [`HOT_PATHS`]) are counted per
@@ -19,13 +19,6 @@
 //!    must not cascade into every later reader. `parking_lot` locks
 //!    (no poisoning) and `unwrap_or_else(|e| e.into_inner())` recovery
 //!    both pass.
-//! 4. **`tagenv-ratchet`** — direct `TagEnv::new(` construction in
-//!    non-test code anywhere under `crates/serve/src/` is counted per
-//!    file and ratcheted (baseline keys carry a `tagenv:` prefix; a
-//!    file absent from the baseline has limit 0). Serving code must
-//!    build environments through `ShardSet`, so every served domain
-//!    gets a coordinator and scatter wiring — a bare env would
-//!    silently opt a path out of sharding.
 
 use crate::scanner::{blank_ranges, find_all, line_of, scan_source, test_ranges};
 use std::collections::BTreeMap;
@@ -34,8 +27,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Hot-path files covered by the unwrap ratchet (rule 1) and the lock
-/// rule (rule 3): the serve request path, the sqlengine executor, and
-/// the shard scatter-gather path.
+/// rule (rule 3): the serve request path and the sqlengine executor.
 pub const HOT_PATHS: &[&str] = &[
     "crates/serve/src/batch.rs",
     "crates/serve/src/cache.rs",
@@ -43,8 +35,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/serve/src/protocol.rs",
     "crates/serve/src/server.rs",
     "crates/serve/src/trace.rs",
-    "crates/shard/src/coordinator.rs",
-    "crates/shard/src/lib.rs",
     "crates/sqlengine/src/chunk_exec.rs",
     "crates/sqlengine/src/engine.rs",
     "crates/sqlengine/src/exec.rs",
@@ -52,11 +42,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/sqlengine/src/profile.rs",
     "crates/sqlengine/src/semplan.rs",
 ];
-
-/// Baseline-key prefix for rule-4 entries. Files absent from the
-/// baseline have an implicit limit of 0, so the rule is a prohibition
-/// by default and the committed baseline stays empty.
-const TAGENV_RATCHET_PREFIX: &str = "tagenv:";
 
 /// Known stage tags for `complete_op`/`complete_batch_op` (rule 2) —
 /// the vocabulary `SemEngine::op_stats()` aggregates by.
@@ -116,9 +101,6 @@ pub struct LintOutcome {
     pub findings: Vec<LintFinding>,
     /// Current `.unwrap()`/`.expect(` counts per hot-path file.
     pub unwrap_counts: BTreeMap<String, usize>,
-    /// Current `TagEnv::new(` counts per serve-crate file (rule 4).
-    /// Only files with a nonzero count appear.
-    pub tagenv_counts: BTreeMap<String, usize>,
 }
 
 impl LintOutcome {
@@ -136,13 +118,6 @@ impl LintOutcome {
         for (file, count) in &self.unwrap_counts {
             let _ = writeln!(out, "{file} {count}");
         }
-        out.push_str(
-            "# tagenv ratchet: non-test TagEnv::new( calls in crates/serve (limit 0 when\n\
-             # absent; serving code must build environments through ShardSet).\n",
-        );
-        for (file, count) in &self.tagenv_counts {
-            let _ = writeln!(out, "{TAGENV_RATCHET_PREFIX}{file} {count}");
-        }
         out
     }
 }
@@ -150,12 +125,6 @@ impl LintOutcome {
 /// Count rule-1 hits: `.unwrap()` and `.expect(` in non-test code.
 fn count_unwraps(code: &str) -> usize {
     find_all(code, ".unwrap()").len() + find_all(code, ".expect(").len()
-}
-
-/// Count rule-4 hits: direct `TagEnv::new(` construction in non-test
-/// code (serving must go through `ShardSet`).
-fn count_tagenv_news(code: &str) -> usize {
-    find_all(code, "TagEnv::new(").len()
 }
 
 /// Rule 3: `.lock()` immediately followed (modulo whitespace) by
@@ -295,16 +264,6 @@ pub fn run_lint(config: &LintConfig, update_ratchet: bool) -> Result<LintOutcome
                 .insert(rel.clone(), count_unwraps(&code));
         }
 
-        // Rule 4 covers the whole serve crate (bins included). Only
-        // offending files are recorded, so the clean state is an empty
-        // map and an empty baseline section.
-        if rel.starts_with(serve_prefix) {
-            let n = count_tagenv_news(&code);
-            if n > 0 {
-                outcome.tagenv_counts.insert(rel.clone(), n);
-            }
-        }
-
         // Rule 3 covers the whole serve crate (bins included) plus the
         // sqlengine hot paths.
         if rel.starts_with(serve_prefix) || is_hot {
@@ -360,27 +319,6 @@ pub fn run_lint(config: &LintConfig, update_ratchet: bool) -> Result<LintOutcome
                               tag-lint --update"
                         .to_owned(),
                 }),
-            }
-        }
-        // Rule 4: the TagEnv ratchet over the serve crate. Absent
-        // baseline keys mean limit 0 — the rule forbids new direct
-        // constructions outright.
-        for (file, &count) in &outcome.tagenv_counts {
-            let limit = baseline
-                .get(&format!("{TAGENV_RATCHET_PREFIX}{file}"))
-                .copied()
-                .unwrap_or(0);
-            if count > limit {
-                outcome.findings.push(LintFinding {
-                    rule: "tagenv-ratchet",
-                    file: file.clone(),
-                    line: 0,
-                    message: format!(
-                        "{count} direct TagEnv::new( calls exceed the ratchet baseline of \
-                         {limit}; serving code must build environments through ShardSet \
-                         so every domain gets a coordinator and scatter wiring"
-                    ),
-                });
             }
         }
     }
@@ -466,29 +404,11 @@ fn complete_op(&self, op: &str) {}
     fn ratchet_roundtrip() {
         let mut outcome = LintOutcome::default();
         outcome.unwrap_counts.insert("a.rs".into(), 3);
-        outcome.tagenv_counts.insert("c.rs".into(), 1);
         let dir = std::env::temp_dir().join("tag-lint-test");
         fs::create_dir_all(&dir).expect("tempdir");
         let path = dir.join("ratchet.txt");
         fs::write(&path, outcome.ratchet_text()).expect("write");
         let loaded = load_ratchet(&path).expect("load");
         assert_eq!(loaded.get("a.rs"), Some(&3));
-        assert_eq!(loaded.get("tagenv:c.rs"), Some(&1));
-    }
-
-    #[test]
-    fn tagenv_news_counted_outside_tests_and_strings() {
-        let src = "
-fn serve() { let e = TagEnv::new(db, lm); }
-// TagEnv::new( in a comment
-let s = \"TagEnv::new( in a string\";
-#[cfg(test)]
-mod tests {
-    fn t() { let e = TagEnv::new(db, lm); }
-}
-";
-        let scanned = scan_source(src);
-        let code = blank_ranges(&scanned.code, &test_ranges(&scanned.code));
-        assert_eq!(count_tagenv_news(&code), 1);
     }
 }

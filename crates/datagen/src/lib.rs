@@ -19,7 +19,6 @@ pub mod debit;
 pub mod football;
 pub mod formula1;
 pub mod movies;
-pub mod partition;
 pub mod schools;
 
 use std::collections::HashMap;

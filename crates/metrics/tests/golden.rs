@@ -42,9 +42,9 @@ fn build_hub() -> (MetricsHub, MockClock) {
     stage.observe_with_exemplar(Duration::from_millis(250), 42);
     stage.observe_with_exemplar(Duration::from_secs(30), 43);
 
-    // Shard-labeled serving instruments, as registered by the sharded
-    // server: answer-cache traffic carries its internal cache-shard
-    // index.
+    // Collector samples as the server registers them: answer-cache
+    // traffic carries its internal cache-shard index, the LM batcher's
+    // counters carry no label.
     hub.register_collector(|out| {
         for (shard, hits) in [("0", 2u64), ("1", 7)] {
             out.push(Sample::counter(
@@ -54,17 +54,17 @@ fn build_hub() -> (MetricsHub, MockClock) {
                 hits,
             ));
         }
-        out.push(Sample::counter(
-            "tag_serve_scatter_total",
-            "Scatter-gather plan executions by outcome.",
-            &[("domain", "bird_f1"), ("outcome", "pruned")],
-            4,
-        ));
         out.push(Sample::gauge(
-            "tag_serve_shard_rows",
-            "Partitioned-table rows resident on each data shard.",
-            &[("domain", "bird_f1"), ("shard", "1")],
+            "tag_serve_answer_cache_entries",
+            "Answer-cache resident entries per cache shard.",
+            &[("shard", "1")],
             128.0,
+        ));
+        out.push(Sample::counter(
+            "tag_lm_batch_fallback_rounds_total",
+            "Merged rounds that failed as a unit and were retried one submission at a time.",
+            &[],
+            4,
         ));
     });
 

@@ -22,7 +22,6 @@ use tag_core::env::TagEnv;
 use tag_datagen::{generate_all, Scale};
 use tag_lm::sim::{SimConfig, SimLm};
 use tag_serve::{run_method, MethodName, Request, ServeError, Server, ServerConfig};
-use tag_shard::ShardSet;
 use tag_sql::PlanCacheStats;
 
 fn usage() -> ! {
@@ -30,7 +29,7 @@ fn usage() -> ! {
         "usage: serve-bench [--seed N] [--scale tiny|small|standard] \
          [--method text2sql|rag|rerank|text2sql_lm|handwritten|all] \
          [--concurrency 1,8] [--workers N] [--queue N] [--json PATH] \
-         [--metrics-out PATH] [--shard-sweep] [--smoke]"
+         [--metrics-out PATH] [--smoke]"
     );
     std::process::exit(2);
 }
@@ -188,219 +187,6 @@ fn json_stage_windows(server: &Server) -> String {
     format!("[{}]", out.join(","))
 }
 
-/// One shard count's measurements in the scatter-gather sweep.
-struct SweepLevel {
-    shards: usize,
-    wall_s: f64,
-    rps: f64,
-    mismatches: usize,
-    scattered: u64,
-    pruned: u64,
-    fallbacks: u64,
-}
-
-/// The scatter-gather shard sweep (`--shard-sweep`): a keyed-aggregate
-/// workload over the huge-tier schools domain at 1, 2, 4, and 8 shards,
-/// every answer byte-compared against a plain unsharded database.
-///
-/// Keyed `City = '…'` filters prune each scatter to the owning shard,
-/// so an 8-shard run scans ~1/8 of the partitioned rows per query where
-/// the 1-shard run scans them all — that pruning, not thread
-/// parallelism, is the throughput win the gate checks (≥3x at 8 shards
-/// unless `--smoke`).
-fn shard_sweep(seed: u64, smoke: bool, json_path: &str) {
-    let rows = if smoke { 20_000 } else { 1_000_000 };
-    eprintln!("serve-bench: shard sweep over {rows} schools rows (seed {seed})...");
-    let baseline = tag_datagen::schools::generate_bulk(seed, rows);
-    let cities: Vec<String> = {
-        let rs = baseline
-            .db
-            .query("SELECT DISTINCT City FROM schools ORDER BY City")
-            .expect("distinct cities");
-        rs.rows
-            .iter()
-            .filter_map(|r| match &r[0] {
-                tag_sql::Value::Text(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect()
-    };
-    let n_queries = if smoke { 60 } else { 240 };
-    let queries: Vec<String> = (0..n_queries)
-        .map(|i| {
-            let city = cities[i % cities.len()].replace('\'', "''");
-            match i % 3 {
-                0 => format!("SELECT COUNT(*) FROM schools WHERE City = '{city}'"),
-                1 => format!("SELECT AVG(AvgScrMath) FROM schools WHERE City = '{city}'"),
-                _ => format!(
-                    "SELECT SUM(Enrollment), MIN(AvgScrRead), MAX(AvgScrRead) \
-                     FROM schools WHERE City = '{city}'"
-                ),
-            }
-        })
-        .collect();
-    eprintln!(
-        "serve-bench: {} keyed queries over {} cities",
-        queries.len(),
-        cities.len()
-    );
-    let expected: Vec<String> = queries
-        .iter()
-        .map(|q| format!("{:?}", baseline.db.query(q).expect("baseline query").rows))
-        .collect();
-
-    let lm: Arc<dyn tag_lm::model::LanguageModel> = Arc::new(SimLm::new(SimConfig::default()));
-    let mut levels: Vec<SweepLevel> = Vec::new();
-    let mut mismatches_total = 0usize;
-    for shards in [1usize, 2, 4, 8] {
-        let set = ShardSet::new(
-            tag_datagen::schools::generate_bulk(seed, rows),
-            Arc::clone(&lm),
-            shards,
-        );
-        let started = Instant::now();
-        let mut mismatches = 0usize;
-        for (q, want) in queries.iter().zip(&expected) {
-            let got = format!("{:?}", set.env().db.query(q).expect("sweep query").rows);
-            if &got != want {
-                mismatches += 1;
-            }
-        }
-        let wall_s = started.elapsed().as_secs_f64();
-        let s = set.scatter_stats();
-        let rps = queries.len() as f64 / wall_s.max(f64::MIN_POSITIVE);
-        println!(
-            "shards {shards}: {wall_s:.2}s wall, {rps:.1} req/s | scattered={} pruned={} \
-             fallbacks={} rows={:?} | answers {}",
-            s.scattered,
-            s.pruned,
-            s.fallbacks,
-            set.shard_rows(),
-            if mismatches == 0 {
-                "identical to unsharded".to_owned()
-            } else {
-                format!("{mismatches} MISMATCHES")
-            },
-        );
-        mismatches_total += mismatches;
-        levels.push(SweepLevel {
-            shards,
-            wall_s,
-            rps,
-            mismatches,
-            scattered: s.scattered,
-            pruned: s.pruned,
-            fallbacks: s.fallbacks,
-        });
-    }
-    let speedup = levels.last().expect("levels").rps
-        / levels.first().expect("levels").rps.max(f64::MIN_POSITIVE);
-    println!("shard sweep speedup 1->8 shards: {speedup:.2}x");
-
-    // Replay gate: the full benchmark (every method) through a sharded
-    // server, byte-compared against a single-shard serial baseline.
-    let replay_scale = parse_scale(if smoke { "tiny" } else { "small" });
-    let (replay_requests, replay) = replay_gate(seed, replay_scale);
-    mismatches_total += replay.mismatches;
-    println!(
-        "replay gate (8-shard server, all methods): {replay_requests} requests, \
-         {:.1} req/s, {}",
-        replay.rps,
-        if replay.mismatches == 0 {
-            "identical to serial".to_owned()
-        } else {
-            format!("{} MISMATCHES", replay.mismatches)
-        },
-    );
-
-    let level_json: Vec<String> = levels
-        .iter()
-        .map(|l| {
-            format!(
-                "{{\"shards\":{},\"wall_s\":{:.4},\"rps\":{:.2},\"mismatches\":{},\
-                 \"scattered\":{},\"pruned\":{},\"fallbacks\":{}}}",
-                l.shards, l.wall_s, l.rps, l.mismatches, l.scattered, l.pruned, l.fallbacks,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"bench\":\"shard-sweep\",\"seed\":{seed},\"rows\":{rows},\
-         \"queries\":{},\"smoke\":{smoke},\"levels\":[{}],\
-         \"speedup_8_vs_1\":{speedup:.3},\"replay\":{{\"requests\":{replay_requests},\
-         \"rps\":{:.2},\"mismatches\":{}}}}}\n",
-        queries.len(),
-        level_json.join(","),
-        replay.rps,
-        replay.mismatches,
-    );
-    match std::fs::write(json_path, &json) {
-        Ok(()) => eprintln!("serve-bench: wrote {json_path}"),
-        Err(e) => eprintln!("serve-bench: could not write {json_path}: {e}"),
-    }
-
-    if mismatches_total > 0 {
-        eprintln!("serve-bench: FAILED — {mismatches_total} sharded answers differ");
-        std::process::exit(1);
-    }
-    if !smoke && speedup < 3.0 {
-        eprintln!("serve-bench: FAILED — shard sweep speedup {speedup:.2}x < 3.0x");
-        std::process::exit(1);
-    }
-}
-
-/// Replay the whole benchmark (80 questions x every method) through an
-/// 8-shard [`Server`] and compare each answer to a serial single-shard
-/// baseline. Returns the request count and the run stats.
-fn replay_gate(seed: u64, scale: Scale) -> (usize, RunStats) {
-    let domains = generate_all(seed, scale);
-    let queries = build_benchmark(&domains);
-    let workload: Vec<WorkItem> = MethodName::all()
-        .iter()
-        .flat_map(|&method| {
-            queries.iter().map(move |q| WorkItem {
-                domain: q.domain,
-                method,
-                question: q.question(),
-            })
-        })
-        .collect();
-    let lm: Arc<dyn tag_lm::model::LanguageModel> = Arc::new(SimLm::new(SimConfig::default()));
-    let baseline: Vec<(&'static str, ShardSet)> = domains
-        .into_iter()
-        .map(|d| (d.name, ShardSet::new(d, Arc::clone(&lm), 1)))
-        .collect();
-    for (_, set) in &baseline {
-        let _ = set.env().row_store();
-    }
-    let expected: Vec<Answer> = workload
-        .iter()
-        .map(|w| {
-            let env = baseline
-                .iter()
-                .find(|(n, _)| *n == w.domain)
-                .expect("domain generated")
-                .1
-                .env();
-            run_method(w.method, &w.question, env)
-        })
-        .collect();
-    let server = Arc::new(Server::start(
-        generate_all(seed, scale),
-        SimConfig::default(),
-        ServerConfig {
-            workers: 8,
-            queue_capacity: 256,
-            shards: 8,
-            ..ServerConfig::default()
-        },
-    ));
-    let n = workload.len();
-    let workload = Arc::new(workload);
-    let stats = run_level(&server, &workload, &expected, 8);
-    server.shutdown();
-    (n, stats)
-}
-
 fn main() {
     let mut seed = 42u64;
     let mut scale_name = "small".to_owned();
@@ -410,8 +196,6 @@ fn main() {
     let mut queue = 256usize;
     let mut json_path = "BENCH_plancache.json".to_owned();
     let mut metrics_out: Option<String> = None;
-    let mut sweep = false;
-    let mut smoke = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut val = || args.next().unwrap_or_else(|| usage());
@@ -439,10 +223,8 @@ fn main() {
             "--queue" => queue = val().parse().unwrap_or_else(|_| usage()),
             "--json" => json_path = val(),
             "--metrics-out" => metrics_out = Some(val()),
-            "--shard-sweep" => sweep = true,
             // CI smoke preset: tiny data, one method, two levels.
             "--smoke" => {
-                smoke = true;
                 scale_name = "tiny".to_owned();
                 methods = vec![MethodName::HandWritten];
                 levels = vec![1, 4];
@@ -452,16 +234,6 @@ fn main() {
         }
     }
     let scale = parse_scale(&scale_name);
-
-    if sweep {
-        let path = if json_path == "BENCH_plancache.json" {
-            "BENCH_shard.json"
-        } else {
-            json_path.as_str()
-        };
-        shard_sweep(seed, smoke, path);
-        return;
-    }
 
     eprintln!("serve-bench: generating domains (seed {seed})...");
     let domains = generate_all(seed, scale);
@@ -483,25 +255,22 @@ fn main() {
         methods.len(),
     );
 
-    // Serial baseline: single-shard sets (the scatter hook at one shard
-    // is a straight pass-through to the only slice), no batching, no
-    // answer cache.
+    // Serial baseline: plain environments, no batching, no answer cache.
     let baseline_lm: Arc<dyn tag_lm::model::LanguageModel> =
         Arc::new(SimLm::new(SimConfig::default()));
-    let baseline_envs: Vec<(&'static str, ShardSet)> = generate_all(seed, scale)
+    let baseline_envs: Vec<(&'static str, TagEnv)> = generate_all(seed, scale)
         .into_iter()
-        .map(|d| (d.name, ShardSet::new(d, Arc::clone(&baseline_lm), 1)))
+        .map(|d| (d.name, TagEnv::new(d.db, Arc::clone(&baseline_lm))))
         .collect();
     let env_for = |domain: &str| -> &TagEnv {
-        baseline_envs
+        &baseline_envs
             .iter()
             .find(|(n, _)| *n == domain)
             .expect("workload domain generated")
             .1
-            .env()
     };
-    for (_, set) in &baseline_envs {
-        let _ = set.env().row_store();
+    for (_, env) in &baseline_envs {
+        let _ = env.row_store();
     }
     let serial_started = Instant::now();
     let expected: Vec<Answer> = workload

@@ -26,7 +26,7 @@ use tag_serve::{format_answer, parse_line, Command, Request, Server, ServerConfi
 fn usage() -> ! {
     eprintln!(
         "usage: tag-serve [--workers N] [--queue N] [--seed N] [--scale tiny|small|standard] \
-         [--shards N] [--deadline-ms N] [--trace-capacity N] [--tail-traces N] [--no-metrics]"
+         [--deadline-ms N] [--trace-capacity N] [--tail-traces N] [--no-metrics]"
     );
     std::process::exit(2);
 }
@@ -64,7 +64,6 @@ fn main() {
             "--queue" => config.queue_capacity = val().parse().unwrap_or_else(|_| usage()),
             "--seed" => seed = val().parse().unwrap_or_else(|_| usage()),
             "--scale" => scale = parse_scale(&val()),
-            "--shards" => config.shards = val().parse().unwrap_or_else(|_| usage()),
             "--deadline-ms" => {
                 config.default_deadline =
                     Duration::from_millis(val().parse().unwrap_or_else(|_| usage()))
@@ -77,12 +76,8 @@ fn main() {
     }
 
     eprintln!("tag-serve: generating domains (seed {seed})...");
-    let shards = config.shards.max(1);
     let server = Server::start(generate_all(seed, scale), SimConfig::default(), config);
-    eprintln!(
-        "tag-serve: ready; {shards} shard(s) per domain; domains: {}",
-        server.domains().join(", ")
-    );
+    eprintln!("tag-serve: ready; domains: {}", server.domains().join(", "));
 
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {

@@ -48,7 +48,6 @@ use tag_datagen::DomainData;
 use tag_lm::model::LanguageModel;
 use tag_lm::sim::{SimConfig, SimLm};
 use tag_metrics::{MetricsHub, Sample};
-use tag_shard::{Coordinator, ShardSet};
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -59,7 +58,7 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Deadline applied when a request does not carry its own.
     pub default_deadline: Duration,
-    /// Total answer-cache entries (split across shards).
+    /// Total answer-cache entries (split across the cache shards).
     pub cache_capacity: usize,
     /// Answer-cache shard count.
     pub cache_shards: usize,
@@ -74,12 +73,6 @@ pub struct ServerConfig {
     /// exposition. When false the hub is the null registry: instruments
     /// are inactive (one branch per touch) and `METRICS` renders empty.
     pub metrics_enabled: bool,
-    /// Data shards per domain. Each domain becomes a [`ShardSet`]: a
-    /// coordinator environment over the full database plus this many
-    /// hash-partitioned shard environments that scatterable plan
-    /// fragments fan out to. `1` keeps a single (trivially pruned)
-    /// shard; answers are byte-identical at every count.
-    pub shards: usize,
 }
 
 impl Default for ServerConfig {
@@ -93,7 +86,6 @@ impl Default for ServerConfig {
             trace_capacity: 256,
             tail_traces: 16,
             metrics_enabled: true,
-            shards: 1,
         }
     }
 }
@@ -216,7 +208,7 @@ impl ReplyHandle {
 /// An admitted cache miss, headed for a worker.
 struct Job {
     req: Request,
-    /// The domain's coordinator env, resolved at admission.
+    /// The domain's env, resolved at admission.
     env: Arc<TagEnv>,
     enqueued: Instant,
     reply: Arc<ReplyCell>,
@@ -224,10 +216,8 @@ struct Job {
 
 /// State shared by the admission path and every worker.
 struct Shared {
-    /// Per-domain shard sets. Requests execute against the set's
-    /// *coordinator* env; its database scatters eligible fragments
-    /// across the shard envs transparently.
-    envs: HashMap<String, ShardSet>,
+    /// One environment per served domain.
+    envs: HashMap<String, Arc<TagEnv>>,
     cache: Arc<AnswerCache>,
     /// The workspace metrics hub (the null registry when
     /// [`ServerConfig::metrics_enabled`] is off). Its collectors
@@ -259,11 +249,7 @@ impl Server {
 
     /// Start a server over `domains` that sends every prompt to `lm`
     /// (behind the cross-request [`BatchLm`]); tests pass a model they
-    /// can gate or fail. Each domain is partitioned into
-    /// [`ServerConfig::shards`] shards behind a coordinator; only the
-    /// coordinator env builds a row store or reports to the metrics hub
-    /// (scattered fragments do their shard-side work inside the
-    /// coordinator's instrumented query).
+    /// can gate or fail.
     ///
     /// Retrieval indexes are built eagerly so the first request pays no
     /// warm-up cost (the paper builds its FAISS indexes offline too).
@@ -280,17 +266,12 @@ impl Server {
         let batch = BatchLm::new(lm);
         let mut envs = HashMap::new();
         for d in domains {
-            let name = d.name;
-            let set = ShardSet::new(
-                d,
-                Arc::clone(&batch) as Arc<dyn LanguageModel>,
-                config.shards.max(1),
-            );
-            let _ = set.env().row_store();
+            let env = TagEnv::new(d.db, Arc::clone(&batch) as Arc<dyn LanguageModel>);
+            let _ = env.row_store();
             if hub.is_enabled() {
-                set.env().db.install_metrics_hub(Arc::clone(&hub));
+                env.db.install_metrics_hub(Arc::clone(&hub));
             }
-            envs.insert(name.to_owned(), set);
+            envs.insert(d.name.to_owned(), Arc::new(env));
         }
         let started = Instant::now();
         let cache = Arc::new(AnswerCache::new(config.cache_capacity, config.cache_shards));
@@ -333,14 +314,8 @@ impl Server {
         v
     }
 
-    /// The shared coordinator environment for `domain`, if served.
+    /// The shared environment for `domain`, if served.
     pub fn env(&self, domain: &str) -> Option<&Arc<TagEnv>> {
-        self.shared.envs.get(domain).map(ShardSet::env)
-    }
-
-    /// The full shard set for `domain` (coordinator plus shard envs,
-    /// scatter counters), if served.
-    pub fn shard_set(&self, domain: &str) -> Option<&ShardSet> {
         self.shared.envs.get(domain)
     }
 
@@ -364,29 +339,20 @@ impl Server {
         &self.shared.stages
     }
 
-    /// Plan-cache counters aggregated across every served domain —
-    /// each domain's coordinator env plus all of its shard envs (which
-    /// own independent caches).
+    /// Plan-cache counters aggregated across every served domain.
     pub fn plan_cache_stats(&self) -> tag_sql::PlanCacheStats {
         let mut total = tag_sql::PlanCacheStats::default();
-        for set in self.shared.envs.values() {
-            total.add(&set.env().db.plan_cache_stats());
-            for env in set.shard_envs() {
-                total.add(&env.db.plan_cache_stats());
-            }
+        for env in self.shared.envs.values() {
+            total.add(&env.db.plan_cache_stats());
         }
         total
     }
 
     /// Resize every domain's plan cache (0 disables them) — the A/B
     /// switch serve-bench uses to measure the cache's contribution.
-    /// Applies to coordinator and shard envs alike.
     pub fn set_plan_cache_capacity(&self, capacity: usize) {
-        for set in self.shared.envs.values() {
-            set.env().db.set_plan_cache_capacity(capacity);
-            for env in set.shard_envs() {
-                env.db.set_plan_cache_capacity(capacity);
-            }
+        for env in self.shared.envs.values() {
+            env.db.set_plan_cache_capacity(capacity);
         }
     }
 
@@ -403,7 +369,6 @@ impl Server {
             .shared
             .envs
             .get(domain)
-            .map(ShardSet::env)
             .ok_or_else(|| ServeError::UnknownDomain(domain.to_owned()).to_string())?;
         let rs = env
             .db
@@ -467,7 +432,7 @@ impl Server {
     /// Fails fast with [`ServeError::QueueFull`] when the bounded queue
     /// is at capacity — callers are expected to back off and retry.
     pub fn submit(&self, req: Request) -> Result<ReplyHandle, ServeError> {
-        let Some(set) = self.shared.envs.get(&req.domain) else {
+        let Some(env) = self.shared.envs.get(&req.domain) else {
             return Err(ServeError::UnknownDomain(req.domain));
         };
         let enqueued = Instant::now();
@@ -498,7 +463,7 @@ impl Server {
         let reply = ReplyCell::new();
         let job = Job {
             req,
-            env: Arc::clone(set.env()),
+            env: Arc::clone(env),
             enqueued,
             reply: Arc::clone(&reply),
         };
@@ -549,13 +514,10 @@ impl Server {
             per_shard.join(", ")
         ));
         // Per-operator semantic-engine counters, merged across domains.
-        // Semantic operators run only at coordinators (fragments that
-        // scatter are purely relational), so shard envs contribute
-        // nothing here.
         let mut ops: std::collections::BTreeMap<&'static str, tag_semops::OpStats> =
             std::collections::BTreeMap::new();
-        for set in self.shared.envs.values() {
-            for (name, stat) in set.env().engine.op_stats() {
+        for env in self.shared.envs.values() {
+            for (name, stat) in env.engine.op_stats() {
                 let e = ops.entry(name).or_default();
                 e.invocations += stat.invocations;
                 e.prompts += stat.prompts;
@@ -590,21 +552,6 @@ impl Server {
             pc.entries,
             pc.hit_rate() * 100.0,
         ));
-        out.push_str("== shards ==\n");
-        let mut names: Vec<&String> = self.shared.envs.keys().collect();
-        names.sort();
-        for name in names {
-            let set = &self.shared.envs[name.as_str()];
-            let s = set.scatter_stats();
-            out.push_str(&format!(
-                "{name}: shards={} scattered={} pruned={} fallbacks={} rows={:?}\n",
-                set.shards(),
-                s.scattered,
-                s.pruned,
-                s.fallbacks,
-                set.shard_rows(),
-            ));
-        }
         out.push_str(&format!(
             "traces resident: {} (ring capacity {}, tail {}/{})\n",
             self.shared.traces.len(),
@@ -648,7 +595,7 @@ fn register_collectors(
     metrics: &Arc<MetricsRegistry>,
     cache: &Arc<AnswerCache>,
     batch: &Arc<BatchLm>,
-    envs: &HashMap<String, ShardSet>,
+    envs: &HashMap<String, Arc<TagEnv>>,
     started: Instant,
 ) {
     if !hub.is_enabled() {
@@ -729,75 +676,21 @@ fn register_collectors(
             ),
             (
                 "tag_lm_batch_fallback_rounds_total",
-                "Rounds executed on the submitting thread (window fallback).",
+                "Merged rounds that failed as a unit and were retried one submission at a time.",
                 s.fallback_rounds,
             ),
         ] {
             out.push(Sample::counter(name, help, &[], v));
         }
     });
-    // Per-env series: each domain's coordinator env reports under
-    // `shard="coord"` with the full set of series; each data-shard env
-    // reports under `shard="<i>"` with plan-cache series only — shard
-    // envs run no semantic operators and build no row store. Scatter
-    // executors are captured strongly: a [`Coordinator`] holds no
-    // reference back to the hub, so no cycle closes. Shard row counts
-    // are sampled at registration — slices are cut once at load time
-    // and serving is read-only.
-    let mut weak_envs: Vec<(String, String, Weak<TagEnv>, bool)> = Vec::new();
-    let mut scatters: Vec<(String, usize, Vec<u64>, Arc<Coordinator>)> = Vec::new();
-    for (name, set) in envs {
-        weak_envs.push((
-            name.clone(),
-            "coord".to_owned(),
-            Arc::downgrade(set.env()),
-            true,
-        ));
-        for (i, env) in set.shard_envs().iter().enumerate() {
-            weak_envs.push((name.clone(), i.to_string(), Arc::downgrade(env), false));
-        }
-        scatters.push((
-            name.clone(),
-            set.shards(),
-            set.shard_rows(),
-            set.scatter_exec(),
-        ));
-    }
+    let weak_envs: Vec<(String, Weak<TagEnv>)> = envs
+        .iter()
+        .map(|(name, env)| (name.clone(), Arc::downgrade(env)))
+        .collect();
     hub.register_collector(move |out| {
-        for (domain, shards, rows, exec) in &scatters {
-            let domain_label = [("domain", domain.as_str())];
-            let s = exec.stats();
-            for (outcome, v) in [
-                ("scattered", s.scattered),
-                ("pruned", s.pruned),
-                ("fallback", s.fallbacks),
-            ] {
-                out.push(Sample::counter(
-                    "tag_serve_scatter_total",
-                    "Scatter-gather plan executions by outcome.",
-                    &[("domain", domain.as_str()), ("outcome", outcome)],
-                    v,
-                ));
-            }
-            out.push(Sample::gauge(
-                "tag_serve_shards",
-                "Configured data shards for the domain.",
-                &domain_label,
-                *shards as f64,
-            ));
-            for (i, r) in rows.iter().enumerate() {
-                let shard = i.to_string();
-                out.push(Sample::gauge(
-                    "tag_serve_shard_rows",
-                    "Partitioned-table rows resident on each data shard.",
-                    &[("domain", domain.as_str()), ("shard", shard.as_str())],
-                    *r as f64,
-                ));
-            }
-        }
-        for (domain, shard, env, full) in &weak_envs {
+        for (domain, env) in &weak_envs {
             let Some(env) = env.upgrade() else { continue };
-            let labels = [("domain", domain.as_str()), ("shard", shard.as_str())];
+            let labels = [("domain", domain.as_str())];
             let pc = env.db.plan_cache_stats();
             for (name, help, v) in [
                 (
@@ -829,15 +722,8 @@ fn register_collectors(
                 &labels,
                 pc.entries as f64,
             ));
-            if !*full {
-                continue;
-            }
             for (op, s) in env.engine.op_stats() {
-                let op_labels = [
-                    ("domain", domain.as_str()),
-                    ("shard", shard.as_str()),
-                    ("op", op),
-                ];
+                let op_labels = [("domain", domain.as_str()), ("op", op)];
                 out.push(Sample::counter(
                     "tag_semops_op_invocations_total",
                     "Semantic-operator invocations.",
@@ -1069,7 +955,6 @@ mod tests {
         assert!(r.contains("semantic operators"), "{r}");
         assert!(r.contains("stage breakdown"), "{r}");
         assert!(r.contains("== plan cache =="), "{r}");
-        assert!(r.contains("== shards =="), "{r}");
         assert!(r.contains("answer cache shard hits/misses"), "{r}");
         assert!(r.contains("traces resident"), "{r}");
     }
@@ -1204,25 +1089,11 @@ mod tests {
         assert!(text.contains("tag_serve_total_seconds_count 2"), "{text}");
         assert!(text.contains("tag_serve_total_window_seconds"), "{text}");
         assert!(text.contains("tag_serve_stage_seconds_bucket"), "{text}");
-        // Scatter-gather series exist even at the default single shard.
-        assert!(text.contains("tag_serve_scatter_total"), "{text}");
-        assert!(text.contains("tag_serve_shard_rows"), "{text}");
-        assert!(text.contains("tag_serve_shards"), "{text}");
-        // Per-domain subsystem collectors, labeled by shard.
+        // Per-domain subsystem collectors.
         assert!(
-            text.contains("tag_sqlengine_plan_cache_hits_total"),
+            text.contains("tag_sqlengine_plan_cache_hits_total{domain=\""),
             "{text}"
         );
-        // Both the coordinator env and the data-shard envs report
-        // plan-cache series under their own shard label.
-        for shard in ["coord", "0"] {
-            assert!(
-                text.lines()
-                    .any(|l| l.starts_with("tag_sqlengine_plan_cache_hits_total{")
-                        && l.contains(&format!("shard=\"{shard}\""))),
-                "missing shard={shard} plan-cache series: {text}"
-            );
-        }
         assert!(text.contains("tag_semops_round_occupancy"), "{text}");
         assert!(text.contains("tag_lm_batch_rounds_total"), "{text}");
         // Per-operator instrumentation installed into the SQL engine.
@@ -1264,48 +1135,6 @@ mod tests {
         let r = server.report();
         assert!(r.contains("serving metrics"), "{r}");
         assert!(r.contains("== plan cache =="), "{r}");
-    }
-
-    #[test]
-    fn sharded_server_matches_unsharded_and_scatters() {
-        let (unsharded, req) = tiny_server(ServerConfig::default());
-        let sharded = Server::start(
-            generate_all(42, tiny_scale()),
-            SimConfig::default(),
-            ServerConfig {
-                shards: 3,
-                ..ServerConfig::default()
-            },
-        );
-        let a = unsharded.ask(req.clone()).unwrap();
-        let b = sharded.ask(req).unwrap();
-        assert_eq!(a.answer, b.answer);
-        let set = sharded.shard_set("california_schools").expect("served");
-        assert_eq!(set.shards(), 3);
-        // A keyed aggregate through the coordinator scatters and prunes
-        // to the single owning shard.
-        let before = set.scatter_stats();
-        set.env()
-            .db
-            .query("SELECT COUNT(*) FROM schools WHERE City = 'Fresno'")
-            .unwrap();
-        let after = set.scatter_stats();
-        assert_eq!(after.scattered, before.scattered + 1);
-        assert_eq!(after.pruned, before.pruned + 1);
-        assert_eq!(after.fallbacks, before.fallbacks);
-        let r = sharded.report();
-        assert!(r.contains("shards=3"), "{r}");
-        let text = sharded.metrics_text();
-        assert!(
-            text.contains(
-                "tag_serve_scatter_total{domain=\"california_schools\",outcome=\"scattered\"}"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.contains("tag_serve_shard_rows{domain=\"california_schools\",shard=\"2\"}"),
-            "{text}"
-        );
     }
 
     #[test]

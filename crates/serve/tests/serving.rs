@@ -9,6 +9,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tag_bench::Harness;
 use tag_core::answer::{exact_match, Answer};
+use tag_core::env::TagEnv;
 use tag_datagen::{generate_all, DomainData, Scale};
 use tag_lm::model::{LanguageModel, LmError, LmRequest, LmResponse, LmResult};
 use tag_lm::sim::{SimConfig, SimLm};
@@ -259,6 +260,61 @@ fn concurrent_replay_matches_serial_baseline() {
         server.metrics().requests_ok.load(Ordering::Relaxed),
         items.len() as u64
     );
+}
+
+/// The server runs each domain on one plain `TagEnv`: the env it hands
+/// out answers a statement mix (rows, row order and error text) exactly
+/// as a freshly built one over the same seed, and neither STATS nor
+/// METRICS reports anything about scattering.
+#[test]
+fn served_env_answers_as_a_plain_tag_env() {
+    let queries = [
+        "SELECT * FROM schools",
+        "SELECT COUNT(*) FROM schools WHERE City = 'Palo Alto'",
+        "SELECT City, COUNT(*), AVG(AvgScrMath) FROM schools GROUP BY City",
+        "SELECT School FROM schools WHERE AvgScrMath > 700 ORDER BY School",
+        "SELECT COUNT(DISTINCT City), GROUP_CONCAT(FundingType) FROM schools",
+        "SELECT s.School, f.\"FRPM Count\" FROM schools s JOIN frpm f \
+         ON s.CDSCode = f.CDSCode WHERE s.AvgScrMath > 650 ORDER BY s.CDSCode",
+        "SELECT MIN(Longitude), MAX(Latitude), SUM(Enrollment), TOTAL(AvgScrRead) \
+         FROM schools WHERE Charter = 1",
+        "SELECT * FROM frpm WHERE CDSCode = 17",
+        "SELECT SUM(City) FROM schools",
+        "SELECT City FROM schools WHERE EXISTS \
+         (SELECT 1 FROM satscores WHERE cds = CDSCode) LIMIT 5",
+    ];
+    let run = |env: &TagEnv, sql: &str| {
+        env.db
+            .query(sql)
+            .map(|rs| format!("{:?}", rs.rows))
+            .map_err(|e| e.message().to_string())
+    };
+    let domain = "california_schools";
+    let schools = tiny_domains()
+        .into_iter()
+        .find(|d| d.name == domain)
+        .expect("schools generated");
+    let plain = TagEnv::new(schools.db, Arc::new(SimLm::new(SimConfig::default())));
+    let domains = tiny_domains();
+    let request = rag_requests(&domains, 1).remove(0);
+    let server = Server::start(domains, SimConfig::default(), ServerConfig::default());
+    let served = server.env(domain).expect("schools served");
+    for sql in queries {
+        assert_eq!(run(served, sql), run(&plain, sql), "divergence on {sql:?}");
+    }
+    assert_eq!(
+        run(served, "SELECT SUM(City) FROM schools"),
+        Err("cannot use text \"Alameda\" as a number".to_owned())
+    );
+    server.ask(request).unwrap();
+    for text in [server.report(), server.metrics_text()] {
+        assert!(!text.is_empty());
+        assert!(!text.contains("scatter"), "{text}");
+        // Every remaining `shard` line is about the answer cache.
+        for line in text.lines().filter(|l| l.contains("shard")) {
+            assert!(line.contains("cache"), "{line}");
+        }
+    }
 }
 
 /// Asking the same questions twice must be answered from the cache the

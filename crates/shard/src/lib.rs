@@ -1,124 +1,26 @@
-//! # tag-shard — sharded scatter-gather execution
-//!
-//! Partitions one TAG domain across N shards and serves it behind an
-//! unchanged `TagEnv` surface. Planning (`syn`) and answer generation
-//! (`gen`) stay global at the coordinator; only relational `exec`
-//! fans out, Risingwave-style (global frontend, scattered compute):
-//!
-//! - [`ShardSet`] holds one coordinator [`TagEnv`] over the full
-//!   domain plus N shard `TagEnv`s over hash-partitioned slices
-//!   (see [`tag_datagen::partition`]). Each shard env owns its own
-//!   plan cache, vector index, semantic-engine cache, and LM batch
-//!   queue.
-//! - [`Coordinator`] implements [`tag_sql::ScatterExec`] on the
-//!   coordinator database: scatterable plan fragments — Filter/Project
-//!   chains over a partitioned table, and aggregates directly above
-//!   such a chain — execute per shard and merge at the coordinator
-//!   ([`PartialAgg`] states travel over a byte codec, AVG as
-//!   (sum, count), never averaged averages). Everything else (joins,
-//!   semantic operators, correlated subqueries over partitioned
-//!   tables) runs at the coordinator against its full catalog, so LM
-//!   call counts and answers stay byte-identical to unsharded.
-//! - A filter `partition_col = literal` in the chain prunes the
-//!   scatter to the single owning shard — the source of the sharded
-//!   throughput win on keyed lookups.
-//!
-//! Any error inside a scattered fragment falls back to local
-//! execution of the original plan, so error messages (and their
-//! ordering semantics) are exactly the serial executor's.
-//!
-//! The shard slices are cut once at load time; the coordinator keeps
-//! the full tables, so DDL/DML, EXPLAIN, schema prompts, and the RAG
-//! row store behave identically to an unsharded deployment. Serving is
-//! read-only; mutating the coordinator after construction would
-//! desynchronize the slices.
+//! A shim for `perf/src/probes.rs`. ISSUE 15 measured and removed sharded
+//! execution (DESIGN.md §14); the frozen benchmark still compiles against
+//! `ShardSet::{new, env, name}`. This crate and the `tag-shard.*` metrics
+//! go with the next `benchmark` PR.
 
-#![warn(missing_docs)]
-
-mod coordinator;
-
-pub use coordinator::{Coordinator, ScatterStats};
-
-use std::collections::HashMap;
 use std::sync::Arc;
 use tag_core::env::TagEnv;
-use tag_datagen::partition::{partition_spec, partition_tables};
 use tag_datagen::DomainData;
 use tag_lm::model::LanguageModel;
 
-/// One domain, sharded: a global coordinator environment plus N
-/// per-shard environments, wired together by a [`Coordinator`]
-/// installed as the coordinator database's scatter hook.
+/// One domain on one plain [`TagEnv`].
 pub struct ShardSet {
     name: &'static str,
-    coordinator: Arc<TagEnv>,
-    shards: Vec<Arc<TagEnv>>,
-    exec: Arc<Coordinator>,
-    /// Upper-cased names of the partitioned tables.
-    partitioned: Vec<String>,
+    env: Arc<TagEnv>,
 }
 
 impl ShardSet {
-    /// Shard `domain` across `n` partitions (panics on `n == 0`).
-    ///
-    /// The coordinator env takes the full domain database — `syn`
-    /// prompts, the row store, semantic scans, and any non-scatterable
-    /// plan all see exactly the unsharded catalog. Each shard env gets
-    /// a hash-partitioned slice plus full copies of replicated tables.
+    /// `TagEnv::new(domain.db, lm)`; panics unless `n == 1`.
     pub fn new(domain: DomainData, lm: Arc<dyn LanguageModel>, n: usize) -> ShardSet {
-        let specs: Vec<(&str, &str)> = partition_spec(domain.name)
-            .iter()
-            .map(|s| (s.table, s.column))
-            .collect();
-        Self::over_database(domain.name, domain.db, lm, &specs, n)
-    }
-
-    /// Shard an arbitrary database with explicit `(table, column)`
-    /// partition specs — the generic form behind [`ShardSet::new`],
-    /// also used by parity tests to shard randomized tables.
-    pub fn over_database(
-        name: &'static str,
-        db: tag_sql::Database,
-        lm: Arc<dyn LanguageModel>,
-        specs: &[(&str, &str)],
-        n: usize,
-    ) -> ShardSet {
-        assert!(n > 0, "shard count must be positive");
-        // Resolve each partitioned table's key column position before
-        // the database moves into the coordinator env.
-        let mut parts: HashMap<String, usize> = HashMap::new();
-        let mut partitioned: Vec<String> = Vec::new();
-        for (table_name, column) in specs {
-            if let Ok(table) = db.catalog().table(table_name) {
-                let col = table
-                    .schema()
-                    .index_of(column)
-                    .unwrap_or_else(|| panic!("no column {column:?} in table {table_name}"));
-                parts.insert(table_name.to_ascii_uppercase(), col);
-                partitioned.push(table_name.to_ascii_uppercase());
-            }
-        }
-        partitioned.sort();
-        partitioned.dedup();
-        let slices = partition_tables(&db, specs, n);
-        let mut shards = Vec::with_capacity(n);
-        let mut seqs = Vec::with_capacity(n);
-        for slice in slices {
-            seqs.push(slice.seq);
-            shards.push(Arc::new(TagEnv::new(slice.db, Arc::clone(&lm))));
-        }
-        let coordinator = Arc::new(TagEnv::new(db, lm));
-        let exec = Arc::new(Coordinator::new(shards.clone(), parts, seqs));
-        coordinator
-            .db
-            .set_scatter_exec(exec.clone() as Arc<dyn tag_sql::ScatterExec>);
-        ShardSet {
-            name,
-            coordinator,
-            shards,
-            exec,
-            partitioned,
-        }
+        assert!(n == 1, "ISSUE 15 removed sharded execution: n = {n}");
+        let env = Arc::new(TagEnv::new(domain.db, lm));
+        let name = domain.name;
+        ShardSet { name, env }
     }
 
     /// The domain's BIRD name.
@@ -126,135 +28,33 @@ impl ShardSet {
         self.name
     }
 
-    /// The coordinator environment. Serving routes every request
-    /// through this env; its database scatters eligible plans across
-    /// the shards transparently.
+    /// The domain's environment.
     pub fn env(&self) -> &Arc<TagEnv> {
-        &self.coordinator
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-shard environments (own plan cache, vector index,
-    /// semantic-engine cache, and LM batch queue each).
-    pub fn shard_envs(&self) -> &[Arc<TagEnv>] {
-        &self.shards
-    }
-
-    /// Scatter-gather counters since construction.
-    pub fn scatter_stats(&self) -> ScatterStats {
-        self.exec.stats()
-    }
-
-    /// A shared handle to the scatter executor, so metrics collectors
-    /// can sample [`ScatterStats`] at scrape time without borrowing
-    /// the set. The coordinator holds no reference back to the hub, so
-    /// capturing this strongly in a collector closes no cycle.
-    pub fn scatter_exec(&self) -> Arc<Coordinator> {
-        Arc::clone(&self.exec)
-    }
-
-    /// Rows of partitioned tables resident on each shard (replicated
-    /// tables excluded — their copies are not "owned" by any shard).
-    /// All zeros when the domain declares no partitioned tables.
-    pub fn shard_rows(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|env| {
-                let catalog = env.db.catalog();
-                self.partitioned
-                    .iter()
-                    .filter_map(|t| catalog.table(t).ok())
-                    .map(|t| t.len() as u64)
-                    .sum()
-            })
-            .collect()
+        &self.env
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tag_lm::sim::{SimConfig, SimLm};
+    use tag_datagen::schools::generate;
 
     fn lm() -> Arc<dyn LanguageModel> {
-        Arc::new(SimLm::new(SimConfig::default()))
-    }
-
-    fn run(db: &tag_sql::Database, sql: &str) -> Result<String, String> {
-        db.query(sql)
-            .map(|rs| format!("{:?}", rs.rows))
-            .map_err(|e| e.message().to_string())
-    }
-
-    /// The shard-set answers a representative query mix byte-identically
-    /// to the unsharded domain, across shard counts.
-    #[test]
-    fn sharded_matches_unsharded_over_query_mix() {
-        let queries = [
-            "SELECT * FROM schools",
-            "SELECT COUNT(*) FROM schools WHERE City = 'Palo Alto'",
-            "SELECT City, COUNT(*), AVG(AvgScrMath) FROM schools GROUP BY City",
-            "SELECT School FROM schools WHERE AvgScrMath > 700 ORDER BY School",
-            "SELECT COUNT(DISTINCT City), GROUP_CONCAT(FundingType) FROM schools",
-            "SELECT s.School, f.\"FRPM Count\" FROM schools s JOIN frpm f \
-             ON s.CDSCode = f.CDSCode WHERE s.AvgScrMath > 650 ORDER BY s.CDSCode",
-            "SELECT MIN(Longitude), MAX(Latitude), SUM(Enrollment), TOTAL(AvgScrRead) \
-             FROM schools WHERE Charter = 1",
-            "SELECT * FROM frpm WHERE CDSCode = 17",
-            "SELECT SUM(City) FROM schools", // error parity via local fallback
-            "SELECT City FROM schools WHERE EXISTS \
-             (SELECT 1 FROM satscores WHERE cds = CDSCode) LIMIT 5",
-        ];
-        let baseline = tag_datagen::schools::generate(23, 150);
-        for n in [1usize, 2, 3, 8] {
-            let set = ShardSet::new(tag_datagen::schools::generate(23, 150), lm(), n);
-            for sql in queries {
-                assert_eq!(
-                    run(&baseline.db, sql),
-                    run(&set.env().db, sql),
-                    "divergence on {sql:?} with {n} shards"
-                );
-            }
-        }
+        Arc::new(tag_lm::sim::SimLm::new(Default::default()))
     }
 
     #[test]
-    fn keyed_filter_prunes_to_one_shard() {
-        let set = ShardSet::new(tag_datagen::schools::generate(7, 200), lm(), 8);
-        let before = set.scatter_stats();
-        set.env()
-            .db
-            .query("SELECT COUNT(*) FROM schools WHERE City = 'Fresno'")
-            .unwrap();
-        let after = set.scatter_stats();
-        assert_eq!(after.scattered, before.scattered + 1);
-        assert_eq!(after.pruned, before.pruned + 1);
-        assert_eq!(after.fallbacks, before.fallbacks);
+    fn env_answers_as_a_plain_tag_env() {
+        let sql = "SELECT City, COUNT(*), AVG(AvgScrMath) FROM schools GROUP BY City";
+        let rows = |env: &TagEnv| env.db.query(sql).unwrap().rows;
+        let plain = TagEnv::new(generate(23, 150).db, lm());
+        let set = ShardSet::new(generate(23, 150), lm(), 1);
+        assert_eq!(rows(set.env()), rows(&plain));
     }
 
     #[test]
-    fn shard_envs_are_independent() {
-        let set = ShardSet::new(tag_datagen::schools::generate(3, 80), lm(), 4);
-        assert_eq!(set.shards(), 4);
-        assert_eq!(set.name(), "california_schools");
-        let total: usize = set
-            .shard_envs()
-            .iter()
-            .map(|e| e.db.catalog().table("schools").unwrap().len())
-            .sum();
-        assert_eq!(total, 80);
-        // shard_rows covers every partitioned table and sums to the
-        // coordinator's row counts.
-        let rows = set.shard_rows();
-        assert_eq!(rows.len(), 4);
-        let want: u64 = ["schools", "frpm", "satscores"]
-            .iter()
-            .map(|t| set.env().db.catalog().table(t).unwrap().len() as u64)
-            .sum();
-        assert_eq!(rows.iter().sum::<u64>(), want);
+    #[should_panic(expected = "ISSUE 15 removed sharded execution: n = 2")]
+    fn more_than_one_shard_panics() {
+        ShardSet::new(generate(23, 150), lm(), 2);
     }
 }

@@ -1,9 +1,9 @@
 //! The relational executor: columnar, morsel at a time.
 //!
 //! Every [`Plan`] the engine runs — top-level statements, the planner's
-//! eager uncorrelated subqueries, per-row correlated subqueries, shard
-//! subplans — goes through [`execute`]. Operators exchange [`Batch`]es
-//! of typed column vectors; rows are only materialized at the boundary.
+//! eager uncorrelated subqueries, per-row correlated subqueries — goes
+//! through [`execute`]. Operators exchange [`Batch`]es of typed column
+//! vectors; rows are only materialized at the boundary.
 //!
 //! # Shape
 //!
@@ -22,24 +22,27 @@
 //! builds only) for every morsel size; the in-crate parity proptest
 //! (`parity` below) holds the two against each other.
 //!
-//! - Aggregates keep per-(group, call) [`PartialAgg`] accumulators —
-//!   the public scatter-gather partials — fed with global row seqs, so
-//!   COUNT/MIN/MAX merge exactly and order-sensitive states
-//!   (SUM/TOTAL/AVG/GROUP_CONCAT and all DISTINCT aggregates) replay
-//!   through the shared [`AggState`] in seq order; float
-//!   non-associativity and integer-overflow promotion can never
-//!   reorder. Group output order is first-seen under the batch-order
-//!   merge — the single-pass order.
+//! - Aggregates keep per-(group, call) [`PartialAgg`] accumulators fed
+//!   with global row seqs, so COUNT/MIN/MAX merge exactly and
+//!   order-sensitive states (SUM/TOTAL/AVG/GROUP_CONCAT and all
+//!   DISTINCT aggregates) replay through the shared [`AggState`] in seq
+//!   order; float non-associativity and integer-overflow promotion can
+//!   never reorder. Group output order is first-seen under the
+//!   batch-order merge — the single-pass order.
 //! - Sort orders by `(key, global seq)` — a total order equal to a
 //!   stable sort (see [`crate::exec::compare_keys`]'s ordering
 //!   contract).
 //! - Hash-join build inserts right rows in global row order; probe
 //!   preserves left order per batch.
 //! - Errors: batches run in order and the first failing one stops the
-//!   operator; inside it the kernel's own error is discarded and the
+//!   operator. Where a kernel evaluates several expressions column by
+//!   column (filter, project, sort keys, the hash-join probe key with
+//!   its residual, aggregates), its own error is discarded and the
 //!   batch is replayed row-major through the scalar evaluator
 //!   (`exact_row_error`, [`aggregate_rows`]), which raises exactly the
-//!   error a row-at-a-time run would hit first.
+//!   error a row-at-a-time run would hit first. The hash-join build key
+//!   is one expression evaluated in row order, so its kernel's error
+//!   already is that error and is returned as it is.
 
 use crate::ast::JoinKind;
 use crate::catalog::Catalog;
@@ -77,13 +80,6 @@ fn execute_morsels(
         morsel_rows,
         prof,
     };
-    // A bare VALUES is rows already, with no operator above it to
-    // vectorize: transposing it into columns and back would be the
-    // whole cost of the statement. (The shard coordinator gathers every
-    // scattered chain into one, `SELECT *` over a table included.)
-    if let Plan::Values { rows, .. } = plan {
-        return ctx.profiled(plan, || ctx.values(rows), Vec::len);
-    }
     Ok(batches_to_rows(&ctx.exec_node(plan)?))
 }
 
@@ -115,27 +111,17 @@ impl<'a> ChunkCtx<'a> {
         }
     }
 
-    /// Run one plan node, as its own profile entry when a profiler is
+    /// Recursion point: every operator's children come back through
+    /// here so each node is its own profile entry when a profiler is
     /// attached.
-    fn profiled<T>(
-        &self,
-        plan: &Plan,
-        run: impl FnOnce() -> SqlResult<T>,
-        rows_out: impl Fn(&T) -> usize,
-    ) -> SqlResult<T> {
+    fn exec_node(&self, plan: &Plan) -> SqlResult<Vec<Batch>> {
         let Some(p) = self.prof else {
-            return run();
+            return self.exec_impl(plan);
         };
         let token = p.enter(node_label(plan));
-        let result = run();
-        p.exit(token, result.as_ref().map(rows_out).unwrap_or(0));
+        let result = self.exec_impl(plan);
+        p.exit(token, result.as_ref().map(|b| batches_len(b)).unwrap_or(0));
         result
-    }
-
-    /// Recursion point: every operator's children come back through
-    /// here so each node is individually timed.
-    fn exec_node(&self, plan: &Plan) -> SqlResult<Vec<Batch>> {
-        self.profiled(plan, || self.exec_impl(plan), |b| batches_len(b))
     }
 
     /// The table and index an index access path names.
@@ -421,10 +407,7 @@ impl<'a> ChunkCtx<'a> {
             let ranges = morsels(right_chunk.len(), self.morsel_rows);
             let cols = fan(ranges.len(), |i| {
                 let (s, e) = ranges[i];
-                let view = whole.slice_local(s, e);
-                crate::vector::eval_column(right_key, &view, &ctx).map_err(|err| {
-                    exact_row_error(&view, err, |row| right_key.eval_ctx(row, &ctx).map(|_| ()))
-                })
+                crate::vector::eval_column(right_key, &whole.slice_local(s, e), &ctx)
             })?;
             ColumnData::concat(cols)
         };
@@ -710,8 +693,7 @@ fn probe_batch(
 }
 
 /// One batch's local aggregation: first-seen keys plus partial states.
-/// The partials are the public scatter-gather accumulators
-/// ([`PartialAgg`]), fed with global row seqs (`base_seq` + local
+/// The partials are fed with global row seqs (`base_seq` + local
 /// offset) so the batch-order merge is just the seq-order merge.
 struct LocalAgg {
     keys: Vec<Vec<Value>>,
@@ -1102,16 +1084,6 @@ mod parity {
             k: 2,
             offset: 1,
         };
-        // A bare VALUES (what the shard coordinator gathers a scattered
-        // chain into) takes the executor's rows-are-rows shortcut.
-        let bare = Plan::Values {
-            columns: vec!["x".into()],
-            rows: vec![
-                vec![BoundExpr::Literal(Value::Int(1))],
-                vec![BoundExpr::Literal(Value::Null)],
-            ],
-        };
-        assert_eq!(check_plan(&db, &bare, 1), Ok(()));
         for morsel_rows in 1..17 {
             for sql in queries(0, 1) {
                 assert_eq!(check(&db, &sql, morsel_rows), Ok(true), "{sql}");

@@ -1,8 +1,8 @@
 //! The top-level database engine: statement dispatch over a catalog.
 //!
-//! Every plan — `query`, `query_profiled`, `execute_plan_local` — runs
-//! through the one relational executor, [`crate::chunk_exec::execute`];
-//! nothing on `Database` selects how.
+//! Every plan — `query`, `query_profiled` — runs through the one
+//! relational executor, [`crate::chunk_exec::execute`]; nothing on
+//! `Database` selects how.
 
 use crate::ast::{ColumnDef, InsertStmt, Statement};
 use crate::catalog::Catalog;
@@ -16,8 +16,6 @@ use crate::plancache::{normalize_sql, CachedArm, CachedPlan, PlanCache, PlanCach
 use crate::planner::{Planner, Scope};
 use crate::profile::PlanProfiler;
 use crate::result::ResultSet;
-use crate::scatter::ScatterExec;
-use crate::schema::Row;
 use crate::schema::{Column, Schema};
 use crate::semplan::SemNode;
 use crate::table::{IndexKind, Table};
@@ -103,10 +101,6 @@ pub struct Database {
     /// Per-operator metrics sink, installed once by the serving
     /// runtime; profiled queries feed it, plain queries never touch it.
     exec_metrics: std::sync::OnceLock<Arc<ExecMetrics>>,
-    /// Registered scatter-gather executor (see [`crate::scatter`]).
-    /// Consulted before every local plan execution; plans it claims run
-    /// across shards instead, byte-identical by contract.
-    scatter: HookSlot<dyn ScatterExec>,
 }
 
 impl Clone for Database {
@@ -124,7 +118,6 @@ impl Clone for Database {
             // Clones share the sink: instruments are per-operator-kind
             // aggregates, not per-handle state.
             exec_metrics: self.exec_metrics.clone(),
-            scatter: self.scatter.clone(),
         }
     }
 }
@@ -180,35 +173,6 @@ impl Database {
     /// shared handle can be instrumented after construction.
     pub fn install_metrics_hub(&self, hub: Arc<tag_metrics::MetricsHub>) {
         let _ = self.exec_metrics.set(Arc::new(ExecMetrics::new(hub)));
-    }
-
-    /// Run one optimized plan: offer it to the registered scatter
-    /// executor first, then fall back to the local executor.
-    fn run_plan(&self, plan: &Plan) -> SqlResult<Vec<Row>> {
-        if let Some(scatter) = self.scatter.get() {
-            if scatter.handles(plan) {
-                return scatter.execute(plan, self);
-            }
-        }
-        self.execute_plan_local(plan)
-    }
-
-    /// Run one optimized plan through the local executor
-    /// ([`crate::chunk_exec`]), bypassing any registered scatter hook.
-    /// Scatter executors call this on the coordinator database to run
-    /// rewritten (partition-free) plans, and on shard databases to run
-    /// scattered subplans.
-    pub fn execute_plan_local(&self, plan: &Plan) -> SqlResult<Vec<Row>> {
-        execute(plan, &self.catalog, None)
-    }
-
-    /// Register a scatter-gather executor. Every subsequent plan
-    /// execution — `query`, `query_statement`, and the profiled serving
-    /// path — first offers the plan to the executor; plans it claims run
-    /// across shards. Results must be byte-identical to local execution
-    /// (see [`crate::scatter::ScatterExec`]).
-    pub fn set_scatter_exec(&self, exec: Arc<dyn ScatterExec>) {
-        self.scatter.set(exec);
     }
 
     /// Resize the plan cache (0 disables it). Takes `&self` so a shared
@@ -287,21 +251,9 @@ impl Database {
         self.statements_run.fetch_add(1, Ordering::Relaxed);
         let mut acc: Option<ResultSet> = None;
         let mut text = String::new();
-        let scatter = self.scatter.get();
         for arm in &cached.arms {
             let profiler = PlanProfiler::new();
-            let scattered = scatter.as_ref().filter(|s| s.handles(&arm.plan));
-            let rows = if let Some(scatter) = scattered {
-                // Scatter-gather executes across shard databases the
-                // profiler cannot see into; record the whole arm as one
-                // coordinator-side node.
-                let token = profiler.enter("ScatterGather".to_string());
-                let rows = scatter.execute(&arm.plan, self)?;
-                profiler.exit(token, rows.len());
-                rows
-            } else {
-                execute(&arm.plan, &self.catalog, Some(&profiler))?
-            };
+            let rows = execute(&arm.plan, &self.catalog, Some(&profiler))?;
             if let Some(sink) = self.exec_metrics.get() {
                 sink.record(&profiler.nodes());
             }
@@ -403,7 +355,7 @@ impl Database {
     fn execute_cached(&self, cached: &CachedPlan) -> SqlResult<ResultSet> {
         let mut acc: Option<ResultSet> = None;
         for arm in &cached.arms {
-            let rows = self.run_plan(&arm.plan)?;
+            let rows = execute(&arm.plan, &self.catalog, None)?;
             match &mut acc {
                 None => acc = Some(ResultSet::new(arm.columns.clone(), rows)),
                 Some(acc) => {
@@ -1295,7 +1247,7 @@ mod tests {
 
     /// Rows the reference interpreter produces for a single-arm SELECT,
     /// planned against the database's current state.
-    fn reference_rows(db: &Database, sql: &str) -> Vec<Row> {
+    fn reference_rows(db: &Database, sql: &str) -> Vec<crate::Row> {
         let (cached, _) = db.plan_for(sql).unwrap();
         crate::exec::reference::execute(&cached.arms[0].plan, db.catalog()).unwrap()
     }

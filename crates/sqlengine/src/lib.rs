@@ -60,7 +60,6 @@ pub mod plancache;
 pub mod planner;
 pub mod profile;
 pub mod result;
-pub mod scatter;
 pub mod schema;
 pub mod semopt;
 pub mod semplan;
@@ -74,14 +73,11 @@ pub use engine::Database;
 pub use error::{SqlError, SqlResult};
 pub use expr::{BoundExpr, EvalCtx};
 pub use metrics::ExecMetrics;
-pub use partial::{
-    finish_partials, merge_partials, GroupPartials, GroupPartialsBuilder, PartialAgg,
-};
+pub use partial::PartialAgg;
 pub use plan::{AggCall, AggFunc, IndexRange, Plan, SortKey};
 pub use plancache::{normalize_sql, PlanCache, PlanCacheStats};
 pub use profile::{NodeProfile, PlanProfiler};
 pub use result::ResultSet;
-pub use scatter::{collect_expr_tables, collect_plan_tables, plan_references, ScatterExec};
 pub use schema::{Column, DataType, Row, Schema};
 pub use semopt::{optimize_sem, SemOptOptions};
 pub use semplan::{

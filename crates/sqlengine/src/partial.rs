@@ -1,17 +1,16 @@
-//! Decomposable aggregate state for scatter-gather execution.
+//! Decomposable aggregate state for morsel-at-a-time execution.
 //!
-//! [`PartialAgg`] is the public promotion of the executor's
-//! per-morsel partial aggregate: one accumulator per (group, aggregate
-//! call) that can be computed over an arbitrary *slice* of a table's
-//! rows and later combined with partials from other slices — other
-//! morsels on one machine, or other shards across a scatter boundary.
+//! [`PartialAgg`] is the executor's per-morsel partial aggregate: one
+//! accumulator per (group, aggregate call) that can be computed over an
+//! arbitrary *slice* of a table's rows and later combined with partials
+//! from other slices (see `chunk_exec`'s aggregate).
 //!
 //! # Determinism contract
 //!
 //! Every input value carries the global sequence number (`seq`) of the
-//! row it came from: its position in the unsharded, unsplit input.
-//! Combining partials is defined so that `finish` produces the byte-
-//! identical result of folding the whole input serially in seq order:
+//! row it came from: its position in the unsplit input. Combining
+//! partials is defined so that `finish` produces the byte-identical
+//! result of folding the whole input serially in seq order:
 //!
 //! - `Count` is a plain sum (order-free).
 //! - `MinMax` keeps `(seq, value)` of the winner and merges with a
@@ -26,20 +25,12 @@
 //!   averages (see `AggState::Avg`).
 //! - `Distinct` keeps per-slice first occurrences with their seqs; the
 //!   merge re-deduplicates in global seq order, keeping the earliest.
-//!
-//! [`GroupPartials`] packages a whole `GROUP BY` result (keys + states,
-//! each key tagged with its first-seen seq) and [`merge_partials`] is
-//! the coordinator-side operator that combines per-shard results into
-//! the serial first-seen group order. Both have a compact wire encoding
-//! ([`GroupPartials::encode`] / [`GroupPartials::decode`]) so partial
-//! aggregates can cross shard boundaries as bytes.
 
 use crate::error::{SqlError, SqlResult};
 use crate::exec::AggState;
 use crate::plan::{AggCall, AggFunc};
-use crate::schema::Row;
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A decomposable per-(group, call) aggregate accumulator.
 #[derive(Debug, Clone)]
@@ -106,7 +97,7 @@ impl PartialAgg {
 
     /// Fold in one input value from global row `seq`. Callers must feed
     /// each slice in ascending seq order (a slice preserves the row
-    /// order of the unsharded table, so natural iteration qualifies).
+    /// order of the whole input, so natural iteration qualifies).
     pub fn update(&mut self, seq: u64, v: Value) {
         // SQL aggregates skip NULL inputs (COUNT(*) passes a marker).
         if v.is_null() {
@@ -178,7 +169,7 @@ impl PartialAgg {
             }
             _ => {
                 return Err(SqlError::Eval(
-                    "mismatched aggregate partial variants in scatter merge".into(),
+                    "mismatched aggregate partial variants in merge".into(),
                 ))
             }
         }
@@ -233,321 +224,6 @@ fn merge_by_seq(a: Vec<(u64, Value)>, b: Vec<(u64, Value)>) -> Vec<(u64, Value)>
         }
     }
     out
-}
-
-/// One slice's complete `GROUP BY` result: group keys tagged with their
-/// first-seen seq, plus one [`PartialAgg`] per (group, call).
-#[derive(Debug, Clone, Default)]
-pub struct GroupPartials {
-    /// `(first_seen_seq, key values)` in slice-local first-seen order.
-    pub keys: Vec<(u64, Vec<Value>)>,
-    /// Parallel to `keys`: one accumulator per aggregate call.
-    pub states: Vec<Vec<PartialAgg>>,
-}
-
-/// Incremental builder for one slice's [`GroupPartials`].
-pub struct GroupPartialsBuilder<'a> {
-    aggs: &'a [AggCall],
-    index: HashMap<Vec<Value>, usize>,
-    out: GroupPartials,
-}
-
-impl<'a> GroupPartialsBuilder<'a> {
-    /// Start building against the plan's aggregate calls.
-    pub fn new(aggs: &'a [AggCall]) -> Self {
-        GroupPartialsBuilder {
-            aggs,
-            index: HashMap::new(),
-            out: GroupPartials::default(),
-        }
-    }
-
-    /// Fold one row: its global seq, evaluated group key, and one
-    /// evaluated argument per aggregate call (`Value::Int(1)` for
-    /// `COUNT(*)`). Rows must arrive in ascending seq order.
-    pub fn add(&mut self, seq: u64, key: Vec<Value>, args: Vec<Value>) {
-        let gi = match self.index.get(&key) {
-            Some(&gi) => gi,
-            None => {
-                let gi = self.out.keys.len();
-                self.index.insert(key.clone(), gi);
-                self.out.keys.push((seq, key));
-                self.out
-                    .states
-                    .push(self.aggs.iter().map(PartialAgg::new).collect());
-                gi
-            }
-        };
-        for (state, v) in self.out.states[gi].iter_mut().zip(args) {
-            state.update(seq, v);
-        }
-    }
-
-    /// The finished slice result.
-    pub fn build(self) -> GroupPartials {
-        self.out
-    }
-}
-
-/// Coordinator-side merge of per-shard [`GroupPartials`] into one,
-/// ordered by global first-seen seq — the serial first-seen group
-/// order. Keys unify through [`Value`] equality (so `5` and `5.0`
-/// landing on different shards still form one group, with the
-/// earlier-seq representative key), exactly like the serial hash map.
-pub fn merge_partials(parts: impl IntoIterator<Item = GroupPartials>) -> SqlResult<GroupPartials> {
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut merged = GroupPartials::default();
-    for part in parts {
-        for ((seq, key), states) in part.keys.into_iter().zip(part.states) {
-            match index.get(&key) {
-                Some(&gi) => {
-                    let (first, rep) = &mut merged.keys[gi];
-                    if seq < *first {
-                        *first = seq;
-                        *rep = key;
-                    }
-                    for (mine, theirs) in merged.states[gi].iter_mut().zip(states) {
-                        mine.merge(theirs)?;
-                    }
-                }
-                None => {
-                    index.insert(key.clone(), merged.keys.len());
-                    merged.keys.push((seq, key));
-                    merged.states.push(states);
-                }
-            }
-        }
-    }
-    let mut order: Vec<usize> = (0..merged.keys.len()).collect();
-    order.sort_by_key(|&i| merged.keys[i].0);
-    let mut keys = Vec::with_capacity(order.len());
-    let mut states = Vec::with_capacity(order.len());
-    let mut old_states: Vec<Option<Vec<PartialAgg>>> =
-        merged.states.into_iter().map(Some).collect();
-    for i in order {
-        keys.push(std::mem::take(&mut merged.keys[i]));
-        states.push(old_states[i].take().expect("each slot moved once"));
-    }
-    Ok(GroupPartials { keys, states })
-}
-
-/// Finish a merged [`GroupPartials`] into output rows (group key values
-/// then aggregate results), including the serial rule that a global
-/// aggregation (no GROUP BY) over an empty input yields one row of
-/// empty finishes.
-pub fn finish_partials(
-    merged: GroupPartials,
-    group_len: usize,
-    aggs: &[AggCall],
-) -> SqlResult<Vec<Row>> {
-    if group_len == 0 && merged.keys.is_empty() {
-        let row: Row = aggs
-            .iter()
-            .map(|a| AggState::new(a.func).finish(&a.separator))
-            .collect();
-        return Ok(vec![row]);
-    }
-    let mut out = Vec::with_capacity(merged.keys.len());
-    for ((_, key), states) in merged.keys.into_iter().zip(merged.states) {
-        let mut row: Row = key;
-        for (state, agg) in states.into_iter().zip(aggs) {
-            row.push(state.finish(agg)?);
-        }
-        out.push(row);
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// Wire encoding: partial aggregates as bytes across shard boundaries.
-// Little-endian throughout; floats travel as IEEE bit patterns so the
-// round trip is exact.
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            put_u64(out, *i as u64);
-        }
-        Value::Float(f) => {
-            out.push(2);
-            put_u64(out, f.to_bits());
-        }
-        Value::Text(s) => {
-            out.push(3);
-            put_u64(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> SqlResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| SqlError::Eval("truncated partial-aggregate frame".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> SqlResult<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn value(&mut self) -> SqlResult<Value> {
-        match self.take(1)?[0] {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(self.u64()? as i64)),
-            2 => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            3 => {
-                let len = self.u64()? as usize;
-                let bytes = self.take(len)?;
-                String::from_utf8(bytes.to_vec())
-                    .map(Value::Text)
-                    .map_err(|_| SqlError::Eval("invalid UTF-8 in partial-aggregate frame".into()))
-            }
-            t => Err(SqlError::Eval(format!(
-                "unknown value tag {t} in partial-aggregate frame"
-            ))),
-        }
-    }
-
-    fn seq_vals(&mut self) -> SqlResult<Vec<(u64, Value)>> {
-        let n = self.u64()? as usize;
-        let mut vals = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let seq = self.u64()?;
-            vals.push((seq, self.value()?));
-        }
-        Ok(vals)
-    }
-}
-
-fn put_seq_vals(out: &mut Vec<u8>, vals: &[(u64, Value)]) {
-    put_u64(out, vals.len() as u64);
-    for (seq, v) in vals {
-        put_u64(out, *seq);
-        put_value(out, v);
-    }
-}
-
-impl PartialAgg {
-    /// Append this accumulator's wire frame to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            PartialAgg::Count(n) => {
-                out.push(0);
-                put_u64(out, *n as u64);
-            }
-            PartialAgg::MinMax { best, want_min } => {
-                out.push(1);
-                out.push(u8::from(*want_min));
-                match best {
-                    None => out.push(0),
-                    Some((seq, v)) => {
-                        out.push(1);
-                        put_u64(out, *seq);
-                        put_value(out, v);
-                    }
-                }
-            }
-            PartialAgg::Ordered { vals } => {
-                out.push(2);
-                put_seq_vals(out, vals);
-            }
-            PartialAgg::Distinct { vals, .. } => {
-                out.push(3);
-                put_seq_vals(out, vals);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> SqlResult<PartialAgg> {
-        match r.take(1)?[0] {
-            0 => Ok(PartialAgg::Count(r.u64()? as i64)),
-            1 => {
-                let want_min = r.take(1)?[0] != 0;
-                let best = match r.take(1)?[0] {
-                    0 => None,
-                    _ => {
-                        let seq = r.u64()?;
-                        Some((seq, r.value()?))
-                    }
-                };
-                Ok(PartialAgg::MinMax { best, want_min })
-            }
-            2 => Ok(PartialAgg::Ordered {
-                vals: r.seq_vals()?,
-            }),
-            3 => {
-                let vals = r.seq_vals()?;
-                let seen = vals.iter().map(|(_, v)| v.clone()).collect();
-                Ok(PartialAgg::Distinct { vals, seen })
-            }
-            t => Err(SqlError::Eval(format!(
-                "unknown partial-aggregate tag {t} in frame"
-            ))),
-        }
-    }
-}
-
-impl GroupPartials {
-    /// Serialize for transport across a shard boundary.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u64(&mut out, self.keys.len() as u64);
-        for ((seq, key), states) in self.keys.iter().zip(&self.states) {
-            put_u64(&mut out, *seq);
-            put_u64(&mut out, key.len() as u64);
-            for v in key {
-                put_value(&mut out, v);
-            }
-            put_u64(&mut out, states.len() as u64);
-            for s in states {
-                s.encode(&mut out);
-            }
-        }
-        out
-    }
-
-    /// Inverse of [`GroupPartials::encode`].
-    pub fn decode(buf: &[u8]) -> SqlResult<GroupPartials> {
-        let mut r = Reader { buf, pos: 0 };
-        let n = r.u64()? as usize;
-        let mut gp = GroupPartials::default();
-        for _ in 0..n {
-            let seq = r.u64()?;
-            let klen = r.u64()? as usize;
-            let mut key = Vec::with_capacity(klen.min(1 << 16));
-            for _ in 0..klen {
-                key.push(r.value()?);
-            }
-            let slen = r.u64()? as usize;
-            let mut states = Vec::with_capacity(slen.min(1 << 16));
-            for _ in 0..slen {
-                states.push(PartialAgg::decode(&mut r)?);
-            }
-            gp.keys.push((seq, key));
-            gp.states.push(states);
-        }
-        if r.pos != buf.len() {
-            return Err(SqlError::Eval(
-                "trailing bytes after partial-aggregate frame".into(),
-            ));
-        }
-        Ok(gp)
-    }
 }
 
 #[cfg(test)]
@@ -630,7 +306,7 @@ mod tests {
                     assert_eq!(
                         scattered(func, distinct, &inputs, n),
                         serial(func, distinct, &inputs),
-                        "func={func:?} distinct={distinct} shards={n}"
+                        "func={func:?} distinct={distinct} slices={n}"
                     );
                 }
             }
@@ -640,7 +316,7 @@ mod tests {
     #[test]
     fn minmax_tie_keeps_earliest_representation() {
         // Int(5) and Float(5.0) compare equal; the serial fold keeps
-        // whichever came first. A naive cross-shard merge that uses <=
+        // whichever came first. A naive cross-slice merge that uses <=
         // or ignores seqs would return the wrong representation.
         let inputs = vec![(0u64, Value::Int(5)), (1u64, Value::Float(5.0))];
         for n in [1, 2] {
@@ -658,9 +334,9 @@ mod tests {
 
     #[test]
     fn avg_merges_as_sum_count_not_averaged_averages() {
-        // Skewed shard sizes: shard 0 holds one value (10), shard 1
+        // Skewed slice sizes: slice 0 holds one value (10), slice 1
         // holds three (2, 2, 2). True mean = 16/4 = 4.0; averaging the
-        // per-shard averages would give (10 + 2) / 2 = 6.0.
+        // per-slice averages would give (10 + 2) / 2 = 6.0.
         let agg = call(AggFunc::Avg, false);
         let mut a = PartialAgg::new(&agg);
         a.update(0, Value::Int(10));
@@ -673,89 +349,5 @@ mod tests {
         let merged = a.finish(&agg).unwrap();
         assert_eq!(merged, Value::Float(4.0));
         assert_ne!(merged, Value::Float(naive_average_of_averages));
-    }
-
-    #[test]
-    fn group_partials_merge_orders_by_first_seen() {
-        let aggs = [call(AggFunc::Count, false)];
-        // Shard 0 sees seqs {1, 3}; shard 1 sees {0, 2}.
-        let mut b0 = GroupPartialsBuilder::new(&aggs);
-        b0.add(1, vec![Value::text("x")], vec![Value::Int(1)]);
-        b0.add(3, vec![Value::text("y")], vec![Value::Int(1)]);
-        let mut b1 = GroupPartialsBuilder::new(&aggs);
-        b1.add(0, vec![Value::text("y")], vec![Value::Int(1)]);
-        b1.add(2, vec![Value::text("x")], vec![Value::Int(1)]);
-        let merged = merge_partials([b0.build(), b1.build()]).unwrap();
-        let rows = finish_partials(merged, 1, &aggs).unwrap();
-        // Global first-seen order: y (seq 0) then x (seq 1).
-        assert_eq!(
-            rows,
-            vec![
-                vec![Value::text("y"), Value::Int(2)],
-                vec![Value::text("x"), Value::Int(2)],
-            ]
-        );
-    }
-
-    #[test]
-    fn empty_global_aggregate_yields_one_row() {
-        let aggs = [call(AggFunc::Sum, false), call(AggFunc::Count, false)];
-        let merged = merge_partials([] as [GroupPartials; 0]).unwrap();
-        let rows = finish_partials(merged, 0, &aggs).unwrap();
-        assert_eq!(rows, vec![vec![Value::Null, Value::Int(0)]]);
-    }
-
-    #[test]
-    fn wire_round_trip_is_exact() {
-        let aggs = [
-            call(AggFunc::Avg, false),
-            call(AggFunc::Min, false),
-            call(AggFunc::Count, true),
-            call(AggFunc::GroupConcat, false),
-        ];
-        let mut b = GroupPartialsBuilder::new(&aggs);
-        b.add(
-            4,
-            vec![Value::text("k'1"), Value::Null],
-            vec![
-                Value::Float(-0.0),
-                Value::Int(5),
-                Value::text("dup"),
-                Value::text("part,1"),
-            ],
-        );
-        b.add(
-            9,
-            vec![Value::text("k'1"), Value::Null],
-            vec![
-                Value::Float(f64::NAN),
-                Value::Float(5.0),
-                Value::text("dup"),
-                Value::Null,
-            ],
-        );
-        let gp = b.build();
-        let decoded = GroupPartials::decode(&gp.encode()).unwrap();
-        assert_eq!(format!("{gp:?}"), {
-            // HashSet iteration order may differ; compare via finish.
-            let rows_a = finish_partials(gp.clone(), 2, &aggs).unwrap();
-            let rows_b = finish_partials(decoded.clone(), 2, &aggs).unwrap();
-            assert_eq!(format!("{rows_a:?}"), format!("{rows_b:?}"));
-            format!("{gp:?}")
-        });
-        assert_eq!(decoded.keys, gp.keys);
-    }
-
-    #[test]
-    fn decode_rejects_truncated_and_trailing() {
-        let aggs = [call(AggFunc::Count, false)];
-        let mut b = GroupPartialsBuilder::new(&aggs);
-        b.add(0, vec![Value::Int(1)], vec![Value::Int(1)]);
-        let bytes = b.build().encode();
-        assert!(GroupPartials::decode(&bytes[..bytes.len() - 1]).is_err());
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(GroupPartials::decode(&extended).is_err());
-        assert!(GroupPartials::decode(&bytes).is_ok());
     }
 }
