@@ -12,7 +12,7 @@
 //!
 //! | node            | prompts submitted                    | output rows       |
 //! |-----------------|--------------------------------------|-------------------|
-//! | `Scan`          | 0                                    | catalog row count |
+//! | `Scan`          | 0                                    | catalog row count (min k with a folded cut) |
 //! | `Input`         | 0                                    | `rows.len()`      |
 //! | `Predicate`     | 0                                    | ≤ n               |
 //! | `Cut`           | 0                                    | min(n, k)         |
@@ -103,13 +103,16 @@ fn generate_call_bound(format: &GenFormat, n: u64) -> u64 {
 /// not know fall back to [`DEFAULT_SCAN_ROWS`].
 pub fn plan_cost(root: &SemNode, schema: &dyn SchemaSource) -> CostBound {
     match root {
-        SemNode::Scan { table } => CostBound {
-            lm_calls: 0,
-            out_rows: schema
+        SemNode::Scan { table, cut, .. } => {
+            let rows = schema
                 .table_rows(table)
                 .map(|n| n as u64)
-                .unwrap_or(DEFAULT_SCAN_ROWS),
-        },
+                .unwrap_or(DEFAULT_SCAN_ROWS);
+            CostBound {
+                lm_calls: 0,
+                out_rows: cut.as_ref().map_or(rows, |cut| rows.min(cut.k as u64)),
+            }
+        }
         SemNode::Input { rows, .. } => CostBound {
             lm_calls: 0,
             out_rows: rows.len() as u64,
@@ -201,7 +204,7 @@ mod tests {
     use tag_sql::{CutSpec, RetrieveKind, SemClaimSpec};
 
     fn scan() -> SemNode {
-        SemNode::Scan { table: "t".into() }
+        SemNode::scan("t")
     }
 
     #[test]

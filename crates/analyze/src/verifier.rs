@@ -12,7 +12,11 @@
 //! rule's postcondition holds on the output (pushdown left no predicate
 //! above a fusable filter, distinct marked every filter, precut left no
 //! cut above a fusable filter), fused filters always judge distinct
-//! values, and the static LM-call bound never increased.
+//! values, and the static LM-call bound never increased. It also checks
+//! `lower_scans`' postcondition, whichever rules ran: work folded into a
+//! scan is conserved like any other, a folded predicate is one the
+//! engine evaluates exactly as the frame kernel does, and a projected
+//! scan still returns every column the plan reads above it.
 //!
 //! Diagnostics render deterministically: nodes are visited pre-order
 //! (children in execution order, as [`SemNode::children`] yields them),
@@ -20,7 +24,7 @@
 
 use crate::cost::plan_cost;
 use std::fmt::Write as _;
-use tag_sql::{Database, SemNode, SemOptOptions, SemPredicate, SemStage};
+use tag_sql::{DataType, Database, SemNode, SemOptOptions, SemPredicate, SemReads, SemStage};
 
 /// Where the verifier learns table shapes. Implemented by
 /// [`tag_sql::Database`] (live catalog) and [`NoSchema`] (schema-free
@@ -30,6 +34,10 @@ pub trait SchemaSource {
     fn table_columns(&self, table: &str) -> Option<Vec<String>>;
     /// Row count of `table`, or `None` when unknown.
     fn table_rows(&self, table: &str) -> Option<usize>;
+    /// Declared type of `table.column`, or `None` when unknown.
+    fn column_type(&self, _table: &str, _column: &str) -> Option<DataType> {
+        None
+    }
     /// True when `None` from [`Self::table_columns`] means "no such
     /// table" (an error) rather than "no information" (skip the check).
     fn authoritative(&self) -> bool {
@@ -79,6 +87,11 @@ impl SchemaSource for Database {
             .find(|n| n.eq_ignore_ascii_case(table))
             .and_then(|n| catalog.table(n).ok())
             .map(|t| t.len())
+    }
+
+    fn column_type(&self, table: &str, column: &str) -> Option<DataType> {
+        let schema = self.catalog().table(table).ok()?.schema();
+        Some(schema.column(schema.index_of(column)?).dtype)
     }
 
     fn authoritative(&self) -> bool {
@@ -221,6 +234,23 @@ impl PlanChecker<'_> {
         }
     }
 
+    fn require_pred_columns(
+        &mut self,
+        path: &str,
+        node: &SemNode,
+        input: &ColSet,
+        pred: &SemPredicate,
+    ) {
+        match pred {
+            SemPredicate::NumCmp { attr, .. } | SemPredicate::TextEq { attr, .. } => {
+                self.require_column(path, node, input, attr);
+            }
+            SemPredicate::TextEqAny { columns, .. } => {
+                self.require_candidate(path, node, input, columns);
+            }
+        }
+    }
+
     fn require_k(&mut self, path: &str, node: &SemNode, what: &str, k: usize) {
         if k == 0 {
             self.diag(
@@ -266,31 +296,49 @@ impl PlanChecker<'_> {
         }
 
         match node {
-            SemNode::Scan { table } => match self.schema.table_columns(table) {
-                Some(cols) => ColSet::Known(cols),
-                None => {
-                    if self.schema.authoritative() {
-                        self.diag(
-                            "unknown-table",
-                            path,
-                            node,
-                            format!("table '{table}' not in the catalog"),
-                        );
+            SemNode::Scan {
+                table,
+                columns,
+                filters,
+                cut,
+            } => {
+                let table_cols = match self.schema.table_columns(table) {
+                    Some(cols) => ColSet::Known(cols),
+                    None => {
+                        if self.schema.authoritative() {
+                            self.diag(
+                                "unknown-table",
+                                path,
+                                node,
+                                format!("table '{table}' not in the catalog"),
+                            );
+                        }
+                        ColSet::Unknown
                     }
-                    ColSet::Unknown
+                };
+                // Folded work and the projection name columns of the
+                // table, not of the (narrower) frame the scan returns.
+                for pred in filters {
+                    self.require_pred_columns(path, node, &table_cols, pred);
                 }
-            },
+                if let Some(cut) = cut {
+                    self.require_column(path, node, &table_cols, &cut.sort_by);
+                    self.require_k(path, node, "Scan cut", cut.k);
+                }
+                match columns {
+                    None => table_cols,
+                    Some(cols) => {
+                        for c in cols {
+                            self.require_column(path, node, &table_cols, c);
+                        }
+                        ColSet::Known(cols.clone())
+                    }
+                }
+            }
             SemNode::Input { columns, .. } => ColSet::Known(columns.clone()),
             SemNode::Predicate { pred, .. } => {
                 let input = &inputs[0];
-                match pred {
-                    SemPredicate::NumCmp { attr, .. } | SemPredicate::TextEq { attr, .. } => {
-                        self.require_column(path, node, input, attr);
-                    }
-                    SemPredicate::TextEqAny { columns, .. } => {
-                        self.require_candidate(path, node, input, columns);
-                    }
-                }
+                self.require_pred_columns(path, node, input, pred);
                 input.clone()
             }
             SemNode::SemFilter {
@@ -462,8 +510,8 @@ fn check_cardinality(
 
 /// Conservation fingerprint of a plan: the multiset of predicates,
 /// semantic-filter claims, cuts (standalone or fused), and every other
-/// operator's label. The three `semopt` rules may move, mark, and fuse —
-/// never drop or invent.
+/// operator's label. The three `semopt` rules may move, mark, and fuse,
+/// and `lower_scans` may fold into a scan: never drop or invent.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct Fingerprint {
     predicates: Vec<String>,
@@ -502,6 +550,19 @@ impl Fingerprint {
                 }
             }
             SemNode::Cut { cut, .. } => self.cuts.push(format!("{cut:?}")),
+            // A scan's label spells out what `lower_scans` folded into
+            // it; the folded work is conserved as the work it was.
+            SemNode::Scan {
+                table,
+                filters,
+                cut,
+                ..
+            } => {
+                self.others.push(format!("Scan {table}"));
+                self.predicates
+                    .extend(filters.iter().map(|pred| format!("{pred:?}")));
+                self.cuts.extend(cut.iter().map(|cut| format!("{cut:?}")));
+            }
             other => self.others.push(other.label()),
         }
         for child in node.children() {
@@ -555,6 +616,13 @@ pub fn verify_rewrite(
     );
 
     check_postconditions(after, "0", opts, &mut diagnostics);
+    check_lowering(
+        after,
+        "0",
+        &SemReads::Columns(Vec::new()),
+        schema,
+        &mut diagnostics,
+    );
 
     let cost_before = plan_cost(before, schema);
     let cost_after = plan_cost(after, schema);
@@ -644,6 +712,94 @@ fn check_postconditions(
     }
     for (i, child) in node.children().iter().enumerate() {
         check_postconditions(child, &format!("{path}/{i}"), opts, out);
+    }
+}
+
+/// `lower_scans`' postcondition, top-down with the reads of the nodes
+/// above (`above`; the plan's consumer is outside the plan and outside
+/// this check). At each scan: a folded predicate must be one the engine
+/// evaluates exactly as the frame kernel does (a finite `NumCmp` over
+/// INTEGER or a wildcard-free `TextEq` over TEXT, where the schema says
+/// the type), and a projection must keep
+/// every column read above the scan: every candidate the table has, or,
+/// when the table's columns are unknown, at least one candidate.
+fn check_lowering(
+    node: &SemNode,
+    path: &str,
+    above: &SemReads,
+    schema: &dyn SchemaSource,
+    out: &mut Vec<Diagnostic>,
+) {
+    let mut diag = |code: &'static str, message: String| {
+        out.push(Diagnostic {
+            code,
+            path: path.to_owned(),
+            node: node.label(),
+            message,
+        });
+    };
+    if let SemNode::Scan {
+        table,
+        columns,
+        filters,
+        ..
+    } = node
+    {
+        for pred in filters {
+            let declared = |attr: &str, dtype: DataType| {
+                schema
+                    .column_type(table, attr)
+                    .is_none_or(|declared| declared == dtype)
+            };
+            let exact = match pred {
+                SemPredicate::NumCmp { attr, value, .. } => {
+                    value.is_finite() && declared(attr, DataType::Integer)
+                }
+                SemPredicate::TextEq { attr, value } => {
+                    !value.contains(tag_sql::semopt::LIKE_WILDCARDS)
+                        && declared(attr, DataType::Text)
+                }
+                SemPredicate::TextEqAny { .. } => false,
+            };
+            if !exact {
+                diag(
+                    "fold-inexact",
+                    format!("scan folded {pred:?}, which the engine does not evaluate as the frame kernel does"),
+                );
+            }
+        }
+        if let Some(projected) = columns {
+            let has =
+                |cols: &[String], name: &str| cols.iter().any(|c| c.eq_ignore_ascii_case(name));
+            match above {
+                SemReads::All => diag(
+                    "projection-missing",
+                    "a node above reads every column of a projected scan".to_owned(),
+                ),
+                SemReads::Columns(reads) => {
+                    let table_cols = schema.table_columns(table);
+                    for candidates in reads {
+                        let kept = match &table_cols {
+                            Some(cols) => candidates
+                                .iter()
+                                .filter(|c| has(cols, c))
+                                .all(|c| has(projected, c)),
+                            None => candidates.iter().any(|c| has(projected, c)),
+                        };
+                        if !kept {
+                            diag(
+                                "projection-missing",
+                                format!("scan projects to {projected:?}, but {candidates:?} is read above it"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let below = above.clone().and(node.reads());
+    for (i, child) in node.children().iter().enumerate() {
+        check_lowering(child, &format!("{path}/{i}"), &below, schema, out);
     }
 }
 
@@ -758,9 +914,7 @@ mod tests {
     }
 
     fn scan() -> SemNode {
-        SemNode::Scan {
-            table: "schools".into(),
-        }
+        SemNode::scan("schools")
     }
 
     #[test]
@@ -779,9 +933,7 @@ mod tests {
 
     #[test]
     fn unknown_table_is_caught_with_authoritative_schema() {
-        let plan = SemNode::Scan {
-            table: "dragons".into(),
-        };
+        let plan = SemNode::scan("dragons");
         let report = verify_plan(&plan, &db());
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(report.diagnostics[0].code, "unknown-table");

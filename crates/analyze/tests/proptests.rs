@@ -68,9 +68,7 @@ fn exec_leaf(w: u64) -> SemNode {
                 .collect(),
         }
     } else {
-        SemNode::Scan {
-            table: "schools".into(),
-        }
+        SemNode::scan("schools")
     }
 }
 

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use tag_analyze::plan_cost;
 use tag_bench::{BenchQuery, Harness, MethodId, QueryType};
 use tag_core::env::TagEnv;
-use tag_core::{compile_generate_over, compile_nlq, compile_rag, compile_rerank};
+use tag_core::{compile_generate_over, compile_rag, compile_rerank, plan_nlq};
 use tag_datagen::Scale;
 use tag_lm::sim::SimConfig;
 use tag_sql::optimize_sem;
@@ -82,10 +82,7 @@ fn static_bound(method: MethodId, q: &BenchQuery, env: &TagEnv) -> u64 {
             let gen = compile_generate_over(Vec::new(), Vec::new(), &question, list, "answer");
             1 + plan_cost(&optimize_sem(gen, &opts), &env.db).lm_calls
         }
-        MethodId::HandWritten => {
-            let plan = optimize_sem(compile_nlq(&q.query), &opts);
-            plan_cost(&plan, &env.db).lm_calls
-        }
+        MethodId::HandWritten => plan_cost(&plan_nlq(&q.query, &opts, &env.db), &env.db).lm_calls,
     }
 }
 

@@ -2,17 +2,20 @@
 //! plan under every optimizer-rule combination.
 //!
 //! For each of the 80 benchmark queries and each of the 8
-//! [`SemOptOptions`] combinations, the compiled naive plan is optimized
-//! and checked three ways: the optimized tree must be well-formed
-//! against the domain catalog ([`tag_analyze::verify_plan`]), the
-//! rewrite must preserve the naive plan's work and satisfy each enabled
-//! rule's postcondition ([`tag_analyze::verify_rewrite`]), and the
-//! static LM-call bound must not regress. The RAG and rerank baseline
-//! plans go through the same sweep.
+//! [`SemOptOptions`] combinations, the compiled naive plan is planned
+//! (optimized, then lowered against the domain catalog: the plan that
+//! executes) and checked three ways: the planned tree must be
+//! well-formed against the domain catalog
+//! ([`tag_analyze::verify_plan`]), the rewrite must preserve the naive
+//! plan's work and satisfy each enabled rule's and the lowering's
+//! postcondition ([`tag_analyze::verify_rewrite`]), and the static
+//! LM-call bound must not regress. The RAG and rerank baseline plans go
+//! through the same sweep.
 //!
-//! The sweep then *mutates* one optimized plan two ways — fusing a cut
-//! without marking the filter distinct, and dropping a predicate — and
-//! requires the verifier to reject both. A sweep that can no longer
+//! The sweep then *mutates* one planned plan three ways — fusing a cut
+//! without marking the filter distinct, dropping a predicate, and
+//! dropping from a scan's projection a column the plan reads above it —
+//! and requires the verifier to reject each. A sweep that can no longer
 //! catch a broken rewrite fails even if every real plan passes.
 //!
 //! ```text
@@ -25,10 +28,10 @@
 use std::collections::BTreeMap;
 use tag_analyze::{plan_cost, verify_plan, verify_rewrite, SchemaSource};
 use tag_bench::Harness;
-use tag_core::{compile_nlq, compile_rag, compile_rerank};
+use tag_core::{compile_nlq, compile_rag, compile_rerank, nlq_reads, plan_sem};
 use tag_datagen::Scale;
 use tag_lm::sim::SimConfig;
-use tag_sql::{optimize_sem, SemNode, SemOptOptions};
+use tag_sql::{Database, SemNode, SemOptOptions, SemReads};
 
 fn usage() -> ! {
     eprintln!("usage: verify-report [--scale tiny|small|standard] [--seed N] [--json PATH]");
@@ -81,28 +84,20 @@ struct Tally {
 
 /// Verify one naive plan under one rule set; returns rendered
 /// diagnostics when anything fails.
-fn check(naive: &SemNode, opts: &SemOptOptions, schema: &dyn SchemaSource) -> Option<String> {
-    let optimized = optimize_sem(naive.clone(), opts);
-    let plan = verify_plan(&optimized, schema);
-    let rewrite = verify_rewrite(naive, &optimized, opts, schema);
+fn check(naive: &SemNode, reads: &SemReads, opts: &SemOptOptions, db: &Database) -> Option<String> {
+    let planned = plan_sem(naive.clone(), reads, opts, db);
+    let schema: &dyn SchemaSource = db;
+    let plan = verify_plan(&planned, schema);
+    let rewrite = verify_rewrite(naive, &planned, opts, schema);
     if plan.is_ok() && rewrite.is_ok() {
         return None;
     }
     Some(format!("{}{}", plan.render(), rewrite.render()))
 }
 
-/// Fuse-without-distinct mutation: find a fused early-stop filter and
-/// clear its distinct flag (the exact bug `fuse_precut` would have if
-/// it forgot the dedup obligation). Returns false when the plan has no
-/// fused filter to corrupt.
-fn break_fused_distinct(node: &mut SemNode) -> bool {
-    if let SemNode::SemFilter {
-        distinct,
-        early_stop: Some(_),
-        ..
-    } = node
-    {
-        *distinct = false;
+/// Apply `mutate` to the first node, pre-order, that accepts it.
+fn mutate_first(node: &mut SemNode, mutate: &mut impl FnMut(&mut SemNode) -> bool) -> bool {
+    if mutate(node) {
         return true;
     }
     match node {
@@ -113,35 +108,64 @@ fn break_fused_distinct(node: &mut SemNode) -> bool {
         | SemNode::SemAgg { input, .. }
         | SemNode::SemMap { input, .. }
         | SemNode::Rerank { input, .. }
-        | SemNode::Generate { input, .. } => break_fused_distinct(input),
+        | SemNode::Generate { input, .. } => mutate_first(input, mutate),
         SemNode::SemJoin { left, right, .. } => {
-            break_fused_distinct(left) || break_fused_distinct(right)
+            mutate_first(left, mutate) || mutate_first(right, mutate)
         }
         SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => false,
     }
 }
 
-/// Drop-a-node mutation: splice the first predicate out of the tree
-/// (a pushdown that loses the filter it was supposed to move).
-fn break_drop_predicate(node: &mut SemNode) -> bool {
-    if let SemNode::Predicate { input, .. } = node {
-        *node = (**input).clone();
-        return true;
-    }
-    match node {
-        SemNode::Predicate { input, .. }
-        | SemNode::SemFilter { input, .. }
-        | SemNode::Cut { input, .. }
-        | SemNode::SemTopK { input, .. }
-        | SemNode::SemAgg { input, .. }
-        | SemNode::SemMap { input, .. }
-        | SemNode::Rerank { input, .. }
-        | SemNode::Generate { input, .. } => break_drop_predicate(input),
-        SemNode::SemJoin { left, right, .. } => {
-            break_drop_predicate(left) || break_drop_predicate(right)
+/// Fuse-without-distinct mutation: find a fused early-stop filter and
+/// clear its distinct flag (the exact bug `fuse_precut` would have if
+/// it forgot the dedup obligation). Returns false when the plan has no
+/// fused filter to corrupt.
+fn break_fused_distinct(plan: &mut SemNode) -> bool {
+    mutate_first(plan, &mut |node| match node {
+        SemNode::SemFilter {
+            distinct,
+            early_stop: Some(_),
+            ..
+        } => {
+            *distinct = false;
+            true
         }
-        SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => false,
-    }
+        _ => false,
+    })
+}
+
+/// Drop-a-predicate mutation: splice the first predicate out of the
+/// tree, or out of the scan it was folded into (a pushdown or a
+/// lowering that loses the filter it was supposed to move).
+fn break_drop_predicate(plan: &mut SemNode) -> bool {
+    mutate_first(plan, &mut |node| match node {
+        SemNode::Predicate { input, .. } => {
+            *node = (**input).clone();
+            true
+        }
+        SemNode::Scan { filters, .. } => filters.pop().is_some(),
+        _ => false,
+    })
+}
+
+/// Drop-a-needed-column mutation: narrow a projected scan below what the
+/// plan's root reads of it (a lowering that forgets a reader).
+fn break_drop_projected(plan: &mut SemNode) -> bool {
+    let SemReads::Columns(reads) = plan.reads() else {
+        return false;
+    };
+    let read = |c: &String| reads.iter().flatten().any(|r| r.eq_ignore_ascii_case(c));
+    mutate_first(plan, &mut |node| match node {
+        SemNode::Scan {
+            columns: Some(cols),
+            ..
+        } => {
+            let before = cols.len();
+            cols.retain(|c| !read(c));
+            cols.len() < before
+        }
+        _ => false,
+    })
 }
 
 fn json_escape(s: &str) -> String {
@@ -190,18 +214,22 @@ fn main() {
         let db = &harness.env(q.domain).db;
         let question = q.question();
         let list = q.qtype != tag_bench::QueryType::Aggregation;
-        let plans: [(&'static str, SemNode); 3] = [
-            ("handwritten", compile_nlq(&q.query)),
-            ("rag", compile_rag(&question, 10, list)),
-            ("rerank", compile_rerank(&question, 30, 10, list)),
+        let plans: [(&'static str, SemNode, SemReads); 3] = [
+            ("handwritten", compile_nlq(&q.query), nlq_reads(&q.query)),
+            ("rag", compile_rag(&question, 10, list), SemReads::All),
+            (
+                "rerank",
+                compile_rerank(&question, 30, 10, list),
+                SemReads::All,
+            ),
         ];
         for opts in &combos {
-            for (family, naive) in &plans {
+            for (family, naive, reads) in &plans {
                 let tag = by_tag.entry(opts.cache_tag()).or_default();
                 let fam = by_family.entry(family).or_default();
                 tag.plans += 1;
                 fam.plans += 1;
-                if let Some(diag) = check(naive, opts, db) {
+                if let Some(diag) = check(naive, reads, opts, db) {
                     tag.failures += 1;
                     fam.failures += 1;
                     failures.push(format!(
@@ -215,48 +243,34 @@ fn main() {
     }
 
     // Mutation checks: the sweep must still be able to reject a broken
-    // rewrite. Use benchmark plans that exercise the relevant shapes.
+    // rewrite. Each takes the first benchmark plan the mutation applies
+    // to, as planned under the default rules.
     let opts = SemOptOptions::default();
-    let mutant_query = harness
-        .queries()
-        .iter()
-        .find(|q| {
-            let mut plan = optimize_sem(compile_nlq(&q.query), &opts);
-            break_fused_distinct(&mut plan)
-        })
-        .expect("some benchmark plan has a fused early-stop filter");
-    let mutant_db = &harness.env(mutant_query.domain).db;
-    let naive = compile_nlq(&mutant_query.query);
-    let mut fused = optimize_sem(naive.clone(), &opts);
-    assert!(break_fused_distinct(&mut fused));
-    let caught_fused = !verify_plan(&fused, mutant_db).is_ok()
-        || !verify_rewrite(&naive, &fused, &opts, mutant_db).is_ok();
-    if !caught_fused {
-        failures.push(format!(
-            "MUTATION ESCAPED: fused-not-distinct on query {} was not rejected",
-            mutant_query.id
-        ));
-    }
-
-    let pred_query = harness
-        .queries()
-        .iter()
-        .find(|q| {
-            let mut plan = compile_nlq(&q.query);
-            break_drop_predicate(&mut plan)
-        })
-        .expect("some benchmark plan contains a predicate");
-    let pred_db = &harness.env(pred_query.domain).db;
-    let pred_naive = compile_nlq(&pred_query.query);
-    let mut dropped = optimize_sem(pred_naive.clone(), &opts);
-    assert!(break_drop_predicate(&mut dropped));
-    let caught_drop = !verify_rewrite(&pred_naive, &dropped, &opts, pred_db).is_ok();
-    if !caught_drop {
-        failures.push(format!(
-            "MUTATION ESCAPED: dropped predicate on query {} was not rejected",
-            pred_query.id
-        ));
-    }
+    let mut caught = |name: &str, mutate: fn(&mut SemNode) -> bool| -> bool {
+        let (q, naive, mutant) = harness
+            .queries()
+            .iter()
+            .find_map(|q| {
+                let naive = compile_nlq(&q.query);
+                let db = &harness.env(q.domain).db;
+                let mut plan = plan_sem(naive.clone(), &nlq_reads(&q.query), &opts, db);
+                mutate(&mut plan).then_some((q, naive, plan))
+            })
+            .unwrap_or_else(|| panic!("no benchmark plan to apply {name} to"));
+        let db = &harness.env(q.domain).db;
+        let rejected = !verify_plan(&mutant, db).is_ok()
+            || !verify_rewrite(&naive, &mutant, &opts, db).is_ok();
+        if !rejected {
+            failures.push(format!(
+                "MUTATION ESCAPED: {name} on query {} was not rejected",
+                q.id
+            ));
+        }
+        rejected
+    };
+    let caught_fused = caught("fused-not-distinct", break_fused_distinct);
+    let caught_drop = caught("dropped predicate", break_drop_predicate);
+    let caught_projection = caught("dropped projected column", break_drop_projected);
 
     // Aggregate restatement of the rewrite check's cost clause on one
     // sample plan, so a broken cost model fails loudly here too.
@@ -264,7 +278,13 @@ fn main() {
     let sample = compile_nlq(&sample_q.query);
     let sample_db = &harness.env(sample_q.domain).db;
     let naive_cost = plan_cost(&sample, sample_db);
-    let opt_cost = plan_cost(&optimize_sem(sample.clone(), &opts), sample_db);
+    let planned = plan_sem(
+        sample.clone(),
+        &nlq_reads(&sample_q.query),
+        &opts,
+        sample_db,
+    );
+    let opt_cost = plan_cost(&planned, sample_db);
     if opt_cost.lm_calls > naive_cost.lm_calls {
         failures.push(format!(
             "cost bound regressed on sample plan: {} > {}",
@@ -284,10 +304,12 @@ fn main() {
         println!("{:<12} {:>7} {:>9}", fam, t.plans, t.failures);
     }
     println!();
+    let verdict = |caught: bool| if caught { "caught" } else { "ESCAPED" };
     println!(
-        "mutation checks: fused-not-distinct {}, dropped-predicate {}",
-        if caught_fused { "caught" } else { "ESCAPED" },
-        if caught_drop { "caught" } else { "ESCAPED" },
+        "mutation checks: fused-not-distinct {}, dropped-predicate {}, dropped-projected-column {}",
+        verdict(caught_fused),
+        verdict(caught_drop),
+        verdict(caught_projection),
     );
 
     if let Some(path) = json_path {
@@ -306,7 +328,7 @@ fn main() {
         json.push_str(&rows.join(",\n"));
         json.push_str("\n  },\n");
         json.push_str(&format!(
-            "  \"mutation_caught\": {{\"fused_not_distinct\": {caught_fused}, \"dropped_predicate\": {caught_drop}}},\n"
+            "  \"mutation_caught\": {{\"fused_not_distinct\": {caught_fused}, \"dropped_predicate\": {caught_drop}, \"dropped_projected_column\": {caught_projection}}},\n"
         ));
         let fails: Vec<String> = failures
             .iter()

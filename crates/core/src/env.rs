@@ -34,15 +34,15 @@ impl TagEnv {
         let engine = SemEngine::new(Arc::clone(&lm));
         let sem_opt = Arc::new(RwLock::new(SemOptOptions::default()));
         // `EXPLAIN SEMPLAN <question>` renders the plan a canonical
-        // question would execute, under the rules active right now.
+        // question would execute, under the rules active right now and
+        // lowered against the live catalog.
         let explainer_opts = Arc::clone(&sem_opt);
-        db.set_semplan_explainer(Arc::new(move |question: &str| {
+        db.set_semplan_explainer(Arc::new(move |db: &Database, question: &str| {
             let q = NlQuery::parse(question).ok_or_else(|| {
                 format!("no semantic plan for: {question} (not a canonical TAG-Bench question)")
             })?;
             let opts = *explainer_opts.read().unwrap_or_else(|e| e.into_inner());
-            let plan = tag_sql::optimize_sem(crate::semplan::compile_nlq(&q), &opts);
-            Ok(plan.explain())
+            Ok(crate::semplan::plan_nlq(&q, &opts, db).explain())
         }));
         // `EXPLAIN VERIFY <question>` runs the static checker over that
         // plan: well-formedness against the live catalog, rewrite
@@ -54,10 +54,8 @@ impl TagEnv {
             })?;
             let opts = *verifier_opts.read().unwrap_or_else(|e| e.into_inner());
             let naive = crate::semplan::compile_nlq(&q);
-            let optimized = tag_sql::optimize_sem(naive.clone(), &opts);
-            Ok(tag_analyze::verify_report_text(
-                &naive, &optimized, &opts, db,
-            ))
+            let planned = crate::semplan::plan_nlq(&q, &opts, db);
+            Ok(tag_analyze::verify_report_text(&naive, &planned, &opts, db))
         }));
         TagEnv {
             db,

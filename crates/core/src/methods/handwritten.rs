@@ -4,19 +4,26 @@
 //! These pipelines "leverage expert knowledge of the table schema rather
 //! than automatic query synthesis": exact computation (filters, sorts,
 //! cuts) runs on the data system, semantic steps run as batched LM
-//! operators. The method is now a *compiler*: the structured question
-//! lowers to a [`SemNode`](tag_sql::SemNode) plan
+//! operators. The method is a *compiler*: the structured question lowers
+//! to a [`SemNode`](tag_sql::SemNode) plan
 //! ([`compile_nlq`](crate::semplan::compile_nlq)), the shared planner
 //! applies the LM-call-minimizing rewrite rules (predicate pushdown, the
-//! Appendix C distinct-value rewrite, early-stop pre-cut fusion), and the
-//! plan executes through the common [`SemRuntime`](crate::semplan::SemRuntime).
-//! The division of labour is the TAG thesis; the plan IR makes it
-//! inspectable (`EXPLAIN SEMPLAN`) and optimizable.
+//! Appendix C distinct-value rewrite, early-stop pre-cut fusion) and
+//! folds the relational prefix into the scan's SQL
+//! ([`lower_scans`](tag_sql::lower_scans): the projection to the columns
+//! the plan and this method read, the exact predicates and the cut
+//! directly above the scan), and the plan executes through the common
+//! [`SemRuntime`](crate::semplan::SemRuntime). "On the data system" is
+//! literal for that prefix: it is one `SELECT` through `tag-sql`. An
+//! exact operator that ends up above a semantic one (a predicate with
+//! pushdown off, the cut above `sem_topk`) runs as a frame kernel over
+//! the rows that are left. The division of labour is the TAG thesis; the
+//! plan IR makes it inspectable (`EXPLAIN SEMPLAN`) and optimizable.
 
 use crate::answer::Answer;
 use crate::env::TagEnv;
 use crate::model::TagMethod;
-use crate::semplan::{compile_nlq, run_semplan};
+use crate::semplan::{compile_nlq, nlq_reads, run_semplan};
 use tag_lm::nlq::NlQuery;
 use tag_semops::DataFrame;
 
@@ -38,7 +45,7 @@ impl HandWrittenTag {
 
     fn run(&self, query: &NlQuery, env: &TagEnv) -> Result<Answer, String> {
         let key = format!("nlq:{}", query.render());
-        let frame = run_semplan(env, Some(&key), || compile_nlq(query))?;
+        let frame = run_semplan(env, Some(&key), &nlq_reads(query), || compile_nlq(query))?;
         let df = DataFrame::new(frame.columns, frame.rows).map_err(|e| e.to_string())?;
         match query {
             NlQuery::Superlative { select_attr, .. }

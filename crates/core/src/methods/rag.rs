@@ -5,6 +5,7 @@ use crate::env::TagEnv;
 use crate::methods::gen_frame_to_answer;
 use crate::model::TagMethod;
 use crate::semplan::{compile_rag, run_semplan};
+use tag_sql::SemReads;
 
 /// Row-level RAG: embed the question, retrieve `k` rows from the FAISS
 /// stand-in, feed them in context to a single LM generation.
@@ -45,7 +46,7 @@ impl TagMethod for Rag {
         // retrieve -> generate as a semantic plan through the shared
         // planner (cacheable, explainable, profiled under tracing).
         let key = format!("rag:k={}:list={}:{request}", self.k, self.list_format);
-        match run_semplan(env, Some(&key), || {
+        match run_semplan(env, Some(&key), &SemReads::All, || {
             compile_rag(request, self.k, self.list_format)
         }) {
             Ok(frame) => gen_frame_to_answer(&frame, self.list_format),

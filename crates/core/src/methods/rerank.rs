@@ -6,6 +6,7 @@ use crate::env::TagEnv;
 use crate::methods::gen_frame_to_answer;
 use crate::model::TagMethod;
 use crate::semplan::{compile_rerank, run_semplan};
+use tag_sql::SemReads;
 
 /// Retrieval with LM reranking.
 #[derive(Debug, Clone, Copy)]
@@ -51,7 +52,7 @@ impl TagMethod for RetrievalLmRank {
             "rerank:pool={}:k={}:list={}:{request}",
             self.pool, self.k, self.list_format
         );
-        match run_semplan(env, Some(&key), || {
+        match run_semplan(env, Some(&key), &SemReads::All, || {
             compile_rerank(request, self.pool, self.k, self.list_format)
         }) {
             Ok(frame) => gen_frame_to_answer(&frame, self.list_format),

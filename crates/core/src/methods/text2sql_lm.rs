@@ -10,6 +10,7 @@ use crate::methods::gen_frame_to_answer;
 use crate::model::TagMethod;
 use crate::semplan::{compile_generate_over, run_semplan};
 use tag_lm::prompts::text2sql_prompt;
+use tag_sql::SemReads;
 
 /// Text2SQL for retrieval, LM for generation.
 #[derive(Debug, Clone, Copy)]
@@ -54,7 +55,7 @@ impl TagMethod for Text2SqlLm {
                 // Retrieval failed: generation proceeds with no data and
                 // must rely on parametric knowledge (Figure 2, middle).
                 // Plans embedding materialized rows skip the plan cache.
-                return match run_semplan(env, None, || {
+                return match run_semplan(env, None, &SemReads::All, || {
                     compile_generate_over(
                         Vec::new(),
                         Vec::new(),
@@ -71,7 +72,7 @@ impl TagMethod for Text2SqlLm {
 
         // Step 2: feed every retrieved row in context, through a
         // generation plan over the materialized result.
-        match run_semplan(env, None, || {
+        match run_semplan(env, None, &SemReads::All, || {
             compile_generate_over(rows.columns, rows.rows, request, self.list_format, "answer")
         }) {
             Ok(frame) => gen_frame_to_answer(&frame, self.list_format),

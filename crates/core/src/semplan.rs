@@ -5,18 +5,27 @@
 //! *compiles* to a [`SemNode`] tree (defined data-only in `tag-sql`, so
 //! plans cache, EXPLAIN, and optimize like relational plans) and executes
 //! through one shared runtime, [`SemRuntime`], which delegates semantic
-//! operators to `tag-semops` and exact operators to the frame kernels.
+//! operators to `tag-semops` and exact operators to the SQL engine where
+//! they sit directly on a scan, to the frame kernels elsewhere.
 //!
 //! The compilers are intentionally *naive*: filters compile in question
-//! order, semantic filters judge row-wise, and exact cuts stay above
-//! semantic operators. All LM-call minimization — predicate pushdown,
-//! the distinct-value rewrite, early-stop pre-cut fusion — lives in
-//! `tag_sql::semopt` rewrite rules, applied per the environment's
+//! order, semantic filters judge row-wise, exact cuts stay above
+//! semantic operators, and the scan is `SELECT *`. All LM-call
+//! minimization — predicate pushdown, the distinct-value rewrite,
+//! early-stop pre-cut fusion — lives in `tag_sql::semopt` rewrite rules,
+//! applied per the environment's
 //! [`SemOptOptions`](tag_sql::SemOptOptions) before execution. With
 //! every rule disabled the plans reproduce the pre-refactor pipelines
 //! byte-for-byte; with rules enabled the answers are unchanged (the
 //! simulated LM's judgments are per-prompt deterministic) but the model
 //! sees strictly fewer prompts.
+//!
+//! Whatever the rules, [`plan_sem`] then lowers the plan
+//! ([`tag_sql::lower_scans`]): each scan reads only the columns the plan
+//! and its consumer read ([`nlq_reads`]), and the exact predicates and
+//! the cut directly above it run as its `WHERE` / `ORDER BY … LIMIT`.
+//! Frames move between nodes by value; a frame kernel (`Predicate`,
+//! `Cut`) runs only where the node is not adjacent to a scan.
 
 use crate::env::TagEnv;
 use std::cell::Cell;
@@ -29,8 +38,9 @@ use tag_lm::prompts::{
 use tag_semops::{sem_agg, sem_filter, sem_join, sem_map, sem_topk, DataFrame, SemError};
 use tag_sql::plan::Plan;
 use tag_sql::{
-    execute_sem, execute_sem_profiled, optimize_sem, CutSpec, GenFormat, LmCost, PlanProfiler,
-    RetrieveKind, SemClaimSpec, SemDelegate, SemFrame, SemNode, SemPredicate, Value,
+    execute_sem, execute_sem_profiled, lower_scans, optimize_sem, scan_sql, CutSpec, GenFormat,
+    LmCost, PlanProfiler, RetrieveKind, SemClaimSpec, SemDelegate, SemFrame, SemNode, SemPredicate,
+    SemReads, Value,
 };
 
 /// Unit separator between the column and value of one encoded pair.
@@ -87,9 +97,7 @@ fn spec_to_claim(spec: &SemClaimSpec) -> Result<SemClaim, String> {
 /// Compile a structured TAG-Bench question into a semantic plan: a base
 /// scan, the filters in question order, and the shape's head operator.
 pub fn compile_nlq(q: &NlQuery) -> SemNode {
-    let mut node = SemNode::Scan {
-        table: q.entity().to_owned(),
-    };
+    let mut node = SemNode::scan(q.entity());
     for f in q.filters() {
         node = compile_filter(node, f);
     }
@@ -143,6 +151,20 @@ pub fn compile_nlq(q: &NlQuery) -> SemNode {
             format: GenFormat::FreeOrAgg,
             span_name: "answer".to_owned(),
         },
+    }
+}
+
+/// What [`HandWrittenTag`](crate::methods::HandWrittenTag) reads off the
+/// frame [`compile_nlq`]'s plan returns: the selected attribute, the row
+/// count alone (`Count`), or the one cell a `Generate` root produced.
+pub fn nlq_reads(q: &NlQuery) -> SemReads {
+    match q {
+        NlQuery::Superlative { select_attr, .. }
+        | NlQuery::List { select_attr, .. }
+        | NlQuery::TopK { select_attr, .. }
+        | NlQuery::SemanticRank { select_attr, .. } => SemReads::columns(&[select_attr]),
+        NlQuery::Count { .. } => SemReads::Columns(Vec::new()),
+        NlQuery::Summarize { .. } | NlQuery::ProvideInfo { .. } => SemReads::All,
     }
 }
 
@@ -285,49 +307,55 @@ fn gen_format(list_format: bool) -> GenFormat {
     }
 }
 
-/// Optimize a plan, and in debug builds verify the result before it is
-/// cached or executed: the optimized tree must be structurally
+/// Plan a compiled tree: apply the enabled rewrite rules, then lower the
+/// scans against `db`'s catalog for a consumer that reads `reads` off
+/// the result. In debug builds the result is verified before it is
+/// cached or executed: the planned tree must be structurally
 /// well-formed, the rewrite must preserve the naive plan's work
-/// (conservation + per-rule postconditions), and the static LM-call
-/// bound must not regress. A diagnostic here is a compiler bug, so it
-/// panics rather than limping into execution; release builds skip the
-/// sweep entirely.
+/// (conservation + per-rule and lowering postconditions), and the static
+/// LM-call bound must not regress. A diagnostic here is a compiler bug,
+/// so it panics rather than limping into execution; release builds skip
+/// the sweep entirely.
 ///
 /// Structure is checked schema-blind ([`tag_analyze::NoSchema`]): a
 /// handwritten plan naming a missing table or column is *user* input,
 /// and must keep surfacing as the executor's ordinary runtime error.
 /// Catalog-aware diagnostics are the `EXPLAIN VERIFY` surface's job.
-pub fn optimize_checked(
+pub fn plan_sem(
     naive: SemNode,
+    reads: &SemReads,
     opts: &tag_sql::SemOptOptions,
     db: &tag_sql::Database,
 ) -> SemNode {
     #[cfg(debug_assertions)]
+    let before = naive.clone();
+    let planned = lower_scans(optimize_sem(naive, opts), db.catalog(), reads);
+    #[cfg(debug_assertions)]
     {
-        let _ = db;
         let schema = tag_analyze::NoSchema;
-        let optimized = optimize_sem(naive.clone(), opts);
-        let plan = tag_analyze::verify_plan(&optimized, &schema);
-        let rewrite = tag_analyze::verify_rewrite(&naive, &optimized, opts, &schema);
+        let plan = tag_analyze::verify_plan(&planned, &schema);
+        let rewrite = tag_analyze::verify_rewrite(&before, &planned, opts, &schema);
         if !plan.is_ok() || !rewrite.is_ok() {
             panic!(
-                "optimize_sem produced an invalid plan (rules={}):\n{}{}plan:\n{}",
+                "planning produced an invalid plan (rules={}):\n{}{}plan:\n{}",
                 opts.cache_tag(),
                 plan.render(),
                 rewrite.render(),
-                optimized.explain()
+                planned.explain()
             );
         }
-        optimized
     }
-    #[cfg(not(debug_assertions))]
-    {
-        let _ = db;
-        optimize_sem(naive, opts)
-    }
+    planned
 }
 
-/// Optimize, cache, and execute a semantic plan against an environment.
+/// [`plan_sem`] of a structured question: the plan `HandWrittenTag`
+/// runs and `EXPLAIN SEMPLAN` prints.
+pub fn plan_nlq(q: &NlQuery, opts: &tag_sql::SemOptOptions, db: &tag_sql::Database) -> SemNode {
+    plan_sem(compile_nlq(q), &nlq_reads(q), opts, db)
+}
+
+/// Plan, cache, and execute a semantic plan against an environment.
+/// `reads` is what the caller reads off the returned frame.
 ///
 /// `cache_key` opts the plan into the engine's plan cache (keyed on the
 /// canonical question plus the active rule tag, invalidated with the
@@ -339,6 +367,7 @@ pub fn optimize_checked(
 pub fn run_semplan(
     env: &TagEnv,
     cache_key: Option<&str>,
+    reads: &SemReads,
     build: impl FnOnce() -> SemNode,
 ) -> Result<SemFrame, String> {
     let opts = env.sem_opt();
@@ -351,7 +380,7 @@ pub fn run_semplan(
             let full_key = format!("{key}|opt={}", opts.cache_tag());
             let (cached, hit) = env
                 .db
-                .semplan_for(&full_key, || optimize_checked(build(), &opts, &env.db));
+                .semplan_for(&full_key, || plan_sem(build(), reads, &opts, &env.db));
             let line = if hit {
                 "semplan_cache: hit"
             } else {
@@ -360,7 +389,7 @@ pub fn run_semplan(
             (PlanRef::Cached(cached), Some(line))
         }
         None => (
-            PlanRef::Owned(optimize_checked(build(), &opts, &env.db)),
+            PlanRef::Owned(plan_sem(build(), reads, &opts, &env.db)),
             None,
         ),
     };
@@ -406,10 +435,10 @@ impl<'a> SemRuntime<'a> {
         }
     }
 
-    fn exec_predicate(&self, df: &DataFrame, pred: &SemPredicate) -> Result<DataFrame, String> {
+    fn exec_predicate(&self, mut df: DataFrame, pred: &SemPredicate) -> Result<DataFrame, String> {
         match pred {
-            SemPredicate::NumCmp { attr, over, value } => df
-                .filter_col(attr, |v| match v.as_f64() {
+            SemPredicate::NumCmp { attr, over, value } => {
+                df.retain_col(attr, |v| match v.as_f64() {
                     Some(x) => {
                         if *over {
                             x > *value
@@ -419,31 +448,31 @@ impl<'a> SemRuntime<'a> {
                     }
                     None => false,
                 })
-                .map_err(sem_err),
+            }
             SemPredicate::TextEq { attr, value } => {
                 let as_num: Option<f64> = value.trim().parse().ok();
-                df.filter_col(attr, |v| match (v.as_str(), v.as_f64(), as_num) {
+                df.retain_col(attr, |v| match (v.as_str(), v.as_f64(), as_num) {
                     (Some(s), _, _) => s.eq_ignore_ascii_case(value),
                     (None, Some(x), Some(y)) => x == y,
                     _ => false,
                 })
-                .map_err(sem_err)
             }
             SemPredicate::TextEqAny { columns, value } => {
-                let col = existing_column(df, columns)?;
-                df.filter_col(&col, |v| {
+                let col = existing_column(&df, columns)?;
+                df.retain_col(&col, |v| {
                     v.as_str()
                         .map(|s| s.eq_ignore_ascii_case(value))
                         .unwrap_or(false)
                 })
-                .map_err(sem_err)
             }
         }
+        .map_err(sem_err)?;
+        Ok(df)
     }
 
     fn exec_sem_filter(
         &self,
-        df: &DataFrame,
+        mut df: DataFrame,
         columns: &[String],
         resolve: bool,
         spec: &SemClaimSpec,
@@ -451,7 +480,7 @@ impl<'a> SemRuntime<'a> {
         early_stop: Option<&CutSpec>,
     ) -> Result<DataFrame, String> {
         let col = if resolve {
-            existing_column(df, columns)?
+            existing_column(&df, columns)?
         } else {
             columns
                 .first()
@@ -466,18 +495,18 @@ impl<'a> SemRuntime<'a> {
             // The Appendix C pattern: judge each distinct value once,
             // then an exact `isin` back on the full frame.
             let run = || -> Result<DataFrame, SemError> {
-                let unique_values = df.unique(&col)?;
                 let unique_df = DataFrame::new(
                     vec![col.clone()],
-                    unique_values.iter().map(|v| vec![v.clone()]).collect(),
+                    df.unique(&col)?.into_iter().map(|v| vec![v]).collect(),
                 )?;
                 let kept = sem_filter(&self.env.engine, &unique_df, &col, &claim)?;
-                let kept_values: Vec<Value> = kept.column(&col)?;
-                Ok(df.is_in(&col, &kept_values)?)
+                let kept_values: HashSet<Value> = kept.column(&col)?.into_iter().collect();
+                df.retain_col(&col, |v| kept_values.contains(v))?;
+                Ok(df)
             };
             return run().map_err(|e| e.to_string());
         }
-        sem_filter(&self.env.engine, df, &col, &claim).map_err(|e| e.to_string())
+        sem_filter(&self.env.engine, &df, &col, &claim).map_err(|e| e.to_string())
     }
 
     /// A semantic filter with a fused exact cut: stable-sort first, judge
@@ -488,14 +517,14 @@ impl<'a> SemRuntime<'a> {
     /// per-prompt deterministic.
     fn early_stop_filter(
         &self,
-        df: &DataFrame,
+        mut sorted: DataFrame,
         col: &str,
         claim: &SemClaim,
         cut: &CutSpec,
     ) -> Result<DataFrame, String> {
         let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_filter");
-        let sorted = df
-            .sort_by(&cut.sort_by, cut.descending)
+        sorted
+            .sort_in_place(&cut.sort_by, cut.descending)
             .map_err(|e| e.to_string())?;
         let idx = sorted.column_index(col).map_err(sem_err)?;
         let rows = sorted.rows();
@@ -538,16 +567,14 @@ impl<'a> SemRuntime<'a> {
             }
             batch_size *= 2;
         }
-        tag_trace::annotate(format!(
-            "early_stop: judged {} of {} values",
-            verdicts.len(),
-            sorted
-                .rows()
-                .iter()
-                .map(|r| r[idx].to_string())
-                .collect::<HashSet<_>>()
-                .len()
-        ));
+        if tag_trace::is_active() {
+            let distinct: HashSet<String> = rows.iter().map(|r| r[idx].to_string()).collect();
+            tag_trace::annotate(format!(
+                "early_stop: judged {} of {} values",
+                verdicts.len(),
+                distinct.len()
+            ));
+        }
         DataFrame::new(sorted.columns().to_vec(), kept).map_err(|e| e.to_string())
     }
 
@@ -603,12 +630,12 @@ impl<'a> SemRuntime<'a> {
 
     fn exec_generate(
         &self,
-        frame: &SemFrame,
+        frame: SemFrame,
         request: &str,
         format: &GenFormat,
         span_name: &str,
     ) -> Result<SemFrame, String> {
-        let points = decode_points(frame);
+        let points = decode_points(&frame);
         let text = match format {
             GenFormat::List => {
                 self.generate_tracked(answer_list_prompt(request, &points), span_name)?
@@ -651,18 +678,32 @@ impl<'a> SemRuntime<'a> {
 
 impl SemDelegate for SemRuntime<'_> {
     fn exec_node(&self, node: &SemNode, inputs: Vec<SemFrame>) -> Result<SemFrame, String> {
+        // Children's frames, in `SemNode::children` order, each taken
+        // once: a node owns its inputs and hands its output on.
+        let mut inputs = inputs.into_iter();
+        let mut input = || {
+            inputs
+                .next()
+                .ok_or_else(|| format!("{}: missing input", node.label()))
+        };
         match node {
-            SemNode::Scan { table } => {
+            SemNode::Scan {
+                table,
+                columns,
+                filters,
+                cut,
+            } => {
+                let sql = scan_sql(table, columns.as_deref(), filters, cut.as_ref());
                 let rs = self
                     .env
-                    .run_sql(&format!("SELECT * FROM {table}"))
+                    .run_sql(&sql)
                     .map_err(|e| format!("base scan failed: {e}"))?;
                 Ok(SemFrame::new(rs.columns, rs.rows))
             }
             SemNode::Input { columns, rows } => Ok(SemFrame::new(columns.clone(), rows.clone())),
             SemNode::Predicate { pred, .. } => {
-                let df = frame_to_df(&inputs[0])?;
-                self.exec_predicate(&df, pred).map(df_to_frame)
+                let df = frame_to_df(input()?)?;
+                self.exec_predicate(df, pred).map(df_to_frame)
             }
             SemNode::SemFilter {
                 columns,
@@ -672,24 +713,16 @@ impl SemDelegate for SemRuntime<'_> {
                 early_stop,
                 ..
             } => {
-                let df = frame_to_df(&inputs[0])?;
-                self.exec_sem_filter(
-                    &df,
-                    columns,
-                    *resolve,
-                    claim,
-                    *distinct,
-                    early_stop.as_ref(),
-                )
-                .map(df_to_frame)
+                let df = frame_to_df(input()?)?;
+                self.exec_sem_filter(df, columns, *resolve, claim, *distinct, early_stop.as_ref())
+                    .map(df_to_frame)
             }
             SemNode::Cut { cut, .. } => {
-                let df = frame_to_df(&inputs[0])?;
-                Ok(df_to_frame(
-                    df.sort_by(&cut.sort_by, cut.descending)
-                        .map_err(|e| e.to_string())?
-                        .head(cut.k),
-                ))
+                let mut df = frame_to_df(input()?)?;
+                df.sort_in_place(&cut.sort_by, cut.descending)
+                    .map_err(|e| e.to_string())?;
+                df.truncate(cut.k);
+                Ok(df_to_frame(df))
             }
             SemNode::SemTopK {
                 on_attr,
@@ -697,7 +730,7 @@ impl SemDelegate for SemRuntime<'_> {
                 k,
                 ..
             } => {
-                let df = frame_to_df(&inputs[0])?;
+                let df = frame_to_df(input()?)?;
                 let prop = property_from_word(property)
                     .ok_or_else(|| format!("unknown semantic property: {property}"))?;
                 sem_topk(&self.env.engine, &df, on_attr, prop, *k)
@@ -705,7 +738,7 @@ impl SemDelegate for SemRuntime<'_> {
                     .map_err(|e| e.to_string())
             }
             SemNode::SemAgg { request, .. } => {
-                let df = frame_to_df(&inputs[0])?;
+                let df = frame_to_df(input()?)?;
                 let text =
                     sem_agg(&self.env.engine, &df, request, None).map_err(|e| e.to_string())?;
                 Ok(SemFrame::new(
@@ -719,7 +752,7 @@ impl SemDelegate for SemRuntime<'_> {
                 out_column,
                 ..
             } => {
-                let df = frame_to_df(&inputs[0])?;
+                let df = frame_to_df(input()?)?;
                 sem_map(&self.env.engine, &df, on_attr, instruction, out_column)
                     .map(df_to_frame)
                     .map_err(|e| e.to_string())
@@ -730,8 +763,8 @@ impl SemDelegate for SemRuntime<'_> {
                 property,
                 ..
             } => {
-                let left = frame_to_df(&inputs[0])?;
-                let right = frame_to_df(&inputs[1])?;
+                let left = frame_to_df(input()?)?;
+                let right = frame_to_df(input()?)?;
                 let prop = property_from_word(property)
                     .ok_or_else(|| format!("unknown semantic property: {property}"))?;
                 sem_join(
@@ -746,13 +779,13 @@ impl SemDelegate for SemRuntime<'_> {
                 .map_err(|e| e.to_string())
             }
             SemNode::Retrieve { query, k, kind } => Ok(self.exec_retrieve(query, *k, *kind)),
-            SemNode::Rerank { query, keep, .. } => self.exec_rerank(&inputs[0], query, *keep),
+            SemNode::Rerank { query, keep, .. } => self.exec_rerank(&input()?, query, *keep),
             SemNode::Generate {
                 request,
                 format,
                 span_name,
                 ..
-            } => self.exec_generate(&inputs[0], request, format, span_name),
+            } => self.exec_generate(input()?, request, format, span_name),
         }
     }
 
@@ -766,12 +799,13 @@ impl SemDelegate for SemRuntime<'_> {
     }
 }
 
-fn frame_to_df(frame: &SemFrame) -> Result<DataFrame, String> {
-    DataFrame::new(frame.columns.clone(), frame.rows.clone()).map_err(|e| e.to_string())
+fn frame_to_df(frame: SemFrame) -> Result<DataFrame, String> {
+    DataFrame::new(frame.columns, frame.rows).map_err(|e| e.to_string())
 }
 
 fn df_to_frame(df: DataFrame) -> SemFrame {
-    SemFrame::new(df.columns().to_vec(), df.rows().to_vec())
+    let (columns, rows) = df.into_parts();
+    SemFrame::new(columns, rows)
 }
 
 fn sem_err(e: tag_sql::SqlError) -> String {
@@ -1051,12 +1085,12 @@ mod tests {
 
         e.set_sem_opt(SemOptOptions::none());
         e.reset_metrics();
-        let naive_frame = run_semplan(&e, None, || compile_nlq(&q)).unwrap();
+        let naive_frame = run_semplan(&e, None, &nlq_reads(&q), || compile_nlq(&q)).unwrap();
         let naive_calls = e.lm.calls();
 
         e.set_sem_opt(SemOptOptions::all());
         e.reset_metrics();
-        let opt_frame = run_semplan(&e, None, || compile_nlq(&q)).unwrap();
+        let opt_frame = run_semplan(&e, None, &nlq_reads(&q), || compile_nlq(&q)).unwrap();
         let opt_calls = e.lm.calls();
 
         assert_eq!(naive_frame, opt_frame, "rewrites must not change answers");
@@ -1112,12 +1146,12 @@ mod tests {
 
         e.set_sem_opt(SemOptOptions::none());
         e.reset_metrics();
-        let naive = run_semplan(&e, None, || compile_nlq(&q)).unwrap();
+        let naive = run_semplan(&e, None, &nlq_reads(&q), || compile_nlq(&q)).unwrap();
         let naive_prompts = e.engine.stats().lm_prompts;
 
         e.set_sem_opt(SemOptOptions::all());
         e.reset_metrics();
-        let opt = run_semplan(&e, None, || compile_nlq(&q)).unwrap();
+        let opt = run_semplan(&e, None, &nlq_reads(&q), || compile_nlq(&q)).unwrap();
         let opt_prompts = e.engine.stats().lm_prompts;
 
         assert_eq!(naive, opt);
@@ -1134,8 +1168,11 @@ mod tests {
         let e = env();
         let q = parse("How many schools located in the Silicon Valley region are there?");
         let key = format!("nlq:{}", q.render());
-        let a = run_semplan(&e, Some(&key), || compile_nlq(&q)).unwrap();
-        let b = run_semplan(&e, Some(&key), || panic!("cache hit must not rebuild")).unwrap();
+        let a = run_semplan(&e, Some(&key), &nlq_reads(&q), || compile_nlq(&q)).unwrap();
+        let b = run_semplan(&e, Some(&key), &nlq_reads(&q), || {
+            panic!("cache hit must not rebuild")
+        })
+        .unwrap();
         assert_eq!(a, b);
     }
 

@@ -50,6 +50,11 @@ impl DataFrame {
         ResultSet::new(self.columns, self.rows)
     }
 
+    /// Take the frame apart: its columns and its rows.
+    pub fn into_parts(self) -> (Vec<String>, Vec<Vec<Value>>) {
+        (self.columns, self.rows)
+    }
+
     /// Column names.
     pub fn columns(&self) -> &[String] {
         &self.columns
@@ -102,17 +107,28 @@ impl DataFrame {
         Ok(self.filter(|r| pred(&r[i])))
     }
 
-    /// Keep rows whose `column` value is in `values`.
-    pub fn is_in(&self, column: &str, values: &[Value]) -> SqlResult<DataFrame> {
-        let set: std::collections::HashSet<&Value> = values.iter().collect();
-        self.filter_col(column, |v| set.contains(v))
+    /// [`DataFrame::filter_col`] in place: no row is copied.
+    pub fn retain_col(
+        &mut self,
+        column: &str,
+        mut pred: impl FnMut(&Value) -> bool,
+    ) -> SqlResult<()> {
+        let i = self.column_index(column)?;
+        self.rows.retain(|r| pred(&r[i]));
+        Ok(())
     }
 
     /// Stable sort by one column.
     pub fn sort_by(&self, column: &str, descending: bool) -> SqlResult<DataFrame> {
+        let mut sorted = self.clone();
+        sorted.sort_in_place(column, descending)?;
+        Ok(sorted)
+    }
+
+    /// [`DataFrame::sort_by`] in place: no row is copied.
+    pub fn sort_in_place(&mut self, column: &str, descending: bool) -> SqlResult<()> {
         let i = self.column_index(column)?;
-        let mut rows = self.rows.clone();
-        rows.sort_by(|a, b| {
+        self.rows.sort_by(|a, b| {
             let ord = a[i].total_cmp(&b[i]);
             if descending {
                 ord.reverse()
@@ -120,10 +136,7 @@ impl DataFrame {
                 ord
             }
         });
-        Ok(DataFrame {
-            columns: self.columns.clone(),
-            rows,
-        })
+        Ok(())
     }
 
     /// Stable sort by the absolute numeric value of one column
@@ -155,6 +168,11 @@ impl DataFrame {
         }
     }
 
+    /// [`DataFrame::head`] in place: drop every row after the first `n`.
+    pub fn truncate(&mut self, n: usize) {
+        self.rows.truncate(n);
+    }
+
     /// Project to a subset of columns.
     pub fn select(&self, columns: &[&str]) -> SqlResult<DataFrame> {
         let idxs: Vec<usize> = columns
@@ -177,7 +195,7 @@ impl DataFrame {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
         for r in &self.rows {
-            if seen.insert(r[i].clone()) {
+            if seen.insert(&r[i]) {
                 out.push(r[i].clone());
             }
         }
@@ -301,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn select_unique_is_in() {
+    fn select_unique_retain() {
         let d = df();
         let sel = d.select(&["city"]).unwrap();
         assert_eq!(sel.columns(), &["city".to_string()]);
@@ -309,7 +327,9 @@ mod tests {
             d.unique("city").unwrap(),
             vec![Value::text("PA"), Value::text("SF")]
         );
-        let only = d.is_in("city", &[Value::text("SF")]).unwrap();
+        let mut only = d;
+        only.retain_col("city", |v| v == &Value::text("SF"))
+            .unwrap();
         assert_eq!(only.len(), 1);
     }
 

@@ -192,6 +192,46 @@ impl ColumnData {
         }
     }
 
+    /// Append one cell, keeping the typing [`ColumnData::from_values`]
+    /// would infer for the longer column: a cell of the column's own
+    /// variant (or NULL) extends the typed vector; any other cell
+    /// re-infers, so an all-NULL column takes the cell's type and a typed
+    /// column turns `Mixed`.
+    pub fn push(&mut self, v: Value) {
+        match (&mut *self, v) {
+            (ColumnData::Int { values, validity }, Value::Int(i)) => {
+                values.push(i);
+                validity.push(true);
+            }
+            (ColumnData::Float { values, validity }, Value::Float(f)) => {
+                values.push(f);
+                validity.push(true);
+            }
+            (ColumnData::Text { values, validity }, Value::Text(s)) => {
+                values.push(s);
+                validity.push(true);
+            }
+            (ColumnData::Int { values, validity }, Value::Null) => {
+                values.push(0);
+                validity.push(false);
+            }
+            (ColumnData::Float { values, validity }, Value::Null) => {
+                values.push(0.0);
+                validity.push(false);
+            }
+            (ColumnData::Text { values, validity }, Value::Null) => {
+                values.push(String::new());
+                validity.push(false);
+            }
+            (ColumnData::Mixed(vals), v) => vals.push(v),
+            (typed, v) => {
+                let mut vals: Vec<Value> = (0..typed.len()).map(|i| typed.value_at(i)).collect();
+                vals.push(v);
+                *typed = ColumnData::from_values(vals);
+            }
+        }
+    }
+
     /// A broadcast column: `n` copies of one value.
     pub fn broadcast(v: &Value, n: usize) -> ColumnData {
         match v {
@@ -419,6 +459,16 @@ impl Chunk {
             columns: cols.into_iter().map(ColumnData::from_values).collect(),
             len,
         }
+    }
+
+    /// Append one row (see [`ColumnData::push`]); afterwards the chunk
+    /// equals [`Chunk::from_rows`] over the old rows plus this one.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = Value>) {
+        let mut cells = row.into_iter();
+        for column in &mut self.columns {
+            column.push(cells.next().unwrap_or(Value::Null));
+        }
+        self.len += 1;
     }
 
     /// Number of rows.
@@ -737,6 +787,32 @@ mod tests {
         assert!(matches!(merged, ColumnData::Float { .. }));
         assert!(merged.is_null(0));
         assert_eq!(merged.value_at(1), Value::Float(1.5));
+    }
+
+    #[test]
+    fn push_row_equals_from_rows_variant_for_variant() {
+        // Column 0: an Int column receiving a Float turns Mixed.
+        // Column 1: an all-NULL column takes the type of its first value.
+        // Column 2: Text stays Text through a NULL.
+        let rows: Vec<Row> = vec![
+            vec![Value::Int(1), Value::Null, Value::text("a")],
+            vec![Value::Null, Value::Null, Value::Null],
+            vec![Value::Float(2.5), Value::Float(0.5), Value::text("b")],
+            vec![Value::Int(3), Value::Null, Value::text("c")],
+            vec![Value::text("x"), Value::Int(4), Value::Int(5)],
+        ];
+        let mut grown = Chunk::from_rows(3, Vec::<Row>::new());
+        for (n, row) in rows.iter().enumerate() {
+            grown.push_row(row.iter().cloned());
+            let rebuilt = Chunk::from_rows(3, rows[..=n].to_vec());
+            assert_eq!(
+                format!("{grown:?}"),
+                format!("{rebuilt:?}"),
+                "after row {n}"
+            );
+        }
+        assert!(matches!(grown.column(0), ColumnData::Mixed(_)));
+        assert!(matches!(grown.column(1), ColumnData::Mixed(_)));
     }
 
     #[test]

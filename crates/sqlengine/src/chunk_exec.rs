@@ -924,6 +924,12 @@ mod parity {
             "SELECT t1.a, t2.b FROM t t1 JOIN t t2 ON t1.c = t2.c WHERE t1.a < t2.a".into(),
             "SELECT t1.a, t2.b FROM t t1 LEFT JOIN t t2 ON t1.a = t2.a ORDER BY t1.a, t2.b".into(),
             "SELECT a FROM t UNION SELECT CAST(b AS INTEGER) FROM t".into(),
+            // IN lists: the typed kernel (Int, Float, Text columns), and
+            // a NULL item, which keeps the row-at-a-time path.
+            format!("SELECT * FROM t WHERE a IN ({k}, {j}, 2.0)"),
+            format!("SELECT a, b NOT IN (0.5, {k}) FROM t"),
+            "SELECT c FROM t WHERE c IN ('a', 'ab', 7) AND c NOT IN ('b', '3')".into(),
+            format!("SELECT a FROM t WHERE a NOT IN ({k}, NULL) OR c IN ('a', NULL)"),
             format!("SELECT c FROM t WHERE b * a > {k} ORDER BY a LIMIT 3"),
             // A LIMIT far past the input must not size any buffer.
             "SELECT a FROM t ORDER BY a LIMIT 1000000000000".into(),

@@ -26,7 +26,9 @@ use std::sync::{Arc, Mutex};
 
 /// Renders `EXPLAIN SEMPLAN <question>` output. Registered by the
 /// semantic runtime: the SQL engine cannot compile NL questions itself.
-pub type SemPlanExplainFn = dyn Fn(&str) -> Result<String, String> + Send + Sync;
+/// Receives the database because the plan it prints is lowered against
+/// the live catalog.
+pub type SemPlanExplainFn = dyn Fn(&Database, &str) -> Result<String, String> + Send + Sync;
 
 /// Renders `EXPLAIN VERIFY <question>` output. Registered by the
 /// semantic runtime; receives the database so the verifier sees the
@@ -397,8 +399,9 @@ impl Database {
     }
 
     /// Register the `EXPLAIN SEMPLAN` renderer. The callback receives
-    /// the question text and returns the rendered semantic plan (or a
-    /// human-readable error, e.g. for an unparseable question).
+    /// this database and the question text and returns the rendered
+    /// semantic plan (or a human-readable error, e.g. for an
+    /// unparseable question).
     pub fn set_semplan_explainer(&self, f: Arc<SemPlanExplainFn>) {
         self.semplan_explainer.set(f);
     }
@@ -484,7 +487,7 @@ impl Database {
                 "EXPLAIN SEMPLAN requires a semantic runtime (no explainer registered)".into(),
             )
         })?;
-        match explainer(question) {
+        match explainer(self, question) {
             Ok(text) => Ok(plan_text_result(text.trim_end())),
             Err(e) => Err(SqlError::Binding(e)),
         }
@@ -797,7 +800,7 @@ mod tests {
             .unwrap_err();
         assert!(err.message().contains("no explainer registered"), "{err:?}");
 
-        db.set_semplan_explainer(Arc::new(|q: &str| {
+        db.set_semplan_explainer(Arc::new(|_: &Database, q: &str| {
             if q.starts_with("How many") {
                 Ok(format!("SemAgg  [gen]\n  Scan schools  [exec]\n# {q}"))
             } else {
@@ -855,9 +858,7 @@ mod tests {
     #[test]
     fn semplan_cache_shares_epoch_invalidation() {
         let mut db = db();
-        let build = || SemNode::Scan {
-            table: "schools".into(),
-        };
+        let build = || SemNode::scan("schools");
         let (plan, hit) = db.semplan_for("q1|p1d1c1", build);
         assert!(!hit);
         assert!(matches!(plan.arms[0].plan, Plan::Sem { .. }));
@@ -1252,8 +1253,14 @@ mod tests {
         crate::exec::reference::execute(&cached.arms[0].plan, db.catalog()).unwrap()
     }
 
+    /// Scans read a table's columnar image, the reference reads its row
+    /// heap: after every DML statement the image must be what
+    /// `Chunk::from_rows` of the heap would build, variant for variant.
+    /// Inserts extend the built image in place (here: N single-row
+    /// inserts, one of which gives the all-NULL `Longitude` column its
+    /// first value); UPDATE and DELETE drop it.
     #[test]
-    fn columnar_image_is_rebuilt_after_dml() {
+    fn columnar_image_after_dml_equals_the_heap() {
         let mut db = db();
         let queries = [
             "SELECT * FROM schools",
@@ -1264,6 +1271,12 @@ mod tests {
             "SELECT DISTINCT City FROM schools",
         ];
         let check = |db: &Database| {
+            let table = db.catalog().table("schools").unwrap();
+            let heap = crate::chunk::Chunk::from_rows(
+                table.schema().len(),
+                table.rows().iter().map(|r| r.iter().cloned()),
+            );
+            assert_eq!(format!("{:?}", table.columnar()), format!("{heap:?}"));
             for sql in queries {
                 let want = reference_rows(db, sql);
                 assert_eq!(db.query(sql).unwrap().rows, want, "{sql}");
@@ -1274,22 +1287,28 @@ mod tests {
                 );
             }
         };
-        // The first pass builds the table's columnar image; each DML
-        // statement must drop it, or the scans below read stale columns
-        // while the reference reads the row heap.
         check(&db);
-        db.execute("UPDATE schools SET City = 'Fresno' WHERE CDSCode = 1")
+        db.execute("UPDATE schools SET Longitude = NULL").unwrap();
+        check(&db);
+        let built = Arc::as_ptr(&db.catalog().table("schools").unwrap().columnar());
+        for (id, longitude) in [(5, "NULL"), (6, "-121.7"), (7, "NULL"), (8, "-118.2")] {
+            db.execute(&format!(
+                "INSERT INTO schools VALUES ({id}, 'Davis', {longitude})"
+            ))
             .unwrap();
-        check(&db);
-        db.execute("INSERT INTO schools VALUES (5, 'Davis', -121.7)")
-            .unwrap();
-        check(&db);
+            check(&db);
+        }
+        assert_eq!(
+            Arc::as_ptr(&db.catalog().table("schools").unwrap().columnar()),
+            built,
+            "inserts extended the image they found"
+        );
         db.execute("DELETE FROM schools WHERE City = 'Fresno'")
             .unwrap();
         check(&db);
         assert_eq!(
             db.query("SELECT COUNT(*) FROM schools").unwrap().rows,
-            vec![vec![Value::Int(3)]]
+            vec![vec![Value::Int(7)]]
         );
     }
 

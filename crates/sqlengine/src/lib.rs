@@ -79,10 +79,10 @@ pub use plancache::{normalize_sql, PlanCache, PlanCacheStats};
 pub use profile::{NodeProfile, PlanProfiler};
 pub use result::ResultSet;
 pub use schema::{Column, DataType, Row, Schema};
-pub use semopt::{optimize_sem, SemOptOptions};
+pub use semopt::{lower_scans, optimize_sem, SemOptOptions};
 pub use semplan::{
-    execute_sem, execute_sem_profiled, CutSpec, GenFormat, LmCost, RetrieveKind, SemClaimSpec,
-    SemDelegate, SemFrame, SemNode, SemPredicate, SemStage,
+    execute_sem, execute_sem_profiled, scan_sql, CutSpec, GenFormat, LmCost, RetrieveKind,
+    SemClaimSpec, SemDelegate, SemFrame, SemNode, SemPredicate, SemReads, SemStage,
 };
 pub use table::{IndexKind, Table};
 pub use udf::{FnUdf, ScalarUdf, UdfRegistry};

@@ -17,8 +17,16 @@
 //!    first, judge values in sorted order, stop once `k` rows survive.
 //!    Sound because a stable sort of a filtered subset equals the
 //!    filtered subset of the stably-sorted whole.
+//!
+//! After the rules, [`lower_scans`] (always on, no option) folds each
+//! scan's relational prefix into the scan itself, so the engine runs it:
+//! the predicates and the cut directly above the scan that the engine
+//! evaluates exactly as the frame kernels do, and the projection to the
+//! columns the plan and its consumer read.
 
-use crate::semplan::SemNode;
+use crate::catalog::Catalog;
+use crate::schema::DataType;
+use crate::semplan::{SemNode, SemPredicate, SemReads};
 
 /// Which SemPlan rewrite rules are enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +76,7 @@ impl SemOptOptions {
 
 /// Apply the enabled rewrite rules to `node`, bottom-up.
 pub fn optimize_sem(node: SemNode, opts: &SemOptOptions) -> SemNode {
-    let node = rewrite_children(node, opts);
+    let node = map_children(node, &mut |child| optimize_sem(child, opts));
     let node = if opts.pushdown {
         sink_predicate(node)
     } else {
@@ -86,8 +94,9 @@ pub fn optimize_sem(node: SemNode, opts: &SemOptOptions) -> SemNode {
     }
 }
 
-fn rewrite_children(node: SemNode, opts: &SemOptOptions) -> SemNode {
-    let opt = |b: Box<SemNode>| Box::new(optimize_sem(*b, opts));
+/// Rebuild `node` with `f` applied to each child.
+fn map_children(node: SemNode, f: &mut impl FnMut(SemNode) -> SemNode) -> SemNode {
+    let mut opt = |b: Box<SemNode>| Box::new(f(*b));
     match node {
         leaf @ (SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. }) => leaf,
         SemNode::Predicate { input, pred } => SemNode::Predicate {
@@ -255,13 +264,187 @@ fn fuse_precut(node: SemNode) -> SemNode {
     }
 }
 
+/// Fold each scan's relational prefix into the scan (see the module
+/// docs), resolving names against `catalog`. `output` is what the plan's
+/// consumer reads off the result frame. Always on: which plan shapes it
+/// handles is decided by the plan and the catalog alone.
+///
+/// A scan is left as compiled wherever folding could change what the
+/// plan returns or reports: a missing table, a name above the scan that
+/// no column of the table answers to (the frame kernels then produce
+/// their error over the full frame, as they always have), a predicate
+/// the engine evaluates differently.
+pub fn lower_scans(node: SemNode, catalog: &Catalog, output: &SemReads) -> SemNode {
+    project_scans(fold_prefix(node, catalog), output, catalog)
+}
+
+/// True when `SELECT … WHERE <pred>` keeps exactly the rows, in the
+/// order, that the frame kernel for `pred` keeps of `table`'s rows.
+/// Decided from the declared column type, which inserts coerce to: a
+/// column holds NULL or the one variant it declares.
+///
+/// - `NumCmp` over INTEGER: both sides compare `i as f64` with the
+///   constant and drop NULL. Not over REAL (a cell may be NaN or `-0.0`,
+///   which `Value::total_cmp` orders and IEEE `<`/`>` do not) nor over
+///   TEXT (the engine ranks text above every number, the kernel drops
+///   it).
+/// - `TextEq` over TEXT: the kernel is ASCII-case-insensitive equality,
+///   which is `LIKE` with no wildcard in the pattern (the engine's `=`
+///   is exact and its `LOWER` is Unicode). Not over INTEGER/REAL, where
+///   the kernel falls back to IEEE `==` on the parsed constant.
+/// - `TextEqAny` names its column by a candidate list resolved against
+///   the frame; it stays a frame node.
+/// - Not over an indexed column: the engine may answer it from the
+///   B-tree in key order, and the kernel keeps table order.
+fn engine_evaluates(pred: &SemPredicate, table: &str, catalog: &Catalog) -> bool {
+    let (attr, dtype, constant_ok) = match pred {
+        SemPredicate::NumCmp { attr, value, .. } => (attr, DataType::Integer, value.is_finite()),
+        SemPredicate::TextEq { attr, value } => {
+            (attr, DataType::Text, !value.contains(LIKE_WILDCARDS))
+        }
+        SemPredicate::TextEqAny { .. } => return false,
+    };
+    let Ok(table) = catalog.table(table) else {
+        return false;
+    };
+    let Some(col) = table.schema().index_of(attr) else {
+        return false;
+    };
+    constant_ok
+        && quotable(attr)
+        && table.schema().column(col).dtype == dtype
+        && table.index_on(col).is_none()
+}
+
+/// The characters `LIKE` does not match literally.
+pub const LIKE_WILDCARDS: [char; 2] = ['%', '_'];
+
+/// Both sides sort by `Value::total_cmp` with a stable tiebreak, so a
+/// cut folds whenever its key is a column of the table.
+fn engine_cuts(sort_by: &str, table: &str, catalog: &Catalog) -> bool {
+    quotable(sort_by)
+        && catalog
+            .table(table)
+            .is_ok_and(|t| t.schema().index_of(sort_by).is_some())
+}
+
+/// `scan_sql` double-quotes identifiers and has no escape for a quote.
+fn quotable(name: &str) -> bool {
+    !name.contains('"')
+}
+
+/// Bottom-up: `Predicate(Scan)` and `Cut(Scan)` become the scan, while
+/// the scan has no cut yet (a predicate above a cut does not commute
+/// with it).
+fn fold_prefix(node: SemNode, catalog: &Catalog) -> SemNode {
+    match map_children(node, &mut |child| fold_prefix(child, catalog)) {
+        SemNode::Predicate { input, pred } => match *input {
+            SemNode::Scan {
+                table,
+                columns: None,
+                mut filters,
+                cut: None,
+            } if engine_evaluates(&pred, &table, catalog) => {
+                filters.push(pred);
+                SemNode::Scan {
+                    table,
+                    columns: None,
+                    filters,
+                    cut: None,
+                }
+            }
+            other => SemNode::Predicate {
+                input: Box::new(other),
+                pred,
+            },
+        },
+        SemNode::Cut { input, cut } => match *input {
+            SemNode::Scan {
+                table,
+                columns: None,
+                filters,
+                cut: None,
+            } if engine_cuts(&cut.sort_by, &table, catalog) => SemNode::Scan {
+                table,
+                columns: None,
+                filters,
+                cut: Some(cut),
+            },
+            other => SemNode::Cut {
+                input: Box::new(other),
+                cut,
+            },
+        },
+        other => other,
+    }
+}
+
+/// Top-down: each scan keeps the columns read above it (`above`: by its
+/// ancestors and the consumer). What a folded predicate or cut reads,
+/// the engine reads inside the scan.
+fn project_scans(node: SemNode, above: &SemReads, catalog: &Catalog) -> SemNode {
+    if let SemNode::Scan {
+        table,
+        columns: None,
+        filters,
+        cut,
+    } = node
+    {
+        let columns = projection(&table, above, catalog);
+        return SemNode::Scan {
+            table,
+            columns,
+            filters,
+            cut,
+        };
+    }
+    let below = above.clone().and(node.reads());
+    map_children(node, &mut |child| project_scans(child, &below, catalog))
+}
+
+/// The columns of `table` that `reads` names, in table order with the
+/// catalog's spelling; `None` (every column) when that is what is read
+/// or when a read resolves to no column. Every candidate the table has
+/// is kept, so "first candidate the frame has" picks the same column.
+fn projection(table: &str, reads: &SemReads, catalog: &Catalog) -> Option<Vec<String>> {
+    let SemReads::Columns(reads) = reads else {
+        return None;
+    };
+    let schema = catalog.table(table).ok()?.schema();
+    let mut keep = vec![false; schema.len()];
+    for candidates in reads {
+        let mut resolved = false;
+        for name in candidates {
+            if let Some(i) = schema.index_of(name) {
+                keep[i] = true;
+                resolved = true;
+            }
+        }
+        if !resolved {
+            return None;
+        }
+    }
+    // A consumer that only counts rows still needs rows.
+    if !keep.contains(&true) {
+        *keep.first_mut()? = true;
+    }
+    let names: Vec<String> = schema
+        .columns()
+        .iter()
+        .zip(&keep)
+        .filter(|(_, keep)| **keep)
+        .map(|(c, _)| c.name.clone())
+        .collect();
+    (names.len() < schema.len() && names.iter().all(|n| quotable(n))).then_some(names)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::semplan::{CutSpec, SemClaimSpec, SemPredicate};
 
     fn scan() -> SemNode {
-        SemNode::Scan { table: "t".into() }
+        SemNode::scan("t")
     }
 
     fn sem_filter(input: SemNode) -> SemNode {

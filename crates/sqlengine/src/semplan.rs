@@ -133,6 +133,47 @@ pub struct CutSpec {
     pub k: usize,
 }
 
+impl CutSpec {
+    fn describe(&self) -> String {
+        format!(
+            "sort={} {} k={}",
+            self.sort_by,
+            if self.descending { "desc" } else { "asc" },
+            self.k
+        )
+    }
+}
+
+/// The columns read off a frame: by a plan node off its input, or by
+/// the plan's consumer off the result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SemReads {
+    /// Every column.
+    All,
+    /// One entry per read. An entry is a candidate list: the first
+    /// column of it that the frame has is the one read.
+    Columns(Vec<Vec<String>>),
+}
+
+impl SemReads {
+    /// Reads of single named columns (no reads at all when empty: a
+    /// consumer that only counts rows).
+    pub fn columns<S: AsRef<str>>(names: &[S]) -> SemReads {
+        SemReads::Columns(names.iter().map(|n| vec![n.as_ref().to_owned()]).collect())
+    }
+
+    /// Both sets of reads.
+    pub fn and(self, other: SemReads) -> SemReads {
+        match (self, other) {
+            (SemReads::Columns(mut a), SemReads::Columns(b)) => {
+                a.extend(b);
+                SemReads::Columns(a)
+            }
+            _ => SemReads::All,
+        }
+    }
+}
+
 /// Which phrasing a [`SemNode::Retrieve`] uses for its trace span and
 /// annotation (kept distinct so traces stay identical to the
 /// hand-rolled baselines).
@@ -185,11 +226,22 @@ impl SemStage {
 /// One node of a semantic plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SemNode {
-    /// Base scan of an entity table (`SELECT * FROM table` through the
-    /// SQL engine, sharing its plan cache).
+    /// Base scan of an entity table through the SQL engine, sharing its
+    /// plan cache. Compiled bare ([`SemNode::scan`]: `SELECT * FROM
+    /// table`); [`crate::semopt::lower_scans`] folds the plan's
+    /// relational prefix in, and [`scan_sql`] is the statement the scan
+    /// then issues.
     Scan {
         /// Table name.
         table: String,
+        /// Columns returned, in table order with the catalog's spelling;
+        /// `None` is every column.
+        columns: Option<Vec<String>>,
+        /// Exact predicates the engine evaluates (`WHERE`, conjoined).
+        filters: Vec<SemPredicate>,
+        /// Exact sort + head the engine evaluates (`ORDER BY … LIMIT k`),
+        /// applied after `filters`.
+        cut: Option<CutSpec>,
     },
     /// Materialized input rows (e.g. the result of LM-synthesized SQL).
     Input {
@@ -306,6 +358,55 @@ pub enum SemNode {
 }
 
 impl SemNode {
+    /// A bare scan of `table`: every column, no predicate, no cut.
+    pub fn scan(table: impl Into<String>) -> SemNode {
+        SemNode::Scan {
+            table: table.into(),
+            columns: None,
+            filters: Vec::new(),
+            cut: None,
+        }
+    }
+
+    /// What the node reads of its input frame(s). `Generate`, `SemAgg`,
+    /// `SemMap`, `SemJoin` and `Rerank` hand whole rows to the LM (or
+    /// pass them on widened), so they read everything.
+    pub fn reads(&self) -> SemReads {
+        match self {
+            SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => {
+                SemReads::Columns(Vec::new())
+            }
+            SemNode::Predicate { pred, .. } => SemReads::Columns(vec![match pred {
+                SemPredicate::NumCmp { attr, .. } | SemPredicate::TextEq { attr, .. } => {
+                    vec![attr.clone()]
+                }
+                SemPredicate::TextEqAny { columns, .. } => columns.clone(),
+            }]),
+            SemNode::SemFilter {
+                columns,
+                resolve,
+                early_stop,
+                ..
+            } => {
+                let judged = if *resolve {
+                    columns.clone()
+                } else {
+                    columns.iter().take(1).cloned().collect()
+                };
+                let mut reads = vec![judged];
+                reads.extend(early_stop.iter().map(|cut| vec![cut.sort_by.clone()]));
+                SemReads::Columns(reads)
+            }
+            SemNode::Cut { cut, .. } => SemReads::columns(&[&cut.sort_by]),
+            SemNode::SemTopK { on_attr, .. } => SemReads::columns(&[on_attr]),
+            SemNode::SemAgg { .. }
+            | SemNode::SemMap { .. }
+            | SemNode::SemJoin { .. }
+            | SemNode::Rerank { .. }
+            | SemNode::Generate { .. } => SemReads::All,
+        }
+    }
+
     /// The node's pipeline stage (see [`SemStage`]).
     pub fn stage(&self) -> SemStage {
         match self {
@@ -326,7 +427,21 @@ impl SemNode {
     /// One-line operator label (EXPLAIN vocabulary).
     pub fn label(&self) -> String {
         match self {
-            SemNode::Scan { table } => format!("Scan {table}"),
+            SemNode::Scan {
+                table,
+                columns: None,
+                filters,
+                cut: None,
+            } if filters.is_empty() => format!("Scan {table}"),
+            SemNode::Scan {
+                table,
+                columns,
+                filters,
+                cut,
+            } => format!(
+                "Scan {table}: {}",
+                scan_sql(table, columns.as_deref(), filters, cut.as_ref())
+            ),
             SemNode::Input { rows, .. } => format!("Input ({} rows)", rows.len()),
             SemNode::Predicate { pred, .. } => format!("Predicate {}", pred.describe()),
             SemNode::SemFilter {
@@ -341,22 +456,11 @@ impl SemNode {
                     s.push_str(" distinct");
                 }
                 if let Some(cut) = early_stop {
-                    let _ = write!(
-                        s,
-                        " early_stop(sort={} {} k={})",
-                        cut.sort_by,
-                        if cut.descending { "desc" } else { "asc" },
-                        cut.k
-                    );
+                    let _ = write!(s, " early_stop({})", cut.describe());
                 }
                 s
             }
-            SemNode::Cut { cut, .. } => format!(
-                "Cut sort={} {} k={}",
-                cut.sort_by,
-                if cut.descending { "desc" } else { "asc" },
-                cut.k
-            ),
+            SemNode::Cut { cut, .. } => format!("Cut {}", cut.describe()),
             SemNode::SemTopK {
                 on_attr,
                 property,
@@ -430,6 +534,66 @@ impl SemNode {
             child.explain_into(depth + 1, out);
         }
     }
+}
+
+/// The SQL statement a [`SemNode::Scan`] with these fields issues.
+/// Identifiers are double-quoted; numeric constants are written as float
+/// literals so an INTEGER column compares through `f64`, as the frame
+/// kernel does.
+pub fn scan_sql(
+    table: &str,
+    columns: Option<&[String]>,
+    filters: &[SemPredicate],
+    cut: Option<&CutSpec>,
+) -> String {
+    let quoted = |name: &str| format!("\"{name}\"");
+    let select = match columns {
+        None => "*".to_owned(),
+        Some(cols) => cols
+            .iter()
+            .map(|c| quoted(c))
+            .collect::<Vec<_>>()
+            .join(", "),
+    };
+    let mut sql = format!("SELECT {select} FROM {table}");
+    for (i, pred) in filters.iter().enumerate() {
+        sql.push_str(if i == 0 { " WHERE " } else { " AND " });
+        match pred {
+            SemPredicate::NumCmp { attr, over, value } => {
+                // `total_cmp` tells -0.0 from 0.0; IEEE `<`/`>` do not.
+                let value = if *value == 0.0 { 0.0 } else { *value };
+                let _ = write!(
+                    sql,
+                    "{} {} {value:?}",
+                    quoted(attr),
+                    if *over { ">" } else { "<" }
+                );
+            }
+            // `LIKE` without a wildcard is ASCII-case-insensitive
+            // equality, which is what the frame kernel computes.
+            SemPredicate::TextEq { attr, value } => {
+                let _ = write!(
+                    sql,
+                    "{} LIKE {}",
+                    quoted(attr),
+                    Value::text(value.as_str()).to_sql_literal()
+                );
+            }
+            // Never folded (`semopt::lower_scans`) and rejected by the
+            // verifier: which column it names is decided per frame.
+            SemPredicate::TextEqAny { .. } => sql.push_str(&pred.describe()),
+        }
+    }
+    if let Some(cut) = cut {
+        let _ = write!(
+            sql,
+            " ORDER BY {}{} LIMIT {}",
+            quoted(&cut.sort_by),
+            if cut.descending { " DESC" } else { "" },
+            cut.k
+        );
+    }
+    sql
 }
 
 /// Tabular data flowing between semantic plan nodes.
@@ -574,7 +738,7 @@ mod tests {
 
     fn filter_over_scan() -> SemNode {
         SemNode::SemFilter {
-            input: Box::new(SemNode::Scan { table: "t".into() }),
+            input: Box::new(SemNode::scan("t")),
             columns: vec!["x".into()],
             resolve: true,
             claim: SemClaimSpec::EuCountry,
@@ -640,7 +804,7 @@ mod tests {
         let d = HalvingDelegate(std::cell::Cell::new(0));
         let p = PlanProfiler::new();
         let bad = SemNode::Cut {
-            input: Box::new(SemNode::Scan { table: "t".into() }),
+            input: Box::new(SemNode::scan("t")),
             cut: CutSpec {
                 sort_by: "x".into(),
                 descending: true,

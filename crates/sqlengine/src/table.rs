@@ -71,9 +71,10 @@ pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
     indexes: Vec<TableIndex>,
-    /// Lazily built columnar image of `rows` for the executor's scans;
-    /// invalidated by every mutation. Cloning the table clones the Arc,
-    /// which stays valid because the rows are cloned identically.
+    /// Lazily built columnar image of `rows` for the executor's scans.
+    /// An insert appends to it when nothing else holds it; every other
+    /// mutation drops it. Cloning the table clones the Arc, which stays
+    /// valid because the rows are cloned identically.
     columnar: OnceLock<Arc<Chunk>>,
 }
 
@@ -120,7 +121,8 @@ impl Table {
     }
 
     /// The columnar image of this table, built on first use and shared
-    /// (zero-copy) with every scan until the next mutation.
+    /// (zero-copy) with every scan; see the field for what mutations do
+    /// to it.
     pub fn columnar(&self) -> Arc<Chunk> {
         Arc::clone(self.columnar.get_or_init(|| {
             Arc::new(Chunk::from_rows(
@@ -150,8 +152,14 @@ impl Table {
                 IndexStorage::Hash(h) => h.insert(key, id),
             }
         }
+        // Extend the image in place when it is built and this table is
+        // its only holder (a cloned table shares it); rebuilding it costs
+        // a pass over every row, appending costs one row.
+        match self.columnar.get_mut().and_then(Arc::get_mut) {
+            Some(image) => image.push_row(row.iter().cloned()),
+            None => self.columnar = OnceLock::new(),
+        }
         self.rows.push(row);
-        self.columnar = OnceLock::new();
         Ok(())
     }
 
@@ -389,6 +397,55 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(t.row(0)[2], Value::Float(9.0));
+    }
+
+    /// The image an insert extends is the image a rebuild would produce.
+    fn assert_image_is_heap(t: &Table) {
+        let rebuilt =
+            Chunk::from_rows(t.schema().len(), t.rows().iter().map(|r| r.iter().cloned()));
+        assert_eq!(format!("{:?}", t.columnar()), format!("{rebuilt:?}"));
+    }
+
+    #[test]
+    fn insert_extends_a_built_image() {
+        let mut t = table();
+        // `score` starts all-NULL (stored as an Int column) and must
+        // turn Float with its first value.
+        t.insert(vec![Value::Int(1), Value::text("SF"), Value::Null])
+            .unwrap();
+        let built = Arc::as_ptr(&t.columnar());
+        for i in 2..6 {
+            let score = if i % 2 == 0 {
+                Value::Float(i as f64)
+            } else {
+                Value::Null
+            };
+            t.insert(vec![Value::Int(i), Value::Null, score]).unwrap();
+            assert_image_is_heap(&t);
+        }
+        assert_eq!(
+            Arc::as_ptr(&t.columnar()),
+            built,
+            "appended in place, not rebuilt"
+        );
+        assert!(matches!(
+            t.columnar().column(2),
+            crate::chunk::ColumnData::Float { .. }
+        ));
+
+        // An image someone else holds is left to them and dropped here.
+        let held = t.columnar();
+        t.insert(vec![Value::Int(9), Value::text("LA"), Value::Null])
+            .unwrap();
+        assert_eq!(held.len(), 5);
+        assert_image_is_heap(&t);
+        drop(held);
+
+        // Deletes and updates still drop it.
+        t.delete_where(|r| Ok(r[0] == Value::Int(2))).unwrap();
+        assert_image_is_heap(&t);
+        t.update_where(|_| Ok(true), |r| Ok(r.clone())).unwrap();
+        assert_image_is_heap(&t);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   predicate, producing one `Option<bool>` (truthiness) per row.
 //!
 //! Both use typed fast paths where the expression shape allows
-//! (column/literal comparisons over `Int`/`Float`/`Text` columns run as
-//! tight loops over the typed vectors) and otherwise fall back to
+//! (column/literal comparisons and `IN` lists of literals over
+//! `Int`/`Float`/`Text` columns run as tight loops over the typed
+//! vectors) and otherwise fall back to
 //! row-at-a-time [`BoundExpr::eval_ctx`] over a *scratch row*: a
 //! reusable `Vec<Value>` where only the columns the expression actually
 //! references are filled in. The scratch row never materializes the
@@ -40,6 +41,14 @@ pub fn eval_column(expr: &BoundExpr, batch: &Batch, ctx: &EvalCtx<'_>) -> SqlRes
             let mask = cmp_mask(*op, lhs, rhs, batch)?;
             Ok(mask_to_column(&mask))
         }
+        BoundExpr::InList {
+            expr: probe,
+            list,
+            negated,
+        } => match typed_in_list(probe, list, *negated, batch) {
+            Some(mask) => Ok(mask_to_column(&mask)),
+            None => fallback_column(expr, batch, ctx),
+        },
         _ => fallback_column(expr, batch, ctx),
     }
 }
@@ -113,13 +122,27 @@ pub fn eval_pred_mask(
                 .map(|i| Some(batch.is_null(i, c) != *negated))
                 .collect())
         }
-        _ => {
-            let col = eval_column(expr, batch, ctx)?;
-            Ok((0..col.len())
-                .map(|i| col.value_at(i).truthiness())
-                .collect())
-        }
+        BoundExpr::InList {
+            expr: probe,
+            list,
+            negated,
+        } => match typed_in_list(probe, list, *negated, batch) {
+            Some(mask) => Ok(mask),
+            None => fallback_mask(expr, batch, ctx),
+        },
+        _ => fallback_mask(expr, batch, ctx),
     }
+}
+
+fn fallback_mask(
+    expr: &BoundExpr,
+    batch: &Batch,
+    ctx: &EvalCtx<'_>,
+) -> SqlResult<Vec<Option<bool>>> {
+    let col = eval_column(expr, batch, ctx)?;
+    Ok((0..col.len())
+        .map(|i| col.value_at(i).truthiness())
+        .collect())
 }
 
 fn is_cmp(op: BinOp) -> bool {
@@ -241,6 +264,64 @@ fn typed_col_lit_cmp(
         // Cross-rank (number vs text): rank ordering is constant, but
         // route through the general path to keep this kernel small.
         _ => return None,
+    }
+    Some(out)
+}
+
+/// `col [NOT] IN (literal, …)` over a typed column, every literal
+/// non-null: a NULL cell is NULL, any other cell is in the list when it
+/// is `total_cmp`-equal to an item (`Value::sql_eq`). Returns `None` for
+/// every other shape (a NULL or non-literal item, a `Mixed` column), which
+/// keeps the row-at-a-time path.
+fn typed_in_list(
+    probe: &BoundExpr,
+    list: &[BoundExpr],
+    negated: bool,
+    batch: &Batch,
+) -> Option<Vec<Option<bool>>> {
+    let BoundExpr::ColumnRef(col) = probe else {
+        return None;
+    };
+    let items: Vec<&Value> = list
+        .iter()
+        .map(|item| match item {
+            BoundExpr::Literal(v) if !v.is_null() => Some(v),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    let mut out = Vec::with_capacity(batch.len());
+    match batch.data.column(*col) {
+        ColumnData::Int { values, validity } => {
+            let listed = |a: i64| {
+                items.iter().any(|item| match item {
+                    Value::Int(b) => a == *b,
+                    Value::Float(b) => (a as f64).total_cmp(b) == Ordering::Equal,
+                    _ => false,
+                })
+            };
+            batch_for_each(batch, |i| {
+                out.push(validity[i].then(|| listed(values[i]) != negated));
+            });
+        }
+        ColumnData::Float { values, validity } => {
+            let listed = |a: f64| {
+                items.iter().any(|item| match item {
+                    Value::Int(b) => a.total_cmp(&(*b as f64)) == Ordering::Equal,
+                    Value::Float(b) => a.total_cmp(b) == Ordering::Equal,
+                    _ => false,
+                })
+            };
+            batch_for_each(batch, |i| {
+                out.push(validity[i].then(|| listed(values[i]) != negated));
+            });
+        }
+        ColumnData::Text { values, validity } => {
+            let texts: Vec<&str> = items.iter().filter_map(|item| item.as_str()).collect();
+            batch_for_each(batch, |i| {
+                out.push(validity[i].then(|| texts.contains(&values[i].as_str()) != negated));
+            });
+        }
+        ColumnData::Mixed(_) => return None,
     }
     Some(out)
 }
@@ -409,6 +490,50 @@ mod tests {
         assert_matches_row_path(&e, &b);
         let arith = bin(BinOp::Add, col(0), bin(BinOp::Mul, col(1), lit(2)));
         assert_matches_row_path(&arith, &b);
+    }
+
+    fn in_list(probe: BoundExpr, items: Vec<BoundExpr>, negated: bool) -> BoundExpr {
+        BoundExpr::InList {
+            expr: Box::new(probe),
+            list: items,
+            negated,
+        }
+    }
+
+    #[test]
+    fn in_list_kernel_matches_row_path() {
+        let mut rows = batch().to_rows();
+        rows.push(vec![Value::Int(7), Value::Float(-0.0), Value::text("b")]);
+        rows.push(vec![Value::Int(0), Value::Float(f64::NAN), Value::text("")]);
+        let typed = Batch::owned(Chunk::from_rows(3, rows.clone()));
+        // Column 0 turns `Mixed` (an Int column receiving text).
+        rows.push(vec![Value::text("x"), Value::Float(2.0), Value::text("a")]);
+        let mixed = Batch::owned(Chunk::from_rows(3, rows));
+        for b in [&typed, &mixed, &typed.narrow(&[4, 0, 2])] {
+            for negated in [false, true] {
+                for c in 0..3 {
+                    let lists = [
+                        vec![lit(1), lit(3)],
+                        vec![lit(3.0), lit(1.5), lit(0.0)],
+                        vec![lit("a"), lit(""), lit(7)],
+                        vec![lit(f64::NAN), lit(-0.0)],
+                        // a NULL item and a non-literal item keep the fallback
+                        vec![lit(5), lit(Value::Null)],
+                        vec![lit(1), col(0)],
+                        vec![],
+                    ];
+                    for items in lists {
+                        assert_matches_row_path(&in_list(col(c), items, negated), b);
+                    }
+                }
+            }
+        }
+        // The typed arm, not the fallback, ran the typed shapes.
+        assert!(typed_in_list(&col(2), &[lit("a")], false, &typed).is_some());
+        assert!(typed_in_list(&col(0), &[lit(1)], true, &typed).is_some());
+        assert!(typed_in_list(&col(0), &[lit(1)], false, &mixed).is_none());
+        assert!(typed_in_list(&col(0), &[lit(Value::Null)], false, &typed).is_none());
+        assert!(typed_in_list(&col(0), &[col(1)], false, &typed).is_none());
     }
 
     #[test]
