@@ -38,7 +38,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/sqlengine/src/chunk_exec.rs",
     "crates/sqlengine/src/engine.rs",
     "crates/sqlengine/src/exec.rs",
-    "crates/sqlengine/src/plancache.rs",
     "crates/sqlengine/src/profile.rs",
     "crates/sqlengine/src/semplan.rs",
 ];

@@ -7,10 +7,7 @@
 //! exits non-zero if any pair diverges. The traced runs' spans are
 //! aggregated into two tables: per method x stage, and per query type x
 //! stage, each reporting span counts, wall-clock time, virtual LM
-//! seconds, LM calls, prompt/completion tokens, and the plan-cache hit
-//! rate over the cell's SQL executions (counted from the
-//! `plan_cache: hit|miss` annotations on exec spans; `-` where the
-//! stage never ran SQL).
+//! seconds, LM calls, and prompt/completion tokens.
 //!
 //! ```text
 //! trace-report [--scale tiny|small|standard] [--seed N] [--smoke] [--jsonl]
@@ -92,8 +89,6 @@ struct Agg {
     spans: u64,
     wall_us: u64,
     lm: LmUsage,
-    pc_hits: u64,
-    pc_lookups: u64,
 }
 
 impl Agg {
@@ -101,29 +96,6 @@ impl Agg {
         self.spans += 1;
         self.wall_us += s.wall.as_micros().min(u128::from(u64::MAX)) as u64;
         self.lm.add(&s.lm);
-        for a in &s.annotations {
-            match a.as_str() {
-                "plan_cache: hit" => {
-                    self.pc_hits += 1;
-                    self.pc_lookups += 1;
-                }
-                "plan_cache: miss" => self.pc_lookups += 1,
-                _ => {}
-            }
-        }
-    }
-
-    /// Plan-cache hit rate over this cell's SQL executions, or `-` for
-    /// cells that never touched the engine (no lookups recorded).
-    fn pc_hit_pct(&self) -> String {
-        if self.pc_lookups == 0 {
-            "-".to_owned()
-        } else {
-            format!(
-                "{:.0}%",
-                self.pc_hits as f64 / self.pc_lookups as f64 * 100.0
-            )
-        }
     }
 }
 
@@ -134,8 +106,8 @@ fn render_table<K: std::fmt::Display>(
 ) -> String {
     let mut out = format!("== {title} ==\n");
     out.push_str(&format!(
-        "{:<22} {:<9} {:>6} {:>10} {:>9} {:>7} {:>14} {:>9}\n",
-        "group", "stage", "spans", "wall(ms)", "virt(s)", "calls", "tok(in/out)", "pc hit%"
+        "{:<22} {:<9} {:>6} {:>10} {:>9} {:>7} {:>14}\n",
+        "group", "stage", "spans", "wall(ms)", "virt(s)", "calls", "tok(in/out)"
     ));
     for g in groups {
         let name = g.to_string();
@@ -144,7 +116,7 @@ fn render_table<K: std::fmt::Display>(
                 continue;
             };
             out.push_str(&format!(
-                "{:<22} {:<9} {:>6} {:>10.2} {:>9.3} {:>7} {:>14} {:>9}\n",
+                "{:<22} {:<9} {:>6} {:>10.2} {:>9.3} {:>7} {:>14}\n",
                 name,
                 stage.as_str(),
                 a.spans,
@@ -152,7 +124,6 @@ fn render_table<K: std::fmt::Display>(
                 a.lm.virtual_seconds,
                 a.lm.calls,
                 format!("{}/{}", a.lm.prompt_tokens, a.lm.completion_tokens),
-                a.pc_hit_pct(),
             ));
         }
     }

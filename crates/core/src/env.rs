@@ -74,8 +74,8 @@ impl TagEnv {
     }
 
     /// Switch the SemPlan rewrite rules (ablations, the semplan-smoke
-    /// replay). Takes effect for subsequent plans; cached plans keyed
-    /// under other rule sets are not reused.
+    /// replay). Takes effect from the next plan: every request is
+    /// planned when it runs.
     pub fn set_sem_opt(&self, opts: SemOptOptions) {
         *self.sem_opt.write().unwrap_or_else(|e| e.into_inner()) = opts;
     }
@@ -176,10 +176,10 @@ impl TagEnv {
     /// When a [`tag_trace::Trace`] is active on this thread, the statement
     /// runs inside an `exec`-stage span annotated with the SQL text, an
     /// `EXPLAIN ANALYZE`-style per-operator breakdown (rows in/out +
-    /// elapsed per plan node), and a `plan_cache: hit|miss` line. When
-    /// tracing is off this is exactly [`Database::query`] — both paths
-    /// execute the same operator code and share the engine's plan cache,
-    /// so results are byte-identical either way.
+    /// elapsed per plan node). When tracing is off this is exactly
+    /// [`Database::query`]; traced, it is the same read path with a
+    /// profiler attached, so it accepts the same statements (`EXPLAIN`
+    /// included) and results are byte-identical either way.
     pub fn run_sql(&self, sql: &str) -> tag_sql::SqlResult<tag_sql::ResultSet> {
         if !tag_trace::is_active() {
             return self.db.query(sql);
@@ -322,35 +322,19 @@ mod tests {
         let traced = tag_trace::with_trace(&trace, || e.run_sql(sql).unwrap());
         assert_eq!(plain.rows, traced.rows);
         assert_eq!(plain.columns, traced.columns);
+        // An EXPLAIN is a statement like any other, traced or not.
+        let explain = format!("EXPLAIN {sql}");
+        assert_eq!(
+            tag_trace::with_trace(&trace, || e.run_sql(&explain)).unwrap(),
+            e.run_sql(&explain).unwrap()
+        );
 
         let spans = sink.take();
-        assert_eq!(spans.len(), 1);
+        assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].stage, tag_trace::Stage::Exec);
         assert!(spans[0].annotations.iter().any(|a| a.starts_with("sql: ")));
         assert!(
             spans[0].annotations.iter().any(|a| a.contains("out=")),
-            "{:?}",
-            spans[0].annotations
-        );
-        // The untraced run above planned this statement already, so the
-        // traced run reports a plan-cache hit.
-        assert!(
-            spans[0].annotations.iter().any(|a| a == "plan_cache: hit"),
-            "{:?}",
-            spans[0].annotations
-        );
-    }
-
-    #[test]
-    fn run_sql_annotates_plan_cache_miss_on_first_plan() {
-        let e = env();
-        let (trace, sink) = tag_trace::Trace::memory();
-        tag_trace::with_trace(&trace, || {
-            e.run_sql("SELECT City FROM schools ORDER BY City").unwrap()
-        });
-        let spans = sink.take();
-        assert!(
-            spans[0].annotations.iter().any(|a| a == "plan_cache: miss"),
             "{:?}",
             spans[0].annotations
         );

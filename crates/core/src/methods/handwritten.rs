@@ -44,8 +44,7 @@ impl HandWrittenTag {
     }
 
     fn run(&self, query: &NlQuery, env: &TagEnv) -> Result<Answer, String> {
-        let key = format!("nlq:{}", query.render());
-        let frame = run_semplan(env, Some(&key), &nlq_reads(query), || compile_nlq(query))?;
+        let frame = run_semplan(env, compile_nlq(query), &nlq_reads(query))?;
         let df = DataFrame::new(frame.columns, frame.rows).map_err(|e| e.to_string())?;
         match query {
             NlQuery::Superlative { select_attr, .. }
@@ -187,6 +186,28 @@ mod tests {
             &env,
         );
         assert_eq!(ans, Answer::List(vec!["2".into()]));
+    }
+
+    /// Every ask plans its scan (here with the `ViewCount` predicate
+    /// lowered into it) from the live catalog, so the same question
+    /// sees the rows inserted since it was last asked.
+    #[test]
+    fn the_same_question_sees_rows_inserted_since() {
+        let mut env = env();
+        let question = "How many posts with ViewCount over 450 are there?";
+        let asked = |env: &TagEnv| HandWrittenTag.answer(question, env);
+        assert_eq!(asked(&env), Answer::List(vec!["5".into()]));
+        assert_eq!(asked(&env), Answer::List(vec!["5".into()]));
+        for i in 0..10 {
+            env.db
+                .execute(&format!(
+                    "INSERT INTO posts VALUES ({}, 'Post {i}', {})",
+                    10 + i,
+                    445 + i
+                ))
+                .unwrap();
+        }
+        assert_eq!(asked(&env), Answer::List(vec!["9".into()]));
     }
 
     #[test]

@@ -44,11 +44,9 @@ impl TagMethod for Rag {
 
     fn answer(&self, request: &str, env: &TagEnv) -> Answer {
         // retrieve -> generate as a semantic plan through the shared
-        // planner (cacheable, explainable, profiled under tracing).
-        let key = format!("rag:k={}:list={}:{request}", self.k, self.list_format);
-        match run_semplan(env, Some(&key), &SemReads::All, || {
-            compile_rag(request, self.k, self.list_format)
-        }) {
+        // planner (explainable, profiled under tracing).
+        let plan = compile_rag(request, self.k, self.list_format);
+        match run_semplan(env, plan, &SemReads::All) {
             Ok(frame) => gen_frame_to_answer(&frame, self.list_format),
             Err(e) => Answer::Error(e),
         }

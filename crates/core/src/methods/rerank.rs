@@ -48,13 +48,8 @@ impl TagMethod for RetrievalLmRank {
         // retrieve -> rerank -> generate as a semantic plan through the
         // shared planner. The rerank stage scores every candidate 0–1
         // with the LM in one batch, exactly as before.
-        let key = format!(
-            "rerank:pool={}:k={}:list={}:{request}",
-            self.pool, self.k, self.list_format
-        );
-        match run_semplan(env, Some(&key), &SemReads::All, || {
-            compile_rerank(request, self.pool, self.k, self.list_format)
-        }) {
+        let plan = compile_rerank(request, self.pool, self.k, self.list_format);
+        match run_semplan(env, plan, &SemReads::All) {
             Ok(frame) => gen_frame_to_answer(&frame, self.list_format),
             Err(e) => Answer::Error(e),
         }

@@ -54,16 +54,14 @@ impl TagMethod for Text2SqlLm {
             Err(e) => {
                 // Retrieval failed: generation proceeds with no data and
                 // must rely on parametric knowledge (Figure 2, middle).
-                // Plans embedding materialized rows skip the plan cache.
-                return match run_semplan(env, None, &SemReads::All, || {
-                    compile_generate_over(
-                        Vec::new(),
-                        Vec::new(),
-                        request,
-                        self.list_format,
-                        "answer (no data)",
-                    )
-                }) {
+                let plan = compile_generate_over(
+                    Vec::new(),
+                    Vec::new(),
+                    request,
+                    self.list_format,
+                    "answer (no data)",
+                );
+                return match run_semplan(env, plan, &SemReads::All) {
                     Ok(frame) => gen_frame_to_answer(&frame, self.list_format),
                     Err(lm_e) => Answer::Error(format!("{e}; then LM: {lm_e}")),
                 };
@@ -72,9 +70,9 @@ impl TagMethod for Text2SqlLm {
 
         // Step 2: feed every retrieved row in context, through a
         // generation plan over the materialized result.
-        match run_semplan(env, None, &SemReads::All, || {
-            compile_generate_over(rows.columns, rows.rows, request, self.list_format, "answer")
-        }) {
+        let plan =
+            compile_generate_over(rows.columns, rows.rows, request, self.list_format, "answer");
+        match run_semplan(env, plan, &SemReads::All) {
             Ok(frame) => gen_frame_to_answer(&frame, self.list_format),
             Err(e) => Answer::Error(e), // context overflow lands here
         }

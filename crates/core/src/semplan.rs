@@ -3,7 +3,7 @@
 //! This is the unification layer of the refactor: every TAG method that
 //! used to hand-roll its retrieval/filter/generation sequence now
 //! *compiles* to a [`SemNode`] tree (defined data-only in `tag-sql`, so
-//! plans cache, EXPLAIN, and optimize like relational plans) and executes
+//! plans EXPLAIN and optimize like relational plans) and executes
 //! through one shared runtime, [`SemRuntime`], which delegates semantic
 //! operators to `tag-semops` and exact operators to the SQL engine where
 //! they sit directly on a scan, to the frame kernels elsewhere.
@@ -36,7 +36,6 @@ use tag_lm::prompts::{
     answer_free_prompt, answer_list_prompt, relevance_prompt, sem_filter_prompt, SemClaim,
 };
 use tag_semops::{sem_agg, sem_filter, sem_join, sem_map, sem_topk, DataFrame, SemError};
-use tag_sql::plan::Plan;
 use tag_sql::{
     execute_sem, execute_sem_profiled, lower_scans, optimize_sem, scan_sql, CutSpec, GenFormat,
     LmCost, PlanProfiler, RetrieveKind, SemClaimSpec, SemDelegate, SemFrame, SemNode, SemPredicate,
@@ -310,7 +309,7 @@ fn gen_format(list_format: bool) -> GenFormat {
 /// Plan a compiled tree: apply the enabled rewrite rules, then lower the
 /// scans against `db`'s catalog for a consumer that reads `reads` off
 /// the result. In debug builds the result is verified before it is
-/// cached or executed: the planned tree must be structurally
+/// executed: the planned tree must be structurally
 /// well-formed, the rewrite must preserve the naive plan's work
 /// (conservation + per-rule and lowering postconditions), and the static
 /// LM-call bound must not regress. A diagnostic here is a compiler bug,
@@ -354,63 +353,23 @@ pub fn plan_nlq(q: &NlQuery, opts: &tag_sql::SemOptOptions, db: &tag_sql::Databa
     plan_sem(compile_nlq(q), &nlq_reads(q), opts, db)
 }
 
-/// Plan, cache, and execute a semantic plan against an environment.
-/// `reads` is what the caller reads off the returned frame.
+/// Plan a naive tree ([`plan_sem`], under the environment's rules and
+/// against its live catalog) and execute it. `reads` is what the caller
+/// reads off the returned frame.
 ///
-/// `cache_key` opts the plan into the engine's plan cache (keyed on the
-/// canonical question plus the active rule tag, invalidated with the
-/// relational cache on DDL/DML); pass `None` for plans that embed
-/// materialized data. Under an active trace the plan runs profiled and
-/// the per-node breakdown (rows in/out, elapsed, LM calls/tokens) plus
-/// the `semplan_cache: hit|miss` line are annotated onto the innermost
-/// open span.
-pub fn run_semplan(
-    env: &TagEnv,
-    cache_key: Option<&str>,
-    reads: &SemReads,
-    build: impl FnOnce() -> SemNode,
-) -> Result<SemFrame, String> {
-    let opts = env.sem_opt();
-    enum PlanRef {
-        Cached(std::sync::Arc<tag_sql::plancache::CachedPlan>),
-        Owned(SemNode),
-    }
-    let (plan, cache_line) = match cache_key {
-        Some(key) => {
-            let full_key = format!("{key}|opt={}", opts.cache_tag());
-            let (cached, hit) = env
-                .db
-                .semplan_for(&full_key, || plan_sem(build(), reads, &opts, &env.db));
-            let line = if hit {
-                "semplan_cache: hit"
-            } else {
-                "semplan_cache: miss"
-            };
-            (PlanRef::Cached(cached), Some(line))
-        }
-        None => (
-            PlanRef::Owned(plan_sem(build(), reads, &opts, &env.db)),
-            None,
-        ),
-    };
-    let root: &SemNode = match &plan {
-        PlanRef::Cached(cached) => match &cached.arms[0].plan {
-            Plan::Sem { root } => root,
-            _ => unreachable!("semplan_for caches only semantic plans"),
-        },
-        PlanRef::Owned(node) => node,
-    };
+/// Under an active trace the plan runs profiled and the per-node
+/// breakdown (rows in/out, elapsed, LM calls/tokens) is annotated onto
+/// the innermost open span.
+pub fn run_semplan(env: &TagEnv, naive: SemNode, reads: &SemReads) -> Result<SemFrame, String> {
+    let root = plan_sem(naive, reads, &env.sem_opt(), &env.db);
     let runtime = SemRuntime::new(env);
     if !tag_trace::is_active() {
-        return execute_sem(root, &runtime);
+        return execute_sem(&root, &runtime);
     }
     let profiler = PlanProfiler::new();
-    let result = execute_sem_profiled(root, &runtime, &profiler);
+    let result = execute_sem_profiled(&root, &runtime, &profiler);
     for line in profiler.render().lines() {
         tag_trace::annotate(format!("semplan: {line}"));
-    }
-    if let Some(line) = cache_line {
-        tag_trace::annotate(line);
     }
     result
 }
@@ -1085,12 +1044,12 @@ mod tests {
 
         e.set_sem_opt(SemOptOptions::none());
         e.reset_metrics();
-        let naive_frame = run_semplan(&e, None, &nlq_reads(&q), || compile_nlq(&q)).unwrap();
+        let naive_frame = run_semplan(&e, compile_nlq(&q), &nlq_reads(&q)).unwrap();
         let naive_calls = e.lm.calls();
 
         e.set_sem_opt(SemOptOptions::all());
         e.reset_metrics();
-        let opt_frame = run_semplan(&e, None, &nlq_reads(&q), || compile_nlq(&q)).unwrap();
+        let opt_frame = run_semplan(&e, compile_nlq(&q), &nlq_reads(&q)).unwrap();
         let opt_calls = e.lm.calls();
 
         assert_eq!(naive_frame, opt_frame, "rewrites must not change answers");
@@ -1146,12 +1105,12 @@ mod tests {
 
         e.set_sem_opt(SemOptOptions::none());
         e.reset_metrics();
-        let naive = run_semplan(&e, None, &nlq_reads(&q), || compile_nlq(&q)).unwrap();
+        let naive = run_semplan(&e, compile_nlq(&q), &nlq_reads(&q)).unwrap();
         let naive_prompts = e.engine.stats().lm_prompts;
 
         e.set_sem_opt(SemOptOptions::all());
         e.reset_metrics();
-        let opt = run_semplan(&e, None, &nlq_reads(&q), || compile_nlq(&q)).unwrap();
+        let opt = run_semplan(&e, compile_nlq(&q), &nlq_reads(&q)).unwrap();
         let opt_prompts = e.engine.stats().lm_prompts;
 
         assert_eq!(naive, opt);
@@ -1161,19 +1120,6 @@ mod tests {
             opt_prompts < naive_prompts,
             "early stop must judge fewer values: {opt_prompts} vs {naive_prompts}"
         );
-    }
-
-    #[test]
-    fn cached_plan_reuses_across_runs() {
-        let e = env();
-        let q = parse("How many schools located in the Silicon Valley region are there?");
-        let key = format!("nlq:{}", q.render());
-        let a = run_semplan(&e, Some(&key), &nlq_reads(&q), || compile_nlq(&q)).unwrap();
-        let b = run_semplan(&e, Some(&key), &nlq_reads(&q), || {
-            panic!("cache hit must not rebuild")
-        })
-        .unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -130,11 +130,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Squared Euclidean distance.
-pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +174,6 @@ mod tests {
         assert_eq!(cosine(&a, &b), 0.0);
         assert_eq!(cosine(&a, &a), 1.0);
         assert_eq!(dot(&a, &b), 0.0);
-        assert_eq!(l2_sq(&a, &b), 2.0);
         assert_eq!(cosine(&[0.0, 0.0], &a), 0.0);
     }
 

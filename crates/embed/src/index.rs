@@ -1,11 +1,10 @@
-//! Vector indexes: exact flat search and an IVF approximate index.
+//! The vector index: exact flat search.
 //!
-//! The FAISS stand-in. `FlatIndex` is brute-force exact top-k;
-//! `IvfIndex` clusters vectors with k-means and probes the nearest
-//! `nprobe` cells, trading recall for speed exactly as `IndexIVFFlat`
-//! does.
+//! The FAISS stand-in. `FlatIndex` is brute-force exact top-k, as
+//! `IndexFlatIP` is: answers are byte-identical by contract, so an
+//! approximate index could never serve.
 
-use crate::embedder::{dot, l2_sq};
+use crate::embedder::dot;
 use std::cmp::Ordering;
 
 /// A scored search hit.
@@ -98,143 +97,6 @@ fn top_k_hits(hits: impl Iterator<Item = Hit>, k: usize) -> Vec<Hit> {
     best
 }
 
-/// IVF (inverted-file) approximate index: k-means coarse quantizer over
-/// `nlist` cells; queries probe the `nprobe` nearest cells.
-#[derive(Debug, Clone)]
-pub struct IvfIndex {
-    dims: usize,
-    nlist: usize,
-    /// Number of cells probed per query.
-    pub nprobe: usize,
-    centroids: Vec<Vec<f32>>,
-    cells: Vec<Vec<usize>>,
-    vectors: Vec<Vec<f32>>,
-}
-
-impl IvfIndex {
-    /// Build from a full set of vectors (train + add in one step,
-    /// matching the typical FAISS usage for static corpora).
-    pub fn build(dims: usize, nlist: usize, nprobe: usize, vectors: Vec<Vec<f32>>) -> Self {
-        assert!(nlist > 0 && nprobe > 0);
-        for v in &vectors {
-            assert_eq!(v.len(), dims, "dimension mismatch");
-        }
-        let nlist = nlist.min(vectors.len().max(1));
-        let centroids = kmeans(&vectors, nlist, dims, 10);
-        let mut cells: Vec<Vec<usize>> = vec![Vec::new(); centroids.len()];
-        for (id, v) in vectors.iter().enumerate() {
-            let c = nearest_centroid(v, &centroids);
-            cells[c].push(id);
-        }
-        IvfIndex {
-            dims,
-            nlist,
-            nprobe,
-            centroids,
-            cells,
-            vectors,
-        }
-    }
-
-    /// Number of stored vectors.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
-    /// Number of cells.
-    pub fn nlist(&self) -> usize {
-        self.nlist
-    }
-
-    /// Approximate top-k: probe the `nprobe` nearest cells.
-    pub fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        assert_eq!(query.len(), self.dims, "dimension mismatch");
-        if self.vectors.is_empty() {
-            return Vec::new();
-        }
-        // Rank cells by centroid distance.
-        let mut cell_order: Vec<(usize, f32)> = self
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, l2_sq(query, c)))
-            .collect();
-        cell_order.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
-        let candidates = cell_order
-            .iter()
-            .take(self.nprobe)
-            .flat_map(|(i, _)| self.cells[*i].iter().copied());
-        top_k_hits(
-            candidates.map(|id| Hit {
-                id,
-                score: dot(query, &self.vectors[id]),
-            }),
-            k,
-        )
-    }
-}
-
-/// Deterministic k-means (k-means++ style seeding via farthest-point,
-/// fixed iteration count).
-fn kmeans(vectors: &[Vec<f32>], k: usize, dims: usize, iters: usize) -> Vec<Vec<f32>> {
-    if vectors.is_empty() {
-        return vec![vec![0.0; dims]];
-    }
-    let k = k.min(vectors.len());
-    // Farthest-point seeding from vector 0 (deterministic).
-    let mut centroids: Vec<Vec<f32>> = vec![vectors[0].clone()];
-    while centroids.len() < k {
-        let (far_idx, _) = vectors
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let d = centroids
-                    .iter()
-                    .map(|c| l2_sq(v, c))
-                    .fold(f32::INFINITY, f32::min);
-                (i, d)
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
-            .expect("nonempty");
-        centroids.push(vectors[far_idx].clone());
-    }
-    for _ in 0..iters {
-        let mut sums = vec![vec![0f32; dims]; centroids.len()];
-        let mut counts = vec![0usize; centroids.len()];
-        for v in vectors {
-            let c = nearest_centroid(v, &centroids);
-            counts[c] += 1;
-            for (s, x) in sums[c].iter_mut().zip(v) {
-                *s += x;
-            }
-        }
-        for (c, (sum, count)) in sums.into_iter().zip(&counts).enumerate() {
-            if *count > 0 {
-                centroids[c] = sum.into_iter().map(|s| s / *count as f32).collect();
-            }
-        }
-    }
-    centroids
-}
-
-fn nearest_centroid(v: &[f32], centroids: &[Vec<f32>]) -> usize {
-    centroids
-        .iter()
-        .enumerate()
-        .min_by(|a, b| {
-            l2_sq(v, a.1)
-                .partial_cmp(&l2_sq(v, b.1))
-                .unwrap_or(Ordering::Equal)
-        })
-        .map(|(i, _)| i)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,50 +155,6 @@ mod tests {
         let hits = idx.search(&q, 5);
         // The target row should be the top hit.
         assert_eq!(texts[hits[0].id], "school in city number 4 with SAT scores");
-    }
-
-    #[test]
-    fn ivf_matches_flat_at_full_probe() {
-        let (e, texts) = corpus();
-        let vectors: Vec<Vec<f32>> = texts.iter().map(|t| e.embed(t)).collect();
-        let mut flat = FlatIndex::new(e.dims());
-        flat.add_all(vectors.clone());
-        let ivf = IvfIndex::build(e.dims(), 8, 8, vectors);
-        let q = e.embed("football player number 7");
-        let f: Vec<usize> = flat.search(&q, 5).into_iter().map(|h| h.id).collect();
-        let a: Vec<usize> = ivf.search(&q, 5).into_iter().map(|h| h.id).collect();
-        assert_eq!(f, a, "nprobe = nlist must equal exact search");
-    }
-
-    #[test]
-    fn ivf_low_probe_recall_degrades_gracefully() {
-        let (e, texts) = corpus();
-        let vectors: Vec<Vec<f32>> = texts.iter().map(|t| e.embed(t)).collect();
-        let mut flat = FlatIndex::new(e.dims());
-        flat.add_all(vectors.clone());
-        let ivf = IvfIndex::build(e.dims(), 12, 2, vectors);
-        let mut recall_hits = 0usize;
-        let mut total = 0usize;
-        for t in texts.iter().step_by(7) {
-            let q = e.embed(t);
-            let exact: std::collections::HashSet<usize> =
-                flat.search(&q, 3).into_iter().map(|h| h.id).collect();
-            let approx: std::collections::HashSet<usize> =
-                ivf.search(&q, 3).into_iter().map(|h| h.id).collect();
-            recall_hits += exact.intersection(&approx).count();
-            total += exact.len();
-        }
-        let recall = recall_hits as f64 / total as f64;
-        assert!(recall >= 0.5, "recall too low: {recall}");
-    }
-
-    #[test]
-    fn ivf_empty_and_tiny() {
-        let ivf = IvfIndex::build(4, 8, 2, vec![]);
-        assert!(ivf.is_empty());
-        assert!(ivf.search(&[0.0; 4], 3).is_empty());
-        let ivf = IvfIndex::build(2, 8, 2, vec![vec![1.0, 0.0]]);
-        assert_eq!(ivf.search(&[1.0, 0.0], 3).len(), 1);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! - [`embedder::Embedder`] — deterministic character-n-gram feature
 //!   hashing embeddings (L2-normalized);
 //! - [`index::FlatIndex`] — exact inner-product top-k;
-//! - [`index::IvfIndex`] — k-means inverted-file approximate search;
 //! - [`store::RowStore`] — row-level retrieval over the paper's
 //!   "- col: val" serialization.
 
@@ -16,6 +15,6 @@ pub mod embedder;
 pub mod index;
 pub mod store;
 
-pub use embedder::{cosine, dot, l2_sq, Embedder, EmbedderConfig};
-pub use index::{FlatIndex, Hit, IvfIndex};
+pub use embedder::{cosine, dot, Embedder, EmbedderConfig};
+pub use index::{FlatIndex, Hit};
 pub use store::{serialize_row, RetrievalStats, RowStore, StoredRow};

@@ -1,7 +1,7 @@
 //! Property-based tests for the embedding substrate.
 
 use proptest::prelude::*;
-use tag_embed::{cosine, Embedder, FlatIndex, IvfIndex};
+use tag_embed::{cosine, Embedder, FlatIndex};
 
 proptest! {
     /// Embeddings are unit-norm (or zero) and deterministic.
@@ -48,23 +48,5 @@ proptest! {
         prop_assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
         let top = &texts[hits[0].id];
         prop_assert_eq!(e.embed(top), e.embed(probe));
-    }
-
-    /// IVF with nprobe == nlist returns the same ids as exact search.
-    #[test]
-    fn ivf_full_probe_is_exact(
-        texts in prop::collection::vec("[a-z ]{5,40}", 3..25),
-        k in 1usize..5,
-    ) {
-        let e = Embedder::default();
-        let vectors: Vec<Vec<f32>> = texts.iter().map(|t| e.embed(t)).collect();
-        let mut flat = FlatIndex::new(e.dims());
-        flat.add_all(vectors.clone());
-        let nlist = 4;
-        let ivf = IvfIndex::build(e.dims(), nlist, nlist, vectors);
-        let q = e.embed(&texts[0]);
-        let f: Vec<usize> = flat.search(&q, k).into_iter().map(|h| h.id).collect();
-        let a: Vec<usize> = ivf.search(&q, k).into_iter().map(|h| h.id).collect();
-        prop_assert_eq!(f, a);
     }
 }

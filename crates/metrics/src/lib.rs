@@ -12,7 +12,7 @@
 //!   `TRACE <id>` lookup.
 //! - [`MetricsHub`]: a registry of named instruments plus scrape-time
 //!   collectors for subsystems that already keep their own counters
-//!   (plan cache, semantic-op stats, batch rounds). `MetricsHub::noop()`
+//!   (answer cache, semantic-op stats, batch rounds). `MetricsHub::noop()`
 //!   is the null registry used by the `obs-bench` overhead gate: every
 //!   instrument it hands out drops observations after one branch.
 //! - [`MetricsHub::render`]: deterministic Prometheus-text exposition

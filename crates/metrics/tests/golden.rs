@@ -70,14 +70,14 @@ fn build_hub() -> (MetricsHub, MockClock) {
 
     hub.register_collector(|out| {
         out.push(Sample::counter(
-            "tag_sqlengine_plan_cache_hits_total",
-            "Plan-cache hits by domain.",
+            "tag_embed_retrieval_probes_total",
+            "Retrieval probes served.",
             &[("domain", "bird_f1")],
             5,
         ));
         out.push(Sample::counter(
-            "tag_sqlengine_plan_cache_hits_total",
-            "Plan-cache hits by domain.",
+            "tag_embed_retrieval_probes_total",
+            "Retrieval probes served.",
             &[("domain", "bird_codebase")],
             2,
         ));

@@ -9,9 +9,7 @@
 //!   misses cross one bounded admission queue to one worker pool whose
 //!   workers run each request to completion, with per-request
 //!   deadlines and typed load-shedding ([`ServeError::QueueFull`],
-//!   [`ServeError::DeadlineExceeded`]). The engine-level plan cache
-//!   (see `tag_sql::PlanCache`) is surfaced per server via
-//!   [`Server::plan_cache_stats`].
+//!   [`ServeError::DeadlineExceeded`]).
 //! - [`BatchLm`] coalesces semantic-operator LM calls from *different*
 //!   concurrent requests into shared inference rounds by group commit
 //!   (whatever arrives during one round rides the next; an idle model
@@ -31,11 +29,11 @@
 //!   evicted ids from unknown ones), and per-stage aggregates
 //!   accumulate in [`StageMetrics`] for the `STATS` report.
 //!
-//! Three binaries ship with the crate: `tag-serve`, a stdin/stdout line
-//! server speaking `ASK <domain> <method> <question>`; `serve-bench`, a
-//! load generator replaying the 80 TAG-Bench queries at configurable
-//! concurrency; and `obs-bench`, the observability overhead gate that
-//! replays the benchmark with the hub enabled vs the null registry.
+//! Two binaries ship with the crate: `tag-serve`, a stdin/stdout line
+//! server speaking `ASK <domain> <method> <question>`, and `obs-bench`,
+//! the observability overhead gate that replays the benchmark with the
+//! hub enabled vs the null registry. Load is `tag-perf`'s job
+//! (`perf/`, workloads `serve_cold` and `serve_hot`).
 
 #![warn(missing_docs)]
 

@@ -339,21 +339,10 @@ impl Server {
         &self.shared.stages
     }
 
-    /// Plan-cache counters aggregated across every served domain.
+    /// Always the zero value; see [`tag_sql::PlanCacheStats`]. Only
+    /// caller: `perf/src/serve.rs`.
     pub fn plan_cache_stats(&self) -> tag_sql::PlanCacheStats {
-        let mut total = tag_sql::PlanCacheStats::default();
-        for env in self.shared.envs.values() {
-            total.add(&env.db.plan_cache_stats());
-        }
-        total
-    }
-
-    /// Resize every domain's plan cache (0 disables them) — the A/B
-    /// switch serve-bench uses to measure the cache's contribution.
-    pub fn set_plan_cache_capacity(&self, capacity: usize) {
-        for env in self.shared.envs.values() {
-            env.db.set_plan_cache_capacity(capacity);
-        }
+        tag_sql::PlanCacheStats::default()
     }
 
     /// Render a plan for `statement` against `domain` without executing
@@ -541,17 +530,6 @@ impl Server {
             out.push_str(&self.shared.stages.report());
             out.push_str(&self.shared.stages.windows_report());
         }
-        let pc = self.plan_cache_stats();
-        out.push_str(&format!(
-            "== plan cache ==\nplan cache: hits={} misses={} evictions={} invalidations={} \
-             entries={} hit_rate={:.1}%\n",
-            pc.hits,
-            pc.misses,
-            pc.evictions,
-            pc.invalidations,
-            pc.entries,
-            pc.hit_rate() * 100.0,
-        ));
         out.push_str(&format!(
             "traces resident: {} (ring capacity {}, tail {}/{})\n",
             self.shared.traces.len(),
@@ -583,8 +561,8 @@ impl Drop for Server {
 
 /// Wire scrape-time collectors into the hub: subsystems that already
 /// keep their own relaxed-atomic counters (serving registry, answer
-/// cache, LM batcher, and per-domain plan cache / semantic operators /
-/// retrieval) are sampled at render time, adding zero hot-path work.
+/// cache, LM batcher, and per-domain semantic operators / retrieval)
+/// are sampled at render time, adding zero hot-path work.
 ///
 /// Each closure captures only the `Arc`s it samples, and the domain
 /// environments only *weakly*: an env holds the hub (through its
@@ -691,37 +669,6 @@ fn register_collectors(
         for (domain, env) in &weak_envs {
             let Some(env) = env.upgrade() else { continue };
             let labels = [("domain", domain.as_str())];
-            let pc = env.db.plan_cache_stats();
-            for (name, help, v) in [
-                (
-                    "tag_sqlengine_plan_cache_hits_total",
-                    "Plan-cache hits.",
-                    pc.hits,
-                ),
-                (
-                    "tag_sqlengine_plan_cache_misses_total",
-                    "Plan-cache misses (statement re-planned).",
-                    pc.misses,
-                ),
-                (
-                    "tag_sqlengine_plan_cache_evictions_total",
-                    "Plan-cache LRU evictions.",
-                    pc.evictions,
-                ),
-                (
-                    "tag_sqlengine_plan_cache_invalidations_total",
-                    "Whole-plan-cache invalidations (schema-epoch bumps).",
-                    pc.invalidations,
-                ),
-            ] {
-                out.push(Sample::counter(name, help, &labels, v));
-            }
-            out.push(Sample::gauge(
-                "tag_sqlengine_plan_cache_entries",
-                "Plan-cache resident entries.",
-                &labels,
-                pc.entries as f64,
-            ));
             for (op, s) in env.engine.op_stats() {
                 let op_labels = [("domain", domain.as_str()), ("op", op)];
                 out.push(Sample::counter(
@@ -954,30 +901,8 @@ mod tests {
         assert!(r.contains("answer cache"));
         assert!(r.contains("semantic operators"), "{r}");
         assert!(r.contains("stage breakdown"), "{r}");
-        assert!(r.contains("== plan cache =="), "{r}");
         assert!(r.contains("answer cache shard hits/misses"), "{r}");
         assert!(r.contains("traces resident"), "{r}");
-    }
-
-    #[test]
-    fn executed_requests_look_plans_up() {
-        let (server, req) = tiny_server(ServerConfig::default());
-        assert!(!server.ask(req).unwrap().cache_hit);
-        // The handwritten method ran SQL, so plans were looked up.
-        let pc = server.plan_cache_stats();
-        assert!(pc.hits + pc.misses > 0, "{pc:?}");
-    }
-
-    #[test]
-    fn disabling_plan_cache_keeps_answers_identical() {
-        let (server, req) = tiny_server(ServerConfig::default());
-        let baseline = server.ask(req.clone()).unwrap();
-        server.set_plan_cache_capacity(0);
-        server.cache().clear();
-        let uncached = server.ask(req).unwrap();
-        assert!(!uncached.cache_hit);
-        assert_eq!(baseline.answer, uncached.answer);
-        assert_eq!(server.plan_cache_stats().capacity, 0);
     }
 
     #[test]
@@ -1091,10 +1016,9 @@ mod tests {
         assert!(text.contains("tag_serve_stage_seconds_bucket"), "{text}");
         // Per-domain subsystem collectors.
         assert!(
-            text.contains("tag_sqlengine_plan_cache_hits_total{domain=\""),
+            text.contains("tag_semops_round_occupancy{domain=\""),
             "{text}"
         );
-        assert!(text.contains("tag_semops_round_occupancy"), "{text}");
         assert!(text.contains("tag_lm_batch_rounds_total"), "{text}");
         // Per-operator instrumentation installed into the SQL engine.
         assert!(text.contains("tag_sqlengine_operator_seconds"), "{text}");
@@ -1134,7 +1058,6 @@ mod tests {
         // Cumulative STATS still work without the hub.
         let r = server.report();
         assert!(r.contains("serving metrics"), "{r}");
-        assert!(r.contains("== plan cache =="), "{r}");
     }
 
     #[test]

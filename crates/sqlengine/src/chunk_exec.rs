@@ -288,11 +288,6 @@ impl<'a> ChunkCtx<'a> {
                 }
                 Ok(out)
             }
-            Plan::Sem { .. } => Err(SqlError::Unsupported(
-                "semantic plans execute through a SemDelegate (see tag_sql::execute_sem), \
-                 not the relational executor"
-                    .into(),
-            )),
         }
     }
 
@@ -1005,12 +1000,12 @@ mod parity {
     /// Plan `sql` once and check every arm. `Ok(false)`: the statement
     /// failed at plan time (an eager subquery can).
     fn check(db: &Database, sql: &str, morsel_rows: usize) -> Result<bool, String> {
-        let stmt = parse_statement(sql).expect("pool statements parse");
-        let Ok(cached) = db.plan_statement(&stmt) else {
+        parse_statement(sql).expect("pool statements parse");
+        let Ok(plans) = db.plans(sql) else {
             return Ok(false);
         };
-        for arm in &cached.arms {
-            check_plan(db, &arm.plan, morsel_rows).map_err(|e| format!("{sql}: {e}"))?;
+        for plan in &plans {
+            check_plan(db, plan, morsel_rows).map_err(|e| format!("{sql}: {e}"))?;
         }
         Ok(true)
     }
@@ -1048,10 +1043,7 @@ mod parity {
             vec![Value::Null, Value::Float(0.5), text("2")],
             vec![Value::Int(2), Value::Float(4.0), text("z")],
         ]);
-        let plan = |sql: &str| {
-            let stmt = parse_statement(sql).unwrap();
-            db.plan_statement(&stmt).unwrap().arms.remove(0).plan
-        };
+        let plan = |sql: &str| db.plans(sql).unwrap().remove(0);
         for (sql, leaf) in leaf_queries(0) {
             assert!(plan(&sql).explain().contains(leaf), "{sql}: no {leaf} leaf");
         }

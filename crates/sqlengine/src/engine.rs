@@ -1,10 +1,13 @@
 //! The top-level database engine: statement dispatch over a catalog.
 //!
-//! Every plan — `query`, `query_profiled` — runs through the one
-//! relational executor, [`crate::chunk_exec::execute`]; nothing on
-//! `Database` selects how.
+//! Every read (`query`, `query_profiled`, `execute` of a SELECT, and
+//! the `EXPLAIN` of one) is planned when it runs, by one function
+//! ([`Database::plan_arms`]), against the catalog as it is at that
+//! moment; every plan runs through the one relational executor,
+//! [`crate::chunk_exec::execute`]. Nothing on `Database` selects how,
+//! and nothing is kept between statements.
 
-use crate::ast::{ColumnDef, InsertStmt, Statement};
+use crate::ast::{ColumnDef, InsertStmt, SelectStmt, Statement};
 use crate::catalog::Catalog;
 use crate::chunk_exec::execute;
 use crate::error::{SqlError, SqlResult};
@@ -12,12 +15,10 @@ use crate::metrics::ExecMetrics;
 use crate::optimizer::optimize;
 use crate::parser::{parse_statement, parse_statements};
 use crate::plan::Plan;
-use crate::plancache::{normalize_sql, CachedArm, CachedPlan, PlanCache, PlanCacheStats};
 use crate::planner::{Planner, Scope};
 use crate::profile::PlanProfiler;
 use crate::result::ResultSet;
 use crate::schema::{Column, Schema};
-use crate::semplan::SemNode;
 use crate::table::{IndexKind, Table};
 use crate::udf::{ScalarUdf, UdfRegistry};
 use crate::value::Value;
@@ -70,6 +71,39 @@ impl<F: ?Sized> std::fmt::Debug for HookSlot<F> {
     }
 }
 
+/// What is left of the plan cache's counters: both always 0.
+///
+/// Kept only because `perf/` (which no PR but a `benchmark` PR may
+/// edit) reads `hits` and `misses` to fill `tag-sql.plan_cache_hit_ratio`;
+/// ROADMAP item 4 drops the struct, both shims and the metric together.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Always 0: no statement's plan is kept.
+    pub hits: u64,
+    /// Always 0: with nothing counted the metric reads 0.
+    pub misses: u64,
+}
+
+/// One arm of a planned read: a bound + optimized plan. A plain SELECT
+/// is one arm; a compound SELECT has one per UNION branch.
+struct Arm {
+    /// `UNION ALL` (true) vs deduplicating `UNION` (false) with respect
+    /// to the preceding arms; unused on the first arm.
+    union_all: bool,
+    plan: Plan,
+}
+
+impl Arm {
+    /// The line that separates this arm's text from the previous arm's.
+    fn separator(&self) -> &'static str {
+        if self.union_all {
+            "UNION ALL\n"
+        } else {
+            "UNION\n"
+        }
+    }
+}
+
 /// An in-memory SQL database: catalog + UDF registry + query pipeline.
 ///
 /// ```
@@ -88,14 +122,6 @@ pub struct Database {
     /// Atomic so read-only `query()` can count under a shared borrow
     /// (the serving runtime runs SELECTs from many threads at once).
     statements_run: AtomicU64,
-    /// Bumped on every statement that can change what a plan would
-    /// produce: DDL, DML (the planner eagerly executes uncorrelated
-    /// subqueries, so plans embed data-dependent literals), and direct
-    /// catalog/UDF mutation. Part of the plan-cache key.
-    schema_epoch: AtomicU64,
-    /// Bound + optimized plans keyed on `(schema_epoch, normalized SQL)`.
-    /// Semantic plans share the cache under `semplan:`-prefixed keys.
-    plan_cache: PlanCache,
     /// Registered `EXPLAIN SEMPLAN` renderer.
     semplan_explainer: HookSlot<SemPlanExplainFn>,
     /// Registered `EXPLAIN VERIFY` renderer (the static verifier).
@@ -111,10 +137,6 @@ impl Clone for Database {
             catalog: self.catalog.clone(),
             udfs: self.udfs.clone(),
             statements_run: AtomicU64::new(self.statements_run.load(Ordering::Relaxed)),
-            schema_epoch: AtomicU64::new(self.schema_epoch.load(Ordering::Acquire)),
-            // Plans are cheap to rebuild; a clone starts with an empty
-            // cache rather than sharing or copying entries.
-            plan_cache: PlanCache::new(self.plan_cache.capacity()),
             semplan_explainer: self.semplan_explainer.clone(),
             semplan_verifier: self.semplan_verifier.clone(),
             // Clones share the sink: instruments are per-operator-kind
@@ -137,13 +159,11 @@ impl Database {
 
     /// Mutable catalog access for programmatic table construction.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
-        self.invalidate_plans();
         &mut self.catalog
     }
 
     /// Register a scalar UDF (e.g. an LM-backed function).
     pub fn register_udf(&mut self, udf: Arc<dyn ScalarUdf>) {
-        self.invalidate_plans();
         self.udfs.register(udf);
     }
 
@@ -157,15 +177,10 @@ impl Database {
         self.statements_run.load(Ordering::Relaxed)
     }
 
-    /// Current schema epoch. Two loads returning the same value bracket
-    /// a window with no DDL/DML/catalog mutation.
-    pub fn schema_epoch(&self) -> u64 {
-        self.schema_epoch.load(Ordering::Acquire)
-    }
-
-    /// Plan-cache counter snapshot.
+    /// Always the zero value; see [`PlanCacheStats`]. Only caller:
+    /// `perf/src/{sql_scale,paper_replay}.rs`.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_cache.stats()
+        PlanCacheStats::default()
     }
 
     /// Install a metrics hub: profiled queries
@@ -177,199 +192,135 @@ impl Database {
         let _ = self.exec_metrics.set(Arc::new(ExecMetrics::new(hub)));
     }
 
-    /// Resize the plan cache (0 disables it). Takes `&self` so a shared
-    /// handle (e.g. the serving runtime's `Arc<TagEnv>`) can switch
-    /// caching off for A/B benchmarking.
-    pub fn set_plan_cache_capacity(&self, capacity: usize) {
-        self.plan_cache.set_capacity(capacity);
-    }
-
-    /// Bump the schema epoch and drop every cached plan. Called before
-    /// any mutation; also callable directly by embedders that reach
-    /// around the SQL surface.
-    pub fn invalidate_plans(&mut self) {
-        self.schema_epoch.fetch_add(1, Ordering::Release);
-        self.plan_cache.invalidate();
-    }
-
     /// Parse, plan, optimize, and run one SQL statement. `EXPLAIN`
     /// statements (see [`Database::query`]) are answered without
     /// executing anything.
     pub fn execute(&mut self, sql: &str) -> SqlResult<ResultSet> {
-        if let Some(result) = self.try_explain(sql) {
-            self.statements_run.fetch_add(1, Ordering::Relaxed);
-            return result;
+        match self.try_explain(sql) {
+            Some(result) => result,
+            None => self.execute_statement(parse_statement(sql)?),
         }
-        let stmt = parse_statement(sql)?;
-        self.execute_statement(stmt)
     }
 
     /// Run a read-only statement (`SELECT` / compound `SELECT`) under a
     /// shared borrow — the concurrent-serving entry point. DDL and DML
     /// are rejected with [`SqlError::Unsupported`].
     ///
-    /// Repeated statements hit the plan cache (keyed on schema epoch +
-    /// [`normalize_sql`]) and skip parse/bind/optimize entirely; the
-    /// cached [`Plan`](crate::Plan) runs through the same executor, so
-    /// results are byte-identical to an uncached run.
-    /// `EXPLAIN <select>` and `EXPLAIN SEMPLAN <question>` statements
-    /// are also accepted here: both are read-only and return the plan
-    /// text as a one-column `plan` result (one row per line, plus a
-    /// trailing `plan_cache: hit|miss` row for `EXPLAIN <select>`).
+    /// `EXPLAIN <select>`, `EXPLAIN SEMPLAN <question>` and
+    /// `EXPLAIN VERIFY <question>` are also accepted here: all three are
+    /// read-only and return the plan text as a one-column `plan` result,
+    /// one row per line.
     pub fn query(&self, sql: &str) -> SqlResult<ResultSet> {
-        if let Some(result) = self.try_explain(sql) {
-            self.statements_run.fetch_add(1, Ordering::Relaxed);
-            return result;
-        }
-        let (cached, _hit) = self.plan_for(sql)?;
-        self.statements_run.fetch_add(1, Ordering::Relaxed);
-        self.execute_cached(&cached)
+        self.read(sql, None)
     }
 
     /// Execute an already-parsed read-only statement under `&self`.
-    /// Bypasses the plan cache (there is no SQL text to key on).
     pub fn query_statement(&self, stmt: Statement) -> SqlResult<ResultSet> {
-        match stmt {
-            Statement::Select(_) | Statement::CompoundSelect { .. } => {}
-            _ => {
-                return Err(SqlError::Unsupported(
-                    "query() is read-only; use execute() for DDL/DML".into(),
-                ))
-            }
-        }
-        self.statements_run.fetch_add(1, Ordering::Relaxed);
-        let cached = self.plan_statement(&stmt)?;
-        self.execute_cached(&cached)
+        self.read_statement(&stmt, None)
     }
 
     /// Like [`Database::query`], but also returns an `EXPLAIN ANALYZE`-
     /// style annotated plan: one line per operator with input/output
-    /// cardinality and elapsed wall-clock time, plus a trailing
-    /// `plan_cache: hit|miss` line. The rows are produced by the same
-    /// executor code path as `query`, so the [`ResultSet`] is always
-    /// identical to an unprofiled run.
+    /// cardinality and elapsed wall-clock time. It is `query` with a
+    /// profiler attached, so the [`ResultSet`] is always identical to an
+    /// unprofiled run; for an `EXPLAIN` statement, which executes
+    /// nothing, the text is empty.
     pub fn query_profiled(&self, sql: &str) -> SqlResult<(ResultSet, String)> {
-        let (cached, hit) = self.plan_for(sql)?;
-        self.statements_run.fetch_add(1, Ordering::Relaxed);
-        let mut acc: Option<ResultSet> = None;
         let mut text = String::new();
-        for arm in &cached.arms {
-            let profiler = PlanProfiler::new();
-            let rows = execute(&arm.plan, &self.catalog, Some(&profiler))?;
-            if let Some(sink) = self.exec_metrics.get() {
-                sink.record(&profiler.nodes());
-            }
-            match &mut acc {
-                None => acc = Some(ResultSet::new(arm.columns.clone(), rows)),
-                Some(acc) => {
-                    text.push_str(if arm.union_all {
-                        "UNION ALL\n"
-                    } else {
-                        "UNION\n"
-                    });
-                    acc.rows.extend(rows);
-                    if !arm.union_all {
-                        let mut seen = std::collections::HashSet::new();
-                        acc.rows.retain(|r| seen.insert(r.clone()));
-                    }
-                }
-            }
-            text.push_str(&profiler.render());
-        }
-        text.push_str(if hit {
-            "plan_cache: hit"
-        } else {
-            "plan_cache: miss"
-        });
-        match acc {
-            Some(rs) => Ok((rs, text)),
-            // The planner never caches an empty arm list; refuse rather
-            // than panic if that invariant ever breaks.
-            None => Err(SqlError::Unsupported("cached plan has no arms".into())),
+        let rs = self.read(sql, Some(&mut text))?;
+        Ok((rs, text))
+    }
+
+    /// The one read path: answer an `EXPLAIN`, or parse the statement
+    /// and read it.
+    fn read(&self, sql: &str, profile: Option<&mut String>) -> SqlResult<ResultSet> {
+        match self.try_explain(sql) {
+            Some(result) => result,
+            None => self.read_statement(&parse_statement(sql)?, profile),
         }
     }
 
-    /// Fetch the cached plan for `sql`, or parse + bind + optimize and
-    /// cache it. The bool is true on a cache hit.
-    fn plan_for(&self, sql: &str) -> SqlResult<(Arc<CachedPlan>, bool)> {
-        let epoch = self.schema_epoch.load(Ordering::Acquire);
-        let key = normalize_sql(sql);
-        if let Some(cached) = self.plan_cache.get(epoch, &key) {
-            return Ok((cached, true));
-        }
-        let stmt = parse_statement(sql)?;
-        match stmt {
-            Statement::Select(_) | Statement::CompoundSelect { .. } => {}
-            _ => {
-                return Err(SqlError::Unsupported(
-                    "query() is read-only; use execute() for DDL/DML".into(),
-                ))
-            }
-        }
-        let cached = Arc::new(self.plan_statement(&stmt)?);
-        self.plan_cache.insert(epoch, key, Arc::clone(&cached));
-        Ok((cached, false))
+    /// Plan the statement's arms and run them, profiled into `profile`
+    /// when given.
+    fn read_statement(
+        &self,
+        stmt: &Statement,
+        profile: Option<&mut String>,
+    ) -> SqlResult<ResultSet> {
+        let arms = self.plan_arms(stmt, READ_ONLY)?;
+        self.statements_run.fetch_add(1, Ordering::Relaxed);
+        self.run_arms(&arms, profile)
     }
 
-    /// Bind + optimize every arm of a SELECT / compound SELECT. Arm
-    /// widths are validated here so a cached compound plan can never
-    /// reach execution with mismatched arms.
-    pub(crate) fn plan_statement(&self, stmt: &Statement) -> SqlResult<CachedPlan> {
-        let plan_arm = |sel: &crate::ast::SelectStmt| -> SqlResult<CachedArm> {
-            let planner = Planner::new(&self.catalog, &self.udfs);
-            let plan = planner.plan_select(sel)?;
+    /// Bind + optimize every arm of a SELECT / compound SELECT against
+    /// the catalog as it is now (the planner runs uncorrelated
+    /// subqueries here, so the plan embeds their current answers). Any
+    /// other statement is refused with `refusal`. Arm widths are
+    /// validated here so a compound plan never reaches execution with
+    /// mismatched arms.
+    fn plan_arms(&self, stmt: &Statement, refusal: &str) -> SqlResult<Vec<Arm>> {
+        let plan_arm = |sel: &SelectStmt, union_all: bool| -> SqlResult<Arm> {
+            let plan = Planner::new(&self.catalog, &self.udfs).plan_select(sel)?;
             let plan = optimize(plan, &self.catalog);
-            let columns = plan.columns();
-            Ok(CachedArm {
-                union_all: false,
-                plan,
-                columns,
-            })
+            Ok(Arm { union_all, plan })
         };
         match stmt {
-            Statement::Select(sel) => Ok(CachedPlan {
-                arms: vec![plan_arm(sel)?],
-            }),
+            Statement::Select(sel) => Ok(vec![plan_arm(sel, false)?]),
             Statement::CompoundSelect { first, rest } => {
-                let mut arms = vec![plan_arm(first)?];
+                let mut arms = vec![plan_arm(first, false)?];
                 for (all, sel) in rest {
-                    let mut arm = plan_arm(sel)?;
-                    if arm.columns.len() != arms[0].columns.len() {
+                    let arm = plan_arm(sel, *all)?;
+                    let (first, width) = (arms[0].plan.width(), arm.plan.width());
+                    if width != first {
                         return Err(SqlError::Binding(format!(
-                            "UNION arms have different widths ({} vs {})",
-                            arms[0].columns.len(),
-                            arm.columns.len()
+                            "UNION arms have different widths ({first} vs {width})"
                         )));
                     }
-                    arm.union_all = *all;
                     arms.push(arm);
                 }
-                Ok(CachedPlan { arms })
+                Ok(arms)
             }
-            _ => Err(SqlError::Unsupported(
-                "query() is read-only; use execute() for DDL/DML".into(),
-            )),
+            _ => Err(SqlError::Unsupported(refusal.into())),
         }
     }
 
-    /// Run every arm of a cached plan and combine with UNION semantics
-    /// (plain UNION dedups the accumulated result, SQLite-style).
-    fn execute_cached(&self, cached: &CachedPlan) -> SqlResult<ResultSet> {
-        let mut acc: Option<ResultSet> = None;
-        for arm in &cached.arms {
-            let rows = execute(&arm.plan, &self.catalog, None)?;
-            match &mut acc {
-                None => acc = Some(ResultSet::new(arm.columns.clone(), rows)),
-                Some(acc) => {
-                    acc.rows.extend(rows);
-                    if !arm.union_all {
-                        let mut seen = std::collections::HashSet::new();
-                        acc.rows.retain(|r| seen.insert(r.clone()));
-                    }
+    /// The optimized plan of each arm of `sql`: what the parity tests
+    /// hand to the reference interpreter and the executor alike.
+    #[cfg(test)]
+    pub(crate) fn plans(&self, sql: &str) -> SqlResult<Vec<Plan>> {
+        let arms = self.plan_arms(&parse_statement(sql)?, READ_ONLY)?;
+        Ok(arms.into_iter().map(|arm| arm.plan).collect())
+    }
+
+    /// Run every arm and combine with UNION semantics (plain UNION
+    /// dedups the accumulated result, SQLite-style). With `profile`,
+    /// each arm runs under a [`PlanProfiler`] whose rendering is
+    /// appended to it and whose nodes feed the installed metrics sink.
+    fn run_arms(&self, arms: &[Arm], mut profile: Option<&mut String>) -> SqlResult<ResultSet> {
+        let mut out = ResultSet::empty();
+        for (i, arm) in arms.iter().enumerate() {
+            let profiler = profile.is_some().then(PlanProfiler::new);
+            let rows = execute(&arm.plan, &self.catalog, profiler.as_ref())?;
+            if i == 0 {
+                out = ResultSet::new(arm.plan.columns(), rows);
+            } else {
+                out.rows.extend(rows);
+                if !arm.union_all {
+                    let mut seen = std::collections::HashSet::new();
+                    out.rows.retain(|r| seen.insert(r.clone()));
                 }
             }
+            if let (Some(text), Some(profiler)) = (profile.as_deref_mut(), &profiler) {
+                if let Some(sink) = self.exec_metrics.get() {
+                    sink.record(&profiler.nodes());
+                }
+                if i > 0 {
+                    text.push_str(arm.separator());
+                }
+                text.push_str(&profiler.render());
+            }
         }
-        acc.ok_or_else(|| SqlError::Unsupported("cached plan has no arms".into()))
+        Ok(out)
     }
 
     /// Run several semicolon-separated statements; returns the last result.
@@ -382,20 +333,18 @@ impl Database {
         Ok(last)
     }
 
-    /// Plan a SELECT and return its optimized plan (EXPLAIN support).
+    /// Plan a SELECT or compound SELECT and return its optimized plan,
+    /// one rendering per arm: the text `EXPLAIN <sql>` returns as rows.
     pub fn explain(&self, sql: &str) -> SqlResult<String> {
-        let stmt = parse_statement(sql)?;
-        match stmt {
-            Statement::Select(sel) => {
-                let planner = Planner::new(&self.catalog, &self.udfs);
-                let plan = planner.plan_select(&sel)?;
-                let plan = optimize(plan, &self.catalog);
-                Ok(plan.explain())
+        let arms = self.plan_arms(&parse_statement(sql)?, EXPLAIN_ONLY)?;
+        let mut text = String::new();
+        for (i, arm) in arms.iter().enumerate() {
+            if i > 0 {
+                text.push_str(arm.separator());
             }
-            _ => Err(SqlError::Unsupported(
-                "EXPLAIN is only available for SELECT".into(),
-            )),
+            text.push_str(&arm.plan.explain());
         }
+        Ok(text)
     }
 
     /// Register the `EXPLAIN SEMPLAN` renderer. The callback receives
@@ -413,67 +362,19 @@ impl Database {
         self.semplan_verifier.set(f);
     }
 
-    /// Fetch the cached semantic plan for `key` (a canonicalized NL
-    /// query plus optimizer tag), or build it via `build` and cache it.
-    /// Shares the relational plan cache — same LRU budget, same
-    /// epoch-based invalidation on DDL/DML — under a `semplan:` key
-    /// prefix so SQL text can never collide with a semantic key. The
-    /// bool is true on a cache hit.
-    pub fn semplan_for(
-        &self,
-        key: &str,
-        build: impl FnOnce() -> SemNode,
-    ) -> (Arc<CachedPlan>, bool) {
-        let epoch = self.schema_epoch.load(Ordering::Acquire);
-        let key = format!("semplan:{key}");
-        if let Some(cached) = self.plan_cache.get(epoch, &key) {
-            return (cached, true);
-        }
-        let cached = Arc::new(CachedPlan {
-            arms: vec![CachedArm {
-                union_all: false,
-                plan: Plan::Sem { root: build() },
-                columns: Vec::new(),
-            }],
-        });
-        self.plan_cache.insert(epoch, key, Arc::clone(&cached));
-        (cached, false)
-    }
-
     /// Recognize and answer an `EXPLAIN` statement; `None` when `sql`
-    /// is not one. `EXPLAIN <select>` plans through the cache (so it
-    /// reports and affects hit/miss state exactly like a query);
-    /// `EXPLAIN SEMPLAN <question>` routes to the registered explainer.
+    /// is not one. `EXPLAIN <select>` is [`Database::explain`] as rows;
+    /// `EXPLAIN SEMPLAN|VERIFY <question>` route to the registered hooks.
     fn try_explain(&self, sql: &str) -> Option<SqlResult<ResultSet>> {
         let rest = strip_keyword(sql.trim(), "EXPLAIN")?.trim_start();
+        self.statements_run.fetch_add(1, Ordering::Relaxed);
         if let Some(question) = strip_keyword(rest, "SEMPLAN") {
             return Some(self.explain_semplan(question.trim()));
         }
         if let Some(question) = strip_keyword(rest, "VERIFY") {
             return Some(self.explain_verify(question.trim()));
         }
-        Some(self.explain_select_cached(rest.trim()))
-    }
-
-    fn explain_select_cached(&self, sql: &str) -> SqlResult<ResultSet> {
-        let (cached, hit) = self.plan_for(sql)?;
-        let mut text = String::new();
-        for (i, arm) in cached.arms.iter().enumerate() {
-            if i > 0 {
-                text.push_str(if arm.union_all {
-                    "UNION ALL\n"
-                } else {
-                    "UNION\n"
-                });
-            }
-            text.push_str(&arm.plan.explain());
-        }
-        text.push_str(if hit {
-            "plan_cache: hit"
-        } else {
-            "plan_cache: miss"
-        });
-        Ok(plan_text_result(&text))
+        Some(self.explain(rest).map(|text| plan_text_result(&text)))
     }
 
     fn explain_semplan(&self, question: &str) -> SqlResult<ResultSet> {
@@ -518,11 +419,6 @@ impl Database {
         ) {
             return self.query_statement(stmt);
         }
-        // Every non-SELECT can change what a plan would produce (DML
-        // included: the planner inlines uncorrelated subquery results),
-        // and a failed statement may still have partial effects — so
-        // invalidate before executing.
-        self.invalidate_plans();
         self.statements_run.fetch_add(1, Ordering::Relaxed);
         match stmt {
             Statement::Select(_) | Statement::CompoundSelect { .. } => {
@@ -721,6 +617,11 @@ impl Database {
     }
 }
 
+/// What `query` and its kin answer to a statement that is not a read.
+const READ_ONLY: &str = "query() is read-only; use execute() for DDL/DML";
+/// What `EXPLAIN` and [`Database::explain`] answer to one.
+const EXPLAIN_ONLY: &str = "EXPLAIN is only available for SELECT and compound SELECT";
+
 /// Case-insensitive keyword prefix match: returns the text after the
 /// keyword when `text` starts with it as a whole word.
 fn strip_keyword<'a>(text: &'a str, keyword: &str) -> Option<&'a str> {
@@ -772,7 +673,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_statement_renders_plan_and_cache_state() {
+    fn explain_statement_renders_plan() {
         let db = db();
         let rs = db
             .query("EXPLAIN SELECT * FROM schools WHERE CDSCode = 2")
@@ -780,16 +681,58 @@ mod tests {
         assert_eq!(rs.columns, vec!["plan"]);
         let lines: Vec<String> = rs.rows.iter().map(|r| r[0].to_string()).collect();
         assert!(lines.iter().any(|l| l.contains("IndexProbe")), "{lines:?}");
-        assert_eq!(lines.last().unwrap(), "plan_cache: miss");
-        // EXPLAIN planned through the cache, so re-explaining (and the
-        // query itself) now hit.
-        let rs = db
+        // The keyword is case-insensitive and must be a whole word: a
+        // table named EXPLAINER etc. still parses as SQL.
+        let again = db
             .query("explain SELECT * FROM schools WHERE CDSCode = 2")
             .unwrap();
-        assert_eq!(rs.rows.last().unwrap()[0].to_string(), "plan_cache: hit");
-        // The keyword must be a whole word: a table named EXPLAINER etc.
-        // still parses as SQL.
+        assert_eq!(again, rs);
         assert!(db.query("EXPLAINSELECT 1").is_err());
+    }
+
+    /// `query`, `query_profiled` (what `TagEnv::run_sql` calls under a
+    /// trace), `explain` and the `EXPLAIN` statement are one path, so
+    /// they accept the same statements and print the same text.
+    #[test]
+    fn explain_is_one_path_whoever_asks() {
+        let mut db = db();
+        let lines =
+            |rs: &ResultSet| -> String { rs.rows.iter().map(|r| format!("{}\n", r[0])).collect() };
+        for select in [
+            "SELECT City FROM schools WHERE CDSCode = 2",
+            "SELECT City FROM schools UNION SELECT City FROM schools WHERE Longitude < -120 \
+             UNION ALL SELECT 'x'",
+        ] {
+            let statement = format!("EXPLAIN {select}");
+            let plain = db.query(&statement).unwrap();
+            let (profiled, profile) = db.query_profiled(&statement).unwrap();
+            assert_eq!(plain, profiled, "{statement}");
+            assert_eq!(profile, "", "an EXPLAIN executes nothing");
+            assert_eq!(db.execute(&statement).unwrap(), plain, "{statement}");
+            assert_eq!(lines(&plain), db.explain(select).unwrap(), "{statement}");
+        }
+        let compound = db
+            .explain("SELECT City FROM schools UNION ALL SELECT 'x' UNION SELECT 'y'")
+            .unwrap();
+        assert_eq!(compound.matches("UNION ALL\n").count(), 1, "{compound}");
+        assert_eq!(compound.matches("UNION\n").count(), 1, "{compound}");
+        // Not a read: every way of asking names EXPLAIN, none tells the
+        // caller to use execute(), which would run the statement.
+        let dml = "INSERT INTO schools VALUES (9, 'Gilroy', -121.5)";
+        let errors = [
+            db.explain(dml).unwrap_err(),
+            db.query(&format!("EXPLAIN {dml}")).unwrap_err(),
+            db.query_profiled(&format!("EXPLAIN {dml}")).unwrap_err(),
+            db.execute(&format!("EXPLAIN {dml}")).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                err.message()
+                    .contains("EXPLAIN is only available for SELECT"),
+                "{err}"
+            );
+        }
+        assert_eq!(db.catalog().table("schools").unwrap().len(), 4);
     }
 
     #[test]
@@ -853,25 +796,6 @@ mod tests {
         assert!(db2
             .execute("EXPLAIN VERIFY How many schools are there?")
             .is_ok());
-    }
-
-    #[test]
-    fn semplan_cache_shares_epoch_invalidation() {
-        let mut db = db();
-        let build = || SemNode::scan("schools");
-        let (plan, hit) = db.semplan_for("q1|p1d1c1", build);
-        assert!(!hit);
-        assert!(matches!(plan.arms[0].plan, Plan::Sem { .. }));
-        let (_, hit) = db.semplan_for("q1|p1d1c1", build);
-        assert!(hit, "same key re-planned");
-        let (_, hit) = db.semplan_for("q1|p0d0c0", build);
-        assert!(!hit, "different optimizer tag must not collide");
-        // DML bumps the epoch: the semantic plan is invalidated with
-        // the relational ones.
-        db.execute("INSERT INTO schools VALUES (7, 'Davis', -121.7)")
-            .unwrap();
-        let (_, hit) = db.semplan_for("q1|p1d1c1", build);
-        assert!(!hit, "epoch bump evicts semantic plans");
     }
 
     #[test]
@@ -1164,93 +1088,55 @@ mod tests {
         assert!(err.message().contains("read-only"), "{err}");
     }
 
+    /// The planner runs an uncorrelated subquery while it plans and
+    /// embeds the answer in the plan, so a plan is only good for the
+    /// catalog it was made from. Every statement is planned when it
+    /// runs: whatever was written before it, by whatever route, it sees.
     #[test]
-    fn repeated_queries_hit_the_plan_cache() {
-        let db = db();
-        let a = db.query("SELECT City FROM schools ORDER BY City").unwrap();
-        // Re-formatted (whitespace + keyword case) variants share the entry.
-        let b = db
-            .query("select  City\nfrom schools  order by City")
-            .unwrap();
-        let c = db.query("SELECT City FROM schools ORDER BY City").unwrap();
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.columns, b.columns);
-        assert_eq!(a.rows, c.rows);
-        let s = db.plan_cache_stats();
-        assert_eq!(s.hits, 2, "{s:?}");
-        assert_eq!(s.misses, 1, "{s:?}");
-        assert_eq!(s.entries, 1, "{s:?}");
-    }
-
-    #[test]
-    fn dml_invalidates_cached_plans() {
+    fn a_plan_time_subquery_sees_every_write_before_it() {
         let mut db = db();
-        let e0 = db.schema_epoch();
-        // The planner executes this uncorrelated subquery eagerly, so the
-        // count is baked into the plan — the classic staleness trap.
-        let sql = "SELECT (SELECT COUNT(*) FROM schools) AS n FROM schools LIMIT 1";
-        assert_eq!(db.query(sql).unwrap().rows[0][0], Value::Int(4));
-        assert_eq!(db.query(sql).unwrap().rows[0][0], Value::Int(4));
-        db.execute("INSERT INTO schools VALUES (9, 'Gilroy', -121.5)")
+        let sql = "SELECT (SELECT COUNT(*) FROM schools WHERE City <> 'Gone') AS n \
+                   FROM schools LIMIT 1";
+        let count = |db: &Database| db.query(sql).unwrap().rows[0][0].as_i64().unwrap();
+        for i in 0..10 {
+            assert_eq!(count(&db), 4 + i);
+            assert_eq!(count(&db), 4 + i, "asked twice, planned twice");
+            db.execute(&format!(
+                "INSERT INTO schools VALUES ({}, 'x', 0.0)",
+                50 + i
+            ))
             .unwrap();
-        assert!(db.schema_epoch() > e0);
-        assert_eq!(db.query(sql).unwrap().rows[0][0], Value::Int(5));
-        let s = db.plan_cache_stats();
-        assert_eq!(s.hits, 1, "{s:?}");
-        assert!(s.invalidations >= 1, "{s:?}");
-    }
-
-    #[test]
-    fn select_does_not_bump_epoch() {
-        let db = db();
-        let e0 = db.schema_epoch();
-        db.query("SELECT * FROM schools").unwrap();
-        assert_eq!(db.schema_epoch(), e0);
-    }
-
-    #[test]
-    fn catalog_mut_and_udfs_invalidate_plans() {
-        let mut db = db();
-        db.query("SELECT * FROM schools").unwrap();
-        assert_eq!(db.plan_cache_stats().entries, 1);
-        let e0 = db.schema_epoch();
-        let _ = db.catalog_mut();
-        assert!(db.schema_epoch() > e0);
-        assert_eq!(db.plan_cache_stats().entries, 0);
-    }
-
-    #[test]
-    fn disabled_plan_cache_still_answers_identically() {
-        let db_on = db();
-        let db_off = db();
-        db_off.set_plan_cache_capacity(0);
-        let sql = "SELECT City, COUNT(*) AS n FROM schools GROUP BY City ORDER BY n DESC, City";
-        for _ in 0..3 {
-            let on = db_on.query(sql).unwrap();
-            let off = db_off.query(sql).unwrap();
-            assert_eq!(on.rows, off.rows);
-            assert_eq!(on.columns, off.columns);
         }
-        assert!(db_on.plan_cache_stats().hits > 0);
-        let s = db_off.plan_cache_stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0), "{s:?}");
-    }
-
-    #[test]
-    fn query_profiled_reports_cache_outcome() {
-        let db = db();
-        let sql = "SELECT City FROM schools";
-        let (_, text) = db.query_profiled(sql).unwrap();
-        assert!(text.ends_with("plan_cache: miss"), "{text}");
-        let (_, text) = db.query_profiled(sql).unwrap();
-        assert!(text.ends_with("plan_cache: hit"), "{text}");
+        assert_eq!(count(&db), 14);
+        db.execute("DELETE FROM schools WHERE CDSCode >= 55")
+            .unwrap();
+        assert_eq!(count(&db), 9);
+        db.execute("UPDATE schools SET City = 'Gone' WHERE CDSCode = 1")
+            .unwrap();
+        assert_eq!(count(&db), 8);
+        // DDL changes the plan's shape (the inner scan may become an
+        // index path), not its answer.
+        db.execute("CREATE INDEX idx_city ON schools (City)")
+            .unwrap();
+        assert_eq!(count(&db), 8);
+        db.catalog_mut()
+            .table_mut("schools")
+            .unwrap()
+            .insert(vec![
+                Value::Int(99),
+                Value::text("Davis"),
+                Value::Float(-121.7),
+            ])
+            .unwrap();
+        assert_eq!(count(&db), 9);
+        let (profiled, _) = db.query_profiled(sql).unwrap();
+        assert_eq!(profiled.rows[0][0], Value::Int(9));
     }
 
     /// Rows the reference interpreter produces for a single-arm SELECT,
     /// planned against the database's current state.
     fn reference_rows(db: &Database, sql: &str) -> Vec<crate::Row> {
-        let (cached, _) = db.plan_for(sql).unwrap();
-        crate::exec::reference::execute(&cached.arms[0].plan, db.catalog()).unwrap()
+        crate::exec::reference::execute(&db.plans(sql).unwrap()[0], db.catalog()).unwrap()
     }
 
     /// Scans read a table's columnar image, the reference reads its row

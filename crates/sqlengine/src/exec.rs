@@ -412,11 +412,6 @@ pub(crate) mod reference {
                 rows.retain(|row| seen.insert(row.clone()));
                 Ok(rows)
             }
-            Plan::Sem { .. } => Err(SqlError::Unsupported(
-                "semantic plans execute through a SemDelegate (see tag_sql::execute_sem), \
-                 not the relational executor"
-                    .into(),
-            )),
         }
     }
 

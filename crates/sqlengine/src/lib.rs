@@ -42,7 +42,6 @@ pub mod ast;
 pub mod catalog;
 pub mod chunk;
 pub mod chunk_exec;
-pub mod csv;
 pub mod engine;
 pub mod error;
 mod exec;
@@ -56,7 +55,6 @@ pub mod optimizer;
 pub mod parser;
 pub mod partial;
 pub mod plan;
-pub mod plancache;
 pub mod planner;
 pub mod profile;
 pub mod result;
@@ -69,13 +67,12 @@ pub mod value;
 pub mod vector;
 
 pub use catalog::Catalog;
-pub use engine::Database;
+pub use engine::{Database, PlanCacheStats};
 pub use error::{SqlError, SqlResult};
 pub use expr::{BoundExpr, EvalCtx};
 pub use metrics::ExecMetrics;
 pub use partial::PartialAgg;
 pub use plan::{AggCall, AggFunc, IndexRange, Plan, SortKey};
-pub use plancache::{normalize_sql, PlanCache, PlanCacheStats};
 pub use profile::{NodeProfile, PlanProfiler};
 pub use result::ResultSet;
 pub use schema::{Column, DataType, Row, Schema};

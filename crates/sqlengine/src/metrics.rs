@@ -13,10 +13,7 @@
 //!
 //! The operator kind is the first token of the profiler label
 //! ("TableScan schools" → `op="TableScan"`), keeping cardinality at
-//! the operator vocabulary, not the table vocabulary. Plan-cache
-//! hit/miss counters are *not* duplicated here: the serving layer
-//! scrapes [`crate::PlanCacheStats`] through a hub collector, which
-//! keeps the cumulative counts exact without new hot-path work.
+//! the operator vocabulary, not the table vocabulary.
 
 use crate::profile::NodeProfile;
 use std::collections::HashMap;

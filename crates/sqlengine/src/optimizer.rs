@@ -133,8 +133,7 @@ fn map_children(plan: Plan, catalog: &Catalog) -> Plan {
         leaf @ (Plan::TableScan { .. }
         | Plan::IndexProbe { .. }
         | Plan::IndexRangeScan { .. }
-        | Plan::Values { .. }
-        | Plan::Sem { .. }) => leaf,
+        | Plan::Values { .. }) => leaf,
     }
 }
 

@@ -178,14 +178,6 @@ pub enum Plan {
     },
     /// Duplicate elimination over whole rows.
     Distinct { input: Box<Plan> },
-    /// A semantic plan (see [`crate::semplan`]): relational + LM-powered
-    /// operators executed through a [`crate::semplan::SemDelegate`]
-    /// rather than the relational executor. Output columns are runtime-
-    /// determined (they depend on the delegate's data).
-    Sem {
-        /// Root of the semantic node tree.
-        root: crate::semplan::SemNode,
-    },
 }
 
 impl Plan {
@@ -214,7 +206,6 @@ impl Plan {
                 cols.extend(aggs.iter().map(|a| a.name.clone()));
                 cols
             }
-            Plan::Sem { .. } => Vec::new(),
         }
     }
 
@@ -235,17 +226,15 @@ impl Plan {
                 left.width() + right.width()
             }
             Plan::Aggregate { group, aggs, .. } => group.len() + aggs.len(),
-            Plan::Sem { .. } => 0,
         }
     }
 
     /// Rebuild the plan with every embedded expression transformed.
     pub fn map_exprs(&self, f: &dyn Fn(&BoundExpr) -> BoundExpr) -> Plan {
         match self {
-            Plan::TableScan { .. }
-            | Plan::IndexProbe { .. }
-            | Plan::IndexRangeScan { .. }
-            | Plan::Sem { .. } => self.clone(),
+            Plan::TableScan { .. } | Plan::IndexProbe { .. } | Plan::IndexRangeScan { .. } => {
+                self.clone()
+            }
             Plan::Values { columns, rows } => Plan::Values {
                 columns: columns.clone(),
                 rows: rows.iter().map(|r| r.iter().map(f).collect()).collect(),
@@ -355,10 +344,7 @@ impl Plan {
     /// nested correlated subplans).
     pub fn visit_exprs(&self, f: &mut dyn FnMut(&BoundExpr)) {
         match self {
-            Plan::TableScan { .. }
-            | Plan::IndexProbe { .. }
-            | Plan::IndexRangeScan { .. }
-            | Plan::Sem { .. } => {}
+            Plan::TableScan { .. } | Plan::IndexProbe { .. } | Plan::IndexRangeScan { .. } => {}
             Plan::Values { rows, .. } => {
                 for r in rows {
                     for e in r {
@@ -567,11 +553,6 @@ impl Plan {
             Plan::Distinct { input } => {
                 let _ = writeln!(out, "{pad}Distinct");
                 input.explain_into(out, depth + 1);
-            }
-            Plan::Sem { root } => {
-                for line in root.explain().lines() {
-                    let _ = writeln!(out, "{pad}{line}");
-                }
             }
         }
     }

@@ -197,7 +197,6 @@ pub(crate) fn node_label(plan: &Plan) -> String {
         Plan::TopK { k, offset, .. } => format!("TopK k={k} offset={offset}"),
         Plan::Limit { limit, offset, .. } => format!("Limit limit={limit:?} offset={offset}"),
         Plan::Distinct { .. } => "Distinct".to_string(),
-        Plan::Sem { root } => root.label(),
     }
 }
 

@@ -64,8 +64,8 @@ impl SemOptOptions {
         }
     }
 
-    /// Compact tag for plan-cache keys, so plans optimized under
-    /// different rule sets never collide.
+    /// Compact tag naming the rule set, as `verify-report` and the
+    /// verifier's diagnostics print it.
     pub fn cache_tag(&self) -> String {
         format!(
             "p{}d{}c{}",

@@ -7,9 +7,9 @@
 //! semantic operators (`sem_filter`, `sem_topk`, `sem_agg`, ...) whose
 //! execution is delegated to the semantic-operator runtime through the
 //! [`SemDelegate`] trait. Keeping the nodes free of closures and LM
-//! handles means plans can live in the [plan cache](crate::PlanCache),
-//! render through `EXPLAIN SEMPLAN`, and be rewritten by the optimizer
-//! rules in [`crate::semopt`] — exactly like relational plans.
+//! handles means plans compare with `==`, render through
+//! `EXPLAIN SEMPLAN`, and are rewritten by the optimizer rules in
+//! [`crate::semopt`] — exactly like relational plans.
 //!
 //! The executor ([`execute_sem`]) walks the tree bottom-up, threading an
 //! optional [`PlanProfiler`] so every node records rows in/out, elapsed
@@ -226,8 +226,7 @@ impl SemStage {
 /// One node of a semantic plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SemNode {
-    /// Base scan of an entity table through the SQL engine, sharing its
-    /// plan cache. Compiled bare ([`SemNode::scan`]: `SELECT * FROM
+    /// Base scan of an entity table through the SQL engine. Compiled bare ([`SemNode::scan`]: `SELECT * FROM
     /// table`); [`crate::semopt::lower_scans`] folds the plan's
     /// relational prefix in, and [`scan_sql`] is the statement the scan
     /// then issues.
