@@ -5,7 +5,8 @@
 //!
 //! - [`embedder::Embedder`] — deterministic character-n-gram feature
 //!   hashing embeddings (L2-normalized);
-//! - [`index::FlatIndex`] — exact inner-product top-k;
+//! - [`index::FlatIndex`] — exact inner-product top-k over 64-row tiles,
+//!   every score bit-identical to [`dot`];
 //! - [`store::RowStore`] — row-level retrieval over the paper's
 //!   "- col: val" serialization.
 
@@ -15,6 +16,6 @@ pub mod embedder;
 pub mod index;
 pub mod store;
 
-pub use embedder::{cosine, dot, Embedder, EmbedderConfig};
+pub use embedder::{cosine, dot, Embedder};
 pub use index::{FlatIndex, Hit};
 pub use store::{serialize_row, RetrievalStats, RowStore, StoredRow};

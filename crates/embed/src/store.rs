@@ -74,7 +74,7 @@ impl RowStore {
     /// Add one row (serialized, embedded, indexed).
     pub fn add_row(&mut self, row: StoredRow) {
         let text = serialize_row(&row);
-        self.index.add(self.embedder.embed(&text));
+        self.index.add(&self.embedder.embed(&text));
         self.rows.push(row);
     }
 
@@ -205,5 +205,18 @@ mod tests {
         let s = RowStore::new(Embedder::default());
         assert!(s.is_empty());
         assert!(s.retrieve("anything", 5).is_empty());
+    }
+
+    #[test]
+    fn huge_k_returns_every_row_in_rank_order() {
+        let s = store();
+        let all = s.retrieve("races held on Sepang International Circuit", s.len());
+        for k in [1_000_000_000_000, usize::MAX] {
+            assert_eq!(
+                s.retrieve("races held on Sepang International Circuit", k),
+                all
+            );
+        }
+        assert_eq!(s.retrieval_stats().candidates, 3 * s.len() as u64);
     }
 }

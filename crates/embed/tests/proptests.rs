@@ -40,7 +40,7 @@ proptest! {
         let e = Embedder::default();
         let mut idx = FlatIndex::new(e.dims());
         for t in &texts {
-            idx.add(e.embed(t));
+            idx.add(&e.embed(t));
         }
         let probe = &texts[texts.len() / 2];
         let hits = idx.search(&e.embed(probe), k);
