@@ -27,7 +27,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Hot-path files covered by the unwrap ratchet (rule 1) and the lock
-/// rule (rule 3): the serve request path and the sqlengine executor.
+/// rule (rule 3): the serve request path, and the sqlengine executor
+/// with the optimizer that plans every statement it runs.
 pub const HOT_PATHS: &[&str] = &[
     "crates/serve/src/batch.rs",
     "crates/serve/src/cache.rs",
@@ -35,11 +36,14 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/serve/src/protocol.rs",
     "crates/serve/src/server.rs",
     "crates/serve/src/trace.rs",
+    "crates/sqlengine/src/chunk.rs",
     "crates/sqlengine/src/chunk_exec.rs",
     "crates/sqlengine/src/engine.rs",
     "crates/sqlengine/src/exec.rs",
+    "crates/sqlengine/src/optimizer.rs",
     "crates/sqlengine/src/profile.rs",
     "crates/sqlengine/src/semplan.rs",
+    "crates/sqlengine/src/vector.rs",
 ];
 
 /// Known stage tags for `complete_op`/`complete_batch_op` (rule 2) —

@@ -14,6 +14,11 @@
 //! contiguous row range (zero-copy table scans) or an explicit row-id
 //! selection (filter survivors). Operators exchange batches; rows are
 //! only materialized at the executor boundary.
+//!
+//! Columns are shared too: a chunk holds each column behind an `Arc`,
+//! so [`Chunk::project`] builds a narrower chunk without copying a
+//! cell, and [`Chunk::push_row`] copies a column only when a view still
+//! holds it (copy-on-write).
 
 use crate::schema::Row;
 use crate::value::Value;
@@ -323,14 +328,11 @@ impl ColumnData {
     /// Concatenate columns (splices typed vectors when every part shares
     /// a variant; re-infers the strictest type otherwise).
     pub fn concat(mut parts: Vec<ColumnData>) -> ColumnData {
-        if parts.len() == 1 {
-            return parts.pop().expect("len checked");
-        }
-        if parts.is_empty() {
-            return ColumnData::Int {
+        if parts.len() <= 1 {
+            return parts.pop().unwrap_or(ColumnData::Int {
                 values: Vec::new(),
                 validity: Vec::new(),
-            };
+            });
         }
         let splice =
             |parts: &Vec<ColumnData>, probe: fn(&ColumnData) -> bool| parts.iter().all(probe);
@@ -409,9 +411,10 @@ impl ColumnData {
 }
 
 /// A set of equal-length columns: the columnar mirror of `Vec<Row>`.
+/// The length is stored, so a chunk of zero columns still has rows.
 #[derive(Debug, Clone)]
 pub struct Chunk {
-    columns: Vec<ColumnData>,
+    columns: Vec<Arc<ColumnData>>,
     len: usize,
 }
 
@@ -419,20 +422,38 @@ impl Chunk {
     /// Build from columns (all must have equal length).
     pub fn new(columns: Vec<ColumnData>) -> Chunk {
         let len = columns.first().map(ColumnData::len).unwrap_or(0);
+        Chunk::with_len(columns, len)
+    }
+
+    /// Build from columns of `len` rows each; with no columns, a chunk
+    /// of `len` empty rows.
+    pub fn with_len(columns: Vec<ColumnData>, len: usize) -> Chunk {
         debug_assert!(columns.iter().all(|c| c.len() == len));
-        Chunk { columns, len }
+        Chunk {
+            columns: columns.into_iter().map(Arc::new).collect(),
+            len,
+        }
     }
 
     /// An empty chunk of the given width (zero rows).
     pub fn empty(width: usize) -> Chunk {
-        Chunk {
-            columns: (0..width)
+        Chunk::with_len(
+            (0..width)
                 .map(|_| ColumnData::Int {
                     values: Vec::new(),
                     validity: Vec::new(),
                 })
                 .collect(),
-            len: 0,
+            0,
+        )
+    }
+
+    /// The listed columns, in the listed order, as a chunk of the same
+    /// rows. Shares the columns: nothing is copied.
+    pub fn project(&self, cols: &[usize]) -> Chunk {
+        Chunk {
+            columns: cols.iter().map(|&c| Arc::clone(&self.columns[c])).collect(),
+            len: self.len,
         }
     }
 
@@ -456,17 +477,22 @@ impl Chunk {
             }
         }
         Chunk {
-            columns: cols.into_iter().map(ColumnData::from_values).collect(),
+            columns: cols
+                .into_iter()
+                .map(|c| Arc::new(ColumnData::from_values(c)))
+                .collect(),
             len,
         }
     }
 
     /// Append one row (see [`ColumnData::push`]); afterwards the chunk
-    /// equals [`Chunk::from_rows`] over the old rows plus this one.
+    /// equals [`Chunk::from_rows`] over the old rows plus this one. A
+    /// column that a [`Chunk::project`] view still holds is copied
+    /// first, so the view keeps reading the old rows.
     pub fn push_row(&mut self, row: impl IntoIterator<Item = Value>) {
         let mut cells = row.into_iter();
         for column in &mut self.columns {
-            column.push(cells.next().unwrap_or(Value::Null));
+            Arc::make_mut(column).push(cells.next().unwrap_or(Value::Null));
         }
         self.len += 1;
     }
@@ -486,8 +512,8 @@ impl Chunk {
         self.columns.len()
     }
 
-    /// The columns.
-    pub fn columns(&self) -> &[ColumnData] {
+    /// The columns, each shared with every view that holds it.
+    pub fn columns(&self) -> &[Arc<ColumnData>] {
         &self.columns
     }
 
@@ -650,10 +676,9 @@ impl Batch {
 
     /// Compact the view into an owned chunk (copies survivors only).
     pub fn compact(&self) -> Chunk {
-        Chunk::new(
-            (0..self.width())
-                .map(|c| self.gather_column(c))
-                .collect::<Vec<_>>(),
+        Chunk::with_len(
+            (0..self.width()).map(|c| self.gather_column(c)).collect(),
+            self.len(),
         )
     }
 }
@@ -698,7 +723,7 @@ pub fn concat_batches_chunk(batches: &[Batch], width: usize) -> Arc<Chunk> {
     let cols: Vec<ColumnData> = (0..width)
         .map(|c| ColumnData::concat(batches.iter().map(|b| b.gather_column(c)).collect()))
         .collect();
-    Arc::new(Chunk::new(cols))
+    Arc::new(Chunk::with_len(cols, batches_len(batches)))
 }
 
 #[cfg(test)]
@@ -840,6 +865,35 @@ mod tests {
         let s = Batch::select(Arc::clone(&chunk), vec![2, 1, 0]).slice_local(0, 2);
         assert_eq!(s.len(), 2);
         assert_eq!(s.value_at(0, 0), Value::Int(3));
+    }
+
+    #[test]
+    fn project_shares_columns_and_keeps_the_length() {
+        let chunk = Chunk::from_rows(3, rows());
+        let view = chunk.project(&[2, 0]);
+        assert_eq!((view.width(), view.len()), (2, 3));
+        assert!(Arc::ptr_eq(&view.columns()[0], &chunk.columns()[2]));
+        assert_eq!(view.row(2), vec![Value::Float(2.5), Value::Int(3)]);
+        // No columns, same rows.
+        let none = Arc::new(chunk.project(&[]));
+        assert_eq!((none.width(), none.len()), (0, 3));
+        let empty_rows = vec![Row::new(); 3];
+        assert_eq!(Batch::range(Arc::clone(&none), 0, 3).to_rows(), empty_rows);
+        let copied = concat_batches_chunk(&[Batch::select(none, vec![2, 0, 1])], 0);
+        assert_eq!(copied.len(), 3);
+    }
+
+    #[test]
+    fn push_row_copies_only_the_columns_a_view_holds() {
+        let mut chunk = Chunk::from_rows(3, rows());
+        let before: Vec<_> = chunk.columns().iter().map(Arc::as_ptr).collect();
+        let view = chunk.project(&[1]);
+        chunk.push_row([Value::Int(4), Value::text("d"), Value::Float(1.0)]);
+        let after: Vec<_> = chunk.columns().iter().map(Arc::as_ptr).collect();
+        assert_eq!((after[0], after[2]), (before[0], before[2]));
+        assert_ne!(after[1], before[1]);
+        assert_eq!((view.len(), chunk.len()), (3, 4));
+        assert_eq!(chunk.value_at(3, 1), Value::text("d"));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! `Range` batches ([`crate::morsel`]); index probes and `VALUES` build
 //! one small owned batch. Every downstream operator works a batch at a
 //! time (filter narrows them, project rebuilds them, aggregate folds
-//! per-batch partials). Operators run one at a time, bottom-up, each
+//! per-batch partials). A project of column references only rebuilds
+//! nothing: each batch keeps its rows and views the chosen columns
+//! ([`Chunk::project`]). Operators run one at a time, bottom-up, each
 //! walking its batches in order on the calling thread.
 //!
 //! # Determinism contract
@@ -32,8 +34,9 @@
 //! - Sort orders by `(key, global seq)` — a total order equal to a
 //!   stable sort (see [`crate::exec::compare_keys`]'s ordering
 //!   contract).
-//! - Hash-join build inserts right rows in global row order; probe
-//!   preserves left order per batch.
+//! - Hash-join build chains right rows so each key's chain runs in
+//!   ascending right-row order ([`BuildTable`]); probe preserves left
+//!   order per batch.
 //! - Errors: batches run in order and the first failing one stops the
 //!   operator. Where a kernel evaluates several expressions column by
 //!   column (filter, project, sort keys, the hash-join probe key with
@@ -49,7 +52,7 @@ use crate::catalog::Catalog;
 use crate::chunk::{batches_len, batches_to_rows, concat_batches_chunk, Batch, Chunk, ColumnData};
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{aggregate_rows, compare_keys, eval_keys, AggState};
-use crate::expr::{BoundExpr, EvalCtx};
+use crate::expr::{column_only, BoundExpr, EvalCtx};
 use crate::morsel::{morsels, MORSEL_ROWS};
 use crate::partial::PartialAgg;
 use crate::plan::{AggCall, Plan, SortKey};
@@ -193,6 +196,9 @@ impl<'a> ChunkCtx<'a> {
             }
             Plan::Project { input, exprs, .. } => {
                 let batches = self.exec_node(input)?;
+                if let Some(cols) = column_only(exprs) {
+                    return Ok(project_views(batches, &cols));
+                }
                 let ctx = self.eval();
                 let out = fan(batches.len(), |i| {
                     let b = &batches[i];
@@ -201,12 +207,7 @@ impl<'a> ChunkCtx<'a> {
                         .map(|e| crate::vector::eval_column(e, b, &ctx))
                         .collect();
                     match cols {
-                        Ok(_) if exprs.is_empty() => {
-                            // Zero-width projection: len can't be derived
-                            // from columns, so carry it through rows.
-                            Ok(Batch::from_rows(0, vec![Vec::new(); b.len()]))
-                        }
-                        Ok(cols) => Ok(Batch::owned(Chunk::new(cols))),
+                        Ok(cols) => Ok(Batch::owned(Chunk::with_len(cols, b.len()))),
                         Err(e) => Err(exact_row_error(b, e, |row| {
                             for e in exprs {
                                 e.eval_ctx(row, &ctx)?;
@@ -394,8 +395,7 @@ impl<'a> ChunkCtx<'a> {
         let ctx = self.eval();
 
         // Build side: key columns evaluated a morsel at a time, then
-        // one insert pass in global row order, so duplicate-key chains
-        // keep right-row order.
+        // one chained table over them (see [`BuildTable`]).
         let right_chunk = concat_batches_chunk(&right_b, rw);
         let right_keys = {
             let whole = Batch::range(Arc::clone(&right_chunk), 0, right_chunk.len());
@@ -406,16 +406,7 @@ impl<'a> ChunkCtx<'a> {
             })?;
             ColumnData::concat(cols)
         };
-        let mut table: HashMap<Value, Vec<u32>> = HashMap::with_capacity(right_chunk.len());
-        for i in 0..right_keys.len() {
-            if right_keys.is_null(i) {
-                continue; // NULL keys never join
-            }
-            table
-                .entry(right_keys.value_at(i))
-                .or_default()
-                .push(i as u32);
-        }
+        let table = BuildTable::new(&right_keys);
 
         // Probe side, per left batch (preserving left order).
         let out = fan(left_b.len(), |bi| {
@@ -565,9 +556,6 @@ impl<'a> ChunkCtx<'a> {
         if entries.is_empty() {
             return Ok(Vec::new());
         }
-        if width == 0 {
-            return Ok(vec![Batch::from_rows(0, vec![Vec::new(); entries.len()])]);
-        }
         let cols = (0..width)
             .map(|c| {
                 ColumnData::from_values(
@@ -578,7 +566,7 @@ impl<'a> ChunkCtx<'a> {
                 )
             })
             .collect();
-        Ok(vec![Batch::owned(Chunk::new(cols))])
+        Ok(vec![Batch::owned(Chunk::with_len(cols, entries.len()))])
     }
 }
 
@@ -616,21 +604,44 @@ fn joined_batch(left: &Batch, pairs: &[(u32, Option<u32>)], right: &Chunk) -> Op
         .map(|c| narrowed.gather_column(c))
         .chain((0..right.width()).map(|c| right.column(c).gather_opt(&right_ids)))
         .collect();
-    Some(Batch::owned(Chunk::new(cols)))
+    Some(Batch::owned(Chunk::with_len(cols, pairs.len())))
+}
+
+/// A column-only projection: each batch keeps its rows and points at a
+/// [`Chunk::project`] view of its chunk, so nothing is copied.
+/// Consecutive batches over one chunk (a scan's morsels) share one
+/// view, which lets [`concat_batches_chunk`] take the view whole.
+fn project_views(batches: Vec<Batch>, cols: &[usize]) -> Vec<Batch> {
+    let mut last: Option<(Arc<Chunk>, Arc<Chunk>)> = None;
+    batches
+        .into_iter()
+        .filter(|b| !b.is_empty())
+        .map(|b| {
+            let data = match &last {
+                Some((source, view)) if Arc::ptr_eq(source, &b.data) => Arc::clone(view),
+                _ => {
+                    let view = Arc::new(b.data.project(cols));
+                    last = Some((b.data, Arc::clone(&view)));
+                    view
+                }
+            };
+            Batch { data, rows: b.rows }
+        })
+        .collect()
 }
 
 /// Probe one left batch against the build table, producing
 /// `(left local id, matched right global id)` pairs in left-row order.
-#[allow(clippy::too_many_arguments)]
 fn probe_batch(
     batch: &Batch,
     left_key: &BoundExpr,
     residual: Option<&BoundExpr>,
     kind: JoinKind,
-    table: &HashMap<Value, Vec<u32>>,
+    table: &BuildTable,
     right_chunk: &Chunk,
     ctx: &EvalCtx<'_>,
 ) -> SqlResult<Vec<(u32, Option<u32>)>> {
+    let (lw, rw) = (batch.width(), right_chunk.width());
     let keys = match crate::vector::eval_column(left_key, batch, ctx) {
         Ok(keys) => keys,
         Err(e) => {
@@ -638,46 +649,34 @@ fn probe_batch(
             // residual evaluation, so reproduce that order exactly.
             return Err(exact_row_error(batch, e, |row| {
                 let key = left_key.eval_ctx(row, ctx)?;
-                if let (false, Some(pred)) = (key.is_null(), residual) {
-                    if let Some(ids) = table.get(&key) {
-                        for &r in ids {
-                            let mut combined = row.clone();
-                            combined.extend(
-                                (0..right_chunk.width())
-                                    .map(|c| right_chunk.value_at(r as usize, c)),
-                            );
-                            pred.eval_predicate_ctx(&combined, ctx)?;
-                        }
+                if let Some(pred) = residual {
+                    for r in table.chain(&key) {
+                        let mut combined = row.clone();
+                        combined.extend((0..rw).map(|c| right_chunk.value_at(r as usize, c)));
+                        pred.eval_predicate_ctx(&combined, ctx)?;
                     }
                 }
                 Ok(())
             }));
         }
     };
-    let (lw, rw) = (batch.width(), right_chunk.width());
     let mut pairs: Vec<(u32, Option<u32>)> = Vec::new();
+    let mut combined: Row = Vec::with_capacity(lw + rw);
     for local in 0..batch.len() {
         let mut matched = false;
-        if !keys.is_null(local) {
-            if let Some(ids) = table.get(&keys.value_at(local)) {
-                match residual {
-                    None => {
-                        matched = !ids.is_empty();
-                        pairs.extend(ids.iter().map(|&r| (local as u32, Some(r))));
-                    }
-                    Some(pred) => {
-                        let mut combined: Row = Vec::with_capacity(lw + rw);
-                        for &r in ids {
-                            combined.clear();
-                            combined.extend((0..lw).map(|c| batch.value_at(local, c)));
-                            combined.extend((0..rw).map(|c| right_chunk.value_at(r as usize, c)));
-                            if pred.eval_predicate_ctx(&combined, ctx)? {
-                                matched = true;
-                                pairs.push((local as u32, Some(r)));
-                            }
-                        }
-                    }
+        for r in table.chain(&keys.value_at(local)) {
+            let keep = match residual {
+                None => true,
+                Some(pred) => {
+                    combined.clear();
+                    combined.extend((0..lw).map(|c| batch.value_at(local, c)));
+                    combined.extend((0..rw).map(|c| right_chunk.value_at(r as usize, c)));
+                    pred.eval_predicate_ctx(&combined, ctx)?
                 }
+            };
+            if keep {
+                matched = true;
+                pairs.push((local as u32, Some(r)));
             }
         }
         if kind == JoinKind::Left && !matched {
@@ -685,6 +684,51 @@ fn probe_batch(
         }
     }
     Ok(pairs)
+}
+
+/// End of a [`BuildTable`] chain.
+const NO_ROW: u32 = u32::MAX;
+
+/// The hash-join build table: each distinct key maps to the first
+/// right row holding it, and `next[r]` is the next right row with the
+/// same key as row `r` (or [`NO_ROW`]). One map entry per distinct key
+/// and one `u32` per row, where a map of `Vec`s allocated a vector per
+/// key.
+///
+/// Built back to front: inserting row `r` replaces the key's head and
+/// links `r` to the old head, which is a later row. So each chain runs
+/// in ascending right-row order, the order the reference visits
+/// matches in.
+struct BuildTable {
+    heads: HashMap<Value, u32>,
+    next: Vec<u32>,
+}
+
+impl BuildTable {
+    /// Chain the rows of `keys`; NULL keys never join, so they are left
+    /// out.
+    fn new(keys: &ColumnData) -> BuildTable {
+        let n = keys.len();
+        let mut heads = HashMap::with_capacity(n);
+        let mut next = vec![NO_ROW; n];
+        for r in (0..n).rev().filter(|&r| !keys.is_null(r)) {
+            next[r] = heads.insert(keys.value_at(r), r as u32).unwrap_or(NO_ROW);
+        }
+        BuildTable { heads, next }
+    }
+
+    /// The right rows whose key equals `key`, in ascending order; none
+    /// for NULL.
+    fn chain(&self, key: &Value) -> impl Iterator<Item = u32> + '_ {
+        let first = match key {
+            Value::Null => None,
+            key => self.heads.get(key).copied(),
+        };
+        std::iter::successors(first, |&r| {
+            let next = self.next[r as usize];
+            (next != NO_ROW).then_some(next)
+        })
+    }
 }
 
 /// One batch's local aggregation: first-seen keys plus partial states.
@@ -937,6 +981,16 @@ mod parity {
             "SELECT a FROM t t1 WHERE EXISTS \
              (SELECT 1 FROM t t2 WHERE t2.a = t1.a AND t2.b > t1.b)"
                 .into(),
+            // Hash joins over `Int` keys (duplicate keys, whose chains
+            // must keep right-row order, and NULL keys on both sides),
+            // unmatched LEFT rows, `Int` against `Float` keys (7 joins
+            // 7.0) and a `Mixed` key column.
+            "SELECT t1.b, t2.b, t2.c FROM t t1 JOIN t t2 ON t1.a = t2.a".into(),
+            format!("SELECT t1.a, t2.b FROM t t1 LEFT JOIN t t2 ON t1.a = t2.a + {k}"),
+            "SELECT t1.a, t2.b FROM t t1 JOIN t t2 ON t1.a = t2.b".into(),
+            "SELECT t1.c, t2.a FROM t t1 JOIN t t2 \
+             ON CASE WHEN t1.a > 0 THEN t1.a ELSE t1.b END = t2.a"
+                .into(),
         ];
         pool.extend(leaf_queries(k).into_iter().map(|(sql, _)| sql));
         pool.extend(failing_queries(k));
@@ -961,9 +1015,11 @@ mod parity {
     /// correlated scalar subquery returning two rows (when `a` has
     /// duplicates), filter, project, the ORDER BY projection (first,
     /// because the fixture test takes its plan apart), hash-join build
-    /// key, hash-join probe key + residual, and both whole-aggregate
+    /// key, hash-join probe key + residual, both whole-aggregate
     /// replays (evaluation-time: GROUP BY key and argument;
-    /// finish-time: SUM over text, global and grouped).
+    /// finish-time: SUM over text, global and grouped), a residual that
+    /// fails on the second row of a key's chain, and a probe key that
+    /// fails to evaluate.
     fn failing_queries(k: i64) -> Vec<String> {
         let late = late(k);
         vec![
@@ -976,6 +1032,8 @@ mod parity {
             format!("SELECT COUNT(c + 0) FROM t GROUP BY {late}"),
             "SELECT SUM(c) FROM t".into(),
             "SELECT a, SUM(c) FROM t GROUP BY a".into(),
+            "SELECT t1.a FROM t t1 JOIN t t2 ON t1.a = t2.a AND t2.c + 0 >= 0".into(),
+            "SELECT t1.a FROM t t1 JOIN t t2 ON t1.a + 'x' = t2.a".into(),
         ]
     }
 
@@ -992,6 +1050,29 @@ mod parity {
             return Err(format!(
                 "divergence at morsel_rows={morsel_rows}\n reference: {want}\n  columnar: {got}\n{}",
                 plan.explain()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Hold optimizer rule 6 to the plan it starts from: both plans of
+    /// `sql`, run by the reference, give the same rows or the same error
+    /// (or fail to plan alike). The executor parity above runs one plan
+    /// on both sides, so it cannot see a pruning bug; this can.
+    fn check_pruning(db: &Database, sql: &str) -> Result<(), String> {
+        let run = |plans: SqlResult<Vec<Plan>>| {
+            let outcomes = plans.map(|plans| {
+                plans
+                    .iter()
+                    .map(|plan| reference::execute(plan, db.catalog()))
+                    .collect::<Vec<_>>()
+            });
+            format!("{outcomes:?}")
+        };
+        let (pruned, unpruned) = (run(db.plans(sql)), run(db.unpruned_plans(sql)));
+        if pruned != unpruned {
+            return Err(format!(
+                "{sql}: pruning changed the outcome\n   pruned: {pruned}\n unpruned: {unpruned}"
             ));
         }
         Ok(())
@@ -1023,6 +1104,7 @@ mod parity {
             let db = build_db(rows);
             for sql in queries(k, j) {
                 check(&db, &sql, morsel_rows)?;
+                check_pruning(&db, &sql)?;
             }
         }
     }
@@ -1082,6 +1164,9 @@ mod parity {
             k: 2,
             offset: 1,
         };
+        for sql in queries(0, 1) {
+            assert_eq!(check_pruning(&db, &sql), Ok(()));
+        }
         for morsel_rows in 1..17 {
             for sql in queries(0, 1) {
                 assert_eq!(check(&db, &sql, morsel_rows), Ok(true), "{sql}");

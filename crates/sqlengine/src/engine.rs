@@ -292,6 +292,29 @@ impl Database {
         Ok(arms.into_iter().map(|arm| arm.plan).collect())
     }
 
+    /// [`Database::plans`] as they are before column pruning (optimizer
+    /// rule 6), for the test that holds pruning to the plan it starts
+    /// from. A statement [`Database::plans`] refuses is refused here
+    /// with the same error.
+    #[cfg(test)]
+    pub(crate) fn unpruned_plans(&self, sql: &str) -> SqlResult<Vec<Plan>> {
+        let stmt = parse_statement(sql)?;
+        self.plan_arms(&stmt, READ_ONLY)?;
+        let arms: Vec<&SelectStmt> = match &stmt {
+            Statement::Select(sel) => vec![sel],
+            Statement::CompoundSelect { first, rest } => std::iter::once(first)
+                .chain(rest.iter().map(|(_, sel)| sel))
+                .collect(),
+            _ => unreachable!("plan_arms refuses every other statement"),
+        };
+        arms.into_iter()
+            .map(|sel| {
+                let plan = Planner::new(&self.catalog, &self.udfs).plan_select(sel)?;
+                Ok(crate::optimizer::optimize_unpruned(plan, &self.catalog))
+            })
+            .collect()
+    }
+
     /// Run every arm and combine with UNION semantics (plain UNION
     /// dedups the accumulated result, SQLite-style). With `profile`,
     /// each arm runs under a [`PlanProfiler`] whose rendering is
@@ -1144,7 +1167,10 @@ mod tests {
     /// `Chunk::from_rows` of the heap would build, variant for variant.
     /// Inserts extend the built image in place (here: N single-row
     /// inserts, one of which gives the all-NULL `Longitude` column its
-    /// first value); UPDATE and DELETE drop it.
+    /// first value); UPDATE and DELETE drop it. The queries' column-only
+    /// projections are views that share the image's columns, and they
+    /// are gone once a query returns, so no insert copies a column; a
+    /// view still held copies only the column it shares.
     #[test]
     fn columnar_image_after_dml_equals_the_heap() {
         let mut db = db();
@@ -1176,7 +1202,10 @@ mod tests {
         check(&db);
         db.execute("UPDATE schools SET Longitude = NULL").unwrap();
         check(&db);
-        let built = Arc::as_ptr(&db.catalog().table("schools").unwrap().columnar());
+        let image = |db: &Database| db.catalog().table("schools").unwrap().columnar();
+        let columns =
+            |db: &Database| -> Vec<_> { image(db).columns().iter().map(Arc::as_ptr).collect() };
+        let (built, built_columns) = (Arc::as_ptr(&image(&db)), columns(&db));
         for (id, longitude) in [(5, "NULL"), (6, "-121.7"), (7, "NULL"), (8, "-118.2")] {
             db.execute(&format!(
                 "INSERT INTO schools VALUES ({id}, 'Davis', {longitude})"
@@ -1185,16 +1214,32 @@ mod tests {
             check(&db);
         }
         assert_eq!(
-            Arc::as_ptr(&db.catalog().table("schools").unwrap().columnar()),
+            Arc::as_ptr(&image(&db)),
             built,
             "inserts extended the image they found"
         );
+        assert_eq!(columns(&db), built_columns, "and copied no column");
+
+        // Copy-on-write: a view held across an insert keeps the rows it
+        // saw, and only the column it shares is copied.
+        let view = image(&db).project(&[1]);
+        let seen = format!("{:?}", view.column(0));
+        db.execute("INSERT INTO schools VALUES (9, 'Chico', -121.8)")
+            .unwrap();
+        check(&db);
+        assert_eq!((view.len(), format!("{:?}", view.column(0))), (8, seen));
+        let now = columns(&db);
+        assert_eq!(Arc::as_ptr(&image(&db)), built);
+        assert_eq!((now[0], now[2]), (built_columns[0], built_columns[2]));
+        assert_ne!(now[1], built_columns[1], "the shared column was copied");
+        drop(view);
+
         db.execute("DELETE FROM schools WHERE City = 'Fresno'")
             .unwrap();
         check(&db);
         assert_eq!(
             db.query("SELECT COUNT(*) FROM schools").unwrap().rows,
-            vec![vec![Value::Int(7)]]
+            vec![vec![Value::Int(8)]]
         );
     }
 

@@ -685,6 +685,19 @@ impl BoundExpr {
     }
 }
 
+/// The input positions a list of expressions reads when every one is a
+/// bare column reference (a projection that computes nothing), or
+/// `None` when one computes something.
+pub(crate) fn column_only(exprs: &[BoundExpr]) -> Option<Vec<usize>> {
+    exprs
+        .iter()
+        .map(|e| match e {
+            BoundExpr::ColumnRef(i) => Some(*i),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Substitute the outer row into a correlated subplan and execute it.
 fn run_correlated(
     plan: &crate::plan::Plan,
