@@ -21,9 +21,12 @@ use crate::scanner::{find_all, find_word};
 use std::collections::BTreeSet;
 
 /// Result-producing files covered by the determinism ratchet: the
-/// columnar executor stack, its partial aggregates, and the shared
-/// aggregate/sort semantics in `exec.rs`.
+/// columnar executor stack, its partial aggregates, the shared
+/// aggregate/sort semantics in `exec.rs`, and the semantic-plan runtime,
+/// whose kernels number values with hash maps that must only be looked
+/// up: prompt order never comes from hash iteration.
 pub const DET_PATHS: &[&str] = &[
+    "crates/core/src/semplan.rs",
     "crates/sqlengine/src/chunk.rs",
     "crates/sqlengine/src/chunk_exec.rs",
     "crates/sqlengine/src/exec.rs",

@@ -1,8 +1,9 @@
 //! `tag-audit`: a multi-pass concurrency & determinism analyzer.
 //!
 //! Three passes over the concurrent crates (`serve`, `sqlengine`,
-//! `metrics`, `trace`), all on [`crate::scanner`]'s blanked view of
-//! each source file:
+//! `metrics`, `trace`) and the determinism paths outside them
+//! ([`determinism::DET_PATHS`]), all on [`crate::scanner`]'s blanked
+//! view of each source file:
 //!
 //! 1. **lock-order** ([`lockorder`]) — every `.lock()` acquisition
 //!    site is mapped to a declared lock class
@@ -292,7 +293,9 @@ pub fn run_audit_files(
 
     let mut scans = Vec::new();
     for rel in files {
-        if !AUDIT_CRATES.iter().any(|p| rel.starts_with(p)) {
+        let in_scope = AUDIT_CRATES.iter().any(|p| rel.starts_with(p))
+            || determinism::DET_PATHS.contains(&rel.as_str());
+        if !in_scope {
             continue;
         }
         let path = config.root.join(&rel);

@@ -5,8 +5,8 @@
 //! spaced out; `#[cfg(test)]` modules excluded via brace tracking) so
 //! rules match real code only. Three rules:
 //!
-//! 1. **`unwrap-ratchet`** — `.unwrap()` / `.expect(` on the serve and
-//!    sqlengine hot paths (the files in [`HOT_PATHS`]) are counted per
+//! 1. **`unwrap-ratchet`** — `.unwrap()` / `.expect(` on the serve,
+//!    sqlengine and semantic-plan hot paths (the files in [`HOT_PATHS`]) are counted per
 //!    file and compared against the committed ratchet baseline
 //!    (`crates/analyze/lint-ratchet.txt`). A count above baseline
 //!    fails; `--update` rewrites the baseline downward.
@@ -27,9 +27,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Hot-path files covered by the unwrap ratchet (rule 1) and the lock
-/// rule (rule 3): the serve request path, and the sqlengine executor
-/// with the optimizer that plans every statement it runs.
+/// rule (rule 3): the semantic-plan runtime that runs every hand-written,
+/// RAG, rerank and Text2SQL + LM request, the serve request path, and
+/// the sqlengine executor with the optimizer that plans every statement
+/// it runs.
 pub const HOT_PATHS: &[&str] = &[
+    "crates/core/src/semplan.rs",
     "crates/serve/src/batch.rs",
     "crates/serve/src/cache.rs",
     "crates/serve/src/metrics.rs",

@@ -51,17 +51,20 @@ impl Oracle {
             .table(query.query.entity())
             .expect("benchmark entity table exists");
         let schema = table.schema();
-        let rows: Vec<&Row> = table
-            .rows()
-            .iter()
-            .filter(|r| {
+        // Filters read a cell or two; only the rows that pass are gathered.
+        let image = table.columnar();
+        let kept: Vec<Row> = (0..image.len())
+            .filter(|&id| {
+                let cell = |col: usize| image.value_at(id, col);
                 query
                     .query
                     .filters()
                     .iter()
-                    .all(|f| self.filter_truth(f, schema, r, &domain.labels))
+                    .all(|f| self.filter_truth(f, schema, &cell, &domain.labels))
             })
+            .map(|id| image.row(id))
             .collect();
+        let rows: Vec<&Row> = kept.iter().collect();
 
         let col = |name: &str| -> usize { schema.index_of(name).expect("benchmark column exists") };
 
@@ -167,17 +170,21 @@ impl Oracle {
         })
     }
 
-    /// Ground truth of one filter clause for one row.
-    fn filter_truth(&self, f: &NlFilter, schema: &Schema, row: &Row, labels: &Labels) -> bool {
-        let field = |names: &[&str]| -> Option<&Value> {
-            names
-                .iter()
-                .find_map(|n| schema.index_of(n))
-                .map(|i| &row[i])
+    /// Ground truth of one filter clause for one row, whose cells `cell`
+    /// reads by column position.
+    fn filter_truth(
+        &self,
+        f: &NlFilter,
+        schema: &Schema,
+        cell: &dyn Fn(usize) -> Value,
+        labels: &Labels,
+    ) -> bool {
+        let field = |names: &[&str]| -> Option<Value> {
+            names.iter().find_map(|n| schema.index_of(n)).map(cell)
         };
         match f {
             NlFilter::NumCmp { attr, op, value } => field(&[attr])
-                .and_then(Value::as_f64)
+                .and_then(|v| v.as_f64())
                 .map(|x| match op {
                     CmpOp::Over => x > *value,
                     CmpOp::Under => x < *value,
@@ -198,7 +205,7 @@ impl Oracle {
                 })
                 .unwrap_or(false),
             NlFilter::TallerThan { person } => {
-                let h = field(&["height", "Height"]).and_then(Value::as_f64);
+                let h = field(&["height", "Height"]).and_then(|v| v.as_f64());
                 let ref_h = self.kb.true_person_height_cm(person);
                 matches!((h, ref_h), (Some(a), Some(b)) if a > b)
             }
@@ -220,7 +227,7 @@ impl Oracle {
                 .map(|x| x.eq_ignore_ascii_case(vertical))
                 .unwrap_or(false),
             NlFilter::Semantic { attr, property } => {
-                self.semantic_truth(schema, row, attr, *property, labels)
+                self.semantic_truth(schema, cell, attr, *property, labels)
             }
         }
     }
@@ -229,14 +236,14 @@ impl Oracle {
     fn semantic_truth(
         &self,
         schema: &Schema,
-        row: &Row,
+        cell: &dyn Fn(usize) -> Value,
         attr: &str,
         property: SemProperty,
         labels: &Labels,
     ) -> bool {
         // Resolve the row's identity for label lookup.
-        let id = schema.index_of("Id").and_then(|i| row[i].as_i64());
-        let title = schema.index_of("movie_title").map(|i| row[i].to_string());
+        let id = schema.index_of("Id").and_then(|i| cell(i).as_i64());
+        let title = schema.index_of("movie_title").map(|i| cell(i).to_string());
         match (attr, property) {
             ("Text", SemProperty::Sarcastic) => id
                 .and_then(|i| labels.comment_sarcastic.get(&i).copied())

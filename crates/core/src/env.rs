@@ -5,7 +5,7 @@ use tag_embed::{Embedder, RowStore};
 use tag_lm::model::LanguageModel;
 use tag_lm::nlq::NlQuery;
 use tag_semops::SemEngine;
-use tag_sql::{Database, SemOptOptions};
+use tag_sql::{Database, ResultSet, SemFrame, SemOptOptions, SqlResult};
 
 /// Everything a method needs to answer a question over one domain
 /// database: the SQL engine, the language model (behind the batched
@@ -128,10 +128,10 @@ impl TagEnv {
             let names = table.schema().names();
             if !table.is_empty() {
                 out.push_str("-- 3 example rows:\n");
-                for row in table.rows().iter().take(3) {
+                for row in (0..table.len().min(3)).map(|id| table.row(id)) {
                     let cells: Vec<String> = names
                         .iter()
-                        .zip(row)
+                        .zip(&row)
                         .map(|(c, v)| format!("{c}={v}"))
                         .collect();
                     out.push_str(&format!("-- {}\n", cells.join(", ")));
@@ -151,13 +151,10 @@ impl TagEnv {
             for name in self.db.catalog().table_names() {
                 let table = self.db.catalog().table(&name).expect("listed table");
                 let cols = table.schema().names();
-                for row in table.rows() {
-                    let stored: Vec<(String, String)> = cols
-                        .iter()
-                        .cloned()
-                        .zip(row.iter().map(|v| v.to_string()))
-                        .collect();
-                    store.add_row(stored);
+                let image = table.columnar();
+                for id in 0..image.len() {
+                    let cells = (0..cols.len()).map(|c| image.column(c).text_at(id));
+                    store.add_row(cols.iter().cloned().zip(cells).collect());
                 }
             }
             store
@@ -180,21 +177,46 @@ impl TagEnv {
     /// [`Database::query`]; traced, it is the same read path with a
     /// profiler attached, so it accepts the same statements (`EXPLAIN`
     /// included) and results are byte-identical either way.
-    pub fn run_sql(&self, sql: &str) -> tag_sql::SqlResult<tag_sql::ResultSet> {
+    pub fn run_sql(&self, sql: &str) -> SqlResult<ResultSet> {
+        self.traced_read(sql, |profile| match profile {
+            None => self.db.query(sql),
+            Some(text) => self.db.query_profiled(sql).map(|(rs, plan_text)| {
+                text.push_str(&plan_text);
+                rs
+            }),
+        })
+    }
+
+    /// [`TagEnv::run_sql`] for a semantic plan's scan: the result stays
+    /// columnar ([`Database::query_frame`]), and the statement is traced
+    /// exactly as `run_sql` traces it.
+    pub(crate) fn scan(&self, sql: &str) -> SqlResult<SemFrame> {
+        self.traced_read(sql, |profile| self.db.query_frame(sql, profile))
+    }
+
+    /// Run `read` untraced when no trace is active; otherwise inside an
+    /// `exec`-stage `sql` span annotated with the statement and with the
+    /// per-operator profile `read` writes.
+    fn traced_read<T>(
+        &self,
+        sql: &str,
+        read: impl FnOnce(Option<&mut String>) -> SqlResult<T>,
+    ) -> SqlResult<T> {
         if !tag_trace::is_active() {
-            return self.db.query(sql);
+            return read(None);
         }
         let _span = tag_trace::span(tag_trace::Stage::Exec, "sql");
         tag_trace::annotate(format!(
             "sql: {}",
             sql.split_whitespace().collect::<Vec<_>>().join(" ")
         ));
-        match self.db.query_profiled(sql) {
-            Ok((rs, plan_text)) => {
+        let mut plan_text = String::new();
+        match read(Some(&mut plan_text)) {
+            Ok(out) => {
                 for line in plan_text.lines() {
                     tag_trace::annotate(line);
                 }
-                Ok(rs)
+                Ok(out)
             }
             Err(e) => {
                 tag_trace::annotate(format!("error: {e}"));
@@ -338,6 +360,34 @@ mod tests {
             "{:?}",
             spans[0].annotations
         );
+    }
+
+    /// A semantic plan's scan is `run_sql` kept columnar: the same rows,
+    /// traced or not, under the same `sql` span with the statement and
+    /// its per-operator profile.
+    #[test]
+    fn scan_is_run_sql_kept_columnar() {
+        let e = env();
+        let sql = "SELECT School FROM schools WHERE City = 'Fresno'";
+        let rows = e.run_sql(sql).unwrap().rows;
+        assert_eq!(e.scan(sql).unwrap().rows(), rows);
+
+        let (trace, sink) = tag_trace::Trace::memory();
+        let scanned = tag_trace::with_trace(&trace, || {
+            e.run_sql(sql).unwrap();
+            e.scan(sql).unwrap()
+        });
+        assert_eq!(scanned.rows(), rows);
+        let spans = sink.take();
+        assert_eq!(spans.len(), 2);
+        let (ran, scan) = (&spans[0].annotations, &spans[1].annotations);
+        assert_eq!(
+            (spans[1].stage, spans[1].label.as_str()),
+            (tag_trace::Stage::Exec, "sql")
+        );
+        assert_eq!(scan.len(), ran.len(), "{scan:?}");
+        assert_eq!(scan[0], ran[0]);
+        assert!(scan[1..].iter().all(|a| a.contains("out=")), "{scan:?}");
     }
 
     #[test]

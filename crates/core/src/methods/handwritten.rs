@@ -15,17 +15,19 @@
 //! directly above the scan), and the plan executes through the common
 //! [`SemRuntime`](crate::semplan::SemRuntime). "On the data system" is
 //! literal for that prefix: it is one `SELECT` through `tag-sql`. An
-//! exact operator that ends up above a semantic one (a predicate with
-//! pushdown off, the cut above `sem_topk`) runs as a frame kernel over
-//! the rows that are left. The division of labour is the TAG thesis; the
-//! plan IR makes it inspectable (`EXPLAIN SEMPLAN`) and optimizable.
+//! exact operator that ends up above the scan (a REAL predicate, a
+//! predicate with pushdown off, the cut above `sem_topk`) runs as a
+//! kernel over the frame's selection of the engine's columns, and the
+//! answer is read off that selection. The division of labour is the TAG
+//! thesis; the plan IR makes it inspectable (`EXPLAIN SEMPLAN`) and
+//! optimizable.
 
 use crate::answer::Answer;
 use crate::env::TagEnv;
+use crate::methods::first_cell;
 use crate::model::TagMethod;
 use crate::semplan::{compile_nlq, nlq_reads, run_semplan};
 use tag_lm::nlq::NlQuery;
-use tag_semops::DataFrame;
 
 /// The hand-written TAG method. `answer` parses the canonical question;
 /// [`HandWrittenTag::answer_structured`] takes the structured form
@@ -43,38 +45,30 @@ impl HandWrittenTag {
         }
     }
 
+    /// Read the answer off the plan's frame where it lies: the selected
+    /// attribute of the selected rows, or the row count alone; no row
+    /// is built.
     fn run(&self, query: &NlQuery, env: &TagEnv) -> Result<Answer, String> {
         let frame = run_semplan(env, compile_nlq(query), &nlq_reads(query))?;
-        let df = DataFrame::new(frame.columns, frame.rows).map_err(|e| e.to_string())?;
         match query {
             NlQuery::Superlative { select_attr, .. }
             | NlQuery::List { select_attr, .. }
             | NlQuery::TopK { select_attr, .. }
             | NlQuery::SemanticRank { select_attr, .. } => {
-                Ok(Answer::List(column_strings(&df, select_attr)?))
+                let col = frame.column_index(select_attr).map_err(|e| e.to_string())?;
+                let cells = frame.column(col);
+                let values = frame
+                    .selection()
+                    .iter()
+                    .map(|&id| cells.text_at(id as usize));
+                Ok(Answer::List(values.collect()))
             }
-            NlQuery::Count { .. } => Ok(Answer::List(vec![df.len().to_string()])),
+            NlQuery::Count { .. } => Ok(Answer::List(vec![frame.len().to_string()])),
             NlQuery::Summarize { .. } | NlQuery::ProvideInfo { .. } => {
-                // The plan's Generate node produced a one-cell frame.
-                let text = df
-                    .rows()
-                    .first()
-                    .and_then(|r| r.first())
-                    .map(|v| v.to_string())
-                    .unwrap_or_default();
-                Ok(Answer::Text(text))
+                Ok(Answer::Text(first_cell(&frame)))
             }
         }
     }
-}
-
-fn column_strings(df: &DataFrame, column: &str) -> Result<Vec<String>, String> {
-    Ok(df
-        .column(column)
-        .map_err(|e| e.to_string())?
-        .iter()
-        .map(|v| v.to_string())
-        .collect())
 }
 
 impl TagMethod for HandWrittenTag {
@@ -208,6 +202,35 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(asked(&env), Answer::List(vec!["9".into()]));
+    }
+
+    /// A top-k's `k` is the question writer's number, not the input's
+    /// size: early stop's batch size saturates instead of overflowing
+    /// (a debug-build panic, a wrapped batch size in release), and every
+    /// `k` at or above the row count judges every value in one round.
+    #[test]
+    fn a_huge_top_k_answers_as_k_equal_to_the_row_count() {
+        let env = TagEnv::new(
+            tag_datagen::schools::generate_bulk(42, 200).db,
+            Arc::new(SimLm::new(SimConfig::default())),
+        );
+        let ask = |k: &str| {
+            env.reset_metrics();
+            let answer = HandWrittenTag.answer(
+                &format!(
+                    "List the top {k} schools by Latitude: give their School \
+                     among those located in the Bay Area region."
+                ),
+                &env,
+            );
+            (answer, env.lm.calls(), env.lm.batches())
+        };
+        let huge = ask("5000000000000000000");
+        assert!(
+            matches!(&huge.0, Answer::List(list) if !list.is_empty()),
+            "{huge:?}"
+        );
+        assert_eq!(huge, ask("200"));
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub use text2sql::Text2Sql;
 pub use text2sql_lm::Text2SqlLm;
 
 use crate::answer::Answer;
-use tag_sql::ResultSet;
+use tag_sql::{ResultSet, SemFrame};
 
 /// Flatten a SQL result into the benchmark's list-of-values answer
 /// format (row-major cell order).
@@ -28,14 +28,16 @@ pub(crate) fn result_to_answer(rs: &ResultSet) -> Answer {
 }
 
 /// Interpret the one-cell frame a SemPlan `Generate` node produces.
-pub(crate) fn gen_frame_to_answer(frame: &tag_sql::SemFrame, list_format: bool) -> Answer {
-    let text = frame
-        .rows
-        .first()
-        .and_then(|r| r.first())
-        .map(|v| v.to_string())
-        .unwrap_or_default();
-    response_to_answer(&text, list_format)
+pub(crate) fn gen_frame_to_answer(frame: &SemFrame, list_format: bool) -> Answer {
+    response_to_answer(&first_cell(frame), list_format)
+}
+
+/// The text of a frame's first cell, or nothing when it has none.
+pub(crate) fn first_cell(frame: &SemFrame) -> String {
+    if frame.is_empty() || frame.columns.is_empty() {
+        return String::new();
+    }
+    frame.value(0, 0).to_string()
 }
 
 /// Interpret an LM answer-generation response: list answers parse into

@@ -24,18 +24,26 @@
 //! ([`tag_sql::lower_scans`]): each scan reads only the columns the plan
 //! and its consumer read ([`nlq_reads`]), and the exact predicates and
 //! the cut directly above it run as its `WHERE` / `ORDER BY … LIMIT`.
-//! Frames move between nodes by value; a frame kernel (`Predicate`,
-//! `Cut`) runs only where the node is not adjacent to a scan.
+//!
+//! Frames are selections over the engine's columns ([`SemFrame`]): the
+//! scan hands over its executor batches without building a row, and the
+//! exact predicates and cuts left above it, the distinct-value
+//! `SemFilter` and the early-stop `SemFilter` are kernels that narrow or
+//! reorder the selection. Rows are built only for the operators that
+//! take a row-major `DataFrame`, and only the selected ones.
 
 use crate::env::TagEnv;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::Hash;
 use tag_lm::model::LmRequest;
 use tag_lm::nlq::{CmpOp, NlFilter, NlQuery, SemProperty};
-use tag_lm::prompts::{
-    answer_free_prompt, answer_list_prompt, relevance_prompt, sem_filter_prompt, SemClaim,
+use tag_lm::prompts::{answer_free_prompt, answer_list_prompt, relevance_prompt, SemClaim};
+use tag_semops::{
+    sem_agg, sem_filter, sem_join, sem_judge, sem_map, sem_topk, DataFrame, SemError,
 };
-use tag_semops::{sem_agg, sem_filter, sem_join, sem_map, sem_topk, DataFrame, SemError};
+use tag_sql::chunk::ColumnData;
 use tag_sql::{
     execute_sem, execute_sem_profiled, lower_scans, optimize_sem, scan_sql, CutSpec, GenFormat,
     LmCost, PlanProfiler, RetrieveKind, SemClaimSpec, SemDelegate, SemFrame, SemNode, SemPredicate,
@@ -375,7 +383,8 @@ pub fn run_semplan(env: &TagEnv, naive: SemNode, reads: &SemReads) -> Result<Sem
 }
 
 /// The semantic-plan runtime: executes [`SemNode`]s over the
-/// environment's SQL engine, row store, semantic operators, and LM.
+/// environment's SQL engine, row store, semantic operators, and LM, over
+/// frames that are selections of the engine's columns (module docs).
 pub struct SemRuntime<'a> {
     env: &'a TagEnv,
     // Token counters for direct `gen` calls, which bypass the semantic
@@ -394,52 +403,17 @@ impl<'a> SemRuntime<'a> {
         }
     }
 
-    fn exec_predicate(&self, mut df: DataFrame, pred: &SemPredicate) -> Result<DataFrame, String> {
-        match pred {
-            SemPredicate::NumCmp { attr, over, value } => {
-                df.retain_col(attr, |v| match v.as_f64() {
-                    Some(x) => {
-                        if *over {
-                            x > *value
-                        } else {
-                            x < *value
-                        }
-                    }
-                    None => false,
-                })
-            }
-            SemPredicate::TextEq { attr, value } => {
-                let as_num: Option<f64> = value.trim().parse().ok();
-                df.retain_col(attr, |v| match (v.as_str(), v.as_f64(), as_num) {
-                    (Some(s), _, _) => s.eq_ignore_ascii_case(value),
-                    (None, Some(x), Some(y)) => x == y,
-                    _ => false,
-                })
-            }
-            SemPredicate::TextEqAny { columns, value } => {
-                let col = existing_column(&df, columns)?;
-                df.retain_col(&col, |v| {
-                    v.as_str()
-                        .map(|s| s.eq_ignore_ascii_case(value))
-                        .unwrap_or(false)
-                })
-            }
-        }
-        .map_err(sem_err)?;
-        Ok(df)
-    }
-
     fn exec_sem_filter(
         &self,
-        mut df: DataFrame,
+        frame: SemFrame,
         columns: &[String],
         resolve: bool,
         spec: &SemClaimSpec,
         distinct: bool,
         early_stop: Option<&CutSpec>,
-    ) -> Result<DataFrame, String> {
+    ) -> Result<SemFrame, String> {
         let col = if resolve {
-            existing_column(&df, columns)?
+            existing_column(&frame, columns)?
         } else {
             columns
                 .first()
@@ -448,93 +422,118 @@ impl<'a> SemRuntime<'a> {
         };
         let claim = spec_to_claim(spec)?;
         if let Some(cut) = early_stop {
-            return self.early_stop_filter(df, &col, &claim, cut);
+            return self.early_stop_filter(frame, &col, &claim, cut);
         }
         if distinct {
-            // The Appendix C pattern: judge each distinct value once,
-            // then an exact `isin` back on the full frame.
-            let run = || -> Result<DataFrame, SemError> {
-                let unique_df = DataFrame::new(
-                    vec![col.clone()],
-                    df.unique(&col)?.into_iter().map(|v| vec![v]).collect(),
-                )?;
-                let kept = sem_filter(&self.env.engine, &unique_df, &col, &claim)?;
-                let kept_values: HashSet<Value> = kept.column(&col)?.into_iter().collect();
-                df.retain_col(&col, |v| kept_values.contains(v))?;
-                Ok(df)
-            };
-            return run().map_err(|e| e.to_string());
+            return self.distinct_filter(frame, &col, &claim);
         }
-        sem_filter(&self.env.engine, &df, &col, &claim).map_err(|e| e.to_string())
+        let df = frame_to_df(&frame)?;
+        sem_filter(&self.env.engine, &df, &col, &claim)
+            .map(df_to_frame)
+            .map_err(|e| e.to_string())
     }
 
-    /// A semantic filter with a fused exact cut: stable-sort first, judge
-    /// distinct values in sorted order (in exponentially growing
-    /// batches), and stop as soon as `cut.k` rows survive. Answer-
-    /// equivalent to filter-then-sort-then-head because stable sorting
-    /// commutes with order-preserving filters and judgments are
-    /// per-prompt deterministic.
+    /// The Appendix C pattern: judge each distinct value once, then keep
+    /// the rows whose value passed. One hashing pass numbers the values
+    /// in first-seen frame order (the prompt order) and gives every row
+    /// its value's code, so the selection narrows by code and no row is
+    /// hashed twice.
+    fn distinct_filter(
+        &self,
+        frame: SemFrame,
+        col: &str,
+        claim: &SemClaim,
+    ) -> Result<SemFrame, String> {
+        let c = frame.column_index(col).map_err(sem_err)?;
+        let (codes, firsts) = value_codes(&frame, c);
+        let values: Vec<String> = firsts
+            .iter()
+            .map(|&row| frame.value(row, c).to_string())
+            .collect();
+        let passed = {
+            let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_filter");
+            sem_judge(&self.env.engine, claim, &values)
+                .map_err(|e| SemError::from(e).to_string())?
+        };
+        let kept = frame
+            .selection()
+            .iter()
+            .zip(&codes)
+            .filter(|(_, &code)| passed[code as usize])
+            .map(|(&id, _)| id)
+            .collect();
+        Ok(frame.with_selection(kept))
+    }
+
+    /// A semantic filter with a fused exact cut: judge distinct values
+    /// (distinct by their text, the verdict key) in the order of each
+    /// value's first row under the cut's stable order, in batches of
+    /// `max(4k, 16)` values doubling each round, and stop after the first
+    /// batch by whose boundary (its last value's first row) `k` rows
+    /// pass, or when no value is left; the result is the first `k`
+    /// passing rows. Answer-equivalent to filter-then-sort-then-head
+    /// because stable sorting commutes with order-preserving filters and
+    /// judgments are per-prompt deterministic — and no row is sorted but
+    /// the `k` kept.
     fn early_stop_filter(
         &self,
-        mut sorted: DataFrame,
+        frame: SemFrame,
         col: &str,
         claim: &SemClaim,
         cut: &CutSpec,
-    ) -> Result<DataFrame, String> {
+    ) -> Result<SemFrame, String> {
         let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_filter");
-        sorted
-            .sort_in_place(&cut.sort_by, cut.descending)
-            .map_err(|e| e.to_string())?;
-        let idx = sorted.column_index(col).map_err(sem_err)?;
-        let rows = sorted.rows();
-        let mut verdicts: HashMap<String, bool> = HashMap::new();
-        let mut kept: Vec<Vec<Value>> = Vec::new();
-        let mut pos = 0usize;
-        let mut batch_size = (4 * cut.k).max(16);
-        while pos < rows.len() && kept.len() < cut.k {
-            // Gather the next `batch_size` unjudged distinct values.
-            let mut batch: Vec<String> = Vec::new();
-            let mut in_batch: HashSet<String> = HashSet::new();
-            let mut scan = pos;
-            while scan < rows.len() && batch.len() < batch_size {
-                let v = rows[scan][idx].to_string();
-                if !verdicts.contains_key(&v) && in_batch.insert(v.clone()) {
-                    batch.push(v);
-                }
-                scan += 1;
+        let order = stable_order(&frame, cut).map_err(|e| e.to_string())?;
+        let c = frame.column_index(col).map_err(sem_err)?;
+        let (codes, mut first) = text_codes(&frame, c);
+        for (row, &code) in codes.iter().enumerate() {
+            let f = &mut first[code as usize];
+            if order(&row, f) == Ordering::Less {
+                *f = row;
             }
-            if !batch.is_empty() {
-                let prompts: Vec<String> =
-                    batch.iter().map(|v| sem_filter_prompt(claim, v)).collect();
-                let answers = self
-                    .env
-                    .engine
-                    .complete_batch_op("sem_filter", &prompts)
-                    .map_err(|e| e.to_string())?;
-                for (v, a) in batch.into_iter().zip(answers) {
-                    verdicts.insert(v, a.trim().eq_ignore_ascii_case("true"));
-                }
+        }
+        let mut values: Vec<u32> = (0..first.len() as u32).collect();
+        values.sort_unstable_by(|&a, &b| order(&first[a as usize], &first[b as usize]));
+        let mut passed = vec![false; values.len()];
+        let mut judged = 0;
+        let mut batch_size = cut.k.saturating_mul(4).max(16);
+        while cut.k > 0 && judged < values.len() {
+            let batch = &values[judged..values.len().min(judged.saturating_add(batch_size))];
+            let texts: Vec<String> = batch
+                .iter()
+                .map(|&v| frame.value(first[v as usize], c).to_string())
+                .collect();
+            let verdicts = sem_judge(&self.env.engine, claim, &texts).map_err(|e| e.to_string())?;
+            for (&v, verdict) in batch.iter().zip(verdicts) {
+                passed[v as usize] = verdict;
             }
-            // Every row up to `scan` is now judged; consume in sorted
-            // order until k survivors.
-            while pos < scan && kept.len() < cut.k {
-                let v = rows[pos][idx].to_string();
-                if verdicts.get(&v).copied().unwrap_or(false) {
-                    kept.push(rows[pos].clone());
-                }
-                pos += 1;
+            judged += batch.len();
+            // Every row up to the boundary has a judged value.
+            let boundary = first[batch[batch.len() - 1] as usize];
+            let passing = (0..codes.len())
+                .filter(|row| passed[codes[*row] as usize])
+                .filter(|row| order(row, &boundary) != Ordering::Greater)
+                .count();
+            if passing >= cut.k {
+                break;
             }
-            batch_size *= 2;
+            batch_size = batch_size.saturating_mul(2);
         }
         if tag_trace::is_active() {
-            let distinct: HashSet<String> = rows.iter().map(|r| r[idx].to_string()).collect();
             tag_trace::annotate(format!(
-                "early_stop: judged {} of {} values",
-                verdicts.len(),
-                distinct.len()
+                "early_stop: judged {judged} of {} values",
+                values.len()
             ));
         }
-        DataFrame::new(sorted.columns().to_vec(), kept).map_err(|e| e.to_string())
+        let passing = (0..codes.len())
+            .filter(|row| passed[codes[*row] as usize])
+            .collect();
+        let kept = first_k(passing, cut.k, &order)
+            .into_iter()
+            .map(|row| frame.selection()[row])
+            .collect();
+        drop(order);
+        Ok(frame.with_selection(kept))
     }
 
     fn exec_retrieve(&self, query: &str, k: usize, kind: RetrieveKind) -> SemFrame {
@@ -610,15 +609,12 @@ impl<'a> SemRuntime<'a> {
                 if tag_lm::tokenizer::count_tokens(&prompt) <= budget {
                     self.generate_tracked(prompt, span_name)?
                 } else {
-                    let df = frame_to_df(frame)?;
+                    let df = frame_to_df(&frame)?;
                     sem_agg(&self.env.engine, &df, request, None).map_err(|e| e.to_string())?
                 }
             }
         };
-        Ok(SemFrame::new(
-            vec!["answer".to_owned()],
-            vec![vec![Value::Text(text)]],
-        ))
+        Ok(answer_frame(text))
     }
 
     fn generate_tracked(&self, prompt: String, span_name: &str) -> Result<String, String> {
@@ -653,17 +649,15 @@ impl SemDelegate for SemRuntime<'_> {
                 cut,
             } => {
                 let sql = scan_sql(table, columns.as_deref(), filters, cut.as_ref());
-                let rs = self
-                    .env
-                    .run_sql(&sql)
-                    .map_err(|e| format!("base scan failed: {e}"))?;
-                Ok(SemFrame::new(rs.columns, rs.rows))
+                self.env
+                    .scan(&sql)
+                    .map_err(|e| format!("base scan failed: {e}"))
             }
-            SemNode::Input { columns, rows } => Ok(SemFrame::new(columns.clone(), rows.clone())),
-            SemNode::Predicate { pred, .. } => {
-                let df = frame_to_df(input()?)?;
-                self.exec_predicate(df, pred).map(df_to_frame)
-            }
+            SemNode::Input { columns, rows } => Ok(SemFrame::from_rows(
+                columns.clone(),
+                rows.iter().map(|r| r.iter().cloned()),
+            )),
+            SemNode::Predicate { pred, .. } => exec_predicate(input()?, pred),
             SemNode::SemFilter {
                 columns,
                 resolve,
@@ -671,25 +665,22 @@ impl SemDelegate for SemRuntime<'_> {
                 distinct,
                 early_stop,
                 ..
-            } => {
-                let df = frame_to_df(input()?)?;
-                self.exec_sem_filter(df, columns, *resolve, claim, *distinct, early_stop.as_ref())
-                    .map(df_to_frame)
-            }
-            SemNode::Cut { cut, .. } => {
-                let mut df = frame_to_df(input()?)?;
-                df.sort_in_place(&cut.sort_by, cut.descending)
-                    .map_err(|e| e.to_string())?;
-                df.truncate(cut.k);
-                Ok(df_to_frame(df))
-            }
+            } => self.exec_sem_filter(
+                input()?,
+                columns,
+                *resolve,
+                claim,
+                *distinct,
+                early_stop.as_ref(),
+            ),
+            SemNode::Cut { cut, .. } => exec_cut(input()?, cut).map_err(|e| e.to_string()),
             SemNode::SemTopK {
                 on_attr,
                 property,
                 k,
                 ..
             } => {
-                let df = frame_to_df(input()?)?;
+                let df = frame_to_df(&input()?)?;
                 let prop = property_from_word(property)
                     .ok_or_else(|| format!("unknown semantic property: {property}"))?;
                 sem_topk(&self.env.engine, &df, on_attr, prop, *k)
@@ -697,13 +688,10 @@ impl SemDelegate for SemRuntime<'_> {
                     .map_err(|e| e.to_string())
             }
             SemNode::SemAgg { request, .. } => {
-                let df = frame_to_df(input()?)?;
+                let df = frame_to_df(&input()?)?;
                 let text =
                     sem_agg(&self.env.engine, &df, request, None).map_err(|e| e.to_string())?;
-                Ok(SemFrame::new(
-                    vec!["answer".to_owned()],
-                    vec![vec![Value::Text(text)]],
-                ))
+                Ok(answer_frame(text))
             }
             SemNode::SemMap {
                 on_attr,
@@ -711,7 +699,7 @@ impl SemDelegate for SemRuntime<'_> {
                 out_column,
                 ..
             } => {
-                let df = frame_to_df(input()?)?;
+                let df = frame_to_df(&input()?)?;
                 sem_map(&self.env.engine, &df, on_attr, instruction, out_column)
                     .map(df_to_frame)
                     .map_err(|e| e.to_string())
@@ -722,8 +710,8 @@ impl SemDelegate for SemRuntime<'_> {
                 property,
                 ..
             } => {
-                let left = frame_to_df(input()?)?;
-                let right = frame_to_df(input()?)?;
+                let left = frame_to_df(&input()?)?;
+                let right = frame_to_df(&input()?)?;
                 let prop = property_from_word(property)
                     .ok_or_else(|| format!("unknown semantic property: {property}"))?;
                 sem_join(
@@ -758,13 +746,182 @@ impl SemDelegate for SemRuntime<'_> {
     }
 }
 
-fn frame_to_df(frame: SemFrame) -> Result<DataFrame, String> {
-    DataFrame::new(frame.columns, frame.rows).map_err(|e| e.to_string())
+/// An exact predicate: the selection keeps the rows whose cell passes
+/// the predicate's per-cell test.
+fn exec_predicate(frame: SemFrame, pred: &SemPredicate) -> Result<SemFrame, String> {
+    match pred {
+        SemPredicate::NumCmp { attr, over, value } => retain(frame, attr, |v| match v.as_f64() {
+            Some(x) => {
+                if *over {
+                    x > *value
+                } else {
+                    x < *value
+                }
+            }
+            None => false,
+        }),
+        SemPredicate::TextEq { attr, value } => {
+            let as_num: Option<f64> = value.trim().parse().ok();
+            retain(frame, attr, |v| match (v.as_str(), v.as_f64(), as_num) {
+                (Some(s), _, _) => s.eq_ignore_ascii_case(value),
+                (None, Some(x), Some(y)) => x == y,
+                _ => false,
+            })
+        }
+        SemPredicate::TextEqAny { columns, value } => {
+            let col = existing_column(&frame, columns)?;
+            retain(frame, &col, |v| {
+                v.as_str()
+                    .map(|s| s.eq_ignore_ascii_case(value))
+                    .unwrap_or(false)
+            })
+        }
+    }
+    .map_err(sem_err)
+}
+
+/// Narrow the selection to the rows whose `column` cell passes `keep`.
+fn retain(
+    frame: SemFrame,
+    column: &str,
+    mut keep: impl FnMut(&Value) -> bool,
+) -> tag_sql::SqlResult<SemFrame> {
+    let cells = frame.column(frame.column_index(column)?);
+    let kept = frame
+        .selection()
+        .iter()
+        .copied()
+        .filter(|&id| keep(&cells.value_at(id as usize)))
+        .collect();
+    Ok(frame.with_selection(kept))
+}
+
+/// An exact cut: the first `k` rows of the selection under the cut's
+/// stable order.
+fn exec_cut(frame: SemFrame, cut: &CutSpec) -> tag_sql::SqlResult<SemFrame> {
+    let order = stable_order(&frame, cut)?;
+    let kept = first_k((0..frame.len()).collect(), cut.k, &order)
+        .into_iter()
+        .map(|row| frame.selection()[row])
+        .collect();
+    drop(order);
+    Ok(frame.with_selection(kept))
+}
+
+/// The cut's order over frame rows: the sort key under
+/// `Value::total_cmp` (reversed when descending), then the row's frame
+/// position. A total order, and the order a stable sort gives.
+fn stable_order<'f>(
+    frame: &'f SemFrame,
+    cut: &CutSpec,
+) -> tag_sql::SqlResult<impl Fn(&usize, &usize) -> Ordering + 'f> {
+    let key = frame.column(frame.column_index(&cut.sort_by)?);
+    let ids = frame.selection();
+    let descending = cut.descending;
+    Ok(move |a: &usize, b: &usize| {
+        let ord = key.total_cmp_at(ids[*a] as usize, ids[*b] as usize);
+        let ord = if descending { ord.reverse() } else { ord };
+        ord.then(a.cmp(b))
+    })
+}
+
+/// The first `k` of `rows` under `order`, in order: a selection puts them
+/// in front, and only they are sorted.
+fn first_k(
+    mut rows: Vec<usize>,
+    k: usize,
+    order: &impl Fn(&usize, &usize) -> Ordering,
+) -> Vec<usize> {
+    if k == 0 {
+        return Vec::new();
+    }
+    if k < rows.len() {
+        rows.select_nth_unstable_by(k - 1, order);
+        rows.truncate(k);
+    }
+    rows.sort_unstable_by(order);
+    rows
+}
+
+/// Number the distinct values of column `col` over the frame's rows,
+/// in first-seen frame order: each row's code, and each code's first
+/// row. One hash lookup per row; the map is never iterated.
+fn codes_by<K: Hash + Eq>(frame: &SemFrame, key: impl Fn(usize) -> K) -> (Vec<u32>, Vec<usize>) {
+    let mut index: HashMap<K, u32> = HashMap::new();
+    let mut firsts = Vec::new();
+    let codes = frame
+        .selection()
+        .iter()
+        .enumerate()
+        .map(|(row, &id)| {
+            let next = firsts.len() as u32;
+            let code = *index.entry(key(id as usize)).or_insert(next);
+            if code == next {
+                firsts.push(row);
+            }
+            code
+        })
+        .collect();
+    (codes, firsts)
+}
+
+/// [`codes_by`] under `Value` equality (`Int(7)` is `Float(7.0)`, `-0.0`
+/// is not `0.0`): the distinct values the distinct-value rewrite judges.
+fn value_codes(frame: &SemFrame, col: usize) -> (Vec<u32>, Vec<usize>) {
+    match frame.column(col) {
+        ColumnData::Int { values, validity } => {
+            codes_by(frame, |i| validity[i].then_some(values[i]))
+        }
+        ColumnData::Float { values, validity } => {
+            codes_by(frame, |i| validity[i].then_some(values[i].to_bits()))
+        }
+        ColumnData::Text { values, validity } => {
+            codes_by(frame, |i| validity[i].then_some(values[i].as_str()))
+        }
+        ColumnData::Mixed(values) => codes_by(frame, |i| &values[i]),
+    }
+}
+
+/// [`codes_by`] under equality of `to_string()`, early stop's verdict
+/// key: NULL is the text `NULL`, and every NaN prints `NaN`, while no two
+/// other floats print alike.
+fn text_codes(frame: &SemFrame, col: usize) -> (Vec<u32>, Vec<usize>) {
+    match frame.column(col) {
+        ColumnData::Int { values, validity } => {
+            codes_by(frame, |i| validity[i].then_some(values[i]))
+        }
+        ColumnData::Float { values, validity } => codes_by(frame, |i| {
+            let canonical = if values[i].is_nan() {
+                f64::NAN
+            } else {
+                values[i]
+            };
+            validity[i].then_some(canonical.to_bits())
+        }),
+        ColumnData::Text { values, validity } => codes_by(frame, |i| {
+            if validity[i] {
+                values[i].as_str()
+            } else {
+                "NULL"
+            }
+        }),
+        ColumnData::Mixed(values) => codes_by(frame, |i| values[i].to_string()),
+    }
+}
+
+/// The selected rows as a row-major frame, for the operators that take
+/// one.
+fn frame_to_df(frame: &SemFrame) -> Result<DataFrame, String> {
+    DataFrame::new(frame.columns.clone(), frame.rows()).map_err(|e| e.to_string())
 }
 
 fn df_to_frame(df: DataFrame) -> SemFrame {
-    let (columns, rows) = df.into_parts();
-    SemFrame::new(columns, rows)
+    SemFrame::from_rows(df.columns().to_vec(), df.rows().iter().cloned())
+}
+
+/// The one-cell frame a text-producing node returns.
+fn answer_frame(text: String) -> SemFrame {
+    SemFrame::from_rows(vec!["answer".to_owned()], [[Value::Text(text)]])
 }
 
 fn sem_err(e: tag_sql::SqlError) -> String {
@@ -773,16 +930,16 @@ fn sem_err(e: tag_sql::SqlError) -> String {
 
 /// Find the first existing column among candidates (the hand-written
 /// pipelines' schema-candidate resolution, error string unchanged).
-fn existing_column(df: &DataFrame, candidates: &[String]) -> Result<String, String> {
+fn existing_column(frame: &SemFrame, candidates: &[String]) -> Result<String, String> {
     for c in candidates {
-        if df.column_index(c).is_ok() {
+        if frame.column_index(c).is_ok() {
             return Ok(c.clone());
         }
     }
     let candidates: Vec<&str> = candidates.iter().map(String::as_str).collect();
     let msg = format!(
         "pipeline expects one of the columns {candidates:?}, frame has {:?}",
-        df.columns()
+        frame.columns
     );
     Err(SemError::Frame(tag_sql::SqlError::Binding(msg)).to_string())
 }
@@ -791,32 +948,28 @@ fn existing_column(df: &DataFrame, candidates: &[String]) -> Result<String, Stri
 /// can flow through `SemFrame`s (columns differ row to row after
 /// row-store retrieval).
 fn encode_points(points: &[Vec<(String, String)>]) -> SemFrame {
-    let rows: Vec<Vec<Value>> = points
-        .iter()
-        .map(|p| {
-            let encoded = p
-                .iter()
-                .map(|(c, v)| format!("{c}{PAIR_SEP}{v}"))
-                .collect::<Vec<_>>()
-                .join(&POINT_SEP.to_string());
-            vec![Value::Text(encoded)]
-        })
-        .collect();
-    SemFrame::new(vec![POINT_COLUMN.to_owned()], rows)
+    let rows = points.iter().map(|p| {
+        let encoded = p
+            .iter()
+            .map(|(c, v)| format!("{c}{PAIR_SEP}{v}"))
+            .collect::<Vec<_>>()
+            .join(&POINT_SEP.to_string());
+        [Value::Text(encoded)]
+    });
+    SemFrame::from_rows(vec![POINT_COLUMN.to_owned()], rows)
 }
 
 /// Recover data points from a frame: point-encoded frames decode their
 /// pairs; plain table frames render column/value pairs (exactly the
-/// frame's `to_data_points` / the ResultSet `result_to_points` mapping).
+/// frame's `to_data_points` / the ResultSet `result_to_points` mapping),
+/// each cell's text read straight off its column.
 fn decode_points(frame: &SemFrame) -> Vec<Vec<(String, String)>> {
     if frame.columns.len() == 1 && frame.columns[0] == POINT_COLUMN {
-        frame
-            .rows
-            .iter()
-            .map(|r| {
-                let encoded = match r.first() {
-                    Some(Value::Text(s)) => s.as_str(),
-                    _ => "",
+        (0..frame.len())
+            .map(|row| {
+                let encoded = match frame.value(row, 0) {
+                    Value::Text(s) => s,
+                    _ => String::new(),
                 };
                 if encoded.is_empty() {
                     return Vec::new();
@@ -832,24 +985,165 @@ fn decode_points(frame: &SemFrame) -> Vec<Vec<(String, String)>> {
             .collect()
     } else {
         frame
-            .rows
+            .selection()
             .iter()
-            .map(|r| {
-                frame
-                    .columns
-                    .iter()
-                    .cloned()
-                    .zip(r.iter().map(|v| v.to_string()))
-                    .collect()
+            .map(|&id| {
+                let cells = (0..frame.columns.len()).map(|c| frame.column(c).text_at(id as usize));
+                frame.columns.iter().cloned().zip(cells).collect()
             })
             .collect()
+    }
+}
+
+/// The row-major kernels the selection kernels replaced, kept as the
+/// reference they are held to (`tests::kernels_match_the_reference`):
+/// each takes a `DataFrame` of the frame's rows and copies, sorts and
+/// filters rows as the runtime did before frames were selections.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use std::collections::HashSet;
+    use tag_lm::prompts::sem_filter_prompt;
+    use tag_semops::SemEngine;
+
+    pub(super) fn predicate(df: DataFrame, pred: &SemPredicate) -> Result<DataFrame, String> {
+        match pred {
+            SemPredicate::NumCmp { attr, over, value } => {
+                df.filter_col(attr, |v| match v.as_f64() {
+                    Some(x) => {
+                        if *over {
+                            x > *value
+                        } else {
+                            x < *value
+                        }
+                    }
+                    None => false,
+                })
+            }
+            SemPredicate::TextEq { attr, value } => {
+                let as_num: Option<f64> = value.trim().parse().ok();
+                df.filter_col(attr, |v| match (v.as_str(), v.as_f64(), as_num) {
+                    (Some(s), _, _) => s.eq_ignore_ascii_case(value),
+                    (None, Some(x), Some(y)) => x == y,
+                    _ => false,
+                })
+            }
+            SemPredicate::TextEqAny { columns, value } => {
+                let col = existing_column(&df, columns)?;
+                df.filter_col(&col, |v| {
+                    v.as_str()
+                        .map(|s| s.eq_ignore_ascii_case(value))
+                        .unwrap_or(false)
+                })
+            }
+        }
+        .map_err(sem_err)
+    }
+
+    pub(super) fn cut(df: DataFrame, cut: &CutSpec) -> Result<DataFrame, String> {
+        let sorted = df
+            .sort_by(&cut.sort_by, cut.descending)
+            .map_err(|e| e.to_string())?;
+        Ok(sorted.head(cut.k))
+    }
+
+    /// Judge the distinct values (first-seen order, `Value` equality),
+    /// then keep the rows whose value is among the kept ones.
+    pub(super) fn distinct_filter(
+        engine: &SemEngine,
+        df: DataFrame,
+        col: &str,
+        claim: &SemClaim,
+    ) -> Result<DataFrame, String> {
+        let run = || -> Result<DataFrame, SemError> {
+            let i = df.column_index(col)?;
+            let mut seen = HashSet::new();
+            let unique = df
+                .rows()
+                .iter()
+                .filter(|r| seen.insert(&r[i]))
+                .map(|r| vec![r[i].clone()])
+                .collect();
+            let unique_df = DataFrame::new(vec![col.to_owned()], unique)?;
+            let kept = sem_filter(engine, &unique_df, col, claim)?;
+            let kept_values: HashSet<Value> = kept.column(col)?.into_iter().collect();
+            Ok(df.filter_col(col, |v| kept_values.contains(v))?)
+        };
+        run().map_err(|e| e.to_string())
+    }
+
+    /// Stable-sort the whole frame, then walk it judging unjudged
+    /// values (by their text) in doubling batches until `k` rows pass.
+    pub(super) fn early_stop_filter(
+        engine: &SemEngine,
+        df: DataFrame,
+        col: &str,
+        claim: &SemClaim,
+        cut: &CutSpec,
+    ) -> Result<DataFrame, String> {
+        let sorted = df
+            .sort_by(&cut.sort_by, cut.descending)
+            .map_err(|e| e.to_string())?;
+        let idx = sorted.column_index(col).map_err(sem_err)?;
+        let rows = sorted.rows();
+        let mut verdicts: HashMap<String, bool> = HashMap::new();
+        let mut kept: Vec<Vec<Value>> = Vec::new();
+        let mut pos = 0usize;
+        let mut batch_size = (4 * cut.k).max(16);
+        while pos < rows.len() && kept.len() < cut.k {
+            let mut batch: Vec<String> = Vec::new();
+            let mut in_batch: HashSet<String> = HashSet::new();
+            let mut scan = pos;
+            while scan < rows.len() && batch.len() < batch_size {
+                let v = rows[scan][idx].to_string();
+                if !verdicts.contains_key(&v) && in_batch.insert(v.clone()) {
+                    batch.push(v);
+                }
+                scan += 1;
+            }
+            if !batch.is_empty() {
+                let prompts: Vec<String> =
+                    batch.iter().map(|v| sem_filter_prompt(claim, v)).collect();
+                let answers = engine
+                    .complete_batch_op("sem_filter", &prompts)
+                    .map_err(|e| e.to_string())?;
+                for (v, a) in batch.into_iter().zip(answers) {
+                    verdicts.insert(v, a.trim().eq_ignore_ascii_case("true"));
+                }
+            }
+            while pos < scan && kept.len() < cut.k {
+                let v = rows[pos][idx].to_string();
+                if verdicts.get(&v).copied().unwrap_or(false) {
+                    kept.push(rows[pos].clone());
+                }
+                pos += 1;
+            }
+            batch_size *= 2;
+        }
+        DataFrame::new(sorted.columns().to_vec(), kept).map_err(|e| e.to_string())
+    }
+
+    fn existing_column(df: &DataFrame, candidates: &[String]) -> Result<String, String> {
+        for c in candidates {
+            if df.column_index(c).is_ok() {
+                return Ok(c.clone());
+            }
+        }
+        let candidates: Vec<&str> = candidates.iter().map(String::as_str).collect();
+        let msg = format!(
+            "pipeline expects one of the columns {candidates:?}, frame has {:?}",
+            df.columns()
+        );
+        Err(SemError::Frame(tag_sql::SqlError::Binding(msg)).to_string())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop_oneof, Just, Strategy};
     use std::sync::Arc;
+    use tag_lm::model::{LanguageModel, LmResponse, LmResult};
     use tag_lm::sim::{SimConfig, SimLm};
     use tag_lm::KnowledgeConfig;
     use tag_sql::{Database, SemOptOptions};
@@ -1132,5 +1426,353 @@ mod tests {
             vec![("c".to_owned(), String::new())],
         ];
         assert_eq!(decode_points(&encode_points(&points)), points);
+    }
+
+    /// A `SimLm` that remembers every prompt it was sent, in order.
+    struct RecordingLm {
+        inner: SimLm,
+        prompts: std::sync::Mutex<Vec<String>>,
+    }
+
+    impl LanguageModel for RecordingLm {
+        fn generate_batch(&self, requests: &[LmRequest]) -> LmResult<Vec<LmResponse>> {
+            self.prompts
+                .lock()
+                .unwrap()
+                .extend(requests.iter().map(|r| r.prompt.clone()));
+            self.inner.generate_batch(requests)
+        }
+
+        fn elapsed_seconds(&self) -> f64 {
+            self.inner.elapsed_seconds()
+        }
+
+        fn reset_metrics(&self) {
+            self.prompts.lock().unwrap().clear();
+            self.inner.reset_metrics()
+        }
+
+        fn batches(&self) -> u64 {
+            self.inner.batches()
+        }
+
+        fn calls(&self) -> u64 {
+            self.inner.calls()
+        }
+
+        fn context_window(&self) -> usize {
+            self.inner.context_window()
+        }
+    }
+
+    /// A table `t (id, k, v)` of `rows` under the declared types, over a
+    /// recording LM with the default (noisy) judge, so verdicts mix.
+    fn recorded_env(
+        rows: &[(Value, Value)],
+        k_type: &str,
+        v_type: &str,
+    ) -> (TagEnv, Arc<RecordingLm>) {
+        recorded_env_with(rows, k_type, v_type, SimConfig::default())
+    }
+
+    fn recorded_env_with(
+        rows: &[(Value, Value)],
+        k_type: &str,
+        v_type: &str,
+        config: SimConfig,
+    ) -> (TagEnv, Arc<RecordingLm>) {
+        let mut db = Database::new();
+        db.execute(&format!(
+            "CREATE TABLE t (id INTEGER, k {k_type}, v {v_type})"
+        ))
+        .unwrap();
+        let table = db.catalog_mut().table_mut("t").unwrap();
+        for (i, (k, v)) in rows.iter().enumerate() {
+            table
+                .insert(vec![Value::Int(i as i64), k.clone(), v.clone()])
+                .unwrap();
+        }
+        let lm = Arc::new(RecordingLm {
+            inner: SimLm::new(config),
+            prompts: std::sync::Mutex::new(Vec::new()),
+        });
+        (TagEnv::new(db, lm.clone()), lm)
+    }
+
+    /// What one run showed: its rows (as `Debug`, so `Int(1)` and
+    /// `Float(1.0)` differ) or its error, the prompts the LM saw, its
+    /// calls and rounds, and the semantic engine's per-operator counters
+    /// (prompts submitted before the cache deduplicates them).
+    fn observe(
+        env: &TagEnv,
+        lm: &RecordingLm,
+        run: impl FnOnce() -> Result<(Vec<String>, Vec<Vec<Value>>), String>,
+    ) -> (String, Vec<String>, u64, u64, String) {
+        env.reset_metrics();
+        let outcome = match run() {
+            Ok((columns, rows)) => format!("{columns:?} {rows:?}"),
+            Err(e) => e,
+        };
+        let prompts = std::mem::take(&mut *lm.prompts.lock().unwrap());
+        let ops = format!("{:?}", env.engine.op_stats());
+        (outcome, prompts, lm.calls(), lm.batches(), ops)
+    }
+
+    /// Every kernel over `frame` against its reference over the same
+    /// rows as a `DataFrame`: rows, row order, prompts, LM calls and
+    /// rounds. `k` sizes the cuts.
+    fn check_kernels(
+        env: &TagEnv,
+        lm: &RecordingLm,
+        frame: &SemFrame,
+        k: usize,
+        descending: bool,
+    ) -> Result<(), String> {
+        let runtime = SemRuntime::new(env);
+        let claim = SemClaim::CityInRegion {
+            region: "Bay Area".into(),
+        };
+        let df = || frame_to_df(frame).unwrap();
+        let cut = |sort_by: &str| CutSpec {
+            sort_by: sort_by.into(),
+            descending,
+            k,
+        };
+        let compare = |name: &str,
+                       kernel: &dyn Fn() -> Result<SemFrame, String>,
+                       reference: &dyn Fn() -> Result<DataFrame, String>| {
+            let got = observe(env, lm, || kernel().map(|f| (f.columns.clone(), f.rows())));
+            let want = observe(env, lm, || {
+                reference().map(|d| (d.columns().to_vec(), d.rows().to_vec()))
+            });
+            if got == want {
+                return Ok(());
+            }
+            Err(format!(
+                "{name} (k={k}, desc={descending}) over {frame:?}\n  kernel:    {got:?}\n  reference: {want:?}"
+            ))
+        };
+        let predicates = [
+            SemPredicate::NumCmp {
+                attr: "k".into(),
+                over: descending,
+                value: 0.5,
+            },
+            SemPredicate::NumCmp {
+                attr: "K".into(),
+                over: !descending,
+                value: -0.0,
+            },
+            SemPredicate::TextEq {
+                attr: "v".into(),
+                value: "san jose".into(),
+            },
+            SemPredicate::TextEq {
+                attr: "v".into(),
+                value: " 1 ".into(),
+            },
+            SemPredicate::TextEqAny {
+                columns: vec!["nope".into(), "V".into()],
+                value: "NULL".into(),
+            },
+            SemPredicate::TextEqAny {
+                columns: vec!["nope".into()],
+                value: "x".into(),
+            },
+        ];
+        for pred in &predicates {
+            compare(
+                &format!("{pred:?}"),
+                &|| exec_predicate(frame.clone(), pred),
+                &|| reference::predicate(df(), pred),
+            )?;
+        }
+        for sort_by in ["k", "v", "missing"] {
+            compare(
+                &format!("cut {sort_by}"),
+                &|| exec_cut(frame.clone(), &cut(sort_by)).map_err(|e| e.to_string()),
+                &|| reference::cut(df(), &cut(sort_by)),
+            )?;
+        }
+        for col in ["v", "k", "missing"] {
+            compare(
+                &format!("distinct {col}"),
+                &|| runtime.distinct_filter(frame.clone(), col, &claim),
+                &|| reference::distinct_filter(&env.engine, df(), col, &claim),
+            )?;
+            for sort_by in ["k", "missing"] {
+                compare(
+                    &format!("early stop {col} by {sort_by}"),
+                    &|| runtime.early_stop_filter(frame.clone(), col, &claim, &cut(sort_by)),
+                    &|| reference::early_stop_filter(&env.engine, df(), col, &claim, &cut(sort_by)),
+                )?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The frames a kernel meets: a filtered, projected scan (a selection
+    /// over a view of the table image), the full scan, and an `Input`
+    /// frame (one owned chunk, where `Mixed` columns live).
+    fn frames(env: &TagEnv, rows: &[(Value, Value)]) -> Vec<SemFrame> {
+        let input = SemFrame::from_rows(
+            vec!["k".into(), "v".into()],
+            rows.iter().map(|(k, v)| [k.clone(), v.clone()]),
+        );
+        vec![
+            env.scan("SELECT \"k\", \"v\" FROM t WHERE \"id\" % 3 <> 1")
+                .unwrap(),
+            env.scan("SELECT * FROM t").unwrap(),
+            input,
+        ]
+    }
+
+    fn key_cell() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            (-2i64..3).prop_map(Value::Int),
+            (-2i64..3).prop_map(|i| Value::Float(i as f64 / 2.0)),
+            Just(Value::Float(-0.0)),
+            Just(Value::Float(f64::NAN)),
+            Just(Value::Float(-f64::NAN)),
+            Just(Value::text("1")),
+        ]
+    }
+
+    fn value_cell() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            Just(Value::Int(1)),
+            Just(Value::Float(1.0)),
+            Just(Value::Float(-0.0)),
+            Just(Value::Float(0.0)),
+            Just(Value::Float(f64::NAN)),
+            Just(Value::Float(-f64::NAN)),
+            Just(Value::text("1")),
+            Just(Value::text("NULL")),
+            prop_oneof![
+                Just("San Jose"),
+                Just("Oakland"),
+                Just("Palo Alto"),
+                Just("Fresno"),
+                Just("San Diego"),
+            ]
+            .prop_map(Value::text),
+            (0i64..30).prop_map(|i| Value::text(format!("Town {i}"))),
+        ]
+    }
+
+    fn declared() -> impl Strategy<Value = &'static str> {
+        prop_oneof![Just("INTEGER"), Just("REAL"), Just("TEXT")]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The selection kernels against the row-major reference over
+        /// NULL, NaN of either sign (two values, one text), `-0.0`,
+        /// `Int(1)` next to `Text("1")` and `Float(1.0)`, `Text("NULL")`
+        /// next to NULL, tied keys and duplicate values, under every
+        /// declared type and in `Mixed` input columns, with k ∈ {0, 1,
+        /// n, n+5}.
+        #[test]
+        fn kernels_match_the_reference(
+            rows in proptest::collection::vec((key_cell(), value_cell()), 0..40),
+            k_type in declared(),
+            v_type in declared(),
+            descending in proptest::prelude::any::<bool>(),
+        ) {
+            let (env, lm) = recorded_env(&rows, k_type, v_type);
+            for frame in frames(&env, &rows) {
+                let n = frame.len();
+                for k in [0, 1, n, n + 5] {
+                    let checked = check_kernels(&env, &lm, &frame, k, descending);
+                    proptest::prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+                }
+            }
+        }
+    }
+
+    /// Early stop over more distinct values than one batch holds, few of
+    /// them passing: the batches double over several rounds, and every
+    /// round's prompts are the reference's.
+    #[test]
+    fn early_stop_rounds_match_the_reference() {
+        let rows: Vec<(Value, Value)> = (0..300)
+            .map(|i| {
+                let city = match i % 97 {
+                    13 => "San Jose".to_owned(),
+                    50 => "Oakland".to_owned(),
+                    _ => format!("Town {}", i % 150),
+                };
+                (Value::Float(((i * 37) % 101) as f64), Value::text(city))
+            })
+            .collect();
+        let (env, lm) = recorded_env(&rows, "REAL", "TEXT");
+        let mut rounds = 0;
+        for frame in frames(&env, &rows) {
+            for k in [1, 3, 8] {
+                for descending in [false, true] {
+                    check_kernels(&env, &lm, &frame, k, descending).unwrap();
+                    let cut = CutSpec {
+                        sort_by: "k".into(),
+                        descending,
+                        k,
+                    };
+                    let claim = SemClaim::CityInRegion {
+                        region: "Bay Area".into(),
+                    };
+                    env.reset_metrics();
+                    SemRuntime::new(&env)
+                        .early_stop_filter(frame.clone(), "v", &claim, &cut)
+                        .unwrap();
+                    rounds = rounds.max(lm.batches());
+                }
+            }
+        }
+        assert!(rounds >= 3, "the fixture needs several batches: {rounds}");
+    }
+
+    /// The first batch's last value is the first passing one: early stop
+    /// counts its row, so one round is enough for `k = 1`.
+    #[test]
+    fn early_stop_counts_the_boundary_row() {
+        let rows: Vec<(Value, Value)> = (0..40)
+            .map(|i| {
+                let city = match i {
+                    15 | 30 => "San Jose".to_owned(),
+                    _ => format!("Town {i}"),
+                };
+                (Value::Int(100 - i), Value::text(city))
+            })
+            .collect();
+        let judge = SimConfig {
+            knowledge: KnowledgeConfig {
+                coverage: 1.0,
+                enumeration_coverage: 1.0,
+                seed: 3,
+            },
+            judgment_noise: 0.0,
+            ..SimConfig::default()
+        };
+        let (env, lm) = recorded_env_with(&rows, "INTEGER", "TEXT", judge);
+        for frame in frames(&env, &rows) {
+            check_kernels(&env, &lm, &frame, 1, true).unwrap();
+        }
+        let cut = CutSpec {
+            sort_by: "k".into(),
+            descending: true,
+            k: 1,
+        };
+        let claim = SemClaim::CityInRegion {
+            region: "Bay Area".into(),
+        };
+        env.reset_metrics();
+        let frame = env.scan("SELECT * FROM t").unwrap();
+        let kept = SemRuntime::new(&env)
+            .early_stop_filter(frame, "v", &claim, &cut)
+            .unwrap();
+        assert_eq!(kept.rows()[0][0], Value::Int(15));
+        assert_eq!((lm.calls(), lm.batches()), (16, 1));
     }
 }

@@ -2,8 +2,11 @@
 //!
 //! Mirrors the pandas surface the LOTUS pipelines in the paper's
 //! Appendix C are written against: column selection, filtering, sorting,
-//! head, and merge (equi-join) — plus conversion from/to the SQL engine's
-//! result sets.
+//! head, and merge (equi-join) — plus conversion from the SQL engine's
+//! result sets. The semantic-plan runtime's exact kernels do not run
+//! here: its frames are selections over the engine's columns
+//! (`tag_sql::SemFrame`), and it builds a `DataFrame` only for the
+//! operators below.
 
 use tag_sql::{ResultSet, SqlError, SqlResult, Value};
 
@@ -43,16 +46,6 @@ impl DataFrame {
             columns: rs.columns,
             rows: rs.rows,
         }
-    }
-
-    /// Convert into a SQL result set.
-    pub fn into_result(self) -> ResultSet {
-        ResultSet::new(self.columns, self.rows)
-    }
-
-    /// Take the frame apart: its columns and its rows.
-    pub fn into_parts(self) -> (Vec<String>, Vec<Vec<Value>>) {
-        (self.columns, self.rows)
     }
 
     /// Column names.
@@ -107,47 +100,12 @@ impl DataFrame {
         Ok(self.filter(|r| pred(&r[i])))
     }
 
-    /// [`DataFrame::filter_col`] in place: no row is copied.
-    pub fn retain_col(
-        &mut self,
-        column: &str,
-        mut pred: impl FnMut(&Value) -> bool,
-    ) -> SqlResult<()> {
-        let i = self.column_index(column)?;
-        self.rows.retain(|r| pred(&r[i]));
-        Ok(())
-    }
-
     /// Stable sort by one column.
     pub fn sort_by(&self, column: &str, descending: bool) -> SqlResult<DataFrame> {
-        let mut sorted = self.clone();
-        sorted.sort_in_place(column, descending)?;
-        Ok(sorted)
-    }
-
-    /// [`DataFrame::sort_by`] in place: no row is copied.
-    pub fn sort_in_place(&mut self, column: &str, descending: bool) -> SqlResult<()> {
-        let i = self.column_index(column)?;
-        self.rows.sort_by(|a, b| {
-            let ord = a[i].total_cmp(&b[i]);
-            if descending {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        Ok(())
-    }
-
-    /// Stable sort by the absolute numeric value of one column
-    /// (`key=abs` in the Appendix C pipelines).
-    pub fn sort_by_abs(&self, column: &str, descending: bool) -> SqlResult<DataFrame> {
         let i = self.column_index(column)?;
         let mut rows = self.rows.clone();
         rows.sort_by(|a, b| {
-            let xa = a[i].as_f64().map(f64::abs).unwrap_or(f64::NEG_INFINITY);
-            let xb = b[i].as_f64().map(f64::abs).unwrap_or(f64::NEG_INFINITY);
-            let ord = xa.total_cmp(&xb);
+            let ord = a[i].total_cmp(&b[i]);
             if descending {
                 ord.reverse()
             } else {
@@ -168,11 +126,6 @@ impl DataFrame {
         }
     }
 
-    /// [`DataFrame::head`] in place: drop every row after the first `n`.
-    pub fn truncate(&mut self, n: usize) {
-        self.rows.truncate(n);
-    }
-
     /// Project to a subset of columns.
     pub fn select(&self, columns: &[&str]) -> SqlResult<DataFrame> {
         let idxs: Vec<usize> = columns
@@ -187,19 +140,6 @@ impl DataFrame {
                 .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
                 .collect(),
         })
-    }
-
-    /// Distinct values of one column, in first-seen order.
-    pub fn unique(&self, column: &str) -> SqlResult<Vec<Value>> {
-        let i = self.column_index(column)?;
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for r in &self.rows {
-            if seen.insert(&r[i]) {
-                out.push(r[i].clone());
-            }
-        }
-        Ok(out)
     }
 
     /// Inner equi-join (pandas `merge`). Right columns are suffixed with
@@ -303,34 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_abs() {
-        let d = DataFrame::new(
-            vec!["x".into()],
-            vec![
-                vec![Value::Float(-5.0)],
-                vec![Value::Float(3.0)],
-                vec![Value::Float(-1.0)],
-            ],
-        )
-        .unwrap();
-        let s = d.sort_by_abs("x", true).unwrap();
-        assert_eq!(s.rows()[0][0], Value::Float(-5.0));
-        assert_eq!(s.rows()[2][0], Value::Float(-1.0));
-    }
-
-    #[test]
-    fn select_unique_retain() {
-        let d = df();
-        let sel = d.select(&["city"]).unwrap();
-        assert_eq!(sel.columns(), &["city".to_string()]);
-        assert_eq!(
-            d.unique("city").unwrap(),
-            vec![Value::text("PA"), Value::text("SF")]
-        );
-        let mut only = d;
-        only.retain_col("city", |v| v == &Value::text("SF"))
-            .unwrap();
-        assert_eq!(only.len(), 1);
+    fn select_projects_in_the_listed_order() {
+        let sel = df().select(&["score", "city"]).unwrap();
+        assert_eq!(sel.columns(), &["score".to_string(), "city".to_string()]);
+        assert_eq!(sel.rows()[1], vec![Value::Float(1.0), Value::text("SF")]);
     }
 
     #[test]
@@ -368,10 +284,9 @@ mod tests {
     }
 
     #[test]
-    fn result_set_round_trip() {
+    fn from_result_keeps_columns_and_rows() {
         let d = df();
-        let rs = d.clone().into_result();
-        let back = DataFrame::from_result(rs);
-        assert_eq!(d, back);
+        let rs = ResultSet::new(d.columns().to_vec(), d.rows().to_vec());
+        assert_eq!(DataFrame::from_result(rs), d);
     }
 }

@@ -19,6 +19,6 @@ pub use engine::{EngineStats, OpStats, SemEngine};
 pub use frame::DataFrame;
 pub use lru::LruCache;
 pub use ops::{
-    sem_agg, sem_agg_refine, sem_filter, sem_join, sem_map, sem_score, sem_topk, SemError,
-    SemResult,
+    sem_agg, sem_agg_refine, sem_filter, sem_join, sem_judge, sem_map, sem_score, sem_topk,
+    SemError, SemResult,
 };

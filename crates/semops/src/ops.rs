@@ -62,22 +62,31 @@ pub fn sem_filter(
 ) -> SemResult<DataFrame> {
     let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_filter");
     let idx = df.column_index(column)?;
-    let prompts: Vec<String> = df
-        .rows()
-        .iter()
-        .map(|r| sem_filter_prompt(claim, &r[idx].to_string()))
-        .collect();
-    let verdicts = engine.complete_batch_op("sem_filter", &prompts)?;
-    let keep: Vec<bool> = verdicts
-        .iter()
-        .map(|v| v.trim().eq_ignore_ascii_case("true"))
-        .collect();
+    let values: Vec<String> = df.rows().iter().map(|r| r[idx].to_string()).collect();
+    let keep = sem_judge(engine, claim, &values)?;
     let mut i = 0;
     Ok(df.filter(|_| {
         let k = keep[i];
         i += 1;
         k
     }))
+}
+
+/// The LM's verdict on `claim` for each of `values`, in order: one batch
+/// of `sem_filter` prompts, duplicates answered once (engine cache).
+/// [`sem_filter`] judges a column's cells with it, the semantic-plan
+/// runtime a frame's distinct values.
+pub fn sem_judge(
+    engine: &SemEngine,
+    claim: &SemClaim,
+    values: &[String],
+) -> tag_lm::model::LmResult<Vec<bool>> {
+    let prompts: Vec<String> = values.iter().map(|v| sem_filter_prompt(claim, v)).collect();
+    let verdicts = engine.complete_batch_op("sem_filter", &prompts)?;
+    Ok(verdicts
+        .iter()
+        .map(|v| v.trim().eq_ignore_ascii_case("true"))
+        .collect())
 }
 
 /// Order the frame by an LM-judged property of `column` (most-first) and

@@ -17,7 +17,7 @@
 //!
 //! Columns are shared too: a chunk holds each column behind an `Arc`,
 //! so [`Chunk::project`] builds a narrower chunk without copying a
-//! cell, and [`Chunk::push_row`] copies a column only when a view still
+//! cell, and [`Chunk::append_rows`] copies a column only when a view still
 //! holds it (copy-on-write).
 
 use crate::schema::Row;
@@ -108,6 +108,46 @@ impl ColumnData {
                 }
             }
             ColumnData::Mixed(v) => v[i].clone(),
+        }
+    }
+
+    /// `value_at(i).to_string()` without cloning the cell first.
+    pub fn text_at(&self, i: usize) -> String {
+        match self {
+            ColumnData::Int { values, validity } if validity[i] => values[i].to_string(),
+            ColumnData::Float { values, validity } if validity[i] => values[i].to_string(),
+            ColumnData::Text { values, validity } if validity[i] => values[i].clone(),
+            ColumnData::Mixed(v) => v[i].to_string(),
+            _ => Value::Null.to_string(),
+        }
+    }
+
+    /// `value_at(a).total_cmp(&value_at(b))` without cloning either cell:
+    /// NULL first, then the column's own order (`f64::total_cmp` for
+    /// floats).
+    pub fn total_cmp_at(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        fn typed(
+            validity: &[bool],
+            a: usize,
+            b: usize,
+            cmp: impl FnOnce() -> std::cmp::Ordering,
+        ) -> std::cmp::Ordering {
+            match (validity[a], validity[b]) {
+                (true, true) => cmp(),
+                (va, vb) => va.cmp(&vb),
+            }
+        }
+        match self {
+            ColumnData::Int { values, validity } => {
+                typed(validity, a, b, || values[a].cmp(&values[b]))
+            }
+            ColumnData::Float { values, validity } => {
+                typed(validity, a, b, || values[a].total_cmp(&values[b]))
+            }
+            ColumnData::Text { values, validity } => {
+                typed(validity, a, b, || values[a].cmp(&values[b]))
+            }
+            ColumnData::Mixed(v) => v[a].total_cmp(&v[b]),
         }
     }
 
@@ -485,16 +525,20 @@ impl Chunk {
         }
     }
 
-    /// Append one row (see [`ColumnData::push`]); afterwards the chunk
-    /// equals [`Chunk::from_rows`] over the old rows plus this one. A
-    /// column that a [`Chunk::project`] view still holds is copied
-    /// first, so the view keeps reading the old rows.
-    pub fn push_row(&mut self, row: impl IntoIterator<Item = Value>) {
-        let mut cells = row.into_iter();
-        for column in &mut self.columns {
-            Arc::make_mut(column).push(cells.next().unwrap_or(Value::Null));
+    /// Append `rows`, copying each cell (see [`ColumnData::push`]);
+    /// afterwards the chunk equals [`Chunk::from_rows`] over the old rows
+    /// plus these. The copies are made a column at a time, so each
+    /// column's text is laid out in row order in fresh memory. A column
+    /// that a [`Chunk::project`] view still holds is copied first, so the
+    /// view keeps reading the old rows.
+    pub fn append_rows(&mut self, rows: &[Row]) {
+        for (c, column) in self.columns.iter_mut().enumerate() {
+            let column = Arc::make_mut(column);
+            for row in rows {
+                column.push(row.get(c).cloned().unwrap_or(Value::Null));
+            }
         }
-        self.len += 1;
+        self.len += rows.len();
     }
 
     /// Number of rows.
@@ -538,14 +582,15 @@ impl Chunk {
 pub enum Rows {
     /// A contiguous range `[start, end)`.
     Range(usize, usize),
-    /// An explicit ascending-by-construction row-id list.
+    /// An explicit row-id list, in output order: a filter's survivors
+    /// ascend, an index path's follow the index.
     Ids(Vec<u32>),
 }
 
 /// A morsel-sized view over a shared [`Chunk`].
 ///
-/// Table scans produce `Range` batches over the table's cached chunk
-/// (zero copy); filters narrow them to `Ids` selections; operators that
+/// Table scans produce `Range` batches over the table's image (zero
+/// copy), index paths and filters `Ids` selections of it; operators that
 /// build fresh data produce an owned chunk viewed in full.
 #[derive(Debug, Clone)]
 pub struct Batch {
@@ -815,29 +860,37 @@ mod tests {
     }
 
     #[test]
-    fn push_row_equals_from_rows_variant_for_variant() {
+    fn append_rows_equals_from_rows_variant_for_variant() {
         // Column 0: an Int column receiving a Float turns Mixed.
         // Column 1: an all-NULL column takes the type of its first value.
-        // Column 2: Text stays Text through a NULL.
+        // Column 2: Text stays Text through NULLs (a NULL-only part
+        // included), then turns Mixed.
         let rows: Vec<Row> = vec![
             vec![Value::Int(1), Value::Null, Value::text("a")],
+            vec![Value::Null, Value::Null, Value::Null],
             vec![Value::Null, Value::Null, Value::Null],
             vec![Value::Float(2.5), Value::Float(0.5), Value::text("b")],
             vec![Value::Int(3), Value::Null, Value::text("c")],
             vec![Value::text("x"), Value::Int(4), Value::Int(5)],
+            vec![Value::Null, Value::Float(1.0), Value::Null],
         ];
-        let mut grown = Chunk::from_rows(3, Vec::<Row>::new());
-        for (n, row) in rows.iter().enumerate() {
-            grown.push_row(row.iter().cloned());
-            let rebuilt = Chunk::from_rows(3, rows[..=n].to_vec());
-            assert_eq!(
-                format!("{grown:?}"),
-                format!("{rebuilt:?}"),
-                "after row {n}"
-            );
+        for part in 1..=3 {
+            let mut grown = Chunk::from_rows(3, Vec::<Row>::new());
+            let mut n = 0;
+            for rows_part in rows.chunks(part) {
+                grown.append_rows(rows_part);
+                n += rows_part.len();
+                let rebuilt = Chunk::from_rows(3, rows[..n].to_vec());
+                assert_eq!(
+                    format!("{grown:?}"),
+                    format!("{rebuilt:?}"),
+                    "after {n} rows appended {part} at a time"
+                );
+            }
+            assert!(matches!(grown.column(0), ColumnData::Mixed(_)));
+            assert!(matches!(grown.column(1), ColumnData::Mixed(_)));
+            assert!(matches!(grown.column(2), ColumnData::Mixed(_)));
         }
-        assert!(matches!(grown.column(0), ColumnData::Mixed(_)));
-        assert!(matches!(grown.column(1), ColumnData::Mixed(_)));
     }
 
     #[test]
@@ -884,16 +937,79 @@ mod tests {
     }
 
     #[test]
-    fn push_row_copies_only_the_columns_a_view_holds() {
+    fn append_rows_copies_only_the_columns_a_view_holds() {
         let mut chunk = Chunk::from_rows(3, rows());
         let before: Vec<_> = chunk.columns().iter().map(Arc::as_ptr).collect();
         let view = chunk.project(&[1]);
-        chunk.push_row([Value::Int(4), Value::text("d"), Value::Float(1.0)]);
+        chunk.append_rows(&[vec![Value::Int(4), Value::text("d"), Value::Float(1.0)]]);
         let after: Vec<_> = chunk.columns().iter().map(Arc::as_ptr).collect();
         assert_eq!((after[0], after[2]), (before[0], before[2]));
         assert_ne!(after[1], before[1]);
         assert_eq!((view.len(), chunk.len()), (3, 4));
         assert_eq!(chunk.value_at(3, 1), Value::text("d"));
+    }
+
+    #[test]
+    fn text_at_is_the_cells_text() {
+        let values = vec![
+            Value::Int(-7),
+            Value::Null,
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(1e21),
+            Value::text("x y"),
+        ];
+        for column in values.iter().map(|v| vec![v.clone(), Value::Null]) {
+            let data = ColumnData::from_values(column.clone());
+            for (i, v) in column.iter().enumerate() {
+                assert_eq!(data.text_at(i), v.to_string());
+            }
+        }
+        let mixed = ColumnData::from_values(values.clone());
+        for (i, v) in values.iter().enumerate() {
+            assert_eq!(mixed.text_at(i), v.to_string());
+        }
+    }
+
+    #[test]
+    fn total_cmp_at_is_value_total_cmp() {
+        let columns = [
+            vec![Value::Int(2), Value::Null, Value::Int(-1), Value::Int(2)],
+            vec![
+                Value::Float(f64::NAN),
+                Value::Float(-0.0),
+                Value::Null,
+                Value::Float(0.0),
+                Value::Float(-1.5),
+            ],
+            vec![
+                Value::text("b"),
+                Value::Null,
+                Value::text("a"),
+                Value::text(""),
+            ],
+            vec![
+                Value::Int(7),
+                Value::Float(7.0),
+                Value::text("7"),
+                Value::Null,
+                Value::Float(f64::NAN),
+            ],
+        ];
+        for values in columns {
+            let column = ColumnData::from_values(values.clone());
+            for a in 0..values.len() {
+                for b in 0..values.len() {
+                    assert_eq!(
+                        column.total_cmp_at(a, b),
+                        values[a].total_cmp(&values[b]),
+                        "{:?} vs {:?}",
+                        values[a],
+                        values[b]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

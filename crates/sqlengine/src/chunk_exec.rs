@@ -7,10 +7,10 @@
 //!
 //! # Shape
 //!
-//! Table scans split the table's cached columnar image
+//! Table scans split the table's columnar image
 //! ([`crate::table::Table::columnar`]) into morsel-sized zero-copy
-//! `Range` batches ([`crate::morsel`]); index probes and `VALUES` build
-//! one small owned batch. Every downstream operator works a batch at a
+//! `Range` batches ([`crate::morsel`]); index probes select their rows
+//! of it in one batch, and `VALUES` builds one small owned batch. Every downstream operator works a batch at a
 //! time (filter narrows them, project rebuilds them, aggregate folds
 //! per-batch partials). A project of column references only rebuilds
 //! nothing: each batch keeps its rows and views the chosen columns
@@ -63,10 +63,16 @@ use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Execute a plan against a catalog, producing materialized rows. With
-/// a profiler attached every plan node is timed individually; the rows
-/// are the same either way.
-pub fn execute(plan: &Plan, catalog: &Catalog, prof: Option<&PlanProfiler>) -> SqlResult<Vec<Row>> {
+/// Execute a plan against a catalog, producing the root operator's
+/// batches in output order: a scan's are zero-copy views of the table's
+/// columnar image, and [`batches_to_rows`] materializes any of them.
+/// With a profiler attached every plan node is timed individually; the
+/// batches hold the same rows either way.
+pub fn execute(
+    plan: &Plan,
+    catalog: &Catalog,
+    prof: Option<&PlanProfiler>,
+) -> SqlResult<Vec<Batch>> {
     execute_morsels(plan, catalog, prof, MORSEL_ROWS)
 }
 
@@ -77,13 +83,13 @@ fn execute_morsels(
     catalog: &Catalog,
     prof: Option<&PlanProfiler>,
     morsel_rows: usize,
-) -> SqlResult<Vec<Row>> {
+) -> SqlResult<Vec<Batch>> {
     let ctx = ChunkCtx {
         catalog,
         morsel_rows,
         prof,
     };
-    Ok(batches_to_rows(&ctx.exec_node(plan)?))
+    ctx.exec_node(plan)
 }
 
 /// Run `f` over task indices `0..tasks` in order, stopping at the first
@@ -92,13 +98,11 @@ fn fan<T>(tasks: usize, f: impl FnMut(usize) -> SqlResult<T>) -> SqlResult<Vec<T
     (0..tasks).map(f).collect()
 }
 
-/// The rows an index access path selected, gathered from the heap in
-/// index order into one owned batch. Tiny by construction, and reading
-/// the heap keeps a point lookup from building the whole table's
-/// columnar image.
+/// The rows an index access path selected: one batch selecting them, in
+/// index order, out of the table's image. Nothing is copied.
 fn index_batch(table: &Table, ids: Vec<usize>) -> Vec<Batch> {
-    let rows = ids.into_iter().map(|id| table.row(id).iter().cloned());
-    vec![Batch::from_rows(table.schema().len(), rows)]
+    let ids = ids.into_iter().map(|id| id as u32).collect();
+    vec![Batch::select(table.columnar(), ids)]
 }
 
 struct ChunkCtx<'a> {
@@ -911,7 +915,7 @@ mod parity {
         ]
     }
 
-    /// `t` is a plain heap; `u` holds the same rows behind a B-tree
+    /// `t` is a plain table; `u` holds the same rows behind a B-tree
     /// index on `a`, so the optimizer picks index access paths for it.
     fn build_db(rows: Vec<Row>) -> Database {
         let mut db = Database::new();
@@ -1044,7 +1048,7 @@ mod parity {
         let want = format!("{:?}", reference::execute(plan, db.catalog()));
         let got = format!(
             "{:?}",
-            execute_morsels(plan, db.catalog(), None, morsel_rows)
+            execute_morsels(plan, db.catalog(), None, morsel_rows).map(|b| batches_to_rows(&b))
         );
         if want != got {
             return Err(format!(

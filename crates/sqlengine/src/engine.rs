@@ -1,14 +1,18 @@
 //! The top-level database engine: statement dispatch over a catalog.
 //!
-//! Every read (`query`, `query_profiled`, `execute` of a SELECT, and
-//! the `EXPLAIN` of one) is planned when it runs, by one function
-//! ([`Database::plan_arms`]), against the catalog as it is at that
-//! moment; every plan runs through the one relational executor,
-//! [`crate::chunk_exec::execute`]. Nothing on `Database` selects how,
-//! and nothing is kept between statements.
+//! Every read (`query`, `query_profiled`, `query_frame`, `execute` of a
+//! SELECT, and the `EXPLAIN` of one) is planned when it runs, by one
+//! function ([`Database::plan_arms`]), against the catalog as it is at
+//! that moment; every plan runs through the one relational executor,
+//! [`crate::chunk_exec::execute`], under one arm loop
+//! ([`Database::run_arms`]) whose batches the entry point turns into
+//! rows (a [`ResultSet`]) or keeps as a selection (a [`SemFrame`]).
+//! Nothing on `Database` selects how, and nothing is kept between
+//! statements.
 
 use crate::ast::{ColumnDef, InsertStmt, SelectStmt, Statement};
 use crate::catalog::Catalog;
+use crate::chunk::{batches_to_rows, Batch};
 use crate::chunk_exec::execute;
 use crate::error::{SqlError, SqlResult};
 use crate::metrics::ExecMetrics;
@@ -19,6 +23,7 @@ use crate::planner::{Planner, Scope};
 use crate::profile::PlanProfiler;
 use crate::result::ResultSet;
 use crate::schema::{Column, Schema};
+use crate::semplan::SemFrame;
 use crate::table::{IndexKind, Table};
 use crate::udf::{ScalarUdf, UdfRegistry};
 use crate::value::Value;
@@ -211,12 +216,12 @@ impl Database {
     /// read-only and return the plan text as a one-column `plan` result,
     /// one row per line.
     pub fn query(&self, sql: &str) -> SqlResult<ResultSet> {
-        self.read(sql, None)
+        self.read(sql, None).map(result_set)
     }
 
     /// Execute an already-parsed read-only statement under `&self`.
     pub fn query_statement(&self, stmt: Statement) -> SqlResult<ResultSet> {
-        self.read_statement(&stmt, None)
+        self.read_statement(&stmt, None).map(result_set)
     }
 
     /// Like [`Database::query`], but also returns an `EXPLAIN ANALYZE`-
@@ -227,15 +232,34 @@ impl Database {
     /// nothing, the text is empty.
     pub fn query_profiled(&self, sql: &str) -> SqlResult<(ResultSet, String)> {
         let mut text = String::new();
-        let rs = self.read(sql, Some(&mut text))?;
+        let rs = self.read(sql, Some(&mut text)).map(result_set)?;
         Ok((rs, text))
     }
 
+    /// [`Database::query`] whose result stays columnar: a [`SemFrame`]
+    /// selecting the rows of the executor's output, so a scan's result
+    /// shares the table's columnar image instead of copying it into rows
+    /// (see [`SemFrame`] for what a frame holds across a later write).
+    /// With `profile`, the `EXPLAIN ANALYZE` text
+    /// [`Database::query_profiled`] returns is appended to it.
+    pub fn query_frame(&self, sql: &str, profile: Option<&mut String>) -> SqlResult<SemFrame> {
+        let (columns, batches) = self.read(sql, profile)?;
+        Ok(SemFrame::from_batches(columns, batches))
+    }
+
     /// The one read path: answer an `EXPLAIN`, or parse the statement
-    /// and read it.
-    fn read(&self, sql: &str, profile: Option<&mut String>) -> SqlResult<ResultSet> {
+    /// and read it. Returns the result's columns and its batches, which
+    /// the entry points turn into rows ([`ResultSet`]) or a frame.
+    fn read(
+        &self,
+        sql: &str,
+        profile: Option<&mut String>,
+    ) -> SqlResult<(Vec<String>, Vec<Batch>)> {
         match self.try_explain(sql) {
-            Some(result) => result,
+            Some(result) => result.map(|rs| {
+                let batch = Batch::from_rows(rs.columns.len(), rs.rows);
+                (rs.columns, vec![batch])
+            }),
             None => self.read_statement(&parse_statement(sql)?, profile),
         }
     }
@@ -246,7 +270,7 @@ impl Database {
         &self,
         stmt: &Statement,
         profile: Option<&mut String>,
-    ) -> SqlResult<ResultSet> {
+    ) -> SqlResult<(Vec<String>, Vec<Batch>)> {
         let arms = self.plan_arms(stmt, READ_ONLY)?;
         self.statements_run.fetch_add(1, Ordering::Relaxed);
         self.run_arms(&arms, profile)
@@ -319,19 +343,33 @@ impl Database {
     /// dedups the accumulated result, SQLite-style). With `profile`,
     /// each arm runs under a [`PlanProfiler`] whose rendering is
     /// appended to it and whose nodes feed the installed metrics sink.
-    fn run_arms(&self, arms: &[Arm], mut profile: Option<&mut String>) -> SqlResult<ResultSet> {
-        let mut out = ResultSet::empty();
+    ///
+    /// A single SELECT's result is its plan's batches as the executor
+    /// returned them; a compound SELECT's is its union rows, as one
+    /// owned batch.
+    fn run_arms(
+        &self,
+        arms: &[Arm],
+        mut profile: Option<&mut String>,
+    ) -> SqlResult<(Vec<String>, Vec<Batch>)> {
+        let columns = arms
+            .first()
+            .map(|arm| arm.plan.columns())
+            .unwrap_or_default();
+        let mut out = Vec::new();
         for (i, arm) in arms.iter().enumerate() {
             let profiler = profile.is_some().then(PlanProfiler::new);
-            let rows = execute(&arm.plan, &self.catalog, profiler.as_ref())?;
+            let batches = execute(&arm.plan, &self.catalog, profiler.as_ref())?;
             if i == 0 {
-                out = ResultSet::new(arm.plan.columns(), rows);
+                out = batches;
             } else {
-                out.rows.extend(rows);
+                let mut rows = batches_to_rows(&out);
+                rows.extend(batches_to_rows(&batches));
                 if !arm.union_all {
                     let mut seen = std::collections::HashSet::new();
-                    out.rows.retain(|r| seen.insert(r.clone()));
+                    rows.retain(|r| seen.insert(r.clone()));
                 }
+                out = vec![Batch::from_rows(columns.len(), rows)];
             }
             if let (Some(text), Some(profiler)) = (profile.as_deref_mut(), &profiler) {
                 if let Some(sink) = self.exec_metrics.get() {
@@ -343,7 +381,7 @@ impl Database {
                 text.push_str(&profiler.render());
             }
         }
-        Ok(out)
+        Ok((columns, out))
     }
 
     /// Run several semicolon-separated statements; returns the last result.
@@ -599,31 +637,37 @@ impl Database {
             }
             None => None,
         };
-        let mut inserted = 0i64;
+        // The rows up to the first one that fails to map go in as one
+        // batch; an earlier row's insert error still comes first.
+        let mut rows = Vec::with_capacity(evaluated.len());
+        let mut mapping_error = None;
         for vals in evaluated {
-            let row = match &mapping {
+            match &mapping {
+                Some(m) if vals.len() != m.len() => {
+                    mapping_error = Some(SqlError::Catalog(format!(
+                        "INSERT has {} values for {} columns",
+                        vals.len(),
+                        m.len()
+                    )));
+                    break;
+                }
                 Some(m) => {
-                    if vals.len() != m.len() {
-                        return Err(SqlError::Catalog(format!(
-                            "INSERT has {} values for {} columns",
-                            vals.len(),
-                            m.len()
-                        )));
-                    }
                     let mut row = vec![Value::Null; schema_len];
                     for (v, &idx) in vals.into_iter().zip(m.iter()) {
                         row[idx] = v;
                     }
-                    row
+                    rows.push(row);
                 }
-                None => vals,
-            };
-            t.insert(row)?;
-            inserted += 1;
+                None => rows.push(vals),
+            }
+        }
+        let inserted = t.insert_all(rows)?;
+        if let Some(e) = mapping_error {
+            return Err(e);
         }
         Ok(ResultSet::new(
             vec!["inserted".into()],
-            vec![vec![Value::Int(inserted)]],
+            vec![vec![Value::Int(inserted as i64)]],
         ))
     }
 
@@ -657,6 +701,11 @@ fn strip_keyword<'a>(text: &'a str, keyword: &str) -> Option<&'a str> {
         Some(c) if c.is_whitespace() => Some(rest),
         Some(_) => None,
     }
+}
+
+/// A read's columns and batches as materialized rows.
+fn result_set((columns, batches): (Vec<String>, Vec<Batch>)) -> ResultSet {
+    ResultSet::new(columns, batches_to_rows(&batches))
 }
 
 /// Plan text as a one-column `plan` result set, one row per line.
@@ -1162,17 +1211,19 @@ mod tests {
         crate::exec::reference::execute(&db.plans(sql).unwrap()[0], db.catalog()).unwrap()
     }
 
-    /// Scans read a table's columnar image, the reference reads its row
-    /// heap: after every DML statement the image must be what
-    /// `Chunk::from_rows` of the heap would build, variant for variant.
-    /// Inserts extend the built image in place (here: N single-row
-    /// inserts, one of which gives the all-NULL `Longitude` column its
-    /// first value); UPDATE and DELETE drop it. The queries' column-only
-    /// projections are views that share the image's columns, and they
-    /// are gone once a query returns, so no insert copies a column; a
-    /// view still held copies only the column it shares.
+    /// The columnar image is the table's only storage: after every DML
+    /// statement it holds exactly the rows the statements leave (kept
+    /// here by hand), typed as `Chunk::from_rows` of them would be,
+    /// variant for variant, and every query answers as the reference
+    /// interpreter does. Inserts extend the image in place (here: N
+    /// single-row inserts, one of which gives the all-NULL `Longitude`
+    /// column its first value); UPDATE and DELETE rebuild it. The
+    /// queries' column-only projections are views that share the
+    /// image's columns, and they are gone once a query returns, so no
+    /// insert copies a column; a view still held copies only the column
+    /// it shares.
     #[test]
-    fn columnar_image_after_dml_equals_the_heap() {
+    fn columnar_image_after_dml_holds_the_rows_left() {
         let mut db = db();
         let queries = [
             "SELECT * FROM schools",
@@ -1181,14 +1232,26 @@ mod tests {
              WHERE s.CDSCode < t.CDSCode",
             "SELECT City FROM schools ORDER BY Longitude LIMIT 2",
             "SELECT DISTINCT City FROM schools",
+            "SELECT City FROM schools WHERE CDSCode = 6",
         ];
-        let check = |db: &Database| {
+        let row = |id: i64, city: &str, lon: Option<f64>| {
+            vec![
+                Value::Int(id),
+                Value::text(city),
+                lon.map(Value::Float).unwrap_or(Value::Null),
+            ]
+        };
+        let mut rows = vec![
+            row(1, "Palo Alto", Some(-122.1)),
+            row(2, "Fresno", Some(-119.8)),
+            row(3, "San Jose", Some(-121.9)),
+            row(4, "Palo Alto", Some(-122.2)),
+        ];
+        let check = |db: &Database, rows: &[crate::Row]| {
             let table = db.catalog().table("schools").unwrap();
-            let heap = crate::chunk::Chunk::from_rows(
-                table.schema().len(),
-                table.rows().iter().map(|r| r.iter().cloned()),
-            );
-            assert_eq!(format!("{:?}", table.columnar()), format!("{heap:?}"));
+            assert_eq!(format!("{:?}", table.rows()), format!("{rows:?}"));
+            let typed = crate::chunk::Chunk::from_rows(3, rows.to_vec());
+            assert_eq!(format!("{:?}", table.columnar()), format!("{typed:?}"));
             for sql in queries {
                 let want = reference_rows(db, sql);
                 assert_eq!(db.query(sql).unwrap().rows, want, "{sql}");
@@ -1199,19 +1262,22 @@ mod tests {
                 );
             }
         };
-        check(&db);
+        check(&db, &rows);
         db.execute("UPDATE schools SET Longitude = NULL").unwrap();
-        check(&db);
+        rows.iter_mut().for_each(|r| r[2] = Value::Null);
+        check(&db, &rows);
         let image = |db: &Database| db.catalog().table("schools").unwrap().columnar();
         let columns =
             |db: &Database| -> Vec<_> { image(db).columns().iter().map(Arc::as_ptr).collect() };
         let (built, built_columns) = (Arc::as_ptr(&image(&db)), columns(&db));
-        for (id, longitude) in [(5, "NULL"), (6, "-121.7"), (7, "NULL"), (8, "-118.2")] {
+        for (id, longitude) in [(5, None), (6, Some(-121.7)), (7, None), (8, Some(-118.2))] {
+            let literal = longitude.map_or("NULL".to_owned(), |l: f64| l.to_string());
             db.execute(&format!(
-                "INSERT INTO schools VALUES ({id}, 'Davis', {longitude})"
+                "INSERT INTO schools VALUES ({id}, 'Davis', {literal})"
             ))
             .unwrap();
-            check(&db);
+            rows.push(row(id, "Davis", longitude));
+            check(&db, &rows);
         }
         assert_eq!(
             Arc::as_ptr(&image(&db)),
@@ -1226,7 +1292,8 @@ mod tests {
         let seen = format!("{:?}", view.column(0));
         db.execute("INSERT INTO schools VALUES (9, 'Chico', -121.8)")
             .unwrap();
-        check(&db);
+        rows.push(row(9, "Chico", Some(-121.8)));
+        check(&db, &rows);
         assert_eq!((view.len(), format!("{:?}", view.column(0))), (8, seen));
         let now = columns(&db);
         assert_eq!(Arc::as_ptr(&image(&db)), built);
@@ -1236,11 +1303,80 @@ mod tests {
 
         db.execute("DELETE FROM schools WHERE City = 'Fresno'")
             .unwrap();
-        check(&db);
+        rows.retain(|r| r[1] != Value::text("Fresno"));
+        check(&db, &rows);
         assert_eq!(
             db.query("SELECT COUNT(*) FROM schools").unwrap().rows,
             vec![vec![Value::Int(8)]]
         );
+    }
+
+    /// A DELETE or UPDATE whose predicate fails partway leaves the table
+    /// as it was: rows are changed only once every predicate has run.
+    #[test]
+    fn failing_dml_leaves_the_table_as_it_was() {
+        let mut db = db();
+        let all = "SELECT * FROM schools";
+        let before = db.query(all).unwrap().rows;
+        let fails_on_row_3 = "CASE WHEN CDSCode > 2 THEN City + 0 ELSE 1 END > 0";
+        for dml in [
+            format!("DELETE FROM schools WHERE {fails_on_row_3}"),
+            format!("UPDATE schools SET Longitude = 0.0 WHERE {fails_on_row_3}"),
+        ] {
+            let err = db.execute(&dml).unwrap_err();
+            assert!(err.message().contains("as a number"), "{dml}: {err}");
+            assert_eq!(db.query(all).unwrap().rows, before, "{dml}");
+            assert_eq!(
+                db.query("SELECT COUNT(*) FROM schools").unwrap().rows[0][0],
+                Value::Int(4)
+            );
+        }
+    }
+
+    /// `query_frame` is `query` kept columnar: the same columns and rows
+    /// for every kind of result (a scan, a filter's selection, a top-k's
+    /// own chunk, an index probe, a compound SELECT, an EXPLAIN), the
+    /// same profile text as `query_profiled`, and a scan's frame shares
+    /// the table image's columns. Held across an insert, a frame keeps
+    /// the rows it saw.
+    #[test]
+    fn query_frame_selects_what_query_returns() {
+        let mut db = db();
+        for sql in [
+            "SELECT * FROM schools",
+            "SELECT City FROM schools WHERE Longitude < -120",
+            "SELECT City, CDSCode FROM schools ORDER BY Longitude LIMIT 2",
+            "SELECT City FROM schools WHERE CDSCode = 2",
+            "SELECT City FROM schools UNION SELECT 'x' UNION ALL SELECT City FROM schools",
+            "SELECT COUNT(*) FROM schools WHERE 1 = 0",
+            "SELECT City FROM schools WHERE Longitude > 0",
+            "EXPLAIN SELECT * FROM schools",
+        ] {
+            let rs = db.query(sql).unwrap();
+            let frame = db.query_frame(sql, None).unwrap();
+            assert_eq!(frame.columns, rs.columns, "{sql}");
+            assert_eq!(
+                format!("{:?}", frame.rows()),
+                format!("{:?}", rs.rows),
+                "{sql}"
+            );
+            let mut text = String::new();
+            assert_eq!(db.query_frame(sql, Some(&mut text)).unwrap(), frame);
+            let (_, want) = db.query_profiled(sql).unwrap();
+            assert_eq!(text.lines().count(), want.lines().count(), "{sql}");
+        }
+
+        let sql = "SELECT City FROM schools WHERE Longitude < -120";
+        let frame = db.query_frame(sql, None).unwrap();
+        let image = db.catalog().table("schools").unwrap().columnar();
+        assert!(std::ptr::eq(frame.column(0), image.column(1)), "no copy");
+        assert_eq!(frame.selection(), &[0, 2, 3]);
+        drop(image);
+        let seen = frame.rows();
+        db.execute("INSERT INTO schools VALUES (9, 'Chico', -121.8)")
+            .unwrap();
+        assert_eq!(frame.rows(), seen);
+        assert_eq!(db.query_frame(sql, None).unwrap().len(), 4);
     }
 
     /// A statement's LIMIT is the query writer's number, not the

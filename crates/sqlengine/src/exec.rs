@@ -252,7 +252,7 @@ pub(crate) mod reference {
             catalog: Some(catalog),
         };
         match plan {
-            Plan::TableScan { table, .. } => Ok(catalog.table(table)?.rows().to_vec()),
+            Plan::TableScan { table, .. } => Ok(catalog.table(table)?.rows()),
             Plan::IndexProbe {
                 table,
                 key_column,
@@ -265,11 +265,7 @@ pub(crate) mod reference {
                         "plan references missing index on {table} col#{key_column}"
                     ))
                 })?;
-                Ok(idx
-                    .probe(key)
-                    .into_iter()
-                    .map(|id| t.row(id).clone())
-                    .collect())
+                Ok(idx.probe(key).into_iter().map(|id| t.row(id)).collect())
             }
             Plan::IndexRangeScan {
                 table,
@@ -286,7 +282,7 @@ pub(crate) mod reference {
                 let ids = idx
                     .probe_range(range.low.as_ref(), range.high.as_ref())
                     .ok_or_else(|| SqlError::Eval("range scan requires a B-tree index".into()))?;
-                Ok(ids.into_iter().map(|id| t.row(id).clone()).collect())
+                Ok(ids.into_iter().map(|id| t.row(id)).collect())
             }
             Plan::Values { rows, .. } => rows
                 .iter()
@@ -479,7 +475,8 @@ mod tests {
     /// Every hand-built plan below runs through both executors.
     fn execute(plan: &Plan, c: &Catalog) -> SqlResult<Vec<Row>> {
         let want = reference::execute(plan, c);
-        assert_eq!(crate::chunk_exec::execute(plan, c, None), want);
+        let got = crate::chunk_exec::execute(plan, c, None);
+        assert_eq!(got.map(|b| crate::chunk::batches_to_rows(&b)), want);
         want
     }
 

@@ -344,7 +344,7 @@ impl BoundExpr {
                     None => Ok(Value::Null),
                 }
             }
-            BoundExpr::Cast { expr, dtype } => Ok(dtype.coerce(&expr.eval_ctx(row, ctx)?)),
+            BoundExpr::Cast { expr, dtype } => Ok(dtype.coerce(expr.eval_ctx(row, ctx)?)),
             BoundExpr::Builtin { name, args } => {
                 let vals = args
                     .iter()
@@ -710,7 +710,8 @@ fn run_correlated(
         )
     })?;
     let bound = plan.substitute_outer(outer_row);
-    crate::chunk_exec::execute(&bound, catalog, None)
+    let batches = crate::chunk_exec::execute(&bound, catalog, None)?;
+    Ok(crate::chunk::batches_to_rows(&batches))
 }
 
 fn eval_binary(

@@ -7,8 +7,8 @@
 //! eager uncorrelated subqueries and per-row correlated
 //! EXISTS/IN/scalar subqueries, a rule-based optimizer (predicate
 //! pushdown, hash-join selection, index selection, top-k), and a
-//! columnar, morsel-at-a-time executor over heap tables (each with a
-//! cached columnar image) with B+-tree and hash indexes.
+//! columnar, morsel-at-a-time executor over tables stored as columnar
+//! images, with B+-tree and hash indexes.
 //!
 //! The engine is dynamically typed in the SQLite tradition and supports
 //! the dialect used by the BIRD/TAG-Bench workloads: joins, grouping and

@@ -953,7 +953,8 @@ mod tests {
             "expected IndexProbe, got:\n{}",
             opt.explain()
         );
-        let rows = crate::chunk_exec::execute(&opt, &c, None).unwrap();
+        let rows =
+            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, None).unwrap());
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(42));
     }
@@ -975,7 +976,8 @@ mod tests {
             "got:\n{}",
             opt.explain()
         );
-        let rows = crate::chunk_exec::execute(&opt, &c, None).unwrap();
+        let rows =
+            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, None).unwrap());
         assert_eq!(rows.len(), 5);
     }
 
@@ -1046,7 +1048,8 @@ mod tests {
             Plan::HashJoin { residual, .. } => assert!(residual.is_none()),
             other => panic!("expected HashJoin, got:\n{}", other.explain()),
         }
-        let rows = crate::chunk_exec::execute(&opt, &c, None).unwrap();
+        let rows =
+            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, None).unwrap());
         assert_eq!(rows.len(), 100);
     }
 
@@ -1087,7 +1090,8 @@ mod tests {
             }
         }
         assert!(contains_probe(&opt), "plan:\n{}", opt.explain());
-        let rows = crate::chunk_exec::execute(&opt, &c, None).unwrap();
+        let rows =
+            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, None).unwrap());
         assert_eq!(rows.len(), 1);
     }
 
@@ -1314,7 +1318,8 @@ mod tests {
                 "{}",
                 opt.explain()
             );
-            let rows = crate::chunk_exec::execute(&opt, &c, None).unwrap();
+            let rows =
+                crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, None).unwrap());
             assert_eq!(rows, vec![vec![Value::Int(100)]]);
         }
 

@@ -9,6 +9,7 @@
 
 use crate::ast::{is_aggregate_name, Expr, Join, OrderKey, SelectItem, SelectStmt, TableRef};
 use crate::catalog::Catalog;
+use crate::chunk::batches_to_rows;
 use crate::chunk_exec::execute;
 use crate::error::{SqlError, SqlResult};
 use crate::expr::BoundExpr;
@@ -915,7 +916,7 @@ impl<'a> Planner<'a> {
     /// Optimize and execute an already-planned uncorrelated subquery.
     fn run_plan(&self, plan: Plan) -> SqlResult<Vec<crate::schema::Row>> {
         let plan = crate::optimizer::optimize(plan, self.catalog);
-        execute(&plan, self.catalog, None)
+        Ok(batches_to_rows(&execute(&plan, self.catalog, None)?))
     }
 }
 
@@ -1050,7 +1051,7 @@ mod tests {
         };
         let planner = Planner::new(catalog, udfs);
         let plan = planner.plan_select(&sel).unwrap();
-        execute(&plan, catalog, None).unwrap()
+        batches_to_rows(&execute(&plan, catalog, None).unwrap())
     }
 
     #[test]

@@ -32,27 +32,25 @@ impl DataType {
     }
 
     /// Apply this affinity to a value (used by CAST and column coercion).
-    pub fn coerce(&self, v: &Value) -> Value {
+    /// A value that already has the affinity's type is returned as it is,
+    /// so coercing a row moves its text instead of copying it.
+    pub fn coerce(&self, v: Value) -> Value {
         match (self, v) {
             (_, Value::Null) => Value::Null,
-            (DataType::Integer, v) => match v {
-                Value::Int(i) => Value::Int(*i),
-                Value::Float(f) => Value::Int(*f as i64),
-                Value::Text(s) => s
-                    .trim()
-                    .parse::<i64>()
-                    .map(Value::Int)
-                    .or_else(|_| s.trim().parse::<f64>().map(|f| Value::Int(f as i64)))
-                    .unwrap_or(Value::Int(0)),
-                Value::Null => Value::Null,
-            },
-            (DataType::Real, v) => match v {
-                Value::Int(i) => Value::Float(*i as f64),
-                Value::Float(f) => Value::Float(*f),
-                Value::Text(s) => Value::Float(s.trim().parse::<f64>().unwrap_or(0.0)),
-                Value::Null => Value::Null,
-            },
+            (DataType::Integer, Value::Float(f)) => Value::Int(f as i64),
+            (DataType::Integer, Value::Text(s)) => s
+                .trim()
+                .parse::<i64>()
+                .map(Value::Int)
+                .or_else(|_| s.trim().parse::<f64>().map(|f| Value::Int(f as i64)))
+                .unwrap_or(Value::Int(0)),
+            (DataType::Real, Value::Int(i)) => Value::Float(i as f64),
+            (DataType::Real, Value::Text(s)) => {
+                Value::Float(s.trim().parse::<f64>().unwrap_or(0.0))
+            }
+            (DataType::Text, v @ Value::Text(_)) => v,
             (DataType::Text, v) => Value::Text(v.to_string()),
+            (DataType::Integer, v @ Value::Int(_)) | (DataType::Real, v @ Value::Float(_)) => v,
         }
     }
 }
@@ -162,7 +160,7 @@ impl Schema {
 
     /// Validate and coerce a row against the schema: arity must match,
     /// NOT NULL enforced, declared affinities applied.
-    pub fn check_row(&self, row: &[Value]) -> SqlResult<Vec<Value>> {
+    pub fn check_row(&self, row: Vec<Value>) -> SqlResult<Vec<Value>> {
         if row.len() != self.columns.len() {
             return Err(SqlError::Catalog(format!(
                 "row has {} values but table has {} columns",
@@ -225,7 +223,7 @@ mod tests {
     fn check_row_coerces_affinities() {
         let s = schema();
         let row = s
-            .check_row(&[Value::text("7"), Value::text("x"), Value::Int(3)])
+            .check_row(vec![Value::text("7"), Value::text("x"), Value::Int(3)])
             .unwrap();
         assert_eq!(
             row,
@@ -237,12 +235,12 @@ mod tests {
     fn check_row_enforces_not_null_and_arity() {
         let s = schema();
         assert!(s
-            .check_row(&[Value::Int(1), Value::Null, Value::Null])
+            .check_row(vec![Value::Int(1), Value::Null, Value::Null])
             .is_err());
-        assert!(s.check_row(&[Value::Int(1)]).is_err());
+        assert!(s.check_row(vec![Value::Int(1)]).is_err());
         // score is nullable
         assert!(s
-            .check_row(&[Value::Int(1), Value::text("a"), Value::Null])
+            .check_row(vec![Value::Int(1), Value::text("a"), Value::Null])
             .is_ok());
     }
 
@@ -256,12 +254,9 @@ mod tests {
 
     #[test]
     fn cast_semantics() {
-        assert_eq!(DataType::Integer.coerce(&Value::Float(3.9)), Value::Int(3));
-        assert_eq!(DataType::Text.coerce(&Value::Int(12)), Value::text("12"));
-        assert_eq!(
-            DataType::Real.coerce(&Value::text("bad")),
-            Value::Float(0.0)
-        );
-        assert_eq!(DataType::Integer.coerce(&Value::Null), Value::Null);
+        assert_eq!(DataType::Integer.coerce(Value::Float(3.9)), Value::Int(3));
+        assert_eq!(DataType::Text.coerce(Value::Int(12)), Value::text("12"));
+        assert_eq!(DataType::Real.coerce(Value::text("bad")), Value::Float(0.0));
+        assert_eq!(DataType::Integer.coerce(Value::Null), Value::Null);
     }
 }

@@ -16,9 +16,12 @@
 //! wall-clock time, and the LM calls/tokens it caused (via
 //! [`SemDelegate::lm_snapshot`] deltas).
 
+use crate::chunk::{batches_len, concat_batches_chunk, Batch, Chunk, ColumnData, Rows};
+use crate::error::{SqlError, SqlResult};
 use crate::profile::PlanProfiler;
 use crate::value::Value;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A data-only mirror of the LM layer's semantic claims. The SQL layer
 /// sits below the LM crates, so claims are carried structurally here and
@@ -595,19 +598,137 @@ pub fn scan_sql(
     sql
 }
 
-/// Tabular data flowing between semantic plan nodes.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Tabular data flowing between semantic plan nodes: a selection over
+/// columnar data.
+///
+/// A frame is a shared [`Chunk`] plus the ids of the chunk rows it
+/// holds, in frame order. Exact kernels narrow or reorder that id list
+/// and copy no cell; [`SemFrame::rows`] materializes rows for the
+/// operators that take them, and only the selected ones. Two frames are
+/// equal when their columns and their logical rows are.
+///
+/// A frame read by [`Database::query_frame`](crate::Database::query_frame)
+/// shares the table's columnar image: the image itself for a `SELECT *`,
+/// a view of its columns for a projection ([`Chunk::project`]). A frame
+/// held across an INSERT into that table keeps the rows it saw: the
+/// insert copies each column the frame's view shares before appending to
+/// it (copy-on-write, [`Chunk::push_row`]), or, when the frame holds the
+/// image itself, leaves it to the frame and has the next read rebuild
+/// one.
+#[derive(Clone)]
 pub struct SemFrame {
     /// Column names.
     pub columns: Vec<String>,
-    /// Row values.
-    pub rows: Vec<Vec<Value>>,
+    data: Arc<Chunk>,
+    rows: Vec<u32>,
 }
 
 impl SemFrame {
-    /// A frame from columns + rows.
-    pub fn new(columns: Vec<String>, rows: Vec<Vec<Value>>) -> Self {
-        SemFrame { columns, rows }
+    /// A frame that owns `rows`: one fresh chunk, every row selected.
+    pub fn from_rows<R: IntoIterator<Item = Value>>(
+        columns: Vec<String>,
+        rows: impl IntoIterator<Item = R>,
+    ) -> SemFrame {
+        let data = Chunk::from_rows(columns.len(), rows);
+        SemFrame {
+            columns,
+            rows: (0..data.len() as u32).collect(),
+            data: Arc::new(data),
+        }
+    }
+
+    /// The frame of an executor's output. Batches over one shared chunk
+    /// (a scan's morsels, a filter's selections, a projection's view)
+    /// keep it, and their row ids are concatenated: nothing is copied.
+    /// Any other output is gathered into one owned chunk.
+    pub(crate) fn from_batches(columns: Vec<String>, batches: Vec<Batch>) -> SemFrame {
+        let shared = batches
+            .first()
+            .map(|b| Arc::clone(&b.data))
+            .filter(|data| batches.iter().all(|b| Arc::ptr_eq(&b.data, data)));
+        let Some(data) = shared else {
+            let data = concat_batches_chunk(&batches, columns.len());
+            return SemFrame {
+                columns,
+                rows: (0..data.len() as u32).collect(),
+                data,
+            };
+        };
+        let mut rows = Vec::with_capacity(batches_len(&batches));
+        for b in &batches {
+            match &b.rows {
+                Rows::Range(s, e) => rows.extend(*s as u32..*e as u32),
+                Rows::Ids(ids) => rows.extend_from_slice(ids),
+            }
+        }
+        SemFrame {
+            columns,
+            data,
+            rows,
+        }
+    }
+
+    /// The same data, holding the chunk rows `rows` in that order (ids
+    /// of [`SemFrame::column`]'s rows, as [`SemFrame::selection`] lists
+    /// them).
+    pub fn with_selection(self, rows: Vec<u32>) -> SemFrame {
+        debug_assert!(rows.iter().all(|&id| (id as usize) < self.data.len()));
+        SemFrame { rows, ..self }
+    }
+
+    /// The chunk rows the frame holds, in frame order.
+    pub fn selection(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// Column `col` of the backing chunk, every row of it: index it by
+    /// the ids in [`SemFrame::selection`].
+    pub fn column(&self, col: usize) -> &ColumnData {
+        self.data.column(col)
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when the frame has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Position of a column (case-insensitive).
+    pub fn column_index(&self, name: &str) -> SqlResult<usize> {
+        self.columns
+            .iter()
+            .position(|c| c.eq_ignore_ascii_case(name))
+            .ok_or_else(|| SqlError::Binding(format!("no such column: {name}")))
+    }
+
+    /// The value at (frame row, column), cloned.
+    pub fn value(&self, row: usize, col: usize) -> Value {
+        self.data.value_at(self.rows[row] as usize, col)
+    }
+
+    /// The selected rows, materialized in frame order.
+    pub fn rows(&self) -> Vec<Vec<Value>> {
+        let ids = self.rows.iter();
+        ids.map(|&id| self.data.row(id as usize)).collect()
+    }
+}
+
+impl PartialEq for SemFrame {
+    fn eq(&self, other: &SemFrame) -> bool {
+        self.columns == other.columns && self.rows() == other.rows()
+    }
+}
+
+impl std::fmt::Debug for SemFrame {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SemFrame")
+            .field("columns", &self.columns)
+            .field("rows", &self.rows())
+            .finish()
     }
 }
 
@@ -689,7 +810,7 @@ fn exec_sem_node(
         let cost = before
             .map(|b| delegate.lm_snapshot().since(b))
             .unwrap_or_default();
-        let rows_out = result.as_ref().map(|f| f.rows.len()).unwrap_or(0);
+        let rows_out = result.as_ref().map(SemFrame::len).unwrap_or(0);
         p.exit_lm(token, rows_out, cost);
     }
     result
@@ -700,10 +821,7 @@ mod tests {
     use super::*;
 
     fn frame(n: usize) -> SemFrame {
-        SemFrame::new(
-            vec!["x".into()],
-            (0..n).map(|i| vec![Value::Int(i as i64)]).collect(),
-        )
+        SemFrame::from_rows(vec!["x".into()], (0..n).map(|i| vec![Value::Int(i as i64)]))
     }
 
     /// A delegate that halves row counts and charges one LM call per
@@ -716,11 +834,9 @@ mod tests {
                 SemNode::Scan { .. } => Ok(frame(8)),
                 SemNode::SemFilter { .. } => {
                     self.0.set(self.0.get() + 1);
-                    let f = &inputs[0];
-                    Ok(SemFrame::new(
-                        f.columns.clone(),
-                        f.rows[..f.rows.len() / 2].to_vec(),
-                    ))
+                    let f = inputs[0].clone();
+                    let half = f.selection()[..f.len() / 2].to_vec();
+                    Ok(f.with_selection(half))
                 }
                 other => Err(format!("unexpected node {}", other.label())),
             }
@@ -750,7 +866,7 @@ mod tests {
     fn executes_bottom_up() {
         let d = HalvingDelegate(std::cell::Cell::new(0));
         let out = execute_sem(&filter_over_scan(), &d).unwrap();
-        assert_eq!(out.rows.len(), 4);
+        assert_eq!(out.len(), 4);
     }
 
     #[test]
