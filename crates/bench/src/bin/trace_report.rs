@@ -17,13 +17,12 @@
 //! `--jsonl` additionally dumps every captured span as JSONL on stdout.
 
 use std::collections::BTreeMap;
-use tag_analyze::plan_cost;
 use tag_bench::{BenchQuery, Harness, MethodId, QueryType};
 use tag_core::env::TagEnv;
 use tag_core::{compile_generate_over, compile_rag, compile_rerank, plan_nlq};
 use tag_datagen::Scale;
 use tag_lm::sim::SimConfig;
-use tag_sql::optimize_sem;
+use tag_sql::{optimize_sem, plan_cost};
 use tag_trace::{LmUsage, SpanRecord, Stage, Trace};
 
 fn usage() -> ! {
@@ -53,12 +52,13 @@ fn parse_scale(name: &str) -> Scale {
 }
 
 /// Static upper bound on LM calls for one (method, query) pair, derived
-/// from the semantic IR alone via [`tag_analyze::plan_cost`] — before
+/// from the semantic IR alone via [`tag_sql::plan_cost`] — before
 /// anything executes. The engine's prompt cache can only *lower* the
 /// traced actuals, so `actual > bound` means the cost model (or the
 /// optimizer) is wrong and the report fails.
 fn static_bound(method: MethodId, q: &BenchQuery, env: &TagEnv) -> u64 {
     let opts = env.sem_opt();
+    let catalog = Some(env.db.catalog());
     let list = q.qtype != QueryType::Aggregation;
     let question = q.question();
     match method {
@@ -66,20 +66,20 @@ fn static_bound(method: MethodId, q: &BenchQuery, env: &TagEnv) -> u64 {
         MethodId::Text2Sql => 1,
         MethodId::Rag => {
             let plan = optimize_sem(compile_rag(&question, 10, list), &opts);
-            plan_cost(&plan, &env.db).lm_calls
+            plan_cost(&plan, catalog).lm_calls
         }
         MethodId::Rerank => {
             let plan = optimize_sem(compile_rerank(&question, 30, 10, list), &opts);
-            plan_cost(&plan, &env.db).lm_calls
+            plan_cost(&plan, catalog).lm_calls
         }
         // One call writes the retrieval SQL, then a generate plan over
         // the materialized rows (one call in either prompt format; the
         // bound does not depend on how many rows came back).
         MethodId::Text2SqlLm => {
             let gen = compile_generate_over(Vec::new(), Vec::new(), &question, list, "answer");
-            1 + plan_cost(&optimize_sem(gen, &opts), &env.db).lm_calls
+            1 + plan_cost(&optimize_sem(gen, &opts), catalog).lm_calls
         }
-        MethodId::HandWritten => plan_cost(&plan_nlq(&q.query, &opts, &env.db), &env.db).lm_calls,
+        MethodId::HandWritten => plan_cost(&plan_nlq(&q.query, &opts, &env.db), catalog).lm_calls,
     }
 }
 

@@ -6,9 +6,9 @@
 //! (optimized, then lowered against the domain catalog: the plan that
 //! executes) and checked three ways: the planned tree must be
 //! well-formed against the domain catalog
-//! ([`tag_analyze::verify_plan`]), the rewrite must preserve the naive
+//! ([`tag_sql::verify_plan`]), the rewrite must preserve the naive
 //! plan's work and satisfy each enabled rule's and the lowering's
-//! postcondition ([`tag_analyze::verify_rewrite`]), and the static
+//! postcondition ([`tag_sql::verify_rewrite`]), and the static
 //! LM-call bound must not regress. The RAG and rerank baseline plans go
 //! through the same sweep.
 //!
@@ -26,12 +26,13 @@
 //! artifact). Exit code 0 when every check passes, 1 otherwise.
 
 use std::collections::BTreeMap;
-use tag_analyze::{plan_cost, verify_plan, verify_rewrite, SchemaSource};
 use tag_bench::Harness;
-use tag_core::{compile_nlq, compile_rag, compile_rerank, nlq_reads, plan_sem};
+use tag_core::{compile_nlq, compile_rag, compile_rerank, nlq_reads};
 use tag_datagen::Scale;
 use tag_lm::sim::SimConfig;
-use tag_sql::{Database, SemNode, SemOptOptions, SemReads};
+use tag_sql::{
+    plan_cost, plan_sem, verify_plan, verify_rewrite, Catalog, SemNode, SemOptOptions, SemReads,
+};
 
 fn usage() -> ! {
     eprintln!("usage: verify-report [--scale tiny|small|standard] [--seed N] [--json PATH]");
@@ -84,11 +85,15 @@ struct Tally {
 
 /// Verify one naive plan under one rule set; returns rendered
 /// diagnostics when anything fails.
-fn check(naive: &SemNode, reads: &SemReads, opts: &SemOptOptions, db: &Database) -> Option<String> {
-    let planned = plan_sem(naive.clone(), reads, opts, db);
-    let schema: &dyn SchemaSource = db;
-    let plan = verify_plan(&planned, schema);
-    let rewrite = verify_rewrite(naive, &planned, opts, schema);
+fn check(
+    naive: &SemNode,
+    reads: &SemReads,
+    opts: &SemOptOptions,
+    catalog: &Catalog,
+) -> Option<String> {
+    let planned = plan_sem(naive.clone(), reads, opts, catalog);
+    let plan = verify_plan(&planned, Some(catalog));
+    let rewrite = verify_rewrite(naive, &planned, opts, Some(catalog));
     if plan.is_ok() && rewrite.is_ok() {
         return None;
     }
@@ -211,7 +216,7 @@ fn main() {
     let mut by_family: BTreeMap<&'static str, Tally> = BTreeMap::new();
     let mut failures: Vec<String> = Vec::new();
     for q in harness.queries() {
-        let db = &harness.env(q.domain).db;
+        let catalog = harness.env(q.domain).db.catalog();
         let question = q.question();
         let list = q.qtype != tag_bench::QueryType::Aggregation;
         let plans: [(&'static str, SemNode, SemReads); 3] = [
@@ -229,7 +234,7 @@ fn main() {
                 let fam = by_family.entry(family).or_default();
                 tag.plans += 1;
                 fam.plans += 1;
-                if let Some(diag) = check(naive, reads, opts, db) {
+                if let Some(diag) = check(naive, reads, opts, catalog) {
                     tag.failures += 1;
                     fam.failures += 1;
                     failures.push(format!(
@@ -252,14 +257,14 @@ fn main() {
             .iter()
             .find_map(|q| {
                 let naive = compile_nlq(&q.query);
-                let db = &harness.env(q.domain).db;
-                let mut plan = plan_sem(naive.clone(), &nlq_reads(&q.query), &opts, db);
+                let catalog = harness.env(q.domain).db.catalog();
+                let mut plan = plan_sem(naive.clone(), &nlq_reads(&q.query), &opts, catalog);
                 mutate(&mut plan).then_some((q, naive, plan))
             })
             .unwrap_or_else(|| panic!("no benchmark plan to apply {name} to"));
-        let db = &harness.env(q.domain).db;
-        let rejected = !verify_plan(&mutant, db).is_ok()
-            || !verify_rewrite(&naive, &mutant, &opts, db).is_ok();
+        let catalog = Some(harness.env(q.domain).db.catalog());
+        let rejected = !verify_plan(&mutant, catalog).is_ok()
+            || !verify_rewrite(&naive, &mutant, &opts, catalog).is_ok();
         if !rejected {
             failures.push(format!(
                 "MUTATION ESCAPED: {name} on query {} was not rejected",
@@ -276,15 +281,15 @@ fn main() {
     // sample plan, so a broken cost model fails loudly here too.
     let sample_q = &harness.queries()[0];
     let sample = compile_nlq(&sample_q.query);
-    let sample_db = &harness.env(sample_q.domain).db;
-    let naive_cost = plan_cost(&sample, sample_db);
+    let sample_catalog = harness.env(sample_q.domain).db.catalog();
+    let naive_cost = plan_cost(&sample, Some(sample_catalog));
     let planned = plan_sem(
         sample.clone(),
         &nlq_reads(&sample_q.query),
         &opts,
-        sample_db,
+        sample_catalog,
     );
-    let opt_cost = plan_cost(&planned, sample_db);
+    let opt_cost = plan_cost(&planned, Some(sample_catalog));
     if opt_cost.lm_calls > naive_cost.lm_calls {
         failures.push(format!(
             "cost bound regressed on sample plan: {} > {}",

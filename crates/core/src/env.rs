@@ -1,11 +1,14 @@
 //! The shared execution environment for all TAG methods.
 
+use crate::semplan::{compile_nlq, plan_nlq};
 use std::sync::{Arc, OnceLock, RwLock};
 use tag_embed::{Embedder, RowStore};
 use tag_lm::model::LanguageModel;
 use tag_lm::nlq::NlQuery;
 use tag_semops::SemEngine;
-use tag_sql::{Database, ResultSet, SemFrame, SemOptOptions, SqlResult};
+use tag_sql::{
+    verify_report_text, Database, ResultSet, SemFrame, SemOptOptions, SqlError, SqlResult, Value,
+};
 
 /// Everything a method needs to answer a question over one domain
 /// database: the SQL engine, the language model (behind the batched
@@ -25,38 +28,13 @@ pub struct TagEnv {
     embedder: Embedder,
     store: OnceLock<RowStore>,
     schema: OnceLock<String>,
-    sem_opt: Arc<RwLock<SemOptOptions>>,
+    sem_opt: RwLock<SemOptOptions>,
 }
 
 impl TagEnv {
     /// Build an environment over a loaded database.
     pub fn new(db: Database, lm: Arc<dyn LanguageModel>) -> Self {
         let engine = SemEngine::new(Arc::clone(&lm));
-        let sem_opt = Arc::new(RwLock::new(SemOptOptions::default()));
-        // `EXPLAIN SEMPLAN <question>` renders the plan a canonical
-        // question would execute, under the rules active right now and
-        // lowered against the live catalog.
-        let explainer_opts = Arc::clone(&sem_opt);
-        db.set_semplan_explainer(Arc::new(move |db: &Database, question: &str| {
-            let q = NlQuery::parse(question).ok_or_else(|| {
-                format!("no semantic plan for: {question} (not a canonical TAG-Bench question)")
-            })?;
-            let opts = *explainer_opts.read().unwrap_or_else(|e| e.into_inner());
-            Ok(crate::semplan::plan_nlq(&q, &opts, db).explain())
-        }));
-        // `EXPLAIN VERIFY <question>` runs the static checker over that
-        // plan: well-formedness against the live catalog, rewrite
-        // pre/postconditions, and the LM-call upper bound.
-        let verifier_opts = Arc::clone(&sem_opt);
-        db.set_semplan_verifier(Arc::new(move |db: &Database, question: &str| {
-            let q = NlQuery::parse(question).ok_or_else(|| {
-                format!("no semantic plan for: {question} (not a canonical TAG-Bench question)")
-            })?;
-            let opts = *verifier_opts.read().unwrap_or_else(|e| e.into_inner());
-            let naive = crate::semplan::compile_nlq(&q);
-            let planned = crate::semplan::plan_nlq(&q, &opts, db);
-            Ok(tag_analyze::verify_report_text(&naive, &planned, &opts, db))
-        }));
         TagEnv {
             db,
             lm,
@@ -64,7 +42,7 @@ impl TagEnv {
             embedder: Embedder::default(),
             store: OnceLock::new(),
             schema: OnceLock::new(),
-            sem_opt,
+            sem_opt: RwLock::new(SemOptOptions::default()),
         }
     }
 
@@ -177,14 +155,57 @@ impl TagEnv {
     /// [`Database::query`]; traced, it is the same read path with a
     /// profiler attached, so it accepts the same statements (`EXPLAIN`
     /// included) and results are byte-identical either way.
+    ///
+    /// It also answers `EXPLAIN SEMPLAN <question>` and `EXPLAIN VERIFY
+    /// <question>` (see [`TagEnv::explain_semplan`]), which execute
+    /// nothing, traced or not.
     pub fn run_sql(&self, sql: &str) -> SqlResult<ResultSet> {
-        self.traced_read(sql, |profile| match profile {
-            None => self.db.query(sql),
-            Some(text) => self.db.query_profiled(sql).map(|(rs, plan_text)| {
-                text.push_str(&plan_text);
-                rs
-            }),
+        self.traced_read(sql, |profile| {
+            if let Some(result) = self.explain_semplan(sql) {
+                return result;
+            }
+            match profile {
+                None => self.db.query(sql),
+                Some(text) => self.db.query_profiled(sql).map(|(rs, plan_text)| {
+                    text.push_str(&plan_text);
+                    rs
+                }),
+            }
         })
+    }
+
+    /// Answer `EXPLAIN SEMPLAN <question>` with the plan a canonical
+    /// question runs, under the rules active now and lowered against the
+    /// live catalog, or `EXPLAIN VERIFY <question>` with the static
+    /// checker's report on that plan (well-formedness against the
+    /// catalog, rewrite pre/postconditions, the LM-call upper bound).
+    /// Either is a one-column `plan` result, one row per line; `None`
+    /// when `sql` is neither.
+    fn explain_semplan(&self, sql: &str) -> Option<SqlResult<ResultSet>> {
+        let rest = strip_keyword(sql, "EXPLAIN")?;
+        let (kind, question) = ["SEMPLAN", "VERIFY"]
+            .into_iter()
+            .find_map(|kind| Some((kind, strip_keyword(rest, kind)?.trim())))?;
+        if question.is_empty() {
+            let message = format!("EXPLAIN {kind} needs a question");
+            return Some(Err(SqlError::Unsupported(message)));
+        }
+        let Some(q) = NlQuery::parse(question) else {
+            return Some(Err(SqlError::Binding(format!(
+                "no semantic plan for: {question} (not a canonical TAG-Bench question)"
+            ))));
+        };
+        let opts = self.sem_opt();
+        let planned = plan_nlq(&q, &opts, &self.db);
+        let text = match kind {
+            "SEMPLAN" => planned.explain(),
+            _ => verify_report_text(&compile_nlq(&q), &planned, &opts, Some(self.db.catalog())),
+        };
+        let rows = text.trim_end().lines();
+        let rows = rows
+            .map(|line| vec![Value::Text(line.to_owned())])
+            .collect();
+        Some(Ok(ResultSet::new(vec!["plan".into()], rows)))
     }
 
     /// [`TagEnv::run_sql`] for a semantic plan's scan: the result stays
@@ -265,6 +286,15 @@ impl TagEnv {
     }
 }
 
+/// The text after `keyword` when `text`, less leading whitespace,
+/// starts with it (ASCII case-insensitively) as a whole word.
+fn strip_keyword<'a>(text: &'a str, keyword: &str) -> Option<&'a str> {
+    let text = text.trim_start();
+    let rest = text.get(keyword.len()..)?;
+    let whole_word = rest.chars().next().is_none_or(char::is_whitespace);
+    (text[..keyword.len()].eq_ignore_ascii_case(keyword) && whole_word).then_some(rest)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,11 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn explain_verify_reports_through_registered_hook() {
+    fn explain_verify_reports_on_the_planned_question() {
         let e = env();
-        let rs =
-            e.db.query("EXPLAIN VERIFY How many schools are there?")
-                .unwrap();
+        let rs = e
+            .run_sql("EXPLAIN VERIFY How many schools are there?")
+            .unwrap();
         assert_eq!(rs.columns, vec!["plan"]);
         let lines: Vec<String> = rs.rows.iter().map(|r| r[0].to_string()).collect();
         assert_eq!(lines[0], "verify: ok", "{lines:?}");
@@ -314,9 +344,61 @@ mod tests {
                 .any(|l| l.contains("Scan schools") && l.contains("rows<=")),
             "{lines:?}"
         );
-        // Non-canonical questions fail the same way EXPLAIN SEMPLAN does.
-        let err = e.db.query("EXPLAIN VERIFY gibberish").unwrap_err();
-        assert!(err.message().contains("no semantic plan"), "{err:?}");
+    }
+
+    /// `EXPLAIN SEMPLAN|VERIFY` are statements of `run_sql` like any
+    /// other: the same rows traced or not, under one `sql` span each,
+    /// and the same errors for a missing or a non-canonical question.
+    #[test]
+    fn explain_semplan_and_verify_are_run_sql_statements() {
+        let e = env();
+        let (trace, sink) = tag_trace::Trace::memory();
+        for kind in ["SEMPLAN", "VERIFY"] {
+            let statement = format!("explain {kind}  How many schools are there? ");
+            let plain = e.run_sql(&statement).unwrap();
+            let traced = tag_trace::with_trace(&trace, || e.run_sql(&statement)).unwrap();
+            assert_eq!(plain, traced, "{statement}");
+            assert_eq!(plain.columns, vec!["plan"]);
+            assert!(plain
+                .rows
+                .iter()
+                .any(|r| r[0].to_string().contains("Scan schools")));
+
+            let err = e.run_sql(&format!("EXPLAIN {kind}")).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("unsupported error: EXPLAIN {kind} needs a question")
+            );
+            let err =
+                tag_trace::with_trace(&trace, || e.run_sql(&format!("EXPLAIN {kind} gibberish")))
+                    .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "binding error: no semantic plan for: gibberish (not a canonical TAG-Bench question)"
+            );
+        }
+        let spans = sink.take();
+        assert_eq!(spans.len(), 4);
+        assert!(spans.iter().all(|s| s.label == "sql"));
+        // The semantic plan is printed, not executed: no profile lines.
+        assert!(spans[0].annotations.iter().all(|a| !a.contains("out=")));
+    }
+
+    /// Only a `TagEnv` knows the canonical questions: a plain database
+    /// refuses `EXPLAIN SEMPLAN` as a relational `EXPLAIN` it cannot
+    /// parse, before anything is planned or run.
+    #[test]
+    fn plain_database_refuses_explain_semplan() {
+        let db = env().db;
+        for kind in ["SEMPLAN", "VERIFY"] {
+            let statement = format!("EXPLAIN {kind} How many schools are there?");
+            let unparsed = |err: SqlError| matches!(err.category(), "lex" | "parse");
+            assert!(unparsed(db.query(&statement).unwrap_err()), "{statement}");
+            assert!(
+                unparsed(db.query_profiled(&statement).unwrap_err()),
+                "{statement}"
+            );
+        }
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub use methods::{HandWrittenTag, Rag, RetrievalLmRank, Text2Sql, Text2SqlLm};
 pub use model::{AnswerGeneration, QuerySynthesis, TagMethod, TagPipeline};
 pub use multihop::{run_two_hop, TwoHopQuery};
 pub use semplan::{
-    compile_generate_over, compile_nlq, compile_rag, compile_rerank, nlq_reads, plan_nlq, plan_sem,
+    compile_generate_over, compile_nlq, compile_rag, compile_rerank, nlq_reads, plan_nlq,
     run_semplan, SemRuntime,
 };

@@ -45,8 +45,8 @@ use tag_semops::{
 };
 use tag_sql::chunk::ColumnData;
 use tag_sql::{
-    execute_sem, execute_sem_profiled, lower_scans, optimize_sem, scan_sql, CutSpec, GenFormat,
-    LmCost, PlanProfiler, RetrieveKind, SemClaimSpec, SemDelegate, SemFrame, SemNode, SemPredicate,
+    execute_sem, execute_sem_profiled, plan_sem, scan_sql, CutSpec, GenFormat, LmCost,
+    PlanProfiler, RetrieveKind, SemClaimSpec, SemDelegate, SemFrame, SemNode, SemPredicate,
     SemReads, Value,
 };
 
@@ -314,51 +314,10 @@ fn gen_format(list_format: bool) -> GenFormat {
     }
 }
 
-/// Plan a compiled tree: apply the enabled rewrite rules, then lower the
-/// scans against `db`'s catalog for a consumer that reads `reads` off
-/// the result. In debug builds the result is verified before it is
-/// executed: the planned tree must be structurally
-/// well-formed, the rewrite must preserve the naive plan's work
-/// (conservation + per-rule and lowering postconditions), and the static
-/// LM-call bound must not regress. A diagnostic here is a compiler bug,
-/// so it panics rather than limping into execution; release builds skip
-/// the sweep entirely.
-///
-/// Structure is checked schema-blind ([`tag_analyze::NoSchema`]): a
-/// handwritten plan naming a missing table or column is *user* input,
-/// and must keep surfacing as the executor's ordinary runtime error.
-/// Catalog-aware diagnostics are the `EXPLAIN VERIFY` surface's job.
-pub fn plan_sem(
-    naive: SemNode,
-    reads: &SemReads,
-    opts: &tag_sql::SemOptOptions,
-    db: &tag_sql::Database,
-) -> SemNode {
-    #[cfg(debug_assertions)]
-    let before = naive.clone();
-    let planned = lower_scans(optimize_sem(naive, opts), db.catalog(), reads);
-    #[cfg(debug_assertions)]
-    {
-        let schema = tag_analyze::NoSchema;
-        let plan = tag_analyze::verify_plan(&planned, &schema);
-        let rewrite = tag_analyze::verify_rewrite(&before, &planned, opts, &schema);
-        if !plan.is_ok() || !rewrite.is_ok() {
-            panic!(
-                "planning produced an invalid plan (rules={}):\n{}{}plan:\n{}",
-                opts.cache_tag(),
-                plan.render(),
-                rewrite.render(),
-                planned.explain()
-            );
-        }
-    }
-    planned
-}
-
 /// [`plan_sem`] of a structured question: the plan `HandWrittenTag`
 /// runs and `EXPLAIN SEMPLAN` prints.
 pub fn plan_nlq(q: &NlQuery, opts: &tag_sql::SemOptOptions, db: &tag_sql::Database) -> SemNode {
-    plan_sem(compile_nlq(q), &nlq_reads(q), opts, db)
+    plan_sem(compile_nlq(q), &nlq_reads(q), opts, db.catalog())
 }
 
 /// Plan a naive tree ([`plan_sem`], under the environment's rules and
@@ -369,7 +328,7 @@ pub fn plan_nlq(q: &NlQuery, opts: &tag_sql::SemOptOptions, db: &tag_sql::Databa
 /// breakdown (rows in/out, elapsed, LM calls/tokens) is annotated onto
 /// the innermost open span.
 pub fn run_semplan(env: &TagEnv, naive: SemNode, reads: &SemReads) -> Result<SemFrame, String> {
-    let root = plan_sem(naive, reads, &env.sem_opt(), &env.db);
+    let root = plan_sem(naive, reads, &env.sem_opt(), env.db.catalog());
     let runtime = SemRuntime::new(env);
     if !tag_trace::is_active() {
         return execute_sem(&root, &runtime);
@@ -1146,7 +1105,7 @@ mod tests {
     use tag_lm::model::{LanguageModel, LmResponse, LmResult};
     use tag_lm::sim::{SimConfig, SimLm};
     use tag_lm::KnowledgeConfig;
-    use tag_sql::{Database, SemOptOptions};
+    use tag_sql::{optimize_sem, Database, SemOptOptions};
 
     fn env() -> TagEnv {
         let mut db = Database::new();

@@ -30,7 +30,7 @@ fn env() -> TagEnv {
 }
 
 fn render(env: &TagEnv, statement: &str) -> String {
-    let rs = env.db.query(statement).unwrap();
+    let rs = env.run_sql(statement).unwrap();
     rs.rows
         .iter()
         .map(|r| r[0].to_string())

@@ -6,11 +6,16 @@
 //! ASK <domain> <method> <question…>      answer one question
 //! EXPLAIN <domain> <select>              show the relational plan
 //! EXPLAIN <domain> SEMPLAN <question…>   show the semantic plan
+//! EXPLAIN <domain> VERIFY <question…>    verify the semantic plan
 //! STATS                                  print the metrics report
 //! METRICS                                print the Prometheus exposition
 //! TRACE <id> [JSONL]                     print a captured request trace
 //! QUIT                                   shut down
 //! ```
+//!
+//! An `EXPLAIN` line's statement runs as `EXPLAIN <statement>` through
+//! the domain's `TagEnv::run_sql`, which executes nothing for any of the
+//! three forms.
 //!
 //! Replies to `ASK` are single lines:
 //! `OK total=… queue=… cache=… trace=<id> <answer>` or `ERR <reason>`;

@@ -131,12 +131,15 @@ pub enum Command {
     },
     /// `EXPLAIN <domain> <statement…>` — render a plan without running
     /// it: `EXPLAIN <domain> SELECT …` for relational plans,
-    /// `EXPLAIN <domain> SEMPLAN <question>` for semantic plans.
+    /// `EXPLAIN <domain> SEMPLAN <question>` for semantic plans,
+    /// `EXPLAIN <domain> VERIFY <question>` for the static checker's
+    /// report on one.
     Explain {
         /// Target domain name.
         domain: String,
-        /// The statement after the domain (`SELECT …` or
-        /// `SEMPLAN <question>`), passed through to the SQL surface.
+        /// The statement after the domain (`SELECT …`, `SEMPLAN
+        /// <question>` or `VERIFY <question>`), run as `EXPLAIN
+        /// <statement>` by the domain's `TagEnv::run_sql`.
         statement: String,
     },
     /// `STATS` — print the metrics report.

@@ -346,13 +346,14 @@ impl Server {
     }
 
     /// Render a plan for `statement` against `domain` without executing
-    /// it, through the SQL surface's `EXPLAIN`: `SELECT …` statements
-    /// show the relational plan, `SEMPLAN <question>` shows the
-    /// semantic plan a canonical question compiles to (after the
-    /// currently active rewrite rules), and `VERIFY <question>` runs
-    /// the static checker over that plan (well-formedness, rewrite
-    /// conservation, LM-call bound). Returns the plan one node per
-    /// line; `Err` carries the planner's message verbatim.
+    /// it, as `EXPLAIN <statement>` through [`TagEnv::run_sql`]:
+    /// `SELECT …` statements show the relational plan, `SEMPLAN
+    /// <question>` shows the semantic plan a canonical question compiles
+    /// to (after the currently active rewrite rules), and `VERIFY
+    /// <question>` runs the static checker over that plan
+    /// (well-formedness, rewrite conservation, LM-call bound). Returns
+    /// the plan one node per line; `Err` carries the planner's message
+    /// verbatim.
     pub fn explain(&self, domain: &str, statement: &str) -> Result<String, String> {
         let env = self
             .shared
@@ -360,8 +361,7 @@ impl Server {
             .get(domain)
             .ok_or_else(|| ServeError::UnknownDomain(domain.to_owned()).to_string())?;
         let rs = env
-            .db
-            .query(&format!("EXPLAIN {statement}"))
+            .run_sql(&format!("EXPLAIN {statement}"))
             .map_err(|e| e.to_string())?;
         Ok(rs
             .rows

@@ -28,53 +28,7 @@ use crate::table::{IndexKind, Table};
 use crate::udf::{ScalarUdf, UdfRegistry};
 use crate::value::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Renders `EXPLAIN SEMPLAN <question>` output. Registered by the
-/// semantic runtime: the SQL engine cannot compile NL questions itself.
-/// Receives the database because the plan it prints is lowered against
-/// the live catalog.
-pub type SemPlanExplainFn = dyn Fn(&Database, &str) -> Result<String, String> + Send + Sync;
-
-/// Renders `EXPLAIN VERIFY <question>` output. Registered by the
-/// semantic runtime; receives the database so the verifier sees the
-/// live catalog (schema and row counts) without a stale copy.
-pub type SemPlanVerifyFn = dyn Fn(&Database, &str) -> Result<String, String> + Send + Sync;
-
-/// Interior-mutable slot for a registered engine hook. Poison-robust:
-/// the stored `Arc` can't be left half-written, so a panicked thread
-/// must not take the serving path's EXPLAIN surface down with it.
-struct HookSlot<F: ?Sized>(Mutex<Option<Arc<F>>>);
-
-impl<F: ?Sized> HookSlot<F> {
-    fn get(&self) -> Option<Arc<F>> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    fn set(&self, f: Arc<F>) {
-        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(f);
-    }
-}
-
-impl<F: ?Sized> Default for HookSlot<F> {
-    fn default() -> Self {
-        HookSlot(Mutex::new(None))
-    }
-}
-
-impl<F: ?Sized> Clone for HookSlot<F> {
-    fn clone(&self) -> Self {
-        HookSlot(Mutex::new(self.get()))
-    }
-}
-
-impl<F: ?Sized> std::fmt::Debug for HookSlot<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("HookSlot")
-            .field(&self.get().map(|_| "<fn>"))
-            .finish()
-    }
-}
+use std::sync::Arc;
 
 /// What is left of the plan cache's counters: both always 0.
 ///
@@ -127,10 +81,6 @@ pub struct Database {
     /// Atomic so read-only `query()` can count under a shared borrow
     /// (the serving runtime runs SELECTs from many threads at once).
     statements_run: AtomicU64,
-    /// Registered `EXPLAIN SEMPLAN` renderer.
-    semplan_explainer: HookSlot<SemPlanExplainFn>,
-    /// Registered `EXPLAIN VERIFY` renderer (the static verifier).
-    semplan_verifier: HookSlot<SemPlanVerifyFn>,
     /// Per-operator metrics sink, installed once by the serving
     /// runtime; profiled queries feed it, plain queries never touch it.
     exec_metrics: std::sync::OnceLock<Arc<ExecMetrics>>,
@@ -142,8 +92,6 @@ impl Clone for Database {
             catalog: self.catalog.clone(),
             udfs: self.udfs.clone(),
             statements_run: AtomicU64::new(self.statements_run.load(Ordering::Relaxed)),
-            semplan_explainer: self.semplan_explainer.clone(),
-            semplan_verifier: self.semplan_verifier.clone(),
             // Clones share the sink: instruments are per-operator-kind
             // aggregates, not per-handle state.
             exec_metrics: self.exec_metrics.clone(),
@@ -191,8 +139,8 @@ impl Database {
     /// Install a metrics hub: profiled queries
     /// ([`Database::query_profiled`]) then feed per-operator counters
     /// and windowed latency histograms (see [`crate::metrics`]). First
-    /// install wins. Takes `&self` like the other engine hooks so a
-    /// shared handle can be instrumented after construction.
+    /// install wins. Takes `&self` so a shared handle can be
+    /// instrumented after construction.
     pub fn install_metrics_hub(&self, hub: Arc<tag_metrics::MetricsHub>) {
         let _ = self.exec_metrics.set(Arc::new(ExecMetrics::new(hub)));
     }
@@ -211,10 +159,9 @@ impl Database {
     /// shared borrow — the concurrent-serving entry point. DDL and DML
     /// are rejected with [`SqlError::Unsupported`].
     ///
-    /// `EXPLAIN <select>`, `EXPLAIN SEMPLAN <question>` and
-    /// `EXPLAIN VERIFY <question>` are also accepted here: all three are
-    /// read-only and return the plan text as a one-column `plan` result,
-    /// one row per line.
+    /// `EXPLAIN <select>` is also accepted here: it is read-only and
+    /// returns the plan text as a one-column `plan` result, one row per
+    /// line.
     pub fn query(&self, sql: &str) -> SqlResult<ResultSet> {
         self.read(sql, None).map(result_set)
     }
@@ -408,68 +355,12 @@ impl Database {
         Ok(text)
     }
 
-    /// Register the `EXPLAIN SEMPLAN` renderer. The callback receives
-    /// this database and the question text and returns the rendered
-    /// semantic plan (or a human-readable error, e.g. for an
-    /// unparseable question).
-    pub fn set_semplan_explainer(&self, f: Arc<SemPlanExplainFn>) {
-        self.semplan_explainer.set(f);
-    }
-
-    /// Register the `EXPLAIN VERIFY` renderer. The callback receives
-    /// this database (live catalog for schema checks) and the question
-    /// text, and returns the rendered verification report.
-    pub fn set_semplan_verifier(&self, f: Arc<SemPlanVerifyFn>) {
-        self.semplan_verifier.set(f);
-    }
-
-    /// Recognize and answer an `EXPLAIN` statement; `None` when `sql`
-    /// is not one. `EXPLAIN <select>` is [`Database::explain`] as rows;
-    /// `EXPLAIN SEMPLAN|VERIFY <question>` route to the registered hooks.
+    /// Recognize and answer an `EXPLAIN` statement: [`Database::explain`]
+    /// as rows; `None` when `sql` is not one.
     fn try_explain(&self, sql: &str) -> Option<SqlResult<ResultSet>> {
         let rest = strip_keyword(sql.trim(), "EXPLAIN")?.trim_start();
         self.statements_run.fetch_add(1, Ordering::Relaxed);
-        if let Some(question) = strip_keyword(rest, "SEMPLAN") {
-            return Some(self.explain_semplan(question.trim()));
-        }
-        if let Some(question) = strip_keyword(rest, "VERIFY") {
-            return Some(self.explain_verify(question.trim()));
-        }
         Some(self.explain(rest).map(|text| plan_text_result(&text)))
-    }
-
-    fn explain_semplan(&self, question: &str) -> SqlResult<ResultSet> {
-        if question.is_empty() {
-            return Err(SqlError::Unsupported(
-                "EXPLAIN SEMPLAN needs a question".into(),
-            ));
-        }
-        let explainer = self.semplan_explainer.get().ok_or_else(|| {
-            SqlError::Unsupported(
-                "EXPLAIN SEMPLAN requires a semantic runtime (no explainer registered)".into(),
-            )
-        })?;
-        match explainer(self, question) {
-            Ok(text) => Ok(plan_text_result(text.trim_end())),
-            Err(e) => Err(SqlError::Binding(e)),
-        }
-    }
-
-    fn explain_verify(&self, question: &str) -> SqlResult<ResultSet> {
-        if question.is_empty() {
-            return Err(SqlError::Unsupported(
-                "EXPLAIN VERIFY needs a question".into(),
-            ));
-        }
-        let verifier = self.semplan_verifier.get().ok_or_else(|| {
-            SqlError::Unsupported(
-                "EXPLAIN VERIFY requires a semantic runtime (no verifier registered)".into(),
-            )
-        })?;
-        match verifier(self, question) {
-            Ok(text) => Ok(plan_text_result(text.trim_end())),
-            Err(e) => Err(SqlError::Binding(e)),
-        }
     }
 
     /// Execute an already-parsed statement.
@@ -805,69 +696,6 @@ mod tests {
             );
         }
         assert_eq!(db.catalog().table("schools").unwrap().len(), 4);
-    }
-
-    #[test]
-    fn explain_semplan_requires_registered_explainer() {
-        let db = db();
-        let err = db
-            .query("EXPLAIN SEMPLAN How many schools are there?")
-            .unwrap_err();
-        assert!(err.message().contains("no explainer registered"), "{err:?}");
-
-        db.set_semplan_explainer(Arc::new(|_: &Database, q: &str| {
-            if q.starts_with("How many") {
-                Ok(format!("SemAgg  [gen]\n  Scan schools  [exec]\n# {q}"))
-            } else {
-                Err(format!("not a TAG-Bench question: {q}"))
-            }
-        }));
-        let rs = db
-            .query("EXPLAIN SEMPLAN How many schools are there?")
-            .unwrap();
-        assert_eq!(rs.columns, vec!["plan"]);
-        assert_eq!(rs.rows[0][0].to_string(), "SemAgg  [gen]");
-        let err = db.query("EXPLAIN SEMPLAN gibberish").unwrap_err();
-        assert!(err.message().contains("not a TAG-Bench question"));
-        // Works through the mutable entry point too.
-        let mut db2 = db.clone();
-        assert!(db2
-            .execute("EXPLAIN SEMPLAN How many schools are there?")
-            .is_ok());
-    }
-
-    #[test]
-    fn explain_verify_requires_registered_verifier() {
-        let db = db();
-        let err = db
-            .query("EXPLAIN VERIFY How many schools are there?")
-            .unwrap_err();
-        assert!(err.message().contains("no verifier registered"), "{err:?}");
-        assert!(db.query("EXPLAIN VERIFY").is_err());
-
-        // The verifier hook sees the live database, so it can resolve
-        // the catalog the same way the executor would.
-        db.set_semplan_verifier(Arc::new(|db: &Database, q: &str| {
-            if q.starts_with("How many") {
-                let tables = db.catalog().table_names().len();
-                Ok(format!("verify: ok\n# {q} over {tables} table(s)"))
-            } else {
-                Err(format!("not a TAG-Bench question: {q}"))
-            }
-        }));
-        let rs = db
-            .query("EXPLAIN VERIFY How many schools are there?")
-            .unwrap();
-        assert_eq!(rs.columns, vec!["plan"]);
-        assert_eq!(rs.rows[0][0].to_string(), "verify: ok");
-        assert!(rs.rows[1][0].to_string().contains("table(s)"));
-        let err = db.query("EXPLAIN VERIFY gibberish").unwrap_err();
-        assert!(err.message().contains("not a TAG-Bench question"));
-        // Works through the mutable entry point too.
-        let mut db2 = db.clone();
-        assert!(db2
-            .execute("EXPLAIN VERIFY How many schools are there?")
-            .is_ok());
     }
 
     #[test]

@@ -59,8 +59,10 @@ pub mod planner;
 pub mod profile;
 pub mod result;
 pub mod schema;
+mod semcost;
 pub mod semopt;
 pub mod semplan;
+mod semverify;
 pub mod table;
 pub mod udf;
 pub mod value;
@@ -76,11 +78,13 @@ pub use plan::{AggCall, AggFunc, IndexRange, Plan, SortKey};
 pub use profile::{NodeProfile, PlanProfiler};
 pub use result::ResultSet;
 pub use schema::{Column, DataType, Row, Schema};
-pub use semopt::{lower_scans, optimize_sem, SemOptOptions};
+pub use semcost::{plan_cost, CostBound};
+pub use semopt::{lower_scans, optimize_sem, plan_sem, SemOptOptions};
 pub use semplan::{
     execute_sem, execute_sem_profiled, scan_sql, CutSpec, GenFormat, LmCost, RetrieveKind,
     SemClaimSpec, SemDelegate, SemFrame, SemNode, SemPredicate, SemReads, SemStage,
 };
+pub use semverify::{verify_plan, verify_report_text, verify_rewrite, Diagnostic, VerifyReport};
 pub use table::{IndexKind, Table};
 pub use udf::{FnUdf, ScalarUdf, UdfRegistry};
 pub use value::Value;

@@ -29,12 +29,12 @@
 //! bound is monotone in its input cardinality, so the composition is a
 //! sound upper bound for the whole tree.
 
-use crate::verifier::SchemaSource;
-use tag_sql::{GenFormat, SemNode};
+use crate::catalog::Catalog;
+use crate::semplan::{GenFormat, SemNode};
 
-/// Assumed base-table cardinality when the schema source has no row
-/// count for a scanned table (e.g. verification without a database).
-pub const DEFAULT_SCAN_ROWS: u64 = 1000;
+/// Assumed base-table cardinality when there is no catalog, or it has no
+/// such table (e.g. verification without a database).
+const DEFAULT_SCAN_ROWS: u64 = 1000;
 
 /// `sem_topk`'s Borda cutover (`tag_semops::ops::BORDA_LIMIT`): inputs
 /// larger than this quickselect down to `max(k, 20)` before ranking.
@@ -47,15 +47,6 @@ pub struct CostBound {
     pub lm_calls: u64,
     /// Upper bound on rows the subtree can produce.
     pub out_rows: u64,
-}
-
-impl CostBound {
-    /// Loose token upper bound: every prompt and completion fits the
-    /// model's context window, so `calls × window` dominates both
-    /// prompt and completion tokens (each, not summed).
-    pub fn token_bound(&self, context_window: u64) -> u64 {
-        self.lm_calls.saturating_mul(context_window)
-    }
 }
 
 /// Unordered pairs C(n, 2) — the pairwise-comparison prompt count.
@@ -71,7 +62,7 @@ fn pairs(n: u64) -> u64 {
 /// telescopes to at most C(n,2) in the worst case, and the Borda pass
 /// ranks the kept `w = min(n, max(k, 20))` values exactly with C(w,2)
 /// prompts. Small inputs skip quickselect and Borda-rank all n.
-pub fn topk_call_bound(n: u64, k: u64) -> u64 {
+fn topk_call_bound(n: u64, k: u64) -> u64 {
     if n <= 1 || k == 0 {
         return 0;
     }
@@ -99,15 +90,12 @@ fn generate_call_bound(format: &GenFormat, n: u64) -> u64 {
 
 /// Compute the static LM-cost bound of a plan bottom-up.
 ///
-/// `schema` supplies base-table cardinalities; scans of tables it does
-/// not know fall back to [`DEFAULT_SCAN_ROWS`].
-pub fn plan_cost(root: &SemNode, schema: &dyn SchemaSource) -> CostBound {
+/// `catalog` supplies base-table cardinalities; scans of tables it does
+/// not have, or every scan without one, fall back to [`DEFAULT_SCAN_ROWS`].
+pub fn plan_cost(root: &SemNode, catalog: Option<&Catalog>) -> CostBound {
     match root {
         SemNode::Scan { table, cut, .. } => {
-            let rows = schema
-                .table_rows(table)
-                .map(|n| n as u64)
-                .unwrap_or(DEFAULT_SCAN_ROWS);
+            let rows = table_rows(catalog, table).map_or(DEFAULT_SCAN_ROWS, |n| n as u64);
             CostBound {
                 lm_calls: 0,
                 out_rows: cut.as_ref().map_or(rows, |cut| rows.min(cut.k as u64)),
@@ -117,9 +105,9 @@ pub fn plan_cost(root: &SemNode, schema: &dyn SchemaSource) -> CostBound {
             lm_calls: 0,
             out_rows: rows.len() as u64,
         },
-        SemNode::Predicate { input, .. } => plan_cost(input, schema),
+        SemNode::Predicate { input, .. } => plan_cost(input, catalog),
         SemNode::Cut { input, cut } => {
-            let c = plan_cost(input, schema);
+            let c = plan_cost(input, catalog);
             CostBound {
                 lm_calls: c.lm_calls,
                 out_rows: c.out_rows.min(cut.k as u64),
@@ -128,7 +116,7 @@ pub fn plan_cost(root: &SemNode, schema: &dyn SchemaSource) -> CostBound {
         SemNode::SemFilter {
             input, early_stop, ..
         } => {
-            let c = plan_cost(input, schema);
+            let c = plan_cost(input, catalog);
             // Row-wise judges every row; distinct judges every distinct
             // value (≤ n); early-stop judges distinct values in sorted
             // order until k survive (≤ n). All bounded by input rows.
@@ -141,7 +129,7 @@ pub fn plan_cost(root: &SemNode, schema: &dyn SchemaSource) -> CostBound {
             }
         }
         SemNode::SemTopK { input, k, .. } => {
-            let c = plan_cost(input, schema);
+            let c = plan_cost(input, catalog);
             CostBound {
                 lm_calls: c
                     .lm_calls
@@ -150,7 +138,7 @@ pub fn plan_cost(root: &SemNode, schema: &dyn SchemaSource) -> CostBound {
             }
         }
         SemNode::SemAgg { input, .. } => {
-            let c = plan_cost(input, schema);
+            let c = plan_cost(input, catalog);
             CostBound {
                 lm_calls: c
                     .lm_calls
@@ -159,15 +147,15 @@ pub fn plan_cost(root: &SemNode, schema: &dyn SchemaSource) -> CostBound {
             }
         }
         SemNode::SemMap { input, .. } => {
-            let c = plan_cost(input, schema);
+            let c = plan_cost(input, catalog);
             CostBound {
                 lm_calls: c.lm_calls.saturating_add(c.out_rows),
                 out_rows: c.out_rows,
             }
         }
         SemNode::SemJoin { left, right, .. } => {
-            let l = plan_cost(left, schema);
-            let r = plan_cost(right, schema);
+            let l = plan_cost(left, catalog);
+            let r = plan_cost(right, catalog);
             let cross = l.out_rows.saturating_mul(r.out_rows);
             CostBound {
                 lm_calls: l.lm_calls.saturating_add(r.lm_calls).saturating_add(cross),
@@ -179,14 +167,14 @@ pub fn plan_cost(root: &SemNode, schema: &dyn SchemaSource) -> CostBound {
             out_rows: *k as u64,
         },
         SemNode::Rerank { input, keep, .. } => {
-            let c = plan_cost(input, schema);
+            let c = plan_cost(input, catalog);
             CostBound {
                 lm_calls: c.lm_calls.saturating_add(c.out_rows),
                 out_rows: c.out_rows.min(*keep as u64),
             }
         }
         SemNode::Generate { input, format, .. } => {
-            let c = plan_cost(input, schema);
+            let c = plan_cost(input, catalog);
             CostBound {
                 lm_calls: c
                     .lm_calls
@@ -197,11 +185,15 @@ pub fn plan_cost(root: &SemNode, schema: &dyn SchemaSource) -> CostBound {
     }
 }
 
+/// Row count of `table`, when there is a catalog and it has the table.
+fn table_rows(catalog: Option<&Catalog>, table: &str) -> Option<usize> {
+    Some(catalog?.table(table).ok()?.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verifier::NoSchema;
-    use tag_sql::{CutSpec, RetrieveKind, SemClaimSpec};
+    use crate::semplan::{CutSpec, RetrieveKind, SemClaimSpec};
 
     fn scan() -> SemNode {
         SemNode::scan("t")
@@ -209,7 +201,7 @@ mod tests {
 
     #[test]
     fn scan_without_schema_uses_default_cardinality() {
-        let c = plan_cost(&scan(), &NoSchema);
+        let c = plan_cost(&scan(), None);
         assert_eq!(c.lm_calls, 0);
         assert_eq!(c.out_rows, DEFAULT_SCAN_ROWS);
     }
@@ -224,7 +216,7 @@ mod tests {
             distinct: true,
             early_stop: None,
         };
-        assert_eq!(plan_cost(&plan, &NoSchema).lm_calls, DEFAULT_SCAN_ROWS);
+        assert_eq!(plan_cost(&plan, None).lm_calls, DEFAULT_SCAN_ROWS);
     }
 
     #[test]
@@ -241,7 +233,7 @@ mod tests {
                 k: 3,
             }),
         };
-        let c = plan_cost(&plan, &NoSchema);
+        let c = plan_cost(&plan, None);
         assert_eq!(c.lm_calls, DEFAULT_SCAN_ROWS);
         assert_eq!(c.out_rows, 3);
     }
@@ -279,17 +271,8 @@ mod tests {
             format: GenFormat::List,
             span_name: "answer".into(),
         };
-        let c = plan_cost(&plan, &NoSchema);
+        let c = plan_cost(&plan, None);
         assert_eq!(c.lm_calls, 31);
         assert_eq!(c.out_rows, 1);
-    }
-
-    #[test]
-    fn token_bound_scales_with_context_window() {
-        let b = CostBound {
-            lm_calls: 7,
-            out_rows: 1,
-        };
-        assert_eq!(b.token_bound(4096), 7 * 4096);
     }
 }

@@ -22,7 +22,8 @@
 //! scan's relational prefix into the scan itself, so the engine runs it:
 //! the predicates and the cut directly above the scan that the engine
 //! evaluates exactly as the frame kernels do, and the projection to the
-//! columns the plan and its consumer read.
+//! columns the plan and its consumer read. [`plan_sem`] is the two
+//! steps together, checked by the verifier in debug builds.
 
 use crate::catalog::Catalog;
 use crate::schema::DataType;
@@ -92,6 +93,46 @@ pub fn optimize_sem(node: SemNode, opts: &SemOptOptions) -> SemNode {
     } else {
         node
     }
+}
+
+/// Plan a compiled tree: apply the enabled rewrite rules, then lower the
+/// scans against `catalog` for a consumer that reads `reads` off the
+/// result. In debug builds the result is verified before it is
+/// executed: the planned tree must be structurally
+/// well-formed, the rewrite must preserve the naive plan's work
+/// (conservation + per-rule and lowering postconditions), and the static
+/// LM-call bound must not regress. A diagnostic here is a compiler bug,
+/// so it panics rather than limping into execution; release builds skip
+/// the sweep entirely.
+///
+/// Structure is checked schema-blind (no catalog): a handwritten plan
+/// naming a missing table or column is *user* input, and must keep
+/// surfacing as the executor's ordinary runtime error. Catalog-aware
+/// diagnostics are the `EXPLAIN VERIFY` surface's job.
+pub fn plan_sem(
+    naive: SemNode,
+    reads: &SemReads,
+    opts: &SemOptOptions,
+    catalog: &Catalog,
+) -> SemNode {
+    #[cfg(debug_assertions)]
+    let before = naive.clone();
+    let planned = lower_scans(optimize_sem(naive, opts), catalog, reads);
+    #[cfg(debug_assertions)]
+    {
+        let plan = crate::verify_plan(&planned, None);
+        let rewrite = crate::verify_rewrite(&before, &planned, opts, None);
+        if !plan.is_ok() || !rewrite.is_ok() {
+            panic!(
+                "planning produced an invalid plan (rules={}):\n{}{}plan:\n{}",
+                opts.cache_tag(),
+                plan.render(),
+                rewrite.render(),
+                planned.explain()
+            );
+        }
+    }
+    planned
 }
 
 /// Rebuild `node` with `f` applied to each child.
@@ -317,7 +358,7 @@ fn engine_evaluates(pred: &SemPredicate, table: &str, catalog: &Catalog) -> bool
 }
 
 /// The characters `LIKE` does not match literally.
-pub const LIKE_WILDCARDS: [char; 2] = ['%', '_'];
+pub(crate) const LIKE_WILDCARDS: [char; 2] = ['%', '_'];
 
 /// Both sides sort by `Value::total_cmp` with a stable tiebreak, so a
 /// cut folds whenever its key is a column of the table.

@@ -1,10 +1,12 @@
 //! Typed well-formedness verification over [`SemNode`] plans.
 //!
-//! [`verify_plan`] checks a single plan against a [`SchemaSource`]:
-//! column resolution flows bottom-up through every node (with the same
-//! case-insensitive, first-existing-candidate semantics the runtime
-//! uses), stage tags are legal per operator position, and cardinality
-//! bounds stay monotone through `Cut`/`SemTopK`/`Rerank`/pre-cut.
+//! [`verify_plan`] checks a single plan against a catalog, when it is
+//! given one: column resolution flows bottom-up through every node (with
+//! the same case-insensitive, first-existing-candidate semantics the
+//! runtime uses), stage tags are legal per operator position, and
+//! cardinality bounds stay monotone through `Cut`/`SemTopK`/`Rerank`/pre-cut.
+//! Without a catalog (`None`) every column check involving a scanned
+//! table is skipped rather than failed.
 //!
 //! [`verify_rewrite`] checks an `optimize_sem` before/after pair: every
 //! predicate, semantic filter, and cut of the input plan is conserved in
@@ -22,81 +24,30 @@
 //! (children in execution order, as [`SemNode::children`] yields them),
 //! so repeated runs over the same plan produce byte-identical reports.
 
-use crate::cost::plan_cost;
+use crate::catalog::Catalog;
+use crate::schema::DataType;
+use crate::semcost::plan_cost;
+use crate::semopt::{SemOptOptions, LIKE_WILDCARDS};
+use crate::semplan::{SemNode, SemPredicate, SemReads, SemStage};
+use crate::table::Table;
 use std::fmt::Write as _;
-use tag_sql::{DataType, Database, SemNode, SemOptOptions, SemPredicate, SemReads, SemStage};
 
-/// Where the verifier learns table shapes. Implemented by
-/// [`tag_sql::Database`] (live catalog) and [`NoSchema`] (schema-free
-/// verification, e.g. property tests over synthetic plans).
-pub trait SchemaSource {
-    /// Column names of `table`, or `None` when unknown.
-    fn table_columns(&self, table: &str) -> Option<Vec<String>>;
-    /// Row count of `table`, or `None` when unknown.
-    fn table_rows(&self, table: &str) -> Option<usize>;
-    /// Declared type of `table.column`, or `None` when unknown.
-    fn column_type(&self, _table: &str, _column: &str) -> Option<DataType> {
-        None
-    }
-    /// True when `None` from [`Self::table_columns`] means "no such
-    /// table" (an error) rather than "no information" (skip the check).
-    fn authoritative(&self) -> bool {
-        false
-    }
+/// Column names of `table`, when there is a catalog and it has the
+/// table. The catalog resolves table names ASCII-case-insensitively, as
+/// the SQL binder does.
+fn table_columns(catalog: Option<&Catalog>, table: &str) -> Option<Vec<String>> {
+    Some(catalog?.table(table).ok()?.schema().names())
 }
 
-/// A schema source that knows nothing: every column check involving a
-/// scanned table is skipped rather than failed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoSchema;
-
-impl SchemaSource for NoSchema {
-    fn table_columns(&self, _table: &str) -> Option<Vec<String>> {
-        None
-    }
-
-    fn table_rows(&self, _table: &str) -> Option<usize> {
-        None
-    }
-}
-
-impl SchemaSource for Database {
-    fn table_columns(&self, table: &str) -> Option<Vec<String>> {
-        // The SQL binder resolves table names case-insensitively; match
-        // that so the verifier never rejects a plan the engine runs.
-        let catalog = self.catalog();
-        if let Ok(t) = catalog.table(table) {
-            return Some(t.schema().names());
-        }
-        catalog
-            .table_names()
-            .iter()
-            .find(|n| n.eq_ignore_ascii_case(table))
-            .and_then(|n| catalog.table(n).ok())
-            .map(|t| t.schema().names())
-    }
-
-    fn table_rows(&self, table: &str) -> Option<usize> {
-        let catalog = self.catalog();
-        if let Ok(t) = catalog.table(table) {
-            return Some(t.len());
-        }
-        catalog
-            .table_names()
-            .iter()
-            .find(|n| n.eq_ignore_ascii_case(table))
-            .and_then(|n| catalog.table(n).ok())
-            .map(|t| t.len())
-    }
-
-    fn column_type(&self, table: &str, column: &str) -> Option<DataType> {
-        let schema = self.catalog().table(table).ok()?.schema();
-        Some(schema.column(schema.index_of(column)?).dtype)
-    }
-
-    fn authoritative(&self) -> bool {
-        true
-    }
+/// `table` and the position of its column `column`, when there is a
+/// catalog and it has both.
+fn live_column<'a>(
+    catalog: Option<&'a Catalog>,
+    table: &str,
+    column: &str,
+) -> Option<(&'a Table, usize)> {
+    let t = catalog?.table(table).ok()?;
+    Some((t, t.schema().index_of(column)?))
 }
 
 /// One verifier finding.
@@ -159,8 +110,8 @@ enum ColSet {
     /// An opaque retrieved-point frame (`Retrieve`/`Rerank` output):
     /// only `Rerank` and `Generate` may consume it.
     Points,
-    /// No schema information (non-authoritative source); column checks
-    /// are skipped.
+    /// No schema information (no catalog, or no such table); column
+    /// checks are skipped.
     Unknown,
 }
 
@@ -185,7 +136,7 @@ impl ColSet {
 }
 
 struct PlanChecker<'a> {
-    schema: &'a dyn SchemaSource,
+    catalog: Option<&'a Catalog>,
     diagnostics: Vec<Diagnostic>,
 }
 
@@ -302,10 +253,10 @@ impl PlanChecker<'_> {
                 filters,
                 cut,
             } => {
-                let table_cols = match self.schema.table_columns(table) {
+                let table_cols = match table_columns(self.catalog, table) {
                     Some(cols) => ColSet::Known(cols),
                     None => {
-                        if self.schema.authoritative() {
+                        if self.catalog.is_some() {
                             self.diag(
                                 "unknown-table",
                                 path,
@@ -446,11 +397,11 @@ impl PlanChecker<'_> {
     }
 }
 
-/// Verify one plan's well-formedness against `schema`. See the module
-/// docs for the invariant list.
-pub fn verify_plan(root: &SemNode, schema: &dyn SchemaSource) -> VerifyReport {
+/// Verify one plan's well-formedness against `catalog` (schema-blind
+/// with `None`). See the module docs for the invariant list.
+pub fn verify_plan(root: &SemNode, catalog: Option<&Catalog>) -> VerifyReport {
     let mut checker = PlanChecker {
-        schema,
+        catalog,
         diagnostics: Vec::new(),
     };
     checker.check(root, "0", true);
@@ -459,7 +410,7 @@ pub fn verify_plan(root: &SemNode, schema: &dyn SchemaSource) -> VerifyReport {
     // row-reducing operator, and cutters are bounded by their k. This is
     // a consistency check of plan × cost model (a plan whose bounds
     // violate it indicates a malformed cut spec or a model regression).
-    check_cardinality(root, "0", schema, &mut checker.diagnostics);
+    check_cardinality(root, "0", catalog, &mut checker.diagnostics);
 
     VerifyReport {
         diagnostics: checker.diagnostics,
@@ -469,17 +420,17 @@ pub fn verify_plan(root: &SemNode, schema: &dyn SchemaSource) -> VerifyReport {
 fn check_cardinality(
     node: &SemNode,
     path: &str,
-    schema: &dyn SchemaSource,
+    catalog: Option<&Catalog>,
     out: &mut Vec<Diagnostic>,
 ) {
-    let bound = plan_cost(node, schema).out_rows;
+    let bound = plan_cost(node, catalog).out_rows;
     let violation = match node {
         SemNode::Predicate { input, .. }
         | SemNode::SemFilter { input, .. }
         | SemNode::Cut { input, .. }
         | SemNode::SemTopK { input, .. }
         | SemNode::Rerank { input, .. } => {
-            let in_bound = plan_cost(input, schema).out_rows;
+            let in_bound = plan_cost(input, catalog).out_rows;
             let k = match node {
                 SemNode::Cut { cut, .. } => Some(cut.k as u64),
                 SemNode::SemTopK { k, .. } => Some(*k as u64),
@@ -504,7 +455,7 @@ fn check_cardinality(
         });
     }
     for (i, child) in node.children().iter().enumerate() {
-        check_cardinality(child, &format!("{path}/{i}"), schema, out);
+        check_cardinality(child, &format!("{path}/{i}"), catalog, out);
     }
 }
 
@@ -589,7 +540,7 @@ pub fn verify_rewrite(
     before: &SemNode,
     after: &SemNode,
     opts: &SemOptOptions,
-    schema: &dyn SchemaSource,
+    catalog: Option<&Catalog>,
 ) -> VerifyReport {
     let mut diagnostics = Vec::new();
 
@@ -620,12 +571,12 @@ pub fn verify_rewrite(
         after,
         "0",
         &SemReads::Columns(Vec::new()),
-        schema,
+        catalog,
         &mut diagnostics,
     );
 
-    let cost_before = plan_cost(before, schema);
-    let cost_after = plan_cost(after, schema);
+    let cost_before = plan_cost(before, catalog);
+    let cost_after = plan_cost(after, catalog);
     if cost_after.lm_calls > cost_before.lm_calls {
         diagnostics.push(Diagnostic {
             code: "cost-regression",
@@ -719,15 +670,17 @@ fn check_postconditions(
 /// above (`above`; the plan's consumer is outside the plan and outside
 /// this check). At each scan: a folded predicate must be one the engine
 /// evaluates exactly as the frame kernel does (a finite `NumCmp` over
-/// INTEGER or a wildcard-free `TextEq` over TEXT, where the schema says
-/// the type), and a projection must keep
+/// INTEGER or a wildcard-free `TextEq` over TEXT, where the catalog says
+/// the type, over a column whose name `scan_sql` can quote and which has
+/// no index: a B-tree answers in key order, the kernel keeps table
+/// order), and a projection must keep
 /// every column read above the scan: every candidate the table has, or,
 /// when the table's columns are unknown, at least one candidate.
 fn check_lowering(
     node: &SemNode,
     path: &str,
     above: &SemReads,
-    schema: &dyn SchemaSource,
+    catalog: Option<&Catalog>,
     out: &mut Vec<Diagnostic>,
 ) {
     let mut diag = |code: &'static str, message: String| {
@@ -745,19 +698,19 @@ fn check_lowering(
         ..
     } = node
     {
+        let column_exact = |attr: &str, dtype: DataType| {
+            !attr.contains('"')
+                && live_column(catalog, table, attr).is_none_or(|(t, c)| {
+                    t.schema().column(c).dtype == dtype && t.index_on(c).is_none()
+                })
+        };
         for pred in filters {
-            let declared = |attr: &str, dtype: DataType| {
-                schema
-                    .column_type(table, attr)
-                    .is_none_or(|declared| declared == dtype)
-            };
             let exact = match pred {
                 SemPredicate::NumCmp { attr, value, .. } => {
-                    value.is_finite() && declared(attr, DataType::Integer)
+                    value.is_finite() && column_exact(attr, DataType::Integer)
                 }
                 SemPredicate::TextEq { attr, value } => {
-                    !value.contains(tag_sql::semopt::LIKE_WILDCARDS)
-                        && declared(attr, DataType::Text)
+                    !value.contains(LIKE_WILDCARDS) && column_exact(attr, DataType::Text)
                 }
                 SemPredicate::TextEqAny { .. } => false,
             };
@@ -777,7 +730,7 @@ fn check_lowering(
                     "a node above reads every column of a projected scan".to_owned(),
                 ),
                 SemReads::Columns(reads) => {
-                    let table_cols = schema.table_columns(table);
+                    let table_cols = table_columns(catalog, table);
                     for candidates in reads {
                         let kept = match &table_cols {
                             Some(cols) => candidates
@@ -799,7 +752,7 @@ fn check_lowering(
     }
     let below = above.clone().and(node.reads());
     for (i, child) in node.children().iter().enumerate() {
-        check_lowering(child, &format!("{path}/{i}"), &below, schema, out);
+        check_lowering(child, &format!("{path}/{i}"), &below, catalog, out);
     }
 }
 
@@ -810,18 +763,18 @@ fn check_lowering(
 /// node's output-row bound and `C` the node's *own* LM-call bound
 /// (subtree bound minus its children's). Golden tests may diff this
 /// byte-for-byte.
-pub fn annotated_explain(root: &SemNode, schema: &dyn SchemaSource) -> String {
+fn annotated_explain(root: &SemNode, catalog: Option<&Catalog>) -> String {
     let mut out = String::new();
-    annotate_into(root, schema, 0, &mut out);
+    annotate_into(root, catalog, 0, &mut out);
     out
 }
 
-fn annotate_into(node: &SemNode, schema: &dyn SchemaSource, depth: usize, out: &mut String) {
-    let subtree = plan_cost(node, schema);
+fn annotate_into(node: &SemNode, catalog: Option<&Catalog>, depth: usize, out: &mut String) {
+    let subtree = plan_cost(node, catalog);
     let child_calls: u64 = node
         .children()
         .iter()
-        .map(|c| plan_cost(c, schema).lm_calls)
+        .map(|c| plan_cost(c, catalog).lm_calls)
         .sum();
     let own = subtree.lm_calls.saturating_sub(child_calls);
     let _ = writeln!(
@@ -834,7 +787,7 @@ fn annotate_into(node: &SemNode, schema: &dyn SchemaSource, depth: usize, out: &
         own
     );
     for child in node.children() {
-        annotate_into(child, schema, depth + 1, out);
+        annotate_into(child, catalog, depth + 1, out);
     }
 }
 
@@ -845,12 +798,12 @@ pub fn verify_report_text(
     naive: &SemNode,
     optimized: &SemNode,
     opts: &SemOptOptions,
-    schema: &dyn SchemaSource,
+    catalog: Option<&Catalog>,
 ) -> String {
-    let plan = verify_plan(optimized, schema);
-    let rewrite = verify_rewrite(naive, optimized, opts, schema);
-    let cost_naive = plan_cost(naive, schema);
-    let cost_opt = plan_cost(optimized, schema);
+    let plan = verify_plan(optimized, catalog);
+    let rewrite = verify_rewrite(naive, optimized, opts, catalog);
+    let cost_naive = plan_cost(naive, catalog);
+    let cost_opt = plan_cost(optimized, catalog);
     let mut out = String::new();
     if plan.is_ok() {
         let _ = writeln!(out, "verify: ok");
@@ -882,14 +835,17 @@ pub fn verify_report_text(
         "lm_call_bound: {} (unoptimized: {})",
         cost_opt.lm_calls, cost_naive.lm_calls
     );
-    out.push_str(&annotated_explain(optimized, schema));
+    out.push_str(&annotated_explain(optimized, catalog));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tag_sql::{optimize_sem, CutSpec, SemClaimSpec};
+    use crate::schema::{Column, Schema};
+    use crate::semopt::{lower_scans, optimize_sem};
+    use crate::semplan::{CutSpec, GenFormat, RetrieveKind, SemClaimSpec};
+    use crate::Database;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -927,31 +883,77 @@ mod tests {
                 k: 1,
             },
         };
-        let report = verify_plan(&plan, &db());
+        let report = verify_plan(&plan, Some(db().catalog()));
         assert!(report.is_ok(), "{}", report.render());
     }
 
     #[test]
-    fn unknown_table_is_caught_with_authoritative_schema() {
+    fn unknown_table_is_caught_with_a_catalog() {
         let plan = SemNode::scan("dragons");
-        let report = verify_plan(&plan, &db());
+        let report = verify_plan(&plan, Some(db().catalog()));
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(report.diagnostics[0].code, "unknown-table");
-        // ... but skipped without schema knowledge.
-        assert!(verify_plan(&plan, &NoSchema).is_ok());
+        // ... but skipped without one.
+        assert!(verify_plan(&plan, None).is_ok());
     }
 
     #[test]
     fn missing_filter_column_is_caught() {
         let plan = filter(scan(), &["Town", "Municipality"]);
-        let report = verify_plan(&plan, &db());
+        let report = verify_plan(&plan, Some(db().catalog()));
         assert_eq!(report.diagnostics[0].code, "column-missing");
     }
 
     #[test]
     fn column_resolution_is_case_insensitive_like_the_runtime() {
-        let plan = filter(scan(), &["CITY"]);
-        assert!(verify_plan(&plan, &db()).is_ok());
+        let db = db();
+        for plan in [
+            filter(scan(), &["CITY"]),
+            filter(SemNode::scan("SCHOOLS"), &["CITY"]),
+        ] {
+            let report = verify_plan(&plan, Some(db.catalog()));
+            assert!(report.is_ok(), "{}", report.render());
+        }
+    }
+
+    /// A folded predicate of the right type is still inexact over an
+    /// indexed column (a B-tree answers in key order, the kernel keeps
+    /// table order) or over a name `scan_sql` cannot quote. Lowering
+    /// leaves both above the scan; a plan that folds them anyway fails.
+    #[test]
+    fn fold_over_an_index_or_an_unquotable_name_is_inexact() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE schools (CDSCode INTEGER PRIMARY KEY, Enrollment INTEGER)")
+            .expect("create");
+        let quoted = Schema::new(vec![Column::new("a\"b", DataType::Integer)]).expect("schema");
+        db.catalog_mut()
+            .add_table(Table::new("quoted", quoted))
+            .expect("add table");
+        let codes = |table: &str, attr: &str| {
+            let pred = SemPredicate::NumCmp {
+                attr: attr.into(),
+                over: true,
+                value: 0.0,
+            };
+            let naive = SemNode::Predicate {
+                input: Box::new(SemNode::scan(table)),
+                pred: pred.clone(),
+            };
+            let lowered = lower_scans(naive.clone(), db.catalog(), &SemReads::All);
+            let folded = SemNode::Scan {
+                table: table.into(),
+                columns: None,
+                filters: vec![pred],
+                cut: None,
+            };
+            let report =
+                verify_rewrite(&naive, &folded, &SemOptOptions::none(), Some(db.catalog()));
+            let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
+            (lowered == folded, codes)
+        };
+        assert_eq!(codes("schools", "Enrollment"), (true, vec![]));
+        assert_eq!(codes("schools", "CDSCode"), (false, vec!["fold-inexact"]));
+        assert_eq!(codes("quoted", "a\"b"), (false, vec!["fold-inexact"]));
     }
 
     #[test]
@@ -960,7 +962,7 @@ mod tests {
             input: Box::new(SemNode::Retrieve {
                 query: "q".into(),
                 k: 10,
-                kind: tag_sql::RetrieveKind::Rows,
+                kind: RetrieveKind::Rows,
             }),
             cut: CutSpec {
                 sort_by: "x".into(),
@@ -968,7 +970,7 @@ mod tests {
                 k: 5,
             },
         };
-        let report = verify_plan(&plan, &db());
+        let report = verify_plan(&plan, Some(db().catalog()));
         assert!(report.diagnostics.iter().any(|d| d.code == "points-input"));
     }
 
@@ -978,7 +980,7 @@ mod tests {
             input: Box::new(SemNode::Generate {
                 input: Box::new(scan()),
                 request: "q".into(),
-                format: tag_sql::GenFormat::Free,
+                format: GenFormat::Free,
                 span_name: "answer".into(),
             }),
             cut: CutSpec {
@@ -987,7 +989,7 @@ mod tests {
                 k: 1,
             },
         };
-        let report = verify_plan(&plan, &db());
+        let report = verify_plan(&plan, Some(db().catalog()));
         assert!(report.diagnostics.iter().any(|d| d.code == "gen-not-root"));
     }
 
@@ -1001,7 +1003,7 @@ mod tests {
                 k: 0,
             },
         };
-        let report = verify_plan(&plan, &db());
+        let report = verify_plan(&plan, Some(db().catalog()));
         assert!(report.diagnostics.iter().any(|d| d.code == "empty-cut"));
     }
 
@@ -1012,7 +1014,7 @@ mod tests {
             query: "q".into(),
             keep: 5,
         };
-        let report = verify_plan(&plan, &db());
+        let report = verify_plan(&plan, Some(db().catalog()));
         assert!(report.diagnostics.iter().any(|d| d.code == "rerank-input"));
     }
 
@@ -1039,9 +1041,9 @@ mod tests {
         let opts = SemOptOptions::all();
         let optimized = optimize_sem(naive.clone(), &opts);
         let db = db();
-        let report = verify_rewrite(&naive, &optimized, &opts, &db);
+        let report = verify_rewrite(&naive, &optimized, &opts, Some(db.catalog()));
         assert!(report.is_ok(), "{}", report.render());
-        assert!(verify_plan(&optimized, &db).is_ok());
+        assert!(verify_plan(&optimized, Some(db.catalog())).is_ok());
     }
 
     #[test]
@@ -1055,7 +1057,7 @@ mod tests {
         };
         // A "rewrite" that silently drops the predicate.
         let broken = filter(scan(), &["City"]);
-        let report = verify_rewrite(&naive, &broken, &SemOptOptions::none(), &NoSchema);
+        let report = verify_rewrite(&naive, &broken, &SemOptOptions::none(), None);
         assert!(report.diagnostics.iter().any(|d| d.code == "conservation"));
     }
 
@@ -1070,8 +1072,8 @@ mod tests {
             },
         };
         let db = db();
-        let a = annotated_explain(&plan, &db);
-        let b = annotated_explain(&plan, &db);
+        let a = annotated_explain(&plan, Some(db.catalog()));
+        let b = annotated_explain(&plan, Some(db.catalog()));
         assert_eq!(a, b);
         let lines: Vec<&str> = a.lines().collect();
         // Pre-order: root cut, then filter, then scan; each annotated.

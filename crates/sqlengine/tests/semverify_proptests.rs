@@ -10,10 +10,9 @@
 //! but with arbitrary structure, columns, and constants.
 
 use proptest::prelude::*;
-use tag_analyze::{plan_cost, verify_plan, verify_rewrite, NoSchema};
 use tag_sql::{
-    optimize_sem, CutSpec, GenFormat, RetrieveKind, SemClaimSpec, SemNode, SemOptOptions,
-    SemPredicate, Value,
+    optimize_sem, plan_cost, verify_plan, verify_rewrite, CutSpec, GenFormat, RetrieveKind,
+    SemClaimSpec, SemNode, SemOptOptions, SemPredicate, Value,
 };
 
 /// All 8 rewrite-rule combinations.
@@ -174,7 +173,7 @@ proptest! {
     #[test]
     fn generated_naive_plans_verify(words in prop::collection::vec(0u64..1_000_000, 1..8)) {
         let naive = build_plan(&words);
-        let report = verify_plan(&naive, &NoSchema);
+        let report = verify_plan(&naive, None);
         prop_assert!(report.is_ok(), "naive plan rejected:\n{}\n{}", report.render(), naive.explain());
     }
 
@@ -186,13 +185,13 @@ proptest! {
         let naive = build_plan(&words);
         for opts in all_opts() {
             let optimized = optimize_sem(naive.clone(), &opts);
-            let plan = verify_plan(&optimized, &NoSchema);
+            let plan = verify_plan(&optimized, None);
             prop_assert!(
                 plan.is_ok(),
                 "rules={}: optimized plan rejected:\n{}\n{}",
                 opts.cache_tag(), plan.render(), optimized.explain()
             );
-            let rewrite = verify_rewrite(&naive, &optimized, &opts, &NoSchema);
+            let rewrite = verify_rewrite(&naive, &optimized, &opts, None);
             prop_assert!(
                 rewrite.is_ok(),
                 "rules={}: rewrite rejected:\n{}before:\n{}after:\n{}",
@@ -201,15 +200,14 @@ proptest! {
         }
     }
 
-    /// Optimization never raises the static LM-call bound (and therefore
-    /// never raises the token bound, which is calls x context window).
+    /// Optimization never raises the static LM-call bound.
     #[test]
     fn optimizer_never_raises_cost_bound(words in prop::collection::vec(0u64..1_000_000, 1..8)) {
         let naive = build_plan(&words);
-        let naive_calls = plan_cost(&naive, &NoSchema).lm_calls;
+        let naive_calls = plan_cost(&naive, None).lm_calls;
         for opts in all_opts() {
             let optimized = optimize_sem(naive.clone(), &opts);
-            let opt_calls = plan_cost(&optimized, &NoSchema).lm_calls;
+            let opt_calls = plan_cost(&optimized, None).lm_calls;
             prop_assert!(
                 opt_calls <= naive_calls,
                 "rules={}: bound raised {naive_calls} -> {opt_calls}:\n{}",
@@ -227,8 +225,8 @@ proptest! {
         let opts = SemOptOptions::default();
         let mut optimized = optimize_sem(naive.clone(), &opts);
         if clear_first_fused_distinct(&mut optimized) {
-            let plan = verify_plan(&optimized, &NoSchema);
-            let rewrite = verify_rewrite(&naive, &optimized, &opts, &NoSchema);
+            let plan = verify_plan(&optimized, None);
+            let rewrite = verify_rewrite(&naive, &optimized, &opts, None);
             prop_assert!(
                 !plan.is_ok() || !rewrite.is_ok(),
                 "fused-not-distinct mutation escaped:\n{}",
@@ -237,7 +235,7 @@ proptest! {
         }
         let mut dropped = optimize_sem(naive.clone(), &opts);
         if drop_first_predicate(&mut dropped) {
-            let rewrite = verify_rewrite(&naive, &dropped, &opts, &NoSchema);
+            let rewrite = verify_rewrite(&naive, &dropped, &opts, None);
             prop_assert!(
                 !rewrite.is_ok(),
                 "dropped-predicate mutation escaped:\n{}",
