@@ -2,8 +2,8 @@
 //!
 //! A [`MetricsHub`] hands out named counters/gauges/histograms (idempotent
 //! per name+labels, so callers can re-request instead of threading Arcs),
-//! adopts pre-built histograms (the serve stage metrics construct their
-//! own and register them), and runs scrape-time *collectors* — closures
+//! adopts pre-built histograms (the serve latency and stage histograms
+//! are built by `tag-serve` and registered here), and runs scrape-time *collectors* — closures
 //! that sample subsystems which already keep their own counters (plan
 //! cache, semantic-op stats, batch rounds) without adding hot-path work.
 //!
@@ -242,7 +242,8 @@ impl MetricsHub {
 
     /// Register a pre-built histogram under a name, or return the series
     /// that already owns the name+labels. On a no-op hub the histogram
-    /// is returned unregistered (and should itself be no-op).
+    /// is returned unregistered and unchanged: an active histogram keeps
+    /// recording for its owner but never renders.
     pub fn adopt_histogram(
         &self,
         name: &str,

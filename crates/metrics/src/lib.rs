@@ -1,20 +1,21 @@
-//! Workspace-wide telemetry for the TAG serving stack.
-//!
-//! The serve crate grew cumulative-since-start counters; this crate
-//! promotes observability to a shared subsystem the whole workspace can
-//! feed:
+//! Workspace-wide telemetry for the TAG serving stack. Every latency
+//! the workspace records lives in one of these instruments:
 //!
 //! - [`Counter`] / [`Gauge`]: single relaxed atomics, safe on hot paths.
-//! - [`WindowedHistogram`]: the serve latency bucket layout plus a
-//!   per-second ring of slots, so callers read *rolling* 10s/60s rates
-//!   and p50/p95/p99 alongside the cumulative view. Buckets carry
-//!   last-write-wins trace-id exemplars so a p99 spike links to a
+//! - [`WindowedHistogram`]: 16 fixed latency buckets (100µs to 10s,
+//!   plus +inf) with a cumulative view and a per-second ring of slots,
+//!   so callers read *rolling* 10s/60s rates and p50/p95/p99 alongside
+//!   the cumulative view. Quantiles are bucket upper bounds. Buckets
+//!   carry last-write-wins trace-id exemplars so a p99 spike links to a
 //!   `TRACE <id>` lookup.
 //! - [`MetricsHub`]: a registry of named instruments plus scrape-time
 //!   collectors for subsystems that already keep their own counters
 //!   (answer cache, semantic-op stats, batch rounds). `MetricsHub::noop()`
 //!   is the null registry used by the `obs-bench` overhead gate: every
-//!   instrument it hands out drops observations after one branch.
+//!   instrument it hands out drops observations after one branch, while
+//!   a histogram the caller built and passed to
+//!   [`MetricsHub::adopt_histogram`] is left unregistered and keeps
+//!   recording.
 //! - [`MetricsHub::render`]: deterministic Prometheus-text exposition
 //!   (`# HELP`/`# TYPE`, `_bucket{le=...}`/`_sum`/`_count`, rolling
 //!   quantiles as a `<name>_window_seconds` gauge family, OpenMetrics

@@ -1,9 +1,9 @@
 //! Fixed-bucket latency histogram with sliding-window aggregation.
 //!
-//! The bucket layout matches the serve crate's cumulative histogram
-//! (16 bounds from 100µs to 10s plus an implicit +inf overflow bucket),
-//! so cumulative views stay comparable across the workspace. On top of
-//! that, every observation also lands in a per-second ring of
+//! One bucket layout serves the whole workspace (16 bounds from 100µs
+//! to 10s plus an implicit +inf overflow bucket), so every latency
+//! reads on the same scale. Besides the cumulative view, every
+//! observation also lands in a per-second ring of
 //! [`SLOTS`] slots; reading a window merges the slots stamped within
 //! the last N seconds, which yields *rolling* 10s/60s counts, rates and
 //! quantiles without any background thread.
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Histogram bucket upper bounds in seconds (le semantics); an implicit
-/// +inf bucket catches overflow. Mirrors the serve latency layout.
+/// +inf bucket catches overflow.
 pub const BOUNDS: [f64; 16] = [
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
     5.0, 10.0,
@@ -361,6 +361,10 @@ mod tests {
     #[test]
     fn cumulative_quantiles_match_fixed_layout() {
         let h = WindowedHistogram::new();
+        // Empty: every q, out-of-range and NaN included, is 0.
+        for q in [0.0, 0.5, 1.0, 2.0, -1.0, f64::NAN] {
+            assert_eq!(h.quantile(q).seconds, 0.0, "empty histogram q={q}");
+        }
         for _ in 0..98 {
             h.observe(Duration::from_millis(3));
         }
@@ -372,6 +376,25 @@ mod tests {
         assert!(!p50.lower_bound);
         let p99 = h.quantile(0.99);
         assert_eq!(p99.seconds, 0.5);
+        // q = 1.0 lands on the last populated bucket, not +inf; an
+        // out-of-range q is clamped and finite.
+        assert_eq!(
+            h.quantile(1.0),
+            Quantile {
+                seconds: 2.5,
+                lower_bound: false
+            }
+        );
+        assert_eq!(h.quantile(100.0), h.quantile(1.0));
+        assert_eq!(h.quantile(-0.5).seconds, 0.005);
+
+        let fib = WindowedHistogram::new();
+        for ms in [1u64, 2, 3, 5, 8, 13, 21, 34, 55, 89] {
+            fib.observe(Duration::from_millis(ms));
+        }
+        let [p50, p95, p99] = [0.5, 0.95, 0.99].map(|q| fib.quantile(q).seconds);
+        assert!(p50 > 0.0 && p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
+        assert!(fib.sum_seconds() / fib.count() as f64 > 0.0);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! `obs-bench` — the observability overhead gate.
 //!
 //! Replays the TAG-Bench workload against two otherwise-identical
-//! servers: one with the metrics hub enabled (windowed histograms,
-//! collectors, exemplar capture, tail-sampled traces), one with the
-//! null registry (`--no-metrics`: inactive instruments, one branch per
-//! touch). Arms are *interleaved* — A, B, A, B, … — and each arm's
+//! servers: one with the metrics hub enabled, one with the null
+//! registry (`--no-metrics`). Both arms record the serving latency and
+//! stage histograms, which `STATS` needs; the gate measures what the
+//! live hub adds on top: registration, collectors, SQL operator metrics
+//! and rendering. Arms are *interleaved* — A, B, A, B, … — and each arm's
 //! wall-clock is the **minimum** over its rounds, so ambient machine
 //! noise (first-toucher page faults, turbo ramps) hits both arms
 //! symmetrically instead of whichever ran first.

@@ -17,17 +17,20 @@
 //!   advantage applied across requests.
 //! - [`AnswerCache`] is a sharded LRU keyed on
 //!   `(domain, method, normalized question)`.
-//! - [`MetricsRegistry`] counts admissions, sheds, cache traffic, and
-//!   latency histograms (queue wait / exec / end-to-end) with a text
-//!   report. A shared [`tag_metrics::MetricsHub`] adds rolling 10s/60s
-//!   windowed twins of every latency surface and renders the
+//! - [`MetricsRegistry`] counts request outcomes (admitted, ok, error,
+//!   shed) and holds one [`tag_metrics::WindowedHistogram`] per latency
+//!   (queue wait / exec / end-to-end), each with cumulative and rolling
+//!   10s/60s views. The `STATS` text report reads those histograms and
+//!   the [`AnswerCache`]'s own counters. The histograms are adopted by
+//!   a shared [`tag_metrics::MetricsHub`], which renders the
 //!   Prometheus-text exposition behind the `METRICS` command.
 //! - Every executed request is traced through `tag-trace`: the captured
 //!   span tree is kept in a bounded [`TraceStore`] ring with a
 //!   tail-sampling reservoir for slow/error traces (`TRACE <id>`
 //!   retrieves it, as a tree or JSONL; [`TraceLookup`] distinguishes
 //!   evicted ids from unknown ones), and per-stage aggregates
-//!   accumulate in [`StageMetrics`] for the `STATS` report.
+//!   accumulate in [`StageMetrics`] (one hub-adopted span-time histogram
+//!   per stage) for the `STATS` report.
 //!
 //! Two binaries ship with the crate: `tag-serve`, a stdin/stdout line
 //! server speaking `ASK <domain> <method> <question>`, and `obs-bench`,
@@ -46,7 +49,7 @@ pub mod trace;
 
 pub use batch::{BatchLm, BatchStats};
 pub use cache::{normalize_question, AnswerCache, CacheStats};
-pub use metrics::{Histogram, MetricsRegistry, StageMetrics};
+pub use metrics::{MetricsRegistry, StageMetrics};
 pub use protocol::{format_answer, parse_line, run_method, Command, MethodName};
 pub use server::{ReplyHandle, Request, Response, ServeError, Server, ServerConfig};
 pub use trace::{TraceLookup, TraceStore};

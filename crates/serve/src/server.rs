@@ -69,9 +69,11 @@ pub struct ServerConfig {
     /// error traces after they age out of the FIFO ring, so the trace
     /// ids that windowed exemplars point at stay resolvable.
     pub tail_traces: usize,
-    /// Record hub-backed windowed metrics and serve the `METRICS`
-    /// exposition. When false the hub is the null registry: instruments
-    /// are inactive (one branch per touch) and `METRICS` renders empty.
+    /// Register the serving histograms, collectors and SQL operator
+    /// metrics on a live hub and serve the `METRICS` exposition. When
+    /// false the hub is the null registry and `METRICS` renders empty;
+    /// the latency and stage histograms still record, so `STATS` is
+    /// unchanged.
     pub metrics_enabled: bool,
 }
 
@@ -275,10 +277,10 @@ impl Server {
         }
         let started = Instant::now();
         let cache = Arc::new(AnswerCache::new(config.cache_capacity, config.cache_shards));
-        let metrics = Arc::new(MetricsRegistry::with_hub(&hub));
+        let metrics = Arc::new(MetricsRegistry::new(&hub));
         register_collectors(&hub, &metrics, &cache, &batch, &envs, started);
         let shared = Arc::new(Shared {
-            stages: StageMetrics::with_hub(&hub),
+            stages: StageMetrics::new(&hub),
             envs,
             cache,
             hub,
@@ -435,11 +437,9 @@ impl Server {
             .get(&req.domain, req.method, &req.question)
         {
             m.requests_admitted.fetch_add(1, Relaxed);
-            m.answer_cache_hits.fetch_add(1, Relaxed);
             m.requests_ok.fetch_add(1, Relaxed);
             let total = enqueued.elapsed();
             m.total_time.observe(total);
-            m.total_time_window.observe(total);
             return Ok(ReplyHandle(Reply::Ready(Response {
                 answer,
                 queue_wait: Duration::ZERO,
@@ -463,7 +463,6 @@ impl Server {
         match tx.try_send(job) {
             Ok(()) => {
                 m.requests_admitted.fetch_add(1, Relaxed);
-                m.answer_cache_misses.fetch_add(1, Relaxed);
                 Ok(ReplyHandle(Reply::Pending(reply)))
             }
             Err(TrySendError::Full(_)) => {
@@ -483,12 +482,8 @@ impl Server {
     /// histograms, and cross-request batching effectiveness.
     pub fn report(&self) -> String {
         let cache = self.shared.cache.stats();
-        self.shared
-            .metrics
-            .answer_cache_evictions
-            .store(cache.evictions, Relaxed);
         let b = self.batch_stats();
-        let mut out = self.shared.metrics.report();
+        let mut out = self.shared.metrics.report(&cache);
         out.push_str(&b.report_line());
         out.push('\n');
         out.push_str(&format!("answer cache resident entries: {}\n", cache.len));
@@ -586,6 +581,7 @@ fn register_collectors(
         for (outcome, v) in [
             ("admitted", load(&m.requests_admitted)),
             ("ok", load(&m.requests_ok)),
+            ("error", load(&m.requests_error)),
             ("shed_queue_full", load(&m.rejected_queue_full)),
             ("shed_deadline", load(&m.rejected_deadline)),
         ] {
@@ -748,7 +744,6 @@ fn run_to_completion(shared: &Shared, job: &Job) -> Result<Response, ServeError>
     let req = &job.req;
     let queue_wait = job.enqueued.elapsed();
     m.queue_wait.observe(queue_wait);
-    m.queue_wait_window.observe(queue_wait);
     if queue_wait > req.deadline.unwrap_or(shared.default_deadline) {
         m.rejected_deadline.fetch_add(1, Relaxed);
         return Err(ServeError::DeadlineExceeded);
@@ -773,10 +768,9 @@ fn run_to_completion(shared: &Shared, job: &Job) -> Result<Response, ServeError>
         )
     };
     let exec = started.elapsed();
-    m.exec_time.observe(exec);
     match trace_id {
-        Some(id) => m.exec_time_window.observe_with_exemplar(exec, id),
-        None => m.exec_time_window.observe(exec),
+        Some(id) => m.exec_time.observe_with_exemplar(exec, id),
+        None => m.exec_time.observe(exec),
     }
     for span in &spans {
         shared.stages.record(span);
@@ -792,12 +786,16 @@ fn run_to_completion(shared: &Shared, job: &Job) -> Result<Response, ServeError>
             .cache
             .insert(&req.domain, req.method, &req.question, answer.clone());
     }
-    m.requests_ok.fetch_add(1, Relaxed);
+    let outcome = if is_error {
+        &m.requests_error
+    } else {
+        &m.requests_ok
+    };
+    outcome.fetch_add(1, Relaxed);
     let total = job.enqueued.elapsed();
-    m.total_time.observe(total);
     match trace_id {
-        Some(id) => m.total_time_window.observe_with_exemplar(total, id),
-        None => m.total_time_window.observe(total),
+        Some(id) => m.total_time.observe_with_exemplar(total, id),
+        None => m.total_time.observe(total),
     }
     Ok(Response {
         answer,
@@ -853,10 +851,10 @@ mod tests {
         assert!(second.cache_hit);
         assert_eq!(first.answer, second.answer);
         assert_eq!(second.exec, Duration::ZERO);
-        let m = server.metrics();
-        assert_eq!(m.answer_cache_hits.load(Relaxed), 1);
-        assert_eq!(m.answer_cache_misses.load(Relaxed), 1);
-        assert_eq!(m.requests_ok.load(Relaxed), 2);
+        let cache = server.cache().stats();
+        assert_eq!(cache.hits, 1);
+        assert_eq!(cache.misses, 1);
+        assert_eq!(server.metrics().requests_ok.load(Relaxed), 2);
     }
 
     #[test]
@@ -876,7 +874,11 @@ mod tests {
         });
         // Occupy the lone worker so a zero-deadline request must queue.
         let slow = server.submit(req.clone()).unwrap();
+        // Another method, so that it misses the answer cache even when
+        // the first request has already finished: a zero deadline has
+        // always passed by the time a worker dequeues it.
         let mut doomed = req;
+        doomed.method = MethodName::Rag;
         doomed.deadline = Some(Duration::ZERO);
         let doomed = server.submit(doomed).unwrap();
         assert!(slow.wait().is_ok());
@@ -1055,9 +1057,12 @@ mod tests {
         );
         assert!(!server.metrics_hub().is_enabled());
         assert_eq!(server.metrics_text(), "");
-        // Cumulative STATS still work without the hub.
+        // STATS keeps its latencies and stage table without the hub.
+        assert_eq!(server.metrics().total_time.count(), 1);
         let r = server.report();
         assert!(r.contains("serving metrics"), "{r}");
+        assert!(r.contains("stage breakdown"), "{r}");
+        assert!(r.contains("request  10s: n=1"), "{r}");
     }
 
     #[test]

@@ -401,6 +401,15 @@ fn lm_error_yields_an_uncached_typed_error_and_the_next_request_succeeds() {
     );
     assert!(!failed.cache_hit);
     assert_eq!(server.cache().stats().len, 0);
+    // A failed answer counts as an error, not as ok.
+    let m = server.metrics();
+    let outcomes = || {
+        (
+            m.requests_ok.load(Ordering::Relaxed),
+            m.requests_error.load(Ordering::Relaxed),
+        )
+    };
+    assert_eq!(outcomes(), (0, 1));
     let id = failed.trace_id.expect("failed requests are traced too");
     assert!(matches!(server.trace_lookup(id), TraceLookup::Found(_)));
 
@@ -415,6 +424,12 @@ fn lm_error_yields_an_uncached_typed_error_and_the_next_request_succeeds() {
     assert!(cached.cache_hit);
     assert_eq!(cached.answer, retried.answer);
     assert_eq!(server.batch_stats().fallback_rounds, 0);
+    assert_eq!(outcomes(), (2, 1));
+    let text = server.metrics_text();
+    assert!(
+        text.contains("tag_serve_requests_total{outcome=\"error\"} 1"),
+        "{text}"
+    );
 }
 
 /// Fault: `shutdown()` while the admission queue is full. Every
@@ -484,8 +499,9 @@ fn response_timing_and_counters_contract() {
     let n = requests.len() as u64;
     assert_eq!(m.requests_admitted.load(Ordering::Relaxed), 2 * n);
     assert_eq!(m.requests_ok.load(Ordering::Relaxed), 2 * n);
-    assert_eq!(m.answer_cache_hits.load(Ordering::Relaxed), n);
-    assert_eq!(m.answer_cache_misses.load(Ordering::Relaxed), n);
+    let cache = server.cache().stats();
+    assert_eq!(cache.hits, n);
+    assert_eq!(cache.misses, n);
     assert_eq!(m.total_time.count(), 2 * n);
     // Hits never queue and never execute.
     assert_eq!(m.queue_wait.count(), n);
