@@ -33,7 +33,6 @@ use std::path::{Path, PathBuf};
 /// it runs.
 pub const HOT_PATHS: &[&str] = &[
     "crates/core/src/semplan.rs",
-    "crates/serve/src/batch.rs",
     "crates/serve/src/cache.rs",
     "crates/serve/src/metrics.rs",
     "crates/serve/src/protocol.rs",

@@ -10,11 +10,9 @@
 //!   workers run each request to completion, with per-request
 //!   deadlines and typed load-shedding ([`ServeError::QueueFull`],
 //!   [`ServeError::DeadlineExceeded`]).
-//! - [`BatchLm`] coalesces semantic-operator LM calls from *different*
-//!   concurrent requests into shared inference rounds by group commit
-//!   (whatever arrives during one round rides the next; an idle model
-//!   runs a lone call at once) — the paper's batched-inference
-//!   advantage applied across requests.
+//!   Every domain's env calls the model directly: LM calls are batched
+//!   within a request, in its `SemEngine`'s rounds, and a panic
+//!   anywhere in a request becomes that request's typed error.
 //! - [`AnswerCache`] is a sharded LRU keyed on
 //!   `(domain, method, normalized question)`.
 //! - [`MetricsRegistry`] counts request outcomes (admitted, ok, error,
@@ -40,16 +38,14 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
 pub mod trace;
 
-pub use batch::{BatchLm, BatchStats};
 pub use cache::{normalize_question, AnswerCache, CacheStats};
 pub use metrics::{MetricsRegistry, StageMetrics};
 pub use protocol::{format_answer, parse_line, run_method, Command, MethodName};
-pub use server::{ReplyHandle, Request, Response, ServeError, Server, ServerConfig};
+pub use server::{BatchStats, ReplyHandle, Request, Response, ServeError, Server, ServerConfig};
 pub use trace::{TraceLookup, TraceStore};

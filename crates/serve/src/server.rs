@@ -8,9 +8,12 @@
 //! admission queue, and the worker that takes it off runs it to the
 //! end — deadline check, the traced method (`syn → exec → gen`), span
 //! fold, trace-store insert, cache fill, metrics, reply — so a miss
-//! costs two wake-ups: the worker's and the caller's. The only place
-//! requests meet is [`BatchLm`], where LM rounds from different
-//! requests merge when, and only when, they overlap.
+//! costs two wake-ups: the worker's and the caller's. Requests share
+//! only the answer cache and the model: every domain's env calls the
+//! model directly, and LM batching happens within a request, in its
+//! `SemEngine`'s rounds. A panic anywhere in the method becomes that
+//! request's [`Answer::Error`], so it takes the error path and the
+//! worker lives on.
 //!
 //! The design this replaced ran three pools (`syn`, `exec`, `gen`)
 //! over two more bounded channels and held every LM round open for a
@@ -29,13 +32,13 @@
 //! with [`ServeError::DeadlineExceeded`] rather than wasting a worker
 //! on an answer nobody is waiting for.
 
-use crate::batch::{BatchLm, BatchStats};
 use crate::cache::AnswerCache;
 use crate::metrics::{MetricsRegistry, StageMetrics};
 use crate::protocol::{run_method, MethodName};
 use crate::trace::{TraceLookup, TraceStore};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -90,6 +93,25 @@ impl Default for ServerConfig {
             metrics_enabled: true,
         }
     }
+}
+
+/// What is left of the cross-request LM batcher's counters: all always
+/// 0, because every served env calls the model directly.
+///
+/// Kept only because `perf/` (which no PR but a `benchmark` PR may
+/// edit) reads these four fields to fill the three `tag-serve.batch_*`
+/// metrics; ROADMAP item 4 drops the struct, [`Server::batch_stats`]
+/// and those metrics together.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchStats {
+    /// Always 0: no round merges requests.
+    pub rounds: u64,
+    /// Always 0.
+    pub prompts: u64,
+    /// Always 0.
+    pub cross_request_rounds: u64,
+    /// Always 0.
+    pub fallback_rounds: u64,
 }
 
 /// Why a request was not answered.
@@ -228,7 +250,6 @@ struct Shared {
     hub: Arc<MetricsHub>,
     metrics: Arc<MetricsRegistry>,
     stages: StageMetrics,
-    batch: Arc<BatchLm>,
     traces: TraceStore,
     default_deadline: Duration,
 }
@@ -249,9 +270,9 @@ impl Server {
         Self::start_with_lm(domains, Arc::new(SimLm::new(lm_config)), config)
     }
 
-    /// Start a server over `domains` that sends every prompt to `lm`
-    /// (behind the cross-request [`BatchLm`]); tests pass a model they
-    /// can gate or fail.
+    /// Start a server over `domains` whose envs all send their prompts
+    /// straight to `lm`; tests pass a model they can gate, fail or
+    /// panic.
     ///
     /// Retrieval indexes are built eagerly so the first request pays no
     /// warm-up cost (the paper builds its FAISS indexes offline too).
@@ -265,10 +286,9 @@ impl Server {
         } else {
             MetricsHub::noop()
         });
-        let batch = BatchLm::new(lm);
         let mut envs = HashMap::new();
         for d in domains {
-            let env = TagEnv::new(d.db, Arc::clone(&batch) as Arc<dyn LanguageModel>);
+            let env = TagEnv::new(d.db, Arc::clone(&lm));
             let _ = env.row_store();
             if hub.is_enabled() {
                 env.db.install_metrics_hub(Arc::clone(&hub));
@@ -278,14 +298,13 @@ impl Server {
         let started = Instant::now();
         let cache = Arc::new(AnswerCache::new(config.cache_capacity, config.cache_shards));
         let metrics = Arc::new(MetricsRegistry::new(&hub));
-        register_collectors(&hub, &metrics, &cache, &batch, &envs, started);
+        register_collectors(&hub, &metrics, &cache, &envs, started);
         let shared = Arc::new(Shared {
             stages: StageMetrics::new(&hub),
             envs,
             cache,
             hub,
             metrics,
-            batch,
             traces: TraceStore::with_tail(config.trace_capacity, config.tail_traces),
             default_deadline: config.default_deadline,
         });
@@ -326,9 +345,11 @@ impl Server {
         &self.shared.metrics
     }
 
-    /// Cross-request batching counters.
+    /// Always the zero value: no layer batches LM rounds across
+    /// requests any more (see [`BatchStats`]). Only caller:
+    /// `perf/src/serve.rs`.
     pub fn batch_stats(&self) -> BatchStats {
-        self.shared.batch.stats()
+        BatchStats::default()
     }
 
     /// The answer cache (for stats or explicit invalidation).
@@ -478,14 +499,11 @@ impl Server {
         self.submit(req)?.wait()
     }
 
-    /// The full metrics report: serving counters, cache, latency
-    /// histograms, and cross-request batching effectiveness.
+    /// The full metrics report: serving counters, cache and latency
+    /// histograms.
     pub fn report(&self) -> String {
         let cache = self.shared.cache.stats();
-        let b = self.batch_stats();
         let mut out = self.shared.metrics.report(&cache);
-        out.push_str(&b.report_line());
-        out.push('\n');
         out.push_str(&format!("answer cache resident entries: {}\n", cache.len));
         let per_shard: Vec<String> = (0..self.shared.cache.shard_count())
             .map(|i| {
@@ -556,7 +574,7 @@ impl Drop for Server {
 
 /// Wire scrape-time collectors into the hub: subsystems that already
 /// keep their own relaxed-atomic counters (serving registry, answer
-/// cache, LM batcher, and per-domain semantic operators / retrieval)
+/// cache, and per-domain semantic operators / retrieval)
 /// are sampled at render time, adding zero hot-path work.
 ///
 /// Each closure captures only the `Arc`s it samples, and the domain
@@ -567,7 +585,6 @@ fn register_collectors(
     hub: &MetricsHub,
     metrics: &Arc<MetricsRegistry>,
     cache: &Arc<AnswerCache>,
-    batch: &Arc<BatchLm>,
     envs: &HashMap<String, Arc<TagEnv>>,
     started: Instant,
 ) {
@@ -623,39 +640,6 @@ fn register_collectors(
             &[],
             started.elapsed().as_secs_f64(),
         ));
-    });
-    let b = Arc::clone(batch);
-    hub.register_collector(move |out| {
-        let s = b.stats();
-        for (name, help, v) in [
-            (
-                "tag_lm_batch_submissions_total",
-                "Prompt-batch submissions to the shared LM.",
-                s.submissions,
-            ),
-            (
-                "tag_lm_batch_rounds_total",
-                "Merged inference rounds executed.",
-                s.rounds,
-            ),
-            (
-                "tag_lm_batch_cross_request_rounds_total",
-                "Rounds that merged prompts from more than one request.",
-                s.cross_request_rounds,
-            ),
-            (
-                "tag_lm_batch_prompts_total",
-                "Prompts pushed through merged rounds.",
-                s.prompts,
-            ),
-            (
-                "tag_lm_batch_fallback_rounds_total",
-                "Merged rounds that failed as a unit and were retried one submission at a time.",
-                s.fallback_rounds,
-            ),
-        ] {
-            out.push(Sample::counter(name, help, &[], v));
-        }
     });
     let weak_envs: Vec<(String, Weak<TagEnv>)> = envs
         .iter()
@@ -757,15 +741,11 @@ fn run_to_completion(shared: &Shared, job: &Job) -> Result<Response, ServeError>
                 tag_trace::Stage::Request,
                 &format!("{} {}", req.method, req.domain),
             );
-            run_method(req.method, &req.question, &job.env)
+            run_guarded(req, &job.env)
         });
         (answer, sink.take(), Some(trace_id))
     } else {
-        (
-            run_method(req.method, &req.question, &job.env),
-            Vec::new(),
-            None,
-        )
+        (run_guarded(req, &job.env), Vec::new(), None)
     };
     let exec = started.elapsed();
     match trace_id {
@@ -805,6 +785,20 @@ fn run_to_completion(shared: &Shared, job: &Job) -> Result<Response, ServeError>
         cache_hit: false,
         trace_id,
     })
+}
+
+/// The method, with a panic anywhere in `syn → exec → gen` turned into
+/// this request's [`Answer::Error`], which then takes the error path
+/// (counted, traced, not cached) while the worker lives on. Unwinding
+/// out of the method leaves nothing shared half-updated: the engine's
+/// locks are `parking_lot` (no poisoning), `SemEngine` calls the model
+/// outside every lock, and the span guards and `with_trace` restore the
+/// thread-local trace as they drop.
+fn run_guarded(req: &Request, env: &TagEnv) -> Answer {
+    catch_unwind(AssertUnwindSafe(|| {
+        run_method(req.method, &req.question, env)
+    }))
+    .unwrap_or_else(|_| Answer::Error(format!("{} panicked", req.method)))
 }
 
 #[cfg(test)]
@@ -899,7 +893,6 @@ mod tests {
         let _ = server.ask(req);
         let r = server.report();
         assert!(r.contains("serving metrics"));
-        assert!(r.contains("lm batching"));
         assert!(r.contains("answer cache"));
         assert!(r.contains("semantic operators"), "{r}");
         assert!(r.contains("stage breakdown"), "{r}");
@@ -1021,7 +1014,6 @@ mod tests {
             text.contains("tag_semops_round_occupancy{domain=\""),
             "{text}"
         );
-        assert!(text.contains("tag_lm_batch_rounds_total"), "{text}");
         // Per-operator instrumentation installed into the SQL engine.
         assert!(text.contains("tag_sqlengine_operator_seconds"), "{text}");
         // The executed request's trace id surfaces as an exemplar and

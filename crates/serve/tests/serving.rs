@@ -2,9 +2,10 @@
 //! byte-identical answers (and therefore an identical exact-match
 //! score) to a serial baseline, must shed load instead of queueing
 //! unboundedly, and must degrade predictably under faults (an LM
-//! error, shutdown with a full queue).
+//! error, a panic inside a request, shutdown with a full queue).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tag_bench::Harness;
@@ -14,7 +15,8 @@ use tag_datagen::{generate_all, DomainData, Scale};
 use tag_lm::model::{LanguageModel, LmError, LmRequest, LmResponse, LmResult};
 use tag_lm::sim::{SimConfig, SimLm};
 use tag_serve::{
-    run_method, MethodName, ReplyHandle, Request, ServeError, Server, ServerConfig, TraceLookup,
+    run_method, MethodName, ReplyHandle, Request, Response, ServeError, Server, ServerConfig,
+    TraceLookup,
 };
 
 fn test_scale() -> Scale {
@@ -51,14 +53,26 @@ fn rag_requests(domains: &[DomainData], n: usize) -> Vec<Request> {
     requests
 }
 
+/// Where an armed one-shot panic of [`FaultLm`] goes off.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PanicSite {
+    /// Inside an LM round.
+    GenerateBatch,
+    /// In the usage snapshot the traced request path takes around its
+    /// LM work, outside any round.
+    Usage,
+}
+
 /// The simulated LM behind a gate the test holds shut to pin a worker
-/// inside an LM round, and with a count of rounds to fail.
+/// inside an LM round, with a count of rounds to fail and an armed
+/// one-shot panic.
 struct FaultLm {
     inner: SimLm,
     open: Mutex<bool>,
     opened: Condvar,
     held: AtomicUsize,
     fail_rounds: AtomicUsize,
+    panic_at: Mutex<Option<PanicSite>>,
 }
 
 impl FaultLm {
@@ -69,7 +83,18 @@ impl FaultLm {
             opened: Condvar::new(),
             held: AtomicUsize::new(0),
             fail_rounds: AtomicUsize::new(0),
+            panic_at: Mutex::new(None),
         })
+    }
+
+    /// Panic, once, if armed for `site`.
+    fn fire(&self, site: PanicSite) {
+        let mut armed = self.panic_at.lock().unwrap();
+        if *armed == Some(site) {
+            *armed = None;
+            drop(armed);
+            panic!("injected model panic at {site:?}");
+        }
     }
 
     fn release(&self) {
@@ -94,6 +119,7 @@ impl LanguageModel for FaultLm {
         }
         drop(open);
         self.held.fetch_sub(1, Ordering::SeqCst);
+        self.fire(PanicSite::GenerateBatch);
         let fail = self
             .fail_rounds
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
@@ -116,6 +142,10 @@ impl LanguageModel for FaultLm {
     }
     fn context_window(&self) -> usize {
         self.inner.context_window()
+    }
+    fn usage(&self) -> (f64, u64, u64) {
+        self.fire(PanicSite::Usage);
+        self.inner.usage()
     }
 }
 
@@ -154,9 +184,8 @@ fn saturate(lm: &Arc<FaultLm>, queue_capacity: usize) -> (Server, Vec<Request>, 
 
 /// N workers × the 80 TAG-Bench questions must reproduce the serial
 /// baseline exactly: same answer bytes, same exact-match score, with
-/// every LM call going through the cross-request batcher (whether two
-/// rounds overlap here is up to the scheduler; merging itself is pinned
-/// down by the gated tests in `batch.rs`).
+/// every worker's LM calls going straight to the one model the domain
+/// envs share.
 #[test]
 fn concurrent_replay_matches_serial_baseline() {
     let harness = Harness::new(42, test_scale(), SimConfig::default());
@@ -252,10 +281,6 @@ fn concurrent_replay_matches_serial_baseline() {
         .count();
     assert_eq!(concurrent_score, serial_score);
 
-    let b = server.batch_stats();
-    assert_eq!(b.fallback_rounds, 0);
-    assert!(b.submissions > 0, "{b:?}");
-    assert!(b.rounds <= b.submissions, "{b:?}");
     assert_eq!(
         server.metrics().requests_ok.load(Ordering::Relaxed),
         items.len() as u64
@@ -423,13 +448,71 @@ fn lm_error_yields_an_uncached_typed_error_and_the_next_request_succeeds() {
     let cached = server.ask(req).unwrap();
     assert!(cached.cache_hit);
     assert_eq!(cached.answer, retried.answer);
-    assert_eq!(server.batch_stats().fallback_rounds, 0);
     assert_eq!(outcomes(), (2, 1));
     let text = server.metrics_text();
     assert!(
         text.contains("tag_serve_requests_total{outcome=\"error\"} 1"),
         "{text}"
     );
+}
+
+/// `ask`, failing the test instead of hanging it when no reply comes
+/// (a worker that died with its request never delivers one).
+fn ask_within_30s(server: &Arc<Server>, req: Request) -> Result<Response, ServeError> {
+    let (tx, rx) = channel();
+    let server = Arc::clone(server);
+    std::thread::spawn(move || {
+        let _ = tx.send(server.ask(req));
+    });
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("no reply within 30 s: the worker died with its request")
+}
+
+/// Fault: a panic inside a request, once in an LM round and once in the
+/// model's usage snapshot outside any round. Either way the request ends
+/// in a typed `Answer::Error` that is counted and traced but not cached,
+/// and the lone worker lives to answer the next request.
+#[test]
+fn panic_in_a_request_yields_a_typed_error_and_the_worker_lives() {
+    for site in [PanicSite::GenerateBatch, PanicSite::Usage] {
+        let lm = FaultLm::new(true);
+        let domains = tiny_domains();
+        let req = rag_requests(&domains, 1).remove(0);
+        let server = Arc::new(Server::start_with_lm(
+            domains,
+            Arc::clone(&lm) as Arc<dyn LanguageModel>,
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        ));
+        *lm.panic_at.lock().unwrap() = Some(site);
+        let failed = ask_within_30s(&server, req.clone()).unwrap();
+        assert!(
+            matches!(&failed.answer, Answer::Error(e) if e.contains("panicked")),
+            "{site:?}: {:?}",
+            failed.answer
+        );
+        assert_eq!(*lm.panic_at.lock().unwrap(), None, "{site:?}: never fired");
+        let m = server.metrics();
+        assert_eq!(m.requests_error.load(Ordering::Relaxed), 1, "{site:?}");
+        assert_eq!(m.requests_ok.load(Ordering::Relaxed), 0, "{site:?}");
+        let id = failed.trace_id.expect("failed requests are traced too");
+        assert!(
+            matches!(server.trace_lookup(id), TraceLookup::Found(_)),
+            "{site:?}"
+        );
+        assert_eq!(server.cache().stats().len, 0, "{site:?}");
+
+        let next = ask_within_30s(&server, req).unwrap();
+        assert!(!next.cache_hit, "{site:?}");
+        assert!(
+            !matches!(next.answer, Answer::Error(_)),
+            "{site:?}: {:?}",
+            next.answer
+        );
+        assert_eq!(m.requests_ok.load(Ordering::Relaxed), 1, "{site:?}");
+    }
 }
 
 /// Fault: `shutdown()` while the admission queue is full. Every
