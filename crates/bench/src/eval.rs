@@ -62,6 +62,8 @@ pub struct Outcome {
     pub correct: Option<bool>,
     /// Simulated execution seconds (LM inference on the virtual clock).
     pub seconds: f64,
+    /// LM calls the run made.
+    pub lm_calls: u64,
     /// The produced answer.
     pub answer: Answer,
 }
@@ -168,37 +170,20 @@ impl Harness {
         env.reset_metrics();
         let aggregation = query.qtype == QueryType::Aggregation;
         let question = query.question();
-        let answer = match method {
-            MethodId::Text2Sql => Text2Sql.answer(&question, env),
-            MethodId::Rag => {
-                let m = if aggregation {
-                    Rag::aggregation()
-                } else {
-                    Rag::default()
-                };
-                m.answer(&question, env)
-            }
-            MethodId::Rerank => {
-                let m = if aggregation {
-                    RetrievalLmRank::aggregation()
-                } else {
-                    RetrievalLmRank::default()
-                };
-                m.answer(&question, env)
-            }
-            MethodId::Text2SqlLm => {
-                let m = if aggregation {
-                    Text2SqlLm::aggregation()
-                } else {
-                    Text2SqlLm::default()
-                };
-                m.answer(&question, env)
-            }
-            // The hand-written pipelines are written against the
-            // structured query, as the paper's per-query expert code is.
-            MethodId::HandWritten => HandWrittenTag.answer_structured(&query.query, env),
+        // The hand-written pipelines are written against the structured
+        // query, as the paper's per-query expert code is.
+        let answer = match (method, aggregation) {
+            (MethodId::Text2Sql, _) => Text2Sql.answer(&question, env),
+            (MethodId::Rag, false) => Rag::default().answer(&question, env),
+            (MethodId::Rag, true) => Rag::aggregation().answer(&question, env),
+            (MethodId::Rerank, false) => RetrievalLmRank::default().answer(&question, env),
+            (MethodId::Rerank, true) => RetrievalLmRank::aggregation().answer(&question, env),
+            (MethodId::Text2SqlLm, false) => Text2SqlLm::default().answer(&question, env),
+            (MethodId::Text2SqlLm, true) => Text2SqlLm::aggregation().answer(&question, env),
+            (MethodId::HandWritten, _) => HandWrittenTag.answer_structured(&query.query, env),
         };
         let seconds = env.elapsed_seconds();
+        let lm_calls = env.lm.calls();
         let correct = self.truths[&query.id]
             .as_ref()
             .map(|truth| exact_match(&answer, truth, query.ordered()));
@@ -207,6 +192,7 @@ impl Harness {
             method,
             correct,
             seconds,
+            lm_calls,
             answer,
         }
     }

@@ -9,9 +9,12 @@
 //!
 //! Binaries:
 //!
-//! - `table1`, `table2` — print the corresponding table;
-//! - `figure2` — print the qualitative Sepang comparison;
-//! - `ablations` — batch-size / retrieval-k / multi-hop ablations.
+//! - `paper-report` — rerun Table 1, Table 2, Figure 2, the five
+//!   ablations and the SemPlan rules-off/on accounting ([`report`]),
+//!   rewrite EXPERIMENTS.md's generated blocks, and exit 1 if a paper
+//!   shape claim fails;
+//! - `trace-report` — replay the benchmark traced and untraced, and
+//!   print the per-stage cost breakdown.
 
 #![warn(missing_docs)]
 

@@ -51,7 +51,7 @@ impl TagEnv {
         *self.sem_opt.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Switch the SemPlan rewrite rules (ablations, the semplan-smoke
+    /// Switch the SemPlan rewrite rules (`paper-report`'s rules-off
     /// replay). Takes effect from the next plan: every request is
     /// planned when it runs.
     pub fn set_sem_opt(&self, opts: SemOptOptions) {

@@ -65,8 +65,8 @@ impl SemOptOptions {
         }
     }
 
-    /// Compact tag naming the rule set, as `verify-report` and the
-    /// verifier's diagnostics print it.
+    /// Compact tag naming the rule set, as the verifier sweep
+    /// (`crates/bench/tests/verify_sweep.rs`) and diagnostics print it.
     pub fn cache_tag(&self) -> String {
         format!(
             "p{}d{}c{}",
