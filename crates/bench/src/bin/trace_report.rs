@@ -22,7 +22,7 @@ use tag_core::env::TagEnv;
 use tag_core::{compile_generate_over, compile_rag, compile_rerank, plan_nlq};
 use tag_datagen::Scale;
 use tag_lm::sim::SimConfig;
-use tag_sql::{optimize_sem, plan_cost};
+use tag_sql::{optimize_sem, plan_cost, SemFrame};
 use tag_trace::{LmUsage, SpanRecord, Stage, Trace};
 
 fn usage() -> ! {
@@ -73,10 +73,10 @@ fn static_bound(method: MethodId, q: &BenchQuery, env: &TagEnv) -> u64 {
             plan_cost(&plan, catalog).lm_calls
         }
         // One call writes the retrieval SQL, then a generate plan over
-        // the materialized rows (one call in either prompt format; the
+        // the retrieved frame (one call in either prompt format; the
         // bound does not depend on how many rows came back).
         MethodId::Text2SqlLm => {
-            let gen = compile_generate_over(Vec::new(), Vec::new(), &question, list, "answer");
+            let gen = compile_generate_over(SemFrame::empty(), &question, list, "answer");
             1 + plan_cost(&optimize_sem(gen, &opts), catalog).lm_calls
         }
         MethodId::HandWritten => plan_cost(&plan_nlq(&q.query, &opts, &env.db), catalog).lm_calls,

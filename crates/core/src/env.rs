@@ -208,9 +208,9 @@ impl TagEnv {
         Some(Ok(ResultSet::new(vec!["plan".into()], rows)))
     }
 
-    /// [`TagEnv::run_sql`] for a semantic plan's scan: the result stays
-    /// columnar ([`Database::query_frame`]), and the statement is traced
-    /// exactly as `run_sql` traces it.
+    /// [`TagEnv::run_sql`] for a semantic plan's scan and Text2SQL + LM's
+    /// retrieval: the result stays columnar ([`Database::query_frame`]),
+    /// and the statement is traced exactly as `run_sql` traces it.
     pub(crate) fn scan(&self, sql: &str) -> SqlResult<SemFrame> {
         self.traced_read(sql, |profile| self.db.query_frame(sql, profile))
     }

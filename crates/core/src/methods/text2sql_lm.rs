@@ -10,7 +10,7 @@ use crate::methods::gen_frame_to_answer;
 use crate::model::TagMethod;
 use crate::semplan::{compile_generate_over, run_semplan};
 use tag_lm::prompts::text2sql_prompt;
-use tag_sql::SemReads;
+use tag_sql::{SemFrame, SemReads};
 
 /// Text2SQL for retrieval, LM for generation.
 #[derive(Debug, Clone, Copy)]
@@ -49,14 +49,13 @@ impl TagMethod for Text2SqlLm {
             }
         };
         let sql = format!("SELECT {completion}");
-        let rows = match env.run_sql(&sql) {
-            Ok(rs) => rs,
+        let frame = match env.scan(&sql) {
+            Ok(frame) => frame,
             Err(e) => {
                 // Retrieval failed: generation proceeds with no data and
                 // must rely on parametric knowledge (Figure 2, middle).
                 let plan = compile_generate_over(
-                    Vec::new(),
-                    Vec::new(),
+                    SemFrame::empty(),
                     request,
                     self.list_format,
                     "answer (no data)",
@@ -69,9 +68,9 @@ impl TagMethod for Text2SqlLm {
         };
 
         // Step 2: feed every retrieved row in context, through a
-        // generation plan over the materialized result.
-        let plan =
-            compile_generate_over(rows.columns, rows.rows, request, self.list_format, "answer");
+        // generation plan over the retrieved frame (a selection over the
+        // engine's columns, not a copy of them).
+        let plan = compile_generate_over(frame, request, self.list_format, "answer");
         match run_semplan(env, plan, &SemReads::All) {
             Ok(frame) => gen_frame_to_answer(&frame, self.list_format),
             Err(e) => Answer::Error(e), // context overflow lands here

@@ -39,7 +39,10 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use tag_lm::model::LmRequest;
 use tag_lm::nlq::{CmpOp, NlFilter, NlQuery, SemProperty};
-use tag_lm::prompts::{answer_free_prompt, answer_list_prompt, relevance_prompt, SemClaim};
+use tag_lm::prompts::{
+    answer_free_prompt, answer_list_prompt, answer_prompt, push_data_point, push_field,
+    relevance_prompt, SemClaim,
+};
 use tag_semops::{
     sem_agg, sem_filter, sem_join, sem_judge, sem_map, sem_topk, DataFrame, SemError,
 };
@@ -289,17 +292,16 @@ pub fn compile_rerank(request: &str, pool: usize, keep: usize, list_format: bool
     }
 }
 
-/// Compile the generation stage of Text2SQL + LM: the rows the
+/// Compile the generation stage of Text2SQL + LM: the frame the
 /// LM-written SQL retrieved, fed to one generation call.
 pub fn compile_generate_over(
-    columns: Vec<String>,
-    rows: Vec<Vec<Value>>,
+    frame: SemFrame,
     request: &str,
     list_format: bool,
     span_name: &str,
 ) -> SemNode {
     SemNode::Generate {
-        input: Box::new(SemNode::Input { columns, rows }),
+        input: Box::new(SemNode::Input { frame }),
         request: request.to_owned(),
         format: gen_format(list_format),
         span_name: span_name.to_owned(),
@@ -514,7 +516,8 @@ impl<'a> SemRuntime<'a> {
 
     fn exec_rerank(&self, frame: &SemFrame, query: &str, keep: usize) -> Result<SemFrame, String> {
         let _span = tag_trace::span(tag_trace::Stage::Rerank, "relevance scores");
-        let candidates = decode_points(frame);
+        let candidates = decode_points(frame)
+            .ok_or_else(|| "Rerank: input is not retrieved points".to_owned())?;
         let prompts: Vec<String> = candidates
             .iter()
             .map(|row| {
@@ -552,18 +555,12 @@ impl<'a> SemRuntime<'a> {
         format: &GenFormat,
         span_name: &str,
     ) -> Result<SemFrame, String> {
-        let points = decode_points(&frame);
+        let prompt = answer_prompt_over(&frame, request, matches!(format, GenFormat::List));
         let text = match format {
-            GenFormat::List => {
-                self.generate_tracked(answer_list_prompt(request, &points), span_name)?
-            }
-            GenFormat::Free => {
-                self.generate_tracked(answer_free_prompt(request, &points), span_name)?
-            }
+            GenFormat::List | GenFormat::Free => self.generate_tracked(prompt, span_name)?,
             GenFormat::FreeOrAgg => {
                 // gen(R, T): one call when the table fits the context,
                 // hierarchical sem_agg otherwise. Tokens, not rows.
-                let prompt = answer_free_prompt(request, &points);
                 let budget = self.env.lm.context_window().saturating_sub(512);
                 if tag_lm::tokenizer::count_tokens(&prompt) <= budget {
                     self.generate_tracked(prompt, span_name)?
@@ -612,10 +609,7 @@ impl SemDelegate for SemRuntime<'_> {
                     .scan(&sql)
                     .map_err(|e| format!("base scan failed: {e}"))
             }
-            SemNode::Input { columns, rows } => Ok(SemFrame::from_rows(
-                columns.clone(),
-                rows.iter().map(|r| r.iter().cloned()),
-            )),
+            SemNode::Input { frame } => Ok(frame.clone()),
             SemNode::Predicate { pred, .. } => exec_predicate(input()?, pred),
             SemNode::SemFilter {
                 columns,
@@ -918,40 +912,52 @@ fn encode_points(points: &[Vec<(String, String)>]) -> SemFrame {
     SemFrame::from_rows(vec![POINT_COLUMN.to_owned()], rows)
 }
 
-/// Recover data points from a frame: point-encoded frames decode their
-/// pairs; plain table frames render column/value pairs (exactly the
-/// frame's `to_data_points` / the ResultSet `result_to_points` mapping),
-/// each cell's text read straight off its column.
-fn decode_points(frame: &SemFrame) -> Vec<Vec<(String, String)>> {
-    if frame.columns.len() == 1 && frame.columns[0] == POINT_COLUMN {
-        (0..frame.len())
-            .map(|row| {
-                let encoded = match frame.value(row, 0) {
-                    Value::Text(s) => s,
-                    _ => String::new(),
-                };
-                if encoded.is_empty() {
-                    return Vec::new();
-                }
-                encoded
-                    .split(POINT_SEP)
-                    .map(|pair| match pair.split_once(PAIR_SEP) {
-                        Some((c, v)) => (c.to_owned(), v.to_owned()),
-                        None => (pair.to_owned(), String::new()),
-                    })
-                    .collect()
-            })
-            .collect()
-    } else {
-        frame
-            .selection()
-            .iter()
-            .map(|&id| {
-                let cells = (0..frame.columns.len()).map(|c| frame.column(c).text_at(id as usize));
-                frame.columns.iter().cloned().zip(cells).collect()
-            })
-            .collect()
+/// Recover the data points of a frame [`encode_points`] built; `None`
+/// for any other frame.
+fn decode_points(frame: &SemFrame) -> Option<Vec<Vec<(String, String)>>> {
+    if frame.columns.len() != 1 || frame.columns[0] != POINT_COLUMN {
+        return None;
     }
+    let points = (0..frame.len()).map(|row| {
+        let encoded = match frame.value(row, 0) {
+            Value::Text(s) => s,
+            _ => String::new(),
+        };
+        if encoded.is_empty() {
+            return Vec::new();
+        }
+        encoded
+            .split(POINT_SEP)
+            .map(|pair| match pair.split_once(PAIR_SEP) {
+                Some((c, v)) => (c.to_owned(), v.to_owned()),
+                None => (pair.to_owned(), String::new()),
+            })
+            .collect()
+    });
+    Some(points.collect())
+}
+
+/// The generation prompt over `frame`, written once into one string: a
+/// point frame's decoded pairs, or a table frame's selected rows read
+/// straight off its columns, each row one data point of `- col: val`
+/// lines.
+fn answer_prompt_over(frame: &SemFrame, request: &str, list_format: bool) -> String {
+    if let Some(points) = decode_points(frame) {
+        return if list_format {
+            answer_list_prompt(request, &points)
+        } else {
+            answer_free_prompt(request, &points)
+        };
+    }
+    answer_prompt(request, list_format, |s| {
+        for (i, &id) in frame.selection().iter().enumerate() {
+            push_data_point(s, i, |s| {
+                for (c, name) in frame.columns.iter().enumerate() {
+                    push_field(s, name, |s| frame.column(c).push_text_at(id as usize, s));
+                }
+            });
+        }
+    })
 }
 
 /// The row-major kernels the selection kernels replaced, kept as the
@@ -1384,7 +1390,85 @@ mod tests {
             ],
             vec![("c".to_owned(), String::new())],
         ];
-        assert_eq!(decode_points(&encode_points(&points)), points);
+        assert_eq!(decode_points(&encode_points(&points)), Some(points));
+        let table = SemFrame::from_rows(vec!["a".into()], [[Value::Int(1)]]);
+        assert_eq!(decode_points(&table), None);
+    }
+
+    /// The data points a table frame's prompt held before prompts were
+    /// written from the frame (the table half of `decode_points`): each
+    /// selected row's column names beside its cells' text.
+    fn reference_points(frame: &SemFrame) -> Vec<Vec<(String, String)>> {
+        frame
+            .selection()
+            .iter()
+            .map(|&id| {
+                let cells = (0..frame.columns.len()).map(|c| frame.column(c).text_at(id as usize));
+                frame.columns.iter().cloned().zip(cells).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table_prompts_are_the_prompts_of_their_points() {
+        let columns = ["id", "x", "name", "any"].map(String::from).to_vec();
+        let rows = [
+            [
+                Value::Int(1),
+                Value::Float(-0.0),
+                Value::text("Gunn High"),
+                Value::Int(7),
+            ],
+            [
+                Value::Null,
+                Value::Float(0.1),
+                Value::Null,
+                Value::text("seven"),
+            ],
+            [
+                Value::Int(-3),
+                Value::Float(1e21),
+                Value::text(""),
+                Value::Float(7.5),
+            ],
+            [Value::Int(4), Value::Null, Value::text("a: b"), Value::Null],
+        ];
+        let table = SemFrame::from_rows(columns, rows);
+        let kinds: Vec<&str> = (0..4)
+            .map(|c| match table.column(c) {
+                ColumnData::Int { .. } => "int",
+                ColumnData::Float { .. } => "float",
+                ColumnData::Text { .. } => "text",
+                ColumnData::Mixed(_) => "mixed",
+            })
+            .collect();
+        assert_eq!(kinds, ["int", "float", "text", "mixed"]);
+        let env = env();
+        let sorted = "SELECT \"School\", \"Longitude\" FROM schools \
+                      WHERE \"CDSCode\" <> 2 ORDER BY \"Longitude\"";
+        let frames = [
+            table.clone(),
+            table.clone().with_selection(vec![3, 0, 2]),
+            table.with_selection(Vec::new()),
+            // Text2SQL + LM's frame when its retrieval fails.
+            SemFrame::empty(),
+            env.scan("SELECT * FROM schools").unwrap(),
+            env.scan(sorted).unwrap(),
+        ];
+        let request = "How many schools are there?";
+        for frame in &frames {
+            let points = reference_points(frame);
+            assert_eq!(
+                answer_prompt_over(frame, request, true),
+                answer_list_prompt(request, &points)
+            );
+            assert_eq!(
+                answer_prompt_over(frame, request, false),
+                answer_free_prompt(request, &points)
+            );
+        }
+        let reordered = answer_prompt_over(&frames[1], request, true);
+        assert!(reordered.contains("Data Point 1:\n- id: 4\n- x: NULL\n"));
     }
 
     /// A `SimLm` that remembers every prompt it was sent, in order.

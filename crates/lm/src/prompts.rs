@@ -7,50 +7,84 @@
 //! both sides in one file makes the protocol auditable and testable.
 
 use crate::nlq::SemProperty;
+use std::fmt::Write as _;
 
 /// A row rendered for the LM: ordered `(column, value)` pairs.
 pub type DataPoint = Vec<(String, String)>;
 
-/// Serialize one data point in the paper's "- col: val" format.
-pub fn render_data_point(index: usize, point: &DataPoint) -> String {
-    let mut s = format!("Data Point {}:\n", index + 1);
-    for (col, val) in point {
-        s.push_str(&format!("- {col}: {val}\n"));
-    }
+const ANSWER_LIST_HEAD: &str =
+    "You will be given a list of data points and a question. Use the data points \
+     to answer the question. Your answer must be a list of values that is \
+     evaluatable in Python. Respond in the format [value1, value2, ..., valueN]. \
+     If you are unable to answer the question, respond with []. Respond with only \
+     the list of values and nothing else. If a value is a string, it must be \
+     enclosed in double quotes.\n\n";
+
+const ANSWER_FREE_HEAD: &str =
+    "You will be given a list of data points and a question. Use the data points \
+     to answer the question. If a value is a string, it must be enclosed in \
+     double quotes.\n\n";
+
+/// Appendix B.2: the list-answer variant (match-based / comparison /
+/// ranking) when `list_format`, the free-form variant (aggregation
+/// queries) otherwise. `write_points` appends the data points, each
+/// through [`push_data_point`], into the one prompt string.
+pub fn answer_prompt(
+    question: &str,
+    list_format: bool,
+    write_points: impl FnOnce(&mut String),
+) -> String {
+    let head = if list_format {
+        ANSWER_LIST_HEAD
+    } else {
+        ANSWER_FREE_HEAD
+    };
+    let mut s = String::from(head);
+    write_points(&mut s);
+    s.push_str("Question: ");
+    s.push_str(question);
+    s.push('\n');
     s
 }
 
-/// Appendix B.2, list-answer variant (match-based / comparison / ranking).
+/// Append data point `index` (0-based) in the paper's format: a
+/// `Data Point {index + 1}:` line, the `- col: val` lines `write_fields`
+/// appends through [`push_field`], and a blank line.
+pub fn push_data_point(s: &mut String, index: usize, write_fields: impl FnOnce(&mut String)) {
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(s, "Data Point {}:", index + 1);
+    write_fields(s);
+    s.push('\n');
+}
+
+/// Append one `- col: val` line of a data point; `write_value` appends
+/// the value.
+pub fn push_field(s: &mut String, col: &str, write_value: impl FnOnce(&mut String)) {
+    s.push_str("- ");
+    s.push_str(col);
+    s.push_str(": ");
+    write_value(s);
+    s.push('\n');
+}
+
+/// [`answer_prompt`] in the list-answer format over `points`.
 pub fn answer_list_prompt(question: &str, points: &[DataPoint]) -> String {
-    let mut s = String::from(
-        "You will be given a list of data points and a question. Use the data points \
-         to answer the question. Your answer must be a list of values that is \
-         evaluatable in Python. Respond in the format [value1, value2, ..., valueN]. \
-         If you are unable to answer the question, respond with []. Respond with only \
-         the list of values and nothing else. If a value is a string, it must be \
-         enclosed in double quotes.\n\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&render_data_point(i, p));
-        s.push('\n');
-    }
-    s.push_str(&format!("Question: {question}\n"));
-    s
+    answer_prompt(question, true, |s| push_points(s, points))
 }
 
-/// Appendix B.2, free-form variant (aggregation queries).
+/// [`answer_prompt`] in the free-form format over `points`.
 pub fn answer_free_prompt(question: &str, points: &[DataPoint]) -> String {
-    let mut s = String::from(
-        "You will be given a list of data points and a question. Use the data points \
-         to answer the question. If a value is a string, it must be enclosed in \
-         double quotes.\n\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&render_data_point(i, p));
-        s.push('\n');
+    answer_prompt(question, false, |s| push_points(s, points))
+}
+
+fn push_points(s: &mut String, points: &[DataPoint]) {
+    for (i, point) in points.iter().enumerate() {
+        push_data_point(s, i, |s| {
+            for (col, val) in point {
+                push_field(s, col, |s| s.push_str(val));
+            }
+        });
     }
-    s.push_str(&format!("Question: {question}\n"));
-    s
 }
 
 /// Appendix B.1: BIRD-style Text2SQL prompt over CREATE TABLE schemas.

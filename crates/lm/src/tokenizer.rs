@@ -10,14 +10,37 @@
 /// Heuristic: each whitespace-separated word contributes
 /// `ceil(len / 4)` tokens (sub-word splitting), and standalone
 /// punctuation contributes one token each.
+///
+/// "Whitespace" and "alphanumeric" are `char::is_whitespace` and
+/// `char::is_alphanumeric`. ASCII text is counted in one byte pass: on
+/// ASCII those are exactly ` \t\n\x0B\x0C\r` (note U+000B, which
+/// `u8::is_ascii_whitespace` omits) and `u8::is_ascii_alphanumeric`.
+/// The first non-ASCII byte hands the whole text to the char pass.
 pub fn count_tokens(text: &str) -> usize {
-    let mut tokens = 0usize;
-    for word in text.split_whitespace() {
-        let alnum: usize = word.chars().filter(|c| c.is_alphanumeric()).count();
-        let punct = word.chars().count() - alnum;
-        tokens += alnum.div_ceil(4).max(usize::from(alnum > 0)) + punct;
+    let (mut tokens, mut alnum, mut punct) = (0usize, 0usize, 0usize);
+    for &b in text.as_bytes() {
+        if !b.is_ascii() {
+            return count_tokens_chars(text);
+        }
+        if matches!(b, b' ' | b'\t'..=b'\r') {
+            tokens += alnum.div_ceil(4) + punct;
+            (alnum, punct) = (0, 0);
+        } else if b.is_ascii_alphanumeric() {
+            alnum += 1;
+        } else {
+            punct += 1;
+        }
     }
-    tokens
+    tokens + alnum.div_ceil(4) + punct
+}
+
+/// [`count_tokens`] of any text, a char at a time.
+fn count_tokens_chars(text: &str) -> usize {
+    let word_tokens = |word: &str| {
+        let alnum = word.chars().filter(|c| c.is_alphanumeric()).count();
+        alnum.div_ceil(4) + word.chars().count() - alnum
+    };
+    text.split_whitespace().map(word_tokens).sum()
 }
 
 /// Truncate text to approximately `max_tokens` tokens, keeping whole
@@ -41,6 +64,16 @@ pub fn truncate_to_tokens(text: &str, max_tokens: usize) -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vertical_tab_separates_words() {
+        // `u8::is_ascii_whitespace` omits U+000B; `char::is_whitespace`
+        // does not. ("a\u{0B}b" also counts 2 as one word: 1 + 1 punct.)
+        assert_eq!(count_tokens("a\u{0B}b"), 2);
+        assert_eq!(count_tokens("\u{0B}"), 0);
+        assert_eq!(count_tokens("a\u{0B}\u{0B}b"), 2);
+        assert_eq!(count_tokens("a\u{0C}b\u{1F}c"), 3);
+    }
 
     #[test]
     fn empty_and_whitespace() {

@@ -127,7 +127,46 @@ fn query() -> impl Strategy<Value = NlQuery> {
     ]
 }
 
+/// The tokenizer's definition before its ASCII byte pass: words split on
+/// `char::is_whitespace`, each `ceil(alnum / 4)` plus one per other char.
+fn count_tokens_reference(text: &str) -> usize {
+    let mut tokens = 0usize;
+    for word in text.split_whitespace() {
+        let alnum: usize = word.chars().filter(|c| c.is_alphanumeric()).count();
+        let punct = word.chars().count() - alnum;
+        tokens += alnum.div_ceil(4).max(usize::from(alnum > 0)) + punct;
+    }
+    tokens
+}
+
+/// Text mixing ASCII with the characters where a byte pass could part
+/// from the char definition: U+000B/U+000C (whitespace, the first not
+/// `u8::is_ascii_whitespace`), U+001F (not whitespace), U+0085, U+00A0
+/// and U+3000 (non-ASCII whitespace) and non-ASCII letters.
+fn mixed_text() -> impl Strategy<Value = String> {
+    const ALPHABET: [char; 16] = [
+        'a', 'Z', '7', ' ', '\t', '\n', '\r', '.', '-', '\u{0B}', '\u{0C}', '\u{1F}', '\u{85}',
+        '\u{A0}', '\u{3000}', 'é',
+    ];
+    let pick = prop_oneof![
+        (0usize..ALPHABET.len()).prop_map(|i| ALPHABET[i]),
+        Just('中'),
+    ];
+    prop::collection::vec(pick, 0..40).prop_map(|chars| chars.into_iter().collect())
+}
+
 proptest! {
+    /// `count_tokens` equals its char definition on any text.
+    #[test]
+    fn token_count_matches_char_definition(
+        s in mixed_text(),
+        ascii in prop::collection::vec(0u8..128, 0..60),
+    ) {
+        let ascii: String = ascii.into_iter().map(char::from).collect();
+        prop_assert_eq!(count_tokens(&s), count_tokens_reference(&s), "text: {:?}", s);
+        prop_assert_eq!(count_tokens(&ascii), count_tokens_reference(&ascii), "text: {:?}", ascii);
+    }
+
     /// The canonical question language round-trips: parse(render(q)) == q.
     #[test]
     fn nlq_round_trips(q in query()) {

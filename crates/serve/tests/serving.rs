@@ -456,6 +456,62 @@ fn lm_error_yields_an_uncached_typed_error_and_the_next_request_succeeds() {
     );
 }
 
+/// Fault: a Text2SQL + LM retrieval returns more rows than the default
+/// context window holds (the §4.2 overflow). The request ends in a typed
+/// `Answer::Error` naming the prompt's token count, with the text a
+/// serial run gives; it counts as an error, is not cached, and the next
+/// request is answered.
+#[test]
+fn oversized_retrieval_yields_the_serial_context_error_uncached() {
+    let domain = "california_schools";
+    let question = "How many schools located in the Southern California region are there?";
+    let schools = || {
+        generate_all(42, Scale::default())
+            .into_iter()
+            .filter(|d| d.name == domain)
+            .collect::<Vec<_>>()
+    };
+    let serial_env = TagEnv::new(
+        schools().remove(0).db,
+        Arc::new(SimLm::new(SimConfig::default())),
+    );
+    let serial = run_method(MethodName::Text2SqlLm, question, &serial_env);
+    let server = Server::start(schools(), SimConfig::default(), ServerConfig::default());
+    let req = Request::new(domain, MethodName::Text2SqlLm, question);
+
+    let failed = server.ask(req.clone()).unwrap();
+    match &failed.answer {
+        Answer::Error(e) => {
+            let tokens = e
+                .split_once("prompt of ")
+                .and_then(|(_, rest)| rest.split_once(" tokens exceeds the 4096-token"))
+                .and_then(|(n, _)| n.parse::<usize>().ok());
+            assert!(tokens.is_some_and(|n| n > 4096), "{e}");
+        }
+        other => panic!("expected a context overflow, got {other:?}"),
+    }
+    assert_eq!(failed.answer, serial);
+    assert!(!failed.cache_hit);
+    let m = server.metrics();
+    assert_eq!(m.requests_error.load(Ordering::Relaxed), 1);
+
+    let again = server.ask(req).unwrap();
+    assert!(!again.cache_hit, "an error must not be served from cache");
+    assert_eq!(again.answer, serial);
+    assert_eq!(server.cache().stats().len, 0);
+
+    let next = server
+        .ask(Request::new(domain, MethodName::Text2Sql, question))
+        .unwrap();
+    assert!(
+        !matches!(next.answer, Answer::Error(_)),
+        "{:?}",
+        next.answer
+    );
+    assert_eq!(m.requests_error.load(Ordering::Relaxed), 2);
+    assert_eq!(m.requests_ok.load(Ordering::Relaxed), 1);
+}
+
 /// `ask`, failing the test instead of hanging it when no reply comes
 /// (a worker that died with its request never delivers one).
 fn ask_within_30s(server: &Arc<Server>, req: Request) -> Result<Response, ServeError> {

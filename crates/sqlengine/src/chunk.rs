@@ -113,13 +113,23 @@ impl ColumnData {
 
     /// `value_at(i).to_string()` without cloning the cell first.
     pub fn text_at(&self, i: usize) -> String {
-        match self {
-            ColumnData::Int { values, validity } if validity[i] => values[i].to_string(),
-            ColumnData::Float { values, validity } if validity[i] => values[i].to_string(),
-            ColumnData::Text { values, validity } if validity[i] => values[i].clone(),
-            ColumnData::Mixed(v) => v[i].to_string(),
-            _ => Value::Null.to_string(),
-        }
+        let mut out = String::new();
+        self.push_text_at(i, &mut out);
+        out
+    }
+
+    /// Append [`ColumnData::text_at`]`(i)` to `out`, allocating nothing
+    /// beyond `out`'s growth.
+    pub fn push_text_at(&self, i: usize, out: &mut String) {
+        use std::fmt::Write as _;
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            ColumnData::Int { values, validity } if validity[i] => write!(out, "{}", values[i]),
+            ColumnData::Float { values, validity } if validity[i] => write!(out, "{}", values[i]),
+            ColumnData::Text { values, validity } if validity[i] => out.write_str(&values[i]),
+            ColumnData::Mixed(v) => write!(out, "{}", v[i]),
+            _ => write!(out, "{}", Value::Null),
+        };
     }
 
     /// `value_at(a).total_cmp(&value_at(b))` without cloning either cell:
@@ -963,6 +973,9 @@ mod tests {
             let data = ColumnData::from_values(column.clone());
             for (i, v) in column.iter().enumerate() {
                 assert_eq!(data.text_at(i), v.to_string());
+                let mut out = String::from("> ");
+                data.push_text_at(i, &mut out);
+                assert_eq!(out, format!("> {v}"));
             }
         }
         let mixed = ColumnData::from_values(values.clone());

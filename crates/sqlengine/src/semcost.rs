@@ -13,7 +13,7 @@
 //! | node            | prompts submitted                    | output rows       |
 //! |-----------------|--------------------------------------|-------------------|
 //! | `Scan`          | 0                                    | catalog row count (min k with a folded cut) |
-//! | `Input`         | 0                                    | `rows.len()`      |
+//! | `Input`         | 0                                    | `frame.len()`     |
 //! | `Predicate`     | 0                                    | ≤ n               |
 //! | `Cut`           | 0                                    | min(n, k)         |
 //! | `SemFilter`     | ≤ n (row-wise, distinct, early-stop) | n / min(n, k)     |
@@ -101,9 +101,9 @@ pub fn plan_cost(root: &SemNode, catalog: Option<&Catalog>) -> CostBound {
                 out_rows: cut.as_ref().map_or(rows, |cut| rows.min(cut.k as u64)),
             }
         }
-        SemNode::Input { rows, .. } => CostBound {
+        SemNode::Input { frame } => CostBound {
             lm_calls: 0,
-            out_rows: rows.len() as u64,
+            out_rows: frame.len() as u64,
         },
         SemNode::Predicate { input, .. } => plan_cost(input, catalog),
         SemNode::Cut { input, cut } => {

@@ -245,12 +245,12 @@ pub enum SemNode {
         /// applied after `filters`.
         cut: Option<CutSpec>,
     },
-    /// Materialized input rows (e.g. the result of LM-synthesized SQL).
+    /// A frame the caller already holds (e.g. the result of
+    /// LM-synthesized SQL, read with
+    /// [`Database::query_frame`](crate::Database::query_frame)).
     Input {
-        /// Column names.
-        columns: Vec<String>,
-        /// Row values.
-        rows: Vec<Vec<Value>>,
+        /// The frame.
+        frame: SemFrame,
     },
     /// Exact predicate on the data system.
     Predicate {
@@ -444,7 +444,7 @@ impl SemNode {
                 "Scan {table}: {}",
                 scan_sql(table, columns.as_deref(), filters, cut.as_ref())
             ),
-            SemNode::Input { rows, .. } => format!("Input ({} rows)", rows.len()),
+            SemNode::Input { frame } => format!("Input ({} rows)", frame.len()),
             SemNode::Predicate { pred, .. } => format!("Predicate {}", pred.describe()),
             SemNode::SemFilter {
                 columns,
@@ -634,6 +634,15 @@ impl SemFrame {
             columns,
             rows: (0..data.len() as u32).collect(),
             data: Arc::new(data),
+        }
+    }
+
+    /// The frame with no columns and no rows.
+    pub fn empty() -> SemFrame {
+        SemFrame {
+            columns: Vec::new(),
+            data: Arc::new(Chunk::empty(0)),
+            rows: Vec::new(),
         }
     }
 

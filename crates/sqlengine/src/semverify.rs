@@ -286,7 +286,7 @@ impl PlanChecker<'_> {
                     }
                 }
             }
-            SemNode::Input { columns, .. } => ColSet::Known(columns.clone()),
+            SemNode::Input { frame } => ColSet::Known(frame.columns.clone()),
             SemNode::Predicate { pred, .. } => {
                 let input = &inputs[0];
                 self.require_pred_columns(path, node, input, pred);

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use tag_sql::{
     optimize_sem, plan_cost, verify_plan, verify_rewrite, CutSpec, GenFormat, RetrieveKind,
-    SemClaimSpec, SemNode, SemOptOptions, SemPredicate, Value,
+    SemClaimSpec, SemFrame, SemNode, SemOptOptions, SemPredicate, Value,
 };
 
 /// All 8 rewrite-rule combinations.
@@ -61,10 +61,10 @@ fn cut(w: u64) -> CutSpec {
 fn exec_leaf(w: u64) -> SemNode {
     if w.is_multiple_of(3) {
         SemNode::Input {
-            columns: vec![col(w / 3), col(w / 5 + 1)],
-            rows: (0..(w % 13))
-                .map(|i| vec![Value::Text(format!("r{i}")), Value::Float(i as f64)])
-                .collect(),
+            frame: SemFrame::from_rows(
+                vec![col(w / 3), col(w / 5 + 1)],
+                (0..(w % 13)).map(|i| [Value::Text(format!("r{i}")), Value::Float(i as f64)]),
+            ),
         }
     } else {
         SemNode::scan("schools")
