@@ -2,10 +2,12 @@
 
 use crate::semplan::{compile_nlq, plan_nlq};
 use std::sync::{Arc, OnceLock, RwLock};
-use tag_embed::{Embedder, RowStore};
+use tag_embed::{push_row_text, Embedder, RowStore};
 use tag_lm::model::LanguageModel;
 use tag_lm::nlq::NlQuery;
+use tag_lm::prompts::push_field;
 use tag_semops::SemEngine;
+use tag_sql::chunk::Chunk;
 use tag_sql::{
     verify_report_text, Database, ResultSet, SemFrame, SemOptOptions, SqlError, SqlResult, Value,
 };
@@ -26,7 +28,7 @@ pub struct TagEnv {
     /// Batched + cached LM executor.
     pub engine: SemEngine,
     embedder: Embedder,
-    store: OnceLock<RowStore>,
+    retrieval: OnceLock<Retrieval>,
     schema: OnceLock<String>,
     sem_opt: RwLock<SemOptOptions>,
 }
@@ -40,7 +42,7 @@ impl TagEnv {
             lm,
             engine,
             embedder: Embedder::default(),
-            store: OnceLock::new(),
+            retrieval: OnceLock::new(),
             schema: OnceLock::new(),
             sem_opt: RwLock::new(SemOptOptions::default()),
         }
@@ -124,26 +126,59 @@ impl TagEnv {
     /// use (the RAG baseline's FAISS index). Safe under concurrent first
     /// use: `OnceLock` guarantees a single build wins.
     pub fn row_store(&self) -> &RowStore {
-        self.store.get_or_init(|| {
-            let mut store = RowStore::new(self.embedder.clone());
-            for name in self.db.catalog().table_names() {
-                let table = self.db.catalog().table(&name).expect("listed table");
-                let cols = table.schema().names();
-                let image = table.columnar();
-                for id in 0..image.len() {
-                    let cells = (0..cols.len()).map(|c| image.column(c).text_at(id));
-                    store.add_row(cols.iter().cloned().zip(cells).collect());
-                }
-            }
-            store
-        })
+        &self.retrieval().store
     }
 
     /// The row store only if some caller already built it. Metrics
     /// collectors scrape through this so an idle domain's scrape never
     /// pays the embedding-index build.
     pub fn row_store_if_built(&self) -> Option<&RowStore> {
-        self.store.get()
+        self.retrieval.get().map(|r| &r.store)
+    }
+
+    /// Append the text the row store embedded for row `id`, read from the
+    /// table image it embedded: the row's `- col: val` lines
+    /// ([`push_row_text`]).
+    pub fn push_point_text(&self, id: usize, out: &mut String) {
+        let (table, row) = self.retrieval().locate(id);
+        table.push_text(row, out);
+    }
+
+    /// Append row `id`'s fields as one data point of a generation prompt
+    /// (each a [`push_field`] line), read as [`TagEnv::push_point_text`]
+    /// reads them.
+    pub(crate) fn push_point_fields(&self, id: usize, out: &mut String) {
+        let (table, row) = self.retrieval().locate(id);
+        for (c, name) in table.columns.iter().enumerate() {
+            push_field(out, name, |out| {
+                table.image.column(c).push_text_at(row, out)
+            });
+        }
+    }
+
+    fn retrieval(&self) -> &Retrieval {
+        self.retrieval.get_or_init(|| {
+            let mut store = RowStore::new(self.embedder.clone());
+            let mut tables = Vec::new();
+            let mut text = String::new();
+            for name in self.db.catalog().table_names() {
+                let table = self.db.catalog().table(&name).expect("listed table");
+                let embedded = EmbeddedTable {
+                    columns: table.schema().names(),
+                    image: table.columnar(),
+                    first: store.len(),
+                };
+                for row in 0..embedded.image.len() {
+                    text.clear();
+                    embedded.push_text(row, &mut text);
+                    store.add(&text);
+                }
+                if !embedded.image.is_empty() {
+                    tables.push(embedded);
+                }
+            }
+            Retrieval { store, tables }
+        })
     }
 
     /// Run a read-only SQL statement through the domain database.
@@ -286,6 +321,42 @@ impl TagEnv {
     }
 }
 
+/// The row store and what its ids name: store id `first + i` is row `i`
+/// of a table's image as it was when the store embedded it. The images
+/// are shared with the tables, not copied; a later write to a table
+/// copies the image before changing it, so a hit keeps reading the row
+/// it was embedded from.
+struct Retrieval {
+    store: RowStore,
+    /// The tables with rows, in store order.
+    tables: Vec<EmbeddedTable>,
+}
+
+/// One table as the row store embedded it.
+struct EmbeddedTable {
+    columns: Vec<String>,
+    image: Arc<Chunk>,
+    /// The store id of the image's first row.
+    first: usize,
+}
+
+impl EmbeddedTable {
+    /// Append image row `row`'s serialized text ([`push_row_text`]).
+    fn push_text(&self, row: usize, out: &mut String) {
+        push_row_text(out, &self.columns, |c, out| {
+            self.image.column(c).push_text_at(row, out)
+        });
+    }
+}
+
+impl Retrieval {
+    /// The table and image row store id `id` names.
+    fn locate(&self, id: usize) -> (&EmbeddedTable, usize) {
+        let t = self.tables.partition_point(|t| t.first <= id) - 1;
+        (&self.tables[t], id - self.tables[t].first)
+    }
+}
+
 /// The text after `keyword` when `text`, less leading whitespace,
 /// starts with it (ASCII case-insensitively) as a whole word.
 fn strip_keyword<'a>(text: &'a str, keyword: &str) -> Option<&'a str> {
@@ -407,13 +478,48 @@ mod tests {
         assert_send_sync::<TagEnv>();
     }
 
+    /// The text the store embedded for each hit of `question`, by id.
+    fn hit_texts(e: &TagEnv, question: &str, k: usize) -> Vec<(usize, String)> {
+        let hits = e.row_store().retrieve(question, k);
+        hits.iter()
+            .map(|hit| {
+                let mut text = String::new();
+                e.push_point_text(hit.id, &mut text);
+                (hit.id, text)
+            })
+            .collect()
+    }
+
     #[test]
     fn row_store_covers_all_rows() {
         let e = env();
         assert_eq!(e.row_store().len(), 2);
-        let hits = e.row_store().retrieve("Gunn High school", 1);
+        let hits = hit_texts(&e, "Gunn High school", 1);
         assert_eq!(hits.len(), 1);
-        assert!(hits[0].0.iter().any(|(_, v)| v == "Gunn High"));
+        let values = hits[0].1.lines().filter_map(|l| l.split_once(": "));
+        assert!(values.map(|(_, v)| v).any(|v| v == "Gunn High"));
+    }
+
+    /// A hit reads the table image the store embedded: after a `DELETE`
+    /// and an `INSERT`, the same question returns the same ids with the
+    /// same texts, as copied rows did (refreshing the store is left to a
+    /// rebuild).
+    #[test]
+    fn hits_read_the_snapshot_the_store_embedded() {
+        let mut e = env();
+        let question = "Gunn High school in Palo Alto";
+        let before = hit_texts(&e, question, 2);
+        assert_eq!(before.len(), 2);
+        assert!(before[0].1.contains("- School: Gunn High"), "{before:?}");
+        e.db.execute("DELETE FROM schools WHERE CDSCode = 1")
+            .unwrap();
+        e.db.execute("INSERT INTO schools VALUES (3, 'Lincoln High', 'San Jose')")
+            .unwrap();
+        assert_eq!(
+            e.db.query("SELECT School FROM schools").unwrap().rows.len(),
+            2
+        );
+        assert_eq!(hit_texts(&e, question, 2), before);
     }
 
     #[test]

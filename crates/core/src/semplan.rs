@@ -40,8 +40,7 @@ use std::hash::Hash;
 use tag_lm::model::LmRequest;
 use tag_lm::nlq::{CmpOp, NlFilter, NlQuery, SemProperty};
 use tag_lm::prompts::{
-    answer_free_prompt, answer_list_prompt, answer_prompt, push_data_point, push_field,
-    relevance_prompt, SemClaim,
+    answer_prompt, push_data_point, push_field, relevance_prompt_over, SemClaim,
 };
 use tag_semops::{
     sem_agg, sem_filter, sem_join, sem_judge, sem_map, sem_topk, DataFrame, SemError,
@@ -53,11 +52,9 @@ use tag_sql::{
     SemReads, Value,
 };
 
-/// Unit separator between the column and value of one encoded pair.
-const PAIR_SEP: char = '\u{1f}';
-/// Record separator between encoded pairs of one retrieved point.
-const POINT_SEP: char = '\u{1e}';
-/// Column name of frames that carry heterogeneous retrieved points.
+/// Column name of point frames: retrieved rows, one row store id each
+/// ([`TagEnv::row_store`]), read from the table images the store
+/// embedded when a prompt is written.
 const POINT_COLUMN: &str = "__point";
 
 /// The property vocabulary shared with `tag_lm::nlq::SemProperty`
@@ -503,31 +500,17 @@ impl<'a> SemRuntime<'a> {
             RetrieveKind::Candidates => ("candidate pool", "candidates", "pool"),
         };
         let _span = tag_trace::span(tag_trace::Stage::Retrieve, span_name);
-        let points: Vec<Vec<(String, String)>> = self
-            .env
-            .row_store()
-            .retrieve(query, k)
-            .into_iter()
-            .map(|(row, _)| row.clone())
-            .collect();
-        tag_trace::annotate(format!("retrieved {} {noun} ({knob}={k})", points.len()));
-        encode_points(&points)
+        let hits = self.env.row_store().retrieve(query, k);
+        tag_trace::annotate(format!("retrieved {} {noun} ({knob}={k})", hits.len()));
+        point_frame(hits.iter().map(|hit| hit.id))
     }
 
-    fn exec_rerank(&self, frame: &SemFrame, query: &str, keep: usize) -> Result<SemFrame, String> {
+    fn exec_rerank(&self, frame: SemFrame, query: &str, keep: usize) -> Result<SemFrame, String> {
         let _span = tag_trace::span(tag_trace::Stage::Rerank, "relevance scores");
-        let candidates = decode_points(frame)
-            .ok_or_else(|| "Rerank: input is not retrieved points".to_owned())?;
-        let prompts: Vec<String> = candidates
-            .iter()
-            .map(|row| {
-                let text = row
-                    .iter()
-                    .map(|(c, v)| format!("- {c}: {v}"))
-                    .collect::<Vec<_>>()
-                    .join("\n");
-                relevance_prompt(query, &text)
-            })
+        let ids =
+            point_ids(&frame).ok_or_else(|| "Rerank: input is not retrieved points".to_owned())?;
+        let prompts: Vec<String> = ids
+            .map(|id| relevance_prompt_over(query, |s| self.env.push_point_text(id, s)))
             .collect();
         let scores = self
             .env
@@ -540,12 +523,12 @@ impl<'a> SemRuntime<'a> {
             .map(|(i, s)| (s.trim().parse::<f64>().unwrap_or(0.0), i))
             .collect();
         scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        let points: Vec<Vec<(String, String)>> = scored
+        let kept = scored
             .iter()
             .take(keep)
-            .map(|(_, i)| candidates[*i].clone())
+            .map(|&(_, i)| frame.selection()[i])
             .collect();
-        Ok(encode_points(&points))
+        Ok(frame.with_selection(kept))
     }
 
     fn exec_generate(
@@ -555,7 +538,8 @@ impl<'a> SemRuntime<'a> {
         format: &GenFormat,
         span_name: &str,
     ) -> Result<SemFrame, String> {
-        let prompt = answer_prompt_over(&frame, request, matches!(format, GenFormat::List));
+        let list_format = matches!(format, GenFormat::List);
+        let prompt = answer_prompt_over(self.env, &frame, request, list_format);
         let text = match format {
             GenFormat::List | GenFormat::Free => self.generate_tracked(prompt, span_name)?,
             GenFormat::FreeOrAgg => {
@@ -679,7 +663,7 @@ impl SemDelegate for SemRuntime<'_> {
                 .map_err(|e| e.to_string())
             }
             SemNode::Retrieve { query, k, kind } => Ok(self.exec_retrieve(query, *k, *kind)),
-            SemNode::Rerank { query, keep, .. } => self.exec_rerank(&input()?, query, *keep),
+            SemNode::Rerank { query, keep, .. } => self.exec_rerank(input()?, query, *keep),
             SemNode::Generate {
                 request,
                 format,
@@ -897,57 +881,40 @@ fn existing_column(frame: &SemFrame, candidates: &[String]) -> Result<String, St
     Err(SemError::Frame(tag_sql::SqlError::Binding(msg)).to_string())
 }
 
-/// Encode heterogeneous retrieved points as a one-column frame so they
-/// can flow through `SemFrame`s (columns differ row to row after
-/// row-store retrieval).
-fn encode_points(points: &[Vec<(String, String)>]) -> SemFrame {
-    let rows = points.iter().map(|p| {
-        let encoded = p
-            .iter()
-            .map(|(c, v)| format!("{c}{PAIR_SEP}{v}"))
-            .collect::<Vec<_>>()
-            .join(&POINT_SEP.to_string());
-        [Value::Text(encoded)]
-    });
+/// The point frame of row store ids `ids`, in order.
+fn point_frame(ids: impl Iterator<Item = usize>) -> SemFrame {
+    let rows = ids.map(|id| [Value::Int(id as i64)]);
     SemFrame::from_rows(vec![POINT_COLUMN.to_owned()], rows)
 }
 
-/// Recover the data points of a frame [`encode_points`] built; `None`
+/// The row store ids a point frame holds, in selection order; `None`
 /// for any other frame.
-fn decode_points(frame: &SemFrame) -> Option<Vec<Vec<(String, String)>>> {
+fn point_ids(frame: &SemFrame) -> Option<impl Iterator<Item = usize> + '_> {
     if frame.columns.len() != 1 || frame.columns[0] != POINT_COLUMN {
         return None;
     }
-    let points = (0..frame.len()).map(|row| {
-        let encoded = match frame.value(row, 0) {
-            Value::Text(s) => s,
-            _ => String::new(),
-        };
-        if encoded.is_empty() {
-            return Vec::new();
-        }
-        encoded
-            .split(POINT_SEP)
-            .map(|pair| match pair.split_once(PAIR_SEP) {
-                Some((c, v)) => (c.to_owned(), v.to_owned()),
-                None => (pair.to_owned(), String::new()),
-            })
-            .collect()
-    });
-    Some(points.collect())
+    let ColumnData::Int { values, .. } = frame.column(0) else {
+        return None;
+    };
+    Some(
+        frame
+            .selection()
+            .iter()
+            .map(|&row| values[row as usize] as usize),
+    )
 }
 
-/// The generation prompt over `frame`, written once into one string: a
-/// point frame's decoded pairs, or a table frame's selected rows read
-/// straight off its columns, each row one data point of `- col: val`
-/// lines.
-fn answer_prompt_over(frame: &SemFrame, request: &str, list_format: bool) -> String {
-    if let Some(points) = decode_points(frame) {
-        return if list_format {
-            answer_list_prompt(request, &points)
-        } else {
-            answer_free_prompt(request, &points)
-        };
+/// The generation prompt over `frame`, written once into one string,
+/// each row one data point of `- col: val` lines: a point frame's rows
+/// read from the table images the row store embedded, a table frame's
+/// selected rows read straight off its columns.
+fn answer_prompt_over(env: &TagEnv, frame: &SemFrame, request: &str, list_format: bool) -> String {
+    if let Some(ids) = point_ids(frame) {
+        return answer_prompt(request, list_format, |s| {
+            for (i, id) in ids.enumerate() {
+                push_data_point(s, i, |s| env.push_point_fields(id, s));
+            }
+        });
     }
     answer_prompt(request, list_format, |s| {
         for (i, &id) in frame.selection().iter().enumerate() {
@@ -963,13 +930,55 @@ fn answer_prompt_over(frame: &SemFrame, request: &str, list_format: bool) -> Str
 /// The row-major kernels the selection kernels replaced, kept as the
 /// reference they are held to (`tests::kernels_match_the_reference`):
 /// each takes a `DataFrame` of the frame's rows and copies, sorts and
-/// filters rows as the runtime did before frames were selections.
+/// filters rows as the runtime did before frames were selections. And
+/// the copy path retrieved points took before they were row store ids
+/// (`tests::point_prompts_are_the_copy_paths_prompts`).
 #[cfg(test)]
 mod reference {
     use super::*;
     use std::collections::HashSet;
-    use tag_lm::prompts::sem_filter_prompt;
+    use tag_lm::prompts::{
+        answer_free_prompt, answer_list_prompt, relevance_prompt, sem_filter_prompt,
+    };
     use tag_semops::SemEngine;
+
+    /// A copied row: its `(column, text)` pairs.
+    pub(super) type CopiedRow = Vec<(String, String)>;
+
+    /// Every row of every table, copied out of the table images in row
+    /// store order: the store's rows when it kept a copy of each.
+    pub(super) fn copied_rows(env: &TagEnv) -> Vec<CopiedRow> {
+        let mut rows = Vec::new();
+        for name in env.db.catalog().table_names() {
+            let table = env.db.catalog().table(&name).expect("listed table");
+            let cols = table.schema().names();
+            let image = table.columnar();
+            for id in 0..image.len() {
+                let cells = (0..cols.len()).map(|c| image.column(c).text_at(id));
+                rows.push(cols.iter().cloned().zip(cells).collect());
+            }
+        }
+        rows
+    }
+
+    /// A copied row's text: its `- c: v` lines joined by `\n`, the text
+    /// the store embedded and the relevance prompt held.
+    pub(super) fn row_text(row: &CopiedRow) -> String {
+        let lines: Vec<String> = row.iter().map(|(c, v)| format!("- {c}: {v}")).collect();
+        lines.join("\n")
+    }
+
+    pub(super) fn relevance(question: &str, row: &CopiedRow) -> String {
+        relevance_prompt(question, &row_text(row))
+    }
+
+    pub(super) fn answer(question: &str, rows: &[CopiedRow], list_format: bool) -> String {
+        if list_format {
+            answer_list_prompt(question, rows)
+        } else {
+            answer_free_prompt(question, rows)
+        }
+    }
 
     pub(super) fn predicate(df: DataFrame, pred: &SemPredicate) -> Result<DataFrame, String> {
         match pred {
@@ -1383,21 +1392,23 @@ mod tests {
 
     #[test]
     fn point_encoding_round_trips() {
-        let points = vec![
-            vec![
-                ("a".to_owned(), "1".to_owned()),
-                ("b".to_owned(), "x y".to_owned()),
-            ],
-            vec![("c".to_owned(), String::new())],
-        ];
-        assert_eq!(decode_points(&encode_points(&points)), Some(points));
+        let ids = vec![3, 0, 7];
+        let points = point_frame(ids.iter().copied());
+        assert_eq!(point_ids(&points).map(Iterator::collect), Some(ids));
+        let reranked = points.with_selection(vec![2, 0]);
+        assert_eq!(
+            point_ids(&reranked).map(Iterator::collect),
+            Some(vec![7, 3])
+        );
+        let none = point_frame(std::iter::empty());
+        assert_eq!(point_ids(&none).map(Iterator::collect), Some(Vec::new()));
         let table = SemFrame::from_rows(vec!["a".into()], [[Value::Int(1)]]);
-        assert_eq!(decode_points(&table), None);
+        assert!(point_ids(&table).is_none());
     }
 
     /// The data points a table frame's prompt held before prompts were
-    /// written from the frame (the table half of `decode_points`): each
-    /// selected row's column names beside its cells' text.
+    /// written from the frame: each selected row's column names beside
+    /// its cells' text.
     fn reference_points(frame: &SemFrame) -> Vec<Vec<(String, String)>> {
         frame
             .selection()
@@ -1434,6 +1445,7 @@ mod tests {
             [Value::Int(4), Value::Null, Value::text("a: b"), Value::Null],
         ];
         let table = SemFrame::from_rows(columns, rows);
+        let env = env();
         let kinds: Vec<&str> = (0..4)
             .map(|c| match table.column(c) {
                 ColumnData::Int { .. } => "int",
@@ -1443,7 +1455,6 @@ mod tests {
             })
             .collect();
         assert_eq!(kinds, ["int", "float", "text", "mixed"]);
-        let env = env();
         let sorted = "SELECT \"School\", \"Longitude\" FROM schools \
                       WHERE \"CDSCode\" <> 2 ORDER BY \"Longitude\"";
         let frames = [
@@ -1458,17 +1469,84 @@ mod tests {
         let request = "How many schools are there?";
         for frame in &frames {
             let points = reference_points(frame);
+            for list_format in [true, false] {
+                assert_eq!(
+                    answer_prompt_over(&env, frame, request, list_format),
+                    reference::answer(request, &points, list_format)
+                );
+            }
+        }
+        let reordered = answer_prompt_over(&env, &frames[1], request, true);
+        assert!(reordered.contains("Data Point 1:\n- id: 4\n- x: NULL\n"));
+    }
+
+    /// An env of several tables: one before an empty one, one of every
+    /// cell kind (`Int`, `Float`, `Text`, NULL) after it, and an empty
+    /// table last.
+    fn point_env() -> TagEnv {
+        let mut db = Database::new();
+        db.execute_script(
+            "CREATE TABLE a_races (year INTEGER, name TEXT);
+             INSERT INTO a_races VALUES (1999, 'Malaysian Grand Prix'), (2000, 'Italian Grand Prix');
+             CREATE TABLE b_empty (x INTEGER);
+             CREATE TABLE c_cells (id INTEGER, x REAL, name TEXT, note TEXT);
+             INSERT INTO c_cells VALUES
+               (1, -0.0, 'Gunn High', NULL),
+               (NULL, 0.1, 'a: b', 'x'),
+               (-3, 1e21, '', 'Sepang circuit');
+             CREATE TABLE d_empty (y TEXT);",
+        )
+        .unwrap();
+        TagEnv::new(db, Arc::new(SimLm::new(SimConfig::default())))
+    }
+
+    /// Prompts written from row store ids are the prompts the copy path
+    /// wrote from copied rows, and every row's embedded text is the copy
+    /// path's serialization (which keeps `retrieval_golden.txt` fixed).
+    #[test]
+    fn point_prompts_are_the_copy_paths_prompts() {
+        let env = point_env();
+        let rows = reference::copied_rows(&env);
+        assert_eq!(env.row_store().len(), rows.len());
+        for (id, row) in rows.iter().enumerate() {
+            let mut text = String::new();
+            env.push_point_text(id, &mut text);
+            assert_eq!(text, reference::row_text(row), "row {id}");
+        }
+        // The first and last row of every table with rows.
+        let ids = [0, 1, 2, 4];
+        let cells = [2, 3].map(|id| reference::row_text(&rows[id]));
+        assert_eq!(
+            cells,
+            [
+                "- id: 1\n- x: -0\n- name: Gunn High\n- note: NULL",
+                "- id: NULL\n- x: 0.1\n- name: a: b\n- note: x"
+            ]
+        );
+        let question = "Which Grand Prix was held on the Sepang circuit?";
+        for &id in &ids {
             assert_eq!(
-                answer_prompt_over(frame, request, true),
-                answer_list_prompt(request, &points)
-            );
-            assert_eq!(
-                answer_prompt_over(frame, request, false),
-                answer_free_prompt(request, &points)
+                relevance_prompt_over(question, |s| env.push_point_text(id, s)),
+                reference::relevance(question, &rows[id])
             );
         }
-        let reordered = answer_prompt_over(&frames[1], request, true);
-        assert!(reordered.contains("Data Point 1:\n- id: 4\n- x: NULL\n"));
+        let frames = [
+            point_frame(ids.iter().copied()),
+            point_frame(ids.iter().copied()).with_selection(vec![3, 0, 2]),
+            point_frame(std::iter::empty()),
+        ];
+        for frame in &frames {
+            let copied: Vec<_> = point_ids(frame)
+                .unwrap()
+                .map(|id| rows[id].clone())
+                .collect();
+            for list_format in [true, false] {
+                assert_eq!(
+                    answer_prompt_over(&env, frame, question, list_format),
+                    reference::answer(question, &copied, list_format)
+                );
+            }
+        }
     }
 
     /// A `SimLm` that remembers every prompt it was sent, in order.
@@ -1540,6 +1618,44 @@ mod tests {
             prompts: std::sync::Mutex::new(Vec::new()),
         });
         (TagEnv::new(db, lm.clone()), lm)
+    }
+
+    /// A cell holding U+001E and U+001F reaches the RAG and Retrieval +
+    /// LM Rank prompts verbatim: no separator splits it into a made-up
+    /// field.
+    #[test]
+    fn separator_cells_reach_retrieval_prompts_verbatim() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE posts (Id INTEGER, Title TEXT, Score INTEGER)")
+            .unwrap();
+        let posts = db.catalog_mut().table_mut("posts").unwrap();
+        for (id, title) in [(1, "sepang\u{1e}circuit\u{1f}notes"), (2, "monza notes")] {
+            posts
+                .insert(vec![Value::Int(id), Value::text(title), Value::Int(5)])
+                .unwrap();
+        }
+        let lm = Arc::new(RecordingLm {
+            inner: SimLm::new(SimConfig::default()),
+            prompts: std::sync::Mutex::new(Vec::new()),
+        });
+        let env = TagEnv::new(db, lm.clone());
+        let question = "Which posts are about the sepang circuit?";
+        // RAG's answer prompt; Retrieval + LM Rank's relevance prompt of
+        // the row and its answer prompt.
+        for (plan, holding) in [
+            (compile_rag(question, 10, true), 1),
+            (compile_rerank(question, 30, 10, true), 2),
+        ] {
+            env.reset_metrics();
+            run_semplan(&env, plan, &SemReads::All).unwrap();
+            let prompts = std::mem::take(&mut *lm.prompts.lock().unwrap());
+            let verbatim = "- Title: sepang\u{1e}circuit\u{1f}notes\n";
+            let held = prompts.iter().filter(|p| p.contains(verbatim)).count();
+            assert_eq!(held, holding, "{prompts:?}");
+            for prompt in &prompts {
+                assert!(!prompt.contains("- circuit:"), "{prompt:?}");
+            }
+        }
     }
 
     /// What one run showed: its rows (as `Debug`, so `Int(1)` and

@@ -12,11 +12,16 @@
 //!   retrieval RAG (`k = 10`) and Retrieval + LM Rank (`pool = 30`) make
 //!   for that question, one `<score bits>:<row digest>` per hit, where the
 //!   row digest is an FNV-1a digest of the serialized row's text.
+//!
+//! Rows are serialized by the writer the store embeds with and the
+//! relevance prompts use (`TagEnv::push_point_text`), read from the
+//! table images the store embedded.
 
 use std::collections::BTreeSet;
 use tag_bench::Harness;
+use tag_core::TagEnv;
 use tag_datagen::Scale;
-use tag_embed::{serialize_row, Embedder, RowStore};
+use tag_embed::Embedder;
 use tag_lm::sim::SimConfig;
 
 const GOLDEN: &str = include_str!("retrieval_golden.txt");
@@ -27,24 +32,32 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-fn vectors_line(domain: &str, store: &RowStore) -> String {
+/// The serialized text of stored row `id`, as the store embedded it.
+fn row_text(env: &TagEnv, id: usize) -> String {
+    let mut text = String::new();
+    env.push_point_text(id, &mut text);
+    text
+}
+
+fn vectors_line(domain: &str, env: &TagEnv) -> String {
     let embedder = Embedder::default();
-    let bits = store.rows().iter().flat_map(|row| {
+    let rows = env.row_store().len();
+    let bits = (0..rows).flat_map(|id| {
         embedder
-            .embed(&serialize_row(row))
+            .embed(&row_text(env, id))
             .into_iter()
             .flat_map(|x| x.to_bits().to_le_bytes())
     });
-    format!("vectors {domain} {} {:016x}", store.len(), fnv1a(bits))
+    format!("vectors {domain} {rows} {:016x}", fnv1a(bits))
 }
 
-fn retrieval_line(method: &str, id: usize, k: usize, question: &str, store: &RowStore) -> String {
+fn retrieval_line(method: &str, id: usize, k: usize, question: &str, env: &TagEnv) -> String {
     let mut line = format!("{method} q{id} k={k}");
-    for (row, score) in store.retrieve(question, k) {
-        let text = serialize_row(row);
+    for hit in env.row_store().retrieve(question, k) {
+        let text = row_text(env, hit.id);
         line.push_str(&format!(
             " {:08x}:{:016x}",
-            score.to_bits(),
+            hit.score.to_bits(),
             fnv1a(text.bytes())
         ));
     }
@@ -60,13 +73,13 @@ fn retrieval_matches_the_golden() {
 
     let mut got = Vec::new();
     for domain in &domains {
-        got.push(vectors_line(domain, harness.env(domain).row_store()));
+        got.push(vectors_line(domain, harness.env(domain)));
     }
     for q in queries {
-        let store = harness.env(q.domain).row_store();
+        let env = harness.env(q.domain);
         let question = q.question();
-        got.push(retrieval_line("rag", q.id, 10, &question, store));
-        got.push(retrieval_line("rerank", q.id, 30, &question, store));
+        got.push(retrieval_line("rag", q.id, 10, &question, env));
+        got.push(retrieval_line("rerank", q.id, 30, &question, env));
     }
 
     let want: Vec<&str> = GOLDEN

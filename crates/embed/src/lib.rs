@@ -18,4 +18,4 @@ pub mod store;
 
 pub use embedder::{cosine, dot, Embedder};
 pub use index::{FlatIndex, Hit};
-pub use store::{serialize_row, RetrievalStats, RowStore, StoredRow};
+pub use store::{push_row_text, RetrievalStats, RowStore};

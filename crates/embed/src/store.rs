@@ -1,16 +1,14 @@
 //! Row-level retrieval store: the RAG baseline's data layer.
 //!
-//! Rows are serialized in the paper's "- col: val" format (§4.2),
-//! embedded, and indexed for similarity search. Retrieval returns the
-//! original (column, value) pairs so the generation step can put them in
-//! context verbatim.
+//! Rows are serialized in the paper's "- col: val" format (§4.2,
+//! [`push_row_text`]), embedded, and indexed for similarity search. The
+//! store keeps no copy of a row: retrieval returns [`Hit`]s, whose ids
+//! are the rows' positions in insertion order, and the caller reads the
+//! rows from wherever it serialized them.
 
 use crate::embedder::Embedder;
 use crate::index::{FlatIndex, Hit};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One stored row: ordered `(column, value)` pairs.
-pub type StoredRow = Vec<(String, String)>;
 
 /// Snapshot of a store's retrieval counters (cumulative since build).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,19 +31,29 @@ struct RetrievalCounters {
     rows_scanned: AtomicU64,
 }
 
-/// Serialize a row the way the paper's RAG baseline does.
-pub fn serialize_row(row: &StoredRow) -> String {
-    row.iter()
-        .map(|(c, v)| format!("- {c}: {v}"))
-        .collect::<Vec<_>>()
-        .join("\n")
+/// Append a row serialized the way the paper's RAG baseline does: one
+/// `- col: val` line per column, joined by `\n`. `write_value(c, out)`
+/// appends column `c`'s value.
+pub fn push_row_text(
+    out: &mut String,
+    columns: &[String],
+    mut write_value: impl FnMut(usize, &mut String),
+) {
+    for (c, col) in columns.iter().enumerate() {
+        if c > 0 {
+            out.push('\n');
+        }
+        out.push_str("- ");
+        out.push_str(col);
+        out.push_str(": ");
+        write_value(c, out);
+    }
 }
 
 /// A vector store over serialized table rows.
 pub struct RowStore {
     embedder: Embedder,
     index: FlatIndex,
-    rows: Vec<StoredRow>,
     retrievals: RetrievalCounters,
 }
 
@@ -56,51 +64,36 @@ impl RowStore {
         RowStore {
             embedder,
             index: FlatIndex::new(dims),
-            rows: Vec::new(),
             retrievals: RetrievalCounters::default(),
         }
     }
 
     /// Number of stored rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.index.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
-    /// Add one row (serialized, embedded, indexed).
-    pub fn add_row(&mut self, row: StoredRow) {
-        let text = serialize_row(&row);
-        self.index.add(&self.embedder.embed(&text));
-        self.rows.push(row);
+    /// Embed and index one row's serialized text; returns its id.
+    pub fn add(&mut self, text: &str) -> usize {
+        self.index.add(&self.embedder.embed(text))
     }
 
-    /// Add many rows.
-    pub fn add_rows(&mut self, rows: impl IntoIterator<Item = StoredRow>) {
-        for r in rows {
-            self.add_row(r);
-        }
-    }
-
-    /// Retrieve the `k` most similar rows to a natural-language query.
-    pub fn retrieve(&self, query: &str, k: usize) -> Vec<(&StoredRow, f32)> {
-        let q = self.embedder.embed(query);
-        let hits: Vec<(&StoredRow, f32)> = self
-            .index
-            .search(&q, k)
-            .into_iter()
-            .map(|Hit { id, score }| (&self.rows[id], score))
-            .collect();
+    /// Retrieve the `k` rows most similar to a natural-language query,
+    /// best first.
+    pub fn retrieve(&self, query: &str, k: usize) -> Vec<Hit> {
+        let hits = self.index.search(&self.embedder.embed(query), k);
         self.retrievals.probes.fetch_add(1, Ordering::Relaxed);
         self.retrievals
             .candidates
             .fetch_add(hits.len() as u64, Ordering::Relaxed);
         self.retrievals
             .rows_scanned
-            .fetch_add(self.rows.len() as u64, Ordering::Relaxed);
+            .fetch_add(self.len() as u64, Ordering::Relaxed);
         hits
     }
 
@@ -112,78 +105,83 @@ impl RowStore {
             rows_scanned: self.retrievals.rows_scanned.load(Ordering::Relaxed),
         }
     }
-
-    /// The stored rows (insertion order).
-    pub fn rows(&self) -> &[StoredRow] {
-        &self.rows
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    type Row = Vec<(String, String)>;
+
+    /// The fixture's rows; a hit's id is its position here.
+    fn rows() -> Vec<Row> {
+        let races = |years: std::ops::RangeInclusive<i32>, race: &'static str, circuit| {
+            years.map(move |y| {
+                vec![
+                    ("year".to_owned(), y.to_string()),
+                    ("name".to_owned(), format!("{y} {race} Grand Prix")),
+                    ("Circuit".to_owned(), String::from(circuit)),
+                ]
+            })
+        };
+        races(1999..=2017, "Malaysian", "Sepang International Circuit")
+            .chain(races(
+                2000..=2017,
+                "Italian",
+                "Autodromo Nazionale di Monza",
+            ))
+            .collect()
+    }
+
+    fn row_text(row: &Row) -> String {
+        let columns: Vec<String> = row.iter().map(|(c, _)| c.clone()).collect();
+        let mut text = String::new();
+        push_row_text(&mut text, &columns, |c, out| out.push_str(&row[c].1));
+        text
+    }
+
     fn store() -> RowStore {
         let mut s = RowStore::new(Embedder::default());
-        s.add_rows((1999..=2017).map(|y| {
-            vec![
-                ("year".to_owned(), y.to_string()),
-                ("name".to_owned(), format!("{y} Malaysian Grand Prix")),
-                (
-                    "Circuit".to_owned(),
-                    "Sepang International Circuit".to_owned(),
-                ),
-            ]
-        }));
-        s.add_rows((2000..=2017).map(|y| {
-            vec![
-                ("year".to_owned(), y.to_string()),
-                ("name".to_owned(), format!("{y} Italian Grand Prix")),
-                (
-                    "Circuit".to_owned(),
-                    "Autodromo Nazionale di Monza".to_owned(),
-                ),
-            ]
-        }));
+        for (id, row) in rows().iter().enumerate() {
+            assert_eq!(s.add(&row_text(row)), id);
+        }
         s
     }
 
     #[test]
     fn serialization_format() {
-        let row: StoredRow = vec![
+        let row: Row = vec![
             ("School".to_owned(), "Gunn High".to_owned()),
             ("City".to_owned(), "Palo Alto".to_owned()),
         ];
-        assert_eq!(
-            serialize_row(&row),
-            "- School: Gunn High\n- City: Palo Alto"
-        );
+        assert_eq!(row_text(&row), "- School: Gunn High\n- City: Palo Alto");
     }
 
     #[test]
     fn retrieval_prefers_matching_rows() {
-        let s = store();
+        let (s, rows) = (store(), rows());
         let hits = s.retrieve("races held on Sepang International Circuit", 10);
         assert_eq!(hits.len(), 10);
         let sepang = hits
             .iter()
-            .filter(|(r, _)| r.iter().any(|(_, v)| v.contains("Sepang")))
+            .filter(|h| rows[h.id].iter().any(|(_, v)| v.contains("Sepang")))
             .count();
         assert!(sepang >= 8, "only {sepang}/10 hits were Sepang rows");
         // Scores descend.
-        assert!(hits.windows(2).all(|w| w[0].1 >= w[1].1));
+        assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
     }
 
     #[test]
     fn retrieval_cannot_cover_all_19_races_with_k_10() {
         // The structural RAG failure on aggregation queries: 19 relevant
         // rows cannot fit in a top-10 retrieval.
-        let s = store();
+        let (s, rows) = (store(), rows());
         let hits = s.retrieve("races held on Sepang International Circuit", 10);
         let years: std::collections::HashSet<&str> = hits
             .iter()
-            .filter(|(r, _)| r.iter().any(|(_, v)| v.contains("Sepang")))
-            .filter_map(|(r, _)| r.iter().find(|(c, _)| c == "year").map(|(_, v)| v.as_str()))
+            .map(|h| &rows[h.id])
+            .filter(|r| r.iter().any(|(_, v)| v.contains("Sepang")))
+            .filter_map(|r| r.iter().find(|(c, _)| c == "year").map(|(_, v)| v.as_str()))
             .collect();
         assert!(years.len() < 19);
     }

@@ -265,11 +265,21 @@ pub fn parse_sem_compare_prompt(prompt: &str) -> Option<(SemProperty, String, St
 /// Build a 0–1 relevance scoring prompt (Retrieval + LM Rank, as in
 /// STaRK-style rerankers).
 pub fn relevance_prompt(question: &str, point_text: &str) -> String {
-    format!(
+    relevance_prompt_over(question, |s| s.push_str(point_text))
+}
+
+/// [`relevance_prompt`] with the data point's text appended by
+/// `write_point` into the one prompt string.
+pub fn relevance_prompt_over(question: &str, write_point: impl FnOnce(&mut String)) -> String {
+    let mut s = String::from(
         "Rate how relevant the data point is to the question on a scale from 0 to 1.\n\
-         Question: {question}\nData point: {point_text}\n\
-         Answer with a single number between 0 and 1 and nothing else."
-    )
+         Question: ",
+    );
+    s.push_str(question);
+    s.push_str("\nData point: ");
+    write_point(&mut s);
+    s.push_str("\nAnswer with a single number between 0 and 1 and nothing else.");
+    s
 }
 
 /// Parse a relevance prompt back into `(question, data point)`.

@@ -221,22 +221,25 @@ impl SimLm {
 
     fn handle_relevance(&self, question: &str, point: &str) -> String {
         // Lexical-overlap judgment, as a reranker LM effectively does for
-        // keyword-style questions.
-        let qw: std::collections::HashSet<String> = question
-            .split(|c: char| !c.is_alphanumeric())
-            .filter(|w| w.len() > 2)
-            .map(|w| w.to_ascii_lowercase())
-            .collect();
-        let pw: std::collections::HashSet<String> = point
-            .split(|c: char| !c.is_alphanumeric())
-            .filter(|w| w.len() > 2)
-            .map(|w| w.to_ascii_lowercase())
-            .collect();
-        if qw.is_empty() || pw.is_empty() {
+        // keyword-style questions: the share of the question's distinct
+        // words the point holds, words compared ASCII-case-insensitively.
+        let mut asked: Vec<(&str, bool)> = Vec::new();
+        for w in relevance_words(question) {
+            if !asked.iter().any(|(a, _)| a.eq_ignore_ascii_case(w)) {
+                asked.push((w, false));
+            }
+        }
+        let mut point_words = relevance_words(point).peekable();
+        if asked.is_empty() || point_words.peek().is_none() {
             return "0.0".to_owned();
         }
-        let inter = qw.intersection(&pw).count() as f64;
-        let score = (inter / qw.len() as f64).min(1.0);
+        for w in point_words {
+            for (a, seen) in &mut asked {
+                *seen |= a.eq_ignore_ascii_case(w);
+            }
+        }
+        let inter = asked.iter().filter(|(_, seen)| *seen).count() as f64;
+        let score = (inter / asked.len() as f64).min(1.0);
         // Mild deterministic jitter: rerankers are not perfectly stable.
         let jitter = (self.coin(&["rel", question, point]) - 0.5) * 0.1;
         format!("{:.2}", (score + jitter).clamp(0.0, 1.0))
@@ -680,6 +683,13 @@ impl SimLm {
     }
 }
 
+/// The words a relevance judgment compares: maximal alphanumeric runs
+/// longer than two bytes.
+fn relevance_words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_alphanumeric())
+        .filter(|w| w.len() > 2)
+}
+
 impl LanguageModel for SimLm {
     fn generate_batch(&self, requests: &[LmRequest]) -> LmResult<Vec<LmResponse>> {
         // Context check first: one oversized prompt fails the request,
@@ -959,5 +969,113 @@ mod tests {
             "Tell me about databases. They store data. They index it.",
         );
         assert!(!ans.is_empty());
+    }
+
+    /// The relevance judge as first written: a set of each side's
+    /// lowercased words, intersected. `handle_relevance` is held to it.
+    fn reference_relevance(lm: &SimLm, question: &str, point: &str) -> String {
+        let qw: std::collections::HashSet<String> = question
+            .split(|c: char| !c.is_alphanumeric())
+            .filter(|w| w.len() > 2)
+            .map(|w| w.to_ascii_lowercase())
+            .collect();
+        let pw: std::collections::HashSet<String> = point
+            .split(|c: char| !c.is_alphanumeric())
+            .filter(|w| w.len() > 2)
+            .map(|w| w.to_ascii_lowercase())
+            .collect();
+        if qw.is_empty() || pw.is_empty() {
+            return "0.0".to_owned();
+        }
+        let inter = qw.intersection(&pw).count() as f64;
+        let score = (inter / qw.len() as f64).min(1.0);
+        let jitter = (lm.coin(&["rel", question, point]) - 0.5) * 0.1;
+        format!("{:.2}", (score + jitter).clamp(0.0, 1.0))
+    }
+
+    /// Text made of mixed-case and repeated words, 2- and 3-byte words of
+    /// multi-byte chars (`to_ascii_lowercase` leaves `É` as it is),
+    /// digits and punctuation; a word followed by no separator runs into
+    /// the next one, so a short word can occur only inside a longer one.
+    fn relevance_text() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let word = prop_oneof![
+            Just("é"),
+            Just("éa"),
+            Just("ÉA"),
+            Just("Éa"),
+            Just("the"),
+            Just("THE"),
+            Just("tHe"),
+            Just("ab"),
+            Just("abc"),
+            Just("ABC"),
+            Just("school"),
+            Just("Schools"),
+            Just("42"),
+            Just("2017"),
+        ];
+        let separator = prop_oneof![
+            Just(" "),
+            Just(", "),
+            Just("-"),
+            Just(": "),
+            Just("\n"),
+            Just("?"),
+            Just(""),
+        ];
+        prop_oneof![
+            proptest::collection::vec((word, separator), 0..10)
+                .prop_map(|p| p.into_iter().flat_map(|(w, s)| [w, s]).collect()),
+            "\\PC{0,24}",
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn relevance_matches_the_set_definition(
+            question in relevance_text(),
+            point in relevance_text(),
+        ) {
+            let lm = SimLm::new(SimConfig::default());
+            proptest::prop_assert_eq!(
+                lm.handle_relevance(&question, &point),
+                reference_relevance(&lm, &question, &point)
+            );
+        }
+    }
+
+    #[test]
+    fn relevance_edge_cases_match_the_set_definition() {
+        let lm = lm();
+        let cases = [
+            ("", "- City: Fresno"),
+            ("Which schools are in Fresno?", ""),
+            ("", ""),
+            (
+                "Which SCHOOLS schools are in fresno?",
+                "- City: FRESNO\n- School: Schools",
+            ),
+            ("é éa ÉA", "- x: éa"),
+            ("é éa ÉA", "- x: ÉA é"),
+            ("ÉA", "- x: éa"),
+            ("the 2017 race?", "- year: 2017\n- name: the race"),
+            ("race", "- name: races"),
+            ("ab cd", "- x: ab cd"),
+        ];
+        for (question, point) in cases {
+            assert_eq!(
+                lm.handle_relevance(question, point),
+                reference_relevance(&lm, question, point),
+                "{question:?} / {point:?}"
+            );
+        }
+        // A question word inside a longer point word is no match: only
+        // the jitter is left of the score.
+        let inside: f64 = lm
+            .handle_relevance("race", "- name: races")
+            .parse()
+            .unwrap();
+        assert!(inside <= 0.05, "{inside}");
     }
 }
