@@ -56,9 +56,6 @@ pub const KNOWN_OPS: &[&str] = &[
     "sem_agg",
     "sem_agg_refine",
     "sem_filter",
-    "sem_join",
-    "sem_map",
-    "sem_score",
     "sem_topk",
     "text2sql",
 ];

@@ -32,12 +32,8 @@ fn mutate_first(node: &mut SemNode, mutate: &mut impl FnMut(&mut SemNode) -> boo
         | SemNode::Cut { input, .. }
         | SemNode::SemTopK { input, .. }
         | SemNode::SemAgg { input, .. }
-        | SemNode::SemMap { input, .. }
         | SemNode::Rerank { input, .. }
         | SemNode::Generate { input, .. } => mutate_first(input, mutate),
-        SemNode::SemJoin { left, right, .. } => {
-            mutate_first(left, mutate) || mutate_first(right, mutate)
-        }
         SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => false,
     }
 }
@@ -58,7 +54,7 @@ fn break_fused_distinct(plan: &mut SemNode) -> bool {
     })
 }
 
-/// Splice the first predicate out of the tree, or out of the scan it was
+/// Splice the first predicate out of the plan, or out of the scan it was
 /// folded into: a pushdown or lowering that loses the filter it moved.
 fn break_drop_predicate(plan: &mut SemNode) -> bool {
     mutate_first(plan, &mut |node| match node {

@@ -2,7 +2,7 @@
 //!
 //! This is the unification layer of the refactor: every TAG method that
 //! used to hand-roll its retrieval/filter/generation sequence now
-//! *compiles* to a [`SemNode`] tree (defined data-only in `tag-sql`, so
+//! *compiles* to a [`SemNode`] chain (defined data-only in `tag-sql`, so
 //! plans EXPLAIN and optimize like relational plans) and executes
 //! through one shared runtime, [`SemRuntime`], which delegates semantic
 //! operators to `tag-semops` and exact operators to the SQL engine where
@@ -42,9 +42,7 @@ use tag_lm::nlq::{CmpOp, NlFilter, NlQuery, SemProperty};
 use tag_lm::prompts::{
     answer_prompt, push_data_point, push_field, relevance_prompt_over, SemClaim,
 };
-use tag_semops::{
-    sem_agg, sem_filter, sem_join, sem_judge, sem_map, sem_topk, DataFrame, SemError,
-};
+use tag_semops::{sem_agg, sem_filter, sem_judge, sem_topk, DataFrame, SemError};
 use tag_sql::chunk::ColumnData;
 use tag_sql::{
     execute_sem, execute_sem_profiled, plan_sem, scan_sql, CutSpec, GenFormat, LmCost,
@@ -319,7 +317,7 @@ pub fn plan_nlq(q: &NlQuery, opts: &tag_sql::SemOptOptions, db: &tag_sql::Databa
     plan_sem(compile_nlq(q), &nlq_reads(q), opts, db.catalog())
 }
 
-/// Plan a naive tree ([`plan_sem`], under the environment's rules and
+/// Plan a naive chain ([`plan_sem`], under the environment's rules and
 /// against its live catalog) and execute it. `reads` is what the caller
 /// reads off the returned frame.
 ///
@@ -572,15 +570,10 @@ impl<'a> SemRuntime<'a> {
 }
 
 impl SemDelegate for SemRuntime<'_> {
-    fn exec_node(&self, node: &SemNode, inputs: Vec<SemFrame>) -> Result<SemFrame, String> {
-        // Children's frames, in `SemNode::children` order, each taken
-        // once: a node owns its inputs and hands its output on.
-        let mut inputs = inputs.into_iter();
-        let mut input = || {
-            inputs
-                .next()
-                .ok_or_else(|| format!("{}: missing input", node.label()))
-        };
+    fn exec_node(&self, node: &SemNode, input: Option<SemFrame>) -> Result<SemFrame, String> {
+        // The input's frame, taken once: a node owns its input and hands
+        // its output on.
+        let input = || input.ok_or_else(|| format!("{}: missing input", node.label()));
         match node {
             SemNode::Scan {
                 table,
@@ -629,38 +622,6 @@ impl SemDelegate for SemRuntime<'_> {
                 let text =
                     sem_agg(&self.env.engine, &df, request, None).map_err(|e| e.to_string())?;
                 Ok(answer_frame(text))
-            }
-            SemNode::SemMap {
-                on_attr,
-                instruction,
-                out_column,
-                ..
-            } => {
-                let df = frame_to_df(&input()?)?;
-                sem_map(&self.env.engine, &df, on_attr, instruction, out_column)
-                    .map(df_to_frame)
-                    .map_err(|e| e.to_string())
-            }
-            SemNode::SemJoin {
-                left_on,
-                right_on,
-                property,
-                ..
-            } => {
-                let left = frame_to_df(&input()?)?;
-                let right = frame_to_df(&input()?)?;
-                let prop = property_from_word(property)
-                    .ok_or_else(|| format!("unknown semantic property: {property}"))?;
-                sem_join(
-                    &self.env.engine,
-                    &left,
-                    left_on,
-                    &right,
-                    right_on,
-                    &SemClaim::Property(prop),
-                )
-                .map(df_to_frame)
-                .map_err(|e| e.to_string())
             }
             SemNode::Retrieve { query, k, kind } => Ok(self.exec_retrieve(query, *k, *kind)),
             SemNode::Rerank { query, keep, .. } => self.exec_rerank(input()?, query, *keep),

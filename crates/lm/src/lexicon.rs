@@ -182,19 +182,6 @@ pub fn sarcasm_score(text: &str) -> f64 {
     (marker_hits * 0.45 + irony_bonus + exclaim_bonus).min(1.0)
 }
 
-/// Binary sentiment with a dead zone: `Some(true)`/`Some(false)` for
-/// clearly positive/negative text, `None` when the model would be unsure.
-pub fn sentiment_label(text: &str) -> Option<bool> {
-    let s = sentiment_score(text);
-    if s > 0.15 {
-        Some(true)
-    } else if s < -0.15 {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,13 +200,6 @@ mod tests {
     fn sentiment_mixed() {
         let s = sentiment_score("great acting but a boring, predictable plot");
         assert!(s < 0.0, "got {s}");
-    }
-
-    #[test]
-    fn sentiment_labels() {
-        assert_eq!(sentiment_label("excellent and wonderful"), Some(true));
-        assert_eq!(sentiment_label("awful mess"), Some(false));
-        assert_eq!(sentiment_label("it exists"), None);
     }
 
     #[test]

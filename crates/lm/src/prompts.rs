@@ -292,22 +292,6 @@ pub fn parse_relevance_prompt(prompt: &str) -> Option<(String, String)> {
     Some((q.to_owned(), d.to_owned()))
 }
 
-/// Build a per-row transformation prompt (`sem_map`).
-pub fn sem_map_prompt(instruction: &str, value: &str) -> String {
-    format!(
-        "Apply the instruction to the item.\nInstruction: {instruction}\nItem: {value}\n\
-         Answer with the result and nothing else."
-    )
-}
-
-/// Parse a transformation prompt back into `(instruction, value)`.
-pub fn parse_sem_map_prompt(prompt: &str) -> Option<(String, String)> {
-    let rest = prompt.strip_prefix("Apply the instruction to the item.\nInstruction: ")?;
-    let (instruction, rest) = rest.split_once("\nItem: ")?;
-    let value = rest.strip_suffix("\nAnswer with the result and nothing else.")?;
-    Some((instruction.to_owned(), value.to_owned()))
-}
-
 /// Build a summarization prompt over items (`sem_agg`).
 pub fn sem_agg_prompt(instruction: &str, items: &[String]) -> String {
     let mut s = format!("{instruction}\n");
@@ -497,14 +481,6 @@ mod tests {
         let (q, d) = parse_relevance_prompt(&p).unwrap();
         assert_eq!(q, "what is x?");
         assert_eq!(d, "- a: 1");
-    }
-
-    #[test]
-    fn map_round_trip() {
-        let p = sem_map_prompt("extract the year", "2004 Malaysian Grand Prix");
-        let (i, v) = parse_sem_map_prompt(&p).unwrap();
-        assert_eq!(i, "extract the year");
-        assert_eq!(v, "2004 Malaysian Grand Prix");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::model::{LanguageModel, LmError, LmRequest, LmResponse, LmResult};
 use crate::nlq::{CmpOp, NlFilter, NlQuery, SemProperty};
 use crate::prompts::{
     self, parse_answer_prompt, parse_relevance_prompt, parse_sem_agg_prompt,
-    parse_sem_compare_prompt, parse_sem_filter_prompt, parse_sem_map_prompt, DataPoint, SemClaim,
+    parse_sem_compare_prompt, parse_sem_filter_prompt, DataPoint, SemClaim,
 };
 use crate::summarize;
 use crate::text2sql::{parse_schemas, synthesize_sql};
@@ -264,44 +264,6 @@ impl SimLm {
         let summary = summarize::summarize_text(&joined, 6);
         // A generation budget applies, as with any served model.
         crate::tokenizer::truncate_to_tokens(&summary, 220).0
-    }
-
-    /// Per-row transformation instructions the model "understands":
-    /// sentiment classification, year extraction, length-bounded
-    /// rewriting. Unknown instructions degrade to a one-sentence gist,
-    /// the way an instruction-tuned model free-wheels.
-    fn handle_map(&self, instruction: &str, value: &str) -> String {
-        let lower = instruction.to_ascii_lowercase();
-        if lower.contains("sentiment") {
-            return match lexicon::sentiment_label(value) {
-                Some(true) => "positive".to_owned(),
-                Some(false) => "negative".to_owned(),
-                None => "neutral".to_owned(),
-            };
-        }
-        if lower.contains("year") {
-            let mut digits = String::new();
-            for c in value.chars() {
-                if c.is_ascii_digit() {
-                    digits.push(c);
-                    if digits.len() == 4 {
-                        return digits;
-                    }
-                } else {
-                    digits.clear();
-                }
-            }
-            return "unknown".to_owned();
-        }
-        if lower.contains("one word") || lower.contains("single word") {
-            return value
-                .split_whitespace()
-                .max_by_key(|w| w.len())
-                .unwrap_or("unknown")
-                .trim_matches(|c: char| !c.is_alphanumeric())
-                .to_owned();
-        }
-        summarize::summarize_text(value, 1)
     }
 
     fn handle_text2sql(&self, prompt: &str) -> String {
@@ -665,9 +627,6 @@ impl SimLm {
         }
         if let Some((question, point)) = parse_relevance_prompt(prompt) {
             return self.handle_relevance(&question, &point);
-        }
-        if let Some((instruction, value)) = parse_sem_map_prompt(prompt) {
-            return self.handle_map(&instruction, &value);
         }
         if let Some((instruction, items)) = parse_sem_agg_prompt(prompt) {
             return self.handle_agg(&instruction, &items);

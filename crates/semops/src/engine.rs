@@ -463,9 +463,9 @@ mod tests {
         let lm = Arc::new(EchoLm::new());
         let engine = SemEngine::with_batch_size_and_cache(lm, 64, 2);
         let prompts: Vec<String> = (0..5).map(|i| format!("p{i}")).collect();
-        engine.complete_batch_op("sem_map", &prompts).unwrap();
+        engine.complete_batch_op("sem_filter", &prompts).unwrap();
         let ops: std::collections::BTreeMap<_, _> = engine.op_stats().into_iter().collect();
-        assert!(ops["sem_map"].evictions >= 3, "{:?}", ops["sem_map"]);
+        assert!(ops["sem_filter"].evictions >= 3, "{:?}", ops["sem_filter"]);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! A small DataFrame: the host structure for semantic operators.
 //!
 //! Mirrors the pandas surface the LOTUS pipelines in the paper's
-//! Appendix C are written against: column selection, filtering, sorting,
-//! head, and merge (equi-join) — plus conversion from the SQL engine's
-//! result sets. The semantic-plan runtime's exact kernels do not run
-//! here: its frames are selections over the engine's columns
-//! (`tag_sql::SemFrame`), and it builds a `DataFrame` only for the
-//! operators below.
+//! Appendix C are written against: column selection, filtering, sorting
+//! and head — plus conversion from the SQL engine's result sets. The
+//! semantic-plan runtime's exact kernels do not run here: its frames are
+//! selections over the engine's columns (`tag_sql::SemFrame`), and it
+//! builds a `DataFrame` only for the operators below.
 
 use tag_sql::{ResultSet, SqlError, SqlResult, Value};
 
@@ -142,59 +141,6 @@ impl DataFrame {
         })
     }
 
-    /// Inner equi-join (pandas `merge`). Right columns are suffixed with
-    /// `_r` when they collide with left columns.
-    pub fn merge(&self, right: &DataFrame, left_on: &str, right_on: &str) -> SqlResult<DataFrame> {
-        let li = self.column_index(left_on)?;
-        let ri = right.column_index(right_on)?;
-        let mut columns = self.columns.clone();
-        for c in &right.columns {
-            if self.columns.iter().any(|l| l.eq_ignore_ascii_case(c)) {
-                columns.push(format!("{c}_r"));
-            } else {
-                columns.push(c.clone());
-            }
-        }
-        let mut table: std::collections::HashMap<&Value, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (j, r) in right.rows.iter().enumerate() {
-            if !r[ri].is_null() {
-                table.entry(&r[ri]).or_default().push(j);
-            }
-        }
-        let mut rows = Vec::new();
-        for l in &self.rows {
-            if let Some(ids) = table.get(&l[li]) {
-                for &j in ids {
-                    let mut row = l.clone();
-                    row.extend(right.rows[j].iter().cloned());
-                    rows.push(row);
-                }
-            }
-        }
-        Ok(DataFrame { columns, rows })
-    }
-
-    /// Add a column computed from each row.
-    pub fn with_column(
-        &self,
-        name: impl Into<String>,
-        mut f: impl FnMut(&[Value]) -> Value,
-    ) -> DataFrame {
-        let mut columns = self.columns.clone();
-        columns.push(name.into());
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut row = r.clone();
-                row.push(f(r));
-                row
-            })
-            .collect();
-        DataFrame { columns, rows }
-    }
-
     /// Render each row as the `(column, value)` string pairs used for LM
     /// context ("data points").
     pub fn to_data_points(&self) -> Vec<Vec<(String, String)>> {
@@ -250,30 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_inner_join_with_collision_suffix() {
-        let left = df();
-        let right = DataFrame::new(
-            vec!["id".into(), "tag".into()],
-            vec![
-                vec![Value::Int(1), Value::text("one")],
-                vec![Value::Int(3), Value::text("three")],
-                vec![Value::Int(9), Value::text("nine")],
-            ],
-        )
-        .unwrap();
-        let joined = left.merge(&right, "id", "id").unwrap();
-        assert_eq!(joined.len(), 2);
-        assert!(joined.columns().contains(&"id_r".to_string()));
-        assert!(joined.columns().contains(&"tag".to_string()));
-    }
-
-    #[test]
-    fn with_column_and_data_points() {
-        let d = df().with_column("double", |r| {
-            Value::Float(r[2].as_f64().unwrap_or(0.0) * 2.0)
-        });
-        assert_eq!(d.rows()[0][3], Value::Float(6.0));
-        let pts = d.head(1).to_data_points();
+    fn data_points() {
+        let pts = df().head(1).to_data_points();
         assert_eq!(pts[0][1], ("city".to_string(), "PA".to_string()));
     }
 

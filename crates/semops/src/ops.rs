@@ -2,17 +2,12 @@
 //!
 //! - [`sem_filter`] — LM-judged row filter (`sem_filter` in Appendix C);
 //! - [`sem_topk`] — LM-ranked top-k via batched pairwise comparisons;
-//! - [`sem_agg`] — LM aggregation with hierarchical fold for large inputs;
-//! - [`sem_score`] — attach a 0–1 LM relevance/property score column;
-//! - [`sem_join`] — LM-judged predicate join over the cross product.
+//! - [`sem_agg`] — LM aggregation with hierarchical fold for large inputs.
 
 use crate::engine::SemEngine;
 use crate::frame::DataFrame;
 use tag_lm::nlq::SemProperty;
-use tag_lm::prompts::{
-    relevance_prompt, sem_agg_prompt, sem_compare_prompt, sem_filter_prompt, sem_map_prompt,
-    SemClaim,
-};
+use tag_lm::prompts::{sem_agg_prompt, sem_compare_prompt, sem_filter_prompt, SemClaim};
 use tag_lm::tokenizer::count_tokens;
 use tag_sql::{SqlError, Value};
 
@@ -295,30 +290,6 @@ fn agg_fold(engine: &SemEngine, instruction: &str, items: Vec<String>) -> SemRes
     agg_fold(engine, instruction, partials)
 }
 
-/// Map each value of `column` through the LM with a natural-language
-/// instruction, appending the results as `out_column` (LOTUS `sem_map`).
-/// One batch; duplicate values answered once via the engine cache.
-pub fn sem_map(
-    engine: &SemEngine,
-    df: &DataFrame,
-    column: &str,
-    instruction: &str,
-    out_column: &str,
-) -> SemResult<DataFrame> {
-    let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_map");
-    let idx = df.column_index(column)?;
-    let prompts: Vec<String> = df
-        .rows()
-        .iter()
-        .map(|r| sem_map_prompt(instruction, &r[idx].to_string()))
-        .collect();
-    let outputs = engine.complete_batch_op("sem_map", &prompts)?;
-    let mut it = outputs.into_iter();
-    Ok(df.with_column(out_column, |_| {
-        Value::Text(it.next().expect("one output per row"))
-    }))
-}
-
 /// Summarize the frame with the *sequential refinement* generation
 /// pattern (§2.3's "iterative" alternative to the hierarchical fold of
 /// [`sem_agg`]): chunks are folded one at a time into a running summary.
@@ -374,91 +345,6 @@ pub fn sem_agg_refine(
     }
     flush(&mut chunk, &mut summary)?;
     Ok(summary.unwrap_or_default())
-}
-
-/// Attach a `score` column: the LM's 0–1 judgment of how relevant each
-/// row (serialized) is to `question`. Used by the Retrieval + LM Rank
-/// baseline and available as a LOTUS-style operator.
-pub fn sem_score(
-    engine: &SemEngine,
-    df: &DataFrame,
-    question: &str,
-    score_column: &str,
-) -> SemResult<DataFrame> {
-    // Relevance scoring sits between retrieval and generation in the
-    // SemPlan stage taxonomy, so it traces as `rerank` (not `exec`):
-    // per-stage LM cost tables then attribute scoring work to the same
-    // stage as the Retrieval + LM Rank baseline's rerank step.
-    let _span = tag_trace::span(tag_trace::Stage::Rerank, "sem_score");
-    let points = df.to_data_points();
-    let prompts: Vec<String> = points
-        .iter()
-        .map(|p| {
-            let text = p
-                .iter()
-                .map(|(c, v)| format!("- {c}: {v}"))
-                .collect::<Vec<_>>()
-                .join("\n");
-            relevance_prompt(question, &text)
-        })
-        .collect();
-    let answers = engine.complete_batch_op("sem_score", &prompts)?;
-    let scores: Vec<f64> = answers
-        .iter()
-        .map(|a| a.trim().parse::<f64>().unwrap_or(0.0).clamp(0.0, 1.0))
-        .collect();
-    let mut it = scores.into_iter();
-    Ok(df.with_column(score_column, |_| {
-        Value::Float(it.next().expect("one score per row"))
-    }))
-}
-
-/// LM-predicate join: keep (left, right) pairs where `claim`, applied to
-/// the concatenation `"{left_val} / {right_val}"`, is judged true.
-/// Cross-product cost; intended for small frames (as in LOTUS).
-pub fn sem_join(
-    engine: &SemEngine,
-    left: &DataFrame,
-    left_col: &str,
-    right: &DataFrame,
-    right_col: &str,
-    claim: &SemClaim,
-) -> SemResult<DataFrame> {
-    let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_join");
-    let li = left.column_index(left_col)?;
-    let ri = right.column_index(right_col)?;
-    let mut prompts = Vec::with_capacity(left.len() * right.len());
-    for l in left.rows() {
-        for r in right.rows() {
-            let value = format!("{} / {}", l[li], r[ri]);
-            prompts.push(sem_filter_prompt(claim, &value));
-        }
-    }
-    let verdicts = engine.complete_batch_op("sem_join", &prompts)?;
-    let mut columns = left.columns().to_vec();
-    for c in right.columns() {
-        if left.columns().iter().any(|l| l.eq_ignore_ascii_case(c)) {
-            columns.push(format!("{c}_r"));
-        } else {
-            columns.push(c.clone());
-        }
-    }
-    let mut rows = Vec::new();
-    let mut v = verdicts.iter();
-    for l in left.rows() {
-        for r in right.rows() {
-            let keep = v
-                .next()
-                .map(|a| a.trim().eq_ignore_ascii_case("true"))
-                .unwrap_or(false);
-            if keep {
-                let mut row = l.clone();
-                row.extend(r.iter().cloned());
-                rows.push(row);
-            }
-        }
-    }
-    Ok(DataFrame::new(columns, rows).expect("widths consistent"))
 }
 
 #[cfg(test)]
@@ -753,117 +639,6 @@ mod tests {
         let e = engine();
         let df = DataFrame::empty(vec!["text".into()]);
         assert_eq!(sem_agg_refine(&e, &df, "Summarize", None).unwrap(), "");
-    }
-
-    #[test]
-    fn sem_map_classifies_sentiment() {
-        let e = engine();
-        let df = DataFrame::new(
-            vec!["review".into()],
-            vec![
-                vec![Value::text("an excellent, wonderful film")],
-                vec![Value::text("a boring, terrible mess")],
-                vec![Value::text("the runtime is two hours")],
-            ],
-        )
-        .unwrap();
-        let out = sem_map(
-            &e,
-            &df,
-            "review",
-            "classify the sentiment as positive, negative, or neutral",
-            "label",
-        )
-        .unwrap();
-        let labels: Vec<String> = out
-            .column("label")
-            .unwrap()
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
-        assert_eq!(labels, vec!["positive", "negative", "neutral"]);
-    }
-
-    #[test]
-    fn sem_map_extracts_years_with_cached_duplicates() {
-        let e = engine();
-        let df = DataFrame::new(
-            vec!["name".into()],
-            vec![
-                vec![Value::text("2004 Malaysian Grand Prix")],
-                vec![Value::text("2017 Malaysian Grand Prix")],
-                vec![Value::text("2004 Malaysian Grand Prix")],
-            ],
-        )
-        .unwrap();
-        let out = sem_map(&e, &df, "name", "extract the year", "year").unwrap();
-        let years: Vec<String> = out
-            .column("year")
-            .unwrap()
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
-        assert_eq!(years, vec!["2004", "2017", "2004"]);
-        // Duplicate value answered from cache: only 2 prompts hit the LM.
-        assert_eq!(e.stats().lm_prompts, 2);
-    }
-
-    #[test]
-    fn sem_score_attaches_bounded_scores() {
-        let e = engine();
-        let scored = sem_score(&e, &cities(), "Which cities are in California?", "score").unwrap();
-        assert!(scored.columns().contains(&"score".to_string()));
-        for r in scored.rows() {
-            let s = r[2].as_f64().unwrap();
-            assert!((0.0..=1.0).contains(&s));
-        }
-    }
-
-    #[test]
-    fn sem_score_traces_as_rerank_stage() {
-        let e = engine();
-        let (trace, sink) = tag_trace::Trace::memory();
-        tag_trace::with_trace(&trace, || {
-            sem_score(&e, &cities(), "Which cities are in California?", "score").unwrap()
-        });
-        let spans = sink.take();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].label, "sem_score");
-        assert_eq!(
-            spans[0].stage,
-            tag_trace::Stage::Rerank,
-            "relevance scoring belongs to the rerank stage"
-        );
-    }
-
-    #[test]
-    fn sem_join_cross_product_filter() {
-        let e = engine();
-        // Join heights against people: keep pairs where height > person's.
-        let heights = DataFrame::new(
-            vec!["h".into()],
-            vec![vec![Value::Int(170)], vec![Value::Int(210)]],
-        )
-        .unwrap();
-        let people = DataFrame::new(
-            vec!["person".into()],
-            vec![vec![Value::text("Stephen Curry")]],
-        )
-        .unwrap();
-        // The claim sees "h / person"; HeightTallerThan parses the number
-        // before the separator. 210 > 188 keeps; 170 doesn't.
-        let joined = sem_join(
-            &e,
-            &heights,
-            "h",
-            &people,
-            "person",
-            &SemClaim::Property(SemProperty::Positive),
-        )
-        .unwrap();
-        // Property(positive) on "170 / Stephen Curry" is neutral => FALSE.
-        assert_eq!(joined.len(), 0);
-        assert_eq!(joined.columns(), &["h".to_string(), "person".to_string()]);
     }
 
     #[test]

@@ -19,15 +19,13 @@
 //! | `SemFilter`     | ≤ n (row-wise, distinct, early-stop) | n / min(n, k)     |
 //! | `SemTopK`       | ≤ C(n,2) + C(w,2), w = min(n, max(k, 20)) | min(n, k)    |
 //! | `SemAgg`        | ≤ 2n + 1 (hierarchical fold)         | 1                 |
-//! | `SemMap`        | n                                    | n                 |
-//! | `SemJoin`       | |L| · |R|                            | ≤ |L| · |R|       |
 //! | `Retrieve`      | 0                                    | k                 |
 //! | `Rerank`        | n (one relevance score each)         | min(n, keep)      |
 //! | `Generate`      | 1 (list/free); ≤ 2n + 1 (free\|agg)  | 1                 |
 //!
 //! All row counts are themselves upper bounds, and every per-operator
 //! bound is monotone in its input cardinality, so the composition is a
-//! sound upper bound for the whole tree.
+//! sound upper bound for the whole chain.
 
 use crate::catalog::Catalog;
 use crate::semplan::{GenFormat, SemNode};
@@ -40,12 +38,12 @@ const DEFAULT_SCAN_ROWS: u64 = 1000;
 /// larger than this quickselect down to `max(k, 20)` before ranking.
 const BORDA_LIMIT: u64 = 40;
 
-/// A static upper bound on a plan subtree's LM cost and output size.
+/// A static upper bound on a sub-plan's LM cost and output size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CostBound {
-    /// Upper bound on LM prompts submitted by this subtree.
+    /// Upper bound on LM prompts submitted by this sub-plan.
     pub lm_calls: u64,
-    /// Upper bound on rows the subtree can produce.
+    /// Upper bound on rows the sub-plan can produce.
     pub out_rows: u64,
 }
 
@@ -144,22 +142,6 @@ pub fn plan_cost(root: &SemNode, catalog: Option<&Catalog>) -> CostBound {
                     .lm_calls
                     .saturating_add(c.out_rows.saturating_mul(2).saturating_add(1)),
                 out_rows: 1,
-            }
-        }
-        SemNode::SemMap { input, .. } => {
-            let c = plan_cost(input, catalog);
-            CostBound {
-                lm_calls: c.lm_calls.saturating_add(c.out_rows),
-                out_rows: c.out_rows,
-            }
-        }
-        SemNode::SemJoin { left, right, .. } => {
-            let l = plan_cost(left, catalog);
-            let r = plan_cost(right, catalog);
-            let cross = l.out_rows.saturating_mul(r.out_rows);
-            CostBound {
-                lm_calls: l.lm_calls.saturating_add(r.lm_calls).saturating_add(cross),
-                out_rows: cross,
             }
         }
         SemNode::Retrieve { k, .. } => CostBound {

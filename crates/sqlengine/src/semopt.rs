@@ -1,4 +1,4 @@
-//! LM-call-minimizing rewrite rules over [`SemNode`] trees.
+//! LM-call-minimizing rewrite rules over [`SemNode`] chains.
 //!
 //! Three rules, each of which provably preserves answers under the
 //! runtime's guarantees (order-preserving filters, stable sorts, and
@@ -77,7 +77,7 @@ impl SemOptOptions {
 
 /// Apply the enabled rewrite rules to `node`, bottom-up.
 pub fn optimize_sem(node: SemNode, opts: &SemOptOptions) -> SemNode {
-    let node = map_children(node, &mut |child| optimize_sem(child, opts));
+    let node = map_input(node, &mut |input| optimize_sem(input, opts));
     let node = if opts.pushdown {
         sink_predicate(node)
     } else {
@@ -95,10 +95,10 @@ pub fn optimize_sem(node: SemNode, opts: &SemOptOptions) -> SemNode {
     }
 }
 
-/// Plan a compiled tree: apply the enabled rewrite rules, then lower the
+/// Plan a compiled chain: apply the enabled rewrite rules, then lower the
 /// scans against `catalog` for a consumer that reads `reads` off the
 /// result. In debug builds the result is verified before it is
-/// executed: the planned tree must be structurally
+/// executed: the planned chain must be structurally
 /// well-formed, the rewrite must preserve the naive plan's work
 /// (conservation + per-rule and lowering postconditions), and the static
 /// LM-call bound must not regress. A diagnostic here is a compiler bug,
@@ -135,8 +135,8 @@ pub fn plan_sem(
     planned
 }
 
-/// Rebuild `node` with `f` applied to each child.
-fn map_children(node: SemNode, f: &mut impl FnMut(SemNode) -> SemNode) -> SemNode {
+/// Rebuild `node` with `f` applied to its input.
+fn map_input(node: SemNode, f: &mut impl FnMut(SemNode) -> SemNode) -> SemNode {
     let mut opt = |b: Box<SemNode>| Box::new(f(*b));
     match node {
         leaf @ (SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. }) => leaf,
@@ -177,30 +177,6 @@ fn map_children(node: SemNode, f: &mut impl FnMut(SemNode) -> SemNode) -> SemNod
         SemNode::SemAgg { input, request } => SemNode::SemAgg {
             input: opt(input),
             request,
-        },
-        SemNode::SemMap {
-            input,
-            on_attr,
-            instruction,
-            out_column,
-        } => SemNode::SemMap {
-            input: opt(input),
-            on_attr,
-            instruction,
-            out_column,
-        },
-        SemNode::SemJoin {
-            left,
-            right,
-            left_on,
-            right_on,
-            property,
-        } => SemNode::SemJoin {
-            left: opt(left),
-            right: opt(right),
-            left_on,
-            right_on,
-            property,
         },
         SemNode::Rerank { input, query, keep } => SemNode::Rerank {
             input: opt(input),
@@ -378,7 +354,7 @@ fn quotable(name: &str) -> bool {
 /// the scan has no cut yet (a predicate above a cut does not commute
 /// with it).
 fn fold_prefix(node: SemNode, catalog: &Catalog) -> SemNode {
-    match map_children(node, &mut |child| fold_prefix(child, catalog)) {
+    match map_input(node, &mut |input| fold_prefix(input, catalog)) {
         SemNode::Predicate { input, pred } => match *input {
             SemNode::Scan {
                 table,
@@ -440,7 +416,7 @@ fn project_scans(node: SemNode, above: &SemReads, catalog: &Catalog) -> SemNode 
         };
     }
     let below = above.clone().and(node.reads());
-    map_children(node, &mut |child| project_scans(child, &below, catalog))
+    map_input(node, &mut |input| project_scans(input, &below, catalog))
 }
 
 /// The columns of `table` that `reads` names, in table order with the
@@ -512,9 +488,9 @@ mod tests {
     fn chain_labels(root: &SemNode) -> Vec<String> {
         let mut out = vec![root.label()];
         let mut cur = root;
-        while let Some(child) = cur.children().first().copied() {
-            out.push(child.label());
-            cur = child;
+        while let Some(input) = cur.input() {
+            out.push(input.label());
+            cur = input;
         }
         out
     }
@@ -565,7 +541,7 @@ mod tests {
                     ..
                 }
             );
-            here && node.children().iter().all(|c| all_distinct(c))
+            here && node.input().is_none_or(all_distinct)
         }
         assert!(all_distinct(&optimized));
     }

@@ -2,7 +2,7 @@
 //! with LM-powered operators (the paper's §2 "declarative pipelines of
 //! relational and semantic operators").
 //!
-//! A [`SemNode`] tree is a *data-only* description of a TAG pipeline:
+//! A [`SemNode`] chain is a *data-only* description of a TAG pipeline:
 //! exact predicates and sort/cuts that run on the data system, and
 //! semantic operators (`sem_filter`, `sem_topk`, `sem_agg`, ...) whose
 //! execution is delegated to the semantic-operator runtime through the
@@ -11,7 +11,7 @@
 //! `EXPLAIN SEMPLAN`, and are rewritten by the optimizer rules in
 //! [`crate::semopt`] — exactly like relational plans.
 //!
-//! The executor ([`execute_sem`]) walks the tree bottom-up, threading an
+//! The executor ([`execute_sem`]) walks the chain bottom-up, threading an
 //! optional [`PlanProfiler`] so every node records rows in/out, elapsed
 //! wall-clock time, and the LM calls/tokens it caused (via
 //! [`SemDelegate::lm_snapshot`] deltas).
@@ -304,30 +304,6 @@ pub enum SemNode {
         /// The aggregation instruction.
         request: String,
     },
-    /// Per-row LM projection (`sem_map`): append a derived column.
-    SemMap {
-        /// Input node.
-        input: Box<SemNode>,
-        /// Column mapped over.
-        on_attr: String,
-        /// Mapping instruction.
-        instruction: String,
-        /// Name of the appended output column.
-        out_column: String,
-    },
-    /// Semantic join (`sem_join`): keep left×right pairs the LM accepts.
-    SemJoin {
-        /// Left input.
-        left: Box<SemNode>,
-        /// Right input.
-        right: Box<SemNode>,
-        /// Left join column.
-        left_on: String,
-        /// Right join column.
-        right_on: String,
-        /// Property word for the pairwise claim.
-        property: String,
-    },
     /// Embedding retrieval over the row store (leaf).
     Retrieve {
         /// The retrieval query (the question text).
@@ -370,9 +346,8 @@ impl SemNode {
         }
     }
 
-    /// What the node reads of its input frame(s). `Generate`, `SemAgg`,
-    /// `SemMap`, `SemJoin` and `Rerank` hand whole rows to the LM (or
-    /// pass them on widened), so they read everything.
+    /// What the node reads of its input frame. `Generate`, `SemAgg` and
+    /// `Rerank` hand whole rows to the LM, so they read everything.
     pub fn reads(&self) -> SemReads {
         match self {
             SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => {
@@ -401,11 +376,9 @@ impl SemNode {
             }
             SemNode::Cut { cut, .. } => SemReads::columns(&[&cut.sort_by]),
             SemNode::SemTopK { on_attr, .. } => SemReads::columns(&[on_attr]),
-            SemNode::SemAgg { .. }
-            | SemNode::SemMap { .. }
-            | SemNode::SemJoin { .. }
-            | SemNode::Rerank { .. }
-            | SemNode::Generate { .. } => SemReads::All,
+            SemNode::SemAgg { .. } | SemNode::Rerank { .. } | SemNode::Generate { .. } => {
+                SemReads::All
+            }
         }
     }
 
@@ -417,9 +390,7 @@ impl SemNode {
             | SemNode::Predicate { .. }
             | SemNode::Cut { .. }
             | SemNode::SemFilter { .. }
-            | SemNode::SemTopK { .. }
-            | SemNode::SemMap { .. }
-            | SemNode::SemJoin { .. } => SemStage::Exec,
+            | SemNode::SemTopK { .. } => SemStage::Exec,
             SemNode::Retrieve { .. } => SemStage::Retrieve,
             SemNode::Rerank { .. } => SemStage::Rerank,
             SemNode::SemAgg { .. } | SemNode::Generate { .. } => SemStage::Gen,
@@ -470,17 +441,6 @@ impl SemNode {
                 ..
             } => format!("SemTopK {on_attr} property={property} k={k}"),
             SemNode::SemAgg { .. } => "SemAgg".to_owned(),
-            SemNode::SemMap {
-                on_attr,
-                out_column,
-                ..
-            } => format!("SemMap {on_attr} -> {out_column}"),
-            SemNode::SemJoin {
-                left_on,
-                right_on,
-                property,
-                ..
-            } => format!("SemJoin {left_on} x {right_on} property={property}"),
             SemNode::Retrieve { k, kind, .. } => format!(
                 "Retrieve {}={k}",
                 match kind {
@@ -500,23 +460,22 @@ impl SemNode {
         }
     }
 
-    /// Child nodes, in execution order.
-    pub fn children(&self) -> Vec<&SemNode> {
+    /// The node's input; `None` for a leaf. A plan is a chain: every
+    /// operator reads at most one input.
+    pub fn input(&self) -> Option<&SemNode> {
         match self {
-            SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => vec![],
+            SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => None,
             SemNode::Predicate { input, .. }
             | SemNode::SemFilter { input, .. }
             | SemNode::Cut { input, .. }
             | SemNode::SemTopK { input, .. }
             | SemNode::SemAgg { input, .. }
-            | SemNode::SemMap { input, .. }
             | SemNode::Rerank { input, .. }
-            | SemNode::Generate { input, .. } => vec![input],
-            SemNode::SemJoin { left, right, .. } => vec![left, right],
+            | SemNode::Generate { input, .. } => Some(input),
         }
     }
 
-    /// Render the plan tree, root first, two-space indent per level, one
+    /// Render the plan chain, root first, two-space indent per level, one
     /// `[stage]`-tagged line per node.
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -532,8 +491,8 @@ impl SemNode {
             self.label(),
             self.stage().as_str()
         );
-        for child in self.children() {
-            child.explain_into(depth + 1, out);
+        if let Some(input) = self.input() {
+            input.explain_into(depth + 1, out);
         }
     }
 }
@@ -775,11 +734,10 @@ impl LmCost {
 /// runtime (over `tag-semops` + the LM); the SQL layer stays free of LM
 /// dependencies.
 pub trait SemDelegate {
-    /// Execute one node given its children's output frames (in
-    /// [`SemNode::children`] order; empty for leaves). Implementations
-    /// must not recurse into the node's children — the executor has
-    /// already run them.
-    fn exec_node(&self, node: &SemNode, inputs: Vec<SemFrame>) -> Result<SemFrame, String>;
+    /// Execute one node given its input's output frame (`None` for a
+    /// leaf, see [`SemNode::input`]). Implementations must not recurse
+    /// into the node's input — the executor has already run it.
+    fn exec_node(&self, node: &SemNode, input: Option<SemFrame>) -> Result<SemFrame, String>;
 
     /// Current cumulative LM cost, read before/after each node for
     /// attribution. A delegate without metering may return the default.
@@ -809,12 +767,12 @@ fn exec_sem_node(
     prof: Option<&PlanProfiler>,
 ) -> Result<SemFrame, String> {
     let token = prof.map(|p| p.enter(node.label()));
-    let mut inputs = Vec::new();
-    for child in node.children() {
-        inputs.push(exec_sem_node(child, delegate, prof)?);
-    }
+    let input = node
+        .input()
+        .map(|input| exec_sem_node(input, delegate, prof))
+        .transpose()?;
     let before = prof.map(|_| delegate.lm_snapshot());
-    let result = delegate.exec_node(node, inputs);
+    let result = delegate.exec_node(node, input);
     if let (Some(p), Some(token)) = (prof, token) {
         let cost = before
             .map(|b| delegate.lm_snapshot().since(b))
@@ -838,12 +796,12 @@ mod tests {
     struct HalvingDelegate(std::cell::Cell<u64>);
 
     impl SemDelegate for HalvingDelegate {
-        fn exec_node(&self, node: &SemNode, inputs: Vec<SemFrame>) -> Result<SemFrame, String> {
+        fn exec_node(&self, node: &SemNode, input: Option<SemFrame>) -> Result<SemFrame, String> {
             match node {
                 SemNode::Scan { .. } => Ok(frame(8)),
                 SemNode::SemFilter { .. } => {
                     self.0.set(self.0.get() + 1);
-                    let f = inputs[0].clone();
+                    let f = input.expect("SemFilter has an input");
                     let half = f.selection()[..f.len() / 2].to_vec();
                     Ok(f.with_selection(half))
                 }

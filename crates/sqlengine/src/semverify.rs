@@ -20,9 +20,9 @@
 //! engine evaluates exactly as the frame kernel does, and a projected
 //! scan still returns every column the plan reads above it.
 //!
-//! Diagnostics render deterministically: nodes are visited pre-order
-//! (children in execution order, as [`SemNode::children`] yields them),
-//! so repeated runs over the same plan produce byte-identical reports.
+//! Diagnostics render deterministically: nodes are visited root first,
+//! down the chain of [`SemNode::input`]s, so repeated runs over the same
+//! plan produce byte-identical reports.
 
 use crate::catalog::Catalog;
 use crate::schema::DataType;
@@ -56,8 +56,9 @@ pub struct Diagnostic {
     /// Stable machine-readable code (`unknown-table`, `column-missing`,
     /// `conservation`, ...).
     pub code: &'static str,
-    /// Slash-separated pre-order child indexes from the root (`"0"` is
-    /// the root, `"0/1"` its second child, ...).
+    /// The node's depth in the chain, written as one `0` per level from
+    /// the root (`"0"` is the root, `"0/0"` its input, `"0/0/0"` that
+    /// node's input, ...).
     pub path: String,
     /// Label of the offending node (empty for whole-plan findings).
     pub node: String,
@@ -101,7 +102,7 @@ impl VerifyReport {
     }
 }
 
-/// What a subtree exposes to the operator above it.
+/// What a sub-plan exposes to the operator above it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum ColSet {
     /// Concrete column names (catalog scan, materialized input, or a
@@ -213,7 +214,7 @@ impl PlanChecker<'_> {
         }
     }
 
-    /// Verify the subtree and return its output column set. `is_root`
+    /// Verify the sub-plan and return its output column set. `is_root`
     /// gates the gen-stage placement rule.
     fn check(&mut self, node: &SemNode, path: &str, is_root: bool) -> ColSet {
         // Gen-stage operators produce a final answer frame; anything
@@ -227,16 +228,15 @@ impl PlanChecker<'_> {
             );
         }
 
-        let inputs: Vec<ColSet> = node
-            .children()
-            .iter()
-            .enumerate()
-            .map(|(i, child)| self.check(child, &format!("{path}/{i}"), false))
-            .collect();
+        // Leaves read no input; `Unknown` makes no check on their behalf.
+        let input = match node.input() {
+            Some(input) => self.check(input, &format!("{path}/0"), false),
+            None => ColSet::Unknown,
+        };
 
         // Exec-stage operators run frame semantics over named columns;
         // an opaque point frame from retrieval has none.
-        if node.stage() == SemStage::Exec && inputs.contains(&ColSet::Points) {
+        if node.stage() == SemStage::Exec && input == ColSet::Points {
             self.diag(
                 "points-input",
                 path,
@@ -288,9 +288,8 @@ impl PlanChecker<'_> {
             }
             SemNode::Input { frame } => ColSet::Known(frame.columns.clone()),
             SemNode::Predicate { pred, .. } => {
-                let input = &inputs[0];
-                self.require_pred_columns(path, node, input, pred);
-                input.clone()
+                self.require_pred_columns(path, node, &input, pred);
+                input
             }
             SemNode::SemFilter {
                 columns,
@@ -299,7 +298,6 @@ impl PlanChecker<'_> {
                 early_stop,
                 ..
             } => {
-                let input = &inputs[0];
                 if columns.is_empty() {
                     self.diag(
                         "no-column",
@@ -308,12 +306,12 @@ impl PlanChecker<'_> {
                         "semantic filter without a column".to_owned(),
                     );
                 } else if *resolve {
-                    self.require_candidate(path, node, input, columns);
+                    self.require_candidate(path, node, &input, columns);
                 } else {
-                    self.require_column(path, node, input, &columns[0]);
+                    self.require_column(path, node, &input, &columns[0]);
                 }
                 if let Some(cut) = early_stop {
-                    self.require_column(path, node, input, &cut.sort_by);
+                    self.require_column(path, node, &input, &cut.sort_by);
                     self.require_k(path, node, "early_stop", cut.k);
                     if !distinct {
                         // fuse_precut always marks fused filters
@@ -328,65 +326,33 @@ impl PlanChecker<'_> {
                         );
                     }
                 }
-                input.clone()
+                input
             }
             SemNode::Cut { cut, .. } => {
-                let input = &inputs[0];
-                self.require_column(path, node, input, &cut.sort_by);
+                self.require_column(path, node, &input, &cut.sort_by);
                 self.require_k(path, node, "Cut", cut.k);
-                input.clone()
+                input
             }
             SemNode::SemTopK { on_attr, k, .. } => {
-                let input = &inputs[0];
-                self.require_column(path, node, input, on_attr);
+                self.require_column(path, node, &input, on_attr);
                 self.require_k(path, node, "SemTopK", *k);
-                input.clone()
+                input
             }
             SemNode::SemAgg { .. } => ColSet::Known(vec!["answer".to_owned()]),
-            SemNode::SemMap {
-                on_attr,
-                out_column,
-                ..
-            } => {
-                let input = &inputs[0];
-                self.require_column(path, node, input, on_attr);
-                match input {
-                    ColSet::Known(cols) => {
-                        let mut cols = cols.clone();
-                        cols.push(out_column.clone());
-                        ColSet::Known(cols)
-                    }
-                    other => other.clone(),
-                }
-            }
-            SemNode::SemJoin {
-                left_on, right_on, ..
-            } => {
-                self.require_column(path, node, &inputs[0], left_on);
-                self.require_column(path, node, &inputs[1], right_on);
-                match (&inputs[0], &inputs[1]) {
-                    (ColSet::Known(l), ColSet::Known(r)) => {
-                        let mut cols = l.clone();
-                        cols.extend(r.iter().cloned());
-                        ColSet::Known(cols)
-                    }
-                    _ => ColSet::Unknown,
-                }
-            }
             SemNode::Retrieve { k, .. } => {
                 self.require_k(path, node, "Retrieve", *k);
                 ColSet::Points
             }
             SemNode::Rerank { keep, .. } => {
                 self.require_k(path, node, "Rerank", *keep);
-                if inputs[0] != ColSet::Points {
+                if input != ColSet::Points {
                     self.diag(
                         "rerank-input",
                         path,
                         node,
                         format!(
                             "Rerank scores retrieved points, but its input produces {}",
-                            inputs[0].describe()
+                            input.describe()
                         ),
                     );
                 }
@@ -454,8 +420,8 @@ fn check_cardinality(
             message: format!("output row bound {bound} exceeds its structural limit"),
         });
     }
-    for (i, child) in node.children().iter().enumerate() {
-        check_cardinality(child, &format!("{path}/{i}"), catalog, out);
+    if let Some(input) = node.input() {
+        check_cardinality(input, &format!("{path}/0"), catalog, out);
     }
 }
 
@@ -516,8 +482,8 @@ impl Fingerprint {
             }
             other => self.others.push(other.label()),
         }
-        for child in node.children() {
-            self.collect(child);
+        if let Some(input) = node.input() {
+            self.collect(input);
         }
     }
 }
@@ -661,8 +627,8 @@ fn check_postconditions(
         }
         _ => {}
     }
-    for (i, child) in node.children().iter().enumerate() {
-        check_postconditions(child, &format!("{path}/{i}"), opts, out);
+    if let Some(input) = node.input() {
+        check_postconditions(input, &format!("{path}/0"), opts, out);
     }
 }
 
@@ -751,17 +717,17 @@ fn check_lowering(
         }
     }
     let below = above.clone().and(node.reads());
-    for (i, child) in node.children().iter().enumerate() {
-        check_lowering(child, &format!("{path}/{i}"), &below, catalog, out);
+    if let Some(input) = node.input() {
+        check_lowering(input, &format!("{path}/0"), &below, catalog, out);
     }
 }
 
-/// Render a plan tree with per-node static bounds.
+/// Render a plan chain with per-node static bounds.
 ///
-/// Output is deterministic: nodes pre-order (children in execution
-/// order), each line `label  [stage]  (rows<=R lm<=C)` where `R` is the
-/// node's output-row bound and `C` the node's *own* LM-call bound
-/// (subtree bound minus its children's). Golden tests may diff this
+/// Output is deterministic: nodes root first, each line
+/// `label  [stage]  (rows<=R lm<=C)` where `R` is the node's output-row
+/// bound and `C` the node's *own* LM-call bound (its sub-plan's bound
+/// minus its input's). Golden tests may diff this
 /// byte-for-byte.
 fn annotated_explain(root: &SemNode, catalog: Option<&Catalog>) -> String {
     let mut out = String::new();
@@ -770,24 +736,22 @@ fn annotated_explain(root: &SemNode, catalog: Option<&Catalog>) -> String {
 }
 
 fn annotate_into(node: &SemNode, catalog: Option<&Catalog>, depth: usize, out: &mut String) {
-    let subtree = plan_cost(node, catalog);
-    let child_calls: u64 = node
-        .children()
-        .iter()
-        .map(|c| plan_cost(c, catalog).lm_calls)
-        .sum();
-    let own = subtree.lm_calls.saturating_sub(child_calls);
+    let bound = plan_cost(node, catalog);
+    let input_calls = node
+        .input()
+        .map_or(0, |input| plan_cost(input, catalog).lm_calls);
+    let own = bound.lm_calls.saturating_sub(input_calls);
     let _ = writeln!(
         out,
         "{}{}  [{}]  (rows<={} lm<={})",
         "  ".repeat(depth),
         node.label(),
         node.stage().as_str(),
-        subtree.out_rows,
+        bound.out_rows,
         own
     );
-    for child in node.children() {
-        annotate_into(child, catalog, depth + 1, out);
+    if let Some(input) = node.input() {
+        annotate_into(input, catalog, depth + 1, out);
     }
 }
 
@@ -902,6 +866,22 @@ mod tests {
         let plan = filter(scan(), &["Town", "Municipality"]);
         let report = verify_plan(&plan, Some(db().catalog()));
         assert_eq!(report.diagnostics[0].code, "column-missing");
+        assert_eq!(report.diagnostics[0].path, "0");
+        // One level down the chain, the same filter's path is "0/0".
+        let plan = SemNode::Generate {
+            input: Box::new(filter(scan(), &["Town", "Municipality"])),
+            request: "q".into(),
+            format: GenFormat::Free,
+            span_name: "answer".into(),
+        };
+        let report = verify_plan(&plan, Some(db().catalog()));
+        let missing: Vec<&str> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "column-missing")
+            .map(|d| d.path.as_str())
+            .collect();
+        assert_eq!(missing, vec!["0/0"], "{}", report.render());
     }
 
     #[test]
@@ -990,7 +970,12 @@ mod tests {
             },
         };
         let report = verify_plan(&plan, Some(db().catalog()));
-        assert!(report.diagnostics.iter().any(|d| d.code == "gen-not-root"));
+        let gen = report
+            .diagnostics
+            .iter()
+            .find(|d| d.code == "gen-not-root")
+            .expect("gen-not-root diagnostic");
+        assert_eq!(gen.path, "0/0");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property-based tests: over randomized well-formed semantic plans,
-//! `optimize_sem` must always produce a tree the verifier accepts, the
+//! `optimize_sem` must always produce a plan the verifier accepts, the
 //! rewrite checker must accept every (naive, optimized) pair under
 //! every rule combination, and the static LM-call bound must never be
 //! raised by optimization.
@@ -74,7 +74,7 @@ fn exec_leaf(w: u64) -> SemNode {
 /// One exec-stage operator over `input`, picked by `w`.
 fn exec_op(input: SemNode, w: u64) -> SemNode {
     let input = Box::new(input);
-    match w % 6 {
+    match w % 5 {
         0 => SemNode::Predicate {
             input,
             pred: SemPredicate::NumCmp {
@@ -102,17 +102,12 @@ fn exec_op(input: SemNode, w: u64) -> SemNode {
             input,
             cut: cut(w / 6),
         },
-        4 => SemNode::SemTopK {
+        // `w % 5` is 4 here, so k draws from `w / 5`.
+        _ => SemNode::SemTopK {
             input,
             on_attr: col(w / 6),
             property: "memorable".into(),
-            k: 1 + (w % 5) as usize,
-        },
-        _ => SemNode::SemMap {
-            input,
-            on_attr: col(w / 6),
-            instruction: "extract the language".into(),
-            out_column: "language".into(),
+            k: 1 + (w / 5 % 5) as usize,
         },
     }
 }
@@ -169,7 +164,7 @@ fn build_plan(words: &[u64]) -> SemNode {
 
 proptest! {
     /// The generator only produces plans the verifier accepts: randomized
-    /// naive trees are well-formed before any rewriting.
+    /// naive plans are well-formed before any rewriting.
     #[test]
     fn generated_naive_plans_verify(words in prop::collection::vec(0u64..1_000_000, 1..8)) {
         let naive = build_plan(&words);
@@ -262,17 +257,13 @@ fn clear_first_fused_distinct(node: &mut SemNode) -> bool {
         | SemNode::Cut { input, .. }
         | SemNode::SemTopK { input, .. }
         | SemNode::SemAgg { input, .. }
-        | SemNode::SemMap { input, .. }
         | SemNode::Rerank { input, .. }
         | SemNode::Generate { input, .. } => clear_first_fused_distinct(input),
-        SemNode::SemJoin { left, right, .. } => {
-            clear_first_fused_distinct(left) || clear_first_fused_distinct(right)
-        }
         SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => false,
     }
 }
 
-/// Splice the first `Predicate` out of the tree.
+/// Splice the first `Predicate` out of the plan.
 fn drop_first_predicate(node: &mut SemNode) -> bool {
     if let SemNode::Predicate { input, .. } = node {
         *node = (**input).clone();
@@ -284,12 +275,8 @@ fn drop_first_predicate(node: &mut SemNode) -> bool {
         | SemNode::Cut { input, .. }
         | SemNode::SemTopK { input, .. }
         | SemNode::SemAgg { input, .. }
-        | SemNode::SemMap { input, .. }
         | SemNode::Rerank { input, .. }
         | SemNode::Generate { input, .. } => drop_first_predicate(input),
-        SemNode::SemJoin { left, right, .. } => {
-            drop_first_predicate(left) || drop_first_predicate(right)
-        }
         SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => false,
     }
 }
