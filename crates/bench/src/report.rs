@@ -20,7 +20,7 @@ use tag_datagen::{generate_all, DomainData, Scale};
 use tag_lm::model::LanguageModel;
 use tag_lm::nlq::{NlFilter, NlQuery, SemProperty};
 use tag_lm::sim::{SimConfig, SimLm};
-use tag_semops::{sem_agg, sem_agg_refine, DataFrame, SemEngine};
+use tag_semops::{sem_agg, sem_agg_refine, SemEngine};
 use tag_sql::SemOptOptions;
 
 /// Accuracy + execution-time aggregate for one method over one bucket.
@@ -328,9 +328,9 @@ fn multihop(community: &DomainData) -> (usize, Hop, Hop) {
 /// Ablation D: summarize every comment with a batched hierarchical fold
 /// and with serial sequential refinement, under a window small enough to
 /// force several rounds.
-fn gen_patterns(mut community: DomainData) -> (usize, [Pattern; 2]) {
-    let scan = community.db.execute("SELECT Text FROM comments");
-    let df = DataFrame::from_result(scan.expect("scan"));
+fn gen_patterns(community: DomainData) -> (usize, [Pattern; 2]) {
+    let scan = community.db.query_frame("SELECT Text FROM comments", None);
+    let comments = scan.expect("scan");
     let summarize = |name, refine: bool| -> Pattern {
         let config = SimConfig {
             context_window: 2048,
@@ -339,12 +339,12 @@ fn gen_patterns(mut community: DomainData) -> (usize, [Pattern; 2]) {
         let lm = Arc::new(SimLm::new(config));
         let engine = SemEngine::new(lm.clone() as Arc<dyn LanguageModel>);
         let agg = if refine { sem_agg_refine } else { sem_agg };
-        let summary = agg(&engine, &df, "Summarize the comments", None).expect("aggregation");
+        let summary = agg(&engine, &comments, "Summarize the comments").expect("aggregation");
         assert!(!summary.is_empty());
         (name, lm.elapsed_seconds(), lm.calls(), lm.batches())
     };
     (
-        df.len(),
+        comments.len(),
         [
             summarize("hierarchical fold", false),
             summarize("sequential refinement", true),

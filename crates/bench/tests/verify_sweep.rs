@@ -31,7 +31,6 @@ fn mutate_first(node: &mut SemNode, mutate: &mut impl FnMut(&mut SemNode) -> boo
         | SemNode::SemFilter { input, .. }
         | SemNode::Cut { input, .. }
         | SemNode::SemTopK { input, .. }
-        | SemNode::SemAgg { input, .. }
         | SemNode::Rerank { input, .. }
         | SemNode::Generate { input, .. } => mutate_first(input, mutate),
         SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => false,

@@ -26,11 +26,11 @@
 //! the cut directly above it run as its `WHERE` / `ORDER BY … LIMIT`.
 //!
 //! Frames are selections over the engine's columns ([`SemFrame`]): the
-//! scan hands over its executor batches without building a row, and the
-//! exact predicates and cuts left above it, the distinct-value
-//! `SemFilter` and the early-stop `SemFilter` are kernels that narrow or
-//! reorder the selection. Rows are built only for the operators that
-//! take a row-major `DataFrame`, and only the selected ones.
+//! scan hands over its executor batches without building a row, and
+//! every node after it narrows or reorders the selection — the exact
+//! predicates and cuts left above the scan, the semantic filters (row-wise,
+//! distinct-value and early-stop) and `sem_topk` — or writes its prompts
+//! straight from the selected cells. No node builds a row.
 
 use crate::env::TagEnv;
 use std::cell::Cell;
@@ -42,7 +42,7 @@ use tag_lm::nlq::{CmpOp, NlFilter, NlQuery, SemProperty};
 use tag_lm::prompts::{
     answer_prompt, push_data_point, push_field, relevance_prompt_over, SemClaim,
 };
-use tag_semops::{sem_agg, sem_filter, sem_judge, sem_topk, DataFrame, SemError};
+use tag_semops::{sem_agg, sem_filter, sem_judge, sem_topk, SemError};
 use tag_sql::chunk::ColumnData;
 use tag_sql::{
     execute_sem, execute_sem_profiled, plan_sem, scan_sql, CutSpec, GenFormat, LmCost,
@@ -369,7 +369,7 @@ impl<'a> SemRuntime<'a> {
         early_stop: Option<&CutSpec>,
     ) -> Result<SemFrame, String> {
         let col = if resolve {
-            existing_column(&frame, columns)?
+            existing_column(&frame.columns, columns)?
         } else {
             columns
                 .first()
@@ -383,10 +383,7 @@ impl<'a> SemRuntime<'a> {
         if distinct {
             return self.distinct_filter(frame, &col, &claim);
         }
-        let df = frame_to_df(&frame)?;
-        sem_filter(&self.env.engine, &df, &col, &claim)
-            .map(df_to_frame)
-            .map_err(|e| e.to_string())
+        sem_filter(&self.env.engine, &frame, &col, &claim).map_err(|e| e.to_string())
     }
 
     /// The Appendix C pattern: judge each distinct value once, then keep
@@ -547,8 +544,7 @@ impl<'a> SemRuntime<'a> {
                 if tag_lm::tokenizer::count_tokens(&prompt) <= budget {
                     self.generate_tracked(prompt, span_name)?
                 } else {
-                    let df = frame_to_df(&frame)?;
-                    sem_agg(&self.env.engine, &df, request, None).map_err(|e| e.to_string())?
+                    sem_agg(&self.env.engine, &frame, request).map_err(|e| e.to_string())?
                 }
             }
         };
@@ -610,18 +606,10 @@ impl SemDelegate for SemRuntime<'_> {
                 k,
                 ..
             } => {
-                let df = frame_to_df(&input()?)?;
+                let frame = input()?;
                 let prop = property_from_word(property)
                     .ok_or_else(|| format!("unknown semantic property: {property}"))?;
-                sem_topk(&self.env.engine, &df, on_attr, prop, *k)
-                    .map(df_to_frame)
-                    .map_err(|e| e.to_string())
-            }
-            SemNode::SemAgg { request, .. } => {
-                let df = frame_to_df(&input()?)?;
-                let text =
-                    sem_agg(&self.env.engine, &df, request, None).map_err(|e| e.to_string())?;
-                Ok(answer_frame(text))
+                sem_topk(&self.env.engine, &frame, on_attr, prop, *k).map_err(|e| e.to_string())
             }
             SemNode::Retrieve { query, k, kind } => Ok(self.exec_retrieve(query, *k, *kind)),
             SemNode::Rerank { query, keep, .. } => self.exec_rerank(input()?, query, *keep),
@@ -667,7 +655,7 @@ fn exec_predicate(frame: SemFrame, pred: &SemPredicate) -> Result<SemFrame, Stri
             })
         }
         SemPredicate::TextEqAny { columns, value } => {
-            let col = existing_column(&frame, columns)?;
+            let col = existing_column(&frame.columns, columns)?;
             retain(frame, &col, |v| {
                 v.as_str()
                     .map(|s| s.eq_ignore_ascii_case(value))
@@ -807,16 +795,6 @@ fn text_codes(frame: &SemFrame, col: usize) -> (Vec<u32>, Vec<usize>) {
     }
 }
 
-/// The selected rows as a row-major frame, for the operators that take
-/// one.
-fn frame_to_df(frame: &SemFrame) -> Result<DataFrame, String> {
-    DataFrame::new(frame.columns.clone(), frame.rows()).map_err(|e| e.to_string())
-}
-
-fn df_to_frame(df: DataFrame) -> SemFrame {
-    SemFrame::from_rows(df.columns().to_vec(), df.rows().iter().cloned())
-}
-
 /// The one-cell frame a text-producing node returns.
 fn answer_frame(text: String) -> SemFrame {
     SemFrame::from_rows(vec!["answer".to_owned()], [[Value::Text(text)]])
@@ -826,19 +804,16 @@ fn sem_err(e: tag_sql::SqlError) -> String {
     SemError::from(e).to_string()
 }
 
-/// Find the first existing column among candidates (the hand-written
-/// pipelines' schema-candidate resolution, error string unchanged).
-fn existing_column(frame: &SemFrame, candidates: &[String]) -> Result<String, String> {
-    for c in candidates {
-        if frame.column_index(c).is_ok() {
-            return Ok(c.clone());
-        }
+/// Find the first of `candidates` that `columns` has, case-insensitively
+/// (the hand-written pipelines' schema-candidate resolution, error
+/// string unchanged).
+fn existing_column(columns: &[String], candidates: &[String]) -> Result<String, String> {
+    let has = |c: &String| columns.iter().any(|name| name.eq_ignore_ascii_case(c));
+    if let Some(c) = candidates.iter().find(|c| has(c)) {
+        return Ok(c.clone());
     }
     let candidates: Vec<&str> = candidates.iter().map(String::as_str).collect();
-    let msg = format!(
-        "pipeline expects one of the columns {candidates:?}, frame has {:?}",
-        frame.columns
-    );
+    let msg = format!("pipeline expects one of the columns {candidates:?}, frame has {columns:?}");
     Err(SemError::Frame(tag_sql::SqlError::Binding(msg)).to_string())
 }
 
@@ -890,10 +865,10 @@ fn answer_prompt_over(env: &TagEnv, frame: &SemFrame, request: &str, list_format
 
 /// The row-major kernels the selection kernels replaced, kept as the
 /// reference they are held to (`tests::kernels_match_the_reference`):
-/// each takes a `DataFrame` of the frame's rows and copies, sorts and
-/// filters rows as the runtime did before frames were selections. And
-/// the copy path retrieved points took before they were row store ids
-/// (`tests::point_prompts_are_the_copy_paths_prompts`).
+/// each takes the frame's rows as a [`reference::Table`] and copies,
+/// sorts and filters rows as the runtime did before frames were
+/// selections. And the copy path retrieved points took before they were
+/// row store ids (`tests::point_prompts_are_the_copy_paths_prompts`).
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -902,6 +877,10 @@ mod reference {
         answer_free_prompt, answer_list_prompt, relevance_prompt, sem_filter_prompt,
     };
     use tag_semops::SemEngine;
+    use tag_sql::{SqlError, SqlResult};
+
+    /// Column names and the rows under them.
+    pub(super) type Table = (Vec<String>, Vec<Vec<Value>>);
 
     /// A copied row: its `(column, text)` pairs.
     pub(super) type CopiedRow = Vec<(String, String)>;
@@ -941,10 +920,44 @@ mod reference {
         }
     }
 
-    pub(super) fn predicate(df: DataFrame, pred: &SemPredicate) -> Result<DataFrame, String> {
+    /// Position of column `name` (case-insensitive).
+    fn position(columns: &[String], name: &str) -> SqlResult<usize> {
+        columns
+            .iter()
+            .position(|c| c.eq_ignore_ascii_case(name))
+            .ok_or_else(|| SqlError::Binding(format!("no such column: {name}")))
+    }
+
+    /// Keep the rows whose `column` cell passes `keep`.
+    fn retain(
+        (columns, mut rows): Table,
+        column: &str,
+        mut keep: impl FnMut(&Value) -> bool,
+    ) -> SqlResult<Table> {
+        let i = position(&columns, column)?;
+        rows.retain(|r| keep(&r[i]));
+        Ok((columns, rows))
+    }
+
+    /// Stable-sort the rows by the cut's column (`Value::total_cmp`,
+    /// reversed when descending).
+    fn sorted((columns, mut rows): Table, cut: &CutSpec) -> SqlResult<Table> {
+        let i = position(&columns, &cut.sort_by)?;
+        rows.sort_by(|a, b| {
+            let ord = a[i].total_cmp(&b[i]);
+            if cut.descending {
+                ord.reverse()
+            } else {
+                ord
+            }
+        });
+        Ok((columns, rows))
+    }
+
+    pub(super) fn predicate(table: Table, pred: &SemPredicate) -> Result<Table, String> {
         match pred {
             SemPredicate::NumCmp { attr, over, value } => {
-                df.filter_col(attr, |v| match v.as_f64() {
+                retain(table, attr, |v| match v.as_f64() {
                     Some(x) => {
                         if *over {
                             x > *value
@@ -957,15 +970,15 @@ mod reference {
             }
             SemPredicate::TextEq { attr, value } => {
                 let as_num: Option<f64> = value.trim().parse().ok();
-                df.filter_col(attr, |v| match (v.as_str(), v.as_f64(), as_num) {
+                retain(table, attr, |v| match (v.as_str(), v.as_f64(), as_num) {
                     (Some(s), _, _) => s.eq_ignore_ascii_case(value),
                     (None, Some(x), Some(y)) => x == y,
                     _ => false,
                 })
             }
             SemPredicate::TextEqAny { columns, value } => {
-                let col = existing_column(&df, columns)?;
-                df.filter_col(&col, |v| {
+                let col = existing_column(&table.0, columns)?;
+                retain(table, &col, |v| {
                     v.as_str()
                         .map(|s| s.eq_ignore_ascii_case(value))
                         .unwrap_or(false)
@@ -975,52 +988,50 @@ mod reference {
         .map_err(sem_err)
     }
 
-    pub(super) fn cut(df: DataFrame, cut: &CutSpec) -> Result<DataFrame, String> {
-        let sorted = df
-            .sort_by(&cut.sort_by, cut.descending)
-            .map_err(|e| e.to_string())?;
-        Ok(sorted.head(cut.k))
+    pub(super) fn cut(table: Table, cut: &CutSpec) -> Result<Table, String> {
+        let (columns, mut rows) = sorted(table, cut).map_err(|e| e.to_string())?;
+        rows.truncate(cut.k);
+        Ok((columns, rows))
     }
 
     /// Judge the distinct values (first-seen order, `Value` equality),
     /// then keep the rows whose value is among the kept ones.
     pub(super) fn distinct_filter(
         engine: &SemEngine,
-        df: DataFrame,
+        (columns, rows): Table,
         col: &str,
         claim: &SemClaim,
-    ) -> Result<DataFrame, String> {
-        let run = || -> Result<DataFrame, SemError> {
-            let i = df.column_index(col)?;
-            let mut seen = HashSet::new();
-            let unique = df
-                .rows()
-                .iter()
-                .filter(|r| seen.insert(&r[i]))
-                .map(|r| vec![r[i].clone()])
-                .collect();
-            let unique_df = DataFrame::new(vec![col.to_owned()], unique)?;
-            let kept = sem_filter(engine, &unique_df, col, claim)?;
-            let kept_values: HashSet<Value> = kept.column(col)?.into_iter().collect();
-            Ok(df.filter_col(col, |v| kept_values.contains(v))?)
-        };
-        run().map_err(|e| e.to_string())
+    ) -> Result<Table, String> {
+        let i = position(&columns, col).map_err(sem_err)?;
+        let mut seen = HashSet::new();
+        let unique: Vec<&Value> = rows
+            .iter()
+            .map(|r| &r[i])
+            .filter(|v| seen.insert(*v))
+            .collect();
+        let texts: Vec<String> = unique.iter().map(|v| v.to_string()).collect();
+        let verdicts =
+            sem_judge(engine, claim, &texts).map_err(|e| SemError::from(e).to_string())?;
+        let kept: HashSet<Value> = unique
+            .into_iter()
+            .zip(verdicts)
+            .filter(|(_, pass)| *pass)
+            .map(|(v, _)| v.clone())
+            .collect();
+        retain((columns, rows), col, |v| kept.contains(v)).map_err(sem_err)
     }
 
     /// Stable-sort the whole frame, then walk it judging unjudged
     /// values (by their text) in doubling batches until `k` rows pass.
     pub(super) fn early_stop_filter(
         engine: &SemEngine,
-        df: DataFrame,
+        table: Table,
         col: &str,
         claim: &SemClaim,
         cut: &CutSpec,
-    ) -> Result<DataFrame, String> {
-        let sorted = df
-            .sort_by(&cut.sort_by, cut.descending)
-            .map_err(|e| e.to_string())?;
-        let idx = sorted.column_index(col).map_err(sem_err)?;
-        let rows = sorted.rows();
+    ) -> Result<Table, String> {
+        let (columns, rows) = sorted(table, cut).map_err(|e| e.to_string())?;
+        let idx = position(&columns, col).map_err(sem_err)?;
         let mut verdicts: HashMap<String, bool> = HashMap::new();
         let mut kept: Vec<Vec<Value>> = Vec::new();
         let mut pos = 0usize;
@@ -1055,26 +1066,13 @@ mod reference {
             }
             batch_size *= 2;
         }
-        DataFrame::new(sorted.columns().to_vec(), kept).map_err(|e| e.to_string())
-    }
-
-    fn existing_column(df: &DataFrame, candidates: &[String]) -> Result<String, String> {
-        for c in candidates {
-            if df.column_index(c).is_ok() {
-                return Ok(c.clone());
-            }
-        }
-        let candidates: Vec<&str> = candidates.iter().map(String::as_str).collect();
-        let msg = format!(
-            "pipeline expects one of the columns {candidates:?}, frame has {:?}",
-            df.columns()
-        );
-        Err(SemError::Frame(tag_sql::SqlError::Binding(msg)).to_string())
+        Ok((columns, kept))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::Table;
     use super::*;
     use proptest::prelude::{prop_oneof, Just, Strategy};
     use std::sync::Arc;
@@ -1626,7 +1624,7 @@ mod tests {
     fn observe(
         env: &TagEnv,
         lm: &RecordingLm,
-        run: impl FnOnce() -> Result<(Vec<String>, Vec<Vec<Value>>), String>,
+        run: impl FnOnce() -> Result<Table, String>,
     ) -> (String, Vec<String>, u64, u64, String) {
         env.reset_metrics();
         let outcome = match run() {
@@ -1639,8 +1637,8 @@ mod tests {
     }
 
     /// Every kernel over `frame` against its reference over the same
-    /// rows as a `DataFrame`: rows, row order, prompts, LM calls and
-    /// rounds. `k` sizes the cuts.
+    /// rows, copied out: rows, row order, prompts, LM calls and rounds.
+    /// `k` sizes the cuts.
     fn check_kernels(
         env: &TagEnv,
         lm: &RecordingLm,
@@ -1652,7 +1650,7 @@ mod tests {
         let claim = SemClaim::CityInRegion {
             region: "Bay Area".into(),
         };
-        let df = || frame_to_df(frame).unwrap();
+        let rows = || (frame.columns.clone(), frame.rows());
         let cut = |sort_by: &str| CutSpec {
             sort_by: sort_by.into(),
             descending,
@@ -1660,11 +1658,9 @@ mod tests {
         };
         let compare = |name: &str,
                        kernel: &dyn Fn() -> Result<SemFrame, String>,
-                       reference: &dyn Fn() -> Result<DataFrame, String>| {
+                       reference: &dyn Fn() -> Result<Table, String>| {
             let got = observe(env, lm, || kernel().map(|f| (f.columns.clone(), f.rows())));
-            let want = observe(env, lm, || {
-                reference().map(|d| (d.columns().to_vec(), d.rows().to_vec()))
-            });
+            let want = observe(env, lm, reference);
             if got == want {
                 return Ok(());
             }
@@ -1704,27 +1700,28 @@ mod tests {
             compare(
                 &format!("{pred:?}"),
                 &|| exec_predicate(frame.clone(), pred),
-                &|| reference::predicate(df(), pred),
+                &|| reference::predicate(rows(), pred),
             )?;
         }
         for sort_by in ["k", "v", "missing"] {
             compare(
                 &format!("cut {sort_by}"),
                 &|| exec_cut(frame.clone(), &cut(sort_by)).map_err(|e| e.to_string()),
-                &|| reference::cut(df(), &cut(sort_by)),
+                &|| reference::cut(rows(), &cut(sort_by)),
             )?;
         }
         for col in ["v", "k", "missing"] {
             compare(
                 &format!("distinct {col}"),
                 &|| runtime.distinct_filter(frame.clone(), col, &claim),
-                &|| reference::distinct_filter(&env.engine, df(), col, &claim),
+                &|| reference::distinct_filter(&env.engine, rows(), col, &claim),
             )?;
             for sort_by in ["k", "missing"] {
+                let cut = cut(sort_by);
                 compare(
                     &format!("early stop {col} by {sort_by}"),
-                    &|| runtime.early_stop_filter(frame.clone(), col, &claim, &cut(sort_by)),
-                    &|| reference::early_stop_filter(&env.engine, df(), col, &claim, &cut(sort_by)),
+                    &|| runtime.early_stop_filter(frame.clone(), col, &claim, &cut),
+                    &|| reference::early_stop_filter(&env.engine, rows(), col, &claim, &cut),
                 )?;
             }
         }

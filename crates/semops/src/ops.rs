@@ -1,22 +1,26 @@
-//! Semantic operators over data frames (the LOTUS operator algebra).
+//! Semantic operators over frames (the LOTUS operator algebra).
 //!
 //! - [`sem_filter`] — LM-judged row filter (`sem_filter` in Appendix C);
 //! - [`sem_topk`] — LM-ranked top-k via batched pairwise comparisons;
 //! - [`sem_agg`] — LM aggregation with hierarchical fold for large inputs.
+//!
+//! A frame is a [`SemFrame`]: a selection over the SQL engine's columns.
+//! The filter and the top-k return the input's frame with a narrowed or
+//! reordered selection and copy no row; the aggregations write each
+//! selected row's record straight from the columns.
 
 use crate::engine::SemEngine;
-use crate::frame::DataFrame;
 use tag_lm::nlq::SemProperty;
 use tag_lm::prompts::{sem_agg_prompt, sem_compare_prompt, sem_filter_prompt, SemClaim};
 use tag_lm::tokenizer::count_tokens;
-use tag_sql::{SqlError, Value};
+use tag_sql::{SemFrame, SqlError};
 
 /// Errors from semantic operators.
 #[derive(Debug)]
 pub enum SemError {
     /// Underlying LM failure.
     Lm(tag_lm::model::LmError),
-    /// Frame-level failure (missing column, width mismatch).
+    /// Frame-level failure (missing column).
     Frame(SqlError),
 }
 
@@ -46,25 +50,28 @@ impl From<SqlError> for SemError {
 /// Result alias for semantic operators.
 pub type SemResult<T> = Result<T, SemError>;
 
+/// The text of `column`'s cell in each selected row, in frame order.
+fn cell_texts(frame: &SemFrame, column: &str) -> SemResult<Vec<String>> {
+    let cells = frame.column(frame.column_index(column)?);
+    let ids = frame.selection().iter();
+    Ok(ids.map(|&id| cells.text_at(id as usize)).collect())
+}
+
 /// Keep the rows whose `column` value makes `claim` true, judged by the
 /// LM. All judgments for the frame go out as one batch; duplicate values
 /// are answered once (engine cache).
 pub fn sem_filter(
     engine: &SemEngine,
-    df: &DataFrame,
+    frame: &SemFrame,
     column: &str,
     claim: &SemClaim,
-) -> SemResult<DataFrame> {
+) -> SemResult<SemFrame> {
     let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_filter");
-    let idx = df.column_index(column)?;
-    let values: Vec<String> = df.rows().iter().map(|r| r[idx].to_string()).collect();
+    let values = cell_texts(frame, column)?;
     let keep = sem_judge(engine, claim, &values)?;
-    let mut i = 0;
-    Ok(df.filter(|_| {
-        let k = keep[i];
-        i += 1;
-        k
-    }))
+    let ids = frame.selection().iter().zip(keep);
+    let kept = ids.filter(|(_, k)| *k).map(|(&id, _)| id).collect();
+    Ok(frame.clone().with_selection(kept))
 }
 
 /// The LM's verdict on `claim` for each of `values`, in order: one batch
@@ -96,21 +103,21 @@ pub fn sem_judge(
 /// plus O(k²) for the final ordering.
 pub fn sem_topk(
     engine: &SemEngine,
-    df: &DataFrame,
+    frame: &SemFrame,
     column: &str,
     property: SemProperty,
     k: usize,
-) -> SemResult<DataFrame> {
+) -> SemResult<SemFrame> {
     /// Above this row count, narrow with quickselect before ranking.
     const BORDA_LIMIT: usize = 40;
 
     let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_topk");
-    let idx = df.column_index(column)?;
-    let n = df.len();
+    let texts = cell_texts(frame, column)?;
+    let ids = frame.selection();
+    let n = ids.len();
     if n <= 1 || k == 0 {
-        return Ok(df.head(k));
+        return Ok(frame.clone().with_selection(ids[..k.min(n)].to_vec()));
     }
-    let texts: Vec<String> = df.rows().iter().map(|r| r[idx].to_string()).collect();
 
     let candidates: Vec<usize> = if n > BORDA_LIMIT && k < n {
         quickselect_top(engine, &texts, property, k.max(BORDA_LIMIT / 2))?
@@ -119,12 +126,8 @@ pub fn sem_topk(
     };
 
     let order = borda_rank(engine, &texts, &candidates, property)?;
-    let rows: Vec<Vec<Value>> = order
-        .into_iter()
-        .take(k)
-        .map(|i| df.rows()[i].clone())
-        .collect();
-    Ok(DataFrame::new(df.columns().to_vec(), rows).expect("width preserved"))
+    let kept = order.into_iter().take(k).map(|i| ids[i]).collect();
+    Ok(frame.clone().with_selection(kept))
 }
 
 /// Batched quickselect: repeatedly pick a pivot, compare every surviving
@@ -223,33 +226,33 @@ fn borda_rank(
     Ok(order.into_iter().map(|i| candidates[i]).collect())
 }
 
+/// Each selected row as one compact `col val, col val` record, written
+/// straight from the columns.
+fn records(frame: &SemFrame) -> Vec<String> {
+    let record = |id: usize| {
+        let mut s = String::new();
+        for (c, name) in frame.columns.iter().enumerate() {
+            if c > 0 {
+                s.push_str(", ");
+            }
+            s.push_str(name);
+            s.push(' ');
+            frame.column(c).push_text_at(id, &mut s);
+        }
+        s
+    };
+    let ids = frame.selection().iter();
+    ids.map(|&id| record(id as usize)).collect()
+}
+
 /// Summarize the frame with the LM. Rows are serialized as compact
 /// records; when the serialized input exceeds the model's usable window,
 /// the operator folds hierarchically: chunks are summarized in one
 /// batch, then the summaries are summarized (the "iterative or recursive
 /// patterns over the data" of §2.3).
-pub fn sem_agg(
-    engine: &SemEngine,
-    df: &DataFrame,
-    instruction: &str,
-    columns: Option<&[&str]>,
-) -> SemResult<String> {
+pub fn sem_agg(engine: &SemEngine, frame: &SemFrame, instruction: &str) -> SemResult<String> {
     let _span = tag_trace::span(tag_trace::Stage::Gen, "sem_agg");
-    let projected = match columns {
-        Some(cols) => df.select(cols)?,
-        None => df.clone(),
-    };
-    let items: Vec<String> = projected
-        .to_data_points()
-        .iter()
-        .map(|p| {
-            p.iter()
-                .map(|(c, v)| format!("{c} {v}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        })
-        .collect();
-    agg_fold(engine, instruction, items)
+    agg_fold(engine, instruction, records(frame))
 }
 
 fn agg_fold(engine: &SemEngine, instruction: &str, items: Vec<String>) -> SemResult<String> {
@@ -298,25 +301,11 @@ fn agg_fold(engine: &SemEngine, instruction: &str, items: Vec<String>) -> SemRes
 /// data (the trade-off the batch ablation quantifies).
 pub fn sem_agg_refine(
     engine: &SemEngine,
-    df: &DataFrame,
+    frame: &SemFrame,
     instruction: &str,
-    columns: Option<&[&str]>,
 ) -> SemResult<String> {
     let _span = tag_trace::span(tag_trace::Stage::Gen, "sem_agg_refine");
-    let projected = match columns {
-        Some(cols) => df.select(cols)?,
-        None => df.clone(),
-    };
-    let items: Vec<String> = projected
-        .to_data_points()
-        .iter()
-        .map(|p| {
-            p.iter()
-                .map(|(c, v)| format!("{c} {v}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        })
-        .collect();
+    let items = records(frame);
     let budget = engine.lm().context_window().saturating_sub(1024).max(256);
     let mut summary: Option<String> = None;
     let mut chunk: Vec<String> = Vec::new();
@@ -353,6 +342,7 @@ mod tests {
     use std::sync::Arc;
     use tag_lm::sim::{SimConfig, SimLm};
     use tag_lm::KnowledgeConfig;
+    use tag_sql::Value;
 
     fn engine() -> SemEngine {
         SemEngine::new(Arc::new(SimLm::new(SimConfig {
@@ -366,8 +356,21 @@ mod tests {
         })))
     }
 
-    fn cities() -> DataFrame {
-        DataFrame::new(
+    /// A one-column frame of `texts`.
+    fn text_frame<S: Into<String>>(column: &str, texts: impl IntoIterator<Item = S>) -> SemFrame {
+        let rows = texts.into_iter().map(|t| [Value::text(t)]);
+        SemFrame::from_rows(vec![column.to_owned()], rows)
+    }
+
+    /// 60 comments, too many for a 400-token window.
+    fn comments() -> SemFrame {
+        let texts =
+            (0..60).map(|i| format!("comment number {i} about gradient boosting and residuals"));
+        text_frame("text", texts)
+    }
+
+    fn cities() -> SemFrame {
+        SemFrame::new(
             vec!["City".into(), "n".into()],
             vec![
                 vec![Value::text("Palo Alto"), Value::Int(1)],
@@ -391,12 +394,7 @@ mod tests {
             },
         )
         .unwrap();
-        let names: Vec<String> = out
-            .column("City")
-            .unwrap()
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
+        let names = cell_texts(&out, "City").unwrap();
         assert_eq!(names, vec!["Palo Alto", "Cupertino"]);
     }
 
@@ -419,25 +417,17 @@ mod tests {
     #[test]
     fn sem_topk_orders_by_technicality() {
         let e = engine();
-        let df = DataFrame::new(
-            vec!["Title".into()],
-            vec![
-                vec![Value::text("My favorite lunch spots")],
-                vec![Value::text(
-                    "Bayesian kernel regression with regularization",
-                )],
-                vec![Value::text("Gradient boosting hyperparameter optimization")],
-                vec![Value::text("Pictures of my cat")],
+        let df = text_frame(
+            "Title",
+            [
+                "My favorite lunch spots",
+                "Bayesian kernel regression with regularization",
+                "Gradient boosting hyperparameter optimization",
+                "Pictures of my cat",
             ],
-        )
-        .unwrap();
+        );
         let top = sem_topk(&e, &df, "Title", SemProperty::Technical, 2).unwrap();
-        let titles: Vec<String> = top
-            .column("Title")
-            .unwrap()
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
+        let titles = cell_texts(&top, "Title").unwrap();
         assert_eq!(titles.len(), 2);
         assert!(titles[0].contains("Bayesian") || titles[0].contains("Gradient"));
         assert!(titles[1].contains("Bayesian") || titles[1].contains("Gradient"));
@@ -446,10 +436,10 @@ mod tests {
     #[test]
     fn sem_topk_small_inputs() {
         let e = engine();
-        let df = DataFrame::new(vec!["t".into()], vec![vec![Value::text("only")]]).unwrap();
+        let df = text_frame("t", ["only"]);
         let out = sem_topk(&e, &df, "t", SemProperty::Positive, 5).unwrap();
         assert_eq!(out.len(), 1);
-        let empty = DataFrame::empty(vec!["t".into()]);
+        let empty = text_frame("t", [""; 0]);
         assert_eq!(
             sem_topk(&e, &empty, "t", SemProperty::Positive, 3)
                 .unwrap()
@@ -463,26 +453,24 @@ mod tests {
         let e = engine();
         // 100 rows: 5 clearly technical, the rest casual. Quickselect must
         // surface the technical ones without the full O(n^2) tournament.
-        let mut rows: Vec<Vec<Value>> = (0..95)
-            .map(|i| vec![Value::text(format!("my favorite lunch spot number {i}"))])
+        let mut rows: Vec<String> = (0..95)
+            .map(|i| format!("my favorite lunch spot number {i}"))
             .collect();
-        for t in [
-            "Bayesian kernel regression with regularization",
-            "Gradient boosting hyperparameter optimization tricks",
-            "Eigenvalue convergence of stochastic estimators",
-            "Posterior variance of quantile regression",
-            "Covariance matrix regularization under dropout",
-        ] {
-            rows.push(vec![Value::text(t)]);
-        }
-        let df = DataFrame::new(vec!["Title".into()], rows).unwrap();
+        rows.extend(
+            [
+                "Bayesian kernel regression with regularization",
+                "Gradient boosting hyperparameter optimization tricks",
+                "Eigenvalue convergence of stochastic estimators",
+                "Posterior variance of quantile regression",
+                "Covariance matrix regularization under dropout",
+            ]
+            .map(String::from),
+        );
+        let df = text_frame("Title", rows);
         let top = sem_topk(&e, &df, "Title", SemProperty::Technical, 5).unwrap();
         assert_eq!(top.len(), 5);
-        for v in top.column("Title").unwrap() {
-            assert!(
-                !v.to_string().contains("lunch"),
-                "casual row leaked into top-5: {v}"
-            );
+        for v in cell_texts(&top, "Title").unwrap() {
+            assert!(!v.contains("lunch"), "casual row leaked into top-5: {v}");
         }
         // Far fewer comparisons than the full 100*99/2 = 4950 tournament.
         let stats = e.stats();
@@ -498,25 +486,19 @@ mod tests {
         // On clearly separated data, the quickselect path (large n) must
         // select the same top set the exhaustive tournament would.
         let e = engine();
-        let mut rows: Vec<Vec<Value>> = (0..50)
-            .map(|i| vec![Value::text(format!("chatting about plants number {i}"))])
+        let mut rows: Vec<String> = (0..50)
+            .map(|i| format!("chatting about plants number {i}"))
             .collect();
         let technical = [
             "Bayesian kernel regression with regularization",
             "Gradient boosting hyperparameter optimization",
             "Eigenvalue convergence of stochastic estimators",
         ];
-        for t in technical {
-            rows.push(vec![Value::text(t)]);
-        }
-        let df = DataFrame::new(vec!["t".into()], rows).unwrap();
+        rows.extend(technical.map(String::from));
+        let df = text_frame("t", rows);
         let top = sem_topk(&e, &df, "t", SemProperty::Technical, 3).unwrap();
-        let got: std::collections::HashSet<String> = top
-            .column("t")
-            .unwrap()
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
+        let got: std::collections::HashSet<String> =
+            cell_texts(&top, "t").unwrap().into_iter().collect();
         let want: std::collections::HashSet<String> =
             technical.iter().map(|s| s.to_string()).collect();
         assert_eq!(got, want);
@@ -525,11 +507,7 @@ mod tests {
     #[test]
     fn sem_topk_k_zero_and_k_exceeding_n() {
         let e = engine();
-        let df = DataFrame::new(
-            vec!["t".into()],
-            vec![vec![Value::text("a")], vec![Value::text("b")]],
-        )
-        .unwrap();
+        let df = text_frame("t", ["a", "b"]);
         assert_eq!(
             sem_topk(&e, &df, "t", SemProperty::Positive, 0)
                 .unwrap()
@@ -547,7 +525,7 @@ mod tests {
     #[test]
     fn sem_agg_small_single_call() {
         let e = engine();
-        let df = DataFrame::new(
+        let df = SemFrame::new(
             vec!["year".into(), "name".into()],
             (1999..=2005)
                 .map(|y| {
@@ -559,7 +537,7 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let summary = sem_agg(&e, &df, "Summarize the races", None).unwrap();
+        let summary = sem_agg(&e, &df, "Summarize the races").unwrap();
         assert!(!summary.is_empty());
         assert_eq!(e.stats().lm_batches, 1);
     }
@@ -572,18 +550,7 @@ mod tests {
             ..SimConfig::default()
         });
         let e = SemEngine::new(Arc::new(lm));
-        let df = DataFrame::new(
-            vec!["text".into()],
-            (0..60)
-                .map(|i| {
-                    vec![Value::text(format!(
-                        "comment number {i} about gradient boosting and residuals"
-                    ))]
-                })
-                .collect(),
-        )
-        .unwrap();
-        let summary = sem_agg(&e, &df, "Summarize the comments", None).unwrap();
+        let summary = sem_agg(&e, &comments(), "Summarize the comments").unwrap();
         assert!(!summary.is_empty());
         assert!(
             e.stats().lm_prompts > 1,
@@ -595,15 +562,14 @@ mod tests {
     #[test]
     fn sem_agg_refine_small_input_single_call() {
         let e = engine();
-        let df = DataFrame::new(
-            vec!["text".into()],
-            vec![
-                vec![Value::text("boosting combines weak learners")],
-                vec![Value::text("gentle boosting uses smaller steps")],
+        let df = text_frame(
+            "text",
+            [
+                "boosting combines weak learners",
+                "gentle boosting uses smaller steps",
             ],
-        )
-        .unwrap();
-        let s = sem_agg_refine(&e, &df, "Summarize the comments", None).unwrap();
+        );
+        let s = sem_agg_refine(&e, &df, "Summarize the comments").unwrap();
         assert!(!s.is_empty());
         assert_eq!(e.stats().lm_prompts, 1);
     }
@@ -615,18 +581,7 @@ mod tests {
             ..SimConfig::default()
         });
         let e = SemEngine::new(Arc::new(lm));
-        let df = DataFrame::new(
-            vec!["text".into()],
-            (0..60)
-                .map(|i| {
-                    vec![Value::text(format!(
-                        "comment number {i} about gradient boosting and residuals"
-                    ))]
-                })
-                .collect(),
-        )
-        .unwrap();
-        let s = sem_agg_refine(&e, &df, "Summarize the comments", None).unwrap();
+        let s = sem_agg_refine(&e, &comments(), "Summarize the comments").unwrap();
         assert!(!s.is_empty());
         let stats = e.stats();
         assert!(stats.lm_prompts > 1, "{stats:?}");
@@ -637,8 +592,50 @@ mod tests {
     #[test]
     fn sem_agg_refine_empty_frame() {
         let e = engine();
-        let df = DataFrame::empty(vec!["text".into()]);
-        assert_eq!(sem_agg_refine(&e, &df, "Summarize", None).unwrap(), "");
+        let df = text_frame("text", [""; 0]);
+        assert_eq!(sem_agg_refine(&e, &df, "Summarize").unwrap(), "");
+    }
+
+    /// The filter and the top-k return selections over the input's own
+    /// columns: no row is copied into a new chunk.
+    #[test]
+    fn filter_and_topk_share_the_input_columns() {
+        let e = engine();
+        let input = cities();
+        let claim = SemClaim::CityInRegion {
+            region: "Bay Area".into(),
+        };
+        let filtered = sem_filter(&e, &input, "City", &claim).unwrap();
+        let ranked = sem_topk(&e, &input, "City", SemProperty::Positive, 2).unwrap();
+        for out in [&filtered, &ranked] {
+            assert_eq!(out.columns, input.columns);
+            for c in 0..input.columns.len() {
+                assert!(std::ptr::eq(out.column(c), input.column(c)));
+            }
+        }
+        assert_eq!(ranked.len(), 2);
+    }
+
+    /// An aggregation record is each column's name and cell text, in
+    /// column order, joined by `, `: NULL prints `NULL`, floats print as
+    /// `Value`'s `Display` does.
+    #[test]
+    fn records_are_name_value_pairs_in_selection_order() {
+        let df = SemFrame::new(
+            vec!["year".into(), "score".into(), "name".into()],
+            vec![
+                vec![Value::Int(1999), Value::Float(1.5), Value::text("Sepang")],
+                vec![Value::Null, Value::Float(-0.0), Value::Null],
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            records(&df.with_selection(vec![1, 0])),
+            [
+                "year NULL, score -0, name NULL",
+                "year 1999, score 1.5, name Sepang"
+            ]
+        );
     }
 
     #[test]

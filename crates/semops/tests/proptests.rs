@@ -6,8 +6,8 @@ use tag_lm::nlq::SemProperty;
 use tag_lm::prompts::SemClaim;
 use tag_lm::sim::{SimConfig, SimLm};
 use tag_lm::KnowledgeConfig;
-use tag_semops::{sem_filter, sem_topk, DataFrame, SemEngine};
-use tag_sql::Value;
+use tag_semops::{sem_filter, sem_topk, SemEngine};
+use tag_sql::{SemFrame, Value};
 
 fn engine() -> SemEngine {
     SemEngine::new(Arc::new(SimLm::new(SimConfig {
@@ -21,12 +21,17 @@ fn engine() -> SemEngine {
     })))
 }
 
-fn text_frame(texts: &[String]) -> DataFrame {
-    DataFrame::new(
+fn text_frame(texts: &[String]) -> SemFrame {
+    SemFrame::new(
         vec!["t".into()],
         texts.iter().map(|t| vec![Value::text(t.clone())]).collect(),
     )
     .unwrap()
+}
+
+/// The frame's `t` cells, in frame order.
+fn t_cells(frame: &SemFrame) -> Vec<String> {
+    frame.rows().iter().map(|r| r[0].to_string()).collect()
 }
 
 proptest! {
@@ -45,7 +50,7 @@ proptest! {
         prop_assert!(once.len() <= df.len());
         // Order preservation: the output appears in input order.
         let input: Vec<String> = texts.clone();
-        let output: Vec<String> = once.column("t").unwrap().iter().map(|v| v.to_string()).collect();
+        let output = t_cells(&once);
         let mut cursor = 0usize;
         for o in &output {
             let pos = input[cursor..].iter().position(|i| i == o);
@@ -66,8 +71,8 @@ proptest! {
         let df = text_frame(&texts);
         let top = sem_topk(&e, &df, "t", SemProperty::Technical, k).unwrap();
         prop_assert_eq!(top.len(), k.min(texts.len()));
-        for v in top.column("t").unwrap() {
-            prop_assert!(texts.contains(&v.to_string()));
+        for v in t_cells(&top) {
+            prop_assert!(texts.contains(&v));
         }
     }
 
@@ -80,7 +85,7 @@ proptest! {
         let e = engine();
         let df = text_frame(&texts);
         let top = sem_topk(&e, &df, "t", SemProperty::Technical, 1).unwrap();
-        let best = top.column("t").unwrap()[0].to_string();
+        let best = t_cells(&top).remove(0);
         let score = tag_lm::lexicon::technicality_score(&best);
         for t in &texts {
             // Ties can legitimately pick either row; only a strictly

@@ -18,7 +18,6 @@
 //! | `Cut`           | 0                                    | min(n, k)         |
 //! | `SemFilter`     | ≤ n (row-wise, distinct, early-stop) | n / min(n, k)     |
 //! | `SemTopK`       | ≤ C(n,2) + C(w,2), w = min(n, max(k, 20)) | min(n, k)    |
-//! | `SemAgg`        | ≤ 2n + 1 (hierarchical fold)         | 1                 |
 //! | `Retrieve`      | 0                                    | k                 |
 //! | `Rerank`        | n (one relevance score each)         | min(n, keep)      |
 //! | `Generate`      | 1 (list/free); ≤ 2n + 1 (free\|agg)  | 1                 |
@@ -133,15 +132,6 @@ pub fn plan_cost(root: &SemNode, catalog: Option<&Catalog>) -> CostBound {
                     .lm_calls
                     .saturating_add(topk_call_bound(c.out_rows, *k as u64)),
                 out_rows: c.out_rows.min(*k as u64),
-            }
-        }
-        SemNode::SemAgg { input, .. } => {
-            let c = plan_cost(input, catalog);
-            CostBound {
-                lm_calls: c
-                    .lm_calls
-                    .saturating_add(c.out_rows.saturating_mul(2).saturating_add(1)),
-                out_rows: 1,
             }
         }
         SemNode::Retrieve { k, .. } => CostBound {

@@ -174,10 +174,6 @@ fn map_input(node: SemNode, f: &mut impl FnMut(SemNode) -> SemNode) -> SemNode {
             property,
             k,
         },
-        SemNode::SemAgg { input, request } => SemNode::SemAgg {
-            input: opt(input),
-            request,
-        },
         SemNode::Rerank { input, query, keep } => SemNode::Rerank {
             input: opt(input),
             query,

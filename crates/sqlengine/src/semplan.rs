@@ -4,7 +4,7 @@
 //!
 //! A [`SemNode`] chain is a *data-only* description of a TAG pipeline:
 //! exact predicates and sort/cuts that run on the data system, and
-//! semantic operators (`sem_filter`, `sem_topk`, `sem_agg`, ...) whose
+//! semantic operators (`sem_filter`, `sem_topk`, generation, ...) whose
 //! execution is delegated to the semantic-operator runtime through the
 //! [`SemDelegate`] trait. Keeping the nodes free of closures and LM
 //! handles means plans compare with `==`, render through
@@ -19,6 +19,7 @@
 use crate::chunk::{batches_len, concat_batches_chunk, Batch, Chunk, ColumnData, Rows};
 use crate::error::{SqlError, SqlResult};
 use crate::profile::PlanProfiler;
+use crate::result::ResultSet;
 use crate::value::Value;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -297,13 +298,6 @@ pub enum SemNode {
         /// Rows kept, in ranked order.
         k: usize,
     },
-    /// Hierarchical LM aggregation over the rows (`sem_agg`).
-    SemAgg {
-        /// Input node.
-        input: Box<SemNode>,
-        /// The aggregation instruction.
-        request: String,
-    },
     /// Embedding retrieval over the row store (leaf).
     Retrieve {
         /// The retrieval query (the question text).
@@ -346,8 +340,8 @@ impl SemNode {
         }
     }
 
-    /// What the node reads of its input frame. `Generate`, `SemAgg` and
-    /// `Rerank` hand whole rows to the LM, so they read everything.
+    /// What the node reads of its input frame. `Generate` and `Rerank`
+    /// hand whole rows to the LM, so they read everything.
     pub fn reads(&self) -> SemReads {
         match self {
             SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => {
@@ -376,9 +370,7 @@ impl SemNode {
             }
             SemNode::Cut { cut, .. } => SemReads::columns(&[&cut.sort_by]),
             SemNode::SemTopK { on_attr, .. } => SemReads::columns(&[on_attr]),
-            SemNode::SemAgg { .. } | SemNode::Rerank { .. } | SemNode::Generate { .. } => {
-                SemReads::All
-            }
+            SemNode::Rerank { .. } | SemNode::Generate { .. } => SemReads::All,
         }
     }
 
@@ -393,7 +385,7 @@ impl SemNode {
             | SemNode::SemTopK { .. } => SemStage::Exec,
             SemNode::Retrieve { .. } => SemStage::Retrieve,
             SemNode::Rerank { .. } => SemStage::Rerank,
-            SemNode::SemAgg { .. } | SemNode::Generate { .. } => SemStage::Gen,
+            SemNode::Generate { .. } => SemStage::Gen,
         }
     }
 
@@ -440,7 +432,6 @@ impl SemNode {
                 k,
                 ..
             } => format!("SemTopK {on_attr} property={property} k={k}"),
-            SemNode::SemAgg { .. } => "SemAgg".to_owned(),
             SemNode::Retrieve { k, kind, .. } => format!(
                 "Retrieve {}={k}",
                 match kind {
@@ -469,7 +460,6 @@ impl SemNode {
             | SemNode::SemFilter { input, .. }
             | SemNode::Cut { input, .. }
             | SemNode::SemTopK { input, .. }
-            | SemNode::SemAgg { input, .. }
             | SemNode::Rerank { input, .. }
             | SemNode::Generate { input, .. } => Some(input),
         }
@@ -594,6 +584,21 @@ impl SemFrame {
             rows: (0..data.len() as u32).collect(),
             data: Arc::new(data),
         }
+    }
+
+    /// A frame that owns `rows`, each as wide as `columns`.
+    pub fn new(columns: Vec<String>, rows: Vec<Vec<Value>>) -> SqlResult<SemFrame> {
+        let width = columns.len();
+        if let Some((i, r)) = rows.iter().enumerate().find(|(_, r)| r.len() != width) {
+            let msg = format!("row {i} has {} values for {width} columns", r.len());
+            return Err(SqlError::Catalog(msg));
+        }
+        Ok(SemFrame::from_rows(columns, rows))
+    }
+
+    /// The frame that owns a result set's rows.
+    pub fn from_result(rs: ResultSet) -> SemFrame {
+        SemFrame::from_rows(rs.columns, rs.rows)
     }
 
     /// The frame with no columns and no rows.
@@ -910,5 +915,27 @@ mod tests {
             SemStage::Retrieve
         );
         assert_eq!(SemStage::Rerank.as_str(), "rerank");
+    }
+
+    #[test]
+    fn construction_validates_width() {
+        let err = SemFrame::new(vec!["a".into()], vec![vec![]]).unwrap_err();
+        assert_eq!(
+            err,
+            SqlError::Catalog("row 0 has 0 values for 1 columns".into())
+        );
+    }
+
+    #[test]
+    fn from_result_keeps_columns_and_rows() {
+        let columns = vec!["id".to_owned(), "city".to_owned()];
+        let rows = vec![
+            vec![Value::Int(1), Value::text("PA")],
+            vec![Value::Null, Value::Float(2.5)],
+        ];
+        let frame = SemFrame::from_result(ResultSet::new(columns.clone(), rows.clone()));
+        assert_eq!(frame.columns, columns);
+        assert_eq!(frame.rows(), rows);
+        assert_eq!(frame, SemFrame::new(columns, rows).unwrap());
     }
 }

@@ -338,7 +338,6 @@ impl PlanChecker<'_> {
                 self.require_k(path, node, "SemTopK", *k);
                 input
             }
-            SemNode::SemAgg { .. } => ColSet::Known(vec!["answer".to_owned()]),
             SemNode::Retrieve { k, .. } => {
                 self.require_k(path, node, "Retrieve", *k);
                 ColSet::Points
@@ -409,7 +408,7 @@ fn check_cardinality(
             };
             bound > in_bound || k.is_some_and(|k| bound > k)
         }
-        SemNode::SemAgg { .. } | SemNode::Generate { .. } => bound > 1,
+        SemNode::Generate { .. } => bound > 1,
         _ => false,
     };
     if violation {

@@ -144,14 +144,10 @@ fn build_plan(words: &[u64]) -> SemNode {
         plan = exec_op(plan, w);
     }
     match first % 4 {
-        0 => SemNode::SemAgg {
-            input: Box::new(plan),
-            request: "summarize".into(),
-        },
-        1 => SemNode::Generate {
+        0 | 1 => SemNode::Generate {
             input: Box::new(plan),
             request: "the question".into(),
-            format: if first % 2 == 0 {
+            format: if first % 4 == 0 {
                 GenFormat::Free
             } else {
                 GenFormat::FreeOrAgg
@@ -256,7 +252,6 @@ fn clear_first_fused_distinct(node: &mut SemNode) -> bool {
         | SemNode::SemFilter { input, .. }
         | SemNode::Cut { input, .. }
         | SemNode::SemTopK { input, .. }
-        | SemNode::SemAgg { input, .. }
         | SemNode::Rerank { input, .. }
         | SemNode::Generate { input, .. } => clear_first_fused_distinct(input),
         SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => false,
@@ -274,7 +269,6 @@ fn drop_first_predicate(node: &mut SemNode) -> bool {
         | SemNode::SemFilter { input, .. }
         | SemNode::Cut { input, .. }
         | SemNode::SemTopK { input, .. }
-        | SemNode::SemAgg { input, .. }
         | SemNode::Rerank { input, .. }
         | SemNode::Generate { input, .. } => drop_first_predicate(input),
         SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => false,

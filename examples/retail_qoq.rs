@@ -14,7 +14,7 @@ use std::sync::Arc;
 use tag_repro::tag_lm::model::LanguageModel;
 use tag_repro::tag_lm::prompts::SemClaim;
 use tag_repro::tag_lm::sim::{SimConfig, SimLm};
-use tag_repro::tag_semops::{sem_filter, DataFrame, SemEngine};
+use tag_repro::tag_semops::{sem_filter, SemEngine};
 use tag_repro::tag_sql::{Database, Value};
 
 fn main() {
@@ -54,10 +54,9 @@ fn main() {
 
     // Step 1 (semantic): which accounts are retail? Judge the *distinct*
     // names, Appendix-C style.
-    let names = DataFrame::from_result(
-        db.execute("SELECT DISTINCT account_name FROM accounts")
-            .expect("distinct accounts"),
-    );
+    let names = db
+        .query_frame("SELECT DISTINCT account_name FROM accounts", None)
+        .expect("distinct accounts");
     let retail = sem_filter(
         &engine,
         &names,
@@ -68,10 +67,9 @@ fn main() {
     )
     .expect("sem_filter");
     let retail_names: Vec<String> = retail
-        .column("account_name")
-        .expect("column")
+        .rows()
         .iter()
-        .map(|v| format!("'{v}'"))
+        .map(|r| format!("'{}'", r[0]))
         .collect();
     println!("LM-judged retail accounts: {}", retail_names.join(", "));
 

@@ -12,7 +12,7 @@ use tag_repro::tag_lm::nlq::{NlFilter, NlQuery, SemProperty};
 use tag_repro::tag_lm::prompts::{sem_filter_prompt, SemClaim};
 use tag_repro::tag_lm::sim::{SimConfig, SimLm};
 use tag_repro::tag_lm::KnowledgeConfig;
-use tag_repro::tag_semops::{sem_filter, DataFrame, SemEngine};
+use tag_repro::tag_semops::{sem_filter, SemEngine};
 use tag_repro::tag_sql::{FnUdf, SqlError, Value};
 
 fn exact_lm() -> Arc<SimLm> {
@@ -57,22 +57,21 @@ fn lm_udf_inside_sql_filters_classics() {
 #[test]
 fn semantic_operator_over_sql_result() {
     let domain = community::generate(5, 30);
-    let mut db = domain.db;
+    let db = domain.db;
     let engine = SemEngine::new(exact_lm() as Arc<dyn LanguageModel>);
-    let df = DataFrame::from_result(
-        db.execute("SELECT Id, Text FROM comments WHERE PostId = 2")
-            .unwrap(),
-    );
+    let frame = db
+        .query_frame("SELECT Id, Text FROM comments WHERE PostId = 2", None)
+        .unwrap();
     let sarcastic = sem_filter(
         &engine,
-        &df,
+        &frame,
         "Text",
         &SemClaim::Property(SemProperty::Sarcastic),
     )
     .unwrap();
     // With zero judgment noise the operator recovers exactly the planted
     // sarcastic comments of post 2.
-    let expected: Vec<Value> = df
+    let expected: Vec<Value> = frame
         .rows()
         .iter()
         .filter(|r| {
@@ -81,7 +80,8 @@ fn semantic_operator_over_sql_result() {
         })
         .map(|r| r[0].clone())
         .collect();
-    assert_eq!(sarcastic.column("Id").unwrap(), expected);
+    let got: Vec<Value> = sarcastic.rows().iter().map(|r| r[0].clone()).collect();
+    assert_eq!(got, expected);
 }
 
 #[test]
