@@ -30,7 +30,7 @@
 //! every node after it narrows or reorders the selection — the exact
 //! predicates and cuts left above the scan, the semantic filters (row-wise,
 //! distinct-value and early-stop) and `sem_topk` — or writes its prompts
-//! straight from the selected cells. No node builds a row.
+//! straight from the selected cells. No node copies a row of its input.
 
 use crate::env::TagEnv;
 use std::cell::Cell;

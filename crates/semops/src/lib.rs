@@ -3,9 +3,9 @@
 //! Reimplements the semantic-operator layer the paper's hand-written TAG
 //! pipelines are built on (LOTUS, ref. 21 of the paper): LM-powered
 //! operators — [`ops::sem_filter`], [`ops::sem_topk`], [`ops::sem_agg`] —
-//! over [`tag_sql::SemFrame`] selections of the SQL engine's columns, executed
-//! through a batched, cached [`engine::SemEngine`]. Batched inference is
-//! what gives TAG its execution-time advantage in Table 1.
+//! over [`tag_sql::SemFrame`] selections of the SQL engine's columns,
+//! executed through a batched, cached [`engine::SemEngine`]. Batched
+//! inference is what gives TAG its execution-time advantage in Table 1.
 
 #![warn(missing_docs)]
 
