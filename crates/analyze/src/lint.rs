@@ -43,7 +43,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/sqlengine/src/engine.rs",
     "crates/sqlengine/src/exec.rs",
     "crates/sqlengine/src/optimizer.rs",
-    "crates/sqlengine/src/profile.rs",
     "crates/sqlengine/src/semplan.rs",
     "crates/sqlengine/src/vector.rs",
 ];

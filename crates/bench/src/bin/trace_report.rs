@@ -76,7 +76,7 @@ fn static_bound(method: MethodId, q: &BenchQuery, env: &TagEnv) -> u64 {
         // the retrieved frame (one call in either prompt format; the
         // bound does not depend on how many rows came back).
         MethodId::Text2SqlLm => {
-            let gen = compile_generate_over(SemFrame::empty(), &question, list, "answer");
+            let gen = compile_generate_over(SemFrame::empty(), &question, list);
             1 + plan_cost(&optimize_sem(gen, &opts), catalog).lm_calls
         }
         MethodId::HandWritten => plan_cost(&plan_nlq(&q.query, &opts, &env.db), catalog).lm_calls,

@@ -329,7 +329,7 @@ fn multihop(community: &DomainData) -> (usize, Hop, Hop) {
 /// and with serial sequential refinement, under a window small enough to
 /// force several rounds.
 fn gen_patterns(community: DomainData) -> (usize, [Pattern; 2]) {
-    let scan = community.db.query_frame("SELECT Text FROM comments", None);
+    let scan = community.db.query_frame("SELECT Text FROM comments");
     let comments = scan.expect("scan");
     let summarize = |name, refine: bool| -> Pattern {
         let config = SimConfig {

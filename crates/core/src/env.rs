@@ -14,7 +14,8 @@ use tag_sql::{
 
 /// Everything a method needs to answer a question over one domain
 /// database: the SQL engine, the language model (behind the batched
-/// semantic engine), and a lazily built row-level vector store.
+/// semantic engine, its one owner), and a lazily built row-level vector
+/// store.
 ///
 /// `TagEnv` is `Send + Sync`: every method runs under `&TagEnv`, so one
 /// environment per domain can be shared across serving threads behind an
@@ -23,9 +24,14 @@ use tag_sql::{
 pub struct TagEnv {
     /// The domain database (the paper's SQLite instance).
     pub db: Database,
-    /// The language model.
+    /// The language model as it was when the environment was built: a
+    /// read handle for counters (`perf/`'s `paper_replay` reads
+    /// `calls()` off it). Every call the environment makes goes through
+    /// [`TagEnv::engine`]'s model, so replacing `engine` alone moves
+    /// every prompt to the new model.
     pub lm: Arc<dyn LanguageModel>,
-    /// Batched + cached LM executor.
+    /// Batched + cached LM executor, and the owner of the model every
+    /// prompt goes to ([`SemEngine::lm`]).
     pub engine: SemEngine,
     embedder: Embedder,
     retrieval: OnceLock<Retrieval>,
@@ -58,12 +64,6 @@ impl TagEnv {
     /// planned when it runs.
     pub fn set_sem_opt(&self, opts: SemOptOptions) {
         *self.sem_opt.write().unwrap_or_else(|e| e.into_inner()) = opts;
-    }
-
-    /// Override the semantic engine (e.g. for batch-size ablations).
-    pub fn with_engine(mut self, engine: SemEngine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Render the catalog as BIRD-style `CREATE TABLE` text for Text2SQL
@@ -184,28 +184,19 @@ impl TagEnv {
     /// Run a read-only SQL statement through the domain database.
     ///
     /// When a [`tag_trace::Trace`] is active on this thread, the statement
-    /// runs inside an `exec`-stage span annotated with the SQL text, an
-    /// `EXPLAIN ANALYZE`-style per-operator breakdown (rows in/out +
-    /// elapsed per plan node). When tracing is off this is exactly
-    /// [`Database::query`]; traced, it is the same read path with a
-    /// profiler attached, so it accepts the same statements (`EXPLAIN`
-    /// included) and results are byte-identical either way.
+    /// runs inside an `exec`-stage `sql` span annotated with the SQL text,
+    /// whose children are the plan's operators, one span per node with
+    /// its rows out. Either way it is [`Database::query`], so it accepts
+    /// the same statements (`EXPLAIN` included) and results are
+    /// byte-identical traced or not.
     ///
     /// It also answers `EXPLAIN SEMPLAN <question>` and `EXPLAIN VERIFY
     /// <question>` (see [`TagEnv::explain_semplan`]), which execute
     /// nothing, traced or not.
     pub fn run_sql(&self, sql: &str) -> SqlResult<ResultSet> {
-        self.traced_read(sql, |profile| {
-            if let Some(result) = self.explain_semplan(sql) {
-                return result;
-            }
-            match profile {
-                None => self.db.query(sql),
-                Some(text) => self.db.query_profiled(sql).map(|(rs, plan_text)| {
-                    text.push_str(&plan_text);
-                    rs
-                }),
-            }
+        self.traced_read(sql, || {
+            self.explain_semplan(sql)
+                .unwrap_or_else(|| self.db.query(sql))
         })
     }
 
@@ -247,38 +238,22 @@ impl TagEnv {
     /// retrieval: the result stays columnar ([`Database::query_frame`]),
     /// and the statement is traced exactly as `run_sql` traces it.
     pub(crate) fn scan(&self, sql: &str) -> SqlResult<SemFrame> {
-        self.traced_read(sql, |profile| self.db.query_frame(sql, profile))
+        self.traced_read(sql, || self.db.query_frame(sql))
     }
 
     /// Run `read` untraced when no trace is active; otherwise inside an
-    /// `exec`-stage `sql` span annotated with the statement and with the
-    /// per-operator profile `read` writes.
-    fn traced_read<T>(
-        &self,
-        sql: &str,
-        read: impl FnOnce(Option<&mut String>) -> SqlResult<T>,
-    ) -> SqlResult<T> {
+    /// `exec`-stage `sql` span annotated with the statement, the parent
+    /// of the plan's node spans.
+    fn traced_read<T>(&self, sql: &str, read: impl FnOnce() -> SqlResult<T>) -> SqlResult<T> {
         if !tag_trace::is_active() {
-            return read(None);
+            return read();
         }
         let _span = tag_trace::span(tag_trace::Stage::Exec, "sql");
         tag_trace::annotate(format!(
             "sql: {}",
             sql.split_whitespace().collect::<Vec<_>>().join(" ")
         ));
-        let mut plan_text = String::new();
-        match read(Some(&mut plan_text)) {
-            Ok(out) => {
-                for line in plan_text.lines() {
-                    tag_trace::annotate(line);
-                }
-                Ok(out)
-            }
-            Err(e) => {
-                tag_trace::annotate(format!("error: {e}"));
-                Err(e)
-            }
-        }
+        read().inspect_err(|e| tag_trace::annotate(format!("error: {e}")))
     }
 
     /// Call the language model directly (the `gen` step), attributing the
@@ -289,12 +264,13 @@ impl TagEnv {
         &self,
         request: &tag_lm::model::LmRequest,
     ) -> tag_lm::model::LmResult<tag_lm::model::LmResponse> {
+        let lm = self.engine.lm();
         if !tag_trace::is_active() {
-            return self.lm.generate(request);
+            return lm.generate(request);
         }
-        let (sec0, rounds0, calls0) = self.lm.usage();
-        let result = self.lm.generate(request);
-        let (sec1, rounds1, calls1) = self.lm.usage();
+        let (sec0, rounds0, calls0) = lm.usage();
+        let result = lm.generate(request);
+        let (sec1, rounds1, calls1) = lm.usage();
         let mut usage = tag_trace::LmUsage {
             calls: calls1.saturating_sub(calls0),
             rounds: rounds1.saturating_sub(rounds0),
@@ -311,13 +287,13 @@ impl TagEnv {
 
     /// Reset all metrics (LM clock, engine cache/stats) between queries.
     pub fn reset_metrics(&self) {
-        self.lm.reset_metrics();
+        self.engine.lm().reset_metrics();
         self.engine.reset();
     }
 
     /// Simulated seconds of LM time since the last reset.
     pub fn elapsed_seconds(&self) -> f64 {
-        self.lm.elapsed_seconds()
+        self.engine.lm().elapsed_seconds()
     }
 }
 
@@ -448,11 +424,11 @@ mod tests {
                 "binding error: no semantic plan for: gibberish (not a canonical TAG-Bench question)"
             );
         }
+        // The semantic plan is printed, not executed: one `sql` span per
+        // statement and no plan node under it.
         let spans = sink.take();
         assert_eq!(spans.len(), 4);
-        assert!(spans.iter().all(|s| s.label == "sql"));
-        // The semantic plan is printed, not executed: no profile lines.
-        assert!(spans[0].annotations.iter().all(|a| !a.contains("out=")));
+        assert!(spans.iter().all(|s| s.label == "sql" && s.parent.is_none()));
     }
 
     /// Only a `TagEnv` knows the canonical questions: a plain database
@@ -465,10 +441,10 @@ mod tests {
             let statement = format!("EXPLAIN {kind} How many schools are there?");
             let unparsed = |err: SqlError| matches!(err.category(), "lex" | "parse");
             assert!(unparsed(db.query(&statement).unwrap_err()), "{statement}");
-            assert!(
-                unparsed(db.query_profiled(&statement).unwrap_err()),
-                "{statement}"
-            );
+            let (trace, sink) = tag_trace::Trace::memory();
+            let traced = tag_trace::with_trace(&trace, || db.query(&statement));
+            assert!(unparsed(traced.unwrap_err()), "{statement}");
+            assert!(sink.is_empty(), "nothing planned, nothing run");
         }
     }
 
@@ -522,8 +498,18 @@ mod tests {
         assert_eq!(hit_texts(&e, question, 2), before);
     }
 
+    /// The spans other than `sql` ones, in open order, as `label rows`.
+    fn node_spans(spans: &[tag_trace::SpanRecord]) -> Vec<String> {
+        let mut nodes: Vec<_> = spans.iter().filter(|s| s.label != "sql").collect();
+        nodes.sort_by_key(|s| s.id);
+        nodes
+            .iter()
+            .map(|s| format!("{} {:?}", s.label, s.rows))
+            .collect()
+    }
+
     #[test]
-    fn run_sql_traced_matches_untraced_and_annotates_plan() {
+    fn run_sql_traced_matches_untraced_and_spans_the_plan() {
         let e = env();
         let sql = "SELECT School FROM schools WHERE City = 'Fresno'";
         let plain = e.run_sql(sql).unwrap();
@@ -540,19 +526,30 @@ mod tests {
         );
 
         let spans = sink.take();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].stage, tag_trace::Stage::Exec);
-        assert!(spans[0].annotations.iter().any(|a| a.starts_with("sql: ")));
+        let sql_spans: Vec<_> = spans.iter().filter(|s| s.label == "sql").collect();
+        assert_eq!(sql_spans.len(), 2);
+        assert_eq!(sql_spans[0].stage, tag_trace::Stage::Exec);
+        assert!(sql_spans[0]
+            .annotations
+            .iter()
+            .any(|a| a.starts_with("sql: ")));
+        // The statement's plan nodes, all under the first `sql` span
+        // (the EXPLAIN ran nothing); the root produced the one row.
+        let nodes = node_spans(&spans);
+        assert!(nodes[0].ends_with("Some(1)"), "{nodes:?}");
         assert!(
-            spans[0].annotations.iter().any(|a| a.contains("out=")),
-            "{:?}",
-            spans[0].annotations
+            nodes.last().unwrap().starts_with("TableScan schools"),
+            "{nodes:?}"
         );
+        let under_first =
+            |s: &&tag_trace::SpanRecord| s.id > sql_spans[0].id && s.id < sql_spans[1].id;
+        assert_eq!(spans.iter().filter(under_first).count(), nodes.len());
+        assert!(spans.iter().all(|s| s.stage == tag_trace::Stage::Exec));
     }
 
     /// A semantic plan's scan is `run_sql` kept columnar: the same rows,
     /// traced or not, under the same `sql` span with the statement and
-    /// its per-operator profile.
+    /// the same node spans.
     #[test]
     fn scan_is_run_sql_kept_columnar() {
         let e = env();
@@ -567,15 +564,13 @@ mod tests {
         });
         assert_eq!(scanned.rows(), rows);
         let spans = sink.take();
-        assert_eq!(spans.len(), 2);
-        let (ran, scan) = (&spans[0].annotations, &spans[1].annotations);
-        assert_eq!(
-            (spans[1].stage, spans[1].label.as_str()),
-            (tag_trace::Stage::Exec, "sql")
-        );
-        assert_eq!(scan.len(), ran.len(), "{scan:?}");
-        assert_eq!(scan[0], ran[0]);
-        assert!(scan[1..].iter().all(|a| a.contains("out=")), "{scan:?}");
+        let sql_spans: Vec<_> = spans.iter().filter(|s| s.label == "sql").collect();
+        assert_eq!(sql_spans.len(), 2);
+        assert_eq!(sql_spans[0].annotations, sql_spans[1].annotations);
+        let nodes = node_spans(&spans);
+        let (ran, scan) = nodes.split_at(nodes.len() / 2);
+        assert!(!ran.is_empty());
+        assert_eq!(ran, scan);
     }
 
     #[test]
@@ -593,6 +588,31 @@ mod tests {
         assert_eq!(spans[0].lm.rounds, 1);
         assert!(spans[0].lm.virtual_seconds > 0.0);
         assert!(spans[0].lm.prompt_tokens > 0);
+    }
+
+    /// The engine is the model's one owner: replacing `env.engine` alone
+    /// sends both a semantic operator's prompts and a direct `gen` call
+    /// to the new engine's model, and none to the model `env.lm` still
+    /// names.
+    #[test]
+    fn replacing_the_engine_moves_every_prompt() {
+        let mut e = env();
+        let counting = Arc::new(SimLm::new(SimConfig::default()));
+        e.engine = SemEngine::new(counting.clone());
+        let frame = e.scan("SELECT City FROM schools").unwrap();
+        let claim = tag_lm::prompts::SemClaim::CityInRegion {
+            region: "Bay Area".into(),
+        };
+        tag_semops::sem_filter(&e.engine, &frame, "City", &claim).unwrap();
+        let filtered = counting.calls();
+        assert!(filtered > 0, "sem_filter prompts reach the engine's model");
+        e.generate(&tag_lm::model::LmRequest::new("say hello"))
+            .unwrap();
+        assert_eq!(counting.calls(), filtered + 1, "a direct gen call does too");
+        assert_eq!(e.lm.calls(), 0, "the model env.lm names saw nothing");
+        assert_eq!(e.elapsed_seconds(), counting.elapsed_seconds());
+        e.reset_metrics();
+        assert_eq!(counting.calls(), 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl TagMethod for Rag {
 
     fn answer(&self, request: &str, env: &TagEnv) -> Answer {
         // retrieve -> generate as a semantic plan through the shared
-        // planner (explainable, profiled under tracing).
+        // planner (explainable, one span per node under tracing).
         let plan = compile_rag(request, self.k, self.list_format);
         match run_semplan(env, plan, &SemReads::All) {
             Ok(frame) => gen_frame_to_answer(&frame, self.list_format),

@@ -54,12 +54,7 @@ impl TagMethod for Text2SqlLm {
             Err(e) => {
                 // Retrieval failed: generation proceeds with no data and
                 // must rely on parametric knowledge (Figure 2, middle).
-                let plan = compile_generate_over(
-                    SemFrame::empty(),
-                    request,
-                    self.list_format,
-                    "answer (no data)",
-                );
+                let plan = compile_generate_over(SemFrame::empty(), request, self.list_format);
                 return match run_semplan(env, plan, &SemReads::All) {
                     Ok(frame) => gen_frame_to_answer(&frame, self.list_format),
                     Err(lm_e) => Answer::Error(format!("{e}; then LM: {lm_e}")),
@@ -70,7 +65,7 @@ impl TagMethod for Text2SqlLm {
         // Step 2: feed every retrieved row in context, through a
         // generation plan over the retrieved frame (a selection over the
         // engine's columns, not a copy of them).
-        let plan = compile_generate_over(frame, request, self.list_format, "answer");
+        let plan = compile_generate_over(frame, request, self.list_format);
         match run_semplan(env, plan, &SemReads::All) {
             Ok(frame) => gen_frame_to_answer(&frame, self.list_format),
             Err(e) => Answer::Error(e), // context overflow lands here

@@ -33,7 +33,6 @@
 //! straight from the selected cells. No node copies a row of its input.
 
 use crate::env::TagEnv;
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -45,9 +44,8 @@ use tag_lm::prompts::{
 use tag_semops::{sem_agg, sem_filter, sem_judge, sem_topk, SemError};
 use tag_sql::chunk::ColumnData;
 use tag_sql::{
-    execute_sem, execute_sem_profiled, plan_sem, scan_sql, CutSpec, GenFormat, LmCost,
-    PlanProfiler, RetrieveKind, SemClaimSpec, SemDelegate, SemFrame, SemNode, SemPredicate,
-    SemReads, Value,
+    execute_sem, plan_sem, scan_sql, CutSpec, GenFormat, RetrieveKind, SemClaimSpec, SemDelegate,
+    SemFrame, SemNode, SemPredicate, SemReads, Value,
 };
 
 /// Column name of point frames: retrieved rows, one row store id each
@@ -154,7 +152,6 @@ pub fn compile_nlq(q: &NlQuery) -> SemNode {
             input: Box::new(node),
             request: q.render(),
             format: GenFormat::FreeOrAgg,
-            span_name: "answer".to_owned(),
         },
     }
 }
@@ -264,7 +261,6 @@ pub fn compile_rag(request: &str, k: usize, list_format: bool) -> SemNode {
         }),
         request: request.to_owned(),
         format: gen_format(list_format),
-        span_name: "answer".to_owned(),
     }
 }
 
@@ -283,23 +279,16 @@ pub fn compile_rerank(request: &str, pool: usize, keep: usize, list_format: bool
         }),
         request: request.to_owned(),
         format: gen_format(list_format),
-        span_name: "answer".to_owned(),
     }
 }
 
 /// Compile the generation stage of Text2SQL + LM: the frame the
 /// LM-written SQL retrieved, fed to one generation call.
-pub fn compile_generate_over(
-    frame: SemFrame,
-    request: &str,
-    list_format: bool,
-    span_name: &str,
-) -> SemNode {
+pub fn compile_generate_over(frame: SemFrame, request: &str, list_format: bool) -> SemNode {
     SemNode::Generate {
         input: Box::new(SemNode::Input { frame }),
         request: request.to_owned(),
         format: gen_format(list_format),
-        span_name: span_name.to_owned(),
     }
 }
 
@@ -321,21 +310,11 @@ pub fn plan_nlq(q: &NlQuery, opts: &tag_sql::SemOptOptions, db: &tag_sql::Databa
 /// against its live catalog) and execute it. `reads` is what the caller
 /// reads off the returned frame.
 ///
-/// Under an active trace the plan runs profiled and the per-node
-/// breakdown (rows in/out, elapsed, LM calls/tokens) is annotated onto
-/// the innermost open span.
+/// Under an active trace each plan node is one span with its rows out
+/// and the LM cost it caused ([`execute_sem`]).
 pub fn run_semplan(env: &TagEnv, naive: SemNode, reads: &SemReads) -> Result<SemFrame, String> {
     let root = plan_sem(naive, reads, &env.sem_opt(), env.db.catalog());
-    let runtime = SemRuntime::new(env);
-    if !tag_trace::is_active() {
-        return execute_sem(&root, &runtime);
-    }
-    let profiler = PlanProfiler::new();
-    let result = execute_sem_profiled(&root, &runtime, &profiler);
-    for line in profiler.render().lines() {
-        tag_trace::annotate(format!("semplan: {line}"));
-    }
-    result
+    execute_sem(&root, &SemRuntime::new(env))
 }
 
 /// The semantic-plan runtime: executes [`SemNode`]s over the
@@ -343,20 +322,12 @@ pub fn run_semplan(env: &TagEnv, naive: SemNode, reads: &SemReads) -> Result<Sem
 /// frames that are selections of the engine's columns (module docs).
 pub struct SemRuntime<'a> {
     env: &'a TagEnv,
-    // Token counters for direct `gen` calls, which bypass the semantic
-    // engine's metering (calls are read off the LM itself).
-    gen_prompt_tokens: Cell<u64>,
-    gen_completion_tokens: Cell<u64>,
 }
 
 impl<'a> SemRuntime<'a> {
     /// A runtime over one environment.
     pub fn new(env: &'a TagEnv) -> Self {
-        SemRuntime {
-            env,
-            gen_prompt_tokens: Cell::new(0),
-            gen_completion_tokens: Cell::new(0),
-        }
+        SemRuntime { env }
     }
 
     fn exec_sem_filter(
@@ -403,11 +374,8 @@ impl<'a> SemRuntime<'a> {
             .iter()
             .map(|&row| frame.value(row, c).to_string())
             .collect();
-        let passed = {
-            let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_filter");
-            sem_judge(&self.env.engine, claim, &values)
-                .map_err(|e| SemError::from(e).to_string())?
-        };
+        let passed = sem_judge(&self.env.engine, claim, &values)
+            .map_err(|e| SemError::from(e).to_string())?;
         let kept = frame
             .selection()
             .iter()
@@ -435,7 +403,6 @@ impl<'a> SemRuntime<'a> {
         claim: &SemClaim,
         cut: &CutSpec,
     ) -> Result<SemFrame, String> {
-        let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_filter");
         let order = stable_order(&frame, cut).map_err(|e| e.to_string())?;
         let c = frame.column_index(col).map_err(sem_err)?;
         let (codes, mut first) = text_codes(&frame, c);
@@ -489,19 +456,14 @@ impl<'a> SemRuntime<'a> {
         Ok(frame.with_selection(kept))
     }
 
-    fn exec_retrieve(&self, query: &str, k: usize, kind: RetrieveKind) -> SemFrame {
-        let (span_name, noun, knob) = match kind {
-            RetrieveKind::Rows => ("row embeddings", "rows", "k"),
-            RetrieveKind::Candidates => ("candidate pool", "candidates", "pool"),
-        };
-        let _span = tag_trace::span(tag_trace::Stage::Retrieve, span_name);
+    /// Embedding retrieval: the node's span label names `k` (or the
+    /// pool size) and its rows are the hits.
+    fn exec_retrieve(&self, query: &str, k: usize) -> SemFrame {
         let hits = self.env.row_store().retrieve(query, k);
-        tag_trace::annotate(format!("retrieved {} {noun} ({knob}={k})", hits.len()));
         point_frame(hits.iter().map(|hit| hit.id))
     }
 
     fn exec_rerank(&self, frame: SemFrame, query: &str, keep: usize) -> Result<SemFrame, String> {
-        let _span = tag_trace::span(tag_trace::Stage::Rerank, "relevance scores");
         let ids =
             point_ids(&frame).ok_or_else(|| "Rerank: input is not retrieved points".to_owned())?;
         let prompts: Vec<String> = ids
@@ -531,18 +493,17 @@ impl<'a> SemRuntime<'a> {
         frame: SemFrame,
         request: &str,
         format: &GenFormat,
-        span_name: &str,
     ) -> Result<SemFrame, String> {
         let list_format = matches!(format, GenFormat::List);
         let prompt = answer_prompt_over(self.env, &frame, request, list_format);
         let text = match format {
-            GenFormat::List | GenFormat::Free => self.generate_tracked(prompt, span_name)?,
+            GenFormat::List | GenFormat::Free => self.generate(prompt)?,
             GenFormat::FreeOrAgg => {
                 // gen(R, T): one call when the table fits the context,
                 // hierarchical sem_agg otherwise. Tokens, not rows.
-                let budget = self.env.lm.context_window().saturating_sub(512);
+                let budget = self.env.engine.lm().context_window().saturating_sub(512);
                 if tag_lm::tokenizer::count_tokens(&prompt) <= budget {
-                    self.generate_tracked(prompt, span_name)?
+                    self.generate(prompt)?
                 } else {
                     sem_agg(&self.env.engine, &frame, request).map_err(|e| e.to_string())?
                 }
@@ -551,16 +512,13 @@ impl<'a> SemRuntime<'a> {
         Ok(answer_frame(text))
     }
 
-    fn generate_tracked(&self, prompt: String, span_name: &str) -> Result<String, String> {
-        let _span = tag_trace::span(tag_trace::Stage::Gen, span_name);
+    /// One direct `gen` call; its cost lands on the `Generate` node's
+    /// span ([`TagEnv::generate`]).
+    fn generate(&self, prompt: String) -> Result<String, String> {
         let resp = self
             .env
             .generate(&LmRequest::new(prompt))
             .map_err(|e| e.to_string())?;
-        self.gen_prompt_tokens
-            .set(self.gen_prompt_tokens.get() + resp.prompt_tokens as u64);
-        self.gen_completion_tokens
-            .set(self.gen_completion_tokens.get() + resp.completion_tokens as u64);
         Ok(resp.text)
     }
 }
@@ -611,23 +569,11 @@ impl SemDelegate for SemRuntime<'_> {
                     .ok_or_else(|| format!("unknown semantic property: {property}"))?;
                 sem_topk(&self.env.engine, &frame, on_attr, prop, *k).map_err(|e| e.to_string())
             }
-            SemNode::Retrieve { query, k, kind } => Ok(self.exec_retrieve(query, *k, *kind)),
+            SemNode::Retrieve { query, k, .. } => Ok(self.exec_retrieve(query, *k)),
             SemNode::Rerank { query, keep, .. } => self.exec_rerank(input()?, query, *keep),
             SemNode::Generate {
-                request,
-                format,
-                span_name,
-                ..
-            } => self.exec_generate(input()?, request, format, span_name),
-        }
-    }
-
-    fn lm_snapshot(&self) -> LmCost {
-        let stats = self.env.engine.stats();
-        LmCost {
-            calls: self.env.lm.calls(),
-            prompt_tokens: stats.prompt_tokens + self.gen_prompt_tokens.get(),
-            completion_tokens: stats.completion_tokens + self.gen_completion_tokens.get(),
+                request, format, ..
+            } => self.exec_generate(input()?, request, format),
         }
     }
 }

@@ -13,11 +13,17 @@
 //!
 //! Answer-cache traffic is not counted here: [`crate::AnswerCache`]
 //! keeps per-shard counters and the report reads them.
+//!
+//! Request spans are folded twice after each traced request: per stage
+//! ([`StageMetrics`]) and, for the plan-operator spans, per operator
+//! kind ([`OperatorMetrics`]).
 
 use crate::cache::CacheStats;
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tag_metrics::{MetricsHub, Quantile, WindowedHistogram, WINDOWS};
+use tag_metrics::{Counter, MetricsHub, Quantile, WindowedHistogram, WINDOWS};
 
 /// A fresh histogram registered on `hub` (or left unregistered, still
 /// recording, when `hub` is the null registry).
@@ -154,6 +160,72 @@ impl StageMetrics {
     }
 }
 
+/// One operator kind's instruments.
+struct OpInstruments {
+    executions: Arc<Counter>,
+    rows_out: Arc<Counter>,
+    elapsed: Arc<WindowedHistogram>,
+}
+
+/// `tag_sqlengine_operator_{executions_total,rows_total,seconds}{op=..}`,
+/// fed from traced requests' plan-node spans (the spans that carry rows),
+/// keyed on the label's first word ("TableScan schools" → `TableScan`)
+/// so cardinality stays at the operator vocabulary. LM usage is counted
+/// per stage ([`StageMetrics`]): it sits on the innermost span of the
+/// work that caused it, not always a node span. The null hub records
+/// nothing.
+pub(crate) struct OperatorMetrics {
+    hub: Arc<MetricsHub>,
+    ops: Mutex<HashMap<String, OpInstruments>>,
+}
+
+impl OperatorMetrics {
+    /// Instruments registered on `hub` as operator kinds appear.
+    pub(crate) fn new(hub: &Arc<MetricsHub>) -> Self {
+        OperatorMetrics {
+            hub: Arc::clone(hub),
+            ops: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Fold one request's spans into the per-operator series.
+    pub(crate) fn record(&self, spans: &[tag_trace::SpanRecord]) {
+        if !self.hub.is_enabled() {
+            return;
+        }
+        let mut ops = self.ops.lock();
+        for span in spans {
+            let Some(rows) = span.rows else { continue };
+            let kind = span.label.split_whitespace().next().unwrap_or("Unknown");
+            if !ops.contains_key(kind) {
+                let labels = [("op", kind)];
+                let inst = OpInstruments {
+                    executions: self.hub.counter(
+                        "tag_sqlengine_operator_executions_total",
+                        "Plan-operator executions by operator kind (traced requests).",
+                        &labels,
+                    ),
+                    rows_out: self.hub.counter(
+                        "tag_sqlengine_operator_rows_total",
+                        "Rows produced by operator kind (traced requests).",
+                        &labels,
+                    ),
+                    elapsed: self.hub.histogram(
+                        "tag_sqlengine_operator_seconds",
+                        "Per-operator wall time including its inputs (traced requests).",
+                        &labels,
+                    ),
+                };
+                ops.insert(kind.to_owned(), inst);
+            }
+            let Some(inst) = ops.get(kind) else { continue };
+            inst.executions.inc();
+            inst.rows_out.add(rows);
+            inst.elapsed.observe(span.wall);
+        }
+    }
+}
+
 /// The serving runtime's request-outcome counters and latency
 /// histograms.
 #[derive(Debug)]
@@ -278,8 +350,52 @@ mod tests {
             start_us: 0,
             wall,
             lm,
+            rows: None,
             annotations: vec![],
         }
+    }
+
+    fn node(label: &str, rows: u64, ms: u64) -> SpanRecord {
+        SpanRecord {
+            label: label.into(),
+            rows: Some(rows),
+            ..span(
+                1,
+                Stage::Exec,
+                Duration::from_millis(ms),
+                LmUsage::default(),
+            )
+        }
+    }
+
+    #[test]
+    fn node_spans_fold_into_per_operator_series() {
+        let hub = Arc::new(MetricsHub::new());
+        let m = OperatorMetrics::new(&hub);
+        m.record(&[
+            node("TableScan schools", 100, 1),
+            node("TableScan races", 50, 1),
+            node("SemFilter City [in region Bay Area]", 20, 40),
+            // Not a plan node: no rows, not folded.
+            span(1, Stage::Exec, Duration::from_millis(3), LmUsage::default()),
+        ]);
+        m.record(&[node("SemFilter City [eu]", 5, 2)]);
+        let text = hub.render();
+        for line in [
+            "tag_sqlengine_operator_executions_total{op=\"TableScan\"} 2",
+            "tag_sqlengine_operator_rows_total{op=\"TableScan\"} 150",
+            "tag_sqlengine_operator_executions_total{op=\"SemFilter\"} 2",
+            "tag_sqlengine_operator_rows_total{op=\"SemFilter\"} 25",
+            "tag_sqlengine_operator_seconds_count{op=\"SemFilter\"} 2",
+        ] {
+            assert!(text.contains(line), "missing {line}: {text}");
+        }
+        assert!(!text.contains("op=\"exec\""), "{text}");
+        assert!(!text.contains("lm_prompts"), "{text}");
+
+        let noop = OperatorMetrics::new(&Arc::new(MetricsHub::noop()));
+        noop.record(&[node("TableScan schools", 100, 1)]);
+        assert!(noop.ops.lock().is_empty() && noop.hub.render().is_empty());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! on an answer nobody is waiting for.
 
 use crate::cache::AnswerCache;
-use crate::metrics::{MetricsRegistry, StageMetrics};
+use crate::metrics::{MetricsRegistry, OperatorMetrics, StageMetrics};
 use crate::protocol::{run_method, MethodName};
 use crate::trace::{TraceLookup, TraceStore};
 use parking_lot::{Condvar, Mutex};
@@ -72,11 +72,12 @@ pub struct ServerConfig {
     /// error traces after they age out of the FIFO ring, so the trace
     /// ids that windowed exemplars point at stay resolvable.
     pub tail_traces: usize,
-    /// Register the serving histograms, collectors and SQL operator
-    /// metrics on a live hub and serve the `METRICS` exposition. When
-    /// false the hub is the null registry and `METRICS` renders empty;
-    /// the latency and stage histograms still record, so `STATS` is
-    /// unchanged.
+    /// Register the serving histograms and collectors on a live hub,
+    /// fold each traced request's plan-operator spans into the
+    /// `tag_sqlengine_operator_*` families, and serve the `METRICS`
+    /// exposition. When false the hub is the null registry, no operator
+    /// span is folded and `METRICS` renders empty; the latency and stage
+    /// histograms still record, so `STATS` is unchanged.
     pub metrics_enabled: bool,
 }
 
@@ -250,6 +251,7 @@ struct Shared {
     hub: Arc<MetricsHub>,
     metrics: Arc<MetricsRegistry>,
     stages: StageMetrics,
+    operators: OperatorMetrics,
     traces: TraceStore,
     default_deadline: Duration,
 }
@@ -290,9 +292,6 @@ impl Server {
         for d in domains {
             let env = TagEnv::new(d.db, Arc::clone(&lm));
             let _ = env.row_store();
-            if hub.is_enabled() {
-                env.db.install_metrics_hub(Arc::clone(&hub));
-            }
             envs.insert(d.name.to_owned(), Arc::new(env));
         }
         let started = Instant::now();
@@ -301,6 +300,7 @@ impl Server {
         register_collectors(&hub, &metrics, &cache, &envs, started);
         let shared = Arc::new(Shared {
             stages: StageMetrics::new(&hub),
+            operators: OperatorMetrics::new(&hub),
             envs,
             cache,
             hub,
@@ -755,6 +755,7 @@ fn run_to_completion(shared: &Shared, job: &Job) -> Result<Response, ServeError>
     for span in &spans {
         shared.stages.record(span);
     }
+    shared.operators.record(&spans);
     let is_error = matches!(answer, Answer::Error(_));
     if let Some(trace_id) = trace_id {
         shared.traces.insert_with_outcome(trace_id, spans, is_error);
@@ -971,7 +972,7 @@ mod tests {
         let resp = server.ask(req).unwrap();
         let spans = server.trace(resp.trace_id.expect("traced")).unwrap();
         // The retrieve → rerank → generate plan nodes surface as spans
-        // tagged with their SemStage, so the serve-side stage breakdown
+        // tagged with their stage, so the serve-side stage breakdown
         // attributes their cost per pipeline stage.
         for stage in [
             tag_trace::Stage::Retrieve,
@@ -1014,8 +1015,17 @@ mod tests {
             text.contains("tag_semops_round_occupancy{domain=\""),
             "{text}"
         );
-        // Per-operator instrumentation installed into the SQL engine.
+        // Per-operator series folded from the request's node spans: the
+        // relational plan's and the semantic plan's operators alike.
         assert!(text.contains("tag_sqlengine_operator_seconds"), "{text}");
+        assert!(
+            text.contains("tag_sqlengine_operator_executions_total{op=\"TableScan\"}"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tag_sqlengine_operator_executions_total{op=\"Scan\"}"),
+            "{text}"
+        );
         // The executed request's trace id surfaces as an exemplar and
         // resolves through the three-way lookup.
         let id = resp.trace_id.expect("traced");

@@ -237,6 +237,7 @@ mod tests {
             start_us: 0,
             wall: std::time::Duration::from_millis(wall_ms),
             lm: tag_trace::LmUsage::default(),
+            rows: None,
             annotations: vec![],
         }]
     }

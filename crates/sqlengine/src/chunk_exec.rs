@@ -56,7 +56,6 @@ use crate::expr::{column_only, BoundExpr, EvalCtx};
 use crate::morsel::{morsels, MORSEL_ROWS};
 use crate::partial::PartialAgg;
 use crate::plan::{AggCall, Plan, SortKey};
-use crate::profile::{node_label, PlanProfiler};
 use crate::schema::Row;
 use crate::table::{Table, TableIndex};
 use crate::value::Value;
@@ -66,14 +65,13 @@ use std::sync::Arc;
 /// Execute a plan against a catalog, producing the root operator's
 /// batches in output order: a scan's are zero-copy views of the table's
 /// columnar image, and [`batches_to_rows`] materializes any of them.
-/// With a profiler attached every plan node is timed individually; the
-/// batches hold the same rows either way.
-pub fn execute(
-    plan: &Plan,
-    catalog: &Catalog,
-    prof: Option<&PlanProfiler>,
-) -> SqlResult<Vec<Batch>> {
-    execute_morsels(plan, catalog, prof, MORSEL_ROWS)
+/// With `spans` (a statement run under an active trace) every plan node
+/// opens one `exec` [`tag_trace`] span labelled [`Plan::label`] that
+/// records its rows out; the batches hold the same rows either way.
+/// Subqueries the planner or a correlated expression runs pass `false`,
+/// so a statement's span tree is its own plan, once.
+pub fn execute(plan: &Plan, catalog: &Catalog, spans: bool) -> SqlResult<Vec<Batch>> {
+    execute_morsels(plan, catalog, spans, MORSEL_ROWS)
 }
 
 /// [`execute`] at an explicit morsel size, so the parity test can force
@@ -81,13 +79,13 @@ pub fn execute(
 fn execute_morsels(
     plan: &Plan,
     catalog: &Catalog,
-    prof: Option<&PlanProfiler>,
+    spans: bool,
     morsel_rows: usize,
 ) -> SqlResult<Vec<Batch>> {
     let ctx = ChunkCtx {
         catalog,
         morsel_rows,
-        prof,
+        spans,
     };
     ctx.exec_node(plan)
 }
@@ -108,7 +106,7 @@ fn index_batch(table: &Table, ids: Vec<usize>) -> Vec<Batch> {
 struct ChunkCtx<'a> {
     catalog: &'a Catalog,
     morsel_rows: usize,
-    prof: Option<&'a PlanProfiler>,
+    spans: bool,
 }
 
 impl<'a> ChunkCtx<'a> {
@@ -118,16 +116,17 @@ impl<'a> ChunkCtx<'a> {
         }
     }
 
-    /// Recursion point: every operator's children come back through
-    /// here so each node is its own profile entry when a profiler is
-    /// attached.
+    /// Recursion point: every operator's inputs come back through here
+    /// so each node is its own span when spans are on.
     fn exec_node(&self, plan: &Plan) -> SqlResult<Vec<Batch>> {
-        let Some(p) = self.prof else {
+        if !self.spans {
             return self.exec_impl(plan);
-        };
-        let token = p.enter(node_label(plan));
+        }
+        let span = tag_trace::span(tag_trace::Stage::Exec, &plan.label());
         let result = self.exec_impl(plan);
-        p.exit(token, result.as_ref().map(|b| batches_len(b)).unwrap_or(0));
+        if let Ok(batches) = &result {
+            span.set_rows(batches_len(batches));
+        }
         result
     }
 
@@ -1048,7 +1047,7 @@ mod parity {
         let want = format!("{:?}", reference::execute(plan, db.catalog()));
         let got = format!(
             "{:?}",
-            execute_morsels(plan, db.catalog(), None, morsel_rows).map(|b| batches_to_rows(&b))
+            execute_morsels(plan, db.catalog(), false, morsel_rows).map(|b| batches_to_rows(&b))
         );
         if want != got {
             return Err(format!(
@@ -1135,7 +1134,7 @@ mod parity {
         }
         let failing = failing_queries(0);
         for sql in &failing {
-            let failed = execute(&plan(sql), db.catalog(), None).is_err();
+            let failed = execute(&plan(sql), db.catalog(), false).is_err();
             assert!(failed, "{sql} must fail on the fixture");
         }
         // The planner projects ORDER BY expressions ahead of the Sort,

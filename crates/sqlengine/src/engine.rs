@@ -1,26 +1,26 @@
 //! The top-level database engine: statement dispatch over a catalog.
 //!
-//! Every read (`query`, `query_profiled`, `query_frame`, `execute` of a
-//! SELECT, and the `EXPLAIN` of one) is planned when it runs, by one
+//! Every read (`query`, `query_frame`, `execute` of a SELECT, and the
+//! `EXPLAIN` of one) is planned when it runs, by one
 //! function ([`Database::plan_arms`]), against the catalog as it is at
 //! that moment; every plan runs through the one relational executor,
 //! [`crate::chunk_exec::execute`], under one arm loop
 //! ([`Database::run_arms`]) whose batches the entry point turns into
 //! rows (a [`ResultSet`]) or keeps as a selection (a [`SemFrame`]).
 //! Nothing on `Database` selects how, and nothing is kept between
-//! statements.
+//! statements. Under an active `tag-trace` trace each plan node of the
+//! statement is an `exec` span ([`crate::chunk_exec::execute`]); that is
+//! the only difference a trace makes.
 
 use crate::ast::{ColumnDef, InsertStmt, SelectStmt, Statement};
 use crate::catalog::Catalog;
 use crate::chunk::{batches_to_rows, Batch};
 use crate::chunk_exec::execute;
 use crate::error::{SqlError, SqlResult};
-use crate::metrics::ExecMetrics;
 use crate::optimizer::optimize;
 use crate::parser::{parse_statement, parse_statements};
 use crate::plan::Plan;
 use crate::planner::{Planner, Scope};
-use crate::profile::PlanProfiler;
 use crate::result::ResultSet;
 use crate::schema::{Column, Schema};
 use crate::semplan::SemFrame;
@@ -81,9 +81,6 @@ pub struct Database {
     /// Atomic so read-only `query()` can count under a shared borrow
     /// (the serving runtime runs SELECTs from many threads at once).
     statements_run: AtomicU64,
-    /// Per-operator metrics sink, installed once by the serving
-    /// runtime; profiled queries feed it, plain queries never touch it.
-    exec_metrics: std::sync::OnceLock<Arc<ExecMetrics>>,
 }
 
 impl Clone for Database {
@@ -92,9 +89,6 @@ impl Clone for Database {
             catalog: self.catalog.clone(),
             udfs: self.udfs.clone(),
             statements_run: AtomicU64::new(self.statements_run.load(Ordering::Relaxed)),
-            // Clones share the sink: instruments are per-operator-kind
-            // aggregates, not per-handle state.
-            exec_metrics: self.exec_metrics.clone(),
         }
     }
 }
@@ -136,15 +130,6 @@ impl Database {
         PlanCacheStats::default()
     }
 
-    /// Install a metrics hub: profiled queries
-    /// ([`Database::query_profiled`]) then feed per-operator counters
-    /// and windowed latency histograms (see [`crate::metrics`]). First
-    /// install wins. Takes `&self` so a shared handle can be
-    /// instrumented after construction.
-    pub fn install_metrics_hub(&self, hub: Arc<tag_metrics::MetricsHub>) {
-        let _ = self.exec_metrics.set(Arc::new(ExecMetrics::new(hub)));
-    }
-
     /// Parse, plan, optimize, and run one SQL statement. `EXPLAIN`
     /// statements (see [`Database::query`]) are answered without
     /// executing anything.
@@ -163,64 +148,41 @@ impl Database {
     /// returns the plan text as a one-column `plan` result, one row per
     /// line.
     pub fn query(&self, sql: &str) -> SqlResult<ResultSet> {
-        self.read(sql, None).map(result_set)
+        self.read(sql).map(result_set)
     }
 
     /// Execute an already-parsed read-only statement under `&self`.
     pub fn query_statement(&self, stmt: Statement) -> SqlResult<ResultSet> {
-        self.read_statement(&stmt, None).map(result_set)
-    }
-
-    /// Like [`Database::query`], but also returns an `EXPLAIN ANALYZE`-
-    /// style annotated plan: one line per operator with input/output
-    /// cardinality and elapsed wall-clock time. It is `query` with a
-    /// profiler attached, so the [`ResultSet`] is always identical to an
-    /// unprofiled run; for an `EXPLAIN` statement, which executes
-    /// nothing, the text is empty.
-    pub fn query_profiled(&self, sql: &str) -> SqlResult<(ResultSet, String)> {
-        let mut text = String::new();
-        let rs = self.read(sql, Some(&mut text)).map(result_set)?;
-        Ok((rs, text))
+        self.read_statement(&stmt).map(result_set)
     }
 
     /// [`Database::query`] whose result stays columnar: a [`SemFrame`]
     /// selecting the rows of the executor's output, so a scan's result
     /// shares the table's columnar image instead of copying it into rows
     /// (see [`SemFrame`] for what a frame holds across a later write).
-    /// With `profile`, the `EXPLAIN ANALYZE` text
-    /// [`Database::query_profiled`] returns is appended to it.
-    pub fn query_frame(&self, sql: &str, profile: Option<&mut String>) -> SqlResult<SemFrame> {
-        let (columns, batches) = self.read(sql, profile)?;
+    pub fn query_frame(&self, sql: &str) -> SqlResult<SemFrame> {
+        let (columns, batches) = self.read(sql)?;
         Ok(SemFrame::from_batches(columns, batches))
     }
 
     /// The one read path: answer an `EXPLAIN`, or parse the statement
     /// and read it. Returns the result's columns and its batches, which
     /// the entry points turn into rows ([`ResultSet`]) or a frame.
-    fn read(
-        &self,
-        sql: &str,
-        profile: Option<&mut String>,
-    ) -> SqlResult<(Vec<String>, Vec<Batch>)> {
+    fn read(&self, sql: &str) -> SqlResult<(Vec<String>, Vec<Batch>)> {
         match self.try_explain(sql) {
             Some(result) => result.map(|rs| {
                 let batch = Batch::from_rows(rs.columns.len(), rs.rows);
                 (rs.columns, vec![batch])
             }),
-            None => self.read_statement(&parse_statement(sql)?, profile),
+            None => self.read_statement(&parse_statement(sql)?),
         }
     }
 
-    /// Plan the statement's arms and run them, profiled into `profile`
-    /// when given.
-    fn read_statement(
-        &self,
-        stmt: &Statement,
-        profile: Option<&mut String>,
-    ) -> SqlResult<(Vec<String>, Vec<Batch>)> {
+    /// Plan the statement's arms and run them.
+    fn read_statement(&self, stmt: &Statement) -> SqlResult<(Vec<String>, Vec<Batch>)> {
         let arms = self.plan_arms(stmt, READ_ONLY)?;
         self.statements_run.fetch_add(1, Ordering::Relaxed);
-        self.run_arms(&arms, profile)
+        self.run_arms(&arms)
     }
 
     /// Bind + optimize every arm of a SELECT / compound SELECT against
@@ -287,26 +249,21 @@ impl Database {
     }
 
     /// Run every arm and combine with UNION semantics (plain UNION
-    /// dedups the accumulated result, SQLite-style). With `profile`,
-    /// each arm runs under a [`PlanProfiler`] whose rendering is
-    /// appended to it and whose nodes feed the installed metrics sink.
+    /// dedups the accumulated result, SQLite-style). Under an active
+    /// trace each arm's plan is its own subtree of node spans.
     ///
     /// A single SELECT's result is its plan's batches as the executor
     /// returned them; a compound SELECT's is its union rows, as one
     /// owned batch.
-    fn run_arms(
-        &self,
-        arms: &[Arm],
-        mut profile: Option<&mut String>,
-    ) -> SqlResult<(Vec<String>, Vec<Batch>)> {
+    fn run_arms(&self, arms: &[Arm]) -> SqlResult<(Vec<String>, Vec<Batch>)> {
         let columns = arms
             .first()
             .map(|arm| arm.plan.columns())
             .unwrap_or_default();
+        let spans = tag_trace::is_active();
         let mut out = Vec::new();
         for (i, arm) in arms.iter().enumerate() {
-            let profiler = profile.is_some().then(PlanProfiler::new);
-            let batches = execute(&arm.plan, &self.catalog, profiler.as_ref())?;
+            let batches = execute(&arm.plan, &self.catalog, spans)?;
             if i == 0 {
                 out = batches;
             } else {
@@ -317,15 +274,6 @@ impl Database {
                     rows.retain(|r| seen.insert(r.clone()));
                 }
                 out = vec![Batch::from_rows(columns.len(), rows)];
-            }
-            if let (Some(text), Some(profiler)) = (profile.as_deref_mut(), &profiler) {
-                if let Some(sink) = self.exec_metrics.get() {
-                    sink.record(&profiler.nodes());
-                }
-                if i > 0 {
-                    text.push_str(arm.separator());
-                }
-                text.push_str(&profiler.render());
             }
         }
         Ok((columns, out))
@@ -623,6 +571,7 @@ fn scope_for_table(name: &str, table: &Table) -> Scope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::batches_len;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -633,6 +582,61 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    /// Run `read` under a fresh trace, inside a `sql` span as
+    /// `TagEnv::run_sql` runs a statement: its result and the spans it
+    /// left, the `sql` span last.
+    fn traced<T>(read: impl FnOnce() -> T) -> (T, Vec<tag_trace::SpanRecord>) {
+        let (trace, sink) = tag_trace::Trace::memory();
+        let out = tag_trace::with_trace(&trace, || {
+            let _sql = tag_trace::span(tag_trace::Stage::Exec, "sql");
+            read()
+        });
+        (out, sink.take())
+    }
+
+    /// The nodes of a plan, root first, each input before the next.
+    fn preorder<'p>(plan: &'p Plan, out: &mut Vec<&'p Plan>) {
+        out.push(plan);
+        for input in plan.inputs() {
+            preorder(input, out);
+        }
+    }
+
+    /// `spans` (what [`traced`] left for `sql`) are `sql`'s plan, once:
+    /// under the `sql` span they are [`Database::explain`]'s node lines
+    /// (each line the span's label at the span's depth, each UNION arm
+    /// its own subtree), and each span's rows are what its operator
+    /// produces when its subtree runs alone.
+    fn assert_spans_mirror_plan(db: &Database, sql: &str, spans: &[tag_trace::SpanRecord]) {
+        // Ids grow in open order: sorted, the node spans walk the plans
+        // root first, each input before the next.
+        let mut nodes: Vec<_> = spans.iter().filter(|s| s.label != "sql").collect();
+        nodes.sort_by_key(|s| s.id);
+        let explain = db.explain(sql).unwrap();
+        let lines: Vec<&str> = explain
+            .lines()
+            .filter(|l| !l.starts_with("UNION"))
+            .collect();
+        assert_eq!(lines.len(), nodes.len(), "{sql}\n{explain}");
+        let parent = |id: &u64| spans.iter().find(|s| s.id == *id)?.parent;
+        for (line, span) in lines.iter().zip(&nodes) {
+            let depth = std::iter::successors(span.parent, parent).count() - 1;
+            let head = format!("{}{}", "  ".repeat(depth), span.label);
+            assert!(line.starts_with(&head), "{sql}: {line:?} vs {head:?}");
+            assert_eq!(span.stage, tag_trace::Stage::Exec);
+        }
+        let plans = db.plans(sql).unwrap();
+        let mut plan_nodes = Vec::new();
+        for plan in &plans {
+            preorder(plan, &mut plan_nodes);
+        }
+        for (node, span) in plan_nodes.into_iter().zip(nodes) {
+            assert_eq!(span.label, node.label(), "{sql}");
+            let produced = batches_len(&execute(node, db.catalog(), false).unwrap());
+            assert_eq!(span.rows, Some(produced as u64), "{sql}: {}", span.label);
+        }
     }
 
     #[test]
@@ -653,9 +657,9 @@ mod tests {
         assert!(db.query("EXPLAINSELECT 1").is_err());
     }
 
-    /// `query`, `query_profiled` (what `TagEnv::run_sql` calls under a
-    /// trace), `explain` and the `EXPLAIN` statement are one path, so
-    /// they accept the same statements and print the same text.
+    /// `query` (traced or not), `explain` and the `EXPLAIN` statement
+    /// are one path, so they accept the same statements and print the
+    /// same text.
     #[test]
     fn explain_is_one_path_whoever_asks() {
         let mut db = db();
@@ -668,9 +672,9 @@ mod tests {
         ] {
             let statement = format!("EXPLAIN {select}");
             let plain = db.query(&statement).unwrap();
-            let (profiled, profile) = db.query_profiled(&statement).unwrap();
-            assert_eq!(plain, profiled, "{statement}");
-            assert_eq!(profile, "", "an EXPLAIN executes nothing");
+            let (traced_rs, spans) = traced(|| db.query(&statement));
+            assert_eq!(plain, traced_rs.unwrap(), "{statement}");
+            assert_eq!(spans.len(), 1, "an EXPLAIN executes nothing");
             assert_eq!(db.execute(&statement).unwrap(), plain, "{statement}");
             assert_eq!(lines(&plain), db.explain(select).unwrap(), "{statement}");
         }
@@ -685,7 +689,9 @@ mod tests {
         let errors = [
             db.explain(dml).unwrap_err(),
             db.query(&format!("EXPLAIN {dml}")).unwrap_err(),
-            db.query_profiled(&format!("EXPLAIN {dml}")).unwrap_err(),
+            traced(|| db.query(&format!("EXPLAIN {dml}")))
+                .0
+                .unwrap_err(),
             db.execute(&format!("EXPLAIN {dml}")).unwrap_err(),
         ];
         for err in errors {
@@ -947,45 +953,60 @@ mod tests {
         assert!(err.message().contains("no such column"), "{err}");
     }
 
+    /// A traced read is the same read, and leaves one span per node of
+    /// the statement's plan; a compound SELECT's arms are subtrees.
     #[test]
-    fn query_profiled_matches_query_and_annotates_plan() {
-        let mut db = Database::new();
-        db.execute_script(
-            "CREATE TABLE t (a INTEGER, b TEXT);
-             INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'x');",
-        )
-        .unwrap();
-        let sql = "SELECT b, COUNT(*) FROM t WHERE a > 1 GROUP BY b ORDER BY b";
-        let plain = db.query(sql).unwrap();
-        let (profiled, plan_text) = db.query_profiled(sql).unwrap();
-        assert_eq!(plain.rows, profiled.rows);
-        assert_eq!(plain.columns, profiled.columns);
-        assert!(plan_text.contains("in="), "{plan_text}");
-        assert!(plan_text.contains("out="), "{plan_text}");
-        assert!(plan_text.contains("time="), "{plan_text}");
-        assert!(plan_text.contains("TableScan t"), "{plan_text}");
+    fn traced_query_matches_query_and_spans_mirror_explain() {
+        let mut db = db();
+        db.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'x')")
+            .unwrap();
+        for sql in [
+            "SELECT b, COUNT(*) FROM t WHERE a > 1 GROUP BY b ORDER BY b",
+            "SELECT DISTINCT b FROM t ORDER BY b LIMIT 1",
+            "SELECT x.a, y.b FROM t x JOIN t y ON x.a = y.a WHERE y.b = 'x'",
+            "SELECT City FROM schools UNION SELECT City FROM schools",
+            "SELECT City FROM schools WHERE CDSCode = 2 UNION ALL SELECT 'x' \
+             UNION SELECT City FROM schools WHERE Longitude < -122",
+        ] {
+            let (rs, spans) = traced(|| db.query(sql));
+            assert_eq!(rs.unwrap(), db.query(sql).unwrap(), "{sql}");
+            assert_spans_mirror_plan(&db, sql, &spans);
+        }
+        let spans = traced(|| db.query("SELECT a FROM t WHERE a > 1")).1;
+        let tree = tag_trace::render_tree(&spans);
+        assert!(tree.contains("[exec] TableScan t"), "{tree}");
+        assert!(tree.contains("rows=2"), "{tree}");
     }
 
     #[test]
-    fn query_profiled_handles_compound_select() {
-        let mut db = Database::new();
-        db.execute_script(
-            "CREATE TABLE t (a INTEGER);
-             INSERT INTO t VALUES (1), (2);",
-        )
-        .unwrap();
-        let sql = "SELECT a FROM t UNION SELECT a FROM t";
-        let plain = db.query(sql).unwrap();
-        let (profiled, plan_text) = db.query_profiled(sql).unwrap();
-        assert_eq!(plain.rows, profiled.rows);
-        assert!(plan_text.contains("UNION\n"), "{plan_text}");
-    }
-
-    #[test]
-    fn query_profiled_rejects_dml() {
+    fn traced_query_rejects_dml_and_opens_no_node_span() {
         let db = Database::new();
-        let err = db.query_profiled("CREATE TABLE t (a INTEGER)").unwrap_err();
-        assert!(err.message().contains("read-only"), "{err}");
+        let (err, spans) = traced(|| db.query("CREATE TABLE t (a INTEGER)"));
+        assert!(err.unwrap_err().message().contains("read-only"));
+        assert_eq!(spans.len(), 1, "only the caller's span: {spans:?}");
+    }
+
+    /// A correlated subquery runs once per outer row, inside the filter
+    /// that evaluates it; its plans are not the statement's and open no
+    /// span. A traced statement over N rows opens as many spans as its
+    /// plan has nodes, not N times more.
+    #[test]
+    fn correlated_subqueries_open_no_spans() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (a INTEGER)").unwrap();
+        let values: Vec<String> = (0..200).map(|i| format!("({i})")).collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+            .unwrap();
+        let sql = "SELECT a FROM t o WHERE EXISTS (SELECT 1 FROM t i WHERE i.a = o.a + 1)";
+        let (rs, spans) = traced(|| db.query(sql));
+        assert_eq!(rs.unwrap().rows.len(), 199);
+        let plans = db.plans(sql).unwrap();
+        let mut nodes = Vec::new();
+        preorder(&plans[0], &mut nodes);
+        assert!(nodes.len() < 10, "{}", db.explain(sql).unwrap());
+        assert_eq!(spans.len(), nodes.len() + 1, "node spans plus `sql`");
+        assert_spans_mirror_plan(&db, sql, &spans);
     }
 
     /// The planner runs an uncorrelated subquery while it plans and
@@ -1029,8 +1050,8 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(count(&db), 9);
-        let (profiled, _) = db.query_profiled(sql).unwrap();
-        assert_eq!(profiled.rows[0][0], Value::Int(9));
+        let (traced_rs, _) = traced(|| db.query(sql));
+        assert_eq!(traced_rs.unwrap().rows[0][0], Value::Int(9));
     }
 
     /// Rows the reference interpreter produces for a single-arm SELECT,
@@ -1084,9 +1105,9 @@ mod tests {
                 let want = reference_rows(db, sql);
                 assert_eq!(db.query(sql).unwrap().rows, want, "{sql}");
                 assert_eq!(
-                    db.query_profiled(sql).unwrap().0.rows,
+                    traced(|| db.query(sql)).0.unwrap().rows,
                     want,
-                    "profiled {sql}"
+                    "traced {sql}"
                 );
             }
         };
@@ -1164,7 +1185,7 @@ mod tests {
     /// `query_frame` is `query` kept columnar: the same columns and rows
     /// for every kind of result (a scan, a filter's selection, a top-k's
     /// own chunk, an index probe, a compound SELECT, an EXPLAIN), the
-    /// same profile text as `query_profiled`, and a scan's frame shares
+    /// same node spans as a traced `query`, and a scan's frame shares
     /// the table image's columns. Held across an insert, a frame keeps
     /// the rows it saw.
     #[test]
@@ -1181,21 +1202,30 @@ mod tests {
             "EXPLAIN SELECT * FROM schools",
         ] {
             let rs = db.query(sql).unwrap();
-            let frame = db.query_frame(sql, None).unwrap();
+            let frame = db.query_frame(sql).unwrap();
             assert_eq!(frame.columns, rs.columns, "{sql}");
             assert_eq!(
                 format!("{:?}", frame.rows()),
                 format!("{:?}", rs.rows),
                 "{sql}"
             );
-            let mut text = String::new();
-            assert_eq!(db.query_frame(sql, Some(&mut text)).unwrap(), frame);
-            let (_, want) = db.query_profiled(sql).unwrap();
-            assert_eq!(text.lines().count(), want.lines().count(), "{sql}");
+            let (traced_frame, spans) = traced(|| db.query_frame(sql));
+            assert_eq!(traced_frame.unwrap(), frame, "{sql}");
+            let (_, want) = traced(|| db.query(sql));
+            let labels = |spans: &[tag_trace::SpanRecord]| -> Vec<String> {
+                spans
+                    .iter()
+                    .map(|s| format!("{} {:?}", s.label, s.rows))
+                    .collect()
+            };
+            assert_eq!(labels(&spans), labels(&want), "{sql}");
+            if !sql.starts_with("EXPLAIN") {
+                assert_spans_mirror_plan(&db, sql, &spans);
+            }
         }
 
         let sql = "SELECT City FROM schools WHERE Longitude < -120";
-        let frame = db.query_frame(sql, None).unwrap();
+        let frame = db.query_frame(sql).unwrap();
         let image = db.catalog().table("schools").unwrap().columnar();
         assert!(std::ptr::eq(frame.column(0), image.column(1)), "no copy");
         assert_eq!(frame.selection(), &[0, 2, 3]);
@@ -1204,7 +1234,7 @@ mod tests {
         db.execute("INSERT INTO schools VALUES (9, 'Chico', -121.8)")
             .unwrap();
         assert_eq!(frame.rows(), seen);
-        assert_eq!(db.query_frame(sql, None).unwrap().len(), 4);
+        assert_eq!(db.query_frame(sql).unwrap().len(), 4);
     }
 
     /// A statement's LIMIT is the query writer's number, not the

@@ -475,7 +475,7 @@ mod tests {
     /// Every hand-built plan below runs through both executors.
     fn execute(plan: &Plan, c: &Catalog) -> SqlResult<Vec<Row>> {
         let want = reference::execute(plan, c);
-        let got = crate::chunk_exec::execute(plan, c, None);
+        let got = crate::chunk_exec::execute(plan, c, false);
         assert_eq!(got.map(|b| crate::chunk::batches_to_rows(&b)), want);
         want
     }

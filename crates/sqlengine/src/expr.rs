@@ -710,7 +710,7 @@ fn run_correlated(
         )
     })?;
     let bound = plan.substitute_outer(outer_row);
-    let batches = crate::chunk_exec::execute(&bound, catalog, None)?;
+    let batches = crate::chunk_exec::execute(&bound, catalog, false)?;
     Ok(crate::chunk::batches_to_rows(&batches))
 }
 

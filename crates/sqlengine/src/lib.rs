@@ -49,14 +49,12 @@ pub mod expr;
 pub mod functions;
 pub mod index;
 pub mod lexer;
-pub mod metrics;
 mod morsel;
 pub mod optimizer;
 pub mod parser;
 pub mod partial;
 pub mod plan;
 pub mod planner;
-pub mod profile;
 pub mod result;
 pub mod schema;
 mod semcost;
@@ -72,17 +70,15 @@ pub use catalog::Catalog;
 pub use engine::{Database, PlanCacheStats};
 pub use error::{SqlError, SqlResult};
 pub use expr::{BoundExpr, EvalCtx};
-pub use metrics::ExecMetrics;
 pub use partial::PartialAgg;
 pub use plan::{AggCall, AggFunc, IndexRange, Plan, SortKey};
-pub use profile::{NodeProfile, PlanProfiler};
 pub use result::ResultSet;
 pub use schema::{Column, DataType, Row, Schema};
 pub use semcost::{plan_cost, CostBound};
 pub use semopt::{lower_scans, optimize_sem, plan_sem, SemOptOptions};
 pub use semplan::{
-    execute_sem, execute_sem_profiled, scan_sql, CutSpec, GenFormat, LmCost, RetrieveKind,
-    SemClaimSpec, SemDelegate, SemFrame, SemNode, SemPredicate, SemReads, SemStage,
+    execute_sem, scan_sql, CutSpec, GenFormat, RetrieveKind, SemClaimSpec, SemDelegate, SemFrame,
+    SemNode, SemPredicate, SemReads,
 };
 pub use semverify::{verify_plan, verify_report_text, verify_rewrite, Diagnostic, VerifyReport};
 pub use table::{IndexKind, Table};

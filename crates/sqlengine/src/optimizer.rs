@@ -954,7 +954,7 @@ mod tests {
             opt.explain()
         );
         let rows =
-            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, None).unwrap());
+            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, false).unwrap());
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(42));
     }
@@ -977,7 +977,7 @@ mod tests {
             opt.explain()
         );
         let rows =
-            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, None).unwrap());
+            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, false).unwrap());
         assert_eq!(rows.len(), 5);
     }
 
@@ -1049,7 +1049,7 @@ mod tests {
             other => panic!("expected HashJoin, got:\n{}", other.explain()),
         }
         let rows =
-            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, None).unwrap());
+            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, false).unwrap());
         assert_eq!(rows.len(), 100);
     }
 
@@ -1091,7 +1091,7 @@ mod tests {
         }
         assert!(contains_probe(&opt), "plan:\n{}", opt.explain());
         let rows =
-            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, None).unwrap());
+            crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, false).unwrap());
         assert_eq!(rows.len(), 1);
     }
 
@@ -1318,8 +1318,9 @@ mod tests {
                 "{}",
                 opt.explain()
             );
-            let rows =
-                crate::chunk::batches_to_rows(&crate::chunk_exec::execute(&opt, &c, None).unwrap());
+            let rows = crate::chunk::batches_to_rows(
+                &crate::chunk_exec::execute(&opt, &c, false).unwrap(),
+            );
             assert_eq!(rows, vec![vec![Value::Int(100)]]);
         }
 

@@ -450,7 +450,53 @@ impl Plan {
         found
     }
 
-    /// Render an indented EXPLAIN-style tree.
+    /// One-line label for this node alone: the head of its
+    /// [`Plan::explain`] line, and the name of the node's trace span
+    /// when a traced statement runs it.
+    pub fn label(&self) -> String {
+        match self {
+            Plan::TableScan { table, .. } => format!("TableScan {table}"),
+            Plan::IndexProbe {
+                table, key_column, ..
+            } => format!("IndexProbe {table} col#{key_column}"),
+            Plan::IndexRangeScan {
+                table, key_column, ..
+            } => format!("IndexRangeScan {table} col#{key_column}"),
+            Plan::Values { rows, .. } => format!("Values ({} rows)", rows.len()),
+            Plan::Filter { .. } => "Filter".to_string(),
+            Plan::Project { .. } => "Project".to_string(),
+            Plan::NestedLoopJoin { kind, .. } => format!("NestedLoopJoin {kind}"),
+            Plan::HashJoin { kind, .. } => format!("HashJoin {kind}"),
+            Plan::Aggregate { .. } => "Aggregate".to_string(),
+            Plan::Sort { keys, .. } => format!("Sort {} keys", keys.len()),
+            Plan::TopK { k, offset, .. } => format!("TopK k={k} offset={offset}"),
+            Plan::Limit { limit, offset, .. } => format!("Limit limit={limit:?} offset={offset}"),
+            Plan::Distinct { .. } => "Distinct".to_string(),
+        }
+    }
+
+    /// The node's inputs in execution order (a join's left first).
+    pub fn inputs(&self) -> Vec<&Plan> {
+        match self {
+            Plan::TableScan { .. }
+            | Plan::IndexProbe { .. }
+            | Plan::IndexRangeScan { .. }
+            | Plan::Values { .. } => Vec::new(),
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::TopK { input, .. }
+            | Plan::Limit { input, .. }
+            | Plan::Distinct { input } => vec![input],
+            Plan::NestedLoopJoin { left, right, .. } | Plan::HashJoin { left, right, .. } => {
+                vec![left, right]
+            }
+        }
+    }
+
+    /// Render an indented EXPLAIN-style tree: one line per node, its
+    /// [`Plan::label`] and then what the label leaves out.
     pub fn explain(&self) -> String {
         let mut out = String::new();
         self.explain_into(&mut out, 0);
@@ -458,102 +504,30 @@ impl Plan {
     }
 
     fn explain_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        match self {
-            Plan::TableScan { table, .. } => {
-                let _ = writeln!(out, "{pad}TableScan {table}");
-            }
-            Plan::IndexProbe {
-                table,
-                key_column,
-                key,
-                ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}IndexProbe {table} col#{key_column} = {}",
-                    key.to_sql_literal()
-                );
-            }
-            Plan::IndexRangeScan {
-                table, key_column, ..
-            } => {
-                let _ = writeln!(out, "{pad}IndexRangeScan {table} col#{key_column}");
-            }
-            Plan::Values { rows, .. } => {
-                let _ = writeln!(out, "{pad}Values ({} rows)", rows.len());
-            }
-            Plan::Filter { input, predicate } => {
-                let _ = writeln!(out, "{pad}Filter {predicate:?}");
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Project { input, exprs, .. } => {
-                let _ = writeln!(out, "{pad}Project {exprs:?}");
-                input.explain_into(out, depth + 1);
-            }
-            Plan::NestedLoopJoin {
-                left,
-                right,
-                kind,
-                on,
-            } => {
-                let _ = writeln!(out, "{pad}NestedLoopJoin {kind} on={on:?}");
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
+        let detail = match self {
+            Plan::IndexProbe { key, .. } => format!(" = {}", key.to_sql_literal()),
+            Plan::Filter { predicate, .. } => format!(" {predicate:?}"),
+            Plan::Project { exprs, .. } => format!(" {exprs:?}"),
+            Plan::NestedLoopJoin { on, .. } => format!(" on={on:?}"),
             Plan::HashJoin {
-                left,
-                right,
-                kind,
                 left_key,
                 right_key,
                 residual,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}HashJoin {kind} {left_key:?} = {right_key:?} residual={residual:?}"
-                );
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            Plan::Aggregate {
-                input, group, aggs, ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}Aggregate groups={group:?} aggs={}",
-                    aggs.iter()
-                        .map(|a| format!("{:?}({:?})", a.func, a.arg))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Sort { input, keys } => {
-                let _ = writeln!(out, "{pad}Sort {} keys", keys.len());
-                input.explain_into(out, depth + 1);
-            }
-            Plan::TopK {
-                input,
-                keys,
-                k,
-                offset,
-            } => {
-                let _ = writeln!(out, "{pad}TopK k={k} offset={offset} ({} keys)", keys.len());
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Limit {
-                input,
-                limit,
-                offset,
-            } => {
-                let _ = writeln!(out, "{pad}Limit limit={limit:?} offset={offset}");
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Distinct { input } => {
-                let _ = writeln!(out, "{pad}Distinct");
-                input.explain_into(out, depth + 1);
-            }
+                ..
+            } => format!(" {left_key:?} = {right_key:?} residual={residual:?}"),
+            Plan::Aggregate { group, aggs, .. } => format!(
+                " groups={group:?} aggs={}",
+                aggs.iter()
+                    .map(|a| format!("{:?}({:?})", a.func, a.arg))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
+            Plan::TopK { keys, .. } => format!(" ({} keys)", keys.len()),
+            _ => String::new(),
+        };
+        let _ = writeln!(out, "{}{}{detail}", "  ".repeat(depth), self.label());
+        for input in self.inputs() {
+            input.explain_into(out, depth + 1);
         }
     }
 }

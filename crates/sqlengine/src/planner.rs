@@ -916,7 +916,7 @@ impl<'a> Planner<'a> {
     /// Optimize and execute an already-planned uncorrelated subquery.
     fn run_plan(&self, plan: Plan) -> SqlResult<Vec<crate::schema::Row>> {
         let plan = crate::optimizer::optimize(plan, self.catalog);
-        Ok(batches_to_rows(&execute(&plan, self.catalog, None)?))
+        Ok(batches_to_rows(&execute(&plan, self.catalog, false)?))
     }
 }
 
@@ -1051,7 +1051,7 @@ mod tests {
         };
         let planner = Planner::new(catalog, udfs);
         let plan = planner.plan_select(&sel).unwrap();
-        batches_to_rows(&execute(&plan, catalog, None).unwrap())
+        batches_to_rows(&execute(&plan, catalog, false).unwrap())
     }
 
     #[test]

@@ -241,7 +241,6 @@ mod tests {
             }),
             request: "q".into(),
             format: GenFormat::List,
-            span_name: "answer".into(),
         };
         let c = plan_cost(&plan, None);
         assert_eq!(c.lm_calls, 31);

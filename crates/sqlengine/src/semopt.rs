@@ -183,12 +183,10 @@ fn map_input(node: SemNode, f: &mut impl FnMut(SemNode) -> SemNode) -> SemNode {
             input,
             request,
             format,
-            span_name,
         } => SemNode::Generate {
             input: opt(input),
             request,
             format,
-            span_name,
         },
     }
 }

@@ -11,18 +11,19 @@
 //! `EXPLAIN SEMPLAN`, and are rewritten by the optimizer rules in
 //! [`crate::semopt`] — exactly like relational plans.
 //!
-//! The executor ([`execute_sem`]) walks the chain bottom-up, threading an
-//! optional [`PlanProfiler`] so every node records rows in/out, elapsed
-//! wall-clock time, and the LM calls/tokens it caused (via
-//! [`SemDelegate::lm_snapshot`] deltas).
+//! The executor ([`execute_sem`]) walks the chain bottom-up. Under an
+//! active `tag-trace` trace every node is one span, labelled
+//! [`SemNode::label`] and tagged [`SemNode::stage`], that records the
+//! node's rows out; the LM calls and tokens the node causes land on it
+//! (or on an operator span inside it) through `tag_trace::record_lm`.
 
 use crate::chunk::{batches_len, concat_batches_chunk, Batch, Chunk, ColumnData, Rows};
 use crate::error::{SqlError, SqlResult};
-use crate::profile::PlanProfiler;
 use crate::result::ResultSet;
 use crate::value::Value;
 use std::fmt::Write as _;
 use std::sync::Arc;
+use tag_trace::Stage;
 
 /// A data-only mirror of the LM layer's semantic claims. The SQL layer
 /// sits below the LM crates, so claims are carried structurally here and
@@ -178,14 +179,13 @@ impl SemReads {
     }
 }
 
-/// Which phrasing a [`SemNode::Retrieve`] uses for its trace span and
-/// annotation (kept distinct so traces stay identical to the
-/// hand-rolled baselines).
+/// What a [`SemNode::Retrieve`] fetches, as its label names it: the rows
+/// generation reads (`k`) or a candidate pool for reranking (`pool`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetrieveKind {
-    /// RAG-style final retrieval ("row embeddings", `k`).
+    /// RAG-style final retrieval (`Retrieve k=..`).
     Rows,
-    /// Rerank-style candidate pool ("candidate pool", `pool`).
+    /// Rerank-style candidate pool (`Retrieve pool=..`).
     Candidates,
 }
 
@@ -199,32 +199,6 @@ pub enum GenFormat {
     /// Free-form, falling back to hierarchical `sem_agg` when the
     /// rendered prompt exceeds the model's context window.
     FreeOrAgg,
-}
-
-/// Pipeline stage of a plan node — the taxonomy `tag-trace` spans,
-/// `trace-report` tables, and the `tag-serve` pipeline derive from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SemStage {
-    /// Exact computation + row-transforming semantic operators.
-    Exec,
-    /// Embedding retrieval.
-    Retrieve,
-    /// LM relevance scoring / ordering between retrieval and generation.
-    Rerank,
-    /// Text-producing LM work.
-    Gen,
-}
-
-impl SemStage {
-    /// Stable wire token (matches `tag_trace::Stage::as_str`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SemStage::Exec => "exec",
-            SemStage::Retrieve => "retrieve",
-            SemStage::Rerank => "rerank",
-            SemStage::Gen => "gen",
-        }
-    }
 }
 
 /// One node of a semantic plan.
@@ -304,7 +278,7 @@ pub enum SemNode {
         query: String,
         /// Rows retrieved.
         k: usize,
-        /// Span/annotation phrasing.
+        /// Rows for generation or a candidate pool.
         kind: RetrieveKind,
     },
     /// LM relevance reranking of retrieved points.
@@ -324,8 +298,6 @@ pub enum SemNode {
         request: String,
         /// Prompt format.
         format: GenFormat,
-        /// Trace span name ("answer", "answer (no data)").
-        span_name: String,
     },
 }
 
@@ -374,18 +346,21 @@ impl SemNode {
         }
     }
 
-    /// The node's pipeline stage (see [`SemStage`]).
-    pub fn stage(&self) -> SemStage {
+    /// The node's pipeline stage: `exec` for exact computation and the
+    /// row-transforming semantic operators, `retrieve` for embedding
+    /// retrieval, `rerank` for LM relevance scoring, `gen` for
+    /// text-producing LM work. Its span carries this tag.
+    pub fn stage(&self) -> Stage {
         match self {
             SemNode::Scan { .. }
             | SemNode::Input { .. }
             | SemNode::Predicate { .. }
             | SemNode::Cut { .. }
             | SemNode::SemFilter { .. }
-            | SemNode::SemTopK { .. } => SemStage::Exec,
-            SemNode::Retrieve { .. } => SemStage::Retrieve,
-            SemNode::Rerank { .. } => SemStage::Rerank,
-            SemNode::Generate { .. } => SemStage::Gen,
+            | SemNode::SemTopK { .. } => Stage::Exec,
+            SemNode::Retrieve { .. } => Stage::Retrieve,
+            SemNode::Rerank { .. } => Stage::Rerank,
+            SemNode::Generate { .. } => Stage::Gen,
         }
     }
 
@@ -705,36 +680,6 @@ impl std::fmt::Debug for SemFrame {
     }
 }
 
-/// Cumulative LM cost counters, used as before/after snapshots for
-/// per-node attribution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LmCost {
-    /// Prompts that reached the model.
-    pub calls: u64,
-    /// Prompt tokens consumed.
-    pub prompt_tokens: u64,
-    /// Completion tokens produced.
-    pub completion_tokens: u64,
-}
-
-impl LmCost {
-    /// Saturating element-wise difference (`self - earlier`).
-    pub fn since(self, earlier: LmCost) -> LmCost {
-        LmCost {
-            calls: self.calls.saturating_sub(earlier.calls),
-            prompt_tokens: self.prompt_tokens.saturating_sub(earlier.prompt_tokens),
-            completion_tokens: self
-                .completion_tokens
-                .saturating_sub(earlier.completion_tokens),
-        }
-    }
-
-    /// Total tokens (prompt + completion).
-    pub fn tokens(self) -> u64 {
-        self.prompt_tokens + self.completion_tokens
-    }
-}
-
 /// Executes individual semantic plan nodes. Implemented by the semantic
 /// runtime (over `tag-semops` + the LM); the SQL layer stays free of LM
 /// dependencies.
@@ -743,47 +688,19 @@ pub trait SemDelegate {
     /// leaf, see [`SemNode::input`]). Implementations must not recurse
     /// into the node's input — the executor has already run it.
     fn exec_node(&self, node: &SemNode, input: Option<SemFrame>) -> Result<SemFrame, String>;
-
-    /// Current cumulative LM cost, read before/after each node for
-    /// attribution. A delegate without metering may return the default.
-    fn lm_snapshot(&self) -> LmCost {
-        LmCost::default()
-    }
 }
 
-/// Execute a semantic plan bottom-up through `delegate`.
+/// Execute a semantic plan bottom-up through `delegate`, one span per
+/// node under an active trace (module docs).
 pub fn execute_sem(root: &SemNode, delegate: &dyn SemDelegate) -> Result<SemFrame, String> {
-    exec_sem_node(root, delegate, None)
-}
-
-/// [`execute_sem`] with per-node profiling: rows in/out, elapsed time,
-/// and LM calls/tokens land in `profiler`.
-pub fn execute_sem_profiled(
-    root: &SemNode,
-    delegate: &dyn SemDelegate,
-    profiler: &PlanProfiler,
-) -> Result<SemFrame, String> {
-    exec_sem_node(root, delegate, Some(profiler))
-}
-
-fn exec_sem_node(
-    node: &SemNode,
-    delegate: &dyn SemDelegate,
-    prof: Option<&PlanProfiler>,
-) -> Result<SemFrame, String> {
-    let token = prof.map(|p| p.enter(node.label()));
-    let input = node
+    let span = tag_trace::is_active().then(|| tag_trace::span(root.stage(), &root.label()));
+    let input = root
         .input()
-        .map(|input| exec_sem_node(input, delegate, prof))
+        .map(|input| execute_sem(input, delegate))
         .transpose()?;
-    let before = prof.map(|_| delegate.lm_snapshot());
-    let result = delegate.exec_node(node, input);
-    if let (Some(p), Some(token)) = (prof, token) {
-        let cost = before
-            .map(|b| delegate.lm_snapshot().since(b))
-            .unwrap_or_default();
-        let rows_out = result.as_ref().map(SemFrame::len).unwrap_or(0);
-        p.exit_lm(token, rows_out, cost);
+    let result = delegate.exec_node(root, input);
+    if let (Some(span), Ok(frame)) = (&span, &result) {
+        span.set_rows(frame.len());
     }
     result
 }
@@ -797,28 +714,27 @@ mod tests {
     }
 
     /// A delegate that halves row counts and charges one LM call per
-    /// semantic node.
-    struct HalvingDelegate(std::cell::Cell<u64>);
+    /// semantic node to the innermost open span, as the runtime's
+    /// semantic engine does. A scan of `missing` fails.
+    struct HalvingDelegate;
 
     impl SemDelegate for HalvingDelegate {
         fn exec_node(&self, node: &SemNode, input: Option<SemFrame>) -> Result<SemFrame, String> {
             match node {
+                SemNode::Scan { table, .. } if table == "missing" => Err("no table".into()),
                 SemNode::Scan { .. } => Ok(frame(8)),
                 SemNode::SemFilter { .. } => {
-                    self.0.set(self.0.get() + 1);
+                    tag_trace::record_lm(tag_trace::LmUsage {
+                        calls: 1,
+                        prompt_tokens: 10,
+                        completion_tokens: 1,
+                        ..Default::default()
+                    });
                     let f = input.expect("SemFilter has an input");
                     let half = f.selection()[..f.len() / 2].to_vec();
                     Ok(f.with_selection(half))
                 }
                 other => Err(format!("unexpected node {}", other.label())),
-            }
-        }
-
-        fn lm_snapshot(&self) -> LmCost {
-            LmCost {
-                calls: self.0.get(),
-                prompt_tokens: 10 * self.0.get(),
-                completion_tokens: self.0.get(),
             }
         }
     }
@@ -836,27 +752,36 @@ mod tests {
 
     #[test]
     fn executes_bottom_up() {
-        let d = HalvingDelegate(std::cell::Cell::new(0));
-        let out = execute_sem(&filter_over_scan(), &d).unwrap();
+        let out = execute_sem(&filter_over_scan(), &HalvingDelegate).unwrap();
         assert_eq!(out.len(), 4);
     }
 
+    /// Under a trace every node is one span: tagged with its stage,
+    /// labelled as EXPLAIN labels it, nested as the chain nests, with
+    /// its rows out and the LM cost it caused (and only that).
     #[test]
-    fn profiler_attributes_rows_and_lm_cost() {
-        let d = HalvingDelegate(std::cell::Cell::new(0));
-        let p = PlanProfiler::new();
-        execute_sem_profiled(&filter_over_scan(), &d, &p).unwrap();
-        let nodes = p.nodes();
-        assert_eq!(nodes.len(), 2);
-        assert!(nodes[0].label.starts_with("SemFilter"));
-        assert_eq!(nodes[0].rows_in, 8);
-        assert_eq!(nodes[0].rows_out, 4);
-        assert_eq!(nodes[0].lm_calls, 1, "filter charged one call");
-        assert_eq!(nodes[0].lm_prompt_tokens, 10);
-        assert_eq!(nodes[1].label, "Scan t");
-        assert_eq!(nodes[1].lm_calls, 0, "scan is LM-free");
-        let rendered = p.render();
-        assert!(rendered.contains("lm_calls=1"), "{rendered}");
+    fn node_spans_attribute_rows_and_lm_cost() {
+        let plain = execute_sem(&filter_over_scan(), &HalvingDelegate).unwrap();
+        let (trace, sink) = tag_trace::Trace::memory();
+        let traced = tag_trace::with_trace(&trace, || {
+            execute_sem(&filter_over_scan(), &HalvingDelegate)
+        });
+        assert_eq!(traced.unwrap(), plain);
+        let spans = sink.take();
+        assert_eq!(spans.len(), 2);
+        let (scan, filter) = (&spans[0], &spans[1]);
+        assert!(filter.label.starts_with("SemFilter"), "{}", filter.label);
+        assert_eq!(filter.stage, Stage::Exec);
+        assert_eq!(filter.parent, None);
+        assert_eq!(filter.rows, Some(4));
+        assert_eq!(filter.lm.calls, 1, "filter charged one call");
+        assert_eq!(filter.lm.prompt_tokens, 10);
+        assert_eq!(scan.label, "Scan t");
+        assert_eq!(scan.parent, Some(filter.id), "the input is a child span");
+        assert_eq!(scan.rows, Some(8), "the filter's rows in");
+        assert!(scan.lm.is_zero(), "scan is LM-free");
+        let tree = tag_trace::render_tree(&spans);
+        assert!(tree.contains("rows=4  lm: calls=1"), "{tree}");
     }
 
     #[test]
@@ -873,7 +798,6 @@ mod tests {
             }),
             request: "q".into(),
             format: GenFormat::List,
-            span_name: "answer".into(),
         };
         let text = plan.explain();
         let lines: Vec<&str> = text.lines().collect();
@@ -886,25 +810,35 @@ mod tests {
         assert!(lines[2].ends_with("[retrieve]"), "{text}");
     }
 
+    /// A failing leaf fails the plan, and every node span still
+    /// closes: the next span opened is a root again. A node that failed
+    /// records no rows.
     #[test]
-    fn errors_propagate_and_release_profiler() {
-        let d = HalvingDelegate(std::cell::Cell::new(0));
-        let p = PlanProfiler::new();
+    fn errors_propagate_and_close_every_node_span() {
         let bad = SemNode::Cut {
-            input: Box::new(SemNode::scan("t")),
+            input: Box::new(SemNode::scan("missing")),
             cut: CutSpec {
                 sort_by: "x".into(),
                 descending: true,
                 k: 1,
             },
         };
-        assert!(execute_sem_profiled(&bad, &d, &p).is_err());
-        assert_eq!(p.nodes().len(), 2, "profiler flushed on error");
+        let (trace, sink) = tag_trace::Trace::memory();
+        tag_trace::with_trace(&trace, || {
+            assert_eq!(execute_sem(&bad, &HalvingDelegate).unwrap_err(), "no table");
+            let _after = tag_trace::span(Stage::Request, "after");
+        });
+        let spans = sink.take();
+        let labels: Vec<&str> = spans.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, ["Scan missing", "Cut sort=x desc k=1", "after"]);
+        assert_eq!(spans[0].parent, Some(spans[1].id));
+        assert!(spans.iter().all(|s| s.rows.is_none()), "{spans:?}");
+        assert_eq!(spans[2].parent, None, "no node span left open");
     }
 
     #[test]
     fn stage_taxonomy() {
-        assert_eq!(filter_over_scan().stage(), SemStage::Exec);
+        assert_eq!(filter_over_scan().stage(), Stage::Exec);
         assert_eq!(
             SemNode::Retrieve {
                 query: "q".into(),
@@ -912,9 +846,8 @@ mod tests {
                 kind: RetrieveKind::Rows
             }
             .stage(),
-            SemStage::Retrieve
+            Stage::Retrieve
         );
-        assert_eq!(SemStage::Rerank.as_str(), "rerank");
     }
 
     #[test]

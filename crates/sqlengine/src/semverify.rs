@@ -28,9 +28,10 @@ use crate::catalog::Catalog;
 use crate::schema::DataType;
 use crate::semcost::plan_cost;
 use crate::semopt::{SemOptOptions, LIKE_WILDCARDS};
-use crate::semplan::{SemNode, SemPredicate, SemReads, SemStage};
+use crate::semplan::{SemNode, SemPredicate, SemReads};
 use crate::table::Table;
 use std::fmt::Write as _;
+use tag_trace::Stage;
 
 /// Column names of `table`, when there is a catalog and it has the
 /// table. The catalog resolves table names ASCII-case-insensitively, as
@@ -219,7 +220,7 @@ impl PlanChecker<'_> {
     fn check(&mut self, node: &SemNode, path: &str, is_root: bool) -> ColSet {
         // Gen-stage operators produce a final answer frame; anything
         // stacked above one is consuming prose as a table.
-        if !is_root && node.stage() == SemStage::Gen {
+        if !is_root && node.stage() == Stage::Gen {
             self.diag(
                 "gen-not-root",
                 path,
@@ -236,7 +237,7 @@ impl PlanChecker<'_> {
 
         // Exec-stage operators run frame semantics over named columns;
         // an opaque point frame from retrieval has none.
-        if node.stage() == SemStage::Exec && input == ColSet::Points {
+        if node.stage() == Stage::Exec && input == ColSet::Points {
             self.diag(
                 "points-input",
                 path,
@@ -871,7 +872,6 @@ mod tests {
             input: Box::new(filter(scan(), &["Town", "Municipality"])),
             request: "q".into(),
             format: GenFormat::Free,
-            span_name: "answer".into(),
         };
         let report = verify_plan(&plan, Some(db().catalog()));
         let missing: Vec<&str> = report
@@ -960,7 +960,6 @@ mod tests {
                 input: Box::new(scan()),
                 request: "q".into(),
                 format: GenFormat::Free,
-                span_name: "answer".into(),
             }),
             cut: CutSpec {
                 sort_by: "answer".into(),

@@ -136,7 +136,6 @@ fn build_plan(words: &[u64]) -> SemNode {
             input: Box::new(pool),
             request: "the question".into(),
             format: GenFormat::List,
-            span_name: "answer".into(),
         };
     }
     let mut plan = exec_leaf(first);
@@ -152,7 +151,6 @@ fn build_plan(words: &[u64]) -> SemNode {
             } else {
                 GenFormat::FreeOrAgg
             },
-            span_name: "answer".into(),
         },
         _ => plan,
     }

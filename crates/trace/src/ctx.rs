@@ -71,6 +71,7 @@ struct OpenSpan {
     started: Instant,
     start_us: u64,
     lm: LmUsage,
+    rows: Option<u64>,
     annotations: Vec<String>,
 }
 
@@ -105,7 +106,7 @@ pub fn with_trace<T>(trace: &Trace, f: impl FnOnce() -> T) -> T {
 }
 
 /// True when a trace is installed on the current thread. Instrumented
-/// code uses this to skip trace-only work (profiled SQL execution, LM
+/// code uses this to skip trace-only work (plan-node spans, LM
 /// usage snapshots) on the hot untraced path.
 pub fn is_active() -> bool {
     ACTIVE.with(|a| a.borrow().is_some())
@@ -141,11 +142,27 @@ pub fn span(stage: Stage, label: &str) -> SpanGuard {
             started: Instant::now(),
             start_us,
             lm: LmUsage::default(),
+            rows: None,
             annotations: Vec::new(),
         });
         Some(id)
     });
     SpanGuard { id }
+}
+
+impl SpanGuard {
+    /// Record the rows this span's operator produced (a plan node's
+    /// rows out). A no-op on an inert guard.
+    pub fn set_rows(&self, rows: usize) {
+        let Some(id) = self.id else { return };
+        ACTIVE.with(|a| {
+            if let Some(active) = a.borrow_mut().as_mut() {
+                if let Some(open) = active.stack.iter_mut().rfind(|s| s.id == id) {
+                    open.rows = Some(rows as u64);
+                }
+            }
+        });
+    }
 }
 
 impl Drop for SpanGuard {
@@ -177,6 +194,7 @@ impl Drop for SpanGuard {
                     start_us: open.start_us,
                     wall: open.started.elapsed(),
                     lm: open.lm,
+                    rows: open.rows,
                     annotations: open.annotations,
                 })
                 .collect()
@@ -332,6 +350,26 @@ mod tests {
             child_sum <= root.wall,
             "children {child_sum:?} exceed root {root:?}"
         );
+    }
+
+    #[test]
+    fn rows_land_on_their_own_span() {
+        let (trace, sink) = Trace::memory();
+        with_trace(&trace, || {
+            let outer = span(Stage::Exec, "Filter");
+            span(Stage::Exec, "TableScan t").set_rows(10);
+            outer.set_rows(4);
+        });
+        let rows: Vec<_> = sink
+            .take()
+            .iter()
+            .map(|s| (s.label.clone(), s.rows))
+            .collect();
+        assert_eq!(
+            rows,
+            [("TableScan t".into(), Some(10)), ("Filter".into(), Some(4))]
+        );
+        span(Stage::Exec, "inert").set_rows(1); // no trace: a no-op
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! ([`LmUsage`]: calls, batch rounds, prompt-cache hits, token counts,
 //! and virtual-clock seconds plumbed from `tag-lm`'s cost model).
 //!
+//! Plan operators are spans too: under an active trace every node of a
+//! statement's relational plan and of a semantic plan opens one span,
+//! labelled as `EXPLAIN` labels the node, and records the rows it
+//! produced ([`SpanGuard::set_rows`], [`SpanRecord::rows`]). The tree a
+//! request leaves is therefore its `EXPLAIN ANALYZE`: stages, operators,
+//! rows out, wall time and LM cost, in one place.
+//!
 //! Design constraints, in order:
 //!
 //! 1. **Tracing must not change answers.** Instrumented code paths only

@@ -126,7 +126,10 @@ pub struct SpanRecord {
     pub wall: Duration,
     /// LM accounting attributed to this span (not its children).
     pub lm: LmUsage,
-    /// Free-form annotations (SQL text, EXPLAIN ANALYZE plans, ...).
+    /// Rows the span's plan node produced; `None` for a span that is
+    /// not a plan node.
+    pub rows: Option<u64>,
+    /// Free-form annotations (SQL text, errors, ...).
     pub annotations: Vec<String>,
 }
 
@@ -169,7 +172,7 @@ impl SpanRecord {
             out,
             "\",\"start_us\":{},\"wall_us\":{},\"lm_calls\":{},\"lm_rounds\":{},\
              \"cache_hits\":{},\"prompt_tokens\":{},\"completion_tokens\":{},\
-             \"virtual_s\":{:.6},\"annotations\":[",
+             \"virtual_s\":{:.6},\"rows\":",
             self.start_us,
             self.wall.as_micros(),
             self.lm.calls,
@@ -179,6 +182,13 @@ impl SpanRecord {
             self.lm.completion_tokens,
             self.lm.virtual_seconds,
         );
+        match self.rows {
+            Some(rows) => {
+                let _ = write!(out, "{rows}");
+            }
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"annotations\":[");
         for (i, a) in self.annotations.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -213,6 +223,9 @@ fn render_span(out: &mut String, spans: &[SpanRecord], idx: usize, depth: usize)
         s.label,
         fmt_duration(s.wall)
     );
+    if let Some(rows) = s.rows {
+        let _ = write!(out, "  rows={rows}");
+    }
     if !s.lm.is_zero() {
         let _ = write!(
             out,
@@ -269,6 +282,7 @@ mod tests {
             start_us: id * 10,
             wall: Duration::from_micros(100 * id),
             lm: LmUsage::default(),
+            rows: None,
             annotations: Vec::new(),
         }
     }
@@ -294,6 +308,7 @@ mod tests {
         );
         assert!(json.contains(r"ctrl \u0001 char"), "{json}");
         assert!(json.contains("\"parent\":null"), "{json}");
+        assert!(json.contains("\"rows\":null"), "{json}");
     }
 
     #[test]
@@ -307,6 +322,7 @@ mod tests {
             completion_tokens: 12,
             virtual_seconds: 4.5,
         };
+        s.rows = Some(42);
         let json = s.to_json();
         for key in [
             "\"trace\":7",
@@ -319,6 +335,7 @@ mod tests {
             "\"prompt_tokens\":640",
             "\"completion_tokens\":12",
             "\"virtual_s\":4.500000",
+            "\"rows\":42",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -326,15 +343,18 @@ mod tests {
 
     #[test]
     fn tree_renders_nested_spans() {
-        let spans = vec![
+        let mut spans = vec![
             record(1, None, Stage::Request),
             record(2, Some(1), Stage::Syn),
             record(3, Some(1), Stage::Exec),
             record(4, Some(3), Stage::Exec),
         ];
+        spans[3].rows = Some(7);
         let tree = render_tree(&spans);
         let lines: Vec<&str> = tree.lines().collect();
         assert_eq!(lines.len(), 4);
+        assert!(lines[3].contains("  rows=7"), "{tree}");
+        assert!(!lines[2].contains("rows="), "{tree}");
         assert!(lines[0].starts_with("[request]"));
         assert!(lines[1].starts_with("  [syn]"));
         assert!(lines[2].starts_with("  [exec]"));

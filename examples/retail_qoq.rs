@@ -55,7 +55,7 @@ fn main() {
     // Step 1 (semantic): which accounts are retail? Judge the *distinct*
     // names, Appendix-C style.
     let names = db
-        .query_frame("SELECT DISTINCT account_name FROM accounts", None)
+        .query_frame("SELECT DISTINCT account_name FROM accounts")
         .expect("distinct accounts");
     let retail = sem_filter(
         &engine,

@@ -30,7 +30,7 @@ fn main() {
     // Appendix C ranking pipeline: top-5 posts by ViewCount, reordered
     // by an LM judging which Title is most technical.
     let top5 = db
-        .query_frame("SELECT * FROM posts ORDER BY ViewCount DESC LIMIT 5", None)
+        .query_frame("SELECT * FROM posts ORDER BY ViewCount DESC LIMIT 5")
         .unwrap();
     println!("Top-5 posts by ViewCount:");
     print_column(&top5, "Title");
@@ -41,7 +41,7 @@ fn main() {
     // Appendix C filter pattern: sem_filter over *unique* values, then an
     // exact isin — here, sarcastic comments on one post.
     let first_post = db
-        .query_frame("SELECT Text FROM comments WHERE PostId = 1", None)
+        .query_frame("SELECT Text FROM comments WHERE PostId = 1")
         .unwrap();
     let sarcastic = sem_filter(
         &engine,

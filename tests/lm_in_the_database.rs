@@ -60,7 +60,7 @@ fn semantic_operator_over_sql_result() {
     let db = domain.db;
     let engine = SemEngine::new(exact_lm() as Arc<dyn LanguageModel>);
     let frame = db
-        .query_frame("SELECT Id, Text FROM comments WHERE PostId = 2", None)
+        .query_frame("SELECT Id, Text FROM comments WHERE PostId = 2")
         .unwrap();
     let sarcastic = sem_filter(
         &engine,
