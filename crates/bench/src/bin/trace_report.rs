@@ -6,8 +6,10 @@
 //! byte-identical — tracing is data collection only — and the process
 //! exits non-zero if any pair diverges. The traced runs' spans are
 //! aggregated into two tables: per method x stage, and per query type x
-//! stage, each reporting span counts, wall-clock time, virtual LM
-//! seconds, LM calls, and prompt/completion tokens.
+//! stage, each reporting span counts, wall-clock self time (a span's
+//! wall less its nested spans', so a group's stage rows add up to its
+//! request spans), virtual LM seconds, LM calls, and prompt/completion
+//! tokens.
 //!
 //! ```text
 //! trace-report [--scale tiny|small|standard] [--seed N] [--smoke] [--jsonl]
@@ -17,6 +19,7 @@
 //! `--jsonl` additionally dumps every captured span as JSONL on stdout.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 use tag_bench::{BenchQuery, Harness, MethodId, QueryType};
 use tag_core::env::TagEnv;
 use tag_core::{compile_generate_over, compile_rag, compile_rerank, plan_nlq};
@@ -92,9 +95,10 @@ struct Agg {
 }
 
 impl Agg {
-    fn add_span(&mut self, s: &SpanRecord) {
+    /// Add one span, counting its self time (wall less nested spans').
+    fn add_span(&mut self, s: &SpanRecord, own: Duration) {
         self.spans += 1;
-        self.wall_us += s.wall.as_micros().min(u128::from(u64::MAX)) as u64;
+        self.wall_us += own.as_micros().min(u128::from(u64::MAX)) as u64;
         self.lm.add(&s.lm);
     }
 }
@@ -224,18 +228,19 @@ fn main() {
                 );
             }
             let qtype = query.qtype;
-            for span in sink.take() {
+            let spans = sink.take();
+            for (span, own) in spans.iter().zip(tag_trace::self_times(&spans)) {
                 by_method
                     .entry((method.label().to_owned(), span.stage.index()))
                     .or_default()
-                    .add_span(&span);
+                    .add_span(span, own);
                 by_qtype
                     .entry((format!("{qtype:?}"), span.stage.index()))
                     .or_default()
-                    .add_span(&span);
-                if jsonl {
-                    all_spans.push(span);
-                }
+                    .add_span(span, own);
+            }
+            if jsonl {
+                all_spans.extend(spans);
             }
         }
     }

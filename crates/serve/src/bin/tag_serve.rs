@@ -31,7 +31,9 @@ use tag_serve::{format_answer, parse_line, Command, Request, Server, ServerConfi
 fn usage() -> ! {
     eprintln!(
         "usage: tag-serve [--workers N] [--queue N] [--seed N] [--scale tiny|small|standard] \
-         [--deadline-ms N] [--trace-capacity N] [--tail-traces N] [--no-metrics]"
+         [--deadline-ms N] [--trace-capacity N] [--tail-traces N] [--no-metrics]\n\
+         \n  --workers N  cache misses executing at once, each on its caller's thread (default 4)\
+         \n  --queue N    callers that may wait for a slot before requests are shed (default 64)"
     );
     std::process::exit(2);
 }

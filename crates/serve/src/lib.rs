@@ -5,10 +5,11 @@
 //! the same environments into a server:
 //!
 //! - [`Server`] owns one shared [`TagEnv`](tag_core::env::TagEnv) per
-//!   BIRD domain. Answer-cache hits are served on the caller's thread;
-//!   misses cross one bounded admission queue to one worker pool whose
-//!   workers run each request to completion, with per-request
-//!   deadlines and typed load-shedding ([`ServeError::QueueFull`],
+//!   BIRD domain. Every request runs on the thread that asked it:
+//!   answer-cache hits straight away, misses under one of a fixed
+//!   number of execution slots, run to completion, with per-request
+//!   deadlines and typed load-shedding when every slot is held and the
+//!   line waiting for one is full ([`ServeError::QueueFull`],
 //!   [`ServeError::DeadlineExceeded`]).
 //!   Every domain's env calls the model directly: LM calls are batched
 //!   within a request, in its `SemEngine`'s rounds, and a panic
@@ -17,7 +18,7 @@
 //!   `(domain, method, normalized question)`.
 //! - [`MetricsRegistry`] counts request outcomes (admitted, ok, error,
 //!   shed) and holds one [`tag_metrics::WindowedHistogram`] per latency
-//!   (queue wait / exec / end-to-end), each with cumulative and rolling
+//!   (slot wait / exec / end-to-end), each with cumulative and rolling
 //!   10s/60s views. The `STATS` text report reads those histograms and
 //!   the [`AnswerCache`]'s own counters. The histograms are adopted by
 //!   a shared [`tag_metrics::MetricsHub`], which renders the
@@ -47,5 +48,5 @@ pub mod trace;
 pub use cache::{normalize_question, AnswerCache, CacheStats};
 pub use metrics::{MetricsRegistry, StageMetrics};
 pub use protocol::{format_answer, parse_line, run_method, Command, MethodName};
-pub use server::{BatchStats, ReplyHandle, Request, Response, ServeError, Server, ServerConfig};
+pub use server::{BatchStats, Request, Response, ServeError, Server, ServerConfig};
 pub use trace::{TraceLookup, TraceStore};

@@ -47,8 +47,9 @@ fn ms(q: Quantile) -> String {
 /// [`tag_trace::Stage`]. Fed by the server after each traced request;
 /// all relaxed atomics, so recording never contends with serving.
 ///
-/// Span wall time lives in one [`WindowedHistogram`] per stage: its
-/// cumulative count and sum are the table's `spans=` and `wall=`, and
+/// Span self time (wall less nested spans') lives in one
+/// [`WindowedHistogram`] per stage: its cumulative count and sum are
+/// the table's `spans=` and `wall=`, and
 /// its per-second slots give the rolling 10s/60s view. Spans carry
 /// their trace id into the histogram as a bucket exemplar, which is how
 /// a slow window quantile links back to `TRACE <id>`.
@@ -74,22 +75,27 @@ impl StageMetrics {
                 adopt(
                     hub,
                     "tag_serve_stage_seconds",
-                    "Span wall time by trace stage.",
+                    "Span self time (wall less nested spans) by trace stage.",
                     &[("stage", tag_trace::Stage::ALL[i].as_str())],
                 )
             }),
         }
     }
 
-    /// Fold one span into the per-stage totals.
-    pub fn record(&self, span: &tag_trace::SpanRecord) {
-        let i = span.stage.index();
+    /// Fold one request's spans into the per-stage totals. A span
+    /// counts its self time ([`tag_trace::self_times`]), so time spent
+    /// in nested spans is counted once, at the innermost, and a
+    /// request's stage walls sum to its request span.
+    pub fn record(&self, spans: &[tag_trace::SpanRecord]) {
         let r = Ordering::Relaxed;
-        self.virtual_us[i].fetch_add((span.lm.virtual_seconds * 1e6) as u64, r);
-        self.lm_calls[i].fetch_add(span.lm.calls, r);
-        self.prompt_tokens[i].fetch_add(span.lm.prompt_tokens, r);
-        self.completion_tokens[i].fetch_add(span.lm.completion_tokens, r);
-        self.windows[i].observe_with_exemplar(span.wall, span.trace_id);
+        for (span, own) in spans.iter().zip(tag_trace::self_times(spans)) {
+            let i = span.stage.index();
+            self.virtual_us[i].fetch_add((span.lm.virtual_seconds * 1e6) as u64, r);
+            self.lm_calls[i].fetch_add(span.lm.calls, r);
+            self.prompt_tokens[i].fetch_add(span.lm.prompt_tokens, r);
+            self.completion_tokens[i].fetch_add(span.lm.completion_tokens, r);
+            self.windows[i].observe_with_exemplar(own, span.trace_id);
+        }
     }
 
     /// The stages with at least one recorded span.
@@ -230,17 +236,21 @@ impl OperatorMetrics {
 /// histograms.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    /// Requests accepted into the queue.
+    /// Requests answered from the cache, given a slot, or let wait for
+    /// one.
     pub requests_admitted: AtomicU64,
     /// Requests answered successfully.
     pub requests_ok: AtomicU64,
     /// Executed requests whose answer is an `Answer::Error`.
     pub requests_error: AtomicU64,
-    /// Requests shed at admission because the queue was full.
+    /// Requests shed at admission: every slot held and the line waiting
+    /// for one full.
     pub rejected_queue_full: AtomicU64,
-    /// Requests dropped at dequeue because their deadline had passed.
+    /// Requests dropped at their slot grant because their deadline had
+    /// passed while they waited.
     pub rejected_deadline: AtomicU64,
-    /// Time from admission to dequeue (`tag_serve_queue_wait_seconds`).
+    /// Time from arrival until a miss held an execution slot, waiting
+    /// for one included (`tag_serve_queue_wait_seconds`).
     pub queue_wait: Arc<WindowedHistogram>,
     /// Time executing the method, cache misses only
     /// (`tag_serve_exec_seconds`).
@@ -263,7 +273,7 @@ impl MetricsRegistry {
             queue_wait: adopt(
                 hub,
                 "tag_serve_queue_wait_seconds",
-                "Time from admission to dequeue.",
+                "Time from arrival until a cache miss held an execution slot.",
                 &[],
             ),
             exec_time: adopt(
@@ -428,7 +438,7 @@ mod tests {
             virtual_seconds: 0.5,
             ..LmUsage::default()
         };
-        s.record(&span(1, Stage::Syn, Duration::from_millis(2), lm));
+        s.record(&[span(1, Stage::Syn, Duration::from_millis(2), lm)]);
         assert!(!s.is_empty());
         let r = s.report();
         assert!(
@@ -451,8 +461,8 @@ mod tests {
                 LmUsage::default(),
             )
         };
-        s.record(&exec(7, 2));
-        s.record(&exec(9, 400));
+        s.record(&[exec(7, 2)]);
+        s.record(&[exec(9, 400)]);
         let r = s.windows_report();
         assert!(r.contains("== stage windows (rolling) =="), "{r}");
         assert!(r.contains("exec"), "{r}");
@@ -478,12 +488,12 @@ mod tests {
         m.total_time.observe(Duration::from_millis(3));
         assert_eq!(m.total_time.count(), 1);
         let s = StageMetrics::new(&hub);
-        s.record(&span(
+        s.record(&[span(
             1,
             Stage::Exec,
             Duration::from_millis(3),
             LmUsage::default(),
-        ));
+        )]);
         assert!(!s.is_empty());
         assert!(s.report().contains("spans=1"));
         assert_eq!(hub.render(), "");

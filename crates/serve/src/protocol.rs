@@ -2,7 +2,7 @@
 //! the `ASK` line protocol used by the `tag-serve` binary.
 //!
 //! [`run_method`] is the single place that maps (method, question) to a
-//! concrete TAG pipeline. The server's workers and every serial
+//! concrete TAG pipeline. The server and every serial
 //! baseline (tests, the load generator) call it, so concurrent and
 //! serial runs are byte-identical by construction.
 

@@ -1,36 +1,40 @@
-//! The serving runtime: run-to-completion workers over one bounded
-//! admission queue, answering TAG questions against shared per-domain
-//! environments.
+//! The serving runtime: TAG questions answered against shared
+//! per-domain environments, each on the thread that asked it.
 //!
-//! A request changes threads as rarely as it can. [`Server::submit`]
-//! probes the answer cache on the caller's thread: a hit is answered
-//! there and then, with no queue and no hand-off. A miss goes onto the
-//! admission queue, and the worker that takes it off runs it to the
-//! end — deadline check, the traced method (`syn → exec → gen`), span
-//! fold, trace-store insert, cache fill, metrics, reply — so a miss
-//! costs two wake-ups: the worker's and the caller's. Requests share
-//! only the answer cache and the model: every domain's env calls the
-//! model directly, and LM batching happens within a request, in its
-//! `SemEngine`'s rounds. A panic anywhere in the method becomes that
-//! request's [`Answer::Error`], so it takes the error path and the
-//! worker lives on.
+//! A request never changes threads. [`Server::ask`] probes the answer
+//! cache on the caller's thread: a hit is answered there and then. A
+//! miss takes one of [`ServerConfig::workers`] execution slots and runs
+//! to the end on the same thread — deadline check, the traced method
+//! (`syn → exec → gen`), span fold, trace-store insert, cache fill,
+//! metrics, reply — and a guard gives the slot back as the call
+//! returns, or unwinds. While a slot is free a miss costs no wake-up at
+//! all; when every slot is held the caller sleeps until a release
+//! wakes it. Requests share only the answer cache and the model: every
+//! domain's env calls the model directly, and LM batching happens
+//! within a request, in its `SemEngine`'s rounds. A panic anywhere in
+//! the method becomes that request's [`Answer::Error`], so it takes the
+//! error path like any other failed answer.
 //!
-//! The design this replaced ran three pools (`syn`, `exec`, `gen`)
-//! over two more bounded channels and held every LM round open for a
-//! 1 ms window. Its `syn` and `gen` pools did no method work, so their
-//! hops were pure wake-up cost (`serve_cold`, 2 clients, seed 42):
+//! Two designs came before this one: three pools (`syn`, `exec`,
+//! `gen`) over bounded channels with every LM round held open for a
+//! 1 ms window, then one pool of run-to-completion workers behind one
+//! bounded admission queue. Every hop between threads there was pure
+//! wake-up cost (`serve_cold`, 2 clients, seed 42, 2 cores; each pair
+//! of rows measured side by side, DESIGN.md §9 and §25):
 //!
-//! | | three pools + window | one pool + group commit |
-//! |---|---|---|
-//! | wake-ups per miss / per hit | 6 / 4 | 2 / 0 |
-//! | `req_per_s` | 599 | 982 |
-//! | `tag-serve.vs_serial` | 0.62 | 0.95 |
+//! | design | wake-ups per miss / per hit | `req_per_s` | `tag-serve.vs_serial` |
+//! |---|---|---|---|
+//! | three pools + window | 6 / 4 | 599 | 0.62 |
+//! | one pool, group commit | 2 / 0 | 982 | 0.95 |
+//! | one pool (remeasured) | 2 / 0 | 964 | 0.59 |
+//! | caller runs, slot free | 0 / 0 | 1,727 | 1.09 |
 //!
-//! Admission control is explicit: a full queue sheds the request with
-//! [`ServeError::QueueFull`] instead of queueing unboundedly, and a
-//! request whose deadline passes while queued is dropped at dequeue
-//! with [`ServeError::DeadlineExceeded`] rather than wasting a worker
-//! on an answer nobody is waiting for.
+//! Admission control is explicit. When every slot is held, at most
+//! [`ServerConfig::queue_capacity`] callers wait for one, granted in
+//! arrival order, and the next is shed with [`ServeError::QueueFull`]
+//! instead of queueing unboundedly. A caller whose deadline passed
+//! before its slot was granted gets [`ServeError::DeadlineExceeded`]
+//! rather than spending a slot on an answer nobody is waiting for.
 
 use crate::cache::AnswerCache;
 use crate::metrics::{MetricsRegistry, OperatorMetrics, StageMetrics};
@@ -39,11 +43,9 @@ use crate::trace::{TraceLookup, TraceStore};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tag_core::answer::Answer;
 use tag_core::env::TagEnv;
@@ -55,9 +57,10 @@ use tag_metrics::{MetricsHub, Sample};
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads; each runs one request at a time to completion.
+    /// Cache misses executing at once, each on the thread that asked
+    /// it. A miss that finds every slot held waits for one.
     pub workers: usize,
-    /// Bounded admission-queue depth; beyond it requests are shed.
+    /// Callers that may wait for a slot; beyond it requests are shed.
     pub queue_capacity: usize,
     /// Deadline applied when a request does not carry its own.
     pub default_deadline: Duration,
@@ -118,9 +121,11 @@ pub struct BatchStats {
 /// Why a request was not answered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// Shed at admission: the bounded queue was full.
+    /// Shed at admission: every slot was held and the line waiting for
+    /// one was full.
     QueueFull,
-    /// Dropped at dequeue: the deadline passed while queued.
+    /// Dropped when its slot was granted: the deadline had passed while
+    /// it waited.
     DeadlineExceeded,
     /// The domain is not served.
     UnknownDomain(String),
@@ -171,11 +176,13 @@ impl Request {
 pub struct Response {
     /// The answer.
     pub answer: Answer,
-    /// Time spent queued before a worker picked the request up.
+    /// Time from arrival until the request held an execution slot:
+    /// the cache probe, plus any wait for a slot when all were held
+    /// (zero on a cache hit).
     pub queue_wait: Duration,
     /// Method execution time (zero on a cache hit).
     pub exec: Duration,
-    /// End-to-end time from admission to reply.
+    /// End-to-end time from arrival to reply.
     pub total: Duration,
     /// Whether the answer came from the answer cache.
     pub cache_hit: bool,
@@ -184,85 +191,109 @@ pub struct Response {
     pub trace_id: Option<u64>,
 }
 
-/// Where a request's outcome is delivered.
-struct ReplyCell {
-    result: Mutex<Option<Result<Response, ServeError>>>,
-    ready: Condvar,
+/// The execution slots misses run under, granted in arrival order.
+struct Slots {
+    /// Slots in all ([`ServerConfig::workers`]).
+    limit: usize,
+    /// Callers that may wait ([`ServerConfig::queue_capacity`]).
+    queue_capacity: usize,
+    /// Set once by [`Server::shutdown`], under `state`; the hit path
+    /// reads it without the lock. It publishes no other data, so every
+    /// access is `Relaxed`.
+    closed: AtomicBool,
+    state: Mutex<SlotState>,
+    /// Notified when a slot is released while callers wait or
+    /// admission is closed, and when a grant leaves a slot free for
+    /// the next in line.
+    changed: Condvar,
 }
 
-impl ReplyCell {
-    fn new() -> Arc<Self> {
-        Arc::new(ReplyCell {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        })
+/// Slots held, and the line of callers waiting for one as a pair of
+/// ticket counters: `next_ticket - next_grant` callers wait.
+#[derive(Default)]
+struct SlotState {
+    held: usize,
+    next_ticket: u64,
+    next_grant: u64,
+}
+
+impl SlotState {
+    fn waiting(&self) -> u64 {
+        self.next_ticket - self.next_grant
     }
-
-    fn deliver(&self, r: Result<Response, ServeError>) {
-        *self.result.lock() = Some(r);
-        self.ready.notify_all();
-    }
 }
 
-/// A ticket for an admitted request; [`wait`](ReplyHandle::wait) blocks
-/// until a worker replies. A cache hit's ticket is already complete.
-pub struct ReplyHandle(Reply);
-
-enum Reply {
-    Ready(Response),
-    Pending(Arc<ReplyCell>),
-}
-
-impl ReplyHandle {
-    /// Block until the request completes (or is dropped at dequeue).
-    pub fn wait(self) -> Result<Response, ServeError> {
-        let cell = match self.0 {
-            Reply::Ready(response) => return Ok(response),
-            Reply::Pending(cell) => cell,
-        };
-        let mut guard = cell.result.lock();
-        loop {
-            if let Some(result) = guard.take() {
-                return result;
+impl Slots {
+    /// Take a slot, waiting in line for one when every slot is held.
+    /// Counts the request admitted before it waits; sheds it when the
+    /// line is full.
+    fn acquire(&self, m: &MetricsRegistry) -> Result<SlotGuard<'_>, ServeError> {
+        let mut state = self.state.lock();
+        if self.closed.load(Relaxed) {
+            return Err(ServeError::Shutdown);
+        }
+        let must_wait = state.waiting() > 0 || state.held >= self.limit;
+        if must_wait && state.waiting() >= self.queue_capacity as u64 {
+            m.rejected_queue_full.fetch_add(1, Relaxed);
+            return Err(ServeError::QueueFull);
+        }
+        m.requests_admitted.fetch_add(1, Relaxed);
+        if must_wait {
+            let ticket = state.next_ticket;
+            state.next_ticket += 1;
+            while state.next_grant != ticket || state.held >= self.limit {
+                self.changed.wait(&mut state);
             }
-            cell.ready.wait(&mut guard);
+            state.next_grant += 1;
+            if state.waiting() > 0 && state.held + 1 < self.limit {
+                self.changed.notify_all();
+            }
+        }
+        state.held += 1;
+        Ok(SlotGuard(self))
+    }
+
+    /// Close admission, then wait until every caller holding or
+    /// waiting for a slot has finished.
+    fn close(&self) {
+        let mut state = self.state.lock();
+        self.closed.store(true, Relaxed);
+        while state.held > 0 || state.waiting() > 0 {
+            self.changed.wait(&mut state);
         }
     }
 }
 
-/// An admitted cache miss, headed for a worker.
-struct Job {
-    req: Request,
-    /// The domain's env, resolved at admission.
-    env: Arc<TagEnv>,
-    enqueued: Instant,
-    reply: Arc<ReplyCell>,
+/// A held execution slot, given back on drop — on return and on unwind
+/// alike, so a panic on the request path cannot leak it.
+struct SlotGuard<'a>(&'a Slots);
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.state.lock();
+        state.held -= 1;
+        if state.waiting() > 0 || self.0.closed.load(Relaxed) {
+            self.0.changed.notify_all();
+        }
+    }
 }
 
-/// State shared by the admission path and every worker.
-struct Shared {
+/// The concurrent multi-domain serving runtime.
+pub struct Server {
     /// One environment per served domain.
     envs: HashMap<String, Arc<TagEnv>>,
     cache: Arc<AnswerCache>,
     /// The workspace metrics hub (the null registry when
     /// [`ServerConfig::metrics_enabled`] is off). Its collectors
-    /// capture only the individual `Arc`s they sample — never this
-    /// struct — so the hub cannot keep the server alive through itself.
+    /// capture only the individual `Arc`s they sample — never the
+    /// server — so the hub cannot keep the server alive through itself.
     hub: Arc<MetricsHub>,
     metrics: Arc<MetricsRegistry>,
     stages: StageMetrics,
     operators: OperatorMetrics,
     traces: TraceStore,
     default_deadline: Duration,
-}
-
-/// The concurrent multi-domain serving runtime.
-pub struct Server {
-    shared: Arc<Shared>,
-    tx: Mutex<Option<SyncSender<Job>>>,
-    /// Joined on shutdown, once dropping the admission sender has let
-    /// the workers drain the queue and exit.
-    pool: Mutex<Vec<JoinHandle<()>>>,
+    slots: Slots,
 }
 
 impl Server {
@@ -274,7 +305,7 @@ impl Server {
 
     /// Start a server over `domains` whose envs all send their prompts
     /// straight to `lm`; tests pass a model they can gate, fail or
-    /// panic.
+    /// panic. No thread is started: requests run on their callers'.
     ///
     /// Retrieval indexes are built eagerly so the first request pays no
     /// warm-up cost (the paper builds its FAISS indexes offline too).
@@ -298,7 +329,7 @@ impl Server {
         let cache = Arc::new(AnswerCache::new(config.cache_capacity, config.cache_shards));
         let metrics = Arc::new(MetricsRegistry::new(&hub));
         register_collectors(&hub, &metrics, &cache, &envs, started);
-        let shared = Arc::new(Shared {
+        Server {
             stages: StageMetrics::new(&hub),
             operators: OperatorMetrics::new(&hub),
             envs,
@@ -307,42 +338,31 @@ impl Server {
             metrics,
             traces: TraceStore::with_tail(config.trace_capacity, config.tail_traces),
             default_deadline: config.default_deadline,
-        });
-        let (tx, rx) = sync_channel::<Job>(config.queue_capacity.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let pool = (0..config.workers.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                let name = format!("tag-serve-worker-{i}");
-                std::thread::Builder::new()
-                    .name(name.clone())
-                    .spawn(move || worker_loop(&rx, &shared))
-                    .unwrap_or_else(|e| panic!("cannot spawn {name}: {e}"))
-            })
-            .collect();
-        Server {
-            shared,
-            tx: Mutex::new(Some(tx)),
-            pool: Mutex::new(pool),
+            slots: Slots {
+                limit: config.workers.max(1),
+                queue_capacity: config.queue_capacity,
+                closed: AtomicBool::new(false),
+                state: Mutex::new(SlotState::default()),
+                changed: Condvar::new(),
+            },
         }
     }
 
     /// Served domain names (sorted).
     pub fn domains(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.shared.envs.keys().cloned().collect();
+        let mut v: Vec<String> = self.envs.keys().cloned().collect();
         v.sort();
         v
     }
 
     /// The shared environment for `domain`, if served.
     pub fn env(&self, domain: &str) -> Option<&Arc<TagEnv>> {
-        self.shared.envs.get(domain)
+        self.envs.get(domain)
     }
 
     /// Serving counters and histograms.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.shared.metrics
+        &self.metrics
     }
 
     /// Always the zero value: no layer batches LM rounds across
@@ -354,12 +374,12 @@ impl Server {
 
     /// The answer cache (for stats or explicit invalidation).
     pub fn cache(&self) -> &AnswerCache {
-        &self.shared.cache
+        &self.cache
     }
 
     /// Per-stage aggregates over all traced requests.
     pub fn stage_metrics(&self) -> &StageMetrics {
-        &self.shared.stages
+        &self.stages
     }
 
     /// Always the zero value; see [`tag_sql::PlanCacheStats`]. Only
@@ -379,7 +399,6 @@ impl Server {
     /// verbatim.
     pub fn explain(&self, domain: &str, statement: &str) -> Result<String, String> {
         let env = self
-            .shared
             .envs
             .get(domain)
             .ok_or_else(|| ServeError::UnknownDomain(domain.to_owned()).to_string())?;
@@ -397,26 +416,26 @@ impl Server {
     /// The metrics hub behind this server (the null registry when
     /// metrics are disabled).
     pub fn metrics_hub(&self) -> &Arc<MetricsHub> {
-        &self.shared.hub
+        &self.hub
     }
 
     /// The Prometheus-text exposition served by the `METRICS` protocol
     /// command. Empty when metrics are disabled.
     pub fn metrics_text(&self) -> String {
-        self.shared.hub.render()
+        self.hub.render()
     }
 
     /// Three-way trace lookup: resident spans, evicted (the id was
     /// real but aged out of the ring and the tail reservoir), or never
     /// seen.
     pub fn trace_lookup(&self, trace_id: u64) -> TraceLookup {
-        self.shared.traces.lookup(trace_id)
+        self.traces.lookup(trace_id)
     }
 
     /// The raw spans of a captured trace, if still resident in the ring
     /// or the tail reservoir.
     pub fn trace(&self, trace_id: u64) -> Option<Vec<tag_trace::SpanRecord>> {
-        self.shared.traces.get(trace_id)
+        self.traces.get(trace_id)
     }
 
     /// A captured trace rendered as an indented span tree.
@@ -437,77 +456,120 @@ impl Server {
         })
     }
 
-    /// Admit a request without blocking on its execution. An
-    /// answer-cache hit is served here, on the caller's thread, and its
-    /// handle is already complete; a miss is queued for a worker.
+    /// Answer a request on the calling thread. An answer-cache hit is
+    /// served straight away; a miss takes an execution slot (waiting in
+    /// line when every slot is held) and runs to its reply here.
     ///
-    /// Fails fast with [`ServeError::QueueFull`] when the bounded queue
-    /// is at capacity — callers are expected to back off and retry.
-    pub fn submit(&self, req: Request) -> Result<ReplyHandle, ServeError> {
-        let Some(env) = self.shared.envs.get(&req.domain) else {
+    /// Fails fast with [`ServeError::QueueFull`] when every slot is held
+    /// and the line waiting for one is full — callers are expected to
+    /// back off and retry.
+    pub fn ask(&self, req: Request) -> Result<Response, ServeError> {
+        let Some(env) = self.envs.get(&req.domain) else {
             return Err(ServeError::UnknownDomain(req.domain));
         };
-        let enqueued = Instant::now();
-        if self.tx.lock().is_none() {
+        let arrived = Instant::now();
+        if self.slots.closed.load(Relaxed) {
             return Err(ServeError::Shutdown);
         }
-        let m = &self.shared.metrics;
-        if let Some(answer) = self
-            .shared
-            .cache
-            .get(&req.domain, req.method, &req.question)
-        {
+        let m = &self.metrics;
+        if let Some(answer) = self.cache.get(&req.domain, req.method, &req.question) {
             m.requests_admitted.fetch_add(1, Relaxed);
             m.requests_ok.fetch_add(1, Relaxed);
-            let total = enqueued.elapsed();
+            let total = arrived.elapsed();
             m.total_time.observe(total);
-            return Ok(ReplyHandle(Reply::Ready(Response {
+            return Ok(Response {
                 answer,
                 queue_wait: Duration::ZERO,
                 exec: Duration::ZERO,
                 total,
                 cache_hit: true,
                 trace_id: None,
-            })));
+            });
         }
-        let reply = ReplyCell::new();
-        let job = Job {
-            req,
-            env: Arc::clone(env),
-            enqueued,
-            reply: Arc::clone(&reply),
-        };
-        let tx = self.tx.lock();
-        let Some(tx) = tx.as_ref() else {
-            return Err(ServeError::Shutdown);
-        };
-        match tx.try_send(job) {
-            Ok(()) => {
-                m.requests_admitted.fetch_add(1, Relaxed);
-                Ok(ReplyHandle(Reply::Pending(reply)))
-            }
-            Err(TrySendError::Full(_)) => {
-                m.rejected_queue_full.fetch_add(1, Relaxed);
-                Err(ServeError::QueueFull)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Shutdown),
-        }
+        let _slot = self.slots.acquire(m)?;
+        self.run_to_completion(&req, env, arrived)
     }
 
-    /// Admit a request and block for its answer.
-    pub fn ask(&self, req: Request) -> Result<Response, ServeError> {
-        self.submit(req)?.wait()
+    /// Everything between the slot grant and the reply: deadline check,
+    /// the traced method, then span fold, trace capture, cache fill and
+    /// metrics. The trace is stored *before* the reply returns so
+    /// `TRACE <id>` always finds a trace whose id a client has just
+    /// received.
+    fn run_to_completion(
+        &self,
+        req: &Request,
+        env: &TagEnv,
+        arrived: Instant,
+    ) -> Result<Response, ServeError> {
+        let m = &self.metrics;
+        let queue_wait = arrived.elapsed();
+        m.queue_wait.observe(queue_wait);
+        if queue_wait > req.deadline.unwrap_or(self.default_deadline) {
+            m.rejected_deadline.fetch_add(1, Relaxed);
+            return Err(ServeError::DeadlineExceeded);
+        }
+        let started = Instant::now();
+        let (answer, spans, trace_id) = if self.traces.capacity() > 0 {
+            let (trace, sink) = tag_trace::Trace::memory();
+            let trace_id = trace.id();
+            let answer = tag_trace::with_trace(&trace, || {
+                let _root = tag_trace::span(
+                    tag_trace::Stage::Request,
+                    &format!("{} {}", req.method, req.domain),
+                );
+                run_guarded(req, env)
+            });
+            (answer, sink.take(), Some(trace_id))
+        } else {
+            (run_guarded(req, env), Vec::new(), None)
+        };
+        let exec = started.elapsed();
+        match trace_id {
+            Some(id) => m.exec_time.observe_with_exemplar(exec, id),
+            None => m.exec_time.observe(exec),
+        }
+        self.stages.record(&spans);
+        self.operators.record(&spans);
+        let is_error = matches!(answer, Answer::Error(_));
+        if let Some(trace_id) = trace_id {
+            self.traces.insert_with_outcome(trace_id, spans, is_error);
+        }
+        // Errors are not cached: they may be transient (e.g.
+        // load-dependent) and re-asking should re-execute.
+        if !is_error {
+            self.cache
+                .insert(&req.domain, req.method, &req.question, answer.clone());
+        }
+        let outcome = if is_error {
+            &m.requests_error
+        } else {
+            &m.requests_ok
+        };
+        outcome.fetch_add(1, Relaxed);
+        let total = arrived.elapsed();
+        match trace_id {
+            Some(id) => m.total_time.observe_with_exemplar(total, id),
+            None => m.total_time.observe(total),
+        }
+        Ok(Response {
+            answer,
+            queue_wait,
+            exec,
+            total,
+            cache_hit: false,
+            trace_id,
+        })
     }
 
     /// The full metrics report: serving counters, cache and latency
     /// histograms.
     pub fn report(&self) -> String {
-        let cache = self.shared.cache.stats();
-        let mut out = self.shared.metrics.report(&cache);
+        let cache = self.cache.stats();
+        let mut out = self.metrics.report(&cache);
         out.push_str(&format!("answer cache resident entries: {}\n", cache.len));
-        let per_shard: Vec<String> = (0..self.shared.cache.shard_count())
+        let per_shard: Vec<String> = (0..self.cache.shard_count())
             .map(|i| {
-                let s = self.shared.cache.shard_stats(i);
+                let s = self.cache.shard_stats(i);
                 format!("{}/{}", s.hits, s.misses)
             })
             .collect();
@@ -518,7 +580,7 @@ impl Server {
         // Per-operator semantic-engine counters, merged across domains.
         let mut ops: std::collections::BTreeMap<&'static str, tag_semops::OpStats> =
             std::collections::BTreeMap::new();
-        for env in self.shared.envs.values() {
+        for env in self.envs.values() {
             for (name, stat) in env.engine.op_stats() {
                 let e = ops.entry(name).or_default();
                 e.invocations += stat.invocations;
@@ -539,30 +601,26 @@ impl Server {
                 ));
             }
         }
-        if !self.shared.stages.is_empty() {
-            out.push_str(&self.shared.stages.report());
-            out.push_str(&self.shared.stages.windows_report());
+        if !self.stages.is_empty() {
+            out.push_str(&self.stages.report());
+            out.push_str(&self.stages.windows_report());
         }
         out.push_str(&format!(
             "traces resident: {} (ring capacity {}, tail {}/{})\n",
-            self.shared.traces.len(),
-            self.shared.traces.capacity(),
-            self.shared.traces.tail_len(),
-            self.shared.traces.tail_capacity(),
+            self.traces.len(),
+            self.traces.capacity(),
+            self.traces.tail_len(),
+            self.traces.tail_capacity(),
         ));
         out
     }
 
-    /// Stop admitting work, let the workers finish everything already
-    /// admitted, and join them. Dropping the admission sender is what
-    /// ends them: `recv` keeps returning queued jobs until the queue is
-    /// empty, and only then reports the disconnect.
+    /// Stop admitting work and return once every caller that holds or
+    /// waits for a slot has had its reply: waiting callers keep their
+    /// place in line, so every admitted request still resolves. Later
+    /// requests, hits included, get [`ServeError::Shutdown`].
     pub fn shutdown(&self) {
-        *self.tx.lock() = None;
-        let workers = std::mem::take(&mut *self.pool.lock());
-        for w in workers {
-            let _ = w.join();
-        }
+        self.slots.close();
     }
 }
 
@@ -704,93 +762,9 @@ fn register_collectors(
     });
 }
 
-/// One worker: take a miss off the admission queue and run it to its
-/// reply.
-fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
-    loop {
-        // The receiver guard is dropped at the end of this statement,
-        // so the lock is held only for the dequeue itself.
-        let received = rx.lock().recv();
-        let Ok(job) = received else {
-            return; // admission sender dropped and queue drained: shutdown
-        };
-        let result = run_to_completion(shared, &job);
-        job.reply.deliver(result);
-    }
-}
-
-/// Everything between dequeue and reply: deadline check, the traced
-/// method, then span fold, trace capture, cache fill and metrics. The
-/// trace is stored *before* the reply is delivered so `TRACE <id>`
-/// always finds a trace whose id a client has just received.
-fn run_to_completion(shared: &Shared, job: &Job) -> Result<Response, ServeError> {
-    let m = &shared.metrics;
-    let req = &job.req;
-    let queue_wait = job.enqueued.elapsed();
-    m.queue_wait.observe(queue_wait);
-    if queue_wait > req.deadline.unwrap_or(shared.default_deadline) {
-        m.rejected_deadline.fetch_add(1, Relaxed);
-        return Err(ServeError::DeadlineExceeded);
-    }
-    let started = Instant::now();
-    let (answer, spans, trace_id) = if shared.traces.capacity() > 0 {
-        let (trace, sink) = tag_trace::Trace::memory();
-        let trace_id = trace.id();
-        let answer = tag_trace::with_trace(&trace, || {
-            let _root = tag_trace::span(
-                tag_trace::Stage::Request,
-                &format!("{} {}", req.method, req.domain),
-            );
-            run_guarded(req, &job.env)
-        });
-        (answer, sink.take(), Some(trace_id))
-    } else {
-        (run_guarded(req, &job.env), Vec::new(), None)
-    };
-    let exec = started.elapsed();
-    match trace_id {
-        Some(id) => m.exec_time.observe_with_exemplar(exec, id),
-        None => m.exec_time.observe(exec),
-    }
-    for span in &spans {
-        shared.stages.record(span);
-    }
-    shared.operators.record(&spans);
-    let is_error = matches!(answer, Answer::Error(_));
-    if let Some(trace_id) = trace_id {
-        shared.traces.insert_with_outcome(trace_id, spans, is_error);
-    }
-    // Errors are not cached: they may be transient (e.g.
-    // load-dependent) and re-asking should re-execute.
-    if !is_error {
-        shared
-            .cache
-            .insert(&req.domain, req.method, &req.question, answer.clone());
-    }
-    let outcome = if is_error {
-        &m.requests_error
-    } else {
-        &m.requests_ok
-    };
-    outcome.fetch_add(1, Relaxed);
-    let total = job.enqueued.elapsed();
-    match trace_id {
-        Some(id) => m.total_time.observe_with_exemplar(total, id),
-        None => m.total_time.observe(total),
-    }
-    Ok(Response {
-        answer,
-        queue_wait,
-        exec,
-        total,
-        cache_hit: false,
-        trace_id,
-    })
-}
-
 /// The method, with a panic anywhere in `syn → exec → gen` turned into
 /// this request's [`Answer::Error`], which then takes the error path
-/// (counted, traced, not cached) while the worker lives on. Unwinding
+/// (counted, traced, not cached) and the caller gets a reply. Unwinding
 /// out of the method leaves nothing shared half-updated: the engine's
 /// locks are `parking_lot` (no poisoning), `SemEngine` calls the model
 /// outside every lock, and the span guards and `with_trace` restore the
@@ -853,12 +827,13 @@ mod tests {
     }
 
     #[test]
-    fn unknown_domain_is_rejected_at_submit() {
+    fn unknown_domain_is_rejected_before_admission() {
         let (server, _) = tiny_server(ServerConfig::default());
         let err = server
             .ask(Request::new("nope", MethodName::Rag, "Anything?"))
             .unwrap_err();
         assert_eq!(err, ServeError::UnknownDomain("nope".into()));
+        assert_eq!(server.metrics().requests_admitted.load(Relaxed), 0);
     }
 
     #[test]
@@ -867,18 +842,49 @@ mod tests {
             workers: 1,
             ..ServerConfig::default()
         });
-        // Occupy the lone worker so a zero-deadline request must queue.
-        let slow = server.submit(req.clone()).unwrap();
-        // Another method, so that it misses the answer cache even when
-        // the first request has already finished: a zero deadline has
-        // always passed by the time a worker dequeues it.
-        let mut doomed = req;
-        doomed.method = MethodName::Rag;
-        doomed.deadline = Some(Duration::ZERO);
-        let doomed = server.submit(doomed).unwrap();
-        assert!(slow.wait().is_ok());
-        assert_eq!(doomed.wait().unwrap_err(), ServeError::DeadlineExceeded);
+        std::thread::scope(|scope| {
+            // Occupy the lone slot so a zero-deadline request must wait.
+            let slow = scope.spawn(|| server.ask(req.clone()));
+            while server.metrics().requests_admitted.load(Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            // Another method, so that it misses the answer cache even
+            // when the first request has already finished: a zero
+            // deadline has always passed by the time its slot is granted.
+            let mut doomed = req.clone();
+            doomed.method = MethodName::Rag;
+            doomed.deadline = Some(Duration::ZERO);
+            assert_eq!(
+                server.ask(doomed).unwrap_err(),
+                ServeError::DeadlineExceeded
+            );
+            assert!(slow.join().expect("slow ask").is_ok());
+        });
         assert_eq!(server.metrics().rejected_deadline.load(Relaxed), 1);
+    }
+
+    #[test]
+    fn a_panicking_slot_holder_releases_its_slot() {
+        // No caller may wait: a slot that leaked would shed the next
+        // miss with `QueueFull` instead of hanging it.
+        let (server, req) = tiny_server(ServerConfig {
+            workers: 1,
+            queue_capacity: 0,
+            ..ServerConfig::default()
+        });
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = server.slots.acquire(&server.metrics).expect("a free slot");
+            panic!("bookkeeping panic while holding the slot");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(server.slots.state.lock().held, 0);
+        let resp = server.ask(req).expect("the slot came back");
+        assert!(!resp.cache_hit);
+        assert!(
+            !matches!(resp.answer, Answer::Error(_)),
+            "{:?}",
+            resp.answer
+        );
     }
 
     #[test]
@@ -984,6 +990,36 @@ mod tests {
                 "missing {stage:?} span: {spans:#?}"
             );
         }
+    }
+
+    #[test]
+    fn stage_walls_sum_to_the_request_span() {
+        let (server, mut req) = tiny_server(ServerConfig::default());
+        req.method = MethodName::Rerank;
+        let resp = server.ask(req).unwrap();
+        let spans = server.trace(resp.trace_id.expect("traced")).unwrap();
+        // Node spans nest their inputs: some plan node sits under another.
+        let is_node = |id: u64| spans.iter().any(|s| s.id == id && s.rows.is_some());
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.rows.is_some() && s.parent.is_some_and(is_node)),
+            "{spans:#?}"
+        );
+        let root = spans.iter().find(|s| s.parent.is_none()).expect("root");
+        let request_ms = root.wall.as_secs_f64() * 1e3;
+        let full_walls_ms: f64 = spans.iter().map(|s| s.wall.as_secs_f64() * 1e3).sum();
+        assert!(full_walls_ms > 1.01 * request_ms, "nothing nested");
+        let report = server.stage_metrics().report();
+        let stage_ms: f64 = report
+            .lines()
+            .filter_map(|l| l.split_once(" wall=")?.1.split_once("ms"))
+            .filter_map(|(v, _)| v.parse::<f64>().ok())
+            .sum();
+        assert!(
+            (stage_ms - request_ms).abs() <= 0.01 * request_ms,
+            "stage walls {stage_ms:.3}ms vs request {request_ms:.3}ms:\n{report}"
+        );
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! unboundedly, and must degrade predictably under faults (an LM
 //! error, a panic inside a request, shutdown with a full queue).
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 use tag_bench::Harness;
 use tag_core::answer::{exact_match, Answer};
@@ -15,8 +17,7 @@ use tag_datagen::{generate_all, DomainData, Scale};
 use tag_lm::model::{LanguageModel, LmError, LmRequest, LmResponse, LmResult};
 use tag_lm::sim::{SimConfig, SimLm};
 use tag_serve::{
-    run_method, MethodName, ReplyHandle, Request, Response, ServeError, Server, ServerConfig,
-    TraceLookup,
+    run_method, MethodName, Request, Response, ServeError, Server, ServerConfig, TraceLookup,
 };
 
 fn test_scale() -> Scale {
@@ -63,9 +64,9 @@ enum PanicSite {
     Usage,
 }
 
-/// The simulated LM behind a gate the test holds shut to pin a worker
-/// inside an LM round, with a count of rounds to fail and an armed
-/// one-shot panic.
+/// The simulated LM behind a gate the test holds shut to pin a request
+/// (and the slot it holds) inside an LM round, with a count of rounds to fail and an armed
+/// one-shot panic. It records the thread of every round it serves.
 struct FaultLm {
     inner: SimLm,
     open: Mutex<bool>,
@@ -73,6 +74,7 @@ struct FaultLm {
     held: AtomicUsize,
     fail_rounds: AtomicUsize,
     panic_at: Mutex<Option<PanicSite>>,
+    threads: Mutex<HashSet<ThreadId>>,
 }
 
 impl FaultLm {
@@ -84,6 +86,7 @@ impl FaultLm {
             held: AtomicUsize::new(0),
             fail_rounds: AtomicUsize::new(0),
             panic_at: Mutex::new(None),
+            threads: Mutex::new(HashSet::new()),
         })
     }
 
@@ -112,6 +115,10 @@ impl FaultLm {
 
 impl LanguageModel for FaultLm {
     fn generate_batch(&self, requests: &[LmRequest]) -> LmResult<Vec<LmResponse>> {
+        self.threads
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
         self.held.fetch_add(1, Ordering::SeqCst);
         let mut open = self.open.lock().unwrap();
         while !*open {
@@ -159,13 +166,22 @@ fn spin_until(what: &str, reached: impl Fn() -> bool) {
     }
 }
 
-/// A one-worker server whose worker is pinned inside the first LM round
-/// of an admitted request, with `queue_capacity` more requests admitted
-/// behind it: the queue is full. Returns the admitted handles.
-fn saturate(lm: &Arc<FaultLm>, queue_capacity: usize) -> (Server, Vec<Request>, Vec<ReplyHandle>) {
+/// A caller's `ask`, running on a thread of its own.
+type Caller = JoinHandle<Result<Response, ServeError>>;
+
+fn spawn_ask(server: &Arc<Server>, req: Request) -> Caller {
+    let server = Arc::clone(server);
+    std::thread::spawn(move || server.ask(req))
+}
+
+/// A one-slot server whose slot is held by a caller pinned inside the
+/// first LM round of its request, with `queue_capacity` more callers
+/// waiting for the slot behind it: the line is full. Returns the
+/// admitted callers' threads.
+fn saturate(lm: &Arc<FaultLm>, queue_capacity: usize) -> (Arc<Server>, Vec<Request>, Vec<Caller>) {
     let domains = tiny_domains();
     let requests = rag_requests(&domains, queue_capacity + 2);
-    let server = Server::start_with_lm(
+    let server = Arc::new(Server::start_with_lm(
         domains,
         Arc::clone(lm) as Arc<dyn LanguageModel>,
         ServerConfig {
@@ -173,18 +189,53 @@ fn saturate(lm: &Arc<FaultLm>, queue_capacity: usize) -> (Server, Vec<Request>, 
             queue_capacity,
             ..ServerConfig::default()
         },
-    );
-    let mut admitted = vec![server.submit(requests[0].clone()).unwrap()];
+    ));
+    let mut admitted = vec![spawn_ask(&server, requests[0].clone())];
     lm.wait_until_held();
     for req in &requests[1..=queue_capacity] {
-        admitted.push(server.submit(req.clone()).unwrap());
+        admitted.push(spawn_ask(&server, req.clone()));
     }
+    let m = server.metrics();
+    spin_until("every caller to be admitted", || {
+        m.requests_admitted.load(Ordering::SeqCst) == queue_capacity as u64 + 1
+    });
     (server, requests, admitted)
 }
 
-/// N workers × the 80 TAG-Bench questions must reproduce the serial
+/// A miss runs on the thread that asked it: every LM round of a request
+/// asked from a client thread is served on that thread, and the server
+/// starts none of its own.
+#[test]
+fn a_miss_runs_on_the_asking_thread() {
+    let lm = FaultLm::new(true);
+    let domains = tiny_domains();
+    let requests = rag_requests(&domains, 3);
+    let server = Server::start_with_lm(
+        domains,
+        Arc::clone(&lm) as Arc<dyn LanguageModel>,
+        ServerConfig::default(),
+    );
+    assert!(lm.threads.lock().unwrap().is_empty());
+    let caller = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                for req in &requests {
+                    let r = server.ask(req.clone()).unwrap();
+                    assert!(!r.cache_hit);
+                    assert!(!matches!(r.answer, Answer::Error(_)), "{:?}", r.answer);
+                }
+                std::thread::current().id()
+            })
+            .join()
+            .expect("caller thread")
+    });
+    let seen = lm.threads.lock().unwrap().clone();
+    assert_eq!(seen, HashSet::from([caller]));
+}
+
+/// 8 clients on 4 slots × the 80 TAG-Bench questions must reproduce the serial
 /// baseline exactly: same answer bytes, same exact-match score, with
-/// every worker's LM calls going straight to the one model the domain
+/// every request's LM calls going straight to the one model the domain
 /// envs share.
 #[test]
 fn concurrent_replay_matches_serial_baseline() {
@@ -385,10 +436,10 @@ fn replay_hits_answer_cache_with_identical_answers() {
 fn saturated_queue_sheds_with_queue_full() {
     let lm = FaultLm::new(false);
     let (server, requests, admitted) = saturate(&lm, 1);
-    // One request holds the only worker, one fills the queue: every
-    // further submission is shed, however many there are.
+    // One caller holds the only slot, one waits for it: every further
+    // request is shed, however many there are.
     for _ in 0..15 {
-        match server.submit(requests[2].clone()) {
+        match server.ask(requests[2].clone()) {
             Err(ServeError::QueueFull) => {}
             Ok(_) => panic!("admitted past a full queue"),
             Err(e) => panic!("unexpected rejection: {e}"),
@@ -396,7 +447,7 @@ fn saturated_queue_sheds_with_queue_full() {
     }
     lm.release();
     for h in admitted {
-        assert!(h.wait().is_ok());
+        assert!(h.join().expect("caller thread").is_ok());
     }
     let m = server.metrics();
     assert_eq!(m.rejected_queue_full.load(Ordering::Relaxed), 15);
@@ -512,8 +563,7 @@ fn oversized_retrieval_yields_the_serial_context_error_uncached() {
     assert_eq!(m.requests_ok.load(Ordering::Relaxed), 1);
 }
 
-/// `ask`, failing the test instead of hanging it when no reply comes
-/// (a worker that died with its request never delivers one).
+/// `ask`, failing the test instead of hanging it when no reply comes.
 fn ask_within_30s(server: &Arc<Server>, req: Request) -> Result<Response, ServeError> {
     let (tx, rx) = channel();
     let server = Arc::clone(server);
@@ -521,13 +571,13 @@ fn ask_within_30s(server: &Arc<Server>, req: Request) -> Result<Response, ServeE
         let _ = tx.send(server.ask(req));
     });
     rx.recv_timeout(Duration::from_secs(30))
-        .expect("no reply within 30 s: the worker died with its request")
+        .expect("no reply within 30 s")
 }
 
 /// Fault: a panic inside a request, once in an LM round and once in the
 /// model's usage snapshot outside any round. Either way the request ends
 /// in a typed `Answer::Error` that is counted and traced but not cached,
-/// and the lone worker lives to answer the next request.
+/// and the lone slot is free to answer the next request.
 #[test]
 fn panic_in_a_request_yields_a_typed_error_and_the_worker_lives() {
     for site in [PanicSite::GenerateBatch, PanicSite::Usage] {
@@ -571,9 +621,9 @@ fn panic_in_a_request_yields_a_typed_error_and_the_worker_lives() {
     }
 }
 
-/// Fault: `shutdown()` while the admission queue is full. Every
-/// admitted handle resolves (with its answer, or `Shutdown`), nothing
-/// new is admitted, and the workers join.
+/// Fault: `shutdown()` while the line waiting for a slot is full. Every
+/// admitted caller gets its reply (its answer, or `Shutdown`), nothing
+/// new is admitted, and `shutdown` returns once they all have.
 #[test]
 fn shutdown_with_a_full_queue_resolves_every_admitted_request() {
     let lm = FaultLm::new(false);
@@ -581,24 +631,24 @@ fn shutdown_with_a_full_queue_resolves_every_admitted_request() {
     assert_eq!(admitted.len(), 5);
     let overflow = requests[5].clone();
     assert_eq!(
-        server.submit(overflow.clone()).err(),
+        server.ask(overflow.clone()).err(),
         Some(ServeError::QueueFull)
     );
     std::thread::scope(|scope| {
-        // Blocks until the queue has drained, so it needs the gate
-        // opened from here — but only once admission is closed.
+        // Blocks until every admitted caller is done, so it needs the
+        // gate opened from here — but only once admission is closed.
         let stopping = scope.spawn(|| server.shutdown());
         spin_until("admission to close", || {
-            server.submit(overflow.clone()).err() == Some(ServeError::Shutdown)
+            server.ask(overflow.clone()).err() == Some(ServeError::Shutdown)
         });
         lm.release();
         for h in admitted {
-            match h.wait() {
+            match h.join().expect("caller thread") {
                 Ok(_) | Err(ServeError::Shutdown) => {}
                 Err(e) => panic!("admitted request lost to {e}"),
             }
         }
-        stopping.join().expect("shutdown joins its workers");
+        stopping.join().expect("shutdown returns");
     });
     assert_eq!(server.ask(overflow).unwrap_err(), ServeError::Shutdown);
     let m = server.metrics();
@@ -642,13 +692,13 @@ fn response_timing_and_counters_contract() {
     assert_eq!(cache.hits, n);
     assert_eq!(cache.misses, n);
     assert_eq!(m.total_time.count(), 2 * n);
-    // Hits never queue and never execute.
+    // Hits never wait for a slot and never execute.
     assert_eq!(m.queue_wait.count(), n);
     assert_eq!(m.exec_time.count(), n);
 
     server.shutdown();
     assert_eq!(
-        server.submit(requests[0].clone()).err(),
+        server.ask(requests[0].clone()).err(),
         Some(ServeError::Shutdown),
         "a cached key is refused after shutdown like any other"
     );

@@ -32,7 +32,8 @@
 //! them in memory, [`NullSink`] discards them. [`SpanRecord::to_json`]
 //! renders one span as a JSON object (the JSONL export format) and
 //! [`render_tree`] pretty-prints a span tree for the `TRACE` protocol
-//! command and `trace-report`.
+//! command and `trace-report`. [`self_times`] gives each span's wall
+//! time less its children's, so per-stage tables add up to the request.
 
 #![warn(missing_docs)]
 
@@ -44,4 +45,4 @@ pub use ctx::{
     annotate, current_trace_id, is_active, record_lm, span, with_trace, SpanGuard, Trace,
 };
 pub use sink::{MemSink, NullSink, TraceSink};
-pub use span::{render_tree, LmUsage, SpanRecord, Stage};
+pub use span::{render_tree, self_times, LmUsage, SpanRecord, Stage};

@@ -268,6 +268,24 @@ pub fn render_tree(spans: &[SpanRecord]) -> String {
     out
 }
 
+/// Each span's self time: its wall time less its children's, in the
+/// order of `spans`. Spans nest (a stage span holds its plan-node spans,
+/// a node span its inputs'), so summing full walls counts nested time
+/// once per enclosing span; self times of one tree sum to its root's
+/// wall. A child whose parent is absent from the slice subtracts from
+/// nothing, and a parent never goes below zero.
+pub fn self_times(spans: &[SpanRecord]) -> Vec<Duration> {
+    let index: std::collections::HashMap<u64, usize> =
+        spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+    let mut own: Vec<Duration> = spans.iter().map(|s| s.wall).collect();
+    for s in spans {
+        if let Some(&p) = s.parent.and_then(|p| index.get(&p)) {
+            own[p] = own[p].saturating_sub(s.wall);
+        }
+    }
+    own
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,6 +377,25 @@ mod tests {
         assert!(lines[1].starts_with("  [syn]"));
         assert!(lines[2].starts_with("  [exec]"));
         assert!(lines[3].starts_with("    [exec]"));
+    }
+
+    #[test]
+    fn self_times_subtract_children_and_sum_to_the_root() {
+        // 1 (1000us) holds 2 (300us) and 3 (500us); 3 holds 4 (200us).
+        let mut spans = vec![
+            record(4, Some(3), Stage::Exec),
+            record(2, Some(1), Stage::Syn),
+            record(3, Some(1), Stage::Exec),
+            record(1, None, Stage::Request),
+            record(9, Some(99), Stage::Gen),
+        ];
+        for (s, us) in spans.iter_mut().zip([200, 300, 500, 1000, 50]) {
+            s.wall = Duration::from_micros(us);
+        }
+        let own = self_times(&spans);
+        let us: Vec<u128> = own.iter().map(|d| d.as_micros()).collect();
+        assert_eq!(us, [200, 300, 300, 200, 50]);
+        assert_eq!(own[..4].iter().sum::<Duration>(), spans[3].wall);
     }
 
     #[test]
