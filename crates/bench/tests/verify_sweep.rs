@@ -10,7 +10,10 @@
 
 use tag_bench::{Harness, QueryType};
 use tag_core::{compile_nlq, compile_rag, compile_rerank, nlq_reads};
-use tag_sql::{plan_cost, plan_sem, verify_plan, verify_rewrite, SemNode, SemOptOptions, SemReads};
+use tag_sql::{
+    plan_cost, plan_sem, verify_plan, verify_rewrite, FrameSource, SemOptOptions, SemPlan,
+    SemReads, SemStep,
+};
 
 /// All 8 rewrite-rule combinations.
 fn all_opts() -> impl Iterator<Item = SemOptOptions> {
@@ -21,27 +24,24 @@ fn all_opts() -> impl Iterator<Item = SemOptOptions> {
     })
 }
 
-/// Apply `mutate` to the first node, pre-order, that accepts it.
-fn mutate_first(node: &mut SemNode, mutate: &mut impl FnMut(&mut SemNode) -> bool) -> bool {
-    if mutate(node) {
-        return true;
-    }
-    match node {
-        SemNode::Predicate { input, .. }
-        | SemNode::SemFilter { input, .. }
-        | SemNode::Cut { input, .. }
-        | SemNode::SemTopK { input, .. }
-        | SemNode::Rerank { input, .. }
-        | SemNode::Generate { input, .. } => mutate_first(input, mutate),
-        SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => false,
+/// A frame plan's source and steps; `None` for a point plan, which has
+/// none of the work the mutations break.
+fn frame_parts(plan: &mut SemPlan) -> Option<(&mut FrameSource, &mut Vec<SemStep>)> {
+    match plan {
+        SemPlan::Frame { source, steps, .. } => Some((source, steps)),
+        SemPlan::Points { .. } => None,
     }
 }
 
-/// Clear a fused early-stop filter's distinct flag: the bug `fuse_precut`
-/// would have if it forgot the dedup obligation.
-fn break_fused_distinct(plan: &mut SemNode) -> bool {
-    mutate_first(plan, &mut |node| match node {
-        SemNode::SemFilter {
+/// Clear a fused early-stop filter's distinct flag, the first root
+/// first: the bug `fuse_precut` would have if it forgot the dedup
+/// obligation.
+fn break_fused_distinct(plan: &mut SemPlan) -> bool {
+    let Some((_, steps)) = frame_parts(plan) else {
+        return false;
+    };
+    steps.iter_mut().rev().any(|step| match step {
+        SemStep::SemFilter {
             distinct,
             early_stop: Some(_),
             ..
@@ -53,37 +53,47 @@ fn break_fused_distinct(plan: &mut SemNode) -> bool {
     })
 }
 
-/// Splice the first predicate out of the plan, or out of the scan it was
-/// folded into: a pushdown or lowering that loses the filter it moved.
-fn break_drop_predicate(plan: &mut SemNode) -> bool {
-    mutate_first(plan, &mut |node| match node {
-        SemNode::Predicate { input, .. } => {
-            *node = (**input).clone();
-            true
-        }
-        SemNode::Scan { filters, .. } => filters.pop().is_some(),
-        _ => false,
-    })
+/// Splice the first predicate, root first, out of the plan, or out of
+/// the scan it was folded into: a pushdown or lowering that loses the
+/// filter it moved.
+fn break_drop_predicate(plan: &mut SemPlan) -> bool {
+    let Some((source, steps)) = frame_parts(plan) else {
+        return false;
+    };
+    let last = steps
+        .iter()
+        .rposition(|step| matches!(step, SemStep::Predicate { .. }));
+    if let Some(at) = last {
+        steps.remove(at);
+        return true;
+    }
+    match source {
+        FrameSource::Scan { filters, .. } => filters.pop().is_some(),
+        FrameSource::Input { .. } => false,
+    }
 }
 
 /// Narrow a projected scan below what the plan's root reads of it: a
 /// lowering that forgets a reader.
-fn break_drop_projected(plan: &mut SemNode) -> bool {
-    let SemReads::Columns(reads) = plan.reads() else {
+fn break_drop_projected(plan: &mut SemPlan) -> bool {
+    let Some(SemReads::Columns(reads)) = plan.ops().last().map(|root| root.reads()) else {
         return false;
     };
     let read = |c: &String| reads.iter().flatten().any(|r| r.eq_ignore_ascii_case(c));
-    mutate_first(plan, &mut |node| match node {
-        SemNode::Scan {
-            columns: Some(cols),
-            ..
-        } => {
+    match frame_parts(plan) {
+        Some((
+            FrameSource::Scan {
+                columns: Some(cols),
+                ..
+            },
+            _,
+        )) => {
             let before = cols.len();
             cols.retain(|c| !read(c));
             cols.len() < before
         }
         _ => false,
-    })
+    }
 }
 
 #[test]
@@ -130,7 +140,7 @@ fn every_benchmark_plan_verifies_under_every_rule_combination() {
 
 /// A seeded rewrite bug: mutate a planned plan in place, or return false
 /// when the plan has nothing it applies to.
-type Mutation = fn(&mut SemNode) -> bool;
+type Mutation = fn(&mut SemPlan) -> bool;
 
 #[test]
 fn the_verifier_catches_each_seeded_mutation() {

@@ -5,18 +5,18 @@
 //! than automatic query synthesis": exact computation (filters, sorts,
 //! cuts) runs on the data system, semantic steps run as batched LM
 //! operators. The method is a *compiler*: the structured question lowers
-//! to a [`SemNode`](tag_sql::SemNode) plan
+//! to a [`SemPlan`](tag_sql::SemPlan) chain
 //! ([`compile_nlq`](crate::semplan::compile_nlq)), the shared planner
 //! applies the LM-call-minimizing rewrite rules (predicate pushdown, the
 //! Appendix C distinct-value rewrite, early-stop pre-cut fusion) and
 //! folds the relational prefix into the scan's SQL
 //! ([`lower_scans`](tag_sql::lower_scans): the projection to the columns
-//! the plan and this method read, the exact predicates and the cut
-//! directly above the scan), and the plan executes through the common
+//! the plan and this method read, the exact predicates and the cut that
+//! lead the chain), and the plan executes through the common
 //! [`SemRuntime`](crate::semplan::SemRuntime). "On the data system" is
 //! literal for that prefix: it is one `SELECT` through `tag-sql`. An
-//! exact operator that ends up above the scan (a REAL predicate, a
-//! predicate with pushdown off, the cut above `sem_topk`) runs as a
+//! exact step that stays after the scan (a REAL predicate, a predicate
+//! with pushdown off, a cut after a semantic filter) runs as a
 //! kernel over the frame's selection of the engine's columns, and the
 //! answer is read off that selection. The division of labour is the TAG
 //! thesis; the plan IR makes it inspectable (`EXPLAIN SEMPLAN`) and

@@ -2,14 +2,14 @@
 //!
 //! This is the unification layer of the refactor: every TAG method that
 //! used to hand-roll its retrieval/filter/generation sequence now
-//! *compiles* to a [`SemNode`] chain (defined data-only in `tag-sql`, so
+//! *compiles* to a [`SemPlan`] chain (defined data-only in `tag-sql`, so
 //! plans EXPLAIN and optimize like relational plans) and executes
 //! through one shared runtime, [`SemRuntime`], which delegates semantic
 //! operators to `tag-semops` and exact operators to the SQL engine where
-//! they sit directly on a scan, to the frame kernels elsewhere.
+//! they lead the chain, to the frame kernels elsewhere.
 //!
 //! The compilers are intentionally *naive*: filters compile in question
-//! order, semantic filters judge row-wise, exact cuts stay above
+//! order, semantic filters judge row-wise, exact cuts stay after
 //! semantic operators, and the scan is `SELECT *`. All LM-call
 //! minimization — predicate pushdown, the distinct-value rewrite,
 //! early-stop pre-cut fusion — lives in `tag_sql::semopt` rewrite rules,
@@ -23,14 +23,17 @@
 //! Whatever the rules, [`plan_sem`] then lowers the plan
 //! ([`tag_sql::lower_scans`]): each scan reads only the columns the plan
 //! and its consumer read ([`nlq_reads`]), and the exact predicates and
-//! the cut directly above it run as its `WHERE` / `ORDER BY … LIMIT`.
+//! the cut that lead the chain run as its `WHERE` / `ORDER BY … LIMIT`.
 //!
 //! Frames are selections over the engine's columns ([`SemFrame`]): the
 //! scan hands over its executor batches without building a row, and
-//! every node after it narrows or reorders the selection — the exact
-//! predicates and cuts left above the scan, the semantic filters (row-wise,
-//! distinct-value and early-stop) and `sem_topk` — or writes its prompts
-//! straight from the selected cells. No node copies a row of its input.
+//! every step after it narrows or reorders the selection — the exact
+//! predicates and cuts left after the scan, the semantic filters
+//! (row-wise, distinct-value and early-stop) and `sem_topk` — or writes
+//! its prompts straight from the selected cells. No step copies a row of
+//! its input. Retrieval returns row store ids ([`TagEnv::row_store`]),
+//! and rerank and generation read each id's row from the table images
+//! the store embedded when they write a prompt.
 
 use crate::env::TagEnv;
 use std::cmp::Ordering;
@@ -44,17 +47,13 @@ use tag_lm::prompts::{
 use tag_semops::{sem_agg, sem_filter, sem_judge, sem_topk, SemError};
 use tag_sql::chunk::ColumnData;
 use tag_sql::{
-    execute_sem, plan_sem, scan_sql, CutSpec, GenFormat, RetrieveKind, SemClaimSpec, SemDelegate,
-    SemFrame, SemNode, SemPredicate, SemReads, Value,
+    execute_sem, plan_sem, scan_sql, CutSpec, FrameSource, GenFormat, Generate, Rerank, Retrieve,
+    RetrieveKind, SemClaimSpec, SemDelegate, SemFrame, SemPlan, SemPredicate, SemReads, SemStep,
+    Value,
 };
 
-/// Column name of point frames: retrieved rows, one row store id each
-/// ([`TagEnv::row_store`]), read from the table images the store
-/// embedded when a prompt is written.
-const POINT_COLUMN: &str = "__point";
-
 /// The property vocabulary shared with `tag_lm::nlq::SemProperty`
-/// (`SemNode` carries the word, not the enum, to stay LM-crate-free).
+/// (`SemStep` carries the word, not the enum, to stay LM-crate-free).
 fn property_word(p: SemProperty) -> &'static str {
     match p {
         SemProperty::Positive => "positive",
@@ -98,67 +97,59 @@ fn spec_to_claim(spec: &SemClaimSpec) -> Result<SemClaim, String> {
 }
 
 /// Compile a structured TAG-Bench question into a semantic plan: a base
-/// scan, the filters in question order, and the shape's head operator.
-pub fn compile_nlq(q: &NlQuery) -> SemNode {
-    let mut node = SemNode::scan(q.entity());
-    for f in q.filters() {
-        node = compile_filter(node, f);
-    }
+/// scan, the filters in question order, and the shape's last steps.
+pub fn compile_nlq(q: &NlQuery) -> SemPlan {
+    let mut steps: Vec<SemStep> = q.filters().iter().map(compile_filter).collect();
+    let cut = |rank_attr: &String, descending: bool, k: usize| SemStep::Cut {
+        cut: CutSpec {
+            sort_by: rank_attr.clone(),
+            descending,
+            k,
+        },
+    };
+    let mut gen = None;
     match q {
         NlQuery::Superlative {
             rank_attr, highest, ..
-        } => SemNode::Cut {
-            input: Box::new(node),
-            cut: CutSpec {
-                sort_by: rank_attr.clone(),
-                descending: *highest,
-                k: 1,
-            },
-        },
-        NlQuery::Count { .. } | NlQuery::List { .. } => node,
+        } => steps.push(cut(rank_attr, *highest, 1)),
+        NlQuery::Count { .. } | NlQuery::List { .. } => {}
         NlQuery::TopK {
             rank_attr,
             k,
             highest,
             ..
-        } => SemNode::Cut {
-            input: Box::new(node),
-            cut: CutSpec {
-                sort_by: rank_attr.clone(),
-                descending: *highest,
-                k: *k,
-            },
-        },
+        } => steps.push(cut(rank_attr, *highest, *k)),
         NlQuery::SemanticRank {
             rank_attr,
             k,
             property,
             on_attr,
             ..
-        } => SemNode::SemTopK {
-            input: Box::new(SemNode::Cut {
-                input: Box::new(node),
-                cut: CutSpec {
-                    sort_by: rank_attr.clone(),
-                    descending: true,
-                    k: *k,
-                },
-            }),
-            on_attr: on_attr.clone(),
-            property: property_word(*property).to_owned(),
-            k: *k,
-        },
-        NlQuery::Summarize { .. } | NlQuery::ProvideInfo { .. } => SemNode::Generate {
-            input: Box::new(node),
-            request: q.render(),
-            format: GenFormat::FreeOrAgg,
-        },
+        } => {
+            steps.push(cut(rank_attr, true, *k));
+            steps.push(SemStep::SemTopK {
+                on_attr: on_attr.clone(),
+                property: property_word(*property).to_owned(),
+                k: *k,
+            });
+        }
+        NlQuery::Summarize { .. } | NlQuery::ProvideInfo { .. } => {
+            gen = Some(Generate {
+                request: q.render(),
+                format: GenFormat::FreeOrAgg,
+            })
+        }
+    }
+    SemPlan::Frame {
+        source: FrameSource::scan(q.entity()),
+        steps,
+        gen,
     }
 }
 
 /// What [`HandWrittenTag`](crate::methods::HandWrittenTag) reads off the
 /// frame [`compile_nlq`]'s plan returns: the selected attribute, the row
-/// count alone (`Count`), or the one cell a `Generate` root produced.
+/// count alone (`Count`), or the one cell a `Generate` produced.
 pub fn nlq_reads(q: &NlQuery) -> SemReads {
     match q {
         NlQuery::Superlative { select_attr, .. }
@@ -170,11 +161,10 @@ pub fn nlq_reads(q: &NlQuery) -> SemReads {
     }
 }
 
-/// One question filter as a plan node over `input`. The column-candidate
-/// lists are the expert pipelines' schema knowledge, unchanged.
-fn compile_filter(input: SemNode, f: &NlFilter) -> SemNode {
-    let sem = |input: SemNode, columns: &[&str], claim: SemClaimSpec| SemNode::SemFilter {
-        input: Box::new(input),
+/// One question filter as a plan step. The column-candidate lists are the
+/// expert pipelines' schema knowledge, unchanged.
+fn compile_filter(f: &NlFilter) -> SemStep {
+    let sem = |columns: &[&str], claim: SemClaimSpec| SemStep::SemFilter {
         columns: columns.iter().map(|c| (*c).to_owned()).collect(),
         resolve: true,
         claim,
@@ -182,64 +172,55 @@ fn compile_filter(input: SemNode, f: &NlFilter) -> SemNode {
         early_stop: None,
     };
     match f {
-        NlFilter::NumCmp { attr, op, value } => SemNode::Predicate {
-            input: Box::new(input),
+        NlFilter::NumCmp { attr, op, value } => SemStep::Predicate {
             pred: SemPredicate::NumCmp {
                 attr: attr.clone(),
                 over: *op == CmpOp::Over,
                 value: *value,
             },
         },
-        NlFilter::TextEq { attr, value } => SemNode::Predicate {
-            input: Box::new(input),
+        NlFilter::TextEq { attr, value } => SemStep::Predicate {
             pred: SemPredicate::TextEq {
                 attr: attr.clone(),
                 value: value.clone(),
             },
         },
-        NlFilter::AtCircuit { circuit } => SemNode::Predicate {
-            input: Box::new(input),
+        NlFilter::AtCircuit { circuit } => SemStep::Predicate {
             pred: SemPredicate::TextEqAny {
                 columns: vec!["Circuit".into(), "circuit".into(), "CircuitName".into()],
                 value: circuit.clone(),
             },
         },
         NlFilter::InRegion { region } => sem(
-            input,
             &["City", "city"],
             SemClaimSpec::CityInRegion {
                 region: region.clone(),
             },
         ),
         NlFilter::TallerThan { person } => sem(
-            input,
             &["height", "Height"],
             SemClaimSpec::HeightTallerThan {
                 person: person.clone(),
             },
         ),
-        NlFilter::EuCountry => sem(input, &["Country", "country"], SemClaimSpec::EuCountry),
+        NlFilter::EuCountry => sem(&["Country", "country"], SemClaimSpec::EuCountry),
         NlFilter::CircuitContinent { continent } => sem(
-            input,
             &["Circuit", "circuit"],
             SemClaimSpec::CircuitInContinent {
                 continent: continent.clone(),
             },
         ),
         NlFilter::ClassicMovie => sem(
-            input,
             &["movie_title", "title", "Title"],
             SemClaimSpec::ClassicMovie,
         ),
         NlFilter::VerticalIs { vertical } => sem(
-            input,
             &["account_name", "Company", "company"],
             SemClaimSpec::CompanyInVertical {
                 vertical: vertical.clone(),
             },
         ),
-        NlFilter::Semantic { attr, property } => SemNode::SemFilter {
-            input: Box::new(input),
+        NlFilter::Semantic { attr, property } => SemStep::SemFilter {
             columns: vec![attr.clone()],
             resolve: false,
             claim: SemClaimSpec::Property {
@@ -252,57 +233,61 @@ fn compile_filter(input: SemNode, f: &NlFilter) -> SemNode {
 }
 
 /// Compile the RAG baseline: retrieval straight into generation.
-pub fn compile_rag(request: &str, k: usize, list_format: bool) -> SemNode {
-    SemNode::Generate {
-        input: Box::new(SemNode::Retrieve {
+pub fn compile_rag(request: &str, k: usize, list_format: bool) -> SemPlan {
+    SemPlan::Points {
+        retrieve: Retrieve {
             query: request.to_owned(),
             k,
             kind: RetrieveKind::Rows,
-        }),
-        request: request.to_owned(),
-        format: gen_format(list_format),
+        },
+        rerank: None,
+        gen: generate(request, list_format),
     }
 }
 
 /// Compile the Retrieval + LM Rank baseline: candidate pool, LM rerank,
 /// generation.
-pub fn compile_rerank(request: &str, pool: usize, keep: usize, list_format: bool) -> SemNode {
-    SemNode::Generate {
-        input: Box::new(SemNode::Rerank {
-            input: Box::new(SemNode::Retrieve {
-                query: request.to_owned(),
-                k: pool,
-                kind: RetrieveKind::Candidates,
-            }),
+pub fn compile_rerank(request: &str, pool: usize, keep: usize, list_format: bool) -> SemPlan {
+    SemPlan::Points {
+        retrieve: Retrieve {
+            query: request.to_owned(),
+            k: pool,
+            kind: RetrieveKind::Candidates,
+        },
+        rerank: Some(Rerank {
             query: request.to_owned(),
             keep,
         }),
-        request: request.to_owned(),
-        format: gen_format(list_format),
+        gen: generate(request, list_format),
     }
 }
 
 /// Compile the generation stage of Text2SQL + LM: the frame the
 /// LM-written SQL retrieved, fed to one generation call.
-pub fn compile_generate_over(frame: SemFrame, request: &str, list_format: bool) -> SemNode {
-    SemNode::Generate {
-        input: Box::new(SemNode::Input { frame }),
-        request: request.to_owned(),
-        format: gen_format(list_format),
+pub fn compile_generate_over(frame: SemFrame, request: &str, list_format: bool) -> SemPlan {
+    SemPlan::Frame {
+        source: FrameSource::Input { frame },
+        steps: Vec::new(),
+        gen: Some(generate(request, list_format)),
     }
 }
 
-fn gen_format(list_format: bool) -> GenFormat {
-    if list_format {
-        GenFormat::List
-    } else {
-        GenFormat::Free
+/// One generation call over the rows in context, in the list or the
+/// free-form prompt format.
+fn generate(request: &str, list_format: bool) -> Generate {
+    Generate {
+        request: request.to_owned(),
+        format: if list_format {
+            GenFormat::List
+        } else {
+            GenFormat::Free
+        },
     }
 }
 
 /// [`plan_sem`] of a structured question: the plan `HandWrittenTag`
 /// runs and `EXPLAIN SEMPLAN` prints.
-pub fn plan_nlq(q: &NlQuery, opts: &tag_sql::SemOptOptions, db: &tag_sql::Database) -> SemNode {
+pub fn plan_nlq(q: &NlQuery, opts: &tag_sql::SemOptOptions, db: &tag_sql::Database) -> SemPlan {
     plan_sem(compile_nlq(q), &nlq_reads(q), opts, db.catalog())
 }
 
@@ -310,14 +295,14 @@ pub fn plan_nlq(q: &NlQuery, opts: &tag_sql::SemOptOptions, db: &tag_sql::Databa
 /// against its live catalog) and execute it. `reads` is what the caller
 /// reads off the returned frame.
 ///
-/// Under an active trace each plan node is one span with its rows out
-/// and the LM cost it caused ([`execute_sem`]).
-pub fn run_semplan(env: &TagEnv, naive: SemNode, reads: &SemReads) -> Result<SemFrame, String> {
-    let root = plan_sem(naive, reads, &env.sem_opt(), env.db.catalog());
-    execute_sem(&root, &SemRuntime::new(env))
+/// Under an active trace each plan operator is one span with its rows
+/// out and the LM cost it caused ([`execute_sem`]).
+pub fn run_semplan(env: &TagEnv, naive: SemPlan, reads: &SemReads) -> Result<SemFrame, String> {
+    let plan = plan_sem(naive, reads, &env.sem_opt(), env.db.catalog());
+    execute_sem(&plan, &SemRuntime::new(env))
 }
 
-/// The semantic-plan runtime: executes [`SemNode`]s over the
+/// The semantic-plan runtime: executes [`SemPlan`]s over the
 /// environment's SQL engine, row store, semantic operators, and LM, over
 /// frames that are selections of the engine's columns (module docs).
 pub struct SemRuntime<'a> {
@@ -456,18 +441,101 @@ impl<'a> SemRuntime<'a> {
         Ok(frame.with_selection(kept))
     }
 
-    /// Embedding retrieval: the node's span label names `k` (or the
-    /// pool size) and its rows are the hits.
-    fn exec_retrieve(&self, query: &str, k: usize) -> SemFrame {
-        let hits = self.env.row_store().retrieve(query, k);
-        point_frame(hits.iter().map(|hit| hit.id))
+    /// Generation from `prompt`: one call, or, for the `free|agg` format
+    /// over a frame whose prompt overflows the context window, the
+    /// hierarchical `sem_agg` fold over `frame`. Points have no frame to
+    /// fold, so generation over them is always one call (retrieval
+    /// plans compile the list or free format).
+    fn exec_generate(
+        &self,
+        prompt: String,
+        gen: &Generate,
+        frame: Option<&SemFrame>,
+    ) -> Result<SemFrame, String> {
+        let text = match (&gen.format, frame) {
+            // gen(R, T): one call when the table fits the context,
+            // hierarchical sem_agg otherwise. Tokens, not rows.
+            (GenFormat::FreeOrAgg, Some(frame))
+                if tag_lm::tokenizer::count_tokens(&prompt)
+                    > self.env.engine.lm().context_window().saturating_sub(512) =>
+            {
+                sem_agg(&self.env.engine, frame, &gen.request).map_err(|e| e.to_string())?
+            }
+            _ => self.generate(prompt)?,
+        };
+        Ok(answer_frame(text))
     }
 
-    fn exec_rerank(&self, frame: SemFrame, query: &str, keep: usize) -> Result<SemFrame, String> {
-        let ids =
-            point_ids(&frame).ok_or_else(|| "Rerank: input is not retrieved points".to_owned())?;
-        let prompts: Vec<String> = ids
-            .map(|id| relevance_prompt_over(query, |s| self.env.push_point_text(id, s)))
+    /// One direct `gen` call; its cost lands on the `Generate` operator's
+    /// span ([`TagEnv::generate`]).
+    fn generate(&self, prompt: String) -> Result<String, String> {
+        let resp = self
+            .env
+            .generate(&LmRequest::new(prompt))
+            .map_err(|e| e.to_string())?;
+        Ok(resp.text)
+    }
+}
+
+impl SemDelegate for SemRuntime<'_> {
+    fn source(&self, source: &FrameSource) -> Result<SemFrame, String> {
+        match source {
+            FrameSource::Scan {
+                table,
+                columns,
+                filters,
+                cut,
+            } => {
+                let sql = scan_sql(table, columns.as_deref(), filters, cut.as_ref());
+                self.env
+                    .scan(&sql)
+                    .map_err(|e| format!("base scan failed: {e}"))
+            }
+            FrameSource::Input { frame } => Ok(frame.clone()),
+        }
+    }
+
+    fn step(&self, step: &SemStep, frame: SemFrame) -> Result<SemFrame, String> {
+        match step {
+            SemStep::Predicate { pred } => exec_predicate(frame, pred),
+            SemStep::SemFilter {
+                columns,
+                resolve,
+                claim,
+                distinct,
+                early_stop,
+            } => self.exec_sem_filter(
+                frame,
+                columns,
+                *resolve,
+                claim,
+                *distinct,
+                early_stop.as_ref(),
+            ),
+            SemStep::Cut { cut } => exec_cut(frame, cut).map_err(|e| e.to_string()),
+            SemStep::SemTopK {
+                on_attr,
+                property,
+                k,
+            } => {
+                let prop = property_from_word(property)
+                    .ok_or_else(|| format!("unknown semantic property: {property}"))?;
+                sem_topk(&self.env.engine, &frame, on_attr, prop, *k).map_err(|e| e.to_string())
+            }
+        }
+    }
+
+    /// Embedding retrieval: the operator's span label names `k` (or the
+    /// pool size) and its rows are the hits.
+    fn retrieve(&self, retrieve: &Retrieve) -> Result<Vec<usize>, String> {
+        let hits = self.env.row_store().retrieve(&retrieve.query, retrieve.k);
+        Ok(hits.iter().map(|hit| hit.id).collect())
+    }
+
+    fn rerank(&self, rerank: &Rerank, points: Vec<usize>) -> Result<Vec<usize>, String> {
+        let prompts: Vec<String> = points
+            .iter()
+            .map(|&id| relevance_prompt_over(&rerank.query, |s| self.env.push_point_text(id, s)))
             .collect();
         let scores = self
             .env
@@ -480,101 +548,23 @@ impl<'a> SemRuntime<'a> {
             .map(|(i, s)| (s.trim().parse::<f64>().unwrap_or(0.0), i))
             .collect();
         scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        let kept = scored
+        Ok(scored
             .iter()
-            .take(keep)
-            .map(|&(_, i)| frame.selection()[i])
-            .collect();
-        Ok(frame.with_selection(kept))
+            .take(rerank.keep)
+            .map(|&(_, i)| points[i])
+            .collect())
     }
 
-    fn exec_generate(
-        &self,
-        frame: SemFrame,
-        request: &str,
-        format: &GenFormat,
-    ) -> Result<SemFrame, String> {
-        let list_format = matches!(format, GenFormat::List);
-        let prompt = answer_prompt_over(self.env, &frame, request, list_format);
-        let text = match format {
-            GenFormat::List | GenFormat::Free => self.generate(prompt)?,
-            GenFormat::FreeOrAgg => {
-                // gen(R, T): one call when the table fits the context,
-                // hierarchical sem_agg otherwise. Tokens, not rows.
-                let budget = self.env.engine.lm().context_window().saturating_sub(512);
-                if tag_lm::tokenizer::count_tokens(&prompt) <= budget {
-                    self.generate(prompt)?
-                } else {
-                    sem_agg(&self.env.engine, &frame, request).map_err(|e| e.to_string())?
-                }
-            }
-        };
-        Ok(answer_frame(text))
+    fn generate(&self, gen: &Generate, frame: SemFrame) -> Result<SemFrame, String> {
+        let list_format = gen.format == GenFormat::List;
+        let prompt = answer_prompt_over(&frame, &gen.request, list_format);
+        self.exec_generate(prompt, gen, Some(&frame))
     }
 
-    /// One direct `gen` call; its cost lands on the `Generate` node's
-    /// span ([`TagEnv::generate`]).
-    fn generate(&self, prompt: String) -> Result<String, String> {
-        let resp = self
-            .env
-            .generate(&LmRequest::new(prompt))
-            .map_err(|e| e.to_string())?;
-        Ok(resp.text)
-    }
-}
-
-impl SemDelegate for SemRuntime<'_> {
-    fn exec_node(&self, node: &SemNode, input: Option<SemFrame>) -> Result<SemFrame, String> {
-        // The input's frame, taken once: a node owns its input and hands
-        // its output on.
-        let input = || input.ok_or_else(|| format!("{}: missing input", node.label()));
-        match node {
-            SemNode::Scan {
-                table,
-                columns,
-                filters,
-                cut,
-            } => {
-                let sql = scan_sql(table, columns.as_deref(), filters, cut.as_ref());
-                self.env
-                    .scan(&sql)
-                    .map_err(|e| format!("base scan failed: {e}"))
-            }
-            SemNode::Input { frame } => Ok(frame.clone()),
-            SemNode::Predicate { pred, .. } => exec_predicate(input()?, pred),
-            SemNode::SemFilter {
-                columns,
-                resolve,
-                claim,
-                distinct,
-                early_stop,
-                ..
-            } => self.exec_sem_filter(
-                input()?,
-                columns,
-                *resolve,
-                claim,
-                *distinct,
-                early_stop.as_ref(),
-            ),
-            SemNode::Cut { cut, .. } => exec_cut(input()?, cut).map_err(|e| e.to_string()),
-            SemNode::SemTopK {
-                on_attr,
-                property,
-                k,
-                ..
-            } => {
-                let frame = input()?;
-                let prop = property_from_word(property)
-                    .ok_or_else(|| format!("unknown semantic property: {property}"))?;
-                sem_topk(&self.env.engine, &frame, on_attr, prop, *k).map_err(|e| e.to_string())
-            }
-            SemNode::Retrieve { query, k, .. } => Ok(self.exec_retrieve(query, *k)),
-            SemNode::Rerank { query, keep, .. } => self.exec_rerank(input()?, query, *keep),
-            SemNode::Generate {
-                request, format, ..
-            } => self.exec_generate(input()?, request, format),
-        }
+    fn generate_points(&self, gen: &Generate, points: Vec<usize>) -> Result<SemFrame, String> {
+        let list_format = gen.format == GenFormat::List;
+        let prompt = answer_prompt_over_points(self.env, &points, &gen.request, list_format);
+        self.exec_generate(prompt, gen, None)
     }
 }
 
@@ -741,7 +731,7 @@ fn text_codes(frame: &SemFrame, col: usize) -> (Vec<u32>, Vec<usize>) {
     }
 }
 
-/// The one-cell frame a text-producing node returns.
+/// The one-cell frame a generation returns.
 fn answer_frame(text: String) -> SemFrame {
     SemFrame::from_rows(vec!["answer".to_owned()], [[Value::Text(text)]])
 }
@@ -763,41 +753,10 @@ fn existing_column(columns: &[String], candidates: &[String]) -> Result<String, 
     Err(SemError::Frame(tag_sql::SqlError::Binding(msg)).to_string())
 }
 
-/// The point frame of row store ids `ids`, in order.
-fn point_frame(ids: impl Iterator<Item = usize>) -> SemFrame {
-    let rows = ids.map(|id| [Value::Int(id as i64)]);
-    SemFrame::from_rows(vec![POINT_COLUMN.to_owned()], rows)
-}
-
-/// The row store ids a point frame holds, in selection order; `None`
-/// for any other frame.
-fn point_ids(frame: &SemFrame) -> Option<impl Iterator<Item = usize> + '_> {
-    if frame.columns.len() != 1 || frame.columns[0] != POINT_COLUMN {
-        return None;
-    }
-    let ColumnData::Int { values, .. } = frame.column(0) else {
-        return None;
-    };
-    Some(
-        frame
-            .selection()
-            .iter()
-            .map(|&row| values[row as usize] as usize),
-    )
-}
-
-/// The generation prompt over `frame`, written once into one string,
-/// each row one data point of `- col: val` lines: a point frame's rows
-/// read from the table images the row store embedded, a table frame's
-/// selected rows read straight off its columns.
-fn answer_prompt_over(env: &TagEnv, frame: &SemFrame, request: &str, list_format: bool) -> String {
-    if let Some(ids) = point_ids(frame) {
-        return answer_prompt(request, list_format, |s| {
-            for (i, id) in ids.enumerate() {
-                push_data_point(s, i, |s| env.push_point_fields(id, s));
-            }
-        });
-    }
+/// The generation prompt over `frame`, written once into one string:
+/// each selected row one data point of `- col: val` lines, read straight
+/// off the frame's columns.
+fn answer_prompt_over(frame: &SemFrame, request: &str, list_format: bool) -> String {
     answer_prompt(request, list_format, |s| {
         for (i, &id) in frame.selection().iter().enumerate() {
             push_data_point(s, i, |s| {
@@ -805,6 +764,22 @@ fn answer_prompt_over(env: &TagEnv, frame: &SemFrame, request: &str, list_format
                     push_field(s, name, |s| frame.column(c).push_text_at(id as usize, s));
                 }
             });
+        }
+    })
+}
+
+/// The generation prompt over retrieved rows, written once into one
+/// string: each row store id's row one data point, read from the table
+/// images the row store embedded.
+fn answer_prompt_over_points(
+    env: &TagEnv,
+    points: &[usize],
+    request: &str,
+    list_format: bool,
+) -> String {
+    answer_prompt(request, list_format, |s| {
+        for (i, &id) in points.iter().enumerate() {
+            push_data_point(s, i, |s| env.push_point_fields(id, s));
         }
     })
 }
@@ -1057,19 +1032,26 @@ mod tests {
         NlQuery::parse(text).expect("canonical question")
     }
 
+    /// A frame plan's steps and generation; panics on a point plan.
+    fn frame_plan(plan: &SemPlan) -> (&[SemStep], Option<&Generate>) {
+        match plan {
+            SemPlan::Frame { steps, gen, .. } => (steps, gen.as_ref()),
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
-    fn superlative_compiles_to_cut_over_filter_over_scan() {
+    fn superlative_compiles_to_cut_after_filter_over_scan() {
         let q = parse(
             "What is the GSoffered of the schools with the highest Longitude \
              among those located in the Silicon Valley region?",
         );
         let plan = compile_nlq(&q);
-        match &plan {
-            SemNode::Cut { input, cut } => {
+        match frame_plan(&plan) {
+            ([SemStep::SemFilter { .. }, SemStep::Cut { cut }], None) => {
                 assert_eq!(cut.sort_by, "Longitude");
                 assert!(cut.descending);
                 assert_eq!(cut.k, 1);
-                assert!(matches!(**input, SemNode::SemFilter { .. }), "{input:?}");
             }
             other => panic!("{other:?}"),
         }
@@ -1082,19 +1064,24 @@ mod tests {
              Silicon Valley region are there?",
         );
         let plan = compile_nlq(&q);
-        // Semantic filter on top (it came last), exact predicate below.
-        match &plan {
-            SemNode::SemFilter { input, .. } => {
-                assert!(matches!(**input, SemNode::Predicate { .. }), "{input:?}")
-            }
-            other => panic!("{other:?}"),
-        }
+        // Exact predicate first, semantic filter last (it came last).
+        assert!(
+            matches!(
+                frame_plan(&plan),
+                ([SemStep::Predicate { .. }, SemStep::SemFilter { .. }], None)
+            ),
+            "{plan:?}"
+        );
     }
 
     #[test]
     fn list_compiles_to_bare_filters() {
         let q = parse("List the School of schools located in the Bay Area region.");
-        assert!(matches!(compile_nlq(&q), SemNode::SemFilter { .. }));
+        let plan = compile_nlq(&q);
+        assert!(matches!(
+            frame_plan(&plan),
+            ([SemStep::SemFilter { .. }], None)
+        ));
     }
 
     #[test]
@@ -1103,8 +1090,8 @@ mod tests {
             "List the top 3 schools by Longitude: give their School \
              among those located in the Bay Area region.",
         );
-        match compile_nlq(&q) {
-            SemNode::Cut { cut, .. } => {
+        match frame_plan(&compile_nlq(&q)) {
+            ([.., SemStep::Cut { cut }], None) => {
                 assert_eq!(cut.k, 3);
                 assert!(cut.descending);
             }
@@ -1113,23 +1100,24 @@ mod tests {
     }
 
     #[test]
-    fn semantic_rank_compiles_to_semtopk_over_cut() {
+    fn semantic_rank_compiles_to_cut_then_semtopk() {
         let q = parse(
             "Of the 5 posts with the highest ViewCount, list their Title in order \
              of most technical Title to least technical Title.",
         );
-        match compile_nlq(&q) {
-            SemNode::SemTopK {
-                input,
-                on_attr,
-                property,
-                k,
-            } => {
+        match frame_plan(&compile_nlq(&q)) {
+            (
+                [SemStep::Cut { .. }, SemStep::SemTopK {
+                    on_attr,
+                    property,
+                    k,
+                }],
+                None,
+            ) => {
                 assert_eq!(
-                    (on_attr.as_str(), property.as_str(), k),
+                    (on_attr.as_str(), property.as_str(), *k),
                     ("Title", "technical", 5)
                 );
-                assert!(matches!(*input, SemNode::Cut { .. }));
             }
             other => panic!("{other:?}"),
         }
@@ -1142,12 +1130,10 @@ mod tests {
             "Provide information about the races held on Sepang International Circuit.",
         ] {
             let q = parse(text);
-            match compile_nlq(&q) {
-                SemNode::Generate {
-                    request, format, ..
-                } => {
-                    assert_eq!(request, q.render());
-                    assert_eq!(format, GenFormat::FreeOrAgg);
+            match frame_plan(&compile_nlq(&q)) {
+                (_, Some(Generate { request, format })) => {
+                    assert_eq!(*request, q.render());
+                    assert_eq!(*format, GenFormat::FreeOrAgg);
                 }
                 other => panic!("{other:?}"),
             }
@@ -1157,22 +1143,25 @@ mod tests {
     #[test]
     fn semantic_filter_compiles_row_wise_unresolved() {
         let q = parse("How many comments whose Text is sarcastic are there?");
-        match compile_nlq(&q) {
-            SemNode::SemFilter {
-                columns,
-                resolve,
-                claim,
-                distinct,
-                ..
-            } => {
-                assert_eq!(columns, vec!["Text".to_owned()]);
+        match frame_plan(&compile_nlq(&q)) {
+            (
+                [SemStep::SemFilter {
+                    columns,
+                    resolve,
+                    claim,
+                    distinct,
+                    ..
+                }],
+                None,
+            ) => {
+                assert_eq!(*columns, vec!["Text".to_owned()]);
                 assert!(!resolve);
                 assert!(
                     !distinct,
                     "naive compile is row-wise; the rewrite adds distinct"
                 );
                 assert_eq!(
-                    claim,
+                    *claim,
                     SemClaimSpec::Property {
                         word: "sarcastic".into()
                     }
@@ -1194,17 +1183,18 @@ mod tests {
             });
         }
         let naive = compile_nlq(&q);
-        assert!(matches!(naive, SemNode::Predicate { .. }), "{naive:?}");
+        assert!(
+            matches!(frame_plan(&naive), ([.., SemStep::Predicate { .. }], None)),
+            "{naive:?}"
+        );
         let opt = optimize_sem(naive, &SemOptOptions::all());
-        match opt {
-            SemNode::SemFilter { input, .. } => {
-                assert!(
-                    matches!(*input, SemNode::Predicate { .. }),
-                    "pushdown sank the predicate"
-                )
-            }
-            other => panic!("{other:?}"),
-        }
+        assert!(
+            matches!(
+                frame_plan(&opt),
+                ([SemStep::Predicate { .. }, SemStep::SemFilter { .. }], None)
+            ),
+            "pushdown sank the predicate: {opt:?}"
+        );
     }
 
     #[test]
@@ -1295,22 +1285,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn point_encoding_round_trips() {
-        let ids = vec![3, 0, 7];
-        let points = point_frame(ids.iter().copied());
-        assert_eq!(point_ids(&points).map(Iterator::collect), Some(ids));
-        let reranked = points.with_selection(vec![2, 0]);
-        assert_eq!(
-            point_ids(&reranked).map(Iterator::collect),
-            Some(vec![7, 3])
-        );
-        let none = point_frame(std::iter::empty());
-        assert_eq!(point_ids(&none).map(Iterator::collect), Some(Vec::new()));
-        let table = SemFrame::from_rows(vec!["a".into()], [[Value::Int(1)]]);
-        assert!(point_ids(&table).is_none());
-    }
-
     /// The data points a table frame's prompt held before prompts were
     /// written from the frame: each selected row's column names beside
     /// its cells' text.
@@ -1376,12 +1350,12 @@ mod tests {
             let points = reference_points(frame);
             for list_format in [true, false] {
                 assert_eq!(
-                    answer_prompt_over(&env, frame, request, list_format),
+                    answer_prompt_over(frame, request, list_format),
                     reference::answer(request, &points, list_format)
                 );
             }
         }
-        let reordered = answer_prompt_over(&env, &frames[1], request, true);
+        let reordered = answer_prompt_over(&frames[1], request, true);
         assert!(reordered.contains("Data Point 1:\n- id: 4\n- x: NULL\n"));
     }
 
@@ -1435,19 +1409,12 @@ mod tests {
                 reference::relevance(question, &rows[id])
             );
         }
-        let frames = [
-            point_frame(ids.iter().copied()),
-            point_frame(ids.iter().copied()).with_selection(vec![3, 0, 2]),
-            point_frame(std::iter::empty()),
-        ];
-        for frame in &frames {
-            let copied: Vec<_> = point_ids(frame)
-                .unwrap()
-                .map(|id| rows[id].clone())
-                .collect();
+        let id_lists = [ids.to_vec(), vec![4, 0, 2], Vec::new()];
+        for points in &id_lists {
+            let copied: Vec<_> = points.iter().map(|&id| rows[id].clone()).collect();
             for list_format in [true, false] {
                 assert_eq!(
-                    answer_prompt_over(&env, frame, question, list_format),
+                    answer_prompt_over_points(&env, points, question, list_format),
                     reference::answer(question, &copied, list_format)
                 );
             }

@@ -1,7 +1,7 @@
 //! `lower_scans` changes where the relational prefix of a plan runs,
 //! never what the plan returns.
 //!
-//! The reference is the un-lowered tree (`optimize_sem` output, every
+//! The reference is the un-lowered chain (`optimize_sem` output, every
 //! scan `SELECT *`, every predicate and cut a frame kernel) run through
 //! `execute_sem` here in the test; nothing ships that path.
 
@@ -13,8 +13,8 @@ use tag_lm::model::{LanguageModel, LmRequest, LmResponse, LmResult};
 use tag_lm::nlq::NlQuery;
 use tag_lm::sim::{SimConfig, SimLm};
 use tag_sql::{
-    execute_sem, lower_scans, optimize_sem, CutSpec, Database, SemFrame, SemNode, SemOptOptions,
-    SemReads, Value,
+    execute_sem, lower_scans, optimize_sem, CutSpec, Database, FrameSource, SemFrame,
+    SemOptOptions, SemPlan, SemReads, SemStep, Value,
 };
 
 /// A `SimLm` that remembers every prompt it was sent, in order.
@@ -166,7 +166,7 @@ fn lowered_plans_answer_as_unlowered_plans_do() {
 /// with a folded INTEGER predicate and a count and a top-k whose REAL
 /// predicate stays above the scan as a frame kernel. Under every rule
 /// set, each answers, calls the LM and prompts it exactly as the
-/// un-lowered tree does.
+/// un-lowered chain does.
 #[test]
 fn sql_scale_shapes_answer_as_unlowered_plans_do() {
     let scale = Scale {
@@ -295,6 +295,15 @@ fn declared() -> impl Strategy<Value = &'static str> {
     prop_oneof![Just("INTEGER"), Just("REAL"), Just("TEXT")]
 }
 
+/// `step` over a bare scan of `t`.
+fn over_scan(step: SemStep) -> SemPlan {
+    SemPlan::Frame {
+        source: FrameSource::scan("t"),
+        steps: vec![step],
+        gen: None,
+    }
+}
+
 fn keyed_db(keys: &[Value], dtype: &str) -> Database {
     let mut db = Database::new();
     db.execute(&format!("CREATE TABLE t (id INTEGER, k {dtype}, pad TEXT)"))
@@ -324,10 +333,17 @@ proptest! {
     ) {
         let env = TagEnv::new(keyed_db(&keys, dtype), Arc::new(SimLm::new(SimConfig::default())));
         let cut = CutSpec { sort_by: "k".into(), descending, k };
-        let naive = SemNode::Cut { input: Box::new(SemNode::scan("t")), cut: cut.clone() };
+        let naive = over_scan(SemStep::Cut { cut: cut.clone() });
         let lowered = lower_scans(naive, env.db.catalog(), &SemReads::columns(&["id"]));
         prop_assert!(
-            matches!(&lowered, SemNode::Scan { cut: Some(_), columns: Some(_), .. }),
+            matches!(
+                &lowered,
+                SemPlan::Frame {
+                    source: FrameSource::Scan { cut: Some(_), columns: Some(_), .. },
+                    steps,
+                    gen: None,
+                } if steps.is_empty()
+            ),
             "{}", lowered.explain()
         );
         let got = execute_sem(&lowered, &SemRuntime::new(&env)).unwrap();
@@ -361,7 +377,7 @@ proptest! {
             tag_sql::SemPredicate::NumCmp { attr: "k".into(), over, value: threshold },
             tag_sql::SemPredicate::TextEq { attr: "K".into(), value: needle.clone() },
         ] {
-            let naive = SemNode::Predicate { input: Box::new(SemNode::scan("t")), pred };
+            let naive = over_scan(SemStep::Predicate { pred });
             let want = execute_sem(&naive, &runtime).unwrap();
             let lowered = lower_scans(naive, env.db.catalog(), &SemReads::All);
             let got = execute_sem(&lowered, &runtime).unwrap();

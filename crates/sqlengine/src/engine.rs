@@ -1270,4 +1270,20 @@ mod tests {
         assert_eq!(rs.rows, vec![vec![Value::Int(1)]]);
         assert_eq!(db.statements_run(), 3);
     }
+
+    /// A DISTINCT ordered by a column it does not select is refused, as
+    /// PostgreSQL refuses it: the distinct rows' sort key is not defined
+    /// (SQLite takes it from an arbitrary row of each group).
+    #[test]
+    fn distinct_ordered_by_an_unselected_column_is_refused() {
+        let err = db()
+            .query("SELECT DISTINCT City FROM schools ORDER BY Longitude")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SqlError::Unsupported(
+                "SELECT DISTINCT with ORDER BY over non-output expressions".into()
+            )
+        );
+    }
 }

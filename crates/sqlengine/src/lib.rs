@@ -77,8 +77,9 @@ pub use schema::{Column, DataType, Row, Schema};
 pub use semcost::{plan_cost, CostBound};
 pub use semopt::{lower_scans, optimize_sem, plan_sem, SemOptOptions};
 pub use semplan::{
-    execute_sem, scan_sql, CutSpec, GenFormat, RetrieveKind, SemClaimSpec, SemDelegate, SemFrame,
-    SemNode, SemPredicate, SemReads,
+    execute_sem, scan_sql, CutSpec, FrameSource, GenFormat, Generate, Rerank, Retrieve,
+    RetrieveKind, SemClaimSpec, SemDelegate, SemFrame, SemOp, SemPlan, SemPredicate, SemReads,
+    SemStep,
 };
 pub use semverify::{verify_plan, verify_report_text, verify_rewrite, Diagnostic, VerifyReport};
 pub use table::{IndexKind, Table};

@@ -1,7 +1,9 @@
 //! Static LM-cost bounds over semantic plans.
 //!
 //! [`plan_cost`] computes, from the IR and the catalog alone, an upper
-//! bound on the number of LM prompts a plan can *submit*. The engine's
+//! bound on the number of LM prompts a plan can *submit*: one fold over
+//! the chain, source first, whose per-operator bounds (`plan_bounds`)
+//! `EXPLAIN VERIFY` prints beside each operator. The engine's
 //! prompt cache can only reduce the calls that reach the LM, so the
 //! bound also dominates `lm.calls()` actuals — which is exactly what
 //! `trace-report` cross-checks against traces.
@@ -10,7 +12,7 @@
 //! documented contract of that module; its tests and the CI cross-check
 //! keep the two in sync):
 //!
-//! | node            | prompts submitted                    | output rows       |
+//! | operator        | prompts submitted                    | output rows       |
 //! |-----------------|--------------------------------------|-------------------|
 //! | `Scan`          | 0                                    | catalog row count (min k with a folded cut) |
 //! | `Input`         | 0                                    | `frame.len()`     |
@@ -23,11 +25,11 @@
 //! | `Generate`      | 1 (list/free); ≤ 2n + 1 (free\|agg)  | 1                 |
 //!
 //! All row counts are themselves upper bounds, and every per-operator
-//! bound is monotone in its input cardinality, so the composition is a
-//! sound upper bound for the whole chain.
+//! bound is monotone in its input cardinality, so the fold over the
+//! chain, source first, is a sound upper bound at every operator.
 
 use crate::catalog::Catalog;
-use crate::semplan::{GenFormat, SemNode};
+use crate::semplan::{FrameSource, GenFormat, SemOp, SemPlan, SemStep};
 
 /// Assumed base-table cardinality when there is no catalog, or it has no
 /// such table (e.g. verification without a database).
@@ -37,12 +39,13 @@ const DEFAULT_SCAN_ROWS: u64 = 1000;
 /// larger than this quickselect down to `max(k, 20)` before ranking.
 const BORDA_LIMIT: u64 = 40;
 
-/// A static upper bound on a sub-plan's LM cost and output size.
+/// A static upper bound on a plan prefix's LM cost and output size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CostBound {
-    /// Upper bound on LM prompts submitted by this sub-plan.
+    /// Upper bound on LM prompts submitted up to and including this
+    /// operator.
     pub lm_calls: u64,
-    /// Upper bound on rows the sub-plan can produce.
+    /// Upper bound on rows the operator can produce.
     pub out_rows: u64,
 }
 
@@ -71,7 +74,7 @@ fn topk_call_bound(n: u64, k: u64) -> u64 {
     bound
 }
 
-/// Prompt bound for a `Generate` node over `n` rows.
+/// Prompt bound for a `Generate` over `n` rows.
 fn generate_call_bound(format: &GenFormat, n: u64) -> u64 {
     match format {
         // One prompt, which may fail on context overflow but is still
@@ -85,76 +88,50 @@ fn generate_call_bound(format: &GenFormat, n: u64) -> u64 {
     }
 }
 
-/// Compute the static LM-cost bound of a plan bottom-up.
+/// The static bounds of a plan, one per operator of [`SemPlan::ops`]
+/// (source first): the LM prompts submitted up to and including the
+/// operator, and the rows it produces.
 ///
 /// `catalog` supplies base-table cardinalities; scans of tables it does
 /// not have, or every scan without one, fall back to [`DEFAULT_SCAN_ROWS`].
-pub fn plan_cost(root: &SemNode, catalog: Option<&Catalog>) -> CostBound {
-    match root {
-        SemNode::Scan { table, cut, .. } => {
-            let rows = table_rows(catalog, table).map_or(DEFAULT_SCAN_ROWS, |n| n as u64);
-            CostBound {
-                lm_calls: 0,
-                out_rows: cut.as_ref().map_or(rows, |cut| rows.min(cut.k as u64)),
+pub(crate) fn plan_bounds(plan: &SemPlan, catalog: Option<&Catalog>) -> Vec<CostBound> {
+    let mut bounds: Vec<CostBound> = Vec::new();
+    for op in plan.ops() {
+        let input = bounds.last().copied().unwrap_or_default();
+        let n = input.out_rows;
+        let (own_calls, out_rows) = match op {
+            SemOp::Source(FrameSource::Scan { table, cut, .. }) => {
+                let rows = table_rows(catalog, table).map_or(DEFAULT_SCAN_ROWS, |n| n as u64);
+                (0, cut.as_ref().map_or(rows, |cut| rows.min(cut.k as u64)))
             }
-        }
-        SemNode::Input { frame } => CostBound {
-            lm_calls: 0,
-            out_rows: frame.len() as u64,
-        },
-        SemNode::Predicate { input, .. } => plan_cost(input, catalog),
-        SemNode::Cut { input, cut } => {
-            let c = plan_cost(input, catalog);
-            CostBound {
-                lm_calls: c.lm_calls,
-                out_rows: c.out_rows.min(cut.k as u64),
-            }
-        }
-        SemNode::SemFilter {
-            input, early_stop, ..
-        } => {
-            let c = plan_cost(input, catalog);
+            SemOp::Source(FrameSource::Input { frame }) => (0, frame.len() as u64),
+            SemOp::Step(SemStep::Predicate { .. }) => (0, n),
+            SemOp::Step(SemStep::Cut { cut }) => (0, n.min(cut.k as u64)),
             // Row-wise judges every row; distinct judges every distinct
             // value (≤ n); early-stop judges distinct values in sorted
             // order until k survive (≤ n). All bounded by input rows.
-            CostBound {
-                lm_calls: c.lm_calls.saturating_add(c.out_rows),
-                out_rows: match early_stop {
-                    Some(cut) => c.out_rows.min(cut.k as u64),
-                    None => c.out_rows,
-                },
+            SemOp::Step(SemStep::SemFilter { early_stop, .. }) => {
+                (n, early_stop.as_ref().map_or(n, |cut| n.min(cut.k as u64)))
             }
-        }
-        SemNode::SemTopK { input, k, .. } => {
-            let c = plan_cost(input, catalog);
-            CostBound {
-                lm_calls: c
-                    .lm_calls
-                    .saturating_add(topk_call_bound(c.out_rows, *k as u64)),
-                out_rows: c.out_rows.min(*k as u64),
+            SemOp::Step(SemStep::SemTopK { k, .. }) => {
+                (topk_call_bound(n, *k as u64), n.min(*k as u64))
             }
-        }
-        SemNode::Retrieve { k, .. } => CostBound {
-            lm_calls: 0,
-            out_rows: *k as u64,
-        },
-        SemNode::Rerank { input, keep, .. } => {
-            let c = plan_cost(input, catalog);
-            CostBound {
-                lm_calls: c.lm_calls.saturating_add(c.out_rows),
-                out_rows: c.out_rows.min(*keep as u64),
-            }
-        }
-        SemNode::Generate { input, format, .. } => {
-            let c = plan_cost(input, catalog);
-            CostBound {
-                lm_calls: c
-                    .lm_calls
-                    .saturating_add(generate_call_bound(format, c.out_rows)),
-                out_rows: 1,
-            }
-        }
+            SemOp::Retrieve(retrieve) => (0, retrieve.k as u64),
+            SemOp::Rerank(rerank) => (n, n.min(rerank.keep as u64)),
+            SemOp::Generate(gen) => (generate_call_bound(&gen.format, n), 1),
+        };
+        bounds.push(CostBound {
+            lm_calls: input.lm_calls.saturating_add(own_calls),
+            out_rows,
+        });
     }
+    bounds
+}
+
+/// The static LM-cost bound of a whole plan: [`plan_bounds`] at its root.
+pub fn plan_cost(plan: &SemPlan, catalog: Option<&Catalog>) -> CostBound {
+    let bounds = plan_bounds(plan, catalog);
+    bounds.last().copied().unwrap_or_default()
 }
 
 /// Row count of `table`, when there is a catalog and it has the table.
@@ -165,46 +142,46 @@ fn table_rows(catalog: Option<&Catalog>, table: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semplan::{CutSpec, RetrieveKind, SemClaimSpec};
+    use crate::semplan::{CutSpec, Generate, Rerank, Retrieve, RetrieveKind, SemClaimSpec};
 
-    fn scan() -> SemNode {
-        SemNode::scan("t")
+    fn over_scan(steps: Vec<SemStep>) -> SemPlan {
+        SemPlan::Frame {
+            source: FrameSource::scan("t"),
+            steps,
+            gen: None,
+        }
+    }
+
+    fn filter(early_stop: Option<CutSpec>) -> SemStep {
+        SemStep::SemFilter {
+            columns: vec!["c".into()],
+            resolve: true,
+            claim: SemClaimSpec::EuCountry,
+            distinct: true,
+            early_stop,
+        }
     }
 
     #[test]
     fn scan_without_schema_uses_default_cardinality() {
-        let c = plan_cost(&scan(), None);
+        let c = plan_cost(&over_scan(Vec::new()), None);
         assert_eq!(c.lm_calls, 0);
         assert_eq!(c.out_rows, DEFAULT_SCAN_ROWS);
     }
 
     #[test]
     fn filter_bound_is_input_rows() {
-        let plan = SemNode::SemFilter {
-            input: Box::new(scan()),
-            columns: vec!["c".into()],
-            resolve: true,
-            claim: SemClaimSpec::EuCountry,
-            distinct: true,
-            early_stop: None,
-        };
+        let plan = over_scan(vec![filter(None)]);
         assert_eq!(plan_cost(&plan, None).lm_calls, DEFAULT_SCAN_ROWS);
     }
 
     #[test]
     fn early_stop_cuts_output_not_call_bound() {
-        let plan = SemNode::SemFilter {
-            input: Box::new(scan()),
-            columns: vec!["c".into()],
-            resolve: true,
-            claim: SemClaimSpec::EuCountry,
-            distinct: true,
-            early_stop: Some(CutSpec {
-                sort_by: "rank".into(),
-                descending: true,
-                k: 3,
-            }),
-        };
+        let plan = over_scan(vec![filter(Some(CutSpec {
+            sort_by: "rank".into(),
+            descending: true,
+            k: 3,
+        }))]);
         let c = plan_cost(&plan, None);
         assert_eq!(c.lm_calls, DEFAULT_SCAN_ROWS);
         assert_eq!(c.out_rows, 3);
@@ -229,21 +206,25 @@ mod tests {
     #[test]
     fn rerank_pipeline_bound_matches_hand_count() {
         // Retrieve pool=30 → Rerank (30 prompts) → Generate list (1).
-        let plan = SemNode::Generate {
-            input: Box::new(SemNode::Rerank {
-                input: Box::new(SemNode::Retrieve {
-                    query: "q".into(),
-                    k: 30,
-                    kind: RetrieveKind::Candidates,
-                }),
+        let plan = SemPlan::Points {
+            retrieve: Retrieve {
+                query: "q".into(),
+                k: 30,
+                kind: RetrieveKind::Candidates,
+            },
+            rerank: Some(Rerank {
                 query: "q".into(),
                 keep: 10,
             }),
-            request: "q".into(),
-            format: GenFormat::List,
+            gen: Generate {
+                request: "q".into(),
+                format: GenFormat::List,
+            },
         };
-        let c = plan_cost(&plan, None);
-        assert_eq!(c.lm_calls, 31);
-        assert_eq!(c.out_rows, 1);
+        let bounds = plan_bounds(&plan, None);
+        let calls: Vec<u64> = bounds.iter().map(|b| b.lm_calls).collect();
+        let rows: Vec<u64> = bounds.iter().map(|b| b.out_rows).collect();
+        assert_eq!((calls, rows), (vec![0, 30, 31], vec![30, 10, 1]));
+        assert_eq!(plan_cost(&plan, None), bounds[2]);
     }
 }

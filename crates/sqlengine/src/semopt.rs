@@ -1,33 +1,35 @@
-//! LM-call-minimizing rewrite rules over [`SemNode`] chains.
+//! LM-call-minimizing rewrite rules over the steps of a [`SemPlan`].
 //!
 //! Three rules, each of which provably preserves answers under the
 //! runtime's guarantees (order-preserving filters, stable sorts, and
-//! per-prompt-deterministic LM judgments):
+//! per-prompt-deterministic LM judgments). Each is an edit of the step
+//! slice, applied as the steps are taken in execution order:
 //!
-//! 1. **Predicate pushdown** — exact predicates sink below semantic
-//!    filters so the LM judges fewer rows. Sound because both filter
-//!    kinds preserve input order and keep/drop decisions are per-row,
-//!    so filters commute.
-//! 2. **Distinct-value rewrite** — semantic filters judge each distinct
-//!    column value once instead of row-wise (the paper's Appendix C
-//!    pattern, promoted from an ad-hoc code path to an optimizer rule).
-//!    Sound because judgments are functions of the value alone.
-//! 3. **Exact pre-cut** — a `Cut` (sort + head-k) directly above a
-//!    semantic filter fuses into the filter as an early-stop spec: sort
-//!    first, judge values in sorted order, stop once `k` rows survive.
-//!    Sound because a stable sort of a filtered subset equals the
-//!    filtered subset of the stably-sorted whole.
+//! 1. **Predicate pushdown** — an exact predicate swaps with the semantic
+//!    filter before it, as long as there is one, so the LM judges fewer
+//!    rows. Sound because both filter kinds preserve input order and
+//!    keep/drop decisions are per-row, so filters commute.
+//! 2. **Distinct-value rewrite** — semantic filters are marked to judge
+//!    each distinct column value once instead of row-wise (the paper's
+//!    Appendix C pattern, promoted from an ad-hoc code path to an
+//!    optimizer rule). Sound because judgments are functions of the value
+//!    alone.
+//! 3. **Exact pre-cut** — a `Cut` (sort + head-k) right after a semantic
+//!    filter fuses into the filter as an early-stop spec: sort first,
+//!    judge values in sorted order, stop once `k` rows survive. Sound
+//!    because a stable sort of a filtered subset equals the filtered
+//!    subset of the stably-sorted whole.
 //!
-//! After the rules, [`lower_scans`] (always on, no option) folds each
+//! After the rules, [`lower_scans`] (always on, no option) folds the
 //! scan's relational prefix into the scan itself, so the engine runs it:
-//! the predicates and the cut directly above the scan that the engine
-//! evaluates exactly as the frame kernels do, and the projection to the
-//! columns the plan and its consumer read. [`plan_sem`] is the two
-//! steps together, checked by the verifier in debug builds.
+//! the leading predicates and cut that the engine evaluates exactly as
+//! the frame kernels do, and the projection to the columns the plan and
+//! its consumer read. [`plan_sem`] is the two steps together, checked by
+//! the verifier in debug builds.
 
 use crate::catalog::Catalog;
 use crate::schema::DataType;
-use crate::semplan::{SemNode, SemPredicate, SemReads};
+use crate::semplan::{FrameSource, SemOp, SemPlan, SemPredicate, SemReads, SemStep};
 
 /// Which SemPlan rewrite rules are enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,46 +77,45 @@ impl SemOptOptions {
     }
 }
 
-/// Apply the enabled rewrite rules to `node`, bottom-up.
-pub fn optimize_sem(node: SemNode, opts: &SemOptOptions) -> SemNode {
-    let node = map_input(node, &mut |input| optimize_sem(input, opts));
-    let node = if opts.pushdown {
-        sink_predicate(node)
-    } else {
-        node
+/// Apply the enabled rewrite rules to a frame plan's steps (a point plan
+/// has none to rewrite).
+pub fn optimize_sem(mut plan: SemPlan, opts: &SemOptOptions) -> SemPlan {
+    let SemPlan::Frame { steps, .. } = &mut plan else {
+        return plan;
     };
-    let node = if opts.distinct_rewrite {
-        mark_distinct(node)
-    } else {
-        node
-    };
-    if opts.precut {
-        fuse_precut(node)
-    } else {
-        node
+    let mut out: Vec<SemStep> = Vec::with_capacity(steps.len());
+    for step in steps.drain(..) {
+        out.push(step);
+        match out.last_mut() {
+            Some(SemStep::Predicate { .. }) if opts.pushdown => sink_predicate(&mut out),
+            Some(SemStep::SemFilter { distinct, .. }) if opts.distinct_rewrite => *distinct = true,
+            Some(SemStep::Cut { .. }) if opts.precut => fuse_precut(&mut out),
+            _ => {}
+        }
     }
+    *steps = out;
+    plan
 }
 
 /// Plan a compiled chain: apply the enabled rewrite rules, then lower the
-/// scans against `catalog` for a consumer that reads `reads` off the
+/// scan against `catalog` for a consumer that reads `reads` off the
 /// result. In debug builds the result is verified before it is
-/// executed: the planned chain must be structurally
-/// well-formed, the rewrite must preserve the naive plan's work
-/// (conservation + per-rule and lowering postconditions), and the static
-/// LM-call bound must not regress. A diagnostic here is a compiler bug,
-/// so it panics rather than limping into execution; release builds skip
-/// the sweep entirely.
+/// executed: the planned chain must be well-formed, the rewrite must
+/// preserve the naive plan's work (conservation + per-rule and lowering
+/// postconditions), and the static LM-call bound must not regress. A
+/// diagnostic here is a compiler bug, so it panics rather than limping
+/// into execution; release builds skip the sweep entirely.
 ///
 /// Structure is checked schema-blind (no catalog): a handwritten plan
 /// naming a missing table or column is *user* input, and must keep
 /// surfacing as the executor's ordinary runtime error. Catalog-aware
 /// diagnostics are the `EXPLAIN VERIFY` surface's job.
 pub fn plan_sem(
-    naive: SemNode,
+    naive: SemPlan,
     reads: &SemReads,
     opts: &SemOptOptions,
     catalog: &Catalog,
-) -> SemNode {
+) -> SemPlan {
     #[cfg(debug_assertions)]
     let before = naive.clone();
     let planned = lower_scans(optimize_sem(naive, opts), catalog, reads);
@@ -135,158 +136,105 @@ pub fn plan_sem(
     planned
 }
 
-/// Rebuild `node` with `f` applied to its input.
-fn map_input(node: SemNode, f: &mut impl FnMut(SemNode) -> SemNode) -> SemNode {
-    let mut opt = |b: Box<SemNode>| Box::new(f(*b));
-    match node {
-        leaf @ (SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. }) => leaf,
-        SemNode::Predicate { input, pred } => SemNode::Predicate {
-            input: opt(input),
-            pred,
-        },
-        SemNode::SemFilter {
-            input,
-            columns,
-            resolve,
-            claim,
-            distinct,
-            early_stop,
-        } => SemNode::SemFilter {
-            input: opt(input),
-            columns,
-            resolve,
-            claim,
-            distinct,
-            early_stop,
-        },
-        SemNode::Cut { input, cut } => SemNode::Cut {
-            input: opt(input),
-            cut,
-        },
-        SemNode::SemTopK {
-            input,
-            on_attr,
-            property,
-            k,
-        } => SemNode::SemTopK {
-            input: opt(input),
-            on_attr,
-            property,
-            k,
-        },
-        SemNode::Rerank { input, query, keep } => SemNode::Rerank {
-            input: opt(input),
-            query,
-            keep,
-        },
-        SemNode::Generate {
-            input,
-            request,
-            format,
-        } => SemNode::Generate {
-            input: opt(input),
-            request,
-            format,
-        },
+/// A semantic filter the rules may still move a predicate past or fuse a
+/// cut into: one without a fused cut.
+fn fusable(step: &SemStep) -> bool {
+    matches!(
+        step,
+        SemStep::SemFilter {
+            early_stop: None,
+            ..
+        }
+    )
+}
+
+/// Rule 1: the predicate just taken (the last step) swaps with its
+/// neighbour while that is a fusable semantic filter. Relative order
+/// among predicates and among semantic filters is preserved (a stable
+/// partition). Early-stop filters stop it: their cut does not commute
+/// with filtering.
+fn sink_predicate(steps: &mut [SemStep]) {
+    let mut at = steps.len() - 1;
+    while at > 0 && fusable(&steps[at - 1]) {
+        steps.swap(at - 1, at);
+        at -= 1;
     }
 }
 
-/// Rule 1: `Predicate(SemFilter(X))` → `SemFilter(Predicate(X))`,
-/// recursively, so the predicate sinks past every semantic filter in a
-/// linear chain. Relative order among predicates and among semantic
-/// filters is preserved (a stable partition). Early-stop filters are
-/// left alone: their cut does not commute with filtering.
-fn sink_predicate(node: SemNode) -> SemNode {
-    match node {
-        SemNode::Predicate { input, pred } => match *input {
-            SemNode::SemFilter {
-                input: inner,
-                columns,
-                resolve,
-                claim,
-                distinct,
-                early_stop: None,
-            } => SemNode::SemFilter {
-                input: Box::new(sink_predicate(SemNode::Predicate { input: inner, pred })),
-                columns,
-                resolve,
-                claim,
-                distinct,
-                early_stop: None,
-            },
-            other => SemNode::Predicate {
-                input: Box::new(other),
-                pred,
-            },
-        },
-        other => other,
-    }
+/// Rule 3: the cut just taken (the last step) fuses into the fusable
+/// semantic filter before it. The fused filter judges distinct values in
+/// sorted order (so it implies rule 2 for that filter) and stops as soon
+/// as `k` rows survive.
+fn fuse_precut(steps: &mut Vec<SemStep>) {
+    let [.., filter, SemStep::Cut { cut }] = steps.as_mut_slice() else {
+        return;
+    };
+    let SemStep::SemFilter {
+        distinct,
+        early_stop: early_stop @ None,
+        ..
+    } = filter
+    else {
+        return;
+    };
+    *distinct = true;
+    *early_stop = Some(cut.clone());
+    steps.pop();
 }
 
-/// Rule 2: semantic filters judge distinct values once.
-fn mark_distinct(node: SemNode) -> SemNode {
-    match node {
-        SemNode::SemFilter {
-            input,
-            columns,
-            resolve,
-            claim,
-            distinct: _,
-            early_stop,
-        } => SemNode::SemFilter {
-            input,
-            columns,
-            resolve,
-            claim,
-            distinct: true,
-            early_stop,
-        },
-        other => other,
-    }
-}
-
-/// Rule 3: `Cut(SemFilter(X))` → `SemFilter(X) with early_stop`. The
-/// fused filter judges distinct values in sorted order (so it implies
-/// rule 2 for that node) and stops as soon as `k` rows survive.
-fn fuse_precut(node: SemNode) -> SemNode {
-    match node {
-        SemNode::Cut { input, cut } => match *input {
-            SemNode::SemFilter {
-                input: inner,
-                columns,
-                resolve,
-                claim,
-                distinct: _,
-                early_stop: None,
-            } => SemNode::SemFilter {
-                input: inner,
-                columns,
-                resolve,
-                claim,
-                distinct: true,
-                early_stop: Some(cut),
-            },
-            other => SemNode::Cut {
-                input: Box::new(other),
-                cut,
-            },
-        },
-        other => other,
-    }
-}
-
-/// Fold each scan's relational prefix into the scan (see the module
+/// Fold the scan's relational prefix into the scan (see the module
 /// docs), resolving names against `catalog`. `output` is what the plan's
 /// consumer reads off the result frame. Always on: which plan shapes it
 /// handles is decided by the plan and the catalog alone.
 ///
-/// A scan is left as compiled wherever folding could change what the
-/// plan returns or reports: a missing table, a name above the scan that
-/// no column of the table answers to (the frame kernels then produce
-/// their error over the full frame, as they always have), a predicate
-/// the engine evaluates differently.
-pub fn lower_scans(node: SemNode, catalog: &Catalog, output: &SemReads) -> SemNode {
-    project_scans(fold_prefix(node, catalog), output, catalog)
+/// A step is left as compiled wherever folding could change what the
+/// plan returns or reports: a missing table, a name that no column of the
+/// table answers to (the frame kernels then produce their error over the
+/// full frame, as they always have), a predicate the engine evaluates
+/// differently, or anything after a step that does not fold.
+pub fn lower_scans(mut plan: SemPlan, catalog: &Catalog, output: &SemReads) -> SemPlan {
+    let SemPlan::Frame {
+        source:
+            FrameSource::Scan {
+                table,
+                columns: columns @ None,
+                filters,
+                cut,
+            },
+        steps,
+        gen,
+    } = &mut plan
+    else {
+        return plan;
+    };
+    // `Predicate` and `Cut` steps fold in order while the scan has no cut
+    // yet (a predicate after a cut does not commute with it).
+    let mut folded = 0;
+    for step in steps.iter() {
+        match step {
+            SemStep::Predicate { pred }
+                if cut.is_none() && engine_evaluates(pred, table, catalog) =>
+            {
+                filters.push(pred.clone())
+            }
+            SemStep::Cut { cut: by }
+                if cut.is_none() && engine_cuts(&by.sort_by, table, catalog) =>
+            {
+                *cut = Some(by.clone())
+            }
+            _ => break,
+        }
+        folded += 1;
+    }
+    steps.drain(..folded);
+    // The scan keeps the columns read above it, root first: by the
+    // consumer and every operator of the chain. What a folded predicate
+    // or cut reads, the engine reads inside the scan.
+    let above = gen.iter().map(SemOp::Generate);
+    let above = above.chain(steps.iter().rev().map(SemOp::Step));
+    let above = above.fold(output.clone(), |reads, op| reads.and(op.reads()));
+    *columns = projection(table, &above, catalog);
+    plan
 }
 
 /// True when `SELECT … WHERE <pred>` keeps exactly the rows, in the
@@ -304,7 +252,7 @@ pub fn lower_scans(node: SemNode, catalog: &Catalog, output: &SemReads) -> SemNo
 ///   is exact and its `LOWER` is Unicode). Not over INTEGER/REAL, where
 ///   the kernel falls back to IEEE `==` on the parsed constant.
 /// - `TextEqAny` names its column by a candidate list resolved against
-///   the frame; it stays a frame node.
+///   the frame; it stays a frame step.
 /// - Not over an indexed column: the engine may answer it from the
 ///   B-tree in key order, and the kernel keeps table order.
 fn engine_evaluates(pred: &SemPredicate, table: &str, catalog: &Catalog) -> bool {
@@ -342,75 +290,6 @@ fn engine_cuts(sort_by: &str, table: &str, catalog: &Catalog) -> bool {
 /// `scan_sql` double-quotes identifiers and has no escape for a quote.
 fn quotable(name: &str) -> bool {
     !name.contains('"')
-}
-
-/// Bottom-up: `Predicate(Scan)` and `Cut(Scan)` become the scan, while
-/// the scan has no cut yet (a predicate above a cut does not commute
-/// with it).
-fn fold_prefix(node: SemNode, catalog: &Catalog) -> SemNode {
-    match map_input(node, &mut |input| fold_prefix(input, catalog)) {
-        SemNode::Predicate { input, pred } => match *input {
-            SemNode::Scan {
-                table,
-                columns: None,
-                mut filters,
-                cut: None,
-            } if engine_evaluates(&pred, &table, catalog) => {
-                filters.push(pred);
-                SemNode::Scan {
-                    table,
-                    columns: None,
-                    filters,
-                    cut: None,
-                }
-            }
-            other => SemNode::Predicate {
-                input: Box::new(other),
-                pred,
-            },
-        },
-        SemNode::Cut { input, cut } => match *input {
-            SemNode::Scan {
-                table,
-                columns: None,
-                filters,
-                cut: None,
-            } if engine_cuts(&cut.sort_by, &table, catalog) => SemNode::Scan {
-                table,
-                columns: None,
-                filters,
-                cut: Some(cut),
-            },
-            other => SemNode::Cut {
-                input: Box::new(other),
-                cut,
-            },
-        },
-        other => other,
-    }
-}
-
-/// Top-down: each scan keeps the columns read above it (`above`: by its
-/// ancestors and the consumer). What a folded predicate or cut reads,
-/// the engine reads inside the scan.
-fn project_scans(node: SemNode, above: &SemReads, catalog: &Catalog) -> SemNode {
-    if let SemNode::Scan {
-        table,
-        columns: None,
-        filters,
-        cut,
-    } = node
-    {
-        let columns = projection(&table, above, catalog);
-        return SemNode::Scan {
-            table,
-            columns,
-            filters,
-            cut,
-        };
-    }
-    let below = above.clone().and(node.reads());
-    map_input(node, &mut |input| project_scans(input, &below, catalog))
 }
 
 /// The columns of `table` that `reads` names, in table order with the
@@ -454,13 +333,16 @@ mod tests {
     use super::*;
     use crate::semplan::{CutSpec, SemClaimSpec, SemPredicate};
 
-    fn scan() -> SemNode {
-        SemNode::scan("t")
+    fn over_scan(steps: Vec<SemStep>) -> SemPlan {
+        SemPlan::Frame {
+            source: FrameSource::scan("t"),
+            steps,
+            gen: None,
+        }
     }
 
-    fn sem_filter(input: SemNode) -> SemNode {
-        SemNode::SemFilter {
-            input: Box::new(input),
+    fn sem_filter() -> SemStep {
+        SemStep::SemFilter {
             columns: vec!["c".into()],
             resolve: true,
             claim: SemClaimSpec::EuCountry,
@@ -469,9 +351,8 @@ mod tests {
         }
     }
 
-    fn predicate(input: SemNode, attr: &str) -> SemNode {
-        SemNode::Predicate {
-            input: Box::new(input),
+    fn predicate(attr: &str) -> SemStep {
+        SemStep::Predicate {
             pred: SemPredicate::TextEq {
                 attr: attr.into(),
                 value: "x".into(),
@@ -479,26 +360,31 @@ mod tests {
         }
     }
 
-    fn chain_labels(root: &SemNode) -> Vec<String> {
-        let mut out = vec![root.label()];
-        let mut cur = root;
-        while let Some(input) = cur.input() {
-            out.push(input.label());
-            cur = input;
+    fn cut() -> SemStep {
+        SemStep::Cut {
+            cut: CutSpec {
+                sort_by: "rank".into(),
+                descending: true,
+                k: 1,
+            },
         }
-        out
+    }
+
+    /// The plan's labels, root first, as EXPLAIN lists them.
+    fn chain_labels(plan: &SemPlan) -> Vec<String> {
+        plan.ops().iter().rev().map(|op| op.label()).collect()
     }
 
     #[test]
     fn none_is_identity() {
-        let plan = predicate(sem_filter(scan()), "a");
+        let plan = over_scan(vec![sem_filter(), predicate("a")]);
         assert_eq!(optimize_sem(plan.clone(), &SemOptOptions::none()), plan);
     }
 
     #[test]
     fn pushdown_sinks_predicates_below_sem_filters() {
-        // Execution order (bottom-up): scan, sem_filter, pred(a), pred(b).
-        let plan = predicate(predicate(sem_filter(scan()), "a"), "b");
+        // Execution order: scan, sem_filter, pred(a), pred(b).
+        let plan = over_scan(vec![sem_filter(), predicate("a"), predicate("b")]);
         let opts = SemOptOptions {
             pushdown: true,
             distinct_rewrite: false,
@@ -520,67 +406,55 @@ mod tests {
 
     #[test]
     fn distinct_rewrite_marks_every_sem_filter() {
-        let plan = sem_filter(predicate(sem_filter(scan()), "a"));
+        let plan = over_scan(vec![sem_filter(), predicate("a"), sem_filter()]);
         let opts = SemOptOptions {
             pushdown: false,
             distinct_rewrite: true,
             precut: false,
         };
-        let optimized = optimize_sem(plan, &opts);
-        fn all_distinct(node: &SemNode) -> bool {
-            let here = !matches!(
-                node,
-                SemNode::SemFilter {
-                    distinct: false,
-                    ..
-                }
-            );
-            here && node.input().is_none_or(all_distinct)
-        }
-        assert!(all_distinct(&optimized));
+        let SemPlan::Frame { steps, .. } = optimize_sem(plan, &opts) else {
+            panic!("a frame plan stays one");
+        };
+        assert!(steps.iter().all(|step| !matches!(
+            step,
+            SemStep::SemFilter {
+                distinct: false,
+                ..
+            }
+        )));
     }
 
     #[test]
     fn precut_fuses_cut_into_sem_filter() {
-        let plan = SemNode::Cut {
-            input: Box::new(sem_filter(scan())),
-            cut: CutSpec {
-                sort_by: "rank".into(),
-                descending: true,
-                k: 1,
-            },
-        };
         let opts = SemOptOptions {
             pushdown: false,
             distinct_rewrite: false,
             precut: true,
         };
-        match optimize_sem(plan, &opts) {
-            SemNode::SemFilter {
+        let SemPlan::Frame { steps, .. } =
+            optimize_sem(over_scan(vec![sem_filter(), cut()]), &opts)
+        else {
+            panic!("a frame plan stays one");
+        };
+        match steps.as_slice() {
+            [SemStep::SemFilter {
                 distinct,
                 early_stop: Some(cut),
                 ..
-            } => {
+            }] => {
                 assert!(distinct, "fusion implies distinct judging");
                 assert_eq!(cut.sort_by, "rank");
                 assert_eq!(cut.k, 1);
             }
-            other => panic!("expected fused SemFilter, got {}", other.label()),
+            other => panic!("expected one fused SemFilter, got {other:?}"),
         }
     }
 
     #[test]
     fn all_rules_compose_on_a_superlative_chain() {
-        // Compiled Superlative: Cut(k=1) over sem_filter over predicate
-        // over sem_filter over scan.
-        let plan = SemNode::Cut {
-            input: Box::new(sem_filter(predicate(sem_filter(scan()), "a"))),
-            cut: CutSpec {
-                sort_by: "rank".into(),
-                descending: true,
-                k: 1,
-            },
-        };
+        // Compiled Superlative: scan, sem_filter, predicate, sem_filter,
+        // Cut(k=1).
+        let plan = over_scan(vec![sem_filter(), predicate("a"), sem_filter(), cut()]);
         let optimized = optimize_sem(plan, &SemOptOptions::all());
         let labels = chain_labels(&optimized);
         assert_eq!(

@@ -1,21 +1,30 @@
-//! The SemPlan IR: semantic plan nodes unifying relational computation
-//! with LM-powered operators (the paper's §2 "declarative pipelines of
-//! relational and semantic operators").
+//! The SemPlan IR: a typed chain of relational and LM-powered operators
+//! (the paper's §2 `syn → exec → gen`: a data source, a pipeline of
+//! operators over it, and one generation step at the end).
 //!
-//! A [`SemNode`] chain is a *data-only* description of a TAG pipeline:
-//! exact predicates and sort/cuts that run on the data system, and
-//! semantic operators (`sem_filter`, `sem_topk`, generation, ...) whose
-//! execution is delegated to the semantic-operator runtime through the
-//! [`SemDelegate`] trait. Keeping the nodes free of closures and LM
+//! A [`SemPlan`] is a *data-only* description of a TAG pipeline: exact
+//! predicates and sort/cuts that run on the data system, and semantic
+//! operators (`sem_filter`, `sem_topk`, generation, ...) whose execution
+//! is delegated to the semantic-operator runtime through the
+//! [`SemDelegate`] trait. Keeping the plan free of closures and LM
 //! handles means plans compare with `==`, render through
 //! `EXPLAIN SEMPLAN`, and are rewritten by the optimizer rules in
 //! [`crate::semopt`] — exactly like relational plans.
 //!
-//! The executor ([`execute_sem`]) walks the chain bottom-up. Under an
-//! active `tag-trace` trace every node is one span, labelled
-//! [`SemNode::label`] and tagged [`SemNode::stage`], that records the
-//! node's rows out; the LM calls and tokens the node causes land on it
-//! (or on an operator span inside it) through `tag_trace::record_lm`.
+//! The type holds only the shapes the compilers build:
+//! - a frame plan: a [`FrameSource`] (a scan or a held frame), the
+//!   [`SemStep`]s over its frame, and an optional [`Generate`];
+//! - a point plan: a [`Retrieve`] of row store ids, an optional
+//!   [`Rerank`] of them, and a [`Generate`].
+//!
+//! [`SemPlan::ops`] lists the operators source first; EXPLAIN prints
+//! them root first, one indent per level, and the verifier's paths count
+//! the same levels. The executor ([`execute_sem`]) runs the chain in one
+//! loop. Under an active `tag-trace` trace every operator is one span,
+//! labelled [`SemOp::label`] and tagged [`SemOp::stage`], nested as
+//! EXPLAIN's lines are, that records the operator's rows out; the LM
+//! calls and tokens it causes land on it (or on an operator span inside
+//! it) through `tag_trace::record_lm`.
 
 use crate::chunk::{batches_len, concat_batches_chunk, Batch, Chunk, ColumnData, Rows};
 use crate::error::{SqlError, SqlResult};
@@ -149,8 +158,8 @@ impl CutSpec {
     }
 }
 
-/// The columns read off a frame: by a plan node off its input, or by
-/// the plan's consumer off the result.
+/// The columns read off a frame: by a plan operator off its input, or
+/// by the plan's consumer off the result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SemReads {
     /// Every column.
@@ -179,7 +188,7 @@ impl SemReads {
     }
 }
 
-/// What a [`SemNode::Retrieve`] fetches, as its label names it: the rows
+/// What a [`Retrieve`] fetches, as its label names it: the rows
 /// generation reads (`k`) or a candidate pool for reranking (`pool`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetrieveKind {
@@ -189,7 +198,7 @@ pub enum RetrieveKind {
     Candidates,
 }
 
-/// Prompt format of a [`SemNode::Generate`] node.
+/// Prompt format of a [`Generate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenFormat {
     /// The list-answer prompt.
@@ -201,13 +210,13 @@ pub enum GenFormat {
     FreeOrAgg,
 }
 
-/// One node of a semantic plan.
+/// Where a frame plan's rows come from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SemNode {
-    /// Base scan of an entity table through the SQL engine. Compiled bare ([`SemNode::scan`]: `SELECT * FROM
-    /// table`); [`crate::semopt::lower_scans`] folds the plan's
-    /// relational prefix in, and [`scan_sql`] is the statement the scan
-    /// then issues.
+pub enum FrameSource {
+    /// Base scan of an entity table through the SQL engine. Compiled bare
+    /// ([`FrameSource::scan`]: `SELECT * FROM table`);
+    /// [`crate::semopt::lower_scans`] folds the plan's leading steps in,
+    /// and [`scan_sql`] is the statement the scan then issues.
     Scan {
         /// Table name.
         table: String,
@@ -227,18 +236,31 @@ pub enum SemNode {
         /// The frame.
         frame: SemFrame,
     },
+}
+
+impl FrameSource {
+    /// A bare scan of `table`: every column, no predicate, no cut.
+    pub fn scan(table: impl Into<String>) -> FrameSource {
+        FrameSource::Scan {
+            table: table.into(),
+            columns: None,
+            filters: Vec::new(),
+            cut: None,
+        }
+    }
+}
+
+/// One step of a frame plan: it takes a frame and returns one.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SemStep {
     /// Exact predicate on the data system.
     Predicate {
-        /// Input node.
-        input: Box<SemNode>,
         /// The predicate.
         pred: SemPredicate,
     },
     /// Semantic filter: keep rows whose column value satisfies `claim`
     /// per the LM.
     SemFilter {
-        /// Input node.
-        input: Box<SemNode>,
         /// Column-name candidates (first existing wins when `resolve`).
         columns: Vec<String>,
         /// Resolve `columns` as schema candidates (hand-written
@@ -249,22 +271,18 @@ pub enum SemNode {
         /// Judge each *distinct* value once (the Appendix C rewrite)
         /// instead of row-wise.
         distinct: bool,
-        /// When set, the exact cut that follows this filter has been
+        /// When set, the exact cut that followed this filter has been
         /// fused in: sort first, judge values in sorted order, and stop
         /// as soon as `k` rows survive.
         early_stop: Option<CutSpec>,
     },
     /// Exact sort + head on the data system.
     Cut {
-        /// Input node.
-        input: Box<SemNode>,
         /// The sort/cut.
         cut: CutSpec,
     },
     /// Semantic top-k ordering by an LM-judged property (`sem_topk`).
     SemTopK {
-        /// Input node.
-        input: Box<SemNode>,
         /// Column ranked on.
         on_attr: String,
         /// Property word ("technical", ...).
@@ -272,65 +290,142 @@ pub enum SemNode {
         /// Rows kept, in ranked order.
         k: usize,
     },
-    /// Embedding retrieval over the row store (leaf).
-    Retrieve {
-        /// The retrieval query (the question text).
-        query: String,
-        /// Rows retrieved.
-        k: usize,
-        /// Rows for generation or a candidate pool.
-        kind: RetrieveKind,
+}
+
+/// Embedding retrieval over the row store: a point plan's source. Its
+/// output is the retrieved rows' row store ids, in rank order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Retrieve {
+    /// The retrieval query (the question text).
+    pub query: String,
+    /// Rows retrieved.
+    pub k: usize,
+    /// Rows for generation or a candidate pool.
+    pub kind: RetrieveKind,
+}
+
+/// LM relevance reranking of retrieved points.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rerank {
+    /// The question scored against.
+    pub query: String,
+    /// Points kept after reranking.
+    pub keep: usize,
+}
+
+/// Final LM generation over the rows in context: a plan's last operator.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Generate {
+    /// The question answered.
+    pub request: String,
+    /// Prompt format.
+    pub format: GenFormat,
+}
+
+/// A semantic plan: a source, the operators over it in execution order,
+/// and a generation sink (optional over a frame). The two kinds of
+/// source take different operators, so a frame step over retrieved
+/// points, a rerank over a frame and a generation anywhere but last
+/// cannot be written.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SemPlan {
+    /// Exact and semantic steps over a frame.
+    Frame {
+        /// Where the rows come from.
+        source: FrameSource,
+        /// The steps, first to run first.
+        steps: Vec<SemStep>,
+        /// Generation over the last step's frame; without it the plan
+        /// returns that frame.
+        gen: Option<Generate>,
     },
-    /// LM relevance reranking of retrieved points.
-    Rerank {
-        /// Input node (retrieved points).
-        input: Box<SemNode>,
-        /// The question scored against.
-        query: String,
-        /// Points kept after reranking.
-        keep: usize,
-    },
-    /// Final LM generation over the rows in context.
-    Generate {
-        /// Input node.
-        input: Box<SemNode>,
-        /// The question answered.
-        request: String,
-        /// Prompt format.
-        format: GenFormat,
+    /// Retrieval, an optional rerank, and generation over the points.
+    Points {
+        /// The retrieval.
+        retrieve: Retrieve,
+        /// Reranking of the retrieved points.
+        rerank: Option<Rerank>,
+        /// Generation over the points kept.
+        gen: Generate,
     },
 }
 
-impl SemNode {
-    /// A bare scan of `table`: every column, no predicate, no cut.
-    pub fn scan(table: impl Into<String>) -> SemNode {
-        SemNode::Scan {
-            table: table.into(),
-            columns: None,
-            filters: Vec::new(),
-            cut: None,
-        }
+impl SemPlan {
+    /// The plan's operators in execution order: the source first, the
+    /// root (what the plan returns) last.
+    pub fn ops(&self) -> Vec<SemOp<'_>> {
+        let mut ops = Vec::new();
+        let gen = match self {
+            SemPlan::Frame { source, steps, gen } => {
+                ops.push(SemOp::Source(source));
+                ops.extend(steps.iter().map(SemOp::Step));
+                gen.as_ref()
+            }
+            SemPlan::Points {
+                retrieve,
+                rerank,
+                gen,
+            } => {
+                ops.push(SemOp::Retrieve(retrieve));
+                ops.extend(rerank.iter().map(SemOp::Rerank));
+                Some(gen)
+            }
+        };
+        ops.extend(gen.map(SemOp::Generate));
+        ops
     }
 
-    /// What the node reads of its input frame. `Generate` and `Rerank`
-    /// hand whole rows to the LM, so they read everything.
+    /// Render the plan chain, root first, two-space indent per level, one
+    /// `[stage]`-tagged line per operator.
+    pub fn explain(&self) -> String {
+        let mut out = String::new();
+        for (depth, op) in self.ops().iter().rev().enumerate() {
+            let _ = writeln!(
+                out,
+                "{}{}  [{}]",
+                "  ".repeat(depth),
+                op.label(),
+                op.stage().as_str()
+            );
+        }
+        out
+    }
+}
+
+/// One operator of a plan, borrowed ([`SemPlan::ops`]): what EXPLAIN
+/// prints one line for and the executor opens one span for.
+#[derive(Debug, Clone, Copy)]
+pub enum SemOp<'a> {
+    /// A frame plan's source.
+    Source(&'a FrameSource),
+    /// A frame plan's step.
+    Step(&'a SemStep),
+    /// A point plan's retrieval.
+    Retrieve(&'a Retrieve),
+    /// A point plan's rerank.
+    Rerank(&'a Rerank),
+    /// The generation sink.
+    Generate(&'a Generate),
+}
+
+impl SemOp<'_> {
+    /// What the operator reads of its input. `Generate` and `Rerank` hand
+    /// whole rows to the LM, so they read everything.
     pub fn reads(&self) -> SemReads {
         match self {
-            SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => {
-                SemReads::Columns(Vec::new())
-            }
-            SemNode::Predicate { pred, .. } => SemReads::Columns(vec![match pred {
+            SemOp::Source(_) | SemOp::Retrieve(_) => SemReads::Columns(Vec::new()),
+            SemOp::Step(SemStep::Predicate { pred }) => SemReads::Columns(vec![match pred {
                 SemPredicate::NumCmp { attr, .. } | SemPredicate::TextEq { attr, .. } => {
                     vec![attr.clone()]
                 }
                 SemPredicate::TextEqAny { columns, .. } => columns.clone(),
             }]),
-            SemNode::SemFilter {
+            SemOp::Step(SemStep::SemFilter {
                 columns,
                 resolve,
                 early_stop,
                 ..
-            } => {
+            }) => {
                 let judged = if *resolve {
                     columns.clone()
                 } else {
@@ -340,57 +435,52 @@ impl SemNode {
                 reads.extend(early_stop.iter().map(|cut| vec![cut.sort_by.clone()]));
                 SemReads::Columns(reads)
             }
-            SemNode::Cut { cut, .. } => SemReads::columns(&[&cut.sort_by]),
-            SemNode::SemTopK { on_attr, .. } => SemReads::columns(&[on_attr]),
-            SemNode::Rerank { .. } | SemNode::Generate { .. } => SemReads::All,
+            SemOp::Step(SemStep::Cut { cut }) => SemReads::columns(&[&cut.sort_by]),
+            SemOp::Step(SemStep::SemTopK { on_attr, .. }) => SemReads::columns(&[on_attr]),
+            SemOp::Rerank(_) | SemOp::Generate(_) => SemReads::All,
         }
     }
 
-    /// The node's pipeline stage: `exec` for exact computation and the
-    /// row-transforming semantic operators, `retrieve` for embedding
+    /// The operator's pipeline stage: `exec` for exact computation and
+    /// the row-transforming semantic operators, `retrieve` for embedding
     /// retrieval, `rerank` for LM relevance scoring, `gen` for
     /// text-producing LM work. Its span carries this tag.
     pub fn stage(&self) -> Stage {
         match self {
-            SemNode::Scan { .. }
-            | SemNode::Input { .. }
-            | SemNode::Predicate { .. }
-            | SemNode::Cut { .. }
-            | SemNode::SemFilter { .. }
-            | SemNode::SemTopK { .. } => Stage::Exec,
-            SemNode::Retrieve { .. } => Stage::Retrieve,
-            SemNode::Rerank { .. } => Stage::Rerank,
-            SemNode::Generate { .. } => Stage::Gen,
+            SemOp::Source(_) | SemOp::Step(_) => Stage::Exec,
+            SemOp::Retrieve(_) => Stage::Retrieve,
+            SemOp::Rerank(_) => Stage::Rerank,
+            SemOp::Generate(_) => Stage::Gen,
         }
     }
 
     /// One-line operator label (EXPLAIN vocabulary).
     pub fn label(&self) -> String {
         match self {
-            SemNode::Scan {
+            SemOp::Source(FrameSource::Scan {
                 table,
                 columns: None,
                 filters,
                 cut: None,
-            } if filters.is_empty() => format!("Scan {table}"),
-            SemNode::Scan {
+            }) if filters.is_empty() => format!("Scan {table}"),
+            SemOp::Source(FrameSource::Scan {
                 table,
                 columns,
                 filters,
                 cut,
-            } => format!(
+            }) => format!(
                 "Scan {table}: {}",
                 scan_sql(table, columns.as_deref(), filters, cut.as_ref())
             ),
-            SemNode::Input { frame } => format!("Input ({} rows)", frame.len()),
-            SemNode::Predicate { pred, .. } => format!("Predicate {}", pred.describe()),
-            SemNode::SemFilter {
+            SemOp::Source(FrameSource::Input { frame }) => format!("Input ({} rows)", frame.len()),
+            SemOp::Step(SemStep::Predicate { pred }) => format!("Predicate {}", pred.describe()),
+            SemOp::Step(SemStep::SemFilter {
                 columns,
                 claim,
                 distinct,
                 early_stop,
                 ..
-            } => {
+            }) => {
                 let mut s = format!("SemFilter {} [{}]", columns.join("|"), claim.describe());
                 if *distinct {
                     s.push_str(" distinct");
@@ -400,22 +490,21 @@ impl SemNode {
                 }
                 s
             }
-            SemNode::Cut { cut, .. } => format!("Cut {}", cut.describe()),
-            SemNode::SemTopK {
+            SemOp::Step(SemStep::Cut { cut }) => format!("Cut {}", cut.describe()),
+            SemOp::Step(SemStep::SemTopK {
                 on_attr,
                 property,
                 k,
-                ..
-            } => format!("SemTopK {on_attr} property={property} k={k}"),
-            SemNode::Retrieve { k, kind, .. } => format!(
+            }) => format!("SemTopK {on_attr} property={property} k={k}"),
+            SemOp::Retrieve(Retrieve { k, kind, .. }) => format!(
                 "Retrieve {}={k}",
                 match kind {
                     RetrieveKind::Rows => "k",
                     RetrieveKind::Candidates => "pool",
                 }
             ),
-            SemNode::Rerank { keep, .. } => format!("Rerank keep={keep}"),
-            SemNode::Generate { format, .. } => format!(
+            SemOp::Rerank(Rerank { keep, .. }) => format!("Rerank keep={keep}"),
+            SemOp::Generate(Generate { format, .. }) => format!(
                 "Generate {}",
                 match format {
                     GenFormat::List => "list",
@@ -425,44 +514,9 @@ impl SemNode {
             ),
         }
     }
-
-    /// The node's input; `None` for a leaf. A plan is a chain: every
-    /// operator reads at most one input.
-    pub fn input(&self) -> Option<&SemNode> {
-        match self {
-            SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => None,
-            SemNode::Predicate { input, .. }
-            | SemNode::SemFilter { input, .. }
-            | SemNode::Cut { input, .. }
-            | SemNode::SemTopK { input, .. }
-            | SemNode::Rerank { input, .. }
-            | SemNode::Generate { input, .. } => Some(input),
-        }
-    }
-
-    /// Render the plan chain, root first, two-space indent per level, one
-    /// `[stage]`-tagged line per node.
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        self.explain_into(0, &mut out);
-        out
-    }
-
-    fn explain_into(&self, depth: usize, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "{}{}  [{}]",
-            "  ".repeat(depth),
-            self.label(),
-            self.stage().as_str()
-        );
-        if let Some(input) = self.input() {
-            input.explain_into(depth + 1, out);
-        }
-    }
 }
 
-/// The SQL statement a [`SemNode::Scan`] with these fields issues.
+/// The SQL statement a [`FrameSource::Scan`] with these fields issues.
 /// Identifiers are double-quoted; numeric constants are written as float
 /// literals so an INTEGER column compares through `f64`, as the frame
 /// kernel does.
@@ -522,7 +576,7 @@ pub fn scan_sql(
     sql
 }
 
-/// Tabular data flowing between semantic plan nodes: a selection over
+/// Tabular data flowing between semantic plan operators: a selection over
 /// columnar data.
 ///
 /// A frame is a shared [`Chunk`] plus the ids of the chunk rows it
@@ -680,29 +734,84 @@ impl std::fmt::Debug for SemFrame {
     }
 }
 
-/// Executes individual semantic plan nodes. Implemented by the semantic
-/// runtime (over `tag-semops` + the LM); the SQL layer stays free of LM
-/// dependencies.
+/// Executes the operators of semantic plans, one typed call per
+/// operator. Implemented by the semantic runtime (over `tag-semops` + the
+/// LM); the SQL layer stays free of LM dependencies. Each call gets its
+/// input's output by value: the executor has already run it.
 pub trait SemDelegate {
-    /// Execute one node given its input's output frame (`None` for a
-    /// leaf, see [`SemNode::input`]). Implementations must not recurse
-    /// into the node's input — the executor has already run it.
-    fn exec_node(&self, node: &SemNode, input: Option<SemFrame>) -> Result<SemFrame, String>;
+    /// A frame plan's rows at their source.
+    fn source(&self, source: &FrameSource) -> Result<SemFrame, String>;
+    /// One step over its input frame.
+    fn step(&self, step: &SemStep, input: SemFrame) -> Result<SemFrame, String>;
+    /// The row store ids retrieval returns, in rank order.
+    fn retrieve(&self, retrieve: &Retrieve) -> Result<Vec<usize>, String>;
+    /// The retrieved ids a rerank keeps, in its order.
+    fn rerank(&self, rerank: &Rerank, points: Vec<usize>) -> Result<Vec<usize>, String>;
+    /// Generation over a frame's rows: the answer frame.
+    fn generate(&self, gen: &Generate, input: SemFrame) -> Result<SemFrame, String>;
+    /// Generation over retrieved rows: the answer frame.
+    fn generate_points(&self, gen: &Generate, points: Vec<usize>) -> Result<SemFrame, String>;
 }
 
-/// Execute a semantic plan bottom-up through `delegate`, one span per
-/// node under an active trace (module docs).
-pub fn execute_sem(root: &SemNode, delegate: &dyn SemDelegate) -> Result<SemFrame, String> {
-    let span = tag_trace::is_active().then(|| tag_trace::span(root.stage(), &root.label()));
-    let input = root
-        .input()
-        .map(|input| execute_sem(input, delegate))
-        .transpose()?;
-    let result = delegate.exec_node(root, input);
-    if let (Some(span), Ok(frame)) = (&span, &result) {
-        span.set_rows(frame.len());
+/// Execute a semantic plan through `delegate`, source first, one span per
+/// operator under an active trace (module docs). Each operator's input is
+/// dropped once the operator returns.
+pub fn execute_sem(plan: &SemPlan, delegate: &dyn SemDelegate) -> Result<SemFrame, String> {
+    let mut spans = OpSpans::open(plan);
+    match plan {
+        SemPlan::Frame { source, steps, gen } => {
+            let mut frame = spans.close(delegate.source(source), SemFrame::len)?;
+            for step in steps {
+                frame = spans.close(delegate.step(step, frame), SemFrame::len)?;
+            }
+            match gen {
+                Some(gen) => spans.close(delegate.generate(gen, frame), SemFrame::len),
+                None => Ok(frame),
+            }
+        }
+        SemPlan::Points {
+            retrieve,
+            rerank,
+            gen,
+        } => {
+            let mut points = spans.close(delegate.retrieve(retrieve), Vec::len)?;
+            if let Some(rerank) = rerank {
+                points = spans.close(delegate.rerank(rerank, points), Vec::len)?;
+            }
+            spans.close(delegate.generate_points(gen, points), SemFrame::len)
+        }
     }
-    result
+}
+
+/// The spans of a plan's operators under an active trace (none
+/// otherwise), opened root first so each is the parent of the one below
+/// it, as EXPLAIN indents them, and closed source first as the operators
+/// return. On an early return, dropping the root's guard closes what is
+/// still open, innermost first.
+struct OpSpans(Vec<tag_trace::SpanGuard>);
+
+impl OpSpans {
+    fn open(plan: &SemPlan) -> OpSpans {
+        if !tag_trace::is_active() {
+            return OpSpans(Vec::new());
+        }
+        let ops = plan.ops();
+        let spans = ops.iter().rev();
+        OpSpans(
+            spans
+                .map(|op| tag_trace::span(op.stage(), &op.label()))
+                .collect(),
+        )
+    }
+
+    /// Close the innermost span, the operator whose `result` this is,
+    /// with its rows out (`rows` of a success).
+    fn close<T>(&mut self, result: Result<T, String>, rows: fn(&T) -> usize) -> Result<T, String> {
+        if let (Some(span), Ok(out)) = (self.0.pop(), &result) {
+            span.set_rows(rows(out));
+        }
+        result
+    }
 }
 
 #[cfg(test)]
@@ -714,50 +823,73 @@ mod tests {
     }
 
     /// A delegate that halves row counts and charges one LM call per
-    /// semantic node to the innermost open span, as the runtime's
-    /// semantic engine does. A scan of `missing` fails.
+    /// semantic filter to the innermost open span, as the runtime's
+    /// semantic engine does. A scan of `missing` fails; so does every
+    /// operator it has no use for.
     struct HalvingDelegate;
 
     impl SemDelegate for HalvingDelegate {
-        fn exec_node(&self, node: &SemNode, input: Option<SemFrame>) -> Result<SemFrame, String> {
-            match node {
-                SemNode::Scan { table, .. } if table == "missing" => Err("no table".into()),
-                SemNode::Scan { .. } => Ok(frame(8)),
-                SemNode::SemFilter { .. } => {
-                    tag_trace::record_lm(tag_trace::LmUsage {
-                        calls: 1,
-                        prompt_tokens: 10,
-                        completion_tokens: 1,
-                        ..Default::default()
-                    });
-                    let f = input.expect("SemFilter has an input");
-                    let half = f.selection()[..f.len() / 2].to_vec();
-                    Ok(f.with_selection(half))
-                }
-                other => Err(format!("unexpected node {}", other.label())),
+        fn source(&self, source: &FrameSource) -> Result<SemFrame, String> {
+            match source {
+                FrameSource::Scan { table, .. } if table == "missing" => Err("no table".into()),
+                FrameSource::Scan { .. } => Ok(frame(8)),
+                FrameSource::Input { .. } => Err("unexpected input".into()),
             }
+        }
+
+        fn step(&self, step: &SemStep, input: SemFrame) -> Result<SemFrame, String> {
+            let SemStep::SemFilter { .. } = step else {
+                return Err(format!("unexpected step {}", SemOp::Step(step).label()));
+            };
+            tag_trace::record_lm(tag_trace::LmUsage {
+                calls: 1,
+                prompt_tokens: 10,
+                completion_tokens: 1,
+                ..Default::default()
+            });
+            let half = input.selection()[..input.len() / 2].to_vec();
+            Ok(input.with_selection(half))
+        }
+
+        fn retrieve(&self, _: &Retrieve) -> Result<Vec<usize>, String> {
+            Err("unexpected retrieve".into())
+        }
+
+        fn rerank(&self, _: &Rerank, _: Vec<usize>) -> Result<Vec<usize>, String> {
+            Err("unexpected rerank".into())
+        }
+
+        fn generate(&self, _: &Generate, _: SemFrame) -> Result<SemFrame, String> {
+            Err("unexpected generate".into())
+        }
+
+        fn generate_points(&self, _: &Generate, _: Vec<usize>) -> Result<SemFrame, String> {
+            Err("unexpected generate".into())
         }
     }
 
-    fn filter_over_scan() -> SemNode {
-        SemNode::SemFilter {
-            input: Box::new(SemNode::scan("t")),
-            columns: vec!["x".into()],
-            resolve: true,
-            claim: SemClaimSpec::EuCountry,
-            distinct: false,
-            early_stop: None,
+    fn filter_over_scan() -> SemPlan {
+        SemPlan::Frame {
+            source: FrameSource::scan("t"),
+            steps: vec![SemStep::SemFilter {
+                columns: vec!["x".into()],
+                resolve: true,
+                claim: SemClaimSpec::EuCountry,
+                distinct: false,
+                early_stop: None,
+            }],
+            gen: None,
         }
     }
 
     #[test]
-    fn executes_bottom_up() {
+    fn executes_source_first() {
         let out = execute_sem(&filter_over_scan(), &HalvingDelegate).unwrap();
         assert_eq!(out.len(), 4);
     }
 
-    /// Under a trace every node is one span: tagged with its stage,
-    /// labelled as EXPLAIN labels it, nested as the chain nests, with
+    /// Under a trace every operator is one span: tagged with its stage,
+    /// labelled as EXPLAIN labels it, nested as EXPLAIN indents it, with
     /// its rows out and the LM cost it caused (and only that).
     #[test]
     fn node_spans_attribute_rows_and_lm_cost() {
@@ -786,18 +918,20 @@ mod tests {
 
     #[test]
     fn explain_renders_stages_and_indent() {
-        let plan = SemNode::Generate {
-            input: Box::new(SemNode::Rerank {
-                input: Box::new(SemNode::Retrieve {
-                    query: "q".into(),
-                    k: 30,
-                    kind: RetrieveKind::Candidates,
-                }),
+        let plan = SemPlan::Points {
+            retrieve: Retrieve {
+                query: "q".into(),
+                k: 30,
+                kind: RetrieveKind::Candidates,
+            },
+            rerank: Some(Rerank {
                 query: "q".into(),
                 keep: 10,
             }),
-            request: "q".into(),
-            format: GenFormat::List,
+            gen: Generate {
+                request: "q".into(),
+                format: GenFormat::List,
+            },
         };
         let text = plan.explain();
         let lines: Vec<&str> = text.lines().collect();
@@ -810,18 +944,21 @@ mod tests {
         assert!(lines[2].ends_with("[retrieve]"), "{text}");
     }
 
-    /// A failing leaf fails the plan, and every node span still
-    /// closes: the next span opened is a root again. A node that failed
-    /// records no rows.
+    /// A failing source fails the plan, and every operator span still
+    /// closes: the next span opened is a root again. An operator that
+    /// failed, or never ran, records no rows.
     #[test]
     fn errors_propagate_and_close_every_node_span() {
-        let bad = SemNode::Cut {
-            input: Box::new(SemNode::scan("missing")),
-            cut: CutSpec {
-                sort_by: "x".into(),
-                descending: true,
-                k: 1,
-            },
+        let bad = SemPlan::Frame {
+            source: FrameSource::scan("missing"),
+            steps: vec![SemStep::Cut {
+                cut: CutSpec {
+                    sort_by: "x".into(),
+                    descending: true,
+                    k: 1,
+                },
+            }],
+            gen: None,
         };
         let (trace, sink) = tag_trace::Trace::memory();
         tag_trace::with_trace(&trace, || {
@@ -838,16 +975,14 @@ mod tests {
 
     #[test]
     fn stage_taxonomy() {
-        assert_eq!(filter_over_scan().stage(), Stage::Exec);
-        assert_eq!(
-            SemNode::Retrieve {
-                query: "q".into(),
-                k: 1,
-                kind: RetrieveKind::Rows
-            }
-            .stage(),
-            Stage::Retrieve
-        );
+        let plan = filter_over_scan();
+        assert!(plan.ops().iter().all(|op| op.stage() == Stage::Exec));
+        let retrieve = Retrieve {
+            query: "q".into(),
+            k: 1,
+            kind: RetrieveKind::Rows,
+        };
+        assert_eq!(SemOp::Retrieve(&retrieve).stage(), Stage::Retrieve);
     }
 
     #[test]

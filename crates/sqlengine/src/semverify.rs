@@ -1,10 +1,14 @@
-//! Typed well-formedness verification over [`SemNode`] plans.
+//! Typed well-formedness verification over [`SemPlan`]s.
+//!
+//! The plan type already rules out the misplaced shapes (a frame step
+//! over retrieved points, a rerank over a frame, a generation anywhere
+//! but last). What it cannot rule out is checked here.
 //!
 //! [`verify_plan`] checks a single plan against a catalog, when it is
-//! given one: column resolution flows bottom-up through every node (with
-//! the same case-insensitive, first-existing-candidate semantics the
-//! runtime uses), stage tags are legal per operator position, and
-//! cardinality bounds stay monotone through `Cut`/`SemTopK`/`Rerank`/pre-cut.
+//! given one: the columns a frame plan's steps name resolve against its
+//! source (with the same case-insensitive, first-existing-candidate
+//! semantics the runtime uses), every cut keeps rows, and cardinality
+//! bounds stay monotone through `Cut`/`SemTopK`/`Rerank`/pre-cut.
 //! Without a catalog (`None`) every column check involving a scanned
 //! table is skipped rather than failed.
 //!
@@ -12,26 +16,25 @@
 //! predicate, semantic filter, and cut of the input plan is conserved in
 //! the output (so a rewrite can never drop or invent work), each enabled
 //! rule's postcondition holds on the output (pushdown left no predicate
-//! above a fusable filter, distinct marked every filter, precut left no
-//! cut above a fusable filter), fused filters always judge distinct
+//! after a fusable filter, distinct marked every filter, precut left no
+//! cut after a fusable filter), fused filters always judge distinct
 //! values, and the static LM-call bound never increased. It also checks
 //! `lower_scans`' postcondition, whichever rules ran: work folded into a
 //! scan is conserved like any other, a folded predicate is one the
 //! engine evaluates exactly as the frame kernel does, and a projected
 //! scan still returns every column the plan reads above it.
 //!
-//! Diagnostics render deterministically: nodes are visited root first,
-//! down the chain of [`SemNode::input`]s, so repeated runs over the same
+//! Diagnostics render deterministically: each loop visits the operators
+//! of [`SemPlan::ops`] in a fixed order, so repeated runs over the same
 //! plan produce byte-identical reports.
 
 use crate::catalog::Catalog;
 use crate::schema::DataType;
-use crate::semcost::plan_cost;
+use crate::semcost::{plan_bounds, plan_cost};
 use crate::semopt::{SemOptOptions, LIKE_WILDCARDS};
-use crate::semplan::{SemNode, SemPredicate, SemReads};
+use crate::semplan::{FrameSource, SemOp, SemPlan, SemPredicate, SemReads, SemStep};
 use crate::table::Table;
 use std::fmt::Write as _;
-use tag_trace::Stage;
 
 /// Column names of `table`, when there is a catalog and it has the
 /// table. The catalog resolves table names ASCII-case-insensitively, as
@@ -57,11 +60,11 @@ pub struct Diagnostic {
     /// Stable machine-readable code (`unknown-table`, `column-missing`,
     /// `conservation`, ...).
     pub code: &'static str,
-    /// The node's depth in the chain, written as one `0` per level from
-    /// the root (`"0"` is the root, `"0/0"` its input, `"0/0/0"` that
-    /// node's input, ...).
+    /// The operator's depth in the chain, written as one `0` per level
+    /// from the root (`"0"` is the root, `"0/0"` its input, `"0/0/0"`
+    /// that operator's input, ...), as EXPLAIN indents it.
     pub path: String,
-    /// Label of the offending node (empty for whole-plan findings).
+    /// Label of the offending operator (empty for whole-plan findings).
     pub node: String,
     /// Human-readable explanation.
     pub message: String,
@@ -83,7 +86,7 @@ impl Diagnostic {
 /// The outcome of a verification pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// Findings, in deterministic pre-order discovery order.
+    /// Findings, in deterministic discovery order.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -103,196 +106,135 @@ impl VerifyReport {
     }
 }
 
-/// What a sub-plan exposes to the operator above it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ColSet {
-    /// Concrete column names (catalog scan, materialized input, or a
-    /// generation/aggregation result).
-    Known(Vec<String>),
-    /// An opaque retrieved-point frame (`Retrieve`/`Rerank` output):
-    /// only `Rerank` and `Generate` may consume it.
-    Points,
-    /// No schema information (no catalog, or no such table); column
-    /// checks are skipped.
-    Unknown,
+/// The path of the operator at `depth` levels below the root.
+fn op_path(depth: usize) -> String {
+    format!("0{}", "/0".repeat(depth))
 }
 
-impl ColSet {
-    /// `Some(true/false)` with schema knowledge, `None` when unknown.
-    /// Matches the runtime's case-insensitive column resolution.
-    fn contains(&self, name: &str) -> Option<bool> {
-        match self {
-            ColSet::Known(cols) => Some(cols.iter().any(|c| c.eq_ignore_ascii_case(name))),
-            ColSet::Points => Some(false),
-            ColSet::Unknown => None,
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            ColSet::Known(cols) => format!("{cols:?}"),
-            ColSet::Points => "<retrieved points>".to_owned(),
-            ColSet::Unknown => "<unknown>".to_owned(),
-        }
+/// A finding about the operator `op` at `depth`.
+fn op_diag(code: &'static str, depth: usize, op: SemOp<'_>, message: String) -> Diagnostic {
+    Diagnostic {
+        code,
+        path: op_path(depth),
+        node: op.label(),
+        message,
     }
 }
 
-struct PlanChecker<'a> {
-    catalog: Option<&'a Catalog>,
-    diagnostics: Vec<Diagnostic>,
+/// Whether the columns a frame source exposes (`None` when they are
+/// unknown: no catalog, or no such table) have `name`, matching the
+/// runtime's case-insensitive column resolution; `None` skips the check.
+fn has_column(cols: &Option<Vec<String>>, name: &str) -> Option<bool> {
+    Some(cols.as_ref()?.iter().any(|c| c.eq_ignore_ascii_case(name)))
 }
 
-impl PlanChecker<'_> {
-    fn diag(&mut self, code: &'static str, path: &str, node: &SemNode, message: String) {
-        self.diagnostics.push(Diagnostic {
-            code,
-            path: path.to_owned(),
-            node: node.label(),
-            message,
-        });
+fn describe_columns(cols: &Option<Vec<String>>) -> String {
+    match cols {
+        Some(cols) => format!("{cols:?}"),
+        None => "<unknown>".to_owned(),
+    }
+}
+
+/// The findings about one operator: its depth, its label and where they
+/// go.
+struct OpChecker<'a> {
+    depth: usize,
+    op: SemOp<'a>,
+    out: &'a mut Vec<Diagnostic>,
+}
+
+impl OpChecker<'_> {
+    fn diag(&mut self, code: &'static str, message: String) {
+        self.out.push(op_diag(code, self.depth, self.op, message));
     }
 
-    fn require_column(&mut self, path: &str, node: &SemNode, input: &ColSet, name: &str) {
-        if input.contains(name) == Some(false) {
+    fn require_column(&mut self, input: &Option<Vec<String>>, name: &str) {
+        if has_column(input, name) == Some(false) {
             self.diag(
                 "column-missing",
-                path,
-                node,
-                format!("column '{name}' not in input columns {}", input.describe()),
-            );
-        }
-    }
-
-    fn require_candidate(
-        &mut self,
-        path: &str,
-        node: &SemNode,
-        input: &ColSet,
-        candidates: &[String],
-    ) {
-        let any = candidates
-            .iter()
-            .map(|c| input.contains(c))
-            .try_fold(false, |acc, x| x.map(|b| acc || b));
-        if any == Some(false) {
-            self.diag(
-                "column-missing",
-                path,
-                node,
                 format!(
-                    "none of the candidate columns {candidates:?} in input columns {}",
-                    input.describe()
+                    "column '{name}' not in input columns {}",
+                    describe_columns(input)
                 ),
             );
         }
     }
 
-    fn require_pred_columns(
-        &mut self,
-        path: &str,
-        node: &SemNode,
-        input: &ColSet,
-        pred: &SemPredicate,
-    ) {
-        match pred {
-            SemPredicate::NumCmp { attr, .. } | SemPredicate::TextEq { attr, .. } => {
-                self.require_column(path, node, input, attr);
-            }
-            SemPredicate::TextEqAny { columns, .. } => {
-                self.require_candidate(path, node, input, columns);
-            }
+    fn require_candidate(&mut self, input: &Option<Vec<String>>, candidates: &[String]) {
+        let any = candidates
+            .iter()
+            .map(|c| has_column(input, c))
+            .try_fold(false, |acc, x| x.map(|b| acc || b));
+        if any == Some(false) {
+            self.diag(
+                "column-missing",
+                format!(
+                    "none of the candidate columns {candidates:?} in input columns {}",
+                    describe_columns(input)
+                ),
+            );
         }
     }
 
-    fn require_k(&mut self, path: &str, node: &SemNode, what: &str, k: usize) {
+    fn require_pred_columns(&mut self, input: &Option<Vec<String>>, pred: &SemPredicate) {
+        match pred {
+            SemPredicate::NumCmp { attr, .. } | SemPredicate::TextEq { attr, .. } => {
+                self.require_column(input, attr);
+            }
+            SemPredicate::TextEqAny { columns, .. } => self.require_candidate(input, columns),
+        }
+    }
+
+    fn require_k(&mut self, what: &str, k: usize) {
         if k == 0 {
             self.diag(
                 "empty-cut",
-                path,
-                node,
                 format!("{what} keeps k=0 rows — the plan can never produce output"),
             );
         }
     }
 
-    /// Verify the sub-plan and return its output column set. `is_root`
-    /// gates the gen-stage placement rule.
-    fn check(&mut self, node: &SemNode, path: &str, is_root: bool) -> ColSet {
-        // Gen-stage operators produce a final answer frame; anything
-        // stacked above one is consuming prose as a table.
-        if !is_root && node.stage() == Stage::Gen {
-            self.diag(
-                "gen-not-root",
-                path,
-                node,
-                "gen-stage operator below the plan root".to_owned(),
-            );
-        }
-
-        // Leaves read no input; `Unknown` makes no check on their behalf.
-        let input = match node.input() {
-            Some(input) => self.check(input, &format!("{path}/0"), false),
-            None => ColSet::Unknown,
-        };
-
-        // Exec-stage operators run frame semantics over named columns;
-        // an opaque point frame from retrieval has none.
-        if node.stage() == Stage::Exec && input == ColSet::Points {
-            self.diag(
-                "points-input",
-                path,
-                node,
-                "exact operator over opaque retrieved points (only Rerank/Generate may consume retrieval output)"
-                    .to_owned(),
-            );
-        }
-
-        match node {
-            SemNode::Scan {
+    /// The columns a frame source exposes, checking what it folded in.
+    fn source(&mut self, source: &FrameSource, catalog: Option<&Catalog>) -> Option<Vec<String>> {
+        let (table, columns, filters, cut) = match source {
+            FrameSource::Input { frame } => return Some(frame.columns.clone()),
+            FrameSource::Scan {
                 table,
                 columns,
                 filters,
                 cut,
-            } => {
-                let table_cols = match table_columns(self.catalog, table) {
-                    Some(cols) => ColSet::Known(cols),
-                    None => {
-                        if self.catalog.is_some() {
-                            self.diag(
-                                "unknown-table",
-                                path,
-                                node,
-                                format!("table '{table}' not in the catalog"),
-                            );
-                        }
-                        ColSet::Unknown
-                    }
-                };
-                // Folded work and the projection name columns of the
-                // table, not of the (narrower) frame the scan returns.
-                for pred in filters {
-                    self.require_pred_columns(path, node, &table_cols, pred);
-                }
-                if let Some(cut) = cut {
-                    self.require_column(path, node, &table_cols, &cut.sort_by);
-                    self.require_k(path, node, "Scan cut", cut.k);
-                }
-                match columns {
-                    None => table_cols,
-                    Some(cols) => {
-                        for c in cols {
-                            self.require_column(path, node, &table_cols, c);
-                        }
-                        ColSet::Known(cols.clone())
-                    }
-                }
-            }
-            SemNode::Input { frame } => ColSet::Known(frame.columns.clone()),
-            SemNode::Predicate { pred, .. } => {
-                self.require_pred_columns(path, node, &input, pred);
-                input
-            }
-            SemNode::SemFilter {
+            } => (table, columns, filters, cut),
+        };
+        let table_cols = table_columns(catalog, table);
+        if table_cols.is_none() && catalog.is_some() {
+            self.diag(
+                "unknown-table",
+                format!("table '{table}' not in the catalog"),
+            );
+        }
+        // Folded work and the projection name columns of the table, not
+        // of the (narrower) frame the scan returns.
+        for pred in filters {
+            self.require_pred_columns(&table_cols, pred);
+        }
+        if let Some(cut) = cut {
+            self.require_column(&table_cols, &cut.sort_by);
+            self.require_k("Scan cut", cut.k);
+        }
+        let Some(cols) = columns else {
+            return table_cols;
+        };
+        for c in cols {
+            self.require_column(&table_cols, c);
+        }
+        Some(cols.clone())
+    }
+
+    /// Check a step against the columns it sees; steps keep them.
+    fn step(&mut self, step: &SemStep, input: &Option<Vec<String>>) {
+        match step {
+            SemStep::Predicate { pred } => self.require_pred_columns(input, pred),
+            SemStep::SemFilter {
                 columns,
                 resolve,
                 distinct,
@@ -300,20 +242,15 @@ impl PlanChecker<'_> {
                 ..
             } => {
                 if columns.is_empty() {
-                    self.diag(
-                        "no-column",
-                        path,
-                        node,
-                        "semantic filter without a column".to_owned(),
-                    );
+                    self.diag("no-column", "semantic filter without a column".to_owned());
                 } else if *resolve {
-                    self.require_candidate(path, node, &input, columns);
+                    self.require_candidate(input, columns);
                 } else {
-                    self.require_column(path, node, &input, &columns[0]);
+                    self.require_column(input, &columns[0]);
                 }
                 if let Some(cut) = early_stop {
-                    self.require_column(path, node, &input, &cut.sort_by);
-                    self.require_k(path, node, "early_stop", cut.k);
+                    self.require_column(input, &cut.sort_by);
+                    self.require_k("early_stop", cut.k);
                     if !distinct {
                         // fuse_precut always marks fused filters
                         // distinct; the early-stop executor judges
@@ -321,108 +258,83 @@ impl PlanChecker<'_> {
                         // non-distinct fused filter is malformed IR.
                         self.diag(
                             "fused-not-distinct",
-                            path,
-                            node,
                             "early-stop filter not marked distinct".to_owned(),
                         );
                     }
                 }
-                input
             }
-            SemNode::Cut { cut, .. } => {
-                self.require_column(path, node, &input, &cut.sort_by);
-                self.require_k(path, node, "Cut", cut.k);
-                input
+            SemStep::Cut { cut } => {
+                self.require_column(input, &cut.sort_by);
+                self.require_k("Cut", cut.k);
             }
-            SemNode::SemTopK { on_attr, k, .. } => {
-                self.require_column(path, node, &input, on_attr);
-                self.require_k(path, node, "SemTopK", *k);
-                input
+            SemStep::SemTopK { on_attr, k, .. } => {
+                self.require_column(input, on_attr);
+                self.require_k("SemTopK", *k);
             }
-            SemNode::Retrieve { k, .. } => {
-                self.require_k(path, node, "Retrieve", *k);
-                ColSet::Points
-            }
-            SemNode::Rerank { keep, .. } => {
-                self.require_k(path, node, "Rerank", *keep);
-                if input != ColSet::Points {
-                    self.diag(
-                        "rerank-input",
-                        path,
-                        node,
-                        format!(
-                            "Rerank scores retrieved points, but its input produces {}",
-                            input.describe()
-                        ),
-                    );
-                }
-                ColSet::Points
-            }
-            SemNode::Generate { .. } => ColSet::Known(vec!["answer".to_owned()]),
         }
     }
 }
 
 /// Verify one plan's well-formedness against `catalog` (schema-blind
 /// with `None`). See the module docs for the invariant list.
-pub fn verify_plan(root: &SemNode, catalog: Option<&Catalog>) -> VerifyReport {
-    let mut checker = PlanChecker {
-        catalog,
-        diagnostics: Vec::new(),
-    };
-    checker.check(root, "0", true);
-
-    // Cardinality monotonicity: row bounds may never grow through a
-    // row-reducing operator, and cutters are bounded by their k. This is
-    // a consistency check of plan × cost model (a plan whose bounds
-    // violate it indicates a malformed cut spec or a model regression).
-    check_cardinality(root, "0", catalog, &mut checker.diagnostics);
-
-    VerifyReport {
-        diagnostics: checker.diagnostics,
-    }
-}
-
-fn check_cardinality(
-    node: &SemNode,
-    path: &str,
-    catalog: Option<&Catalog>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let bound = plan_cost(node, catalog).out_rows;
-    let violation = match node {
-        SemNode::Predicate { input, .. }
-        | SemNode::SemFilter { input, .. }
-        | SemNode::Cut { input, .. }
-        | SemNode::SemTopK { input, .. }
-        | SemNode::Rerank { input, .. } => {
-            let in_bound = plan_cost(input, catalog).out_rows;
-            let k = match node {
-                SemNode::Cut { cut, .. } => Some(cut.k as u64),
-                SemNode::SemTopK { k, .. } => Some(*k as u64),
-                SemNode::Rerank { keep, .. } => Some(*keep as u64),
-                SemNode::SemFilter {
-                    early_stop: Some(cut),
-                    ..
-                } => Some(cut.k as u64),
-                _ => None,
-            };
-            bound > in_bound || k.is_some_and(|k| bound > k)
+pub fn verify_plan(plan: &SemPlan, catalog: Option<&Catalog>) -> VerifyReport {
+    let ops = plan.ops();
+    let root = ops.len() - 1;
+    let mut diagnostics = Vec::new();
+    // Source first: each step sees the source's columns.
+    let mut cols = None;
+    for (i, &op) in ops.iter().enumerate() {
+        let mut check = OpChecker {
+            depth: root - i,
+            op,
+            out: &mut diagnostics,
+        };
+        match op {
+            SemOp::Source(source) => cols = check.source(source, catalog),
+            SemOp::Step(step) => check.step(step, &cols),
+            SemOp::Retrieve(retrieve) => check.require_k("Retrieve", retrieve.k),
+            SemOp::Rerank(rerank) => check.require_k("Rerank", rerank.keep),
+            SemOp::Generate(_) => {}
         }
-        SemNode::Generate { .. } => bound > 1,
-        _ => false,
-    };
-    if violation {
-        out.push(Diagnostic {
-            code: "cardinality",
-            path: path.to_owned(),
-            node: node.label(),
-            message: format!("output row bound {bound} exceeds its structural limit"),
-        });
     }
-    if let Some(input) = node.input() {
-        check_cardinality(input, &format!("{path}/0"), catalog, out);
+
+    // Cardinality monotonicity, root first: row bounds may never grow
+    // through a row-reducing operator, and cutters are bounded by their
+    // k. This is a consistency check of plan × cost model (a plan whose
+    // bounds violate it indicates a malformed cut spec or a model
+    // regression).
+    let bounds = plan_bounds(plan, catalog);
+    for (i, &op) in ops.iter().enumerate().rev() {
+        let bound = bounds[i].out_rows;
+        let k = match op {
+            SemOp::Step(SemStep::Cut { cut })
+            | SemOp::Step(SemStep::SemFilter {
+                early_stop: Some(cut),
+                ..
+            }) => Some(cut.k as u64),
+            SemOp::Step(SemStep::SemTopK { k, .. }) => Some(*k as u64),
+            SemOp::Rerank(rerank) => Some(rerank.keep as u64),
+            _ => None,
+        };
+        let violation = match op {
+            // A step or a rerank has the operator before it as input.
+            SemOp::Step(_) | SemOp::Rerank(_) => {
+                bound > bounds[i - 1].out_rows || k.is_some_and(|k| bound > k)
+            }
+            SemOp::Generate(_) => bound > 1,
+            SemOp::Source(_) | SemOp::Retrieve(_) => false,
+        };
+        if violation {
+            diagnostics.push(op_diag(
+                "cardinality",
+                root - i,
+                op,
+                format!("output row bound {bound} exceeds its structural limit"),
+            ));
+        }
     }
+
+    VerifyReport { diagnostics }
 }
 
 /// Conservation fingerprint of a plan: the multiset of predicates,
@@ -438,53 +350,47 @@ struct Fingerprint {
 }
 
 impl Fingerprint {
-    fn of(root: &SemNode) -> Fingerprint {
+    fn of(plan: &SemPlan) -> Fingerprint {
         let mut fp = Fingerprint::default();
-        fp.collect(root);
+        for op in plan.ops() {
+            match op {
+                SemOp::Step(SemStep::Predicate { pred }) => fp.predicates.push(format!("{pred:?}")),
+                SemOp::Step(SemStep::SemFilter {
+                    columns,
+                    resolve,
+                    claim,
+                    early_stop,
+                    ..
+                }) => {
+                    // distinct/early_stop are the rewrite's degrees of
+                    // freedom; the judged claim and its columns are not.
+                    fp.filters
+                        .push(format!("{columns:?} resolve={resolve} {claim:?}"));
+                    fp.cuts
+                        .extend(early_stop.iter().map(|cut| format!("{cut:?}")));
+                }
+                SemOp::Step(SemStep::Cut { cut }) => fp.cuts.push(format!("{cut:?}")),
+                // A scan's label spells out what `lower_scans` folded into
+                // it; the folded work is conserved as the work it was.
+                SemOp::Source(FrameSource::Scan {
+                    table,
+                    filters,
+                    cut,
+                    ..
+                }) => {
+                    fp.others.push(format!("Scan {table}"));
+                    fp.predicates
+                        .extend(filters.iter().map(|pred| format!("{pred:?}")));
+                    fp.cuts.extend(cut.iter().map(|cut| format!("{cut:?}")));
+                }
+                other => fp.others.push(other.label()),
+            }
+        }
         fp.predicates.sort();
         fp.filters.sort();
         fp.cuts.sort();
         fp.others.sort();
         fp
-    }
-
-    fn collect(&mut self, node: &SemNode) {
-        match node {
-            SemNode::Predicate { pred, .. } => self.predicates.push(format!("{pred:?}")),
-            SemNode::SemFilter {
-                columns,
-                resolve,
-                claim,
-                early_stop,
-                ..
-            } => {
-                // distinct/early_stop are the rewrite's degrees of
-                // freedom; the judged claim and its columns are not.
-                self.filters
-                    .push(format!("{columns:?} resolve={resolve} {claim:?}"));
-                if let Some(cut) = early_stop {
-                    self.cuts.push(format!("{cut:?}"));
-                }
-            }
-            SemNode::Cut { cut, .. } => self.cuts.push(format!("{cut:?}")),
-            // A scan's label spells out what `lower_scans` folded into
-            // it; the folded work is conserved as the work it was.
-            SemNode::Scan {
-                table,
-                filters,
-                cut,
-                ..
-            } => {
-                self.others.push(format!("Scan {table}"));
-                self.predicates
-                    .extend(filters.iter().map(|pred| format!("{pred:?}")));
-                self.cuts.extend(cut.iter().map(|cut| format!("{cut:?}")));
-            }
-            other => self.others.push(other.label()),
-        }
-        if let Some(input) = node.input() {
-            self.collect(input);
-        }
     }
 }
 
@@ -503,8 +409,8 @@ fn conservation_diag(what: &str, before: &[String], after: &[String], out: &mut 
 /// work, satisfy each enabled rule's postcondition, and never raise the
 /// static LM-call bound.
 pub fn verify_rewrite(
-    before: &SemNode,
-    after: &SemNode,
+    before: &SemPlan,
+    after: &SemPlan,
     opts: &SemOptOptions,
     catalog: Option<&Catalog>,
 ) -> VerifyReport {
@@ -532,14 +438,8 @@ pub fn verify_rewrite(
         &mut diagnostics,
     );
 
-    check_postconditions(after, "0", opts, &mut diagnostics);
-    check_lowering(
-        after,
-        "0",
-        &SemReads::Columns(Vec::new()),
-        catalog,
-        &mut diagnostics,
-    );
+    check_postconditions(after, opts, &mut diagnostics);
+    check_lowering(after, catalog, &mut diagnostics);
 
     let cost_before = plan_cost(before, catalog);
     let cost_after = plan_cost(after, catalog);
@@ -558,209 +458,174 @@ pub fn verify_rewrite(
     VerifyReport { diagnostics }
 }
 
-fn check_postconditions(
-    node: &SemNode,
-    path: &str,
-    opts: &SemOptOptions,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut diag = |code: &'static str, message: String| {
-        out.push(Diagnostic {
-            code,
-            path: path.to_owned(),
-            node: node.label(),
-            message,
-        });
-    };
-    match node {
-        // Fused filters are always distinct, regardless of options:
-        // fuse_precut is the only producer of early_stop and marks it.
-        SemNode::SemFilter {
-            distinct: false,
-            early_stop: Some(_),
-            ..
-        } => diag(
-            "fused-not-distinct",
-            "fused early-stop filter not marked distinct".to_owned(),
-        ),
-        // Pushdown fixpoint: no exact predicate may sit directly on a
-        // still-fusable (non-early-stop) semantic filter. A predicate
-        // above an early-stop filter is legal — the fused cut does not
-        // commute with filtering.
-        SemNode::Predicate { input, .. }
-            if opts.pushdown
-                && matches!(
-                    **input,
-                    SemNode::SemFilter {
-                        early_stop: None,
-                        ..
-                    }
-                ) =>
-        {
-            diag(
+/// The rules' postconditions on the steps, root first.
+fn check_postconditions(plan: &SemPlan, opts: &SemOptOptions, out: &mut Vec<Diagnostic>) {
+    let ops = plan.ops();
+    let root = ops.len() - 1;
+    for (i, &op) in ops.iter().enumerate().rev() {
+        let SemOp::Step(step) = op else {
+            continue;
+        };
+        // A predicate or cut right after a fusable filter.
+        let after_fusable = matches!(
+            ops[i - 1],
+            SemOp::Step(SemStep::SemFilter {
+                early_stop: None,
+                ..
+            })
+        );
+        let finding = match step {
+            // Fused filters are always distinct, regardless of options:
+            // fuse_precut is the only producer of early_stop and marks it.
+            SemStep::SemFilter {
+                distinct: false,
+                early_stop: Some(_),
+                ..
+            } => Some((
+                "fused-not-distinct",
+                "fused early-stop filter not marked distinct",
+            )),
+            // Pushdown fixpoint: no exact predicate may run right after a
+            // still-fusable (non-early-stop) semantic filter. A predicate
+            // after an early-stop filter is legal — the fused cut does
+            // not commute with filtering.
+            SemStep::Predicate { .. } if opts.pushdown && after_fusable => Some((
                 "pushdown-missed",
-                "exact predicate left above a semantic filter".to_owned(),
-            )
-        }
-        // Distinct rewrite marks every semantic filter.
-        SemNode::SemFilter {
-            distinct: false, ..
-        } if opts.distinct_rewrite => diag(
-            "distinct-missed",
-            "semantic filter left judging row-wise".to_owned(),
-        ),
-        // Precut fixpoint: no cut may sit directly on a fusable filter.
-        SemNode::Cut { input, .. }
-            if opts.precut
-                && matches!(
-                    **input,
-                    SemNode::SemFilter {
-                        early_stop: None,
-                        ..
-                    }
-                ) =>
-        {
-            diag(
+                "exact predicate left above a semantic filter",
+            )),
+            // Distinct rewrite marks every semantic filter.
+            SemStep::SemFilter {
+                distinct: false, ..
+            } if opts.distinct_rewrite => {
+                Some(("distinct-missed", "semantic filter left judging row-wise"))
+            }
+            // Precut fixpoint: no cut may run right after a fusable
+            // filter.
+            SemStep::Cut { .. } if opts.precut && after_fusable => Some((
                 "precut-missed",
-                "exact cut left above a fusable semantic filter".to_owned(),
-            )
+                "exact cut left above a fusable semantic filter",
+            )),
+            _ => None,
+        };
+        if let Some((code, message)) = finding {
+            out.push(op_diag(code, root - i, op, message.to_owned()));
         }
-        _ => {}
-    }
-    if let Some(input) = node.input() {
-        check_postconditions(input, &format!("{path}/0"), opts, out);
     }
 }
 
-/// `lower_scans`' postcondition, top-down with the reads of the nodes
-/// above (`above`; the plan's consumer is outside the plan and outside
-/// this check). At each scan: a folded predicate must be one the engine
+/// `lower_scans`' postcondition at a frame plan's scan, with the reads
+/// of every operator above it (the plan's consumer is outside the plan
+/// and outside this check): a folded predicate must be one the engine
 /// evaluates exactly as the frame kernel does (a finite `NumCmp` over
 /// INTEGER or a wildcard-free `TextEq` over TEXT, where the catalog says
 /// the type, over a column whose name `scan_sql` can quote and which has
 /// no index: a B-tree answers in key order, the kernel keeps table
-/// order), and a projection must keep
-/// every column read above the scan: every candidate the table has, or,
-/// when the table's columns are unknown, at least one candidate.
-fn check_lowering(
-    node: &SemNode,
-    path: &str,
-    above: &SemReads,
-    catalog: Option<&Catalog>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut diag = |code: &'static str, message: String| {
-        out.push(Diagnostic {
-            code,
-            path: path.to_owned(),
-            node: node.label(),
-            message,
-        });
+/// order), and a projection must keep every column read above the scan:
+/// every candidate the table has, or, when the table's columns are
+/// unknown, at least one candidate.
+fn check_lowering(plan: &SemPlan, catalog: Option<&Catalog>, out: &mut Vec<Diagnostic>) {
+    let ops = plan.ops();
+    let Some((&source, above)) = ops.split_first() else {
+        return;
     };
-    if let SemNode::Scan {
+    let SemOp::Source(FrameSource::Scan {
         table,
         columns,
         filters,
         ..
-    } = node
-    {
-        let column_exact = |attr: &str, dtype: DataType| {
-            !attr.contains('"')
-                && live_column(catalog, table, attr).is_none_or(|(t, c)| {
-                    t.schema().column(c).dtype == dtype && t.index_on(c).is_none()
-                })
+    }) = source
+    else {
+        return;
+    };
+    let mut diag = |code: &'static str, message: String| {
+        out.push(op_diag(code, above.len(), source, message));
+    };
+    let column_exact = |attr: &str, dtype: DataType| {
+        !attr.contains('"')
+            && live_column(catalog, table, attr)
+                .is_none_or(|(t, c)| t.schema().column(c).dtype == dtype && t.index_on(c).is_none())
+    };
+    for pred in filters {
+        let exact = match pred {
+            SemPredicate::NumCmp { attr, value, .. } => {
+                value.is_finite() && column_exact(attr, DataType::Integer)
+            }
+            SemPredicate::TextEq { attr, value } => {
+                !value.contains(LIKE_WILDCARDS) && column_exact(attr, DataType::Text)
+            }
+            SemPredicate::TextEqAny { .. } => false,
         };
-        for pred in filters {
-            let exact = match pred {
-                SemPredicate::NumCmp { attr, value, .. } => {
-                    value.is_finite() && column_exact(attr, DataType::Integer)
-                }
-                SemPredicate::TextEq { attr, value } => {
-                    !value.contains(LIKE_WILDCARDS) && column_exact(attr, DataType::Text)
-                }
-                SemPredicate::TextEqAny { .. } => false,
-            };
-            if !exact {
-                diag(
-                    "fold-inexact",
-                    format!("scan folded {pred:?}, which the engine does not evaluate as the frame kernel does"),
-                );
-            }
-        }
-        if let Some(projected) = columns {
-            let has =
-                |cols: &[String], name: &str| cols.iter().any(|c| c.eq_ignore_ascii_case(name));
-            match above {
-                SemReads::All => diag(
-                    "projection-missing",
-                    "a node above reads every column of a projected scan".to_owned(),
-                ),
-                SemReads::Columns(reads) => {
-                    let table_cols = table_columns(catalog, table);
-                    for candidates in reads {
-                        let kept = match &table_cols {
-                            Some(cols) => candidates
-                                .iter()
-                                .filter(|c| has(cols, c))
-                                .all(|c| has(projected, c)),
-                            None => candidates.iter().any(|c| has(projected, c)),
-                        };
-                        if !kept {
-                            diag(
-                                "projection-missing",
-                                format!("scan projects to {projected:?}, but {candidates:?} is read above it"),
-                            );
-                        }
-                    }
-                }
-            }
+        if !exact {
+            diag(
+                "fold-inexact",
+                format!("scan folded {pred:?}, which the engine does not evaluate as the frame kernel does"),
+            );
         }
     }
-    let below = above.clone().and(node.reads());
-    if let Some(input) = node.input() {
-        check_lowering(input, &format!("{path}/0"), &below, catalog, out);
+    let Some(projected) = columns else {
+        return;
+    };
+    // Root first, as `lower_scans` gathers them.
+    let reads = above.iter().rev();
+    let reads = reads.fold(SemReads::Columns(Vec::new()), |r, op| r.and(op.reads()));
+    let has = |cols: &[String], name: &str| cols.iter().any(|c| c.eq_ignore_ascii_case(name));
+    let SemReads::Columns(reads) = reads else {
+        diag(
+            "projection-missing",
+            "a node above reads every column of a projected scan".to_owned(),
+        );
+        return;
+    };
+    let table_cols = table_columns(catalog, table);
+    for candidates in reads {
+        let kept = match &table_cols {
+            Some(cols) => candidates
+                .iter()
+                .filter(|c| has(cols, c))
+                .all(|c| has(projected, c)),
+            None => candidates.iter().any(|c| has(projected, c)),
+        };
+        if !kept {
+            diag(
+                "projection-missing",
+                format!("scan projects to {projected:?}, but {candidates:?} is read above it"),
+            );
+        }
     }
 }
 
-/// Render a plan chain with per-node static bounds.
+/// Render a plan chain with per-operator static bounds.
 ///
-/// Output is deterministic: nodes root first, each line
-/// `label  [stage]  (rows<=R lm<=C)` where `R` is the node's output-row
-/// bound and `C` the node's *own* LM-call bound (its sub-plan's bound
-/// minus its input's). Golden tests may diff this
+/// Output is deterministic: operators root first, each line
+/// `label  [stage]  (rows<=R lm<=C)` where `R` is the operator's
+/// output-row bound and `C` the operator's *own* LM-call bound (the
+/// bound up to it minus its input's). Golden tests may diff this
 /// byte-for-byte.
-fn annotated_explain(root: &SemNode, catalog: Option<&Catalog>) -> String {
+fn annotated_explain(plan: &SemPlan, catalog: Option<&Catalog>) -> String {
+    let ops = plan.ops();
+    let bounds = plan_bounds(plan, catalog);
     let mut out = String::new();
-    annotate_into(root, catalog, 0, &mut out);
-    out
-}
-
-fn annotate_into(node: &SemNode, catalog: Option<&Catalog>, depth: usize, out: &mut String) {
-    let bound = plan_cost(node, catalog);
-    let input_calls = node
-        .input()
-        .map_or(0, |input| plan_cost(input, catalog).lm_calls);
-    let own = bound.lm_calls.saturating_sub(input_calls);
-    let _ = writeln!(
-        out,
-        "{}{}  [{}]  (rows<={} lm<={})",
-        "  ".repeat(depth),
-        node.label(),
-        node.stage().as_str(),
-        bound.out_rows,
-        own
-    );
-    if let Some(input) = node.input() {
-        annotate_into(input, catalog, depth + 1, out);
+    for (depth, i) in (0..ops.len()).rev().enumerate() {
+        let input_calls = i.checked_sub(1).map_or(0, |j| bounds[j].lm_calls);
+        let _ = writeln!(
+            out,
+            "{}{}  [{}]  (rows<={} lm<={})",
+            "  ".repeat(depth),
+            ops[i].label(),
+            ops[i].stage().as_str(),
+            bounds[i].out_rows,
+            bounds[i].lm_calls.saturating_sub(input_calls)
+        );
     }
+    out
 }
 
 /// Full `EXPLAIN VERIFY` report text for a compile → optimize pair:
 /// plan verdict, rewrite verdict, the static LM-call bound (optimized
 /// vs naive), and the annotated plan. Deterministic line order.
 pub fn verify_report_text(
-    naive: &SemNode,
-    optimized: &SemNode,
+    naive: &SemPlan,
+    optimized: &SemPlan,
     opts: &SemOptOptions,
     catalog: Option<&Catalog>,
 ) -> String {
@@ -808,7 +673,7 @@ mod tests {
     use super::*;
     use crate::schema::{Column, Schema};
     use crate::semopt::{lower_scans, optimize_sem};
-    use crate::semplan::{CutSpec, GenFormat, RetrieveKind, SemClaimSpec};
+    use crate::semplan::{CutSpec, GenFormat, Generate, SemClaimSpec};
     use crate::Database;
 
     fn db() -> Database {
@@ -820,9 +685,8 @@ mod tests {
         db
     }
 
-    fn filter(input: SemNode, columns: &[&str]) -> SemNode {
-        SemNode::SemFilter {
-            input: Box::new(input),
+    fn filter(columns: &[&str]) -> SemStep {
+        SemStep::SemFilter {
             columns: columns.iter().map(|c| (*c).to_owned()).collect(),
             resolve: true,
             claim: SemClaimSpec::CityInRegion {
@@ -833,27 +697,38 @@ mod tests {
         }
     }
 
-    fn scan() -> SemNode {
-        SemNode::scan("schools")
+    fn cut(sort_by: &str, k: usize) -> SemStep {
+        SemStep::Cut {
+            cut: CutSpec {
+                sort_by: sort_by.into(),
+                descending: true,
+                k,
+            },
+        }
+    }
+
+    /// `steps` over a bare scan of `table`.
+    fn over(table: &str, steps: Vec<SemStep>) -> SemPlan {
+        SemPlan::Frame {
+            source: FrameSource::scan(table),
+            steps,
+            gen: None,
+        }
     }
 
     #[test]
     fn well_formed_plan_passes() {
-        let plan = SemNode::Cut {
-            input: Box::new(filter(scan(), &["City", "city"])),
-            cut: CutSpec {
-                sort_by: "Longitude".into(),
-                descending: true,
-                k: 1,
-            },
-        };
+        let plan = over(
+            "schools",
+            vec![filter(&["City", "city"]), cut("Longitude", 1)],
+        );
         let report = verify_plan(&plan, Some(db().catalog()));
         assert!(report.is_ok(), "{}", report.render());
     }
 
     #[test]
     fn unknown_table_is_caught_with_a_catalog() {
-        let plan = SemNode::scan("dragons");
+        let plan = over("dragons", Vec::new());
         let report = verify_plan(&plan, Some(db().catalog()));
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(report.diagnostics[0].code, "unknown-table");
@@ -863,15 +738,18 @@ mod tests {
 
     #[test]
     fn missing_filter_column_is_caught() {
-        let plan = filter(scan(), &["Town", "Municipality"]);
+        let plan = over("schools", vec![filter(&["Town", "Municipality"])]);
         let report = verify_plan(&plan, Some(db().catalog()));
         assert_eq!(report.diagnostics[0].code, "column-missing");
         assert_eq!(report.diagnostics[0].path, "0");
         // One level down the chain, the same filter's path is "0/0".
-        let plan = SemNode::Generate {
-            input: Box::new(filter(scan(), &["Town", "Municipality"])),
-            request: "q".into(),
-            format: GenFormat::Free,
+        let plan = SemPlan::Frame {
+            source: FrameSource::scan("schools"),
+            steps: vec![filter(&["Town", "Municipality"])],
+            gen: Some(Generate {
+                request: "q".into(),
+                format: GenFormat::Free,
+            }),
         };
         let report = verify_plan(&plan, Some(db().catalog()));
         let missing: Vec<&str> = report
@@ -886,10 +764,8 @@ mod tests {
     #[test]
     fn column_resolution_is_case_insensitive_like_the_runtime() {
         let db = db();
-        for plan in [
-            filter(scan(), &["CITY"]),
-            filter(SemNode::scan("SCHOOLS"), &["CITY"]),
-        ] {
+        for table in ["schools", "SCHOOLS"] {
+            let plan = over(table, vec![filter(&["CITY"])]);
             let report = verify_plan(&plan, Some(db.catalog()));
             assert!(report.is_ok(), "{}", report.render());
         }
@@ -898,7 +774,8 @@ mod tests {
     /// A folded predicate of the right type is still inexact over an
     /// indexed column (a B-tree answers in key order, the kernel keeps
     /// table order) or over a name `scan_sql` cannot quote. Lowering
-    /// leaves both above the scan; a plan that folds them anyway fails.
+    /// leaves both as steps after the scan; a plan that folds them anyway
+    /// fails.
     #[test]
     fn fold_over_an_index_or_an_unquotable_name_is_inexact() {
         let mut db = Database::new();
@@ -914,16 +791,17 @@ mod tests {
                 over: true,
                 value: 0.0,
             };
-            let naive = SemNode::Predicate {
-                input: Box::new(SemNode::scan(table)),
-                pred: pred.clone(),
-            };
+            let naive = over(table, vec![SemStep::Predicate { pred: pred.clone() }]);
             let lowered = lower_scans(naive.clone(), db.catalog(), &SemReads::All);
-            let folded = SemNode::Scan {
-                table: table.into(),
-                columns: None,
-                filters: vec![pred],
-                cut: None,
+            let folded = SemPlan::Frame {
+                source: FrameSource::Scan {
+                    table: table.into(),
+                    columns: None,
+                    filters: vec![pred],
+                    cut: None,
+                },
+                steps: Vec::new(),
+                gen: None,
             };
             let report =
                 verify_rewrite(&naive, &folded, &SemOptOptions::none(), Some(db.catalog()));
@@ -936,91 +814,29 @@ mod tests {
     }
 
     #[test]
-    fn exec_over_points_is_caught() {
-        let plan = SemNode::Cut {
-            input: Box::new(SemNode::Retrieve {
-                query: "q".into(),
-                k: 10,
-                kind: RetrieveKind::Rows,
-            }),
-            cut: CutSpec {
-                sort_by: "x".into(),
-                descending: false,
-                k: 5,
-            },
-        };
-        let report = verify_plan(&plan, Some(db().catalog()));
-        assert!(report.diagnostics.iter().any(|d| d.code == "points-input"));
-    }
-
-    #[test]
-    fn gen_below_root_is_caught() {
-        let plan = SemNode::Cut {
-            input: Box::new(SemNode::Generate {
-                input: Box::new(scan()),
-                request: "q".into(),
-                format: GenFormat::Free,
-            }),
-            cut: CutSpec {
-                sort_by: "answer".into(),
-                descending: false,
-                k: 1,
-            },
-        };
-        let report = verify_plan(&plan, Some(db().catalog()));
-        let gen = report
-            .diagnostics
-            .iter()
-            .find(|d| d.code == "gen-not-root")
-            .expect("gen-not-root diagnostic");
-        assert_eq!(gen.path, "0/0");
-    }
-
-    #[test]
     fn zero_k_cut_is_caught() {
-        let plan = SemNode::Cut {
-            input: Box::new(scan()),
-            cut: CutSpec {
-                sort_by: "Longitude".into(),
-                descending: true,
-                k: 0,
-            },
-        };
+        let plan = over("schools", vec![cut("Longitude", 0)]);
         let report = verify_plan(&plan, Some(db().catalog()));
         assert!(report.diagnostics.iter().any(|d| d.code == "empty-cut"));
     }
 
     #[test]
-    fn rerank_over_table_rows_is_caught() {
-        let plan = SemNode::Rerank {
-            input: Box::new(scan()),
-            query: "q".into(),
-            keep: 5,
-        };
-        let report = verify_plan(&plan, Some(db().catalog()));
-        assert!(report.diagnostics.iter().any(|d| d.code == "rerank-input"));
-    }
-
-    #[test]
     fn real_rewrite_passes_verify_rewrite() {
-        let naive = SemNode::Cut {
-            input: Box::new(filter(
-                SemNode::Predicate {
-                    input: Box::new(filter(scan(), &["City", "city"])),
+        let naive = over(
+            "schools",
+            vec![
+                filter(&["City", "city"]),
+                SemStep::Predicate {
                     pred: SemPredicate::NumCmp {
                         attr: "Longitude".into(),
                         over: false,
                         value: -120.0,
                     },
                 },
-                &["City", "city"],
-            )),
-            cut: CutSpec {
-                sort_by: "Longitude".into(),
-                descending: true,
-                k: 1,
-            },
-        };
+                filter(&["City", "city"]),
+                cut("Longitude", 1),
+            ],
+        );
         let opts = SemOptOptions::all();
         let optimized = optimize_sem(naive.clone(), &opts);
         let db = db();
@@ -1031,35 +847,33 @@ mod tests {
 
     #[test]
     fn dropped_predicate_breaks_conservation() {
-        let naive = SemNode::Predicate {
-            input: Box::new(filter(scan(), &["City"])),
-            pred: SemPredicate::TextEq {
-                attr: "School".into(),
-                value: "Gunn".into(),
-            },
-        };
+        let naive = over(
+            "schools",
+            vec![
+                filter(&["City"]),
+                SemStep::Predicate {
+                    pred: SemPredicate::TextEq {
+                        attr: "School".into(),
+                        value: "Gunn".into(),
+                    },
+                },
+            ],
+        );
         // A "rewrite" that silently drops the predicate.
-        let broken = filter(scan(), &["City"]);
+        let broken = over("schools", vec![filter(&["City"])]);
         let report = verify_rewrite(&naive, &broken, &SemOptOptions::none(), None);
         assert!(report.diagnostics.iter().any(|d| d.code == "conservation"));
     }
 
     #[test]
     fn annotated_explain_is_deterministic_and_ordered() {
-        let plan = SemNode::Cut {
-            input: Box::new(filter(scan(), &["City"])),
-            cut: CutSpec {
-                sort_by: "Longitude".into(),
-                descending: true,
-                k: 1,
-            },
-        };
+        let plan = over("schools", vec![filter(&["City"]), cut("Longitude", 1)]);
         let db = db();
         let a = annotated_explain(&plan, Some(db.catalog()));
         let b = annotated_explain(&plan, Some(db.catalog()));
         assert_eq!(a, b);
         let lines: Vec<&str> = a.lines().collect();
-        // Pre-order: root cut, then filter, then scan; each annotated.
+        // Root first: cut, then filter, then scan; each annotated.
         assert!(lines[0].starts_with("Cut "), "{a}");
         assert!(lines[1].trim_start().starts_with("SemFilter "), "{a}");
         assert!(lines[2].trim_start().starts_with("Scan "), "{a}");

@@ -4,15 +4,17 @@
 //! every rule combination, and the static LM-call bound must never be
 //! raised by optimization.
 //!
-//! Plans are grown from a vector of random words: a leaf (scan, input,
-//! or retrieval), a stack of exec-stage operators, and an optional
-//! gen-stage root — the same shapes the compilers in `tag-core` emit,
-//! but with arbitrary structure, columns, and constants.
+//! Plans are grown from a vector of random words: a frame source (scan
+//! or input), a chain of exec-stage steps, and an optional generation;
+//! or a retrieval, an optional rerank, and a generation — the same
+//! shapes the compilers in `tag-core` emit, but with arbitrary steps,
+//! columns, and constants.
 
 use proptest::prelude::*;
 use tag_sql::{
-    optimize_sem, plan_cost, verify_plan, verify_rewrite, CutSpec, GenFormat, RetrieveKind,
-    SemClaimSpec, SemFrame, SemNode, SemOptOptions, SemPredicate, Value,
+    optimize_sem, plan_cost, verify_plan, verify_rewrite, CutSpec, FrameSource, GenFormat,
+    Generate, Rerank, Retrieve, RetrieveKind, SemClaimSpec, SemFrame, SemOptOptions, SemPlan,
+    SemPredicate, SemStep, Value,
 };
 
 /// All 8 rewrite-rule combinations.
@@ -57,54 +59,46 @@ fn cut(w: u64) -> CutSpec {
     }
 }
 
-/// A leaf for an exec-stage stack: scan or materialized rows.
-fn exec_leaf(w: u64) -> SemNode {
+/// A frame source: scan or materialized rows.
+fn frame_source(w: u64) -> FrameSource {
     if w.is_multiple_of(3) {
-        SemNode::Input {
+        FrameSource::Input {
             frame: SemFrame::from_rows(
                 vec![col(w / 3), col(w / 5 + 1)],
                 (0..(w % 13)).map(|i| [Value::Text(format!("r{i}")), Value::Float(i as f64)]),
             ),
         }
     } else {
-        SemNode::scan("schools")
+        FrameSource::scan("schools")
     }
 }
 
-/// One exec-stage operator over `input`, picked by `w`.
-fn exec_op(input: SemNode, w: u64) -> SemNode {
-    let input = Box::new(input);
+/// One exec-stage step, picked by `w`.
+fn exec_step(w: u64) -> SemStep {
     match w % 5 {
-        0 => SemNode::Predicate {
-            input,
+        0 => SemStep::Predicate {
             pred: SemPredicate::NumCmp {
                 attr: col(w / 6),
                 over: w.is_multiple_of(2),
                 value: (w % 100) as f64,
             },
         },
-        1 => SemNode::Predicate {
-            input,
+        1 => SemStep::Predicate {
             pred: SemPredicate::TextEqAny {
                 columns: vec![col(w / 6), col(w / 11 + 2)],
                 value: "Fresno".into(),
             },
         },
-        2 => SemNode::SemFilter {
-            input,
+        2 => SemStep::SemFilter {
             columns: vec![col(w / 6), col(w / 11 + 1)],
             resolve: w.is_multiple_of(2),
             claim: claim(w / 13),
             distinct: false,
             early_stop: None,
         },
-        3 => SemNode::Cut {
-            input,
-            cut: cut(w / 6),
-        },
+        3 => SemStep::Cut { cut: cut(w / 6) },
         // `w % 5` is 4 here, so k draws from `w / 5`.
-        _ => SemNode::SemTopK {
-            input,
+        _ => SemStep::SemTopK {
             on_attr: col(w / 6),
             property: "memorable".into(),
             k: 1 + (w / 5 % 5) as usize,
@@ -112,47 +106,37 @@ fn exec_op(input: SemNode, w: u64) -> SemNode {
     }
 }
 
-/// Grow one naive plan from random words: leaf, operator stack, and an
-/// optional gen root; one word in three instead picks a retrieval
-/// pipeline (the RAG / rerank shapes).
-fn build_plan(words: &[u64]) -> SemNode {
+/// Grow one naive plan from random words: source, steps, and an optional
+/// generation; one word in three instead picks a retrieval pipeline (the
+/// RAG / rerank shapes).
+fn build_plan(words: &[u64]) -> SemPlan {
     let first = words.first().copied().unwrap_or(0);
+    let gen = |format| Generate {
+        request: "the question".into(),
+        format,
+    };
     if first % 3 == 0 {
-        let retrieve = SemNode::Retrieve {
-            query: "the question".into(),
-            k: 1 + (first % 20) as usize,
-            kind: RetrieveKind::Candidates,
-        };
-        let pool = if first % 2 == 0 {
-            SemNode::Rerank {
-                input: Box::new(retrieve),
+        return SemPlan::Points {
+            retrieve: Retrieve {
+                query: "the question".into(),
+                k: 1 + (first % 20) as usize,
+                kind: RetrieveKind::Candidates,
+            },
+            rerank: (first % 2 == 0).then(|| Rerank {
                 query: "the question".into(),
                 keep: 1 + (first % 10) as usize,
-            }
-        } else {
-            retrieve
-        };
-        return SemNode::Generate {
-            input: Box::new(pool),
-            request: "the question".into(),
-            format: GenFormat::List,
+            }),
+            gen: gen(GenFormat::List),
         };
     }
-    let mut plan = exec_leaf(first);
-    for &w in &words[1..] {
-        plan = exec_op(plan, w);
-    }
-    match first % 4 {
-        0 | 1 => SemNode::Generate {
-            input: Box::new(plan),
-            request: "the question".into(),
-            format: if first % 4 == 0 {
-                GenFormat::Free
-            } else {
-                GenFormat::FreeOrAgg
-            },
+    SemPlan::Frame {
+        source: frame_source(first),
+        steps: words[1..].iter().map(|&w| exec_step(w)).collect(),
+        gen: match first % 4 {
+            0 => Some(gen(GenFormat::Free)),
+            1 => Some(gen(GenFormat::FreeOrAgg)),
+            _ => None,
         },
-        _ => plan,
     }
 }
 
@@ -234,41 +218,36 @@ proptest! {
     }
 }
 
-/// Clear the `distinct` flag on the first fused early-stop filter.
-fn clear_first_fused_distinct(node: &mut SemNode) -> bool {
-    if let SemNode::SemFilter {
-        distinct,
-        early_stop: Some(_),
-        ..
-    } = node
-    {
-        *distinct = false;
-        return true;
-    }
-    match node {
-        SemNode::Predicate { input, .. }
-        | SemNode::SemFilter { input, .. }
-        | SemNode::Cut { input, .. }
-        | SemNode::SemTopK { input, .. }
-        | SemNode::Rerank { input, .. }
-        | SemNode::Generate { input, .. } => clear_first_fused_distinct(input),
-        SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => false,
-    }
+/// Clear the `distinct` flag on the first fused early-stop filter, root
+/// first.
+fn clear_first_fused_distinct(plan: &mut SemPlan) -> bool {
+    let SemPlan::Frame { steps, .. } = plan else {
+        return false;
+    };
+    steps.iter_mut().rev().any(|step| match step {
+        SemStep::SemFilter {
+            distinct,
+            early_stop: Some(_),
+            ..
+        } => {
+            *distinct = false;
+            true
+        }
+        _ => false,
+    })
 }
 
-/// Splice the first `Predicate` out of the plan.
-fn drop_first_predicate(node: &mut SemNode) -> bool {
-    if let SemNode::Predicate { input, .. } = node {
-        *node = (**input).clone();
-        return true;
-    }
-    match node {
-        SemNode::Predicate { input, .. }
-        | SemNode::SemFilter { input, .. }
-        | SemNode::Cut { input, .. }
-        | SemNode::SemTopK { input, .. }
-        | SemNode::Rerank { input, .. }
-        | SemNode::Generate { input, .. } => drop_first_predicate(input),
-        SemNode::Scan { .. } | SemNode::Input { .. } | SemNode::Retrieve { .. } => false,
-    }
+/// Splice the first `Predicate`, root first, out of the plan.
+fn drop_first_predicate(plan: &mut SemPlan) -> bool {
+    let SemPlan::Frame { steps, .. } = plan else {
+        return false;
+    };
+    let Some(at) = steps
+        .iter()
+        .rposition(|step| matches!(step, SemStep::Predicate { .. }))
+    else {
+        return false;
+    };
+    steps.remove(at);
+    true
 }
