@@ -21,8 +21,8 @@ use crate::scanner::{find_all, find_word};
 use std::collections::BTreeSet;
 
 /// Result-producing files covered by the determinism ratchet: the
-/// columnar executor stack, its partial aggregates, the shared
-/// aggregate/sort semantics in `exec.rs`, the semantic-plan runtime,
+/// columnar executor stack, the shared aggregate/sort semantics in
+/// `exec.rs`, the semantic-plan runtime,
 /// whose kernels number values with hash maps that must only be looked
 /// up (prompt order never comes from hash iteration), and the SemPlan
 /// verifier and cost bound, whose `EXPLAIN VERIFY` text is byte-stable
@@ -33,7 +33,6 @@ pub const DET_PATHS: &[&str] = &[
     "crates/sqlengine/src/chunk_exec.rs",
     "crates/sqlengine/src/exec.rs",
     "crates/sqlengine/src/morsel.rs",
-    "crates/sqlengine/src/partial.rs",
     "crates/sqlengine/src/semcost.rs",
     "crates/sqlengine/src/semverify.rs",
     "crates/sqlengine/src/vector.rs",

@@ -12,10 +12,11 @@
 //! `Range` batches ([`crate::morsel`]); index probes select their rows
 //! of it in one batch, and `VALUES` builds one small owned batch. Every downstream operator works a batch at a
 //! time (filter narrows them, project rebuilds them, aggregate folds
-//! per-batch partials). A project of column references only rebuilds
+//! them into its groups). A project of column references only rebuilds
 //! nothing: each batch keeps its rows and views the chosen columns
 //! ([`Chunk::project`]). Operators run one at a time, bottom-up, each
-//! walking its batches in order on the calling thread.
+//! walking its batches in order on the calling thread, so batch order
+//! is row order and nothing an operator builds needs merging.
 //!
 //! # Determinism contract
 //!
@@ -24,16 +25,16 @@
 //! builds only) for every morsel size; the in-crate parity proptest
 //! (`parity` below) holds the two against each other.
 //!
-//! - Aggregates keep per-(group, call) [`PartialAgg`] accumulators fed
-//!   with global row seqs, so COUNT/MIN/MAX merge exactly and
-//!   order-sensitive states (SUM/TOTAL/AVG/GROUP_CONCAT and all
-//!   DISTINCT aggregates) replay through the shared [`AggState`] in seq
-//!   order; float non-associativity and integer-overflow promotion can
-//!   never reorder. Group output order is first-seen under the
-//!   batch-order merge — the single-pass order.
-//! - Sort orders by `(key, global seq)` — a total order equal to a
-//!   stable sort (see [`crate::exec::compare_keys`]'s ordering
-//!   contract).
+//! - Aggregates keep one [`AggState`] per (group, call), fed in row
+//!   order exactly as [`aggregate_rows`] feeds it, so float addition,
+//!   integer-overflow promotion, GROUP_CONCAT and DISTINCT first
+//!   occurrences follow the reference's order. Groups are numbered in
+//!   first-seen order under one map of group keys, which also unifies
+//!   keys that compare equal across batches of different column types
+//!   (`Int(7)` and `Float(7.0)`) and keeps the first one seen.
+//! - Sort is one stable sort on the key over rows pushed in row order;
+//!   top-k keeps the best `LIMIT + OFFSET` rows under (key, row order)
+//!   (see [`crate::exec::compare_keys`]'s ordering contract).
 //! - Hash-join build chains right rows so each key's chain runs in
 //!   ascending right-row order ([`BuildTable`]); probe preserves left
 //!   order per batch.
@@ -54,12 +55,11 @@ use crate::error::{SqlError, SqlResult};
 use crate::exec::{aggregate_rows, compare_keys, eval_keys, AggState};
 use crate::expr::{column_only, BoundExpr, EvalCtx};
 use crate::morsel::{morsels, MORSEL_ROWS};
-use crate::partial::PartialAgg;
 use crate::plan::{AggCall, Plan, SortKey};
 use crate::schema::Row;
 use crate::table::{Table, TableIndex};
 use crate::value::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Execute a plan against a catalog, producing the root operator's
@@ -74,8 +74,8 @@ pub fn execute(plan: &Plan, catalog: &Catalog, spans: bool) -> SqlResult<Vec<Bat
     execute_morsels(plan, catalog, spans, MORSEL_ROWS)
 }
 
-/// [`execute`] at an explicit morsel size, so the parity test can force
-/// cross-batch merges on tiny tables.
+/// [`execute`] at an explicit morsel size, so the parity test can put
+/// batch boundaries inside groups and ties on tiny tables.
 fn execute_morsels(
     plan: &Plan,
     catalog: &Catalog,
@@ -88,12 +88,6 @@ fn execute_morsels(
         spans,
     };
     ctx.exec_node(plan)
-}
-
-/// Run `f` over task indices `0..tasks` in order, stopping at the first
-/// error (see the module determinism contract).
-fn fan<T>(tasks: usize, f: impl FnMut(usize) -> SqlResult<T>) -> SqlResult<Vec<T>> {
-    (0..tasks).map(f).collect()
 }
 
 /// The rows an index access path selected: one batch selecting them, in
@@ -186,15 +180,15 @@ impl<'a> ChunkCtx<'a> {
             Plan::Filter { input, predicate } => {
                 let batches = self.exec_node(input)?;
                 let ctx = self.eval();
-                let out = fan(batches.len(), |i| {
-                    let b = &batches[i];
-                    match crate::vector::eval_filter(predicate, b, &ctx) {
+                let out = batches
+                    .iter()
+                    .map(|b| match crate::vector::eval_filter(predicate, b, &ctx) {
                         Ok(keep) => Ok(b.narrow(&keep)),
                         Err(e) => Err(exact_row_error(b, e, |row| {
                             predicate.eval_predicate_ctx(row, &ctx).map(|_| ())
                         })),
-                    }
-                })?;
+                    })
+                    .collect::<SqlResult<Vec<_>>>()?;
                 Ok(out.into_iter().filter(|b| !b.is_empty()).collect())
             }
             Plan::Project { input, exprs, .. } => {
@@ -203,22 +197,24 @@ impl<'a> ChunkCtx<'a> {
                     return Ok(project_views(batches, &cols));
                 }
                 let ctx = self.eval();
-                let out = fan(batches.len(), |i| {
-                    let b = &batches[i];
-                    let cols: SqlResult<Vec<ColumnData>> = exprs
-                        .iter()
-                        .map(|e| crate::vector::eval_column(e, b, &ctx))
-                        .collect();
-                    match cols {
-                        Ok(cols) => Ok(Batch::owned(Chunk::with_len(cols, b.len()))),
-                        Err(e) => Err(exact_row_error(b, e, |row| {
-                            for e in exprs {
-                                e.eval_ctx(row, &ctx)?;
-                            }
-                            Ok(())
-                        })),
-                    }
-                })?;
+                let out = batches
+                    .iter()
+                    .map(|b| {
+                        let cols: SqlResult<Vec<ColumnData>> = exprs
+                            .iter()
+                            .map(|e| crate::vector::eval_column(e, b, &ctx))
+                            .collect();
+                        match cols {
+                            Ok(cols) => Ok(Batch::owned(Chunk::with_len(cols, b.len()))),
+                            Err(e) => Err(exact_row_error(b, e, |row| {
+                                for e in exprs {
+                                    e.eval_ctx(row, &ctx)?;
+                                }
+                                Ok(())
+                            })),
+                        }
+                    })
+                    .collect::<SqlResult<Vec<_>>>()?;
                 Ok(out.into_iter().filter(|b| !b.is_empty()).collect())
             }
             Plan::Aggregate {
@@ -295,9 +291,9 @@ impl<'a> ChunkCtx<'a> {
         }
     }
 
-    /// Group-by aggregation with per-batch partials merged in batch
-    /// order (see the module determinism contract for why SUM/TOTAL/AVG
-    /// and DISTINCT partials are replayed rather than merged).
+    /// Group-by aggregation: one pass over the batches in row order,
+    /// folding every row into its group's accumulators (see
+    /// [`Groups`]).
     fn aggregate(
         &self,
         input: &Plan,
@@ -306,81 +302,18 @@ impl<'a> ChunkCtx<'a> {
     ) -> SqlResult<Vec<Batch>> {
         let batches = self.exec_node(input)?;
         let ctx = self.eval();
-        // Global row seq of each batch's first row: the batch-order
-        // prefix sum, so partials merge under the seq contract of
-        // [`PartialAgg`].
-        let mut bases = Vec::with_capacity(batches.len());
-        let mut base = 0u64;
+        let mut groups = Groups::new(aggs);
         for b in &batches {
-            bases.push(base);
-            base += b.len() as u64;
-        }
-        let width = group.len() + aggs.len();
-        // The exact row-at-a-time error: run the whole aggregate over
-        // rows. Only an expression that fails intermittently (an LM UDF)
-        // can succeed here, and then these rows are the answer.
-        let replay = || {
-            let rows = aggregate_rows(&batches_to_rows(&batches), group, aggs, &ctx)?;
-            Ok(vec![Batch::from_rows(width, rows)])
-        };
-        let Ok(locals) = fan(batches.len(), |i| {
-            local_aggregate(&batches[i], bases[i], group, aggs, &ctx)
-        }) else {
-            return replay();
-        };
-
-        // Batch-order merge: first-seen group order and first-seen
-        // representative keys, exactly like a single pass over rows.
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut keys: Vec<Vec<Value>> = Vec::new();
-        let mut states: Vec<Vec<PartialAgg>> = Vec::new();
-        for local in locals {
-            for (key, partials) in local.keys.into_iter().zip(local.states) {
-                match index.get(&key) {
-                    Some(&gi) => {
-                        for (mine, theirs) in states[gi].iter_mut().zip(partials) {
-                            mine.merge(theirs)?;
-                        }
-                    }
-                    None => {
-                        index.insert(key.clone(), keys.len());
-                        keys.push(key);
-                        states.push(partials);
-                    }
-                }
+            if groups.fold(b, group, &ctx).is_err() {
+                // The exact row-at-a-time error: run the whole aggregate
+                // over rows. Only an expression that fails intermittently
+                // (an LM UDF) can succeed here, and then these rows are
+                // the answer.
+                let rows = aggregate_rows(&batches_to_rows(&batches), group, aggs, &ctx)?;
+                return Ok(vec![Batch::from_rows(group.len() + aggs.len(), rows)]);
             }
         }
-
-        // Global aggregation over an empty input still yields one row.
-        if group.is_empty() && keys.is_empty() {
-            let row: Row = aggs
-                .iter()
-                .map(|a| AggState::new(a.func).finish(&a.separator))
-                .collect();
-            return Ok(vec![Batch::from_rows(aggs.len(), [row])]);
-        }
-
-        let mut columns: Vec<Vec<Value>> =
-            (0..width).map(|_| Vec::with_capacity(keys.len())).collect();
-        for (key, partials) in keys.into_iter().zip(states) {
-            for (c, v) in key.into_iter().enumerate() {
-                columns[c].push(v);
-            }
-            for (i, (p, a)) in partials.into_iter().zip(aggs).enumerate() {
-                match p.finish(a) {
-                    Ok(v) => columns[group.len() + i].push(v),
-                    // Finish-time errors (e.g. SUM over non-numeric
-                    // values).
-                    Err(_) => return replay(),
-                }
-            }
-        }
-        if columns.first().map(Vec::len).unwrap_or(0) == 0 && width > 0 {
-            return Ok(Vec::new());
-        }
-        Ok(vec![Batch::owned(Chunk::new(
-            columns.into_iter().map(ColumnData::from_values).collect(),
-        ))])
+        Ok(groups.finish(group.len()))
     }
 
     fn hash_join(
@@ -402,21 +335,22 @@ impl<'a> ChunkCtx<'a> {
         let right_chunk = concat_batches_chunk(&right_b, rw);
         let right_keys = {
             let whole = Batch::range(Arc::clone(&right_chunk), 0, right_chunk.len());
-            let ranges = morsels(right_chunk.len(), self.morsel_rows);
-            let cols = fan(ranges.len(), |i| {
-                let (s, e) = ranges[i];
-                crate::vector::eval_column(right_key, &whole.slice_local(s, e), &ctx)
-            })?;
+            let cols = morsels(right_chunk.len(), self.morsel_rows)
+                .into_iter()
+                .map(|(s, e)| crate::vector::eval_column(right_key, &whole.slice_local(s, e), &ctx))
+                .collect::<SqlResult<Vec<_>>>()?;
             ColumnData::concat(cols)
         };
         let table = BuildTable::new(&right_keys);
 
         // Probe side, per left batch (preserving left order).
-        let out = fan(left_b.len(), |bi| {
-            let b = &left_b[bi];
-            let pairs = probe_batch(b, left_key, residual, kind, &table, &right_chunk, &ctx)?;
-            Ok(joined_batch(b, &pairs, &right_chunk))
-        })?;
+        let out = left_b
+            .iter()
+            .map(|b| {
+                let pairs = probe_batch(b, left_key, residual, kind, &table, &right_chunk, &ctx)?;
+                Ok(joined_batch(b, &pairs, &right_chunk))
+            })
+            .collect::<SqlResult<Vec<_>>>()?;
         Ok(out.into_iter().flatten().collect())
     }
 
@@ -434,8 +368,8 @@ impl<'a> ChunkCtx<'a> {
         let right_chunk = concat_batches_chunk(&right_b, rw);
         let n_right = right_chunk.len();
 
-        let out = fan(left_b.len(), |bi| {
-            let b = &left_b[bi];
+        let mut out = Vec::with_capacity(left_b.len());
+        for b in &left_b {
             // Row-major within the batch — the reference's loop order,
             // so predicate errors surface identically.
             let mut pairs: Vec<(u32, Option<u32>)> = Vec::new();
@@ -462,32 +396,30 @@ impl<'a> ChunkCtx<'a> {
                     pairs.push((local as u32, None));
                 }
             }
-            Ok(joined_batch(b, &pairs, &right_chunk))
-        })?;
-        Ok(out.into_iter().flatten().collect())
+            out.extend(joined_batch(b, &pairs, &right_chunk));
+        }
+        Ok(out)
     }
 
+    /// One stable sort on the key alone: entries are pushed in row
+    /// order, so ties keep it (the [`compare_keys`] ordering contract).
     fn sort(&self, input: &Plan, keys: &[SortKey]) -> SqlResult<Vec<Batch>> {
         let batches = self.exec_node(input)?;
         let ctx = self.eval();
-        let keyed = fan(batches.len(), |i| sort_keys_for(&batches[i], keys, &ctx))?;
-        // (key, batch, local): the (batch, local) pair is the global
-        // input sequence, making the comparison a total order equal to
-        // a stable sort (compare_keys contract).
-        let mut entries: Vec<(Vec<Value>, u32, u32)> = Vec::with_capacity(batches_len(&batches));
-        for (bi, batch_keys) in keyed.into_iter().enumerate() {
+        let mut entries: Vec<Entry> = Vec::with_capacity(batches_len(&batches));
+        for (bi, b) in batches.iter().enumerate() {
+            let batch_keys = sort_keys_for(b, keys, &ctx)?;
             for (local, key) in batch_keys.into_iter().enumerate() {
                 entries.push((key, bi as u32, local as u32));
             }
         }
-        entries.sort_unstable_by(|a, b| {
-            compare_keys(&a.0, &b.0, keys)
-                .then(a.1.cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-        });
+        entries.sort_by(|a, b| compare_keys(&a.0, &b.0, keys));
         self.gather_ordered(&batches, &entries, input.width())
     }
 
+    /// The best `offset + k` rows under (key, batch, row), kept sorted in
+    /// one vector bounded by `offset + k` across all batches; what
+    /// follows the first `offset` of them is the answer.
     fn top_k(
         &self,
         input: &Plan,
@@ -501,19 +433,18 @@ impl<'a> ChunkCtx<'a> {
             return Ok(Vec::new());
         }
         let ctx = self.eval();
-        // Per-batch local top-`want` under (key, local seq): a superset
-        // of the global winners from that batch.
-        let locals = fan(batches.len(), |i| {
-            let batch_keys = sort_keys_for(&batches[i], keys, &ctx)?;
-            // `want` comes from the statement (LIMIT + OFFSET): reserve
-            // for the batch, never for the number the query names.
-            let mut top: Vec<(Vec<Value>, u32)> =
-                Vec::with_capacity(want.min(batch_keys.len()) + 1);
+        let cmp = |a: &Entry, b: &Entry| {
+            compare_keys(&a.0, &b.0, keys)
+                .then(a.1.cmp(&b.1))
+                .then(a.2.cmp(&b.2))
+        };
+        // `want` comes from the statement (LIMIT + OFFSET): reserve for
+        // the rows, never for the number the query names.
+        let mut top: Vec<Entry> = Vec::with_capacity(want.min(batches_len(&batches)) + 1);
+        for (bi, b) in batches.iter().enumerate() {
+            let batch_keys = sort_keys_for(b, keys, &ctx)?;
             for (local, key) in batch_keys.into_iter().enumerate() {
-                let entry = (key, local as u32);
-                let cmp = |a: &(Vec<Value>, u32), b: &(Vec<Value>, u32)| {
-                    compare_keys(&a.0, &b.0, keys).then(a.1.cmp(&b.1))
-                };
+                let entry = (key, bi as u32, local as u32);
                 if top.len() < want {
                     top.push(entry);
                     if top.len() == want {
@@ -530,22 +461,12 @@ impl<'a> ChunkCtx<'a> {
                     top.pop();
                 }
             }
-            Ok(top)
-        })?;
-        let mut entries: Vec<(Vec<Value>, u32, u32)> = Vec::new();
-        for (bi, local) in locals.into_iter().enumerate() {
-            for (key, l) in local {
-                entries.push((key, bi as u32, l));
-            }
         }
-        entries.sort_unstable_by(|a, b| {
-            compare_keys(&a.0, &b.0, keys)
-                .then(a.1.cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-        });
-        let picked: Vec<(Vec<Value>, u32, u32)> =
-            entries.into_iter().skip(offset).take(k).collect();
-        self.gather_ordered(&batches, &picked, input.width())
+        if top.len() < want {
+            top.sort_unstable_by(cmp);
+        }
+        top.drain(..offset.min(top.len()));
+        self.gather_ordered(&batches, &top, input.width())
     }
 
     /// Build the output chunk for an ordered (batch, local) permutation,
@@ -553,7 +474,7 @@ impl<'a> ChunkCtx<'a> {
     fn gather_ordered(
         &self,
         batches: &[Batch],
-        entries: &[(Vec<Value>, u32, u32)],
+        entries: &[Entry],
         width: usize,
     ) -> SqlResult<Vec<Batch>> {
         if entries.is_empty() {
@@ -572,6 +493,9 @@ impl<'a> ChunkCtx<'a> {
         Ok(vec![Batch::owned(Chunk::with_len(cols, entries.len()))])
     }
 }
+
+/// A row's sort key and its (batch, local) position.
+type Entry = (Vec<Value>, u32, u32);
 
 /// Evaluate sort keys for every row of a batch, falling back to a
 /// row-major replay on error so the error matches the reference.
@@ -734,136 +658,140 @@ impl BuildTable {
     }
 }
 
-/// One batch's local aggregation: first-seen keys plus partial states.
-/// The partials are fed with global row seqs (`base_seq` + local
-/// offset) so the batch-order merge is just the seq-order merge.
-struct LocalAgg {
+/// A running aggregate: the groups in first-seen order and, per
+/// (group, call), the [`AggState`] that [`aggregate_rows`] would hold
+/// at the same row, plus the values a DISTINCT call has taken.
+struct Groups<'a> {
+    aggs: &'a [AggCall],
+    /// Group key to group id: the one map every batch resolves to, so
+    /// keys that compare equal are one group whatever their column type
+    /// in each batch, keyed by the first one seen.
+    index: HashMap<Vec<Value>, usize>,
     keys: Vec<Vec<Value>>,
-    states: Vec<Vec<PartialAgg>>,
+    /// `aggs.len()` states per group, group-major.
+    states: Vec<AggState>,
+    /// Parallel to `states` when some call is DISTINCT, else empty.
+    seen: Vec<HashSet<Value>>,
 }
 
-fn local_aggregate(
-    batch: &Batch,
-    base_seq: u64,
-    group: &[BoundExpr],
-    aggs: &[AggCall],
-    ctx: &EvalCtx<'_>,
-) -> SqlResult<LocalAgg> {
-    // An evaluation error here is only a signal: the caller replays the
-    // whole aggregate row-wise for the exact error.
-    let group_cols = group
-        .iter()
-        .map(|g| crate::vector::eval_column(g, batch, ctx))
-        .collect::<SqlResult<Vec<_>>>()?;
-    let arg_cols = aggs
-        .iter()
-        .map(|a| {
-            a.arg
-                .as_ref()
-                .map(|e| crate::vector::eval_column(e, batch, ctx))
-                .transpose()
-        })
-        .collect::<SqlResult<Vec<_>>>()?;
+/// A batch's group lookup. One `Int` or `Text` group column is looked
+/// up by its typed cell (`None` for NULL), so no `Vec<Value>` key is
+/// built per row; a miss goes to [`Groups::id`].
+enum Lookup<'k> {
+    Int(&'k [i64], &'k [bool], HashMap<Option<i64>, usize>),
+    Text(&'k [String], &'k [bool], HashMap<Option<&'k str>, usize>),
+    General,
+}
 
-    let mut local = LocalAgg {
-        keys: Vec::new(),
-        states: Vec::new(),
-    };
-    let new_states = |local: &mut LocalAgg, key: Vec<Value>| -> usize {
-        local.keys.push(key);
-        local
-            .states
-            .push(aggs.iter().map(PartialAgg::new).collect());
-        local.keys.len() - 1
-    };
-
-    // Typed single-column group fast paths avoid per-row Vec<Value> key
-    // allocation and enum hashing on the hottest shapes (GROUP BY one
-    // Int or Text column). Cross-type key unification (Int(7) vs
-    // Float(7.0)) is impossible inside one typed column; the cross-batch
-    // merge handles it globally through Value's own hash/eq.
-    enum Lookup<'k> {
-        Int(HashMap<i64, usize>, Option<usize>),
-        Text(HashMap<&'k str, usize>, Option<usize>),
-        General(HashMap<Vec<Value>, usize>),
-    }
-    let mut lookup = match (group.len(), group_cols.first()) {
-        (1, Some(ColumnData::Int { .. })) => Lookup::Int(HashMap::new(), None),
-        (1, Some(ColumnData::Text { .. })) => Lookup::Text(HashMap::new(), None),
-        _ => Lookup::General(HashMap::new()),
-    };
-
-    for i in 0..batch.len() {
-        let gi = match &mut lookup {
-            Lookup::Int(map, null_slot) => {
-                let ColumnData::Int { values, validity } = &group_cols[0] else {
-                    unreachable!("lookup variant fixed at construction");
-                };
-                if validity[i] {
-                    match map.get(&values[i]) {
-                        Some(&gi) => gi,
-                        None => {
-                            let gi = new_states(&mut local, vec![Value::Int(values[i])]);
-                            map.insert(values[i], gi);
-                            gi
-                        }
-                    }
-                } else {
-                    match null_slot {
-                        Some(gi) => *gi,
-                        None => {
-                            let gi = new_states(&mut local, vec![Value::Null]);
-                            *null_slot = Some(gi);
-                            gi
-                        }
-                    }
-                }
-            }
-            Lookup::Text(map, null_slot) => {
-                let ColumnData::Text { values, validity } = &group_cols[0] else {
-                    unreachable!("lookup variant fixed at construction");
-                };
-                if validity[i] {
-                    match map.get(values[i].as_str()) {
-                        Some(&gi) => gi,
-                        None => {
-                            let gi = new_states(&mut local, vec![Value::Text(values[i].clone())]);
-                            map.insert(values[i].as_str(), gi);
-                            gi
-                        }
-                    }
-                } else {
-                    match null_slot {
-                        Some(gi) => *gi,
-                        None => {
-                            let gi = new_states(&mut local, vec![Value::Null]);
-                            *null_slot = Some(gi);
-                            gi
-                        }
-                    }
-                }
-            }
-            Lookup::General(map) => {
-                let key: Vec<Value> = group_cols.iter().map(|c| c.value_at(i)).collect();
-                match map.get(&key) {
-                    Some(&gi) => gi,
-                    None => {
-                        let gi = new_states(&mut local, key.clone());
-                        map.insert(key, gi);
-                        gi
-                    }
-                }
-            }
-        };
-        for (a, col) in arg_cols.iter().enumerate() {
-            let v = match col {
-                Some(c) => c.value_at(i),
-                None => Value::Int(1), // COUNT(*) marker
-            };
-            local.states[gi][a].update(base_seq + i as u64, v);
+impl<'a> Groups<'a> {
+    fn new(aggs: &'a [AggCall]) -> Groups<'a> {
+        Groups {
+            aggs,
+            index: HashMap::new(),
+            keys: Vec::new(),
+            states: Vec::new(),
+            seen: Vec::new(),
         }
     }
-    Ok(local)
+
+    /// The id of the group `key` names, opening it on first sight.
+    fn id(&mut self, key: Vec<Value>) -> usize {
+        if let Some(&gi) = self.index.get(&key) {
+            return gi;
+        }
+        let gi = self.keys.len();
+        self.index.insert(key.clone(), gi);
+        self.keys.push(key);
+        self.states
+            .extend(self.aggs.iter().map(|a| AggState::new(a.func)));
+        if self.aggs.iter().any(|a| a.distinct) {
+            self.seen.extend(self.aggs.iter().map(|_| HashSet::new()));
+        }
+        gi
+    }
+
+    /// Fold one batch in row order. An error (evaluating a key or an
+    /// argument, or updating a state) is only a signal: the caller
+    /// replays the whole aggregate row-wise for the exact error.
+    fn fold(&mut self, batch: &Batch, group: &[BoundExpr], ctx: &EvalCtx<'_>) -> SqlResult<()> {
+        let group_cols = group
+            .iter()
+            .map(|g| crate::vector::eval_column(g, batch, ctx))
+            .collect::<SqlResult<Vec<_>>>()?;
+        let arg_cols = self
+            .aggs
+            .iter()
+            .map(|a| {
+                a.arg
+                    .as_ref()
+                    .map(|e| crate::vector::eval_column(e, batch, ctx))
+                    .transpose()
+            })
+            .collect::<SqlResult<Vec<_>>>()?;
+        let mut lookup = match group_cols.as_slice() {
+            [ColumnData::Int { values, validity }] => Lookup::Int(values, validity, HashMap::new()),
+            [ColumnData::Text { values, validity }] => {
+                Lookup::Text(values, validity, HashMap::new())
+            }
+            _ => Lookup::General,
+        };
+        let n = self.aggs.len();
+        for i in 0..batch.len() {
+            let gi = match &mut lookup {
+                Lookup::Int(values, valid, map) => {
+                    let cell = valid[i].then_some(values[i]);
+                    *map.entry(cell)
+                        .or_insert_with(|| self.id(vec![cell.map_or(Value::Null, Value::Int)]))
+                }
+                Lookup::Text(values, valid, map) => {
+                    let cell = valid[i].then(|| values[i].as_str());
+                    *map.entry(cell)
+                        .or_insert_with(|| self.id(vec![cell.map_or(Value::Null, Value::text)]))
+                }
+                Lookup::General => self.id(group_cols.iter().map(|c| c.value_at(i)).collect()),
+            };
+            for (a, (call, col)) in self.aggs.iter().zip(&arg_cols).enumerate() {
+                let slot = gi * n + a;
+                let v = match col {
+                    Some(c) => c.value_at(i),
+                    None => Value::Int(1), // COUNT(*) marker
+                };
+                if call.distinct && (v.is_null() || !self.seen[slot].insert(v.clone())) {
+                    continue;
+                }
+                self.states[slot].update(&v)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// One row per group in first-seen order: its `key_width` key
+    /// values, then one value per call.
+    fn finish(mut self, key_width: usize) -> Vec<Batch> {
+        // A global aggregation over no rows still yields one row.
+        if key_width == 0 && self.keys.is_empty() {
+            self.id(Vec::new());
+        }
+        if self.keys.is_empty() {
+            return Vec::new();
+        }
+        let (n, rows) = (self.aggs.len(), self.keys.len());
+        let mut columns: Vec<Vec<Value>> = (0..key_width + n)
+            .map(|_| Vec::with_capacity(rows))
+            .collect();
+        for key in self.keys {
+            for (c, v) in key.into_iter().enumerate() {
+                columns[c].push(v);
+            }
+        }
+        for (slot, state) in self.states.into_iter().enumerate() {
+            let a = slot % n;
+            columns[key_width + a].push(state.finish(&self.aggs[a].separator));
+        }
+        vec![Batch::owned(Chunk::new(
+            columns.into_iter().map(ColumnData::from_values).collect(),
+        ))]
+    }
 }
 
 /// Reproduce the exact error a row-at-a-time run would raise first for
@@ -889,7 +817,8 @@ fn exact_row_error(
 /// The differential test: [`execute`] against the row-at-a-time
 /// reference interpreter, results *and* errors, over randomized tables,
 /// NULL patterns, plan shapes and morsel sizes (down to 1 row per
-/// morsel, forcing cross-batch merges even on tiny tables).
+/// morsel, putting batch boundaries inside groups and ties even on
+/// tiny tables).
 #[cfg(test)]
 mod parity {
     use super::*;
@@ -900,7 +829,7 @@ mod parity {
 
     /// Random cell drawn from all four storage classes. Narrow domains
     /// on purpose: small ints and two-letter strings force group-key
-    /// collisions, join matches, and sort ties, which is where merge
+    /// collisions, join matches, and sort ties, which is where row
     /// order bugs live. Column affinity coerces at insert time, so
     /// mixed draws per column are fine (and put numeric strings into
     /// the text column, which is what lets `c + 0` succeed on some rows
@@ -994,6 +923,20 @@ mod parity {
             "SELECT t1.c, t2.a FROM t t1 JOIN t t2 \
              ON CASE WHEN t1.a > 0 THEN t1.a ELSE t1.b END = t2.a"
                 .into(),
+            // A group key whose column type varies between batches:
+            // `Int` and `Float` keys that compare equal form one group,
+            // keyed by the first one seen. (The binder matches no CASE
+            // in the select list against GROUP BY, so it is derived.)
+            format!(
+                "SELECT g, COUNT(*), MIN(g), MAX(g), SUM(b) FROM \
+                 (SELECT CASE WHEN a > {k} THEN a ELSE b END AS g, b FROM t) s GROUP BY g"
+            ),
+            "SELECT a, COUNT(DISTINCT c), GROUP_CONCAT(c) FROM t GROUP BY a".into(),
+            // Ties on `a` that span batch boundaries, cut by top-k.
+            format!(
+                "SELECT a, b, c FROM t ORDER BY a LIMIT {} OFFSET {j}",
+                k.max(0) + 1
+            ),
         ];
         pool.extend(leaf_queries(k).into_iter().map(|(sql, _)| sql));
         pool.extend(failing_queries(k));

@@ -19,9 +19,9 @@ use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// Accumulator for one aggregate call. The columnar executor's
-/// per-batch partial aggregates ([`crate::partial::PartialAgg`]) feed
-/// this same state machine, so results stay byte-identical.
+/// Accumulator for one aggregate call. The columnar executor keeps one
+/// per (group, call) and feeds it the same values in the same row order
+/// as [`aggregate_rows`] does, so results stay byte-identical.
 #[derive(Debug, Clone)]
 pub(crate) enum AggState {
     Count(i64),
@@ -206,20 +206,17 @@ pub(crate) fn aggregate_rows(
 /// # Ordering contract
 ///
 /// This comparison is a *partial* order over rows: rows with equal keys
-/// compare `Equal`. The executor turns it into a total, deterministic
-/// order with an explicit tiebreak on **input sequence** (`seq`, the
-/// 0-based position of the row in the operator's input):
+/// compare `Equal`, and ties keep **input order** (the row's position in
+/// the operator's input):
 ///
-/// - The reference's `Sort` is a stable sort, which is exactly
-///   `compare_keys(a, b).then(a.seq.cmp(&b.seq))` — ties keep input
+/// - `Sort` is a stable sort on this comparison alone — ties keep input
 ///   order, for ascending *and* descending keys (descending reverses
-///   the key comparison only, never the tiebreak).
-/// - `TopK` makes the same tiebreak explicit in its ordering
-///   (`(key, seq)`), which is what makes it byte-identical to
-///   `Sort + Limit` at every `k`/`offset` split point.
+///   the key comparison only, never the tie order).
+/// - `TopK` orders by `(key, position)`, which is what makes it
+///   byte-identical to `Sort + Limit` at every `k`/`offset` split point.
 ///
-/// The columnar executor relies on this contract: its sort and top-k
-/// order by `(key, global seq)` — a total order — so output bytes are
+/// Both executors feed their operators rows in input order (the
+/// columnar one walks its batches in row order), so output bytes are
 /// independent of morsel boundaries. `sort_contract_regression` in
 /// this module's tests pins the behavior on both executors.
 pub(crate) fn compare_keys(a: &[Value], b: &[Value], keys: &[SortKey]) -> Ordering {
@@ -645,7 +642,7 @@ mod tests {
     /// Pins the sort determinism contract: equal-key rows keep input
     /// order (ascending and descending), and TopK's `(key, seq)`
     /// ordering matches Sort + Limit across every offset split. The
-    /// columnar executor's cross-batch merge depends on this.
+    /// columnar executor's stable sort and bounded top-k depend on this.
     #[test]
     fn sort_contract_regression() {
         // Duplicate keys with distinct payloads so tie order is visible.

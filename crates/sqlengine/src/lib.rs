@@ -52,7 +52,6 @@ pub mod lexer;
 mod morsel;
 pub mod optimizer;
 pub mod parser;
-pub mod partial;
 pub mod plan;
 pub mod planner;
 pub mod result;
@@ -70,7 +69,6 @@ pub use catalog::Catalog;
 pub use engine::{Database, PlanCacheStats};
 pub use error::{SqlError, SqlResult};
 pub use expr::{BoundExpr, EvalCtx};
-pub use partial::PartialAgg;
 pub use plan::{AggCall, AggFunc, IndexRange, Plan, SortKey};
 pub use result::ResultSet;
 pub use schema::{Column, DataType, Row, Schema};

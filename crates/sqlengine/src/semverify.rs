@@ -7,8 +7,9 @@
 //! [`verify_plan`] checks a single plan against a catalog, when it is
 //! given one: the columns a frame plan's steps name resolve against its
 //! source (with the same case-insensitive, first-existing-candidate
-//! semantics the runtime uses), every cut keeps rows, and cardinality
-//! bounds stay monotone through `Cut`/`SemTopK`/`Rerank`/pre-cut.
+//! semantics the runtime uses), every cut keeps rows, a fused
+//! early-stop filter judges distinct values, and cardinality bounds stay
+//! monotone through `Cut`/`SemTopK`/`Rerank`/pre-cut.
 //! Without a catalog (`None`) every column check involving a scanned
 //! table is skipped rather than failed.
 //!
@@ -16,9 +17,10 @@
 //! predicate, semantic filter, and cut of the input plan is conserved in
 //! the output (so a rewrite can never drop or invent work), each enabled
 //! rule's postcondition holds on the output (pushdown left no predicate
-//! after a fusable filter, distinct marked every filter, precut left no
-//! cut after a fusable filter), fused filters always judge distinct
-//! values, and the static LM-call bound never increased. It also checks
+//! after a fusable filter, distinct marked every unfused filter, precut
+//! left no cut after a fusable filter), and the static LM-call bound
+//! never increased. (That a fused filter judges distinct values is
+//! well-formedness, so [`verify_plan`] alone reports it.) It also checks
 //! `lower_scans`' postcondition, whichever rules ran: work folded into a
 //! scan is conserved like any other, a folded predicate is one the
 //! engine evaluates exactly as the frame kernel does, and a projected
@@ -475,16 +477,6 @@ fn check_postconditions(plan: &SemPlan, opts: &SemOptOptions, out: &mut Vec<Diag
             })
         );
         let finding = match step {
-            // Fused filters are always distinct, regardless of options:
-            // fuse_precut is the only producer of early_stop and marks it.
-            SemStep::SemFilter {
-                distinct: false,
-                early_stop: Some(_),
-                ..
-            } => Some((
-                "fused-not-distinct",
-                "fused early-stop filter not marked distinct",
-            )),
             // Pushdown fixpoint: no exact predicate may run right after a
             // still-fusable (non-early-stop) semantic filter. A predicate
             // after an early-stop filter is legal — the fused cut does
@@ -493,9 +485,13 @@ fn check_postconditions(plan: &SemPlan, opts: &SemOptOptions, out: &mut Vec<Diag
                 "pushdown-missed",
                 "exact predicate left above a semantic filter",
             )),
-            // Distinct rewrite marks every semantic filter.
+            // Distinct rewrite marks every semantic filter. A fused one
+            // that is not marked is malformed whatever the options, and
+            // `verify_plan` reports it (`fused-not-distinct`).
             SemStep::SemFilter {
-                distinct: false, ..
+                distinct: false,
+                early_stop: None,
+                ..
             } if opts.distinct_rewrite => {
                 Some(("distinct-missed", "semantic filter left judging row-wise"))
             }
@@ -818,6 +814,34 @@ mod tests {
         let plan = over("schools", vec![cut("Longitude", 0)]);
         let report = verify_plan(&plan, Some(db().catalog()));
         assert!(report.diagnostics.iter().any(|d| d.code == "empty-cut"));
+    }
+
+    /// A fused early-stop filter not marked distinct is one defect, so
+    /// `EXPLAIN VERIFY` names it once: from the plan check, not again
+    /// from the rewrite's postconditions.
+    #[test]
+    fn fused_not_distinct_is_reported_once() {
+        let naive = over("schools", vec![filter(&["City"]), cut("Longitude", 1)]);
+        let fused = over(
+            "schools",
+            vec![SemStep::SemFilter {
+                columns: vec!["City".into()],
+                resolve: true,
+                claim: SemClaimSpec::CityInRegion {
+                    region: "Silicon Valley".into(),
+                },
+                distinct: false,
+                early_stop: Some(CutSpec {
+                    sort_by: "Longitude".into(),
+                    descending: true,
+                    k: 1,
+                }),
+            }],
+        );
+        let db = db();
+        let text = verify_report_text(&naive, &fused, &SemOptOptions::all(), Some(db.catalog()));
+        assert_eq!(text.matches("fused-not-distinct").count(), 1, "{text}");
+        assert!(!text.contains("distinct-missed"), "{text}");
     }
 
     #[test]
