@@ -7,9 +7,8 @@
 //! 1. **`tag-lint`** ([`lint`]): a hand-rolled source-level linter (no
 //!    new dependencies; the same token-scanning approach as the SQL
 //!    lexer) enforcing repo invariants — no `.unwrap()`/`.expect()` on
-//!    serve/sqlengine hot paths (ratcheted), every
-//!    `complete_op`/`complete_batch_op` call site carries a known stage
-//!    tag, and no poison-panicking `std::sync` lock use in serve.
+//!    serve/sqlengine hot paths (ratcheted), and no poison-panicking
+//!    `std::sync` lock use in serve.
 //! 2. **`tag-audit`** ([`audit`]): a multi-pass concurrency &
 //!    determinism analyzer over the same [`scanner`] infrastructure —
 //!    a lock-order pass against the declared hierarchy

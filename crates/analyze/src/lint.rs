@@ -3,18 +3,14 @@
 //! No parser dependency: the linter runs on [`crate::scanner`]'s
 //! blanked view of each source file (comments and string/char literals
 //! spaced out; `#[cfg(test)]` modules excluded via brace tracking) so
-//! rules match real code only. Three rules:
+//! rules match real code only. Two rules:
 //!
 //! 1. **`unwrap-ratchet`** — `.unwrap()` / `.expect(` on the serve,
 //!    sqlengine and semantic-plan hot paths (the files in [`HOT_PATHS`]) are counted per
 //!    file and compared against the committed ratchet baseline
 //!    (`crates/analyze/lint-ratchet.txt`). A count above baseline
 //!    fails; `--update` rewrites the baseline downward.
-//! 2. **`stage-tag`** — every `complete_op` / `complete_batch_op` call
-//!    site must pass a string-literal stage tag from the known operator
-//!    vocabulary, so per-operator metering can never silently lose a
-//!    call site.
-//! 3. **`lock-poison`** — no `.lock().unwrap()` / `.lock().expect(` in
+//! 2. **`lock-poison`** — no `.lock().unwrap()` / `.lock().expect(` in
 //!    the serve crate or on sqlengine hot paths: a panicked writer
 //!    must not cascade into every later reader. `parking_lot` locks
 //!    (no poisoning) and `unwrap_or_else(|e| e.into_inner())` recovery
@@ -27,7 +23,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Hot-path files covered by the unwrap ratchet (rule 1) and the lock
-/// rule (rule 3): the semantic-plan runtime that runs every hand-written,
+/// rule (rule 2): the semantic-plan runtime that runs every hand-written,
 /// RAG, rerank and Text2SQL + LM request, the serve request path, and
 /// the sqlengine executor with the optimizer that plans every statement
 /// it runs.
@@ -46,22 +42,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/sqlengine/src/semplan.rs",
     "crates/sqlengine/src/vector.rs",
 ];
-
-/// Known stage tags for `complete_op`/`complete_batch_op` (rule 2) —
-/// the vocabulary `SemEngine::op_stats()` aggregates by.
-pub const KNOWN_OPS: &[&str] = &[
-    "adhoc",
-    "rerank",
-    "sem_agg",
-    "sem_agg_refine",
-    "sem_filter",
-    "sem_topk",
-    "text2sql",
-];
-
-/// The file that defines and meters the op entry points; its internal
-/// forwarding calls are not call sites.
-const OP_DEFINING_FILE: &str = "crates/semops/src/engine.rs";
 
 /// Linter configuration.
 #[derive(Debug, Clone)]
@@ -85,7 +65,7 @@ impl LintConfig {
 /// One lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintFinding {
-    /// Rule name (`unwrap-ratchet`, `stage-tag`, `lock-poison`).
+    /// Rule name (`unwrap-ratchet`, `lock-poison`).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -128,7 +108,7 @@ fn count_unwraps(code: &str) -> usize {
     find_all(code, ".unwrap()").len() + find_all(code, ".expect(").len()
 }
 
-/// Rule 3: `.lock()` immediately followed (modulo whitespace) by
+/// Rule 2: `.lock()` immediately followed (modulo whitespace) by
 /// `.unwrap()` or `.expect(`.
 fn find_poison_panics(code: &str) -> Vec<usize> {
     let mut out = Vec::new();
@@ -137,48 +117,6 @@ fn find_poison_panics(code: &str) -> Vec<usize> {
         let trimmed = rest.trim_start();
         if trimmed.starts_with(".unwrap()") || trimmed.starts_with(".expect(") {
             out.push(pos);
-        }
-    }
-    out
-}
-
-/// Rule 2: check `complete_op(`/`complete_batch_op(` call sites in
-/// `with_strings` (strings intact). Returns (offset, message) pairs.
-fn check_stage_tags(with_strings: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for name in ["complete_op", "complete_batch_op"] {
-        let pattern = format!("{name}(");
-        for pos in find_all(with_strings, &pattern) {
-            // Skip definitions/imports: `fn complete_op(` and longer
-            // identifiers ending in the name (e.g. `recomplete_op`).
-            let before = &with_strings[..pos];
-            if before.trim_end().ends_with("fn") {
-                continue;
-            }
-            if before
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_')
-            {
-                continue;
-            }
-            let args = &with_strings[pos + pattern.len()..];
-            let arg = args.trim_start();
-            if let Some(rest) = arg.strip_prefix('"') {
-                match rest.split('"').next() {
-                    Some(tag) if KNOWN_OPS.contains(&tag) => {}
-                    Some(tag) => out.push((
-                        pos,
-                        format!("unknown stage tag \"{tag}\" (known: {KNOWN_OPS:?})"),
-                    )),
-                    None => out.push((pos, "unterminated stage-tag literal".to_owned())),
-                }
-            } else {
-                out.push((
-                    pos,
-                    format!("{name} call site must pass a string-literal stage tag"),
-                ));
-            }
         }
     }
     out
@@ -256,7 +194,6 @@ pub fn run_lint(config: &LintConfig, update_ratchet: bool) -> Result<LintOutcome
         let scanned = scan_source(&src);
         let ranges = test_ranges(&scanned.code);
         let code = blank_ranges(&scanned.code, &ranges);
-        let with_strings = blank_ranges(&scanned.with_strings, &ranges);
         let is_hot = HOT_PATHS.contains(&rel.as_str());
 
         if is_hot {
@@ -265,7 +202,7 @@ pub fn run_lint(config: &LintConfig, update_ratchet: bool) -> Result<LintOutcome
                 .insert(rel.clone(), count_unwraps(&code));
         }
 
-        // Rule 3 covers the whole serve crate (bins included) plus the
+        // Rule 2 covers the whole serve crate (bins included) plus the
         // sqlengine hot paths.
         if rel.starts_with(serve_prefix) || is_hot {
             for pos in find_poison_panics(&code) {
@@ -276,18 +213,6 @@ pub fn run_lint(config: &LintConfig, update_ratchet: bool) -> Result<LintOutcome
                     message: "lock unwrap/expect panics on poison; recover with \
                               unwrap_or_else(|e| e.into_inner()) or use parking_lot"
                         .to_owned(),
-                });
-            }
-        }
-
-        // Rule 2 covers every crate except the defining module.
-        if rel != OP_DEFINING_FILE {
-            for (pos, message) in check_stage_tags(&with_strings) {
-                outcome.findings.push(LintFinding {
-                    rule: "stage-tag",
-                    file: rel.clone(),
-                    line: line_of(&with_strings, pos),
-                    message,
                 });
             }
         }
@@ -384,21 +309,6 @@ mod tests {
         let hits = find_poison_panics(&scanned.code);
         assert_eq!(hits.len(), 1);
         assert_eq!(line_of(&scanned.code, hits[0]), 1);
-    }
-
-    #[test]
-    fn stage_tags_must_be_known_literals() {
-        let src = r#"
-engine.complete_op("sem_filter", p)?;
-engine.complete_op("mystery_op", p)?;
-engine.complete_batch_op(op_var, &prompts)?;
-fn complete_op(&self, op: &str) {}
-"#;
-        let scanned = scan_source(src);
-        let hits = check_stage_tags(&scanned.with_strings);
-        assert_eq!(hits.len(), 2, "{hits:?}");
-        assert!(hits[0].1.contains("mystery_op"));
-        assert!(hits[1].1.contains("string-literal"));
     }
 
     #[test]

@@ -15,22 +15,18 @@
 //! `r#"…"#` at any hash depth), byte and raw byte strings, char and
 //! byte-char literals, and lifetimes.
 
-/// Source text with comments/strings blanked (and, separately, with
-/// only comments blanked, for rules that need literal strings).
+/// Source text with comments and strings blanked.
 pub struct ScannedSource {
     /// Comments, strings, and char literals blanked. String and
     /// raw-string delimiters are kept so literal boundaries stay
     /// visible.
     pub code: String,
-    /// Comments blanked; string literals kept.
-    pub with_strings: String,
 }
 
-/// Blank comments and (into `code` only) literals.
+/// Blank comments and literals.
 pub fn scan_source(src: &str) -> ScannedSource {
     let bytes = src.as_bytes();
     let mut code: Vec<u8> = bytes.to_vec();
-    let mut with_strings: Vec<u8> = bytes.to_vec();
     let blank = |buf: &mut [u8], from: usize, to: usize| {
         for b in buf.iter_mut().take(to).skip(from) {
             if *b != b'\n' {
@@ -47,7 +43,6 @@ pub fn scan_source(src: &str) -> ScannedSource {
                     i += 1;
                 }
                 blank(&mut code, start, i);
-                blank(&mut with_strings, start, i);
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
                 // Rust block comments nest: `/* a /* b */ c */` is one
@@ -68,7 +63,6 @@ pub fn scan_source(src: &str) -> ScannedSource {
                     }
                 }
                 blank(&mut code, start, i);
-                blank(&mut with_strings, start, i);
             }
             b'"' => {
                 let start = i;
@@ -155,7 +149,6 @@ pub fn scan_source(src: &str) -> ScannedSource {
     }
     ScannedSource {
         code: String::from_utf8_lossy(&code).into_owned(),
-        with_strings: String::from_utf8_lossy(&with_strings).into_owned(),
     }
 }
 
@@ -523,8 +516,6 @@ let real = v.unwrap();
         // Delimiters survive blanking.
         assert!(s.code.contains(r##"r#""##));
         assert!(s.code.contains(r##""#"##));
-        // with_strings keeps raw-string contents (they are literals).
-        assert!(s.with_strings.contains(".unwrap() and"));
     }
 
     #[test]
@@ -565,7 +556,6 @@ let real = v.unwrap();
         let src = "/* a /* b.unwrap() */ c.unwrap() */ let x = d.unwrap();";
         let s = scan_source(src);
         assert_eq!(unwraps(&s.code), 1);
-        assert_eq!(unwraps(&s.with_strings), 1);
     }
 
     #[test]

@@ -19,10 +19,7 @@ impl QuerySynthesis for Text2Sql {
     fn synthesize(&self, request: &str, env: &TagEnv) -> Result<String, String> {
         let _span = tag_trace::span(tag_trace::Stage::Syn, "text2sql");
         let prompt = text2sql_prompt(env.schema_prompt(), request, false);
-        let completion = env
-            .engine
-            .complete_op("text2sql", &prompt)
-            .map_err(|e| e.to_string())?;
+        let completion = env.engine.complete(&prompt).map_err(|e| e.to_string())?;
         Ok(format!("SELECT {completion}"))
     }
 }

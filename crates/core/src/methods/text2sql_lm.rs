@@ -43,7 +43,7 @@ impl TagMethod for Text2SqlLm {
         let completion = {
             let _span = tag_trace::span(tag_trace::Stage::Syn, "text2sql");
             let prompt = text2sql_prompt(env.schema_prompt(), request, true);
-            match env.engine.complete_op("text2sql", &prompt) {
+            match env.engine.complete(&prompt) {
                 Ok(c) => c,
                 Err(e) => return Answer::Error(e.to_string()),
             }

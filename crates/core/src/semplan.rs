@@ -540,7 +540,7 @@ impl SemDelegate for SemRuntime<'_> {
         let scores = self
             .env
             .engine
-            .complete_batch_op("rerank", &prompts)
+            .complete_batch(&prompts)
             .map_err(|e| e.to_string())?;
         let mut scored: Vec<(f64, usize)> = scores
             .iter()
@@ -971,9 +971,7 @@ mod reference {
             if !batch.is_empty() {
                 let prompts: Vec<String> =
                     batch.iter().map(|v| sem_filter_prompt(claim, v)).collect();
-                let answers = engine
-                    .complete_batch_op("sem_filter", &prompts)
-                    .map_err(|e| e.to_string())?;
+                let answers = engine.complete_batch(&prompts).map_err(|e| e.to_string())?;
                 for (v, a) in batch.into_iter().zip(answers) {
                     verdicts.insert(v, a.trim().eq_ignore_ascii_case("true"));
                 }
@@ -1212,7 +1210,10 @@ mod tests {
 
         e.set_sem_opt(SemOptOptions::all());
         e.reset_metrics();
-        let opt_frame = run_semplan(&e, compile_nlq(&q), &nlq_reads(&q)).unwrap();
+        let (trace, sink) = tag_trace::Trace::memory();
+        let opt_frame =
+            tag_trace::with_trace(&trace, || run_semplan(&e, compile_nlq(&q), &nlq_reads(&q)))
+                .unwrap();
         let opt_calls = e.lm.calls();
 
         assert_eq!(naive_frame, opt_frame, "rewrites must not change answers");
@@ -1221,13 +1222,14 @@ mod tests {
         // (the top two cities fail), so assert no-regression plus the
         // submitted-prompt drop from the distinct rewrite.
         assert!(opt_calls <= naive_calls, "{opt_calls} vs {naive_calls}");
-        let filter_stats: Vec<_> = e
-            .engine
-            .op_stats()
-            .into_iter()
-            .filter(|(op, _)| *op == "sem_filter")
-            .collect();
-        assert!(!filter_stats.is_empty());
+        // The semantic filter's judgments land on its own span.
+        let spans = sink.take();
+        assert!(
+            spans.iter().any(|s| {
+                (s.label == "sem_filter" || s.label.starts_with("SemFilter")) && s.lm.calls > 0
+            }),
+            "{spans:#?}"
+        );
     }
 
     #[test]
@@ -1532,21 +1534,33 @@ mod tests {
 
     /// What one run showed: its rows (as `Debug`, so `Int(1)` and
     /// `Float(1.0)` differ) or its error, the prompts the LM saw, its
-    /// calls and rounds, and the semantic engine's per-operator counters
-    /// (prompts submitted before the cache deduplicates them).
+    /// calls and rounds, and each span's label and LM usage (calls,
+    /// rounds, cache hits, tokens) from running it traced under a root
+    /// span.
     fn observe(
         env: &TagEnv,
         lm: &RecordingLm,
         run: impl FnOnce() -> Result<Table, String>,
     ) -> (String, Vec<String>, u64, u64, String) {
         env.reset_metrics();
-        let outcome = match run() {
+        let (trace, sink) = tag_trace::Trace::memory();
+        let result = tag_trace::with_trace(&trace, || {
+            let _root = tag_trace::span(tag_trace::Stage::Exec, "observe");
+            run()
+        });
+        let outcome = match result {
             Ok((columns, rows)) => format!("{columns:?} {rows:?}"),
             Err(e) => e,
         };
         let prompts = std::mem::take(&mut *lm.prompts.lock().unwrap());
-        let ops = format!("{:?}", env.engine.op_stats());
-        (outcome, prompts, lm.calls(), lm.batches(), ops)
+        let usage: Vec<_> = sink.take().into_iter().map(|s| (s.label, s.lm)).collect();
+        (
+            outcome,
+            prompts,
+            lm.calls(),
+            lm.batches(),
+            format!("{usage:?}"),
+        )
     }
 
     /// Every kernel over `frame` against its reference over the same

@@ -4,10 +4,16 @@
 //! time advantage to "efficient batched inference of LMs" (§4.3). This
 //! engine is where that happens: semantic operators submit whole prompt
 //! batches; identical prompts are answered from a cache.
+//!
+//! The engine keeps engine-wide totals ([`EngineStats`]) and no
+//! per-operator state. Which operator spent the LM work is answered by
+//! the request's span tree: each batch records its usage on the
+//! innermost open span, and every operator runs inside a span that
+//! names it (`sem_filter`, `Rerank …`, `text2sql`, …).
 
 use crate::lru::LruCache;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use tag_lm::model::{LanguageModel, LmRequest, LmResult};
 use tag_trace::LmUsage;
@@ -44,42 +50,6 @@ impl EngineStats {
     }
 }
 
-/// Counters for one named semantic operator (`sem_filter`, `sem_topk`,
-/// ...). The aggregate [`EngineStats`] answers "how much LM work"; these
-/// answer "which operator caused it".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpStats {
-    /// Operator invocations routed through the engine.
-    pub invocations: u64,
-    /// Prompts the operator submitted (before cache dedup).
-    pub prompts: u64,
-    /// Prompts answered from the cache.
-    pub cache_hits: u64,
-    /// Prompts that reached the model.
-    pub lm_prompts: u64,
-    /// Batches sent to the model.
-    pub lm_batches: u64,
-    /// Prompt tokens consumed by the operator's model calls.
-    pub prompt_tokens: u64,
-    /// Completion tokens produced by the operator's model calls.
-    pub completion_tokens: u64,
-    /// Cache evictions triggered while the operator ran.
-    pub evictions: u64,
-}
-
-/// What one `complete_batch` call did, counted locally so attribution is
-/// race-free under concurrent engine use (unlike deltas of the shared
-/// aggregate counters).
-#[derive(Debug, Default, Clone, Copy)]
-struct BatchOutcome {
-    cache_hits: u64,
-    lm_prompts: u64,
-    lm_batches: u64,
-    prompt_tokens: u64,
-    completion_tokens: u64,
-    evictions: u64,
-}
-
 /// Batched + cached LM executor shared by all semantic operators.
 pub struct SemEngine {
     lm: Arc<dyn LanguageModel>,
@@ -88,7 +58,6 @@ pub struct SemEngine {
     batch_size: usize,
     cache: Mutex<LruCache<String, String>>,
     stats: Mutex<EngineStats>,
-    ops: Mutex<BTreeMap<&'static str, OpStats>>,
 }
 
 impl SemEngine {
@@ -113,18 +82,12 @@ impl SemEngine {
             batch_size: batch_size.max(1),
             cache: Mutex::new(LruCache::new(cache_capacity)),
             stats: Mutex::new(EngineStats::default()),
-            ops: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// The wrapped model.
     pub fn lm(&self) -> &Arc<dyn LanguageModel> {
         &self.lm
-    }
-
-    /// Configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
     }
 
     /// Current statistics (evictions read live from the cache).
@@ -140,64 +103,35 @@ impl SemEngine {
         self.stats().round_occupancy(self.batch_size)
     }
 
-    /// Clear cache and statistics (aggregate and per-operator).
+    /// Clear cache and statistics.
     pub fn reset(&self) {
         self.cache.lock().clear();
         *self.stats.lock() = EngineStats::default();
-        self.ops.lock().clear();
-    }
-
-    /// Per-operator counters, in operator-name order.
-    pub fn op_stats(&self) -> Vec<(&'static str, OpStats)> {
-        self.ops.lock().iter().map(|(k, v)| (*k, *v)).collect()
     }
 
     /// Complete a batch of prompts, deduplicating against the cache and
-    /// batching the misses. Attributed to the `"adhoc"` operator; named
-    /// operators use [`SemEngine::complete_batch_op`].
+    /// batching the misses. When a trace is installed the work — model
+    /// calls, rounds, cache hits, tokens and virtual time — is recorded
+    /// on the innermost open span, which names the operator; partial
+    /// work is recorded too when a later round fails. The usage is
+    /// counted per call, so it stays exact under concurrent engine use
+    /// (unlike deltas of the shared totals).
     pub fn complete_batch(&self, prompts: &[String]) -> LmResult<Vec<String>> {
-        self.complete_batch_op("adhoc", prompts)
-    }
-
-    /// [`SemEngine::complete_batch`] with the work attributed to a named
-    /// operator (per-op counters) and, when a trace is installed, to the
-    /// innermost open span (LM usage).
-    pub fn complete_batch_op(&self, op: &'static str, prompts: &[String]) -> LmResult<Vec<String>> {
-        let trace_active = tag_trace::is_active();
-        let clock_before = if trace_active { self.lm.usage().0 } else { 0.0 };
-        let mut outcome = BatchOutcome::default();
-        // The outcome accumulates across chunks even when a later chunk
-        // errors, so partial work is still attributed.
-        let result = self.complete_batch_inner(prompts, &mut outcome);
-        {
-            let mut ops = self.ops.lock();
-            let entry = ops.entry(op).or_default();
-            entry.invocations += 1;
-            entry.prompts += prompts.len() as u64;
-            entry.cache_hits += outcome.cache_hits;
-            entry.lm_prompts += outcome.lm_prompts;
-            entry.lm_batches += outcome.lm_batches;
-            entry.prompt_tokens += outcome.prompt_tokens;
-            entry.completion_tokens += outcome.completion_tokens;
-            entry.evictions += outcome.evictions;
+        let mut usage = LmUsage::default();
+        if !tag_trace::is_active() {
+            return self.complete_batch_inner(prompts, &mut usage);
         }
-        if trace_active {
-            tag_trace::record_lm(LmUsage {
-                calls: outcome.lm_prompts,
-                rounds: outcome.lm_batches,
-                cache_hits: outcome.cache_hits,
-                prompt_tokens: outcome.prompt_tokens,
-                completion_tokens: outcome.completion_tokens,
-                virtual_seconds: (self.lm.usage().0 - clock_before).max(0.0),
-            });
-        }
+        let clock_before = self.lm.usage().0;
+        let result = self.complete_batch_inner(prompts, &mut usage);
+        usage.virtual_seconds = (self.lm.usage().0 - clock_before).max(0.0);
+        tag_trace::record_lm(usage);
         result
     }
 
     fn complete_batch_inner(
         &self,
         prompts: &[String],
-        outcome: &mut BatchOutcome,
+        usage: &mut LmUsage,
     ) -> LmResult<Vec<String>> {
         let mut results: Vec<Option<String>> = vec![None; prompts.len()];
         let mut misses: Vec<usize> = Vec::new();
@@ -211,11 +145,8 @@ impl SemEngine {
                 }
             }
         }
-        outcome.cache_hits = (prompts.len() - misses.len()) as u64;
-        {
-            let mut stats = self.stats.lock();
-            stats.cache_hits += outcome.cache_hits;
-        }
+        usage.cache_hits = (prompts.len() - misses.len()) as u64;
+        self.stats.lock().cache_hits += usage.cache_hits;
         // Dedup identical prompts within the miss set too.
         let mut unique: Vec<usize> = Vec::new();
         let mut assign: HashMap<&str, usize> = HashMap::new();
@@ -232,16 +163,12 @@ impl SemEngine {
                 .map(|&i| LmRequest::new(prompts[i].clone()))
                 .collect();
             let responses = self.lm.generate_batch(&requests)?;
-            outcome.lm_prompts += requests.len() as u64;
-            outcome.lm_batches += 1;
-            let mut chunk_prompt_tokens = 0u64;
-            let mut chunk_completion_tokens = 0u64;
+            usage.calls += requests.len() as u64;
+            usage.rounds += 1;
             for r in &responses {
-                chunk_prompt_tokens += r.prompt_tokens as u64;
-                chunk_completion_tokens += r.completion_tokens as u64;
+                usage.prompt_tokens += r.prompt_tokens as u64;
+                usage.completion_tokens += r.completion_tokens as u64;
             }
-            outcome.prompt_tokens += chunk_prompt_tokens;
-            outcome.completion_tokens += chunk_completion_tokens;
             let mut stats = self.stats.lock();
             stats.lm_prompts += requests.len() as u64;
             stats.lm_batches += 1;
@@ -249,12 +176,10 @@ impl SemEngine {
             // Fill results directly from the responses — the bounded
             // cache may evict an entry before any readback could see it.
             let mut cache = self.cache.lock();
-            let evictions_before = cache.evictions();
             for (&i, r) in chunk.iter().zip(responses) {
                 results[i] = Some(r.text.clone());
                 cache.insert(prompts[i].clone(), r.text);
             }
-            outcome.evictions += cache.evictions() - evictions_before;
         }
         // Duplicate misses copy their representative's response.
         for &i in &misses {
@@ -269,15 +194,10 @@ impl SemEngine {
             .collect())
     }
 
-    /// Complete one prompt (cached), attributed to `"adhoc"`.
+    /// Complete one prompt (cached); see [`SemEngine::complete_batch`].
     pub fn complete(&self, prompt: &str) -> LmResult<String> {
-        self.complete_op("adhoc", prompt)
-    }
-
-    /// Complete one prompt (cached), attributed to a named operator.
-    pub fn complete_op(&self, op: &'static str, prompt: &str) -> LmResult<String> {
         Ok(self
-            .complete_batch_op(op, std::slice::from_ref(&prompt.to_owned()))?
+            .complete_batch(std::slice::from_ref(&prompt.to_owned()))?
             .pop()
             .expect("one prompt yields one result"))
     }
@@ -396,91 +316,96 @@ mod tests {
         assert_eq!(lm.calls(), 2, "duplicates never hit the model");
     }
 
+    /// Run `f` under a fresh trace and return its spans.
+    fn traced(f: impl FnOnce()) -> Vec<tag_trace::SpanRecord> {
+        let (trace, sink) = tag_trace::Trace::memory();
+        tag_trace::with_trace(&trace, f);
+        sink.take()
+    }
+
+    /// `(label, calls, cache_hits)` of every span, in close order.
+    fn usage_by_label(spans: &[tag_trace::SpanRecord]) -> Vec<(&str, u64, u64)> {
+        spans
+            .iter()
+            .map(|s| (s.label.as_str(), s.lm.calls, s.lm.cache_hits))
+            .collect()
+    }
+
     #[test]
     fn per_op_counters_attribute_work() {
         let lm = Arc::new(EchoLm::new());
         let engine = SemEngine::new(lm);
-        engine
-            .complete_batch_op("sem_filter", &["a".into(), "b".into(), "a".into()])
-            .unwrap();
-        engine
-            .complete_batch_op("sem_filter", &["a".into()])
-            .unwrap();
-        engine.complete_op("sem_topk", "rank it").unwrap();
-        engine.complete("plain").unwrap();
-
-        let ops: std::collections::BTreeMap<_, _> = engine.op_stats().into_iter().collect();
-        let filter = ops["sem_filter"];
-        assert_eq!(filter.invocations, 2);
-        assert_eq!(filter.prompts, 4);
-        assert_eq!(filter.lm_prompts, 2, "a deduped, b fresh");
-        // In-batch duplicates are deduped without touching the cache
-        // counter; only the second call's "a" is a cache hit.
-        assert_eq!(filter.cache_hits, 1);
-        let topk = ops["sem_topk"];
-        assert_eq!(topk.invocations, 1);
-        assert_eq!(topk.lm_prompts, 1);
-        assert_eq!(ops["adhoc"].invocations, 1);
-        // Aggregate stats are the sum over operators.
+        let spans = traced(|| {
+            {
+                let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_filter");
+                engine
+                    .complete_batch(&["a".into(), "b".into(), "a".into()])
+                    .unwrap();
+                engine.complete_batch(&["a".into()]).unwrap();
+            }
+            let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_topk");
+            engine.complete("rank it").unwrap();
+        });
+        // "a" deduped, "b" fresh; in-batch duplicates are deduped without
+        // touching the cache, so only the second call's "a" is a hit.
+        assert_eq!(
+            usage_by_label(&spans),
+            vec![("sem_filter", 2, 1), ("sem_topk", 1, 0)]
+        );
+        // The engine-wide totals are the sum over the operators' spans.
         let agg = engine.stats();
-        let (p, h): (u64, u64) = ops
-            .values()
-            .fold((0, 0), |(p, h), s| (p + s.lm_prompts, h + s.cache_hits));
-        assert_eq!(agg.lm_prompts, p);
-        assert_eq!(agg.cache_hits, h);
-
-        engine.reset();
-        assert!(engine.op_stats().is_empty());
+        assert_eq!(
+            agg.lm_prompts,
+            spans.iter().map(|s| s.lm.calls).sum::<u64>()
+        );
+        assert_eq!(
+            agg.cache_hits,
+            spans.iter().map(|s| s.lm.cache_hits).sum::<u64>()
+        );
     }
 
     #[test]
     fn token_counters_track_model_work_only() {
         let lm = Arc::new(EchoLm::new());
         let engine = SemEngine::new(lm);
-        engine
-            .complete_batch_op("sem_filter", &["a".into(), "b".into(), "a".into()])
-            .unwrap();
-        // Fully cached second round: token counters must not move.
-        engine
-            .complete_batch_op("sem_filter", &["a".into(), "b".into()])
-            .unwrap();
-        let ops: std::collections::BTreeMap<_, _> = engine.op_stats().into_iter().collect();
-        assert_eq!(
-            ops["sem_filter"].prompt_tokens, 2,
-            "EchoLm meters 1 token/prompt"
-        );
-        assert_eq!(ops["sem_filter"].completion_tokens, 2);
-    }
-
-    #[test]
-    fn per_op_evictions_are_counted() {
-        let lm = Arc::new(EchoLm::new());
-        let engine = SemEngine::with_batch_size_and_cache(lm, 64, 2);
-        let prompts: Vec<String> = (0..5).map(|i| format!("p{i}")).collect();
-        engine.complete_batch_op("sem_filter", &prompts).unwrap();
-        let ops: std::collections::BTreeMap<_, _> = engine.op_stats().into_iter().collect();
-        assert!(ops["sem_filter"].evictions >= 3, "{:?}", ops["sem_filter"]);
+        let spans = traced(|| {
+            let _span = tag_trace::span(tag_trace::Stage::Exec, "sem_filter");
+            engine
+                .complete_batch(&["a".into(), "b".into(), "a".into()])
+                .unwrap();
+            // Fully cached second round: token counters must not move.
+            engine.complete_batch(&["a".into(), "b".into()]).unwrap();
+        });
+        assert_eq!(spans[0].lm.prompt_tokens, 2, "EchoLm meters 1 token/prompt");
+        assert_eq!(spans[0].lm.completion_tokens, 2);
+        assert_eq!(spans[0].lm.cache_hits, 2);
     }
 
     #[test]
     fn traced_batch_records_usage_on_current_span() {
         let lm = Arc::new(EchoLm::new());
         let engine = SemEngine::new(lm);
-        let (trace, sink) = tag_trace::Trace::memory();
-        tag_trace::with_trace(&trace, || {
-            let _span = tag_trace::span(tag_trace::Stage::Exec, "filter");
-            engine
-                .complete_batch_op("sem_filter", &["a".into(), "b".into(), "a".into()])
-                .unwrap();
+        let spans = traced(|| {
+            {
+                let _span = tag_trace::span(tag_trace::Stage::Exec, "filter");
+                engine
+                    .complete_batch(&["a".into(), "b".into(), "a".into()])
+                    .unwrap();
+            }
+            let _span = tag_trace::span(tag_trace::Stage::Exec, "again");
+            engine.complete_batch(&["a".into(), "c".into()]).unwrap();
         });
-        let spans = sink.take();
-        assert_eq!(spans.len(), 1);
-        let lm_usage = spans[0].lm;
-        assert_eq!(lm_usage.calls, 2);
-        assert_eq!(lm_usage.rounds, 1);
-        assert_eq!(lm_usage.cache_hits, 0, "in-batch dup is not a cache hit");
-        assert_eq!(lm_usage.prompt_tokens, 2, "EchoLm meters 1 token/prompt");
-        assert_eq!(lm_usage.completion_tokens, 2);
+        assert_eq!(spans.len(), 2);
+        let first = spans[0].lm;
+        assert_eq!(first.calls, 2);
+        assert_eq!(first.rounds, 1);
+        assert_eq!(first.cache_hits, 0, "in-batch dup is not a cache hit");
+        assert_eq!(first.prompt_tokens, 2, "EchoLm meters 1 token/prompt");
+        assert_eq!(first.completion_tokens, 2);
+        let second = spans[1].lm;
+        assert_eq!((second.calls, second.rounds), (1, 1), "only c is new");
+        assert_eq!(second.cache_hits, 1, "a was answered by the first call");
+        assert_eq!(second.prompt_tokens, 1);
     }
 
     #[test]
@@ -488,11 +413,10 @@ mod tests {
         // Identical call with no trace installed: only counters move.
         let lm = Arc::new(EchoLm::new());
         let engine = SemEngine::new(lm);
-        let out = engine
-            .complete_batch_op("sem_filter", &["a".into(), "b".into()])
-            .unwrap();
+        let out = engine.complete_batch(&["a".into(), "b".into()]).unwrap();
         assert_eq!(out, vec!["echo:a", "echo:b"]);
         assert!(!tag_trace::is_active());
+        assert_eq!(engine.stats().lm_prompts, 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub mod engine;
 pub mod lru;
 pub mod ops;
 
-pub use engine::{EngineStats, OpStats, SemEngine};
+pub use engine::{EngineStats, SemEngine};
 pub use lru::LruCache;
 pub use ops::{sem_agg, sem_agg_refine, sem_filter, sem_judge, sem_topk, SemError, SemResult};
 

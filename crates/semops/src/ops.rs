@@ -84,7 +84,7 @@ pub fn sem_judge(
     values: &[String],
 ) -> tag_lm::model::LmResult<Vec<bool>> {
     let prompts: Vec<String> = values.iter().map(|v| sem_filter_prompt(claim, v)).collect();
-    let verdicts = engine.complete_batch_op("sem_filter", &prompts)?;
+    let verdicts = engine.complete_batch(&prompts)?;
     Ok(verdicts
         .iter()
         .map(|v| v.trim().eq_ignore_ascii_case("true"))
@@ -151,7 +151,7 @@ fn quickselect_top(
             .iter()
             .map(|&i| sem_compare_prompt(property, &texts[i], &texts[pivot]))
             .collect();
-        let answers = engine.complete_batch_op("sem_topk", &prompts)?;
+        let answers = engine.complete_batch(&prompts)?;
         let mut above = Vec::new();
         let mut below = Vec::new();
         for (&i, a) in others.iter().zip(&answers) {
@@ -207,7 +207,7 @@ fn borda_rank(
             pairs.push((a, b));
         }
     }
-    let answers = engine.complete_batch_op("sem_topk", &prompts)?;
+    let answers = engine.complete_batch(&prompts)?;
     let mut wins = vec![0usize; m];
     for ((a, b), ans) in pairs.into_iter().zip(answers) {
         if ans.trim().eq_ignore_ascii_case("a") {
@@ -260,7 +260,7 @@ fn agg_fold(engine: &SemEngine, instruction: &str, items: Vec<String>) -> SemRes
     let budget = engine.lm().context_window().saturating_sub(1024).max(256);
     let total: usize = items.iter().map(|i| count_tokens(i)).sum();
     if total <= budget || items.len() <= 1 {
-        return Ok(engine.complete_op("sem_agg", &sem_agg_prompt(instruction, &items))?);
+        return Ok(engine.complete(&sem_agg_prompt(instruction, &items))?);
     }
     // Chunk so each chunk fits, summarize every chunk in one batch, then
     // recurse over the partial summaries.
@@ -283,13 +283,13 @@ fn agg_fold(engine: &SemEngine, instruction: &str, items: Vec<String>) -> SemRes
         // Cannot shrink further by chunking (individual items exceed the
         // budget); fall back to a single call and let the model truncate.
         let items = chunks.pop().unwrap_or_default();
-        return Ok(engine.complete_op("sem_agg", &sem_agg_prompt(instruction, &items))?);
+        return Ok(engine.complete(&sem_agg_prompt(instruction, &items))?);
     }
     let prompts: Vec<String> = chunks
         .iter()
         .map(|c| sem_agg_prompt(instruction, c))
         .collect();
-    let partials = engine.complete_batch_op("sem_agg", &prompts)?;
+    let partials = engine.complete_batch(&prompts)?;
     agg_fold(engine, instruction, partials)
 }
 
@@ -319,8 +319,7 @@ pub fn sem_agg_refine(
             round.push(format!("Summary so far: {s}"));
         }
         round.append(chunk);
-        *summary =
-            Some(engine.complete_op("sem_agg_refine", &sem_agg_prompt(instruction, &round))?);
+        *summary = Some(engine.complete(&sem_agg_prompt(instruction, &round))?);
         Ok(())
     };
     for item in items {

@@ -27,9 +27,10 @@
 //!   span tree is kept in a bounded [`TraceStore`] ring with a
 //!   tail-sampling reservoir for slow/error traces (`TRACE <id>`
 //!   retrieves it, as a tree or JSONL; [`TraceLookup`] distinguishes
-//!   evicted ids from unknown ones), and per-stage aggregates
-//!   accumulate in [`StageMetrics`] (one hub-adopted span-time histogram
-//!   per stage) for the `STATS` report.
+//!   evicted ids from unknown ones), and one pass over its spans feeds
+//!   [`SpanMetrics`]: per-stage aggregates (one hub-adopted span-time
+//!   histogram per stage) and the per-operator table of rows and LM
+//!   usage, both in the `STATS` report.
 //!
 //! Two binaries ship with the crate: `tag-serve`, a stdin/stdout line
 //! server speaking `ASK <domain> <method> <question>`, and `obs-bench`,
@@ -46,7 +47,7 @@ pub mod server;
 pub mod trace;
 
 pub use cache::{normalize_question, AnswerCache, CacheStats};
-pub use metrics::{MetricsRegistry, StageMetrics};
+pub use metrics::{MetricsRegistry, SpanMetrics};
 pub use protocol::{format_answer, parse_line, run_method, Command, MethodName};
 pub use server::{BatchStats, Request, Response, ServeError, Server, ServerConfig};
 pub use trace::{TraceLookup, TraceStore};

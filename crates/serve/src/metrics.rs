@@ -14,16 +14,19 @@
 //! Answer-cache traffic is not counted here: [`crate::AnswerCache`]
 //! keeps per-shard counters and the report reads them.
 //!
-//! Request spans are folded twice after each traced request: per stage
-//! ([`StageMetrics`]) and, for the plan-operator spans, per operator
-//! kind ([`OperatorMetrics`]).
+//! Each traced request's spans are folded once ([`SpanMetrics`]): per
+//! stage, and per operator kind for every span that carries rows or LM
+//! usage. That operator table is the only per-operator LM ledger: the
+//! semantic engine records its work on the span of the operator that
+//! asked for it, and keeps no per-operator state of its own.
 
 use crate::cache::CacheStats;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tag_metrics::{Counter, MetricsHub, Quantile, WindowedHistogram, WINDOWS};
+use tag_trace::{LmUsage, SpanRecord};
 
 /// A fresh histogram registered on `hub` (or left unregistered, still
 /// recording, when `hub` is the null registry).
@@ -42,35 +45,96 @@ fn ms(q: Quantile) -> String {
     format!("{:.3}{plus}", q.seconds * 1e3)
 }
 
-/// Per-stage aggregates derived from request traces: wall-clock and
-/// virtual LM time, call and token counts, bucketed by
-/// [`tag_trace::Stage`]. Fed by the server after each traced request;
-/// all relaxed atomics, so recording never contends with serving.
+/// Aggregates folded from traced requests' spans, one pass per request
+/// ([`SpanMetrics::record`]):
 ///
-/// Span self time (wall less nested spans') lives in one
-/// [`WindowedHistogram`] per stage: its cumulative count and sum are
-/// the table's `spans=` and `wall=`, and
-/// its per-second slots give the rolling 10s/60s view. Spans carry
-/// their trace id into the histogram as a bucket exemplar, which is how
-/// a slow window quantile links back to `TRACE <id>`.
+/// - per [`tag_trace::Stage`]: span self time in one [`WindowedHistogram`]
+///   (its count and sum are the table's `spans=` and `wall=`, its
+///   per-second slots the rolling 10s/60s view, its exemplars the trace
+///   ids a slow window quantile links back to), and the summed
+///   [`LmUsage`];
+/// - per operator kind, the label's first word ("TableScan schools" →
+///   `TableScan`), for every span that carries rows (a plan node) or LM
+///   usage (a semantic operator, `text2sql`, an answer): spans, rows out,
+///   wall including nested spans and summed [`LmUsage`], also fed to the
+///   hub's `tag_sqlengine_operator_*{op=..}` series.
+///
+/// Both tables render in STATS whether or not the hub is live.
 #[derive(Debug)]
-pub struct StageMetrics {
-    virtual_us: [AtomicU64; 6],
-    lm_calls: [AtomicU64; 6],
-    prompt_tokens: [AtomicU64; 6],
-    completion_tokens: [AtomicU64; 6],
+pub struct SpanMetrics {
+    hub: Arc<MetricsHub>,
     windows: [Arc<WindowedHistogram>; 6],
+    tables: Mutex<Tables>,
 }
 
-impl StageMetrics {
-    /// A zeroed table whose span histograms are adopted by `hub` as
+#[derive(Debug, Default)]
+struct Tables {
+    /// By [`tag_trace::Stage::index`].
+    stages: [LmUsage; 6],
+    ops: BTreeMap<String, OpRow>,
+}
+
+/// The per-kind counters `tag_sqlengine_operator_{name}_total{op=..}`
+/// and their help, in the order [`OpRow::add`] feeds them.
+const OP_COUNTERS: [(&str, &str); 4] = [
+    ("executions", "Operator spans"),
+    ("rows", "Rows produced"),
+    ("lm_calls", "Prompts sent to the LM"),
+    ("lm_cache_hits", "Prompt-cache hits"),
+];
+
+/// One operator kind's totals and its hub series. The histogram keeps
+/// recording on the null hub (its count and sum are the row's spans and
+/// wall); the counters are inert there.
+#[derive(Debug)]
+struct OpRow {
+    rows: u64,
+    lm: LmUsage,
+    counters: [Arc<Counter>; 4],
+    elapsed: Arc<WindowedHistogram>,
+}
+
+impl OpRow {
+    fn new(hub: &MetricsHub, kind: &str) -> Self {
+        let labels = [("op", kind)];
+        OpRow {
+            rows: 0,
+            lm: LmUsage::default(),
+            counters: OP_COUNTERS.map(|(name, help)| {
+                let name = format!("tag_sqlengine_operator_{name}_total");
+                hub.counter(
+                    &name,
+                    &format!("{help} by operator kind (traced requests)."),
+                    &labels,
+                )
+            }),
+            elapsed: adopt(
+                hub,
+                "tag_sqlengine_operator_seconds",
+                "Per-operator wall time including its inputs (traced requests).",
+                &labels,
+            ),
+        }
+    }
+
+    fn add(&mut self, span: &SpanRecord) {
+        let rows = span.rows.unwrap_or(0);
+        self.rows += rows;
+        self.lm.add(&span.lm);
+        let counts = [1, rows, span.lm.calls, span.lm.cache_hits];
+        for (counter, n) in self.counters.iter().zip(counts) {
+            counter.add(n);
+        }
+        self.elapsed.observe(span.wall);
+    }
+}
+
+impl SpanMetrics {
+    /// Empty tables whose stage histograms are adopted by `hub` as
     /// `tag_serve_stage_seconds{stage=...}`.
-    pub fn new(hub: &MetricsHub) -> Self {
-        StageMetrics {
-            virtual_us: Default::default(),
-            lm_calls: Default::default(),
-            prompt_tokens: Default::default(),
-            completion_tokens: Default::default(),
+    pub fn new(hub: &Arc<MetricsHub>) -> Self {
+        SpanMetrics {
+            hub: Arc::clone(hub),
             windows: std::array::from_fn(|i| {
                 adopt(
                     hub,
@@ -79,22 +143,35 @@ impl StageMetrics {
                     &[("stage", tag_trace::Stage::ALL[i].as_str())],
                 )
             }),
+            tables: Mutex::new(Tables::default()),
         }
     }
 
-    /// Fold one request's spans into the per-stage totals. A span
-    /// counts its self time ([`tag_trace::self_times`]), so time spent
-    /// in nested spans is counted once, at the innermost, and a
-    /// request's stage walls sum to its request span.
-    pub fn record(&self, spans: &[tag_trace::SpanRecord]) {
-        let r = Ordering::Relaxed;
-        for (span, own) in spans.iter().zip(tag_trace::self_times(spans)) {
+    /// Fold one request's spans into both tables. A span counts its self
+    /// time ([`tag_trace::self_times`]) in its stage, so time spent in
+    /// nested spans is counted once, at the innermost, and a request's
+    /// stage walls sum to its request span. A new operator kind
+    /// registers its series while the tables are locked (declared order
+    /// `serve.metrics.spans < metrics.hub.families`).
+    pub fn record(&self, spans: &[SpanRecord]) {
+        let own = tag_trace::self_times(spans);
+        let mut tables = self.tables.lock();
+        for (span, own) in spans.iter().zip(own) {
             let i = span.stage.index();
-            self.virtual_us[i].fetch_add((span.lm.virtual_seconds * 1e6) as u64, r);
-            self.lm_calls[i].fetch_add(span.lm.calls, r);
-            self.prompt_tokens[i].fetch_add(span.lm.prompt_tokens, r);
-            self.completion_tokens[i].fetch_add(span.lm.completion_tokens, r);
             self.windows[i].observe_with_exemplar(own, span.trace_id);
+            tables.stages[i].add(&span.lm);
+            if span.rows.is_none() && span.lm.is_zero() {
+                continue;
+            }
+            let kind = span.label.split_whitespace().next().unwrap_or("Unknown");
+            if !tables.ops.contains_key(kind) {
+                tables
+                    .ops
+                    .insert(kind.to_owned(), OpRow::new(&self.hub, kind));
+            }
+            if let Some(row) = tables.ops.get_mut(kind) {
+                row.add(span);
+            }
         }
     }
 
@@ -147,88 +224,45 @@ impl StageMetrics {
     /// One line per seen stage:
     /// `stage: spans=.. wall=..ms virtual=..s lm_calls=.. tok=../..`.
     pub fn report(&self) -> String {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let tables = self.tables.lock();
         let mut out = String::from("== stage breakdown (traced requests) ==\n");
         for stage in self.seen() {
             let i = stage.index();
+            let lm = &tables.stages[i];
             out.push_str(&format!(
                 "{:<8} spans={} wall={:.3}ms virtual={:.3}s lm_calls={} tok={}/{}\n",
                 stage.as_str(),
                 self.windows[i].count(),
                 self.windows[i].sum_seconds() * 1e3,
-                load(&self.virtual_us[i]) as f64 / 1e6,
-                load(&self.lm_calls[i]),
-                load(&self.prompt_tokens[i]),
-                load(&self.completion_tokens[i]),
+                lm.virtual_seconds,
+                lm.calls,
+                lm.prompt_tokens,
+                lm.completion_tokens,
             ));
         }
         out
     }
-}
 
-/// One operator kind's instruments.
-struct OpInstruments {
-    executions: Arc<Counter>,
-    rows_out: Arc<Counter>,
-    elapsed: Arc<WindowedHistogram>,
-}
-
-/// `tag_sqlengine_operator_{executions_total,rows_total,seconds}{op=..}`,
-/// fed from traced requests' plan-node spans (the spans that carry rows),
-/// keyed on the label's first word ("TableScan schools" → `TableScan`)
-/// so cardinality stays at the operator vocabulary. LM usage is counted
-/// per stage ([`StageMetrics`]): it sits on the innermost span of the
-/// work that caused it, not always a node span. The null hub records
-/// nothing.
-pub(crate) struct OperatorMetrics {
-    hub: Arc<MetricsHub>,
-    ops: Mutex<HashMap<String, OpInstruments>>,
-}
-
-impl OperatorMetrics {
-    /// Instruments registered on `hub` as operator kinds appear.
-    pub(crate) fn new(hub: &Arc<MetricsHub>) -> Self {
-        OperatorMetrics {
-            hub: Arc::clone(hub),
-            ops: Mutex::new(HashMap::new()),
+    /// One line per operator kind, in name order: `kind: spans=..
+    /// rows=.. wall=..ms lm_calls=.. rounds=.. cache_hits=.. tok=../..`
+    /// (wall includes nested spans).
+    pub fn operators_report(&self) -> String {
+        let tables = self.tables.lock();
+        let mut out = String::from("== operators (traced requests) ==\n");
+        for (kind, row) in &tables.ops {
+            out.push_str(&format!(
+                "{kind}: spans={} rows={} wall={:.3}ms lm_calls={} rounds={} cache_hits={} tok={}/{}\n",
+                row.elapsed.count(),
+                row.rows,
+                row.elapsed.sum_seconds() * 1e3,
+                row.lm.calls,
+                row.lm.rounds,
+                row.lm.cache_hits,
+                row.lm.prompt_tokens,
+                row.lm.completion_tokens,
+            ));
         }
-    }
-
-    /// Fold one request's spans into the per-operator series.
-    pub(crate) fn record(&self, spans: &[tag_trace::SpanRecord]) {
-        if !self.hub.is_enabled() {
-            return;
-        }
-        let mut ops = self.ops.lock();
-        for span in spans {
-            let Some(rows) = span.rows else { continue };
-            let kind = span.label.split_whitespace().next().unwrap_or("Unknown");
-            if !ops.contains_key(kind) {
-                let labels = [("op", kind)];
-                let inst = OpInstruments {
-                    executions: self.hub.counter(
-                        "tag_sqlengine_operator_executions_total",
-                        "Plan-operator executions by operator kind (traced requests).",
-                        &labels,
-                    ),
-                    rows_out: self.hub.counter(
-                        "tag_sqlengine_operator_rows_total",
-                        "Rows produced by operator kind (traced requests).",
-                        &labels,
-                    ),
-                    elapsed: self.hub.histogram(
-                        "tag_sqlengine_operator_seconds",
-                        "Per-operator wall time including its inputs (traced requests).",
-                        &labels,
-                    ),
-                };
-                ops.insert(kind.to_owned(), inst);
-            }
-            let Some(inst) = ops.get(kind) else { continue };
-            inst.executions.inc();
-            inst.rows_out.add(rows);
-            inst.elapsed.observe(span.wall);
-        }
+        out
     }
 }
 
@@ -348,7 +382,7 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use tag_trace::{LmUsage, SpanRecord, Stage};
+    use tag_trace::Stage;
 
     fn span(trace_id: u64, stage: Stage, wall: Duration, lm: LmUsage) -> SpanRecord {
         SpanRecord {
@@ -378,18 +412,37 @@ mod tests {
         }
     }
 
+    fn sem(label: &str, stage: Stage, calls: u64, cache_hits: u64) -> SpanRecord {
+        let lm = LmUsage {
+            calls,
+            rounds: 1,
+            cache_hits,
+            prompt_tokens: 10 * calls,
+            completion_tokens: calls,
+            virtual_seconds: 0.25,
+        };
+        SpanRecord {
+            label: label.into(),
+            ..span(1, stage, Duration::from_millis(5), lm)
+        }
+    }
+
     #[test]
     fn node_spans_fold_into_per_operator_series() {
         let hub = Arc::new(MetricsHub::new());
-        let m = OperatorMetrics::new(&hub);
+        let m = SpanMetrics::new(&hub);
         m.record(&[
             node("TableScan schools", 100, 1),
             node("TableScan races", 50, 1),
             node("SemFilter City [in region Bay Area]", 20, 40),
-            // Not a plan node: no rows, not folded.
+            // Neither rows nor LM usage: not an operator.
             span(1, Stage::Exec, Duration::from_millis(3), LmUsage::default()),
         ]);
-        m.record(&[node("SemFilter City [eu]", 5, 2)]);
+        m.record(&[
+            node("SemFilter City [eu]", 5, 2),
+            sem("sem_filter", Stage::Exec, 3, 1),
+            sem("text2sql", Stage::Syn, 1, 0),
+        ]);
         let text = hub.render();
         for line in [
             "tag_sqlengine_operator_executions_total{op=\"TableScan\"} 2",
@@ -397,15 +450,34 @@ mod tests {
             "tag_sqlengine_operator_executions_total{op=\"SemFilter\"} 2",
             "tag_sqlengine_operator_rows_total{op=\"SemFilter\"} 25",
             "tag_sqlengine_operator_seconds_count{op=\"SemFilter\"} 2",
+            "tag_sqlengine_operator_lm_calls_total{op=\"sem_filter\"} 3",
+            "tag_sqlengine_operator_lm_cache_hits_total{op=\"sem_filter\"} 1",
+            "tag_sqlengine_operator_lm_calls_total{op=\"text2sql\"} 1",
+            "tag_sqlengine_operator_lm_calls_total{op=\"TableScan\"} 0",
         ] {
             assert!(text.contains(line), "missing {line}: {text}");
         }
         assert!(!text.contains("op=\"exec\""), "{text}");
-        assert!(!text.contains("lm_prompts"), "{text}");
+        let r = m.operators_report();
+        assert!(
+            r.contains(
+                "sem_filter: spans=1 rows=0 wall=5.000ms lm_calls=3 rounds=1 cache_hits=1 tok=30/3"
+            ),
+            "{r}"
+        );
+        assert!(
+            r.contains("TableScan: spans=2 rows=150 wall=2.000ms lm_calls=0"),
+            "{r}"
+        );
+        assert!(!r.contains("exec:"), "{r}");
 
-        let noop = OperatorMetrics::new(&Arc::new(MetricsHub::noop()));
+        // The null hub renders nothing; the table still counts.
+        let noop = SpanMetrics::new(&Arc::new(MetricsHub::noop()));
         noop.record(&[node("TableScan schools", 100, 1)]);
-        assert!(noop.ops.lock().is_empty() && noop.hub.render().is_empty());
+        assert!(noop.hub.render().is_empty());
+        assert!(noop
+            .operators_report()
+            .contains("TableScan: spans=1 rows=100"));
     }
 
     #[test]
@@ -428,7 +500,7 @@ mod tests {
 
     #[test]
     fn stage_metrics_bucket_by_stage() {
-        let s = StageMetrics::new(&MetricsHub::new());
+        let s = SpanMetrics::new(&Arc::new(MetricsHub::new()));
         assert!(s.is_empty());
         let lm = LmUsage {
             calls: 1,
@@ -452,7 +524,7 @@ mod tests {
 
     #[test]
     fn stage_windows_roll_and_carry_exemplars() {
-        let s = StageMetrics::new(&MetricsHub::new());
+        let s = SpanMetrics::new(&Arc::new(MetricsHub::new()));
         let exec = |id, ms| {
             span(
                 id,
@@ -483,11 +555,11 @@ mod tests {
 
     #[test]
     fn noop_hub_registry_and_stage_histograms_still_count() {
-        let hub = MetricsHub::noop();
+        let hub = Arc::new(MetricsHub::noop());
         let m = MetricsRegistry::new(&hub);
         m.total_time.observe(Duration::from_millis(3));
         assert_eq!(m.total_time.count(), 1);
-        let s = StageMetrics::new(&hub);
+        let s = SpanMetrics::new(&hub);
         s.record(&[span(
             1,
             Stage::Exec,

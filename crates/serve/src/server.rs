@@ -37,7 +37,7 @@
 //! rather than spending a slot on an answer nobody is waiting for.
 
 use crate::cache::AnswerCache;
-use crate::metrics::{MetricsRegistry, OperatorMetrics, StageMetrics};
+use crate::metrics::{MetricsRegistry, SpanMetrics};
 use crate::protocol::{run_method, MethodName};
 use crate::trace::{TraceLookup, TraceStore};
 use parking_lot::{Condvar, Mutex};
@@ -76,11 +76,11 @@ pub struct ServerConfig {
     /// ids that windowed exemplars point at stay resolvable.
     pub tail_traces: usize,
     /// Register the serving histograms and collectors on a live hub,
-    /// fold each traced request's plan-operator spans into the
+    /// feed each traced request's operator spans into the
     /// `tag_sqlengine_operator_*` families, and serve the `METRICS`
-    /// exposition. When false the hub is the null registry, no operator
-    /// span is folded and `METRICS` renders empty; the latency and stage
-    /// histograms still record, so `STATS` is unchanged.
+    /// exposition. When false the hub is the null registry and `METRICS`
+    /// renders empty; the latency histograms and the stage and operator
+    /// tables still record, so `STATS` is unchanged.
     pub metrics_enabled: bool,
 }
 
@@ -289,8 +289,7 @@ pub struct Server {
     /// server — so the hub cannot keep the server alive through itself.
     hub: Arc<MetricsHub>,
     metrics: Arc<MetricsRegistry>,
-    stages: StageMetrics,
-    operators: OperatorMetrics,
+    spans: SpanMetrics,
     traces: TraceStore,
     default_deadline: Duration,
     slots: Slots,
@@ -330,8 +329,7 @@ impl Server {
         let metrics = Arc::new(MetricsRegistry::new(&hub));
         register_collectors(&hub, &metrics, &cache, &envs, started);
         Server {
-            stages: StageMetrics::new(&hub),
-            operators: OperatorMetrics::new(&hub),
+            spans: SpanMetrics::new(&hub),
             envs,
             cache,
             hub,
@@ -377,9 +375,9 @@ impl Server {
         &self.cache
     }
 
-    /// Per-stage aggregates over all traced requests.
-    pub fn stage_metrics(&self) -> &StageMetrics {
-        &self.stages
+    /// Per-stage and per-operator aggregates over all traced requests.
+    pub fn span_metrics(&self) -> &SpanMetrics {
+        &self.spans
     }
 
     /// Always the zero value; see [`tag_sql::PlanCacheStats`]. Only
@@ -528,8 +526,7 @@ impl Server {
             Some(id) => m.exec_time.observe_with_exemplar(exec, id),
             None => m.exec_time.observe(exec),
         }
-        self.stages.record(&spans);
-        self.operators.record(&spans);
+        self.spans.record(&spans);
         let is_error = matches!(answer, Answer::Error(_));
         if let Some(trace_id) = trace_id {
             self.traces.insert_with_outcome(trace_id, spans, is_error);
@@ -577,33 +574,10 @@ impl Server {
             "answer cache shard hits/misses: [{}]\n",
             per_shard.join(", ")
         ));
-        // Per-operator semantic-engine counters, merged across domains.
-        let mut ops: std::collections::BTreeMap<&'static str, tag_semops::OpStats> =
-            std::collections::BTreeMap::new();
-        for env in self.envs.values() {
-            for (name, stat) in env.engine.op_stats() {
-                let e = ops.entry(name).or_default();
-                e.invocations += stat.invocations;
-                e.prompts += stat.prompts;
-                e.cache_hits += stat.cache_hits;
-                e.lm_prompts += stat.lm_prompts;
-                e.lm_batches += stat.lm_batches;
-                e.evictions += stat.evictions;
-            }
-        }
-        if !ops.is_empty() {
-            out.push_str("== semantic operators ==\n");
-            for (name, s) in &ops {
-                out.push_str(&format!(
-                    "{name}: invocations={} prompts={} cache_hits={} lm_prompts={} \
-                     lm_batches={} evictions={}\n",
-                    s.invocations, s.prompts, s.cache_hits, s.lm_prompts, s.lm_batches, s.evictions,
-                ));
-            }
-        }
-        if !self.stages.is_empty() {
-            out.push_str(&self.stages.report());
-            out.push_str(&self.stages.windows_report());
+        if !self.spans.is_empty() {
+            out.push_str(&self.spans.report());
+            out.push_str(&self.spans.operators_report());
+            out.push_str(&self.spans.windows_report());
         }
         out.push_str(&format!(
             "traces resident: {} (ring capacity {}, tail {}/{})\n",
@@ -632,7 +606,7 @@ impl Drop for Server {
 
 /// Wire scrape-time collectors into the hub: subsystems that already
 /// keep their own relaxed-atomic counters (serving registry, answer
-/// cache, and per-domain semantic operators / retrieval)
+/// cache, and per-domain LM round occupancy / retrieval)
 /// are sampled at render time, adding zero hot-path work.
 ///
 /// Each closure captures only the `Arc`s it samples, and the domain
@@ -707,27 +681,6 @@ fn register_collectors(
         for (domain, env) in &weak_envs {
             let Some(env) = env.upgrade() else { continue };
             let labels = [("domain", domain.as_str())];
-            for (op, s) in env.engine.op_stats() {
-                let op_labels = [("domain", domain.as_str()), ("op", op)];
-                out.push(Sample::counter(
-                    "tag_semops_op_invocations_total",
-                    "Semantic-operator invocations.",
-                    &op_labels,
-                    s.invocations,
-                ));
-                out.push(Sample::counter(
-                    "tag_semops_op_lm_prompts_total",
-                    "Prompts semantic operators sent to the LM.",
-                    &op_labels,
-                    s.lm_prompts,
-                ));
-                out.push(Sample::counter(
-                    "tag_semops_op_cache_hits_total",
-                    "Semantic-operator prompt-cache hits.",
-                    &op_labels,
-                    s.cache_hits,
-                ));
-            }
             out.push(Sample::gauge(
                 "tag_semops_round_occupancy",
                 "LM batch-round fill fraction (prompts / rounds x batch size).",
@@ -901,7 +854,7 @@ mod tests {
         let r = server.report();
         assert!(r.contains("serving metrics"));
         assert!(r.contains("answer cache"));
-        assert!(r.contains("semantic operators"), "{r}");
+        assert!(r.contains("== operators (traced requests) =="), "{r}");
         assert!(r.contains("stage breakdown"), "{r}");
         assert!(r.contains("answer cache shard hits/misses"), "{r}");
         assert!(r.contains("traces resident"), "{r}");
@@ -992,6 +945,49 @@ mod tests {
         }
     }
 
+    /// Summed `lm_calls=` over a STATS table's lines.
+    fn summed_lm_calls(table: &str) -> u64 {
+        table
+            .lines()
+            .filter_map(|l| l.split_once(" lm_calls=")?.1.split_whitespace().next())
+            .filter_map(|v| v.parse::<u64>().ok())
+            .sum()
+    }
+
+    /// One source of truth: for one miss on a fresh server, the operator
+    /// table, the stage table, the request's spans and the model itself
+    /// count the same LM calls.
+    #[test]
+    fn operator_table_reconciles_with_stages_spans_and_the_model() {
+        for method in [MethodName::HandWritten, MethodName::Rerank] {
+            let (server, mut req) = tiny_server(ServerConfig::default());
+            req.method = method;
+            let lm = Arc::clone(server.env(&req.domain).expect("served").engine.lm());
+            let before = lm.calls();
+            let resp = server.ask(req).unwrap();
+            assert!(
+                !matches!(resp.answer, Answer::Error(_)),
+                "{:?}",
+                resp.answer
+            );
+            let model = lm.calls() - before;
+            let spans = server.trace(resp.trace_id.expect("traced")).unwrap();
+            let traced: u64 = spans.iter().map(|s| s.lm.calls).sum();
+            let m = server.span_metrics();
+            let operators = m.operators_report();
+            assert!(model > 0, "{method}: no LM work");
+            assert_eq!(
+                (
+                    summed_lm_calls(&operators),
+                    summed_lm_calls(&m.report()),
+                    traced
+                ),
+                (model, model, model),
+                "{method}:\n{operators}"
+            );
+        }
+    }
+
     #[test]
     fn stage_walls_sum_to_the_request_span() {
         let (server, mut req) = tiny_server(ServerConfig::default());
@@ -1010,7 +1006,7 @@ mod tests {
         let request_ms = root.wall.as_secs_f64() * 1e3;
         let full_walls_ms: f64 = spans.iter().map(|s| s.wall.as_secs_f64() * 1e3).sum();
         assert!(full_walls_ms > 1.01 * request_ms, "nothing nested");
-        let report = server.stage_metrics().report();
+        let report = server.span_metrics().report();
         let stage_ms: f64 = report
             .lines()
             .filter_map(|l| l.split_once(" wall=")?.1.split_once("ms"))
@@ -1100,6 +1096,8 @@ mod tests {
         let r = server.report();
         assert!(r.contains("serving metrics"), "{r}");
         assert!(r.contains("stage breakdown"), "{r}");
+        assert!(r.contains("== operators (traced requests) =="), "{r}");
+        assert!(r.contains("TableScan: spans="), "{r}");
         assert!(r.contains("request  10s: n=1"), "{r}");
     }
 
@@ -1111,6 +1109,6 @@ mod tests {
         });
         let resp = server.ask(req).unwrap();
         assert_eq!(resp.trace_id, None);
-        assert!(server.stage_metrics().is_empty());
+        assert!(server.span_metrics().is_empty());
     }
 }

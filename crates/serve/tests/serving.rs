@@ -65,13 +65,15 @@ enum PanicSite {
 }
 
 /// The simulated LM behind a gate the test holds shut to pin a request
-/// (and the slot it holds) inside an LM round, with a count of rounds to fail and an armed
-/// one-shot panic. It records the thread of every round it serves.
+/// (and the slot it holds) inside an LM round, with a count of rounds to
+/// fail (after a count of rounds to serve first) and an armed one-shot
+/// panic. It records the thread of every round it serves.
 struct FaultLm {
     inner: SimLm,
     open: Mutex<bool>,
     opened: Condvar,
     held: AtomicUsize,
+    serve_rounds: AtomicUsize,
     fail_rounds: AtomicUsize,
     panic_at: Mutex<Option<PanicSite>>,
     threads: Mutex<HashSet<ThreadId>>,
@@ -84,6 +86,7 @@ impl FaultLm {
             open: Mutex::new(open),
             opened: Condvar::new(),
             held: AtomicUsize::new(0),
+            serve_rounds: AtomicUsize::new(0),
             fail_rounds: AtomicUsize::new(0),
             panic_at: Mutex::new(None),
             threads: Mutex::new(HashSet::new()),
@@ -127,10 +130,11 @@ impl LanguageModel for FaultLm {
         drop(open);
         self.held.fetch_sub(1, Ordering::SeqCst);
         self.fire(PanicSite::GenerateBatch);
-        let fail = self
-            .fail_rounds
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
-        if fail.is_ok() {
+        let count_down = |n: &AtomicUsize| {
+            n.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok()
+        };
+        if !count_down(&self.serve_rounds) && count_down(&self.fail_rounds) {
             return Err(LmError::Other("injected backend failure".into()));
         }
         self.inner.generate_batch(requests)
@@ -505,6 +509,68 @@ fn lm_error_yields_an_uncached_typed_error_and_the_next_request_succeeds() {
         text.contains("tag_serve_requests_total{outcome=\"error\"} 1"),
         "{text}"
     );
+}
+
+/// Fault: the LM fails the second round of one operator's batch. A
+/// hand-written count whose distinct semantic filter judges more values
+/// than one round holds (64) sends two rounds from one batch; the first
+/// is served, the second fails. The request ends in a typed error that
+/// counts as one, is not cached, and keeps its trace in the tail
+/// reservoir as an error; the operator table still counts the first
+/// round's prompts, as `SemEngine::complete_batch` records partial work.
+#[test]
+fn lm_error_mid_batch_is_typed_uncached_and_its_first_round_counted() {
+    let lm = FaultLm::new(true);
+    let domains = generate_all(42, test_scale());
+    let question = "How many comments with Score over 20 and whose Text is sarcastic are there?";
+    let req = Request::new("codebase_community", MethodName::HandWritten, question);
+    let server = Server::start_with_lm(
+        domains,
+        Arc::clone(&lm) as Arc<dyn LanguageModel>,
+        ServerConfig {
+            trace_capacity: 1,
+            tail_traces: 1,
+            ..ServerConfig::default()
+        },
+    );
+    lm.serve_rounds.store(1, Ordering::SeqCst);
+    lm.fail_rounds.store(1, Ordering::SeqCst);
+    let failed = server.ask(req.clone()).unwrap();
+    assert!(
+        matches!(&failed.answer, Answer::Error(e) if e.contains("injected backend failure")),
+        "{:?}",
+        failed.answer
+    );
+    assert_eq!(lm.calls(), 64, "one full round reached the model");
+    let m = server.metrics();
+    assert_eq!(m.requests_error.load(Ordering::Relaxed), 1);
+    assert_eq!(m.requests_ok.load(Ordering::Relaxed), 0);
+    assert_eq!(server.cache().stats().len, 0);
+    let operators = server.span_metrics().operators_report();
+    let first_round = " lm_calls=64 rounds=1 cache_hits=0 ";
+    assert!(
+        operators
+            .lines()
+            .any(|l| l.starts_with("SemFilter: ") && l.contains(first_round)),
+        "{operators}"
+    );
+
+    // Resident, and kept as an error: two successful misses push it out
+    // of the one-slot ring, and it outranks the first of them for the
+    // one tail slot.
+    let id = failed.trace_id.expect("failed requests are traced too");
+    assert!(matches!(server.trace_lookup(id), TraceLookup::Found(_)));
+    let ok: Vec<Response> = rag_requests(&tiny_domains(), 2)
+        .into_iter()
+        .map(|r| server.ask(r).unwrap())
+        .collect();
+    assert!(ok.iter().all(|r| !matches!(r.answer, Answer::Error(_))));
+    assert!(matches!(server.trace_lookup(id), TraceLookup::Found(_)));
+    let first_ok = ok[0].trace_id.expect("traced");
+    assert!(matches!(
+        server.trace_lookup(first_ok),
+        TraceLookup::Evicted
+    ));
 }
 
 /// Fault: a Text2SQL + LM retrieval returns more rows than the default

@@ -85,19 +85,21 @@ pub enum SelectItem {
 pub enum TableRef {
     /// `name [AS alias]`
     Table { name: String, alias: Option<String> },
-    /// `(SELECT ...) AS alias`
+    /// `(SELECT ...) [AS] alias`; without an alias its columns resolve
+    /// unqualified only, as in SQLite.
     Subquery {
         query: Box<SelectStmt>,
-        alias: String,
+        alias: Option<String>,
     },
 }
 
 impl TableRef {
-    /// The name this relation is visible as in scopes.
-    pub fn visible_name(&self) -> &str {
+    /// The name this relation is visible as in scopes (`None` for an
+    /// unaliased derived table).
+    pub fn visible_name(&self) -> Option<&str> {
         match self {
-            TableRef::Table { name, alias } => alias.as_deref().unwrap_or(name),
-            TableRef::Subquery { alias, .. } => alias,
+            TableRef::Table { name, alias } => Some(alias.as_deref().unwrap_or(name)),
+            TableRef::Subquery { alias, .. } => alias.as_deref(),
         }
     }
 }
@@ -306,38 +308,44 @@ impl Expr {
     }
 
     /// Does this expression (transitively) contain an aggregate call?
+    /// A subquery's own aggregates do not count.
     pub fn contains_aggregate(&self) -> bool {
         match self {
             Expr::CountStar => true,
-            Expr::Function { name, args, .. } => {
-                is_aggregate_name(name) || args.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Binary { lhs, rhs, .. } => lhs.contains_aggregate() || rhs.contains_aggregate(),
-            Expr::Unary { operand, .. } => operand.contains_aggregate(),
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
+            Expr::Function { name, .. } if is_aggregate_name(name) => true,
+            _ => self.operands().into_iter().any(Expr::contains_aggregate),
+        }
+    }
+
+    /// The expression's direct sub-expressions in source order. A
+    /// subquery's own expressions are not among them.
+    pub fn operands(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Binary { lhs, rhs, .. } => vec![lhs, rhs],
+            Expr::Unary { operand: e, .. }
+            | Expr::IsNull { expr: e, .. }
+            | Expr::InSubquery { expr: e, .. }
+            | Expr::Cast { expr: e, .. } => vec![e],
             Expr::Between {
                 expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::InSubquery { expr, .. } => expr.contains_aggregate(),
+            } => vec![expr, low, high],
+            Expr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+            Expr::Function { args, .. } => args.iter().collect(),
             Expr::Case {
                 operand,
                 branches,
                 else_branch,
-            } => {
-                operand.as_deref().is_some_and(Expr::contains_aggregate)
-                    || branches
-                        .iter()
-                        .any(|(w, t)| w.contains_aggregate() || t.contains_aggregate())
-                    || else_branch.as_deref().is_some_and(Expr::contains_aggregate)
-            }
-            Expr::Cast { expr, .. } => expr.contains_aggregate(),
+            } => operand
+                .as_deref()
+                .into_iter()
+                .chain(branches.iter().flat_map(|(w, t)| [w, t]))
+                .chain(else_branch.as_deref())
+                .collect(),
             Expr::Literal(_)
             | Expr::Column { .. }
+            | Expr::CountStar
             | Expr::ScalarSubquery(_)
-            | Expr::Exists { .. } => false,
+            | Expr::Exists { .. } => Vec::new(),
         }
     }
 }
@@ -425,11 +433,11 @@ mod tests {
             name: "schools".into(),
             alias: Some("s".into()),
         };
-        assert_eq!(t.visible_name(), "s");
+        assert_eq!(t.visible_name(), Some("s"));
         let t2 = TableRef::Table {
             name: "schools".into(),
             alias: None,
         };
-        assert_eq!(t2.visible_name(), "schools");
+        assert_eq!(t2.visible_name(), Some("schools"));
     }
 }

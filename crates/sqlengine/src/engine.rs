@@ -843,6 +843,52 @@ mod tests {
         assert_eq!(rs.rows[0][0], Value::Int(2));
     }
 
+    /// `sql`'s rows over a table of signed ints and NULL texts, as
+    /// `1 2|3 1` (cells by spaces, rows by bars).
+    fn rows_text(sql: &str) -> String {
+        let mut db = Database::new();
+        db.execute_script(
+            "CREATE TABLE t (a INTEGER, b INTEGER, c TEXT);
+             INSERT INTO t VALUES (1, 10, 'x'), (-1, 20, NULL), (3, 30, 'y'),
+                                  (-2, 20, NULL), (1, 40, 'x');",
+        )
+        .unwrap();
+        let rs = db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+        let row = |r: &Vec<Value>| r.iter().map(Value::to_string).collect::<Vec<_>>().join(" ");
+        rs.rows.iter().map(row).collect::<Vec<_>>().join("|")
+    }
+
+    /// A select item equal to a `GROUP BY` expression of any
+    /// non-subquery shape reads the group key; the rows are SQLite's.
+    #[test]
+    fn group_by_matches_case_is_null_between_and_in_list() {
+        for (key, sqlite) in [
+            ("CASE WHEN a > 0 THEN a ELSE b END", "1 2|3 1|20 2"),
+            ("c IS NULL", "0 3|1 2"),
+            ("a BETWEEN 0 AND 2", "0 3|1 2"),
+            ("a IN (1, 3)", "0 2|1 3"),
+        ] {
+            let sql = format!("SELECT {key}, COUNT(*) FROM t GROUP BY {key} ORDER BY 1");
+            assert_eq!(rows_text(&sql), sqlite, "{sql}");
+        }
+    }
+
+    /// A derived table needs no alias: its columns resolve unqualified,
+    /// as in SQLite, and the clause keyword after it is not read as one.
+    #[test]
+    fn unaliased_derived_tables_read_as_their_aliased_forms() {
+        for (items, tail, sqlite) in [
+            ("g, COUNT(*)", "GROUP BY g ORDER BY g", "-2 1|-1 1|1 2|3 1"),
+            ("g", "WHERE g > 0", "1|3|1"),
+            ("*", "", "1|-1|3|-2|1"),
+        ] {
+            for alias in ["", "AS d", "d"] {
+                let sql = format!("SELECT {items} FROM (SELECT a AS g FROM t) {alias} {tail}");
+                assert_eq!(rows_text(&sql), sqlite, "{sql}");
+            }
+        }
+    }
+
     #[test]
     fn correlated_subqueries() {
         let mut db = Database::new();

@@ -491,28 +491,30 @@ impl Parser {
         if self.eat_sym(Sym::LParen) {
             let query = self.select()?;
             self.expect_sym(Sym::RParen)?;
-            self.eat_kw("AS");
-            let alias = self.ident()?;
             return Ok(TableRef::Subquery {
                 query: Box::new(query),
-                alias,
+                alias: self.table_alias()?,
             });
         }
         let name = self.ident()?;
-        let alias = if self.eat_kw("AS") {
-            Some(self.ident()?)
-        } else if let Some(Token::Ident(s, quoted)) = self.peek() {
-            if *quoted || !is_clause_keyword(s) {
+        let alias = self.table_alias()?;
+        Ok(TableRef::Table { name, alias })
+    }
+
+    /// A relation's optional alias: `AS ident`, or a bare identifier
+    /// that is not a clause keyword.
+    fn table_alias(&mut self) -> SqlResult<Option<String>> {
+        if self.eat_kw("AS") {
+            return Ok(Some(self.ident()?));
+        }
+        match self.peek() {
+            Some(Token::Ident(s, quoted)) if *quoted || !is_clause_keyword(s) => {
                 let s = s.clone();
                 self.pos += 1;
-                Some(s)
-            } else {
-                None
+                Ok(Some(s))
             }
-        } else {
-            None
-        };
-        Ok(TableRef::Table { name, alias })
+            _ => Ok(None),
+        }
     }
 
     // ---- expressions (precedence climbing) ----------------------------

@@ -36,12 +36,12 @@ pub struct Scope {
 }
 
 impl Scope {
-    fn from_relation(qualifier: &str, names: &[String]) -> Scope {
+    fn from_relation(qualifier: Option<&str>, names: &[String]) -> Scope {
         Scope {
             columns: names
                 .iter()
                 .map(|n| ScopeColumn {
-                    qualifier: Some(qualifier.to_owned()),
+                    qualifier: qualifier.map(str::to_owned),
                     name: n.clone(),
                 })
                 .collect(),
@@ -93,11 +93,14 @@ impl Scope {
 }
 
 /// Case-insensitive structural equality of AST expressions, used to match
-/// GROUP BY expressions and duplicate aggregate calls. Qualifiers compare
-/// equal when either side omits one.
+/// GROUP BY expressions and duplicate aggregate calls: the same variant
+/// with the same own fields, and equal [`Expr::operands`] pairwise.
+/// Qualifiers compare equal when either side omits one. Expressions
+/// holding a subquery (`IN (SELECT …)`, scalar, `EXISTS`) never compare
+/// equal.
 fn ast_eq(a: &Expr, b: &Expr) -> bool {
     use Expr::*;
-    match (a, b) {
+    let same_head = match (a, b) {
         (Literal(x), Literal(y)) => x == y,
         (
             Column {
@@ -115,58 +118,44 @@ fn ast_eq(a: &Expr, b: &Expr) -> bool {
                     _ => true,
                 }
         }
-        (
-            Binary {
-                op: oa,
-                lhs: la,
-                rhs: ra,
-            },
-            Binary {
-                op: ob,
-                lhs: lb,
-                rhs: rb,
-            },
-        ) => oa == ob && ast_eq(la, lb) && ast_eq(ra, rb),
-        (
-            Unary {
-                op: oa,
-                operand: xa,
-            },
-            Unary {
-                op: ob,
-                operand: xb,
-            },
-        ) => oa == ob && ast_eq(xa, xb),
+        (Binary { op: x, .. }, Binary { op: y, .. }) => x == y,
+        (Unary { op: x, .. }, Unary { op: y, .. }) => x == y,
         (
             Function {
                 name: na,
-                args: aa,
                 distinct: da,
+                ..
             },
             Function {
                 name: nb,
-                args: ab,
                 distinct: db,
+                ..
             },
-        ) => {
-            na.eq_ignore_ascii_case(nb)
-                && da == db
-                && aa.len() == ab.len()
-                && aa.iter().zip(ab).all(|(x, y)| ast_eq(x, y))
-        }
+        ) => na.eq_ignore_ascii_case(nb) && da == db,
         (CountStar, CountStar) => true,
+        (Cast { dtype: x, .. }, Cast { dtype: y, .. }) => x == y,
+        (IsNull { negated: x, .. }, IsNull { negated: y, .. })
+        | (Between { negated: x, .. }, Between { negated: y, .. })
+        | (InList { negated: x, .. }, InList { negated: y, .. }) => x == y,
         (
-            Cast {
-                expr: ea,
-                dtype: ta,
+            Case {
+                operand: oa,
+                else_branch: ea,
+                ..
             },
-            Cast {
-                expr: eb,
-                dtype: tb,
+            Case {
+                operand: ob,
+                else_branch: eb,
+                ..
             },
-        ) => ta == tb && ast_eq(ea, eb),
+        ) => oa.is_some() == ob.is_some() && ea.is_some() == eb.is_some(),
         _ => false,
+    };
+    if !same_head {
+        return false;
     }
+    let (xs, ys) = (a.operands(), b.operands());
+    xs.len() == ys.len() && xs.into_iter().zip(ys).all(|(x, y)| ast_eq(x, y))
 }
 
 /// A bound select list: expressions, output names, and the projection
@@ -353,14 +342,14 @@ impl<'a> Planner<'a> {
         };
         let (mut plan, mut scope) = self.plan_table_ref(from)?;
         let mut seen: HashSet<String> = HashSet::new();
-        seen.insert(from.visible_name().to_ascii_uppercase());
+        seen.extend(from.visible_name().map(str::to_ascii_uppercase));
         for Join { kind, table, on } in &stmt.joins {
-            let vis = table.visible_name().to_ascii_uppercase();
-            if !seen.insert(vis) {
-                return Err(SqlError::Binding(format!(
-                    "duplicate table name or alias {:?} in FROM (use AS to disambiguate)",
-                    table.visible_name()
-                )));
+            if let Some(vis) = table.visible_name() {
+                if !seen.insert(vis.to_ascii_uppercase()) {
+                    return Err(SqlError::Binding(format!(
+                        "duplicate table name or alias {vis:?} in FROM (use AS to disambiguate)"
+                    )));
+                }
             }
             let (right_plan, right_scope) = self.plan_table_ref(table)?;
             let mut combined = scope.clone();
@@ -393,7 +382,7 @@ impl<'a> Planner<'a> {
                 let t = self.catalog.table(name)?;
                 let columns = t.schema().names();
                 let vis = alias.as_deref().unwrap_or(name);
-                let scope = Scope::from_relation(vis, &columns);
+                let scope = Scope::from_relation(Some(vis), &columns);
                 Ok((
                     Plan::TableScan {
                         table: t.name().to_owned(),
@@ -405,7 +394,7 @@ impl<'a> Planner<'a> {
             TableRef::Subquery { query, alias } => {
                 let plan = self.plan_select(query)?;
                 let columns = plan.columns();
-                let scope = Scope::from_relation(alias, &columns);
+                let scope = Scope::from_relation(alias.as_deref(), &columns);
                 Ok((plan, scope))
             }
         }
@@ -923,66 +912,24 @@ impl<'a> Planner<'a> {
 /// Collect the distinct aggregate calls in an expression (not descending
 /// into aggregate arguments). Errors on nested aggregates.
 fn collect_aggregates(expr: &Expr, out: &mut Vec<Expr>) -> SqlResult<()> {
-    let mut push = |e: &Expr| {
-        if !out.iter().any(|x| ast_eq(x, e)) {
-            out.push(e.clone());
-        }
-    };
     match expr {
-        Expr::CountStar => push(expr),
+        Expr::CountStar => {}
         Expr::Function { name, args, .. } if is_aggregate_name(name) => {
-            for a in args {
-                if a.contains_aggregate() {
-                    return Err(SqlError::Binding(
-                        "nested aggregate functions are not allowed".into(),
-                    ));
-                }
-            }
-            push(expr);
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_aggregates(a, out)?;
+            if args.iter().any(Expr::contains_aggregate) {
+                return Err(SqlError::Binding(
+                    "nested aggregate functions are not allowed".into(),
+                ));
             }
         }
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_aggregates(lhs, out)?;
-            collect_aggregates(rhs, out)?;
+        _ => {
+            return expr
+                .operands()
+                .into_iter()
+                .try_for_each(|e| collect_aggregates(e, out))
         }
-        Expr::Unary { operand, .. } => collect_aggregates(operand, out)?,
-        Expr::IsNull { expr, .. } => collect_aggregates(expr, out)?,
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, out)?;
-            collect_aggregates(low, out)?;
-            collect_aggregates(high, out)?;
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out)?;
-            for e in list {
-                collect_aggregates(e, out)?;
-            }
-        }
-        Expr::InSubquery { expr, .. } => collect_aggregates(expr, out)?,
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            if let Some(o) = operand {
-                collect_aggregates(o, out)?;
-            }
-            for (w, t) in branches {
-                collect_aggregates(w, out)?;
-                collect_aggregates(t, out)?;
-            }
-            if let Some(e) = else_branch {
-                collect_aggregates(e, out)?;
-            }
-        }
-        Expr::Cast { expr, .. } => collect_aggregates(expr, out)?,
-        Expr::Literal(_) | Expr::Column { .. } | Expr::ScalarSubquery(_) | Expr::Exists { .. } => {}
+    }
+    if !out.iter().any(|x| ast_eq(x, expr)) {
+        out.push(expr.clone());
     }
     Ok(())
 }
